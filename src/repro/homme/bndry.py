@@ -17,8 +17,11 @@ The paper redesigns this subroutine twice over (Section 7.6):
 DSS contributions really travel between ranks through
 :class:`~repro.network.simmpi.SimMPI`) with both the ``classic`` and
 ``overlap`` execution disciplines, charging pack/unpack memcpy time and
-compute time to each rank's simulated clock.  The distributed result is
-bit-identical to the serial :meth:`CubedSphereMesh.dss`.
+compute time to each rank's simulated clock.  The result equals the serial
+:meth:`CubedSphereMesh.dss` to roundoff (it sums ``f*w`` then divides by
+the assembled weight ``A``; the serial form sums ``f*(w/A)``) and is
+bitwise reproducible for a fixed partition, whatever ``workers`` or
+``pipeline`` the models run with.
 """
 
 from __future__ import annotations
@@ -82,12 +85,33 @@ class ExchangeReport:
         return max(self.rank_times) if self.rank_times else 0.0
 
 
+def _occurrence_layers(dest: np.ndarray) -> list[np.ndarray]:
+    """Split the accumulate ``acc[dest[i]] += src[i]`` into duplicate-free layers.
+
+    Layer *j* is the positions ``i`` of every destination's *j*-th
+    occurrence, in ascending destination order.  A layer's destinations
+    are unique, so plain indexing adds it; adding the layers in order sums
+    each destination in position order, as ``np.add.at`` does, bit for bit.
+    """
+    if len(dest) == 0:
+        return []
+    order = np.argsort(dest, kind="stable")
+    d = dest[order]
+    i = np.arange(len(d))
+    occurrence = i - np.maximum.accumulate(
+        np.where(np.r_[True, d[1:] != d[:-1]], i, 0))
+    return [order[occurrence == j] for j in range(int(occurrence.max()) + 1)]
+
+
 class HaloExchanger:
     """Distributed DSS over an SFC partition.
 
-    Precomputes, per rank pair, the shared global DOF ids in a canonical
-    (sorted) order, plus the local flat indices contributing to them, so
-    an exchange is pure vectorized gather/scatter.
+    The constructor builds one flat *exchange plan* over all ranks: every
+    rank's GLL points concatenated in rank order, one accumulator slot
+    per touching (rank, gid) pair, and the index tables between points,
+    slots and message payloads.  An exchange is then a handful of
+    whole-mesh gathers and adds; its per-rank × per-peer loops only
+    post, charge and trace the messages.
     """
 
     def __init__(self, mesh: CubedSphereMesh, part: SFCPartition) -> None:
@@ -95,74 +119,86 @@ class HaloExchanger:
             raise KernelError("partition and mesh resolutions differ")
         self.mesh = mesh
         self.part = part
-        self.nranks = part.nranks
-        n = mesh.np
+        self.nranks = nranks = part.nranks
 
-        #: Per rank: owned element ids (curve order) and their gid block.
-        self.rank_elems = [part.rank_elements(r) for r in range(self.nranks)]
-        self.rank_gids = [mesh.gid[e] for e in self.rank_elems]
+        #: Per rank: owned element ids (curve order).
+        self.rank_elems = [part.rank_elements(r) for r in range(nranks)]
+        elems = np.concatenate(self.rank_elems)
+        points = np.array([len(e) for e in self.rank_elems]) * mesh.np ** 2
+        #: Rank r's points: rows ``_offsets[r]:_offsets[r + 1]`` of the flat tables.
+        self._offsets = [0, *np.cumsum(points).tolist()]
+        gid = mesh.gid[elems].reshape(-1)
+        # One sort over (rank, gid) pairs gives the accumulator slots and
+        # each local point's slot.  Slots are numbered by descending
+        # point count, so the slots with a j-th local point — layer j of
+        # the local accumulate — are a prefix.
+        pairs, slot_of, counts = np.unique(
+            np.repeat(np.arange(nranks), points) * mesh.ngid + gid,
+            return_inverse=True, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        number = np.empty_like(by_count)
+        number[by_count] = np.arange(len(pairs))
+        self._slot_of = number[slot_of]
+        slot_rank, slot_gid = np.divmod(pairs[by_count], mesh.ngid)
+        self._local_layers = _occurrence_layers(self._slot_of)
+        self._weights = mesh.spheremp[elems].reshape(-1, 1)
+        self._assembled = mesh.assembled_spheremp[slot_gid][:, None]
 
-        # gid -> set of touching ranks.
-        gid_ranks: dict[int, set[int]] = {}
-        for r in range(self.nranks):
-            for g in np.unique(self.rank_gids[r]):
-                gid_ranks.setdefault(int(g), set()).add(r)
+        # Slots of one gid on different ranks are neighbours at distance
+        # 1, 2, ... in gid order; each pair is a payload row both ways.
+        by_gid = np.argsort(slot_gid, kind="stable")
+        g = slot_gid[by_gid]
+        src, dst = [by_gid[:0]], [by_gid[:0]]
+        for s in range(1, nranks):
+            same = g[s:] == g[:-s]
+            if not same.any():
+                break
+            lo, hi = by_gid[:-s][same], by_gid[s:][same]
+            src += [lo, hi]
+            dst += [hi, lo]
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        # Payload rows ordered by sender, receiver, gid.  Pairs are
+        # symmetric, so read as (receiver, sender, gid) the same table is
+        # the order rows are received in: ``_send_idx`` is both the send
+        # gather and the receive scatter index.
+        pair = slot_rank[src] * nranks + slot_rank[dst]
+        order = np.lexsort((slot_gid[src], pair))
+        self._send_idx = src[order]
+        self._recv_layers = [(pos, self._send_idx[pos])
+                             for pos in _occurrence_layers(self._send_idx)]
+        pairs, starts = np.unique(pair[order], return_index=True)
+        stops = [*starts[1:].tolist(), len(order)]
+        shared = slot_gid[self._send_idx]
+        #: Sorted shared gids per ordered rank pair, and each rank's peers.
+        self.shared_gids: dict[tuple[int, int], np.ndarray] = {}
+        self.peers: dict[int, list[int]] = {r: [] for r in range(nranks)}
+        #: Per rank: (peer, start, stop) payload rows of its messages.
+        self._messages: list[list[tuple[int, int, int]]] = [
+            [] for _ in range(nranks)]
+        for ab, lo, hi in zip(pairs.tolist(), starts.tolist(), stops):
+            a, b = divmod(ab, nranks)
+            self.shared_gids[(a, b)] = shared[lo:hi]
+            self.peers[a].append(b)
+            self._messages[a].append((b, lo, hi))
 
-        # Shared gid lists per ordered rank pair.
-        shared: dict[tuple[int, int], list[int]] = {}
-        for g, ranks in gid_ranks.items():
-            if len(ranks) > 1:
-                rl = sorted(ranks)
-                for a in rl:
-                    for b in rl:
-                        if a != b:
-                            shared.setdefault((a, b), []).append(g)
-        self.shared_gids = {
-            key: np.array(sorted(gs), dtype=np.int64) for key, gs in shared.items()
-        }
-        self.peers = {
-            r: sorted({b for (a, b) in self.shared_gids if a == r})
-            for r in range(self.nranks)
-        }
-
-        # Local scatter structures: for rank r, flat arrays over local GLL
-        # points of (gid, weight) and, per element, whether it is boundary.
-        self.local_flat_gid = [g.reshape(-1) for g in self.rank_gids]
-        self.local_weights = [
-            mesh.spheremp[e].reshape(-1) for e in self.rank_elems
-        ]
-        self.assembled = mesh.assembled_spheremp
-        self.boundary_elems = [part.boundary_elements(r) for r in range(self.nranks)]
-        self.inner_elems = [part.inner_elements(r) for r in range(self.nranks)]
-        # Mask over local elements (in rank_elems order): boundary or not.
-        self.local_boundary_mask = [
-            part.boundary_mask[e] for e in self.rank_elems
-        ]
         # Positions within each rank's local element order of the
         # boundary and inner rows.  The pipelined engine mode dispatches
-        # these as separate worker batches (boundary first, inner
-        # overlapped with the driver's combines) and reassembles by
-        # exactly these indices — a pure scatter, so the reassembled
-        # stack is bit-identical to computing the full stack at once.
-        self.local_boundary_idx = [
-            np.nonzero(m)[0] for m in self.local_boundary_mask
-        ]
-        self.local_inner_idx = [
-            np.nonzero(~m)[0] for m in self.local_boundary_mask
-        ]
+        # these as separate worker batches and reassembles by exactly
+        # these indices — a pure scatter, so bit-identical to computing
+        # the full stack at once.
+        masks = [part.boundary_mask[e] for e in self.rank_elems]
+        self.local_boundary_idx = [np.nonzero(m)[0] for m in masks]
+        self.local_inner_idx = [np.nonzero(~m)[0] for m in masks]
 
     # -- core exchange ------------------------------------------------------------
 
-    def _local_accumulate(self, rank: int, f_flat: np.ndarray) -> dict[int, np.ndarray]:
-        """Weighted contributions acc[gid] for rank's local field values."""
-        gids = self.local_flat_gid[rank]
-        w = self.local_weights[rank]
-        vals = f_flat * w[:, None]
-        # Accumulate into a compact dict keyed by gid.
-        uniq, inv = np.unique(gids, return_inverse=True)
-        acc = np.zeros((len(uniq),) + vals.shape[1:])
-        np.add.at(acc, inv, vals)
-        return {"gids": uniq, "acc": acc}
+    def _per_rank_costs(self, costs, name: str):
+        if costs is None:
+            return [0.0] * self.nranks
+        if len(costs) != self.nranks:
+            raise KernelError(
+                f"{name} has {len(costs)} entries, need {self.nranks}")
+        return costs
 
     def exchange(
         self,
@@ -179,7 +215,8 @@ class HaloExchanger:
         ----------
         local_fields:
             Per rank, array (E_r, np, np) or (E_r, np, np, K) of the
-            element-local field to make continuous.
+            element-local field to make continuous; trailing shapes must
+            agree across ranks.
         mpi:
             The simulated communicator (nranks must match).
         mode:
@@ -193,107 +230,112 @@ class HaloExchanger:
             send and wait — which is what hides the transfer.
 
         Returns the DSS'd local fields and an :class:`ExchangeReport`.
+        The per-rank outputs are slices of one array.
         """
-        if mpi.nranks != self.nranks:
+        nranks = self.nranks
+        if mpi.nranks != nranks:
             raise KernelError(
-                f"communicator has {mpi.nranks} ranks, partition {self.nranks}"
-            )
+                f"communicator has {mpi.nranks} ranks, partition {nranks}")
         if mode not in ("classic", "overlap"):
             raise KernelError(f"unknown exchange mode {mode!r}")
-        if len(local_fields) != self.nranks:
+        if len(local_fields) != nranks:
             raise KernelError("need one local field array per rank")
-        bc = boundary_compute or [0.0] * self.nranks
-        ic = inner_compute or [0.0] * self.nranks
+        bc = self._per_rank_costs(boundary_compute, "boundary_compute")
+        ic = self._per_rank_costs(inner_compute, "inner_compute")
 
         n = self.mesh.np
-        flats = []
-        for r, f in enumerate(local_fields):
-            f = np.asarray(f, dtype=np.float64)
+        fields = [np.asarray(f, dtype=np.float64) for f in local_fields]
+        for r, f in enumerate(fields):
             if f.shape[:3] != (len(self.rank_elems[r]), n, n):
                 raise KernelError(f"rank {r} field has shape {f.shape}")
-            k = int(np.prod(f.shape[3:])) if f.ndim > 3 else 1
-            flats.append(f.reshape(-1, k))
+            if f.shape[3:] != fields[0].shape[3:]:
+                raise KernelError(
+                    f"rank {r} field has trailing shape {f.shape[3:]}, "
+                    f"rank 0 has {fields[0].shape[3:]}")
 
         report = ExchangeReport(mode=mode)
-        dropped0 = mpi.messages_dropped
-        retrans0 = mpi.retransmissions
+        dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
         tracer = mpi.tracer
-        accs = []
+        classic = mode == "classic"
+        # Classic stages through the pack buffer (2 copies each way);
+        # the redesign packs once and unpacks directly.
+        copies = 2 if classic else 1
+
+        # Weighted contributions of every local point, summed per slot in
+        # local order from zero (0.0 + x turns a -0.0 into +0.0); then
+        # all message payloads in one gather.
+        vals = np.concatenate([f.reshape(f.shape[0] * n * n, -1) for f in fields])
+        vals *= self._weights
+        acc = vals.take(self._local_layers[0], axis=0)
+        acc += 0.0
+        for pos in self._local_layers[1:]:
+            acc[:len(pos)] += vals.take(pos, axis=0)
+        payloads = acc.take(self._send_idx, axis=0)
 
         # Phase 1: compute + pack + send on every rank.
-        sends = []
-        for r in range(self.nranks):
-            track = rank_track(r)
-            t0 = mpi.now(r)
-            if mode == "classic":
-                # All kernel work happens before any communication.
-                mpi.compute(r, bc[r] + ic[r])
-            else:
-                # Boundary elements first; inner is deferred.
-                mpi.compute(r, bc[r])
+        for r in range(nranks):
+            track, clock = rank_track(r), mpi.clock(r)
+            t0 = clock.now
+            # Classic: all kernel work first.  Overlap: boundary only.
+            mpi.compute(r, bc[r] + ic[r] if classic else bc[r])
             if tracer.enabled:
-                name = "compute" if mode == "classic" else "compute.boundary"
-                tracer.span_at(track, name, t0, mpi.now(r), cat="exchange",
+                name = "compute" if classic else "compute.boundary"
+                tracer.span_at(track, name, t0, clock.now, cat="exchange",
                                tag=tag)
-            acc = self._local_accumulate(r, flats[r])
-            accs.append(acc)
-            for p in self.peers[r]:
-                sg = self.shared_gids[(r, p)]
-                idx = np.searchsorted(acc["gids"], sg)
-                payload = acc["acc"][idx]
-                # Pack memcpy: classic stages through the pack buffer.
-                pack_copies = 2 if mode == "classic" else 1
-                t_pack = pack_copies * payload.nbytes / MEMCPY_BANDWIDTH
-                t1 = mpi.now(r)
+            for p, lo, hi in self._messages[r]:
+                payload = payloads[lo:hi]
+                t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
+                t1 = clock.now
                 mpi.compute(r, t_pack)
                 report.memcpy_seconds += t_pack
                 if tracer.enabled:
-                    tracer.span_at(track, "pack", t1, mpi.now(r),
+                    tracer.span_at(track, "pack", t1, clock.now,
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=payload.nbytes, copies=pack_copies)
-                    tracer.span_at(track, "send", mpi.now(r), mpi.now(r),
+                                   nbytes=payload.nbytes, copies=copies)
+                    tracer.span_at(track, "send", clock.now, clock.now,
                                    cat="exchange", peer=p, tag=tag,
                                    nbytes=payload.nbytes)
-                sends.append(mpi.isend(r, p, payload, tag=tag))
+                mpi.isend(r, p, payload, tag=tag)
 
         # Phase 2: overlap window — inner compute happens while in flight.
-        if mode == "overlap":
-            for r in range(self.nranks):
+        if not classic:
+            for r in range(nranks):
                 t0 = mpi.now(r)
                 mpi.compute(r, ic[r])
                 if tracer.enabled:
                     tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
                                    cat="exchange", tag=tag)
 
-        # Phase 3: receive, unpack, finalize.
-        outs: list[np.ndarray] = []
-        for r in range(self.nranks):
-            acc = accs[r]
-            for p in self.peers[r]:
-                sg = self.shared_gids[(r, p)]
+        # Phase 3: receive and charge the unpack per message, then add
+        # all received rows to their slots in arrival (ascending-peer)
+        # order, divide by the assembled weights and gather to the points.
+        received = [payloads[:0]]  # seed: one rank has no messages
+        for r in range(nranks):
+            track, clock = rank_track(r), mpi.clock(r)
+            for p, lo, hi in self._messages[r]:
                 data = mpi.wait(mpi.irecv(r, p, tag=tag))
-                if data.shape[0] != len(sg):
-                    raise KernelError("halo message length mismatch")
-                idx = np.searchsorted(acc["gids"], sg)
-                acc["acc"][idx] += data
-                # Unpack memcpy: classic copies receive buffer -> pack
-                # buffer -> elements (2 copies); redesign goes direct (1).
-                unpack_copies = 2 if mode == "classic" else 1
-                t_unpack = unpack_copies * data.nbytes / MEMCPY_BANDWIDTH
-                t2 = mpi.now(r)
+                if data.shape != (hi - lo, vals.shape[1]):
+                    raise KernelError(
+                        f"rank {r}: halo message from rank {p} has shape "
+                        f"{data.shape}, expected {(hi - lo, vals.shape[1])}")
+                t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
+                t2 = clock.now
                 mpi.compute(r, t_unpack)
                 report.memcpy_seconds += t_unpack
                 if tracer.enabled:
-                    tracer.span_at(rank_track(r), "unpack", t2, mpi.now(r),
+                    tracer.span_at(track, "unpack", t2, clock.now,
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=data.nbytes, copies=unpack_copies)
-            # Final division by assembled weights at local points.
-            gids = self.local_flat_gid[r]
-            pos = np.searchsorted(acc["gids"], gids)
-            vals = acc["acc"][pos] / self.assembled[gids][:, None]
-            outs.append(vals.reshape(local_fields[r].shape))
+                                   nbytes=data.nbytes, copies=copies)
+                received.append(data)
+        received = np.concatenate(received)
+        for pos, slot in self._recv_layers:
+            acc[slot] = acc.take(slot, axis=0) + received.take(pos, axis=0)
+        acc /= self._assembled
+        out = acc.take(self._slot_of, axis=0)
+        outs = [out[lo:hi].reshape(f.shape)
+                for lo, hi, f in zip(self._offsets, self._offsets[1:], fields)]
 
-        report.rank_times = [mpi.now(r) for r in range(self.nranks)]
+        report.rank_times = [mpi.now(r) for r in range(nranks)]
         report.comm_wait = list(mpi.comm_seconds)
         report.dropped = mpi.messages_dropped - dropped0
         report.retransmissions = mpi.retransmissions - retrans0

@@ -47,6 +47,36 @@ from .element import ElementGeometry
 from .shallow_water import SWState, williamson2_initial
 
 
+def _to_cartesian(e_cov, v, radius: float) -> np.ndarray:
+    """Contravariant (..., 2) components -> Cartesian tangent (..., 3) vectors.
+
+    ``radius * einsum("...xc,...c->...x", e_cov, v)`` as broadcast
+    multiply-adds: the same products summed in the same order from +0.0
+    (an all -0.0 sum comes out +0.0), so bitwise einsum's result, 2-4x
+    faster on level-carrying fields.
+    """
+    w = e_cov[..., 0] * v[..., 0:1]
+    w += 0.0
+    w += e_cov[..., 1] * v[..., 1:2]
+    w *= radius
+    return w
+
+
+def _from_cartesian(e_cov, metinv, w, radius: float) -> np.ndarray:
+    """Inverse of :func:`_to_cartesian`: ``radius * einsum("...xc,...x->...c")``
+    then ``einsum("...ij,...j->...i", metinv, cov)`` — same bitwise contract.
+    C-contiguous whatever ``w``'s layout (bitwise restart depends on it)."""
+    cov = e_cov[..., 0, :] * w[..., 0:1]
+    cov += 0.0
+    cov += e_cov[..., 1, :] * w[..., 1:2]
+    cov += e_cov[..., 2, :] * w[..., 2:3]
+    cov *= radius
+    v = metinv[..., 0] * cov[..., 0:1]
+    v += 0.0
+    v += metinv[..., 1] * cov[..., 1:2]
+    return np.ascontiguousarray(v)
+
+
 def _make_engine(model, workers: int, validate: bool, label: str,
                  pipeline: bool = False, engine_kwargs: dict | None = None):
     """Shared ``workers=``/``pipeline=`` plumbing for the distributed models.
@@ -274,24 +304,15 @@ class DistributedShallowWater:
         )
         return outs
 
-    def _dss_scalar(self, fields: list[np.ndarray], stage: int,
-                    slot: int) -> list[np.ndarray]:
-        return self._exchange(fields, stage, slot)
-
     def _dss_vector(self, vs: list[np.ndarray], stage: int,
                     slot: int) -> list[np.ndarray]:
         """Vector DSS through the Cartesian tangent representation."""
-        ws = []
-        for r, v in enumerate(vs):
-            e = self.geoms[r].e_cov  # (E_r, n, n, 3, 2)
-            ws.append(self.mesh.radius * np.einsum("...xc,...c->...x", e, v))
-        ws = self._exchange(ws, stage, slot)
-        out = []
-        for r, w in enumerate(ws):
-            g = self.geoms[r]
-            cov = self.mesh.radius * np.einsum("...xc,...x->...c", g.e_cov, w)
-            out.append(np.einsum("...ij,...j->...i", g.metinv, cov))
-        return out
+        radius = self.mesh.radius
+        ws = self._exchange(
+            [_to_cartesian(g.e_cov, v, radius) for g, v in zip(self.geoms, vs)],
+            stage, slot)
+        return [_from_cartesian(g.e_cov, g.metinv, w, radius)
+                for g, w in zip(self.geoms, ws)]
 
     # -- dynamics -----------------------------------------------------------------
 
@@ -312,7 +333,7 @@ class DistributedShallowWater:
                  (bases[r].h, bases[r].v, points[r].h, points[r].v))
                 for r in range(self.nranks)
             ])
-        hs = self._dss_scalar([o[0] for o in outs], stage, slot=0)
+        hs = self._exchange([o[0] for o in outs], stage, slot=0)
         vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
         if self.tracer.enabled:
             for r in range(self.nranks):
@@ -526,26 +547,16 @@ class DistributedPrimitiveEquations:
 
     def _dss_vector_levels(self, vs, stage, slot):
         """DSS (E_r, L, n, n, 2) contravariant fields via Cartesian form."""
+        radius = self.mesh.radius
         ws = []
-        for r, v in enumerate(vs):
-            e = self.geoms[r].e_cov[:, None]  # broadcast over levels
-            w = self.mesh.radius * np.einsum("...xc,...c->...x", e, v)
+        for g, v in zip(self.geoms, vs):
+            w = _to_cartesian(g.e_cov[:, None], v, radius)  # over levels
             ws.append(np.moveaxis(w, 1, -2).reshape(w.shape[0], w.shape[2], w.shape[3], -1))
         ws = self._exchange(ws, stage, slot)
         out = []
-        for r, w in enumerate(ws):
-            E, n = w.shape[0], w.shape[1]
-            L = w.shape[-1] // 3
-            w = np.moveaxis(w.reshape(E, n, n, L, 3), -2, 1)
-            g = self.geoms[r]
-            cov = self.mesh.radius * np.einsum(
-                "...xc,...x->...c", g.e_cov[:, None], w
-            )
-            out.append(
-                np.ascontiguousarray(
-                    np.einsum("...ij,...j->...i", g.metinv[:, None], cov)
-                )
-            )
+        for g, w in zip(self.geoms, ws):
+            w = np.moveaxis(w.reshape(w.shape[:3] + (-1, 3)), -2, 1)
+            out.append(_from_cartesian(g.e_cov[:, None], g.metinv[:, None], w, radius))
         return out
 
     # -- one distributed dynamics step ------------------------------------------------

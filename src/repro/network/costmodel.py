@@ -51,12 +51,17 @@ class NetworkCostModel:
             return self.node_bandwidth
         return self.node_bandwidth * self.inter_supernode_bw_factor
 
+    def path(self, src: int, dst: int) -> tuple[float, float]:
+        """``(alpha, beta)`` of the path class between two ranks (constant)."""
+        hops = self.topology.hops(src, dst)
+        return self.alpha(hops), self.beta(hops)
+
     def p2p_time(self, src: int, dst: int, nbytes: int) -> float:
         """Point-to-point message time [s]."""
         if nbytes < 0:
             raise ValueError(f"message size cannot be negative: {nbytes}")
-        hops = self.topology.hops(src, dst)
-        return self.alpha(hops) + nbytes / self.beta(hops)
+        alpha, beta = self.path(src, dst)
+        return alpha + nbytes / beta
 
     def p2p_time_by_hops(self, hops: int, nbytes: int) -> float:
         """p2p time for a known hop class (perf-model fast path)."""

@@ -154,6 +154,8 @@ class SimMPI:
         self._mailbox: dict[tuple[int, int, int], deque[_Message]] = {}
         #: Dropped messages awaiting retransmission (sender-side copies).
         self._lost: dict[tuple[int, int, int], deque[_Message]] = {}
+        #: (src, dst) -> (alpha, beta), resolved on a pair's first message.
+        self._paths: dict[tuple[int, int], tuple[float, float]] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
@@ -172,7 +174,8 @@ class SimMPI:
 
     def now(self, rank: int) -> float:
         """Current simulated time at ``rank``."""
-        return self.clock(rank).now
+        self._check_rank(rank)
+        return self._clocks[rank].now
 
     def compute(self, rank: int, seconds: float) -> None:
         """Charge ``seconds`` of computation to ``rank``'s clock.
@@ -183,7 +186,8 @@ class SimMPI:
         """
         if self.faults is not None:
             seconds *= self.faults.compute_factor(rank)
-        self.clock(rank).advance(seconds)
+        self._check_rank(rank)
+        self._clocks[rank].advance(seconds)
 
     def max_time(self) -> float:
         """Simulated completion time of the whole job (slowest rank)."""
@@ -199,11 +203,9 @@ class SimMPI:
         The copy doubles as the retransmission buffer when the fault
         injector drops the message in flight.
         """
-        self._check_rank(src)
-        self._check_rank(dst)
         payload = np.asarray(payload)
+        transfer = self._transfer_time(src, dst, payload.nbytes)
         t_send = self._clocks[src].now
-        transfer = self.cost.p2p_time(src, dst, payload.nbytes)
         msg = _Message(src, dst, tag, payload.copy(), t_send + transfer)
         fate, extra = ("deliver", 0.0)
         if self.faults is not None:
@@ -253,23 +255,22 @@ class SimMPI:
             # Sends complete at post time; repeated waits are no-ops.
             return None
         if req.done:
-            # Previously this re-entered the mailbox pop: a duplicated
-            # request in a waitall list could re-deliver another
-            # request's message (or die on an empty queue) and charge
-            # comm_seconds twice.
             return req.payload
         key = (req.peer, req.rank, req.tag)
-        q = self._mailbox.get(key)
-        if q:
-            msg = q.popleft()
-        else:
-            lost = self._lost.get(key)
-            if not lost:
-                raise SimMPIError(
-                    f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
-                    "but no matching send was posted"
-                )
-            msg = self._recover(key, lost.popleft())
+        queues = self._mailbox if key in self._mailbox else self._lost
+        q = queues.get(key)
+        if not q:
+            raise SimMPIError(
+                f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
+                "but no matching send was posted"
+            )
+        msg = q.popleft()
+        if not q:
+            # The halo layer uses a fresh tag per exchange: a drained
+            # queue left under its key would never be reused or freed.
+            del queues[key]
+        if queues is self._lost:
+            msg = self._recover(key, msg)
         clock = self._clocks[req.rank]
         t_wait = clock.now
         waited = max(0.0, msg.arrival - clock.now)
@@ -286,6 +287,15 @@ class SimMPI:
             )
         return msg.payload
 
+    def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """``cost.p2p_time``; ranks checked and path resolved once per pair."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            self._check_rank(src)
+            self._check_rank(dst)
+            path = self._paths[src, dst] = self.cost.path(src, dst)
+        return path[0] + nbytes / path[1]
+
     def _recover(self, key: tuple[int, int, int], msg: _Message) -> _Message:
         """Retransmit a dropped message until it arrives or the retry
         budget runs out.
@@ -299,7 +309,7 @@ class SimMPI:
         src, dst, _tag = key
         clock = self._clocks[dst]
         t = clock.now
-        transfer = self.cost.p2p_time(src, dst, msg.payload.nbytes)
+        transfer = self._transfer_time(src, dst, msg.payload.nbytes)
         window = self.timeout
         for attempt in range(1, self.max_retries + 1):
             t += window  # receiver rides out the timeout window

@@ -54,7 +54,7 @@ class TaihuLightTopology:
         Allocations need not fill supernodes: when ``nodes`` is not a
         multiple of ``nodes_per_supernode`` the last supernode is
         partial.  Membership is still pure integer division, so
-        ``same_supernode``/``hops`` stay correct across the partial
+        ``supernode_of_rank``/``hops`` stay correct across the partial
         boundary; :meth:`nodes_in_supernode` exposes the ragged size.
         """
         return -(-self.nodes // self.nodes_per_supernode)
@@ -86,21 +86,13 @@ class TaihuLightTopology:
         """The supernode hosting ``rank``."""
         return self.node_of_rank(rank) // self.nodes_per_supernode
 
-    def same_node(self, a: int, b: int) -> bool:
-        """Whether two ranks share a node (shared-memory path)."""
-        return self.node_of_rank(a) == self.node_of_rank(b)
-
-    def same_supernode(self, a: int, b: int) -> bool:
-        """Whether two ranks share a supernode (network-board path)."""
-        return self.supernode_of_rank(a) == self.supernode_of_rank(b)
-
     def hops(self, a: int, b: int) -> int:
         """Abstract hop count: 0 on-node, 1 in-supernode, 2 via switch."""
-        if self.same_node(a, b):
+        node_a, node_b = self.node_of_rank(a), self.node_of_rank(b)
+        if node_a == node_b:
             return 0
-        if self.same_supernode(a, b):
-            return 1
-        return 2
+        per_sn = self.nodes_per_supernode
+        return 1 if node_a // per_sn == node_b // per_sn else 2
 
     def reduction_groups(
         self, nranks: int
