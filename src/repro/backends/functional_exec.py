@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import KernelError, LDMOverflowError
+from ..homme import euler as _euler
 from ..homme import fused as _fz
 from ..homme import looped as _looped
 from ..homme import operators as _op
@@ -57,6 +58,15 @@ from ..sunway.spec import SW26010Spec, DEFAULT_SPEC
 # ---------------------------------------------------------------------------
 # Execution-path dispatch for the HOMME kernels (batched vs looped)
 # ---------------------------------------------------------------------------
+
+
+def _warm_tensors(geom) -> None:
+    geom.tensors  # noqa: B018 - memoizing property access
+
+
+def _warm_fused(geom) -> None:
+    geom.tensors.fused()
+
 
 @dataclass(frozen=True)
 class HommeExecution:
@@ -79,6 +89,12 @@ class HommeExecution:
     vlaplace: Callable
     #: tracer path name handed to ``euler_step(..., path=...)``
     euler_path: str
+    #: single-tracer advection tendency: f(qdp_q, v, geom) -> field
+    #: (there is no per-element form; looped shares the batched one)
+    advect_qdp: Callable
+    #: build every memoized operand this path reads from ``geom`` — call
+    #: it before a worker pool forks so workers inherit them copy-on-write
+    warm: Callable
 
 
 EXECUTION_PATHS: dict[str, HommeExecution] = {
@@ -89,6 +105,8 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         laplace_wk=_op.laplace_sphere_wk,
         vlaplace=_op.vlaplace_sphere,
         euler_path="batched",
+        advect_qdp=_euler.advect_qdp,
+        warm=_warm_tensors,
     ),
     "looped": HommeExecution(
         name="looped",
@@ -97,6 +115,8 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         laplace_wk=_looped.laplace_sphere_wk_looped,
         vlaplace=_looped.vlaplace_sphere_looped,
         euler_path="looped",
+        advect_qdp=_euler.advect_qdp,
+        warm=_warm_tensors,
     ),
     "fused": HommeExecution(
         name="fused",
@@ -105,6 +125,8 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         laplace_wk=_fz.laplace_sphere_wk_fused,
         vlaplace=_fz.vlaplace_sphere_fused,
         euler_path="fused",
+        advect_qdp=_fz.advect_qdp_fused,
+        warm=_warm_fused,
     ),
 }
 

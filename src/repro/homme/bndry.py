@@ -347,31 +347,6 @@ class HaloExchanger:
         """Split a global (nelem, np, np[, K]) field into per-rank locals."""
         return [field[e] for e in self.rank_elems]
 
-    def split_local(self, rank: int, field: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Split a rank-local element array into (boundary, inner) rows.
-
-        Fancy indexing copies, so the two stacks are contiguous and safe
-        to ship through shared memory independently.
-        """
-        return (field[self.local_boundary_idx[rank]],
-                field[self.local_inner_idx[rank]])
-
-    def merge_local(self, rank: int, boundary: np.ndarray,
-                    inner: np.ndarray) -> np.ndarray:
-        """Reassemble (boundary, inner) rows into local element order.
-
-        The inverse of :meth:`split_local`: a pure scatter by the
-        precomputed index arrays — every output row is a byte-exact copy
-        of the corresponding input row.
-        """
-        trailing = boundary.shape[1:] if len(boundary) else inner.shape[1:]
-        dtype = boundary.dtype if len(boundary) else inner.dtype
-        out = np.empty((len(self.rank_elems[rank]),) + trailing, dtype=dtype)
-        out[self.local_boundary_idx[rank]] = boundary
-        out[self.local_inner_idx[rank]] = inner
-        return out
-
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank locals into a global element array."""
         shape = (self.mesh.nelem,) + locals_[0].shape[1:]

@@ -12,13 +12,22 @@ device as :meth:`ElementGeometry.dss_vector`).
 The distributed trajectory matches the serial model to roundoff, and
 the per-rank clocks expose the overlap-vs-classic timing difference on
 a real integration.
+
+Everything the two models share — partition, halo tables, SimMPI,
+per-rank geometry, the worker engine and its shard contexts, the
+exchange, the per-rank task fan-out, tracing, lifecycle and
+checkpointing — lives once in :class:`_DistributedModel`; each public
+class adds its initial state, its vector-DSS layout and its step recipe.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .. import constants as C
+from ..backends.functional_exec import homme_execution
 from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
@@ -42,9 +51,12 @@ from ..parallel.engine import (
     register_context,
     unregister_context,
 )
+from . import remap
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry
+from .hypervis import nu_for_ne
 from .shallow_water import SWState, williamson2_initial
+from .timestep import RSPLIT
 
 
 def _to_cartesian(e_cov, v, radius: float) -> np.ndarray:
@@ -77,69 +89,6 @@ def _from_cartesian(e_cov, metinv, w, radius: float) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-def _make_engine(model, workers: int, validate: bool, label: str,
-                 pipeline: bool = False, engine_kwargs: dict | None = None):
-    """Shared ``workers=``/``pipeline=`` plumbing for the distributed models.
-
-    Publishes **one context entry per rank shard** — rank ``r``'s
-    :class:`ElementGeometry` under ``shard_context_key(base, r)`` — in
-    the fork-inherited registry (warming the memoized tensor caches
-    first, so workers inherit them copy-on-write), then starts the pool
-    — or hands back the shared always-serial engine for ``workers <=
-    1``.  Combined with the engine's shard-affinity dispatch, a worker
-    only ever resolves (and therefore faults in) the shards pinned to
-    its slot, instead of the whole replicated geometry list the old
-    single-key layout handed every worker.  ``engine_kwargs`` passes
-    straight through to :class:`~repro.parallel.engine.ParallelEngine`
-    — the supervision, chaos, and integrity knobs of DESIGN.md §12.
-
-    ``pipeline=True`` additionally registers the *split* per-rank
-    geometries (slot ``2r`` = rank ``r``'s boundary elements, ``2r+1``
-    = its inner elements; ``None`` for an empty subset), each under its
-    own per-slot key so the pipelined fanout keeps the same one-shard-
-    per-worker ownership.
-    """
-    model.workers = max(0, int(workers))
-    model.validate = bool(validate)
-    model.pipeline = bool(pipeline)
-    warm_fused = getattr(model, "exec_path", "batched") == "fused"
-    for g in model.geoms:
-        g.tensors  # noqa: B018 - warm the cache before the pool forks
-        if warm_fused:
-            g.tensors.fused()
-    base = fresh_context_key(label)
-    model._ctx_key = base
-    model._shard_keys = [
-        register_context(shard_context_key(base, r), g)
-        for r, g in enumerate(model.geoms)
-    ]
-    model._pipe_shard_keys = None
-    if model.pipeline:
-        pipe_base = fresh_context_key(label + "-pipe")
-        pipe_keys: list[str] = []
-        for r in range(model.nranks):
-            els = model.part.rank_elements(r)
-            for part_i, ix in enumerate((model.hx.local_boundary_idx[r],
-                                         model.hx.local_inner_idx[r])):
-                g = None
-                if len(ix) > 0:
-                    g = ElementGeometry(model.mesh, els[ix])
-                    g.tensors  # noqa: B018 - warm before the fork
-                    if warm_fused:
-                        g.tensors.fused()
-                pipe_keys.append(register_context(
-                    shard_context_key(pipe_base, 2 * r + part_i), g
-                ))
-        model._pipe_shard_keys = pipe_keys
-    if model.workers > 1:
-        model.engine = ParallelEngine(
-            workers=model.workers, validate=model.validate,
-            tracer=model.tracer, label=label, **(engine_kwargs or {}),
-        )
-    else:
-        model.engine = SERIAL_ENGINE
-
-
 def charge_calibrated_compute(model, steps: int) -> None:
     """Charge calibrated per-element kernel time to every rank's clock.
 
@@ -162,55 +111,277 @@ def charge_calibrated_compute(model, steps: int) -> None:
         model.mpi.compute(r, per_elem * nelem * steps)
 
 
-def _pipeline_active(model) -> bool:
-    """Pipelined dispatch is only meaningful on a live pool."""
-    return bool(model.pipeline) and model.engine.active
+def _drop_contexts(keys: tuple[str, ...]) -> None:
+    for key in keys:
+        unregister_context(key)
 
 
-def _pipelined_fanout(model, task, meta_extra: dict,
-                      per_rank_arrays: list[tuple], nout: int) -> list[tuple]:
-    """Boundary-first split dispatch of one per-rank stage (DESIGN.md §11).
+class _DistributedModel:
+    """What every rank-distributed model is made of.
 
-    Splits every rank's element stack into its boundary and inner rows,
-    submits the boundary batch first and the inner batch immediately
-    after (into the other shared-memory bank), then collects the
-    boundary results and reassembles them **while the workers compute
-    the inner batch** — the driver-side combine of batch *k* overlapped
-    with worker compute of batch *k+1*.  Reassembly is a pure scatter
-    by precomputed indices, and every combine below (DSS, allreduce)
-    still runs on the driver in fixed rank order, so the result is
-    bitwise identical to the synchronous full-stack dispatch.
+    Construction partitions the mesh, builds the halo tables, the
+    simulated communicator and one :class:`ElementGeometry` per rank,
+    then publishes **one context entry per rank shard** — rank ``r``'s
+    geometry under ``shard_context_key(base, r)`` — in the
+    fork-inherited registry (warming the execution path's memoized
+    operands first, so workers inherit them copy-on-write) and starts
+    the pool, or adopts the shared always-serial engine for ``workers
+    <= 1``.  With the engine's shard-affinity dispatch a worker only
+    ever resolves (and faults in) the shards pinned to its slot.
+    ``pipeline=True`` also registers the *split* geometries (slot
+    ``2r`` = rank ``r``'s boundary elements, ``2r+1`` = its inner
+    elements; ``None`` for an empty subset), one key each.
+    ``engine_kwargs`` passes straight through to
+    :class:`~repro.parallel.engine.ParallelEngine` — the supervision,
+    chaos and integrity knobs of DESIGN.md §12.
 
-    Returns one tuple of ``nout`` full per-rank arrays per rank.
+    The shard contexts live as long as the model: :meth:`close` drops
+    them, and so does garbage collection of a model that was never
+    closed.
+
+    Subclasses set ``_fields`` (prognostic array names of one rank's
+    state, in snapshot-key order) and ``_label``, fill ``self.states``
+    and define ``step()``.
     """
-    hx = model.hx
-    pends = []
-    for part_i, idx_of in ((0, hx.local_boundary_idx),
-                           (1, hx.local_inner_idx)):
-        payloads, owners = [], []
-        for r in range(model.nranks):
-            ix = idx_of[r]
-            if len(ix) == 0:
-                continue
-            meta = {"ctx": model._pipe_shard_keys[2 * r + part_i],
-                    "rank": 2 * r + part_i, "shard": r, **meta_extra}
-            payloads.append((meta, tuple(a[ix] for a in per_rank_arrays[r])))
-            owners.append(r)
-        pends.append((model.engine.submit(task, payloads), owners, idx_of))
-    outs: list[list] = [[None] * nout for _ in range(model.nranks)]
-    for pend, owners, idx_of in pends:
-        results = pend.wait()
-        for r, res in zip(owners, results):
-            ix = idx_of[r]
-            for k in range(nout):
-                if outs[r][k] is None:
-                    shape = ((len(hx.rank_elems[r]),) + res[k].shape[1:])
-                    outs[r][k] = np.empty(shape, dtype=res[k].dtype)
-                outs[r][k][ix] = res[k]
-    return [tuple(o) for o in outs]
+
+    _fields: tuple[str, ...]
+    _label: str
+    #: Per-rank simulated kernel seconds charged around each exchange.
+    _bc: list[float] | None = None
+    _ic: list[float] | None = None
+
+    def __init__(self, mesh: CubedSphereMesh, nranks: int, mode: str, faults,
+                 tracer, workers: int, validate: bool, pipeline: bool,
+                 engine_kwargs: dict | None, exec_path: str,
+                 combine: str = "flat") -> None:
+        if mode not in ("overlap", "classic"):
+            raise KernelError(f"unknown exchange mode {mode!r}")
+        warm = homme_execution(exec_path).warm  # fails fast on unknown paths
+        self.exec_path = exec_path
+        self.mesh = mesh
+        self.nranks = nranks
+        self.mode = mode
+        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.part = SFCPartition(mesh.ne, nranks)
+        self.hx = HaloExchanger(mesh, self.part)
+        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
+                          allreduce_algorithm=combine)
+        self.geoms = [ElementGeometry(mesh, e) for e in self.hx.rank_elems]
+        self.t = 0.0
+        self.step_count = 0
+        self._epoch = 0
+
+        self.workers = max(0, int(workers))
+        self.validate = bool(validate)
+        self.pipeline = bool(pipeline)
+        for g in self.geoms:
+            warm(g)
+        base = fresh_context_key(self._label)
+        self._shard_keys = [register_context(shard_context_key(base, r), g)
+                            for r, g in enumerate(self.geoms)]
+        #: Per part (0 = boundary, 1 = inner), per rank: local element rows.
+        self._split_idx = (self.hx.local_boundary_idx, self.hx.local_inner_idx)
+        self._pipe_shard_keys: list[str] = []
+        if self.pipeline:
+            pipe_base = fresh_context_key(self._label + "-pipe")
+            for r, elems in enumerate(self.hx.rank_elems):
+                for part in (0, 1):
+                    ix = self._split_idx[part][r]
+                    g = None
+                    if len(ix) > 0:
+                        g = ElementGeometry(mesh, elems[ix])
+                        warm(g)
+                    self._pipe_shard_keys.append(register_context(
+                        shard_context_key(pipe_base, 2 * r + part), g))
+        self._unregister = weakref.finalize(
+            self, _drop_contexts, (*self._shard_keys, *self._pipe_shard_keys))
+        if self.workers > 1:
+            self.engine = ParallelEngine(
+                workers=self.workers, validate=self.validate,
+                tracer=self.tracer, label=self._label, **(engine_kwargs or {}),
+            )
+        else:
+            self.engine = SERIAL_ENGINE
+
+    # -- distributed DSS ----------------------------------------------------------
+
+    def _exchange(self, locals_: list[np.ndarray], stage: int,
+                  slot: int) -> list[np.ndarray]:
+        outs, _ = self.hx.exchange(
+            locals_,
+            self.mpi,
+            mode=self.mode,
+            boundary_compute=self._bc,
+            inner_compute=self._ic,
+            tag=exchange_tag(self.step_count, stage, slot, self._epoch),
+        )
+        return outs
+
+    # -- per-rank task dispatch ---------------------------------------------------
+
+    def _payloads(self, meta_extra: dict, per_rank_arrays: list[tuple],
+                  part: int | None = None) -> list[tuple]:
+        """``(meta, arrays)`` of one dispatch, in rank order.
+
+        Whole ranks by default; ``part`` 0 / 1 ships the boundary /
+        inner element rows of every rank that has any, addressed to the
+        split shard contexts.
+        """
+        payloads = []
+        for r, arrays in enumerate(per_rank_arrays):
+            slot, keys = r, self._shard_keys
+            if part is not None:
+                ix = self._split_idx[part][r]
+                if len(ix) == 0:
+                    continue
+                slot, keys = 2 * r + part, self._pipe_shard_keys
+                arrays = tuple(a[ix] for a in arrays)
+            meta = {"ctx": keys[slot], "rank": slot, "shard": r,
+                    **meta_extra, "path": self.exec_path}
+            payloads.append((meta, arrays))
+        return payloads
+
+    @property
+    def _pipelined(self) -> bool:
+        """Pipelined dispatch is only meaningful on a live pool."""
+        return self.pipeline and self.engine.active
+
+    def _fanout(self, task, meta_extra: dict, per_rank_arrays: list[tuple],
+                split: bool = False) -> list[tuple]:
+        """Run ``task`` once per rank; one tuple of output arrays per rank.
+
+        ``split=True`` on a pipelined model is the boundary-first split
+        dispatch of DESIGN.md §11: every rank's boundary rows go out as
+        one batch and its inner rows immediately after (into the other
+        shared-memory bank), and the boundary results are reassembled
+        **while the workers compute the inner batch**.  Reassembly is a
+        pure scatter by precomputed indices, and every combine (DSS,
+        allreduce) still runs on the driver in fixed rank order, so the
+        result is bitwise identical to the whole-rank dispatch.
+        """
+        if not (split and self._pipelined):
+            return self.engine.run(
+                task, self._payloads(meta_extra, per_rank_arrays))
+        pends = []
+        for part in (0, 1):
+            payloads = self._payloads(meta_extra, per_rank_arrays, part)
+            pends.append((self.engine.submit(task, payloads), payloads))
+        outs: list = [None] * self.nranks
+        for idx_of, (pend, payloads) in zip(self._split_idx, pends):
+            for (meta, _), res in zip(payloads, pend.wait()):
+                r = meta["shard"]
+                if outs[r] is None:
+                    nelem = len(self.hx.rank_elems[r])
+                    outs[r] = tuple(np.empty((nelem,) + a.shape[1:], a.dtype)
+                                    for a in res)
+                for out, a in zip(outs[r], res):
+                    out[idx_of[r]] = a
+        return outs
+
+    # -- tracing ------------------------------------------------------------------
+
+    def _clocks(self) -> list[float]:
+        return [self.mpi.now(r) for r in range(self.nranks)]
+
+    def _rank_spans(self, name: str, t0s: list[float] | None, **args) -> None:
+        """One model span per rank track from ``t0s[r]`` to rank ``r``'s
+        clock now — or an instant at it when ``t0s`` is None."""
+        if not self.tracer.enabled:
+            return
+        for r in range(self.nranks):
+            if t0s is None:
+                self.tracer.instant(rank_track(r), name, self.mpi.now(r),
+                                    cat="model", **args)
+            else:
+                self.tracer.span_at(rank_track(r), name, t0s[r],
+                                    self.mpi.now(r), cat="model", **args)
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def run_steps(self, n: int) -> None:
+        for _ in range(n):
+            self.step()
+
+    def close(self) -> None:
+        """Stop the worker pool (if any) and drop every shard context."""
+        if self.engine is not SERIAL_ENGINE:
+            self.engine.close()
+        self._unregister()
+
+    def health(self, monitor=None):
+        """Run the health rules over the engine (DESIGN.md §13.4)."""
+        return self.engine.health(monitor)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def max_rank_time(self) -> float:
+        """Simulated completion time of the slowest rank."""
+        return self.mpi.max_time()
+
+    # -- checkpointing ------------------------------------------------------------
+
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        return {f"{f}_{r}": getattr(s, f)
+                for r, s in enumerate(self.states) for f in self._fields}
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Everything needed to continue the trajectory bitwise.
+
+        Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
+        counters (model time, step count, tag epoch) under ``"meta"``.
+        """
+        snap = {"meta": np.array([self.t, self.step_count, self._epoch],
+                                 dtype=np.float64)}
+        snap.update((k, a.copy()) for k, a in self._state_arrays().items())
+        return snap
+
+    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
+        """Reset the prognostic state from a :meth:`snapshot` dict.
+
+        The snapshot must hold exactly this model's keys with its
+        arrays' shapes and dtypes; anything else raises
+        :class:`KernelError` and leaves the model untouched.  The tag
+        epoch is *not* restored — it strictly increases so a replayed
+        step can never match a stale in-flight message from the aborted
+        attempt (which is also purged outright).
+        """
+        live = self._state_arrays()
+        if "meta" not in snap or np.shape(snap["meta"]) != (3,):
+            raise KernelError(
+                "snapshot key 'meta' must hold (t, step_count, epoch)")
+        odd = sorted(set(snap) ^ {"meta", *live})
+        if odd:
+            raise KernelError(
+                f"snapshot rank count or fields do not match this model: key "
+                f"{odd[0]!r} is {'unexpected' if odd[0] in snap else 'missing'}")
+        new = {key: np.asarray(snap[key]) for key in live}
+        for key, arr in new.items():
+            cur = live[key]
+            if arr.shape != cur.shape or arr.dtype != cur.dtype:
+                raise KernelError(
+                    f"snapshot key {key!r} is {arr.dtype}{arr.shape}, this "
+                    f"model's state is {cur.dtype}{cur.shape}")
+        t, steps, _epoch = (float(x) for x in snap["meta"])
+        self.t = t
+        self.step_count = int(steps)
+        self._epoch += 1
+        self.mpi.purge_pending()
+        for r, s in enumerate(self.states):
+            for f in self._fields:
+                setattr(s, f, new[f"{f}_{r}"].copy())
+
+    def gather_state(self):
+        """Assemble the global state (for comparison with serial runs)."""
+        return type(self.states[0])(**{
+            f: self.hx.gather([getattr(s, f) for s in self.states])
+            for f in self._fields})
 
 
-class DistributedShallowWater:
+class DistributedShallowWater(_DistributedModel):
     """Shallow-water RK3 over ``nranks`` simulated MPI ranks.
 
     ``workers > 1`` runs each rank's tendency computation on a real
@@ -222,15 +393,18 @@ class DistributedShallowWater:
 
     ``pipeline=True`` additionally splits each rank's elements into
     boundary and inner batches and overlaps the driver-side combines
-    with worker compute (:func:`_pipelined_fanout`); results stay
-    bitwise identical and the simulated clocks are untouched — only
-    wall time changes.
+    with worker compute (:meth:`_DistributedModel._fanout`); results
+    stay bitwise identical and the simulated clocks are untouched —
+    only wall time changes.
 
     ``exec_path`` selects the element-local kernels each rank task runs
     (``"batched"`` default, ``"fused"`` for the single-pass contraction
     kernels, ``"looped"`` for the per-element baseline); the DSS
     structure is identical across paths.
     """
+
+    _fields = ("h", "v")
+    _label = "dist-sw"
 
     def __init__(
         self,
@@ -247,40 +421,16 @@ class DistributedShallowWater:
         engine_kwargs: dict | None = None,
         exec_path: str = "batched",
     ) -> None:
-        from ..backends.functional_exec import homme_execution
-
-        if mode not in ("overlap", "classic"):
-            raise KernelError(f"unknown exchange mode {mode!r}")
-        homme_execution(exec_path)  # fail fast on unknown paths
-        self.exec_path = exec_path
-        self.mesh = mesh
-        self.nranks = nranks
-        self.mode = mode
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self.part = SFCPartition(mesh.ne, nranks)
-        self.hx = HaloExchanger(mesh, self.part)
-        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer)
-        self.geoms = [
-            ElementGeometry(mesh, self.part.rank_elements(r)) for r in range(nranks)
-        ]
-        _make_engine(self, workers, validate, "dist-sw", pipeline=pipeline,
-                     engine_kwargs=engine_kwargs)
+        super().__init__(mesh, nranks, mode, faults, tracer, workers,
+                         validate, pipeline, engine_kwargs, exec_path)
         init = williamson2_initial(mesh)
-        self.states = [
-            SWState(
-                h=init.h[self.part.rank_elements(r)].copy(),
-                v=init.v[self.part.rank_elements(r)].copy(),
-            )
-            for r in range(nranks)
-        ]
+        self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
+                       for e in self.hx.rank_elems]
         if dt is None:
             c = float(np.sqrt(C.GRAVITY * init.h.max()))
             dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
             dt = 0.25 * dx / c
         self.dt = dt
-        self.t = 0.0
-        self.step_count = 0
-        self._epoch = 0
         # Simulated kernel cost attribution for the overlap window.
         self._cost = compute_cost_per_element
         self._bc = [
@@ -289,20 +439,6 @@ class DistributedShallowWater:
         self._ic = [
             self._cost * len(self.part.inner_elements(r)) for r in range(nranks)
         ]
-
-    # -- distributed DSS ------------------------------------------------------
-
-    def _exchange(self, locals_: list[np.ndarray], stage: int,
-                  slot: int) -> list[np.ndarray]:
-        outs, _ = self.hx.exchange(
-            locals_,
-            self.mpi,
-            mode=self.mode,
-            boundary_compute=self._bc,
-            inner_compute=self._ic,
-            tag=exchange_tag(self.step_count, stage, slot, self._epoch),
-        )
-        return outs
 
     def _dss_vector(self, vs: list[np.ndarray], stage: int,
                     slot: int) -> list[np.ndarray]:
@@ -314,129 +450,34 @@ class DistributedShallowWater:
         return [_from_cartesian(g.e_cov, g.metinv, w, radius)
                 for g, w in zip(self.geoms, ws)]
 
-    # -- dynamics -----------------------------------------------------------------
-
     def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
                stage: int = 0) -> list[SWState]:
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        if _pipeline_active(self):
-            outs = _pipelined_fanout(
-                self, sw_stage_task, {"dt": dt, "path": self.exec_path},
-                [(bases[r].h, bases[r].v, points[r].h, points[r].v)
-                 for r in range(self.nranks)],
-                nout=2,
-            )
-        else:
-            outs = self.engine.run(sw_stage_task, [
-                ({"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                  "dt": dt, "path": self.exec_path},
-                 (bases[r].h, bases[r].v, points[r].h, points[r].v))
-                for r in range(self.nranks)
-            ])
+        t0s = self._clocks()
+        outs = self._fanout(
+            sw_stage_task, {"dt": dt},
+            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)], split=True)
         hs = self._exchange([o[0] for o in outs], stage, slot=0)
         vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "rk_stage", t0s[r], self.mpi.now(r),
-                    cat="model", stage=stage, step=self.step_count,
-                )
+        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         return [SWState(h=h, v=v) for h, v in zip(hs, vs)]
 
     def step(self) -> None:
         """One distributed RK3 step (three halo-exchange rounds)."""
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        t0s = self._clocks()
         s0 = self.states
         s1 = self._stage(s0, s0, self.dt / 3.0, stage=1)
         s2 = self._stage(s0, s1, self.dt / 2.0, stage=2)
         self.states = self._stage(s0, s2, self.dt, stage=3)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "step", t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("step", t0s, step=self.step_count)
         self.t += self.dt
         self.step_count += 1
-
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
-
-    def close(self) -> None:
-        """Stop the worker pool (if any) and drop every shard context."""
-        if self.engine is not SERIAL_ENGINE:
-            self.engine.close()
-        for key in self._shard_keys:
-            unregister_context(key)
-        if self._pipe_shard_keys is not None:
-            for key in self._pipe_shard_keys:
-                unregister_context(key)
-
-    def health(self, monitor=None):
-        """Run the health rules over the engine (DESIGN.md §13.4)."""
-        return self.engine.health(monitor)
-
-    def __enter__(self) -> "DistributedShallowWater":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Everything needed to continue the trajectory bitwise.
-
-        Per-rank prognostic arrays plus the scalar counters (model time,
-        step count, tag epoch).
-        """
-        snap: dict[str, np.ndarray] = {
-            "meta": np.array([self.t, self.step_count, self._epoch],
-                             dtype=np.float64)
-        }
-        for r, s in enumerate(self.states):
-            snap[f"h_{r}"] = s.h.copy()
-            snap[f"v_{r}"] = s.v.copy()
-        return snap
-
-    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Reset the prognostic state from a :meth:`snapshot` dict.
-
-        The tag epoch is *not* restored — it strictly increases so a
-        replayed step can never match a stale in-flight message from
-        the aborted attempt (which is also purged outright).
-        """
-        if f"h_{self.nranks - 1}" not in snap or f"h_{self.nranks}" in snap:
-            raise KernelError("snapshot rank count does not match this model")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
-        self.t = t
-        self.step_count = int(steps)
-        self._epoch += 1
-        self.mpi.purge_pending()
-        self.states = [
-            SWState(h=snap[f"h_{r}"].copy(), v=snap[f"v_{r}"].copy())
-            for r in range(self.nranks)
-        ]
-
-    # -- gathering / diagnostics ------------------------------------------------------
-
-    def gather_state(self) -> SWState:
-        """Assemble the global state (for comparison with serial runs)."""
-        h = self.hx.gather([s.h for s in self.states])
-        v = self.hx.gather([s.v for s in self.states])
-        return SWState(h=h, v=v)
-
-    def max_rank_time(self) -> float:
-        """Simulated completion time of the slowest rank."""
-        return self.mpi.max_time()
 
     def total_mass(self) -> float:
         s = self.gather_state()
         return float(np.sum(self.mesh.spheremp * s.h))
 
 
-class DistributedPrimitiveEquations:
+class DistributedPrimitiveEquations(_DistributedModel):
     """The full prim_run distributed across simulated MPI ranks.
 
     Mirrors :class:`~repro.homme.timestep.PrimitiveEquationModel`'s RK3
@@ -454,10 +495,11 @@ class DistributedPrimitiveEquations:
 
     ``pipeline=True`` (with a live pool) overlaps driver-side combines
     with worker compute: the RK stages use the boundary-first split
-    dispatch of :func:`_pipelined_fanout`, and hyperviscosity runs a
-    per-field depth-2 software pipeline (the DSS of field *f* overlaps
-    the laplacian of field *f+1*).  DSS calls keep their slot order, so
-    both the trajectory and the simulated clocks are bitwise unchanged.
+    dispatch of :meth:`_DistributedModel._fanout`, and hyperviscosity
+    runs a per-field depth-2 software pipeline (the DSS of field *f*
+    overlaps the laplacian of field *f+1*).  DSS calls keep their slot
+    order, so both the trajectory and the simulated clocks are bitwise
+    unchanged.
 
     ``exec_path`` selects the element-local kernels the per-rank tasks
     run (``"batched"`` default, ``"fused"``, ``"looped"``); the
@@ -471,6 +513,9 @@ class DistributedPrimitiveEquations:
     — and therefore the trajectory — are bitwise identical either way;
     only the clock charging differs.
     """
+
+    _fields = ("v", "T", "dp3d", "qdp")
+    _label = "dist-prim"
 
     def __init__(
         self,
@@ -489,49 +534,28 @@ class DistributedPrimitiveEquations:
         exec_path: str = "batched",
         combine: str = "flat",
     ) -> None:
-        from ..backends.functional_exec import homme_execution
-        from ..homme.hypervis import nu_for_ne
-
-        if mode not in ("overlap", "classic"):
-            raise KernelError(f"unknown exchange mode {mode!r}")
-        homme_execution(exec_path)  # fail fast on unknown paths
-        self.exec_path = exec_path
+        if cfg.ne != mesh.ne:
+            raise KernelError("mesh resolution disagrees with configuration")
+        init_state.check_consistent()
+        want = (mesh.nelem, cfg.qsize, cfg.nlev, mesh.np, mesh.np)
+        if init_state.qdp.shape != want:
+            raise KernelError(
+                f"initial state qdp has shape {init_state.qdp.shape}; mesh and "
+                f"configuration need (nelem, qsize, nlev, np, np) = {want}")
+        super().__init__(mesh, nranks, mode, faults, tracer, workers,
+                         validate, pipeline, engine_kwargs, exec_path, combine)
         self.cfg = cfg
-        self.mesh = mesh
-        self.nranks = nranks
-        self.mode = mode
         self.dt = dt
-        self.tracer = NULL_TRACER if tracer is None else tracer
         self.combine = combine
-        self.part = SFCPartition(mesh.ne, nranks)
-        self.hx = HaloExchanger(mesh, self.part)
-        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
-                          allreduce_algorithm=combine)
-        self.geoms = [
-            ElementGeometry(mesh, self.part.rank_elements(r)) for r in range(nranks)
-        ]
         self.states = [
-            type(init_state)(
-                v=init_state.v[self.part.rank_elements(r)].copy(),
-                T=init_state.T[self.part.rank_elements(r)].copy(),
-                dp3d=init_state.dp3d[self.part.rank_elements(r)].copy(),
-                qdp=init_state.qdp[self.part.rank_elements(r)].copy(),
-            )
-            for r in range(nranks)
+            type(init_state)(v=init_state.v[e].copy(), T=init_state.T[e].copy(),
+                             dp3d=init_state.dp3d[e].copy(),
+                             qdp=init_state.qdp[e].copy())
+            for e in self.hx.rank_elems
         ]
         self.nu = nu_for_ne(cfg.ne)
-        self.t = 0.0
-        self.step_count = 0
-        self._epoch = 0
-        _make_engine(self, workers, validate, "dist-prim", pipeline=pipeline,
-                     engine_kwargs=engine_kwargs)
 
     # -- distributed DSS over level-carrying fields --------------------------------
-
-    def _exchange(self, locals_, stage, slot):
-        tag = exchange_tag(self.step_count, stage, slot, self._epoch)
-        outs, _ = self.hx.exchange(locals_, self.mpi, mode=self.mode, tag=tag)
-        return outs
 
     def _dss_levels(self, fields, stage, slot):
         """DSS (E_r, L, n, n) fields: levels move to the trailing axis.
@@ -562,32 +586,15 @@ class DistributedPrimitiveEquations:
     # -- one distributed dynamics step ------------------------------------------------
 
     def _rk_stage(self, bases, points, dt, stage=0):
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        if _pipeline_active(self):
-            outs = _pipelined_fanout(
-                self, prim_stage_task, {"dt": dt, "path": self.exec_path},
-                [(bases[r].v, bases[r].T, bases[r].dp3d,
-                  points[r].v, points[r].T, points[r].dp3d)
-                 for r in range(self.nranks)],
-                nout=3,
-            )
-        else:
-            outs = self.engine.run(prim_stage_task, [
-                ({"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                  "dt": dt, "path": self.exec_path},
-                 (bases[r].v, bases[r].T, bases[r].dp3d,
-                  points[r].v, points[r].T, points[r].dp3d))
-                for r in range(self.nranks)
-            ])
+        t0s = self._clocks()
+        outs = self._fanout(
+            prim_stage_task, {"dt": dt},
+            [(b.v, b.T, b.dp3d, p.v, p.T, p.dp3d)
+             for b, p in zip(bases, points)], split=True)
         Ts = self._dss_levels([o[1] for o in outs], stage, slot=0)
         dps = self._dss_levels([o[2] for o in outs], stage, slot=1)
         vs = self._dss_vector_levels([o[0] for o in outs], stage, slot=2)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "rk_stage", t0s[r], self.mpi.now(r),
-                    cat="model", stage=stage, step=self.step_count,
-                )
+        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         out = []
         for r in range(self.nranks):
             s = bases[r].copy()
@@ -595,7 +602,7 @@ class DistributedPrimitiveEquations:
             out.append(s)
         return out
 
-    def _hypervis_pipelined(self, s3, metas):
+    def _hypervis_pipelined(self, s3):
         """Per-field depth-2 software pipeline for hyperviscosity.
 
         Splits the fused three-field laplacian dispatch into six
@@ -606,12 +613,9 @@ class DistributedPrimitiveEquations:
         form and each field's laplacian/DSS chain is independent, so
         the values and the simulated clocks are bitwise unchanged.
         """
-        eng = self.engine
-
         def submit(task, fields):
-            return eng.submit(
-                task, [(metas[r], (fields[r],)) for r in range(self.nranks)]
-            )
+            return self.engine.submit(
+                task, self._payloads({}, [(f,) for f in fields]))
 
         def outs(pend):
             return [o[0] for o in pend.wait()]
@@ -631,46 +635,33 @@ class DistributedPrimitiveEquations:
         return bih_T, bih_v, bih_dp
 
     def step(self) -> None:
-        from .remap import vertical_remap
-        from .timestep import RSPLIT
-
         dt = self.dt
-        step_t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        step_t0s = self._clocks()
         s0 = self.states
         s1 = self._rk_stage(s0, s0, dt / 3.0, stage=1)
         s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
         s3 = self._rk_stage(s0, s2, dt, stage=3)
 
         # Tracer advection: subcycled SSP-RK2, distributed DSS per stage.
-        euler_t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        euler_t0s = self._clocks()
         sub = self.cfg.tracer_subcycles
-        sdt = dt / sub
+        euler_meta = {"sdt": dt / sub}
         for sub_i in range(sub):
             for q in range(self.cfg.qsize):
                 # Three exchanges per (subcycle, tracer): st1, st2, limited.
                 slot0 = 3 * (sub_i * self.cfg.qsize + q)
-                metas = [
-                    {"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                     "sdt": sdt, "path": self.exec_path}
-                    for r in range(self.nranks)
-                ]
-                st1 = self._dss_levels([o[0] for o in self.engine.run(
-                    prim_euler_stage1_task,
-                    [(metas[r], (s3[r].qdp[:, q], s3[r].v))
-                     for r in range(self.nranks)],
+                st1 = self._dss_levels([o[0] for o in self._fanout(
+                    prim_euler_stage1_task, euler_meta,
+                    [(s.qdp[:, q], s.v) for s in s3],
                 )], stage=4, slot=slot0)
-                st2 = self._dss_levels([o[0] for o in self.engine.run(
-                    prim_euler_stage2_task,
-                    [(metas[r], (s3[r].qdp[:, q], st1[r], s3[r].v))
-                     for r in range(self.nranks)],
+                st2 = self._dss_levels([o[0] for o in self._fanout(
+                    prim_euler_stage2_task, euler_meta,
+                    [(s.qdp[:, q], st1[r], s.v) for r, s in enumerate(s3)],
                 )], stage=4, slot=slot0 + 1)
                 # NOTE: the serial limiter's global fixer needs global
                 # sums; the distributed form uses an allreduce (on the
                 # driver, in fixed rank order — the determinism rule).
-                lim = self.engine.run(
-                    prim_limit_task,
-                    [(metas[r], (st2[r],)) for r in range(self.nranks)],
-                )
+                lim = self._fanout(prim_limit_task, euler_meta, [(a,) for a in st2])
                 limited = [o[0] for o in lim]
                 before = self.mpi.allreduce([o[1] for o in lim])
                 after = self.mpi.allreduce([o[2] for o in lim])
@@ -681,38 +672,24 @@ class DistributedPrimitiveEquations:
                 limited = self._dss_levels(limited, stage=4, slot=slot0 + 2)
                 for r in range(self.nranks):
                     s3[r].qdp[:, q] = limited[r]
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "euler_step", euler_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("euler_step", euler_t0s, step=self.step_count)
 
         # Hyperviscosity (single subcycle configuration assumed small dt).
         # Each biharmonic round is one pool dispatch computing all three
         # field laplacians per rank; the DSS rounds between them stay on
         # the driver.  (Values are unchanged from the per-field form —
         # each field's laplacian/DSS chain is independent.)
-        hv_t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        hv_metas = [
-            {"ctx": self._shard_keys[r], "rank": r, "shard": r,
-             "path": self.exec_path}
-            for r in range(self.nranks)
-        ]
-        if _pipeline_active(self):
-            bih_T, bih_v, bih_dp = self._hypervis_pipelined(s3, hv_metas)
+        hv_t0s = self._clocks()
+        if self._pipelined:
+            bih_T, bih_v, bih_dp = self._hypervis_pipelined(s3)
         else:
-            lap = self.engine.run(prim_laplace_task, [
-                (hv_metas[r], (s3[r].T, s3[r].v, s3[r].dp3d))
-                for r in range(self.nranks)
-            ])
+            lap = self._fanout(prim_laplace_task, {},
+                               [(s.T, s.v, s.dp3d) for s in s3])
             lap_T = self._dss_levels([o[0] for o in lap], stage=5, slot=0)
             lap_v = self._dss_vector_levels([o[1] for o in lap], stage=5, slot=1)
             lap_dp = self._dss_levels([o[2] for o in lap], stage=5, slot=2)
-            bih = self.engine.run(prim_laplace_task, [
-                (hv_metas[r], (lap_T[r], lap_v[r], lap_dp[r]))
-                for r in range(self.nranks)
-            ])
+            bih = self._fanout(prim_laplace_task, {},
+                               list(zip(lap_T, lap_v, lap_dp)))
             bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=3)
             bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=4)
             bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=5)
@@ -720,100 +697,13 @@ class DistributedPrimitiveEquations:
             s3[r].T = s3[r].T - dt * self.nu * bih_T[r]
             s3[r].v = s3[r].v - dt * self.nu * bih_v[r]
             s3[r].dp3d = s3[r].dp3d - dt * self.nu * bih_dp[r]
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "hypervis", hv_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("hypervis", hv_t0s, step=self.step_count)
 
         self.step_count += 1
         if self.step_count % RSPLIT == 0:
             for r in range(self.nranks):
-                s3[r] = vertical_remap(s3[r])
-            if self.tracer.enabled:
-                for r in range(self.nranks):
-                    self.tracer.instant(
-                        rank_track(r), "vertical_remap", self.mpi.now(r),
-                        cat="model", step=self.step_count,
-                    )
+                s3[r] = remap.vertical_remap(s3[r])
+            self._rank_spans("vertical_remap", None, step=self.step_count)
         self.t += dt
         self.states = s3
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "step", step_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count - 1,
-                )
-
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
-
-    def close(self) -> None:
-        """Stop the worker pool (if any) and drop every shard context."""
-        if self.engine is not SERIAL_ENGINE:
-            self.engine.close()
-        for key in self._shard_keys:
-            unregister_context(key)
-        if self._pipe_shard_keys is not None:
-            for key in self._pipe_shard_keys:
-                unregister_context(key)
-
-    def health(self, monitor=None):
-        """Run the health rules over the engine (DESIGN.md §13.4)."""
-        return self.engine.health(monitor)
-
-    def __enter__(self) -> "DistributedPrimitiveEquations":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Everything needed to continue the trajectory bitwise."""
-        snap: dict[str, np.ndarray] = {
-            "meta": np.array([self.t, self.step_count, self._epoch],
-                             dtype=np.float64)
-        }
-        for r, s in enumerate(self.states):
-            snap[f"v_{r}"] = s.v.copy()
-            snap[f"T_{r}"] = s.T.copy()
-            snap[f"dp3d_{r}"] = s.dp3d.copy()
-            snap[f"qdp_{r}"] = s.qdp.copy()
-        return snap
-
-    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Reset the prognostic state from a :meth:`snapshot` dict.
-
-        The tag epoch strictly increases (never restored) and pending
-        messages are purged, so a replayed step cannot match stale
-        in-flight traffic from an aborted attempt.
-        """
-        if f"T_{self.nranks - 1}" not in snap or f"T_{self.nranks}" in snap:
-            raise KernelError("snapshot rank count does not match this model")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
-        self.t = t
-        self.step_count = int(steps)
-        self._epoch += 1
-        self.mpi.purge_pending()
-        for r, s in enumerate(self.states):
-            s.v = snap[f"v_{r}"].copy()
-            s.T = snap[f"T_{r}"].copy()
-            s.dp3d = snap[f"dp3d_{r}"].copy()
-            s.qdp = snap[f"qdp_{r}"].copy()
-
-    def gather_state(self):
-        from .element import ElementState
-
-        return ElementState(
-            v=self.hx.gather([s.v for s in self.states]),
-            T=self.hx.gather([s.T for s in self.states]),
-            dp3d=self.hx.gather([s.dp3d for s in self.states]),
-            qdp=self.hx.gather([s.qdp for s in self.states]),
-        )
-
-    def max_rank_time(self) -> float:
-        return self.mpi.max_time()
+        self._rank_spans("step", step_t0s, step=self.step_count - 1)

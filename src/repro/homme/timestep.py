@@ -66,9 +66,11 @@ class PrimitiveEquationModel:
         advection, hyperviscosity, and remap phases.
     exec_path:
         Element-local kernel dispatch: ``"batched"`` (default — whole
-        element stack per kernel call, memoized operator tensors) or
-        ``"looped"`` (one dispatch per element, the pre-redesign
-        discipline kept for cross-validation and benchmarking).  See
+        element stack per kernel call, memoized operator tensors),
+        ``"fused"`` (single-pass contractions against preassembled
+        per-mesh operands) or ``"looped"`` (one dispatch per element,
+        the pre-redesign discipline kept for cross-validation and
+        benchmarking).  See
         :func:`repro.backends.functional_exec.homme_execution`.
     """
 

@@ -5,18 +5,18 @@ clocks, simulated CPE clusters — while executing on one Python process.
 This package is where the reproduction finally *runs* on multiple
 cores: a persistent ``multiprocessing`` worker pool with
 ``shared_memory``-backed element arrays executes the per-rank compute
-of the distributed models and the element-batched HOMME kernels across
-real cores, while SimMPI's deterministic simulated clocks remain the
-timing model.
+of the distributed models (:mod:`repro.homme.distributed`, the engine's
+one client; its task functions live in :mod:`repro.parallel.dycore`)
+across real cores, while SimMPI's deterministic simulated clocks remain
+the timing model.
 
 The contract (DESIGN.md §10):
 
 - **Determinism.** Workers only ever compute *independent* work units
-  (one simulated rank's tendencies, one contiguous element chunk).
-  Every cross-rank reduction — DSS accumulation, allreduce, the
-  chunk-concatenation combine — happens on the driver process in a
-  fixed rank/chunk order, so parallel results are **bitwise identical**
-  to serial execution.
+  (one simulated rank's tendencies, or its boundary / inner element
+  rows).  Every cross-rank reduction — DSS accumulation, allreduce —
+  happens on the driver process in a fixed rank order, so parallel
+  results are **bitwise identical** to serial execution.
 - **Fallback.** ``workers <= 1``, an unavailable ``fork`` start
   method, or any pool start-up failure silently degrades to in-process
   serial execution of the very same task functions.
@@ -53,11 +53,6 @@ from .chaos import (  # noqa: F401
     run_scenario,
     scenario_spec,
 )
-from .dycore import (  # noqa: F401
-    ParallelHommeKernels,
-    cross_validate_parallel,
-    parallel_homme_execution,
-)
 
 __all__ = [
     "ParallelEngine",
@@ -76,7 +71,4 @@ __all__ = [
     "SCENARIOS",
     "run_scenario",
     "scenario_spec",
-    "ParallelHommeKernels",
-    "cross_validate_parallel",
-    "parallel_homme_execution",
 ]

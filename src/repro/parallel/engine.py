@@ -79,7 +79,6 @@ from .supervisor import (
     WorkerSupervisor,
     result_crc,
 )
-from .supervisor import _unpack  # noqa: F401  (re-export for back-compat)
 
 __all__ = [
     "ParallelEngine",

@@ -1,10 +1,16 @@
-"""Tests for the distributed shallow-water model and the RH wave."""
+"""Tests for the distributed models and the RH wave."""
+
+import gc
 
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.homme.distributed import DistributedShallowWater
+from repro.homme import distributed as dist_mod
+from repro.homme.distributed import (
+    DistributedPrimitiveEquations,
+    DistributedShallowWater,
+)
 from repro.homme.hypervis import nu_for_ne
 from repro.homme.shallow_water import (
     ShallowWaterModel,
@@ -116,26 +122,26 @@ class TestRossbyHaurwitz:
         assert amp1 > 0.8 * amp0
 
 
+@pytest.fixture(scope="module")
+def setup():
+    from repro.config import ModelConfig
+    from repro.homme.element import ElementGeometry, ElementState
+
+    cfg = ModelConfig(ne=4, nlev=4, qsize=1)
+    mesh = CubedSphereMesh(4)
+    geom = ElementGeometry(mesh)
+    state = ElementState.isothermal_rest(geom, cfg)
+    rng = np.random.default_rng(0)
+    state.T = geom.dss(state.T + rng.standard_normal(state.T.shape))
+    state.qdp[:, 0] = 1e-3 * state.dp3d
+    return cfg, mesh, state
+
+
 class TestDistributedPrimitiveEquations:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        from repro.config import ModelConfig
-        from repro.homme.element import ElementGeometry, ElementState
-
-        cfg = ModelConfig(ne=4, nlev=4, qsize=1)
-        mesh = CubedSphereMesh(4)
-        geom = ElementGeometry(mesh)
-        state = ElementState.isothermal_rest(geom, cfg)
-        rng = np.random.default_rng(0)
-        state.T = geom.dss(state.T + rng.standard_normal(state.T.shape))
-        state.qdp[:, 0] = 1e-3 * state.dp3d
-        return cfg, mesh, state
-
     def test_matches_serial_prim_run(self, setup):
         """The whole distributed timestep — RK3, tracers with the
         allreduce mass fixer, hyperviscosity, remap — reproduces the
         serial trajectory to roundoff."""
-        from repro.homme.distributed import DistributedPrimitiveEquations
         from repro.homme.timestep import PrimitiveEquationModel
 
         cfg, mesh, state = setup
@@ -150,8 +156,6 @@ class TestDistributedPrimitiveEquations:
         assert np.allclose(g.qdp, serial.state.qdp, atol=1e-10)
 
     def test_rank_invariance(self, setup):
-        from repro.homme.distributed import DistributedPrimitiveEquations
-
         cfg, mesh, state = setup
         a = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=2, dt=600.0)
         b = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=8, dt=600.0)
@@ -160,8 +164,6 @@ class TestDistributedPrimitiveEquations:
         assert np.allclose(a.gather_state().T, b.gather_state().T, atol=1e-10)
 
     def test_mass_conserved(self, setup):
-        from repro.homme.distributed import DistributedPrimitiveEquations
-
         cfg, mesh, state = setup
         dist = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=4, dt=600.0)
         w = mesh.spheremp[:, None]
@@ -171,8 +173,6 @@ class TestDistributedPrimitiveEquations:
         assert abs(m1 - m0) / m0 < 1e-11
 
     def test_tracer_mass_conserved_through_allreduce_fixer(self, setup):
-        from repro.homme.distributed import DistributedPrimitiveEquations
-
         cfg, mesh, state = setup
         dist = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=4, dt=600.0)
         w = mesh.spheremp[:, None, None]
@@ -182,8 +182,147 @@ class TestDistributedPrimitiveEquations:
         assert abs(m1 - m0) / m0 < 1e-9
 
     def test_invalid_mode(self, setup):
-        from repro.homme.distributed import DistributedPrimitiveEquations
-
         cfg, mesh, state = setup
         with pytest.raises(KernelError):
             DistributedPrimitiveEquations(cfg, mesh, state, nranks=2, dt=600.0, mode="x")
+
+
+@pytest.fixture(params=["sw", "prim"])
+def build(request, mesh4, setup):
+    """Constructor of a 4-rank model of either class from shared inputs."""
+    def make(**kw):
+        if request.param == "sw":
+            return DistributedShallowWater(mesh4, nranks=4, **kw)
+        cfg, mesh, state = setup
+        return DistributedPrimitiveEquations(
+            cfg, mesh, state.copy(), nranks=4, dt=600.0, **kw)
+    return make
+
+
+class TestSharedBase:
+    """What both models inherit from the one distributed base."""
+
+    def test_close_is_idempotent_and_with_exit_closes(self, build):
+        from repro.parallel.engine import _CONTEXT
+
+        gc.collect()  # earlier tests' dropped models release theirs now
+        baseline = len(_CONTEXT)
+        with build(pipeline=True) as model:
+            model.step()
+            # 4 rank shards + 8 boundary/inner split shards.
+            assert len(_CONTEXT) == baseline + 12
+        assert len(_CONTEXT) == baseline
+        model.close()
+        model.close()
+        assert len(_CONTEXT) == baseline
+
+    def test_dropped_model_releases_its_contexts(self, build):
+        from repro.parallel.engine import _CONTEXT
+
+        gc.collect()
+        baseline = len(_CONTEXT)
+        for _ in range(3):
+            model = build()
+            model.step()
+            assert len(_CONTEXT) == baseline + 4
+            del model
+            gc.collect()
+            assert len(_CONTEXT) == baseline
+
+    def test_snapshot_restore_continues_bitwise(self, build):
+        straight, resumed = build(), build()
+        straight.run_steps(2)
+        snap = straight.snapshot()
+        straight.run_steps(2)  # prim: crosses the rsplit=3 remap
+        resumed.restore_snapshot(snap)
+        assert resumed.step_count == 2 and resumed.t == snap["meta"][0]
+        resumed.run_steps(2)
+        a, b = straight.snapshot(), resumed.snapshot()
+        a.pop("meta"), b.pop("meta")  # tag epochs differ by design
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda s, k: s.pop("meta"), "meta"),
+        (lambda s, k: s.update(meta=s["meta"][:2]), "meta"),
+        (lambda s, k: s.pop(k), None),
+        (lambda s, k: s.update(extra_9=s[k]), "extra_9"),
+        (lambda s, k: s.update({k: s[k][:-1]}), None),
+        (lambda s, k: s.update({k: s[k].astype(np.float32)}), None),
+    ], ids=["no-meta", "short-meta", "missing-key", "extra-key",
+            "wrong-shape", "wrong-dtype"])
+    def test_bad_snapshot_rejected_and_state_untouched(self, build, damage,
+                                                       named):
+        model = build()
+        model.step()
+        before = model.snapshot()
+        snap = model.snapshot()
+        key = sorted(k for k in snap if k != "meta")[-1]
+        damage(snap, key)
+        with pytest.raises(KernelError, match=repr(named or key)):
+            model.restore_snapshot(snap)
+        after = model.snapshot()
+        assert before.keys() == after.keys()
+        for k in before:
+            assert np.array_equal(before[k], after[k]), k
+        model.step()  # still a working model
+
+    def test_snapshot_from_other_rank_count_rejected(self, build):
+        model = build()
+        snap = model.snapshot()
+        for f in model._fields:
+            snap[f"{f}_4"] = snap[f"{f}_3"]
+        with pytest.raises(KernelError, match="rank count"):
+            model.restore_snapshot(snap)
+
+    def test_benchmark_seam_one_halo_table_one_pool_per_model(
+            self, build, monkeypatch):
+        """The step benchmark times set-up by wrapping these two names
+        in the module; the models must look them up there, once each."""
+        calls = {"HaloExchanger": 0, "ParallelEngine": 0}
+
+        def counting(name):
+            real = getattr(dist_mod, name)
+
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return real(*a, **kw)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dist_mod, name, counting(name))
+        # The adapter's keyword set for a pooled workload.
+        with build(mode="overlap", workers=2, pipeline=True, tracer=None,
+                   exec_path="fused") as model:
+            assert calls == {"HaloExchanger": 1, "ParallelEngine": 1}
+            for attr in ("hx", "mpi", "engine", "geoms", "dt", "step_count"):
+                assert hasattr(model, attr)
+
+
+class TestPrimConstructorValidation:
+    def test_cfg_mesh_resolution_mismatch(self, setup):
+        from repro.config import ModelConfig
+
+        _, mesh, state = setup
+        with pytest.raises(KernelError, match="mesh resolution"):
+            DistributedPrimitiveEquations(
+                ModelConfig(ne=8, nlev=4, qsize=1), mesh, state, nranks=2,
+                dt=600.0)
+
+    @pytest.mark.parametrize("field, value", [("nlev", 8), ("qsize", 3)])
+    def test_state_disagrees_with_config(self, setup, field, value):
+        from repro.config import ModelConfig
+
+        _, mesh, state = setup
+        cfg = ModelConfig(**{"ne": 4, "nlev": 4, "qsize": 1, field: value})
+        with pytest.raises(KernelError, match="qdp has shape"):
+            DistributedPrimitiveEquations(cfg, mesh, state, nranks=2, dt=600.0)
+
+    def test_state_disagrees_with_mesh(self, setup):
+        from repro.homme.element import ElementState
+
+        cfg, mesh, _ = setup
+        small = ElementState.zeros(mesh.nelem - 1, cfg.nlev, mesh.np, cfg.qsize)
+        with pytest.raises(KernelError, match="qdp has shape"):
+            DistributedPrimitiveEquations(cfg, mesh, small, nranks=2, dt=600.0)

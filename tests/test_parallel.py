@@ -1,10 +1,10 @@
 """Tests for ``repro.parallel``: the real multi-core execution engine.
 
 The contract under test (DESIGN.md §10): workers compute independent
-units, every combine happens on the driver in fixed rank/chunk order,
+units, every combine happens on the driver in fixed rank order,
 and therefore parallel execution is **bitwise identical** to serial —
-on the engine's raw task interface, on the chunked HOMME kernels, and
-on whole distributed-model trajectories.
+on the engine's raw task interface and on whole distributed-model
+trajectories.
 """
 
 import numpy as np
@@ -25,8 +25,6 @@ from repro.parallel import (
     ParallelError,
     available_cores,
     context_nbytes,
-    cross_validate_parallel,
-    parallel_homme_execution,
     register_context,
     unregister_context,
     worker_track,
@@ -340,48 +338,6 @@ class TestPipelineSubmit:
             assert e.active  # a task bug is not pool death
 
 
-class TestBoundaryInnerSplit:
-    def test_split_merge_local_round_trip(self):
-        """merge_local(split_local(f)) is the identity — the scatter
-        that makes pipelined reassembly byte-exact."""
-        from repro.homme.bndry import HaloExchanger
-        from repro.mesh.partition import SFCPartition
-
-        mesh = CubedSphereMesh(4, 4)
-        part = SFCPartition(mesh.ne, 4)
-        hx = HaloExchanger(mesh, part)
-        rng = np.random.default_rng(3)
-        for r in range(4):
-            nel = len(part.rank_elements(r))
-            f = rng.standard_normal((nel, 4, 4))
-            boundary, inner = hx.split_local(r, f)
-            assert len(boundary) + len(inner) == nel
-            assert len(boundary) == len(hx.local_boundary_idx[r])
-            out = hx.merge_local(r, boundary, inner)
-            assert out.dtype == f.dtype
-            assert np.array_equal(out, f)
-
-
-class TestChunkedKernels:
-    def test_cross_validate_parallel_is_bitwise(self):
-        _, _, geom, state = _noisy_prim_state()
-        errs = cross_validate_parallel(state, geom, workers=2)
-        assert errs and max(errs.values()) == 0.0
-
-    def test_parallel_homme_execution_shapes(self):
-        _, _, geom, state = _noisy_prim_state()
-        ex, kernels = parallel_homme_execution(geom, workers=2)
-        try:
-            dv, dT, ddp = ex.compute_rhs(state, geom)
-            assert dv.shape == state.v.shape
-            assert dT.shape == state.T.shape
-            assert ddp.shape == state.dp3d.shape
-            lap = ex.laplace_wk(state.T, geom)
-            assert lap.shape == state.T.shape
-        finally:
-            kernels.close()
-
-
 class TestDistributedBitwise:
     def test_sw_ne8_workers2_matches_serial_bitwise(self):
         """Acceptance criterion: ne8 shallow water, parallel == serial
@@ -633,16 +589,10 @@ class TestShardedContexts:
     def test_task_geom_resolves_shard_and_legacy_list(self):
         from repro.parallel.dycore import _task_geom
 
-        items = ["a", "b", "c"]
-        key_list = register_context("test-ctx/legacy-list", items)
         key_item = register_context("test-ctx/shard-item", "solo")
         try:
-            assert _task_geom({"ctx": key_list, "rank": 1}) == "b"
-            assert _task_geom({"ctx": key_list, "chunk": 2},
-                              index_key="chunk") == "c"
             assert _task_geom({"ctx": key_item, "rank": 0}) == "solo"
         finally:
-            unregister_context(key_list)
             unregister_context(key_item)
 
     def test_context_nbytes_counts_arrays_once(self):
