@@ -23,7 +23,7 @@ The package builds every system the paper depends on:
   :mod:`repro.experiments` — performance models, NGGPS baselines, the
   Katrina experiment, and one driver per paper table/figure;
 - :mod:`repro.bench` — the deterministic benchmark suite and
-  regression gate (batched vs looped dycore paths on the wall clock,
+  regression gate (fused vs batched dycore kernels on the wall clock,
   Table-1 kernels on the simulated clock, compared against the
   committed ``BENCH_homme.json`` baseline).
 

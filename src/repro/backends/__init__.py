@@ -23,13 +23,14 @@ and byte counts from the model configuration;
 the functional implementations of the two Sunway-specific schemes
 (Sections 7.4 and 7.5).
 
-:mod:`~repro.backends.functional_exec` is the *functional* execution
-dispatch: :func:`~repro.backends.functional_exec.homme_execution`
-selects the element-batched or per-element-looped implementation of
-every dycore kernel (the repo-level analogue of the Athread-vs-OpenACC
-dispatch-granularity choice), and
-:func:`~repro.backends.functional_exec.cross_validate_paths` asserts
-the two agree to 1e-12 on the same inputs.
+:mod:`~repro.backends.functional_exec` runs Algorithms 1 and 2 through
+the simulated CPE (the paper's OpenACC-vs-Athread traffic comparison)
+and holds the wall-clock dycore's kernel registry:
+:func:`~repro.backends.functional_exec.homme_execution` resolves
+``"fused"`` (production) or ``"batched"`` (reference) to the
+implementation of every dycore kernel;
+:func:`repro.homme.fused.cross_validate_fused` asserts the two agree
+to 1e-12 on the same inputs.
 """
 
 from .base import KernelWorkload, KernelReport, Backend

@@ -1,20 +1,20 @@
 """Functional execution disciplines: Algorithms 1/2 on the simulated CPE
-cluster, and the batched/looped dispatch for the HOMME hot path.
+cluster, and the kernel-set dispatch for the HOMME hot path.
 
 Two related things live here:
 
 1. the CPE-cluster execution of a mini tracer kernel (below) — the
    paper's Algorithms 1 and 2 run through the simulated hardware;
-2. the **execution-path dispatch** for the real HOMME kernels
-   (:func:`homme_execution`): selecting ``"batched"`` (whole element
-   stack per kernel call, memoized operator tensors), ``"looped"``
-   (one dispatch per element — the pre-redesign discipline), or
-   ``"fused"`` (single-pass BLAS contractions against preassembled
-   per-mesh operands — :mod:`repro.homme.fused`).  All paths are kept
-   permanently and cross-validated against batched
-   (:func:`cross_validate_paths`, asserted to 1e-12 in
-   ``tests/test_exec_paths.py``); ``repro.bench`` times them against
-   each other and commits the speedups to ``BENCH_homme.json``.
+2. the **execution-path registry** for the real HOMME kernels
+   (:data:`EXECUTION_PATHS`, :func:`homme_execution`): ``"fused"`` —
+   the production kernels every model runs by default, single-pass
+   BLAS contractions against preassembled per-mesh operands
+   (:mod:`repro.homme.fused`) — and ``"batched"`` — the reference
+   kernels built from the operator library
+   (:mod:`repro.homme.operators`), which every fused kernel is checked
+   against to 1e-12 (:func:`repro.homme.fused.cross_validate_fused`,
+   ``tests/test_exec_paths.py``).  This registry is the only place
+   that knows which paths exist.
 
 This module executes a small flux-form tracer update
 
@@ -47,7 +47,6 @@ import numpy as np
 from ..errors import KernelError, LDMOverflowError
 from ..homme import euler as _euler
 from ..homme import fused as _fz
-from ..homme import looped as _looped
 from ..homme import operators as _op
 from ..homme import rhs as _rhs
 from ..homme import shallow_water as _sw
@@ -56,7 +55,7 @@ from ..sunway.spec import SW26010Spec, DEFAULT_SPEC
 
 
 # ---------------------------------------------------------------------------
-# Execution-path dispatch for the HOMME kernels (batched vs looped)
+# Execution-path registry for the HOMME kernels (fused vs batched)
 # ---------------------------------------------------------------------------
 
 
@@ -68,14 +67,23 @@ def _warm_fused(geom) -> None:
     geom.tensors.fused()
 
 
+def _batched_tracer_tendency(v, geom):
+    return lambda qdp: _euler.advect_qdp_all(qdp, v, geom)
+
+
+def _fused_tracer_tendency(v, geom):
+    vm = _fz.fold_velocity(v, geom)  # metric folded once per step
+    return lambda qdp: _fz.advect_qdp_all_fused(qdp, vm, geom)
+
+
 @dataclass(frozen=True)
 class HommeExecution:
     """One execution path through the HOMME element-local kernels.
 
     Bundles the path-specific forms of every dispatchable kernel; DSS
     and the time integrators are shared, so two executions of the same
-    state differ only in kernel dispatch granularity (and agree to
-    roundoff — cross-validated in ``tests/test_exec_paths.py``).
+    state differ only in how the element-local chains are contracted
+    (and agree to roundoff — ``tests/test_exec_paths.py``).
     """
 
     name: str
@@ -87,10 +95,10 @@ class HommeExecution:
     laplace_wk: Callable
     #: vector Laplacian: f(v, geom) -> v
     vlaplace: Callable
-    #: tracer path name handed to ``euler_step(..., path=...)``
-    euler_path: str
+    #: all-tracer advection for one euler_step: f(v, geom) returns
+    #: g(qdp) -> tendency, so per-step velocity work happens once
+    tracer_tendency: Callable
     #: single-tracer advection tendency: f(qdp_q, v, geom) -> field
-    #: (there is no per-element form; looped shares the batched one)
     advect_qdp: Callable
     #: build every memoized operand this path reads from ``geom`` — call
     #: it before a worker pool forks so workers inherit them copy-on-write
@@ -98,87 +106,37 @@ class HommeExecution:
 
 
 EXECUTION_PATHS: dict[str, HommeExecution] = {
-    "batched": HommeExecution(
-        name="batched",
-        compute_rhs=_rhs.compute_rhs,
-        sw_rhs=_sw.sw_compute_rhs,
-        laplace_wk=_op.laplace_sphere_wk,
-        vlaplace=_op.vlaplace_sphere,
-        euler_path="batched",
-        advect_qdp=_euler.advect_qdp,
-        warm=_warm_tensors,
-    ),
-    "looped": HommeExecution(
-        name="looped",
-        compute_rhs=_looped.compute_rhs_looped,
-        sw_rhs=_looped.sw_compute_rhs_looped,
-        laplace_wk=_looped.laplace_sphere_wk_looped,
-        vlaplace=_looped.vlaplace_sphere_looped,
-        euler_path="looped",
-        advect_qdp=_euler.advect_qdp,
-        warm=_warm_tensors,
-    ),
     "fused": HommeExecution(
         name="fused",
         compute_rhs=_fz.compute_rhs_fused,
         sw_rhs=_fz.sw_compute_rhs_fused,
         laplace_wk=_fz.laplace_sphere_wk_fused,
         vlaplace=_fz.vlaplace_sphere_fused,
-        euler_path="fused",
+        tracer_tendency=_fused_tracer_tendency,
         advect_qdp=_fz.advect_qdp_fused,
         warm=_warm_fused,
+    ),
+    "batched": HommeExecution(
+        name="batched",
+        compute_rhs=_rhs.compute_rhs,
+        sw_rhs=_sw.sw_compute_rhs,
+        laplace_wk=_op.laplace_sphere_wk,
+        vlaplace=_op.vlaplace_sphere,
+        tracer_tendency=_batched_tracer_tendency,
+        advect_qdp=_euler.advect_qdp,
+        warm=_warm_tensors,
     ),
 }
 
 
-def homme_execution(name: str = "batched") -> HommeExecution:
-    """Look up an execution path by name (``"batched"``, ``"looped"``
-    or ``"fused"``)."""
+def homme_execution(name: str) -> HommeExecution:
+    """Look up an execution path by name (``"fused"`` or ``"batched"``)."""
     try:
         return EXECUTION_PATHS[name]
     except KeyError:
         raise KernelError(
             f"unknown execution path {name!r}; choose from {sorted(EXECUTION_PATHS)}"
         ) from None
-
-
-def cross_validate_paths(
-    state, geom, phis=None, rtol: float = 1e-12,
-    paths: tuple[str, ...] = ("looped", "fused"),
-) -> dict[str, float]:
-    """Run every dispatchable kernel through every alternate path;
-    return max relative disagreements against batched (and raise if any
-    exceeds ``rtol``).
-
-    The contract behind the alternate paths: looping and fusing are
-    *only* dispatch/contraction-order changes, so every kernel must
-    agree with its batched twin to roundoff on the same inputs.
-    """
-    b = EXECUTION_PATHS["batched"]
-
-    def rel(a, c):
-        scale = max(float(np.max(np.abs(a))), 1e-300)
-        return float(np.max(np.abs(a - c))) / scale
-
-    errs: dict[str, float] = {}
-    dv_b, dT_b, ddp_b = b.compute_rhs(state, geom, phis)
-    lap_b = b.laplace_wk(state.T, geom)
-    vlap_b = b.vlaplace(state.v, geom)
-    for name in paths:
-        o = homme_execution(name)
-        dv_o, dT_o, ddp_o = o.compute_rhs(state, geom, phis)
-        errs[f"{name}.compute_rhs.dv"] = rel(dv_b, dv_o)
-        errs[f"{name}.compute_rhs.dT"] = rel(dT_b, dT_o)
-        errs[f"{name}.compute_rhs.ddp"] = rel(ddp_b, ddp_o)
-        errs[f"{name}.laplace_wk.T"] = rel(lap_b, o.laplace_wk(state.T, geom))
-        errs[f"{name}.vlaplace.v"] = rel(vlap_b, o.vlaplace(state.v, geom))
-    worst = max(errs.values())
-    if worst > rtol:
-        raise KernelError(
-            f"execution-path cross-validation failed: max rel err {worst:.3e} "
-            f"> {rtol:.1e} ({errs})"
-        )
-    return errs
 
 
 @dataclass

@@ -5,7 +5,7 @@ speedup from the Athread redesign) — so this reproduction tracks its
 own performance as a first-class, committed artifact.  ``repro.bench``
 times the HOMME hot path on two clocks:
 
-- **wall clock** — the batched vs looped execution paths
+- **wall clock** — the fused vs batched execution paths
   (:func:`repro.backends.functional_exec.homme_execution`) on the ne8
   shallow-water RK step, the primitive-equation RHS, and the
   all-tracer euler step: min-of-repeats ``time.perf_counter`` timings,
@@ -18,7 +18,7 @@ times the HOMME hot path on two clocks:
 ``python -m repro.bench`` runs the suite, writes ``BENCH_homme.json``
 (schema in DESIGN.md §9), and with ``--compare`` gates against a
 committed baseline — CI fails on >25% normalized wall-clock regression,
->1% simulated drift, or the batched/looped speedup dropping below its
+>1% simulated drift, or the fused/batched speedup dropping below its
 floor.  Entry points::
 
     python -m repro.bench --out BENCH_homme.json          # new baseline

@@ -28,7 +28,7 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Deterministic benchmark runner for the HOMME hot path "
-                    "(batched vs looped execution, Table-1 kernels).",
+                    "(fused vs batched execution, Table-1 kernels).",
     )
     p.add_argument("--quick", action="store_true",
                    help="fewer repeats (the CI-gate configuration)")

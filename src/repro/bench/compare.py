@@ -10,16 +10,17 @@ The gate applies three rules to a (current, baseline) report pair:
   hardware ratio but calibrated does not.  A genuine regression moves
   both together, so gating on the smaller of the two suppresses the
   false positives without opening a hole.  Wall entries whose
-  ``meta.gated`` is false (the interpreter-noise-dominated looped
-  reference path) are reported but never fail the gate — their
-  regressions only matter through the derived speedup floors.
+  ``meta.gated`` is false (the batched reference path, the
+  multi-core distributed variants) are reported but never fail the
+  gate — their regressions only matter through the derived speedup
+  floors.
 - **simulated clock** — the backend cost models are deterministic, so
   any drift beyond ``sim_threshold`` (default 1%) means the
   performance model changed; that must be a deliberate, reviewed
   change, so the gate fails.
 - **derived floors** — each derived speedup must stay at or above its
-  committed floor (``suite.SPEEDUP_FLOORS``): the batched path must
-  remain >= 3x the looped path on the ne8 shallow-water RK step
+  committed floor (``suite.SPEEDUP_FLOORS``): the fused path must
+  remain >= 1.5x the batched reference on the primitive-equation RHS
   regardless of how both drift in absolute terms.
 
 Benchmarks present in only one report are reported as added/removed

@@ -37,7 +37,7 @@ class BenchResult:
     ``clock`` is ``"wall"`` (seconds of real time, calibration-
     normalizable) or ``"simulated"`` (deterministic model seconds).
     ``floor``/``ceiling`` optionally bound a *derived* metric (e.g. the
-    batched/looped speedup must stay >= its floor for the gate to
+    fused/batched speedup must stay >= its floor for the gate to
     pass).
     """
 

@@ -21,18 +21,20 @@ Real numerics for every kernel in the paper's Table 1:
 - :mod:`~repro.homme.shallow_water` — a shallow-water mode used to
   verify the spectral operators against analytic solutions.
 
-Execution paths.  The hot path is *element-batched*: every operator in
-:mod:`~repro.homme.operators` acts on whole stacked ``(nelem, np, np,
-...)`` arrays in single numpy calls, reading precomputed per-mesh
+Execution paths.  Every model runs the *fused* kernels by default
+(:mod:`~repro.homme.fused`): each chain — RHS, weak/vector Laplacian,
+tracer stage — is one pass of BLAS contractions against per-mesh
+operands with the metric scalings folded in, the Python-level analogue
+of the paper's fine-grained Athread rewrite.  The *batched* kernels
+(:mod:`~repro.homme.operators` composed term by term in
+:mod:`~repro.homme.rhs`, :mod:`~repro.homme.euler`,
+:mod:`~repro.homme.shallow_water`) are the named reference: whole
+stacked ``(nelem, ..., np, np)`` arrays per operator call, reading the
 operator tensors cached on the geometry (:mod:`~repro.homme.tensors`,
-invalidated by metric-term fingerprint).  :mod:`~repro.homme.looped`
-is the per-element dispatch twin — one Python-level call per element,
-the analogue of the paper's coarse-grained OpenACC dispatch versus the
-Athread whole-stack execution — kept solely so the two paths can be
-cross-validated to 1e-12 and benchmarked against each other
-(``repro.bench``).  Select a path via
-:func:`repro.backends.functional_exec.homme_execution` or the
-``exec_path`` argument of the model classes.
+invalidated by metric-term fingerprint).  The two are cross-validated
+to 1e-12 and timed against each other (``repro.bench``); ``exec_path``
+on the model classes names one, resolved by
+:func:`repro.backends.functional_exec.homme_execution`.
 """
 
 from .element import ElementGeometry, ElementState

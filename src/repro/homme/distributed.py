@@ -54,7 +54,7 @@ from ..parallel.engine import (
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry
-from .hypervis import nu_for_ne
+from .hypervis import nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
 from .timestep import RSPLIT
 
@@ -397,10 +397,10 @@ class DistributedShallowWater(_DistributedModel):
     stay bitwise identical and the simulated clocks are untouched —
     only wall time changes.
 
-    ``exec_path`` selects the element-local kernels each rank task runs
-    (``"batched"`` default, ``"fused"`` for the single-pass contraction
-    kernels, ``"looped"`` for the per-element baseline); the DSS
-    structure is identical across paths.
+    ``exec_path`` names the element-local kernel set each rank task
+    runs (``"fused"`` default, the single-pass contraction kernels;
+    ``"batched"``, the operator-library reference); the DSS structure
+    is identical across paths.
     """
 
     _fields = ("h", "v")
@@ -419,7 +419,7 @@ class DistributedShallowWater(_DistributedModel):
         validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          validate, pipeline, engine_kwargs, exec_path)
@@ -501,8 +501,8 @@ class DistributedPrimitiveEquations(_DistributedModel):
     order, so both the trajectory and the simulated clocks are bitwise
     unchanged.
 
-    ``exec_path`` selects the element-local kernels the per-rank tasks
-    run (``"batched"`` default, ``"fused"``, ``"looped"``); the
+    ``exec_path`` names the element-local kernel set the per-rank tasks
+    run (``"fused"`` default, ``"batched"`` reference); the
     exchange/allreduce structure is identical across paths.
 
     ``combine`` selects how the tracer mass-fixer allreduces charge the
@@ -531,7 +531,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
         validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
         combine: str = "flat",
     ) -> None:
         if cfg.ne != mesh.ne:
@@ -553,7 +553,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
                              qdp=init_state.qdp[e].copy())
             for e in self.hx.rank_elems
         ]
-        self.nu = nu_for_ne(cfg.ne)
+        self.nu = nu_for_mesh(mesh)
 
     # -- distributed DSS over level-carrying fields --------------------------------
 

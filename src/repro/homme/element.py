@@ -60,7 +60,6 @@ class ElementGeometry:
         omega = getattr(mesh, "omega", C.EARTH_OMEGA)
         self.fcor = 2.0 * omega * np.sin(self.lat)
         self._tensors: tensors_mod.OperatorTensors | None = None
-        self._views: list["ElementGeometry"] | None = None
 
     # -- memoized operator tensors (batched hot path) --------------------------
 
@@ -80,47 +79,8 @@ class ElementGeometry:
         return self._tensors
 
     def invalidate_tensors(self) -> None:
-        """Drop the memoized operator tensors (and per-element views)."""
+        """Drop the memoized operator tensors."""
         self._tensors = None
-        self._views = None
-
-    # -- per-element views (looped execution path) -----------------------------
-
-    def element_view(self, e: int) -> "ElementGeometry":
-        """A single-element geometry sharing this geometry's arrays.
-
-        The view's arrays are basic slices (``arr[e:e+1]``) of the
-        parent's, so mutations of the parent metric terms propagate and
-        re-fingerprint through the view's own tensor cache.  Used by
-        the looped execution path (:mod:`repro.homme.looped`), which
-        dispatches kernels one element at a time.
-        """
-        return self.element_views()[e]
-
-    def element_views(self) -> list["ElementGeometry"]:
-        """All single-element views, built lazily once and cached."""
-        if self._views is None:
-            self._views = [self._slice_view(e) for e in range(self.nelem)]
-        return self._views
-
-    def _slice_view(self, e: int) -> "ElementGeometry":
-        view = object.__new__(ElementGeometry)
-        view.mesh = self.mesh
-        view.elem_ids = self.elem_ids[e : e + 1]
-        view.nelem = 1
-        view.np = self.np
-        sl = slice(e, e + 1)
-        for name in (
-            "metdet", "met", "metinv", "spheremp", "dss_weight",
-            "lat", "lon", "gid", "e_cov", "fcor",
-        ):
-            setattr(view, name, getattr(self, name)[sl])
-        view.D = self.D
-        view.jac = self.jac
-        view.radius = self.radius
-        view._tensors = None
-        view._views = None
-        return view
 
     def dss(self, field: np.ndarray) -> np.ndarray:
         """Serial DSS through the full mesh (only valid for whole-mesh views)."""

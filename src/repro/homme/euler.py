@@ -98,64 +98,38 @@ def euler_step(
     geom: ElementGeometry,
     dt: float,
     limiter: bool = True,
-    path: str = "batched",
+    path: str = "fused",
 ) -> np.ndarray:
     """One SSP-RK2 advection step for all tracers; returns new qdp.
 
     SSP-RK2 (Heun):  s1 = q + dt L(q);  q_new = (q + s1 + dt L(s1)) / 2,
     with DSS after each stage so stage fields are continuous.
 
-    ``path="batched"`` advects and assembles every tracer in one shot
-    (velocity and metric terms touched once per stage);
-    ``path="fused"`` additionally folds the metric into the velocity
-    planes once per step and skips the ``(..., 2)`` flux stack
-    (:mod:`repro.homme.fused`); ``path="looped"`` keeps the historical
-    per-tracer loop — the contention point between the paper's
-    execution backends, retained for cross-validation and as the
-    ``repro.bench`` baseline.
+    Every tracer is advected and assembled in one shot (velocity and
+    metric terms touched once per stage).  ``path`` names the kernel
+    set (:func:`repro.backends.functional_exec.homme_execution`):
+    ``"fused"`` folds the metric into the velocity planes once per step
+    and skips the ``(..., 2)`` flux stack (:mod:`repro.homme.fused`);
+    ``"batched"`` is the reference built on :func:`advect_qdp_all`.
     """
+    # Imported lazily: backends.functional_exec imports this module.
+    from ..backends.functional_exec import homme_execution
+
     if dt <= 0:
         raise KernelError(f"dt must be positive, got {dt}")
-    v = state.v
     qdp = state.qdp
-    if path in ("batched", "fused"):
-        if path == "fused":
-            from .fused import advect_qdp_all_fused, fold_velocity
-
-            vm = fold_velocity(v, geom)
-
-            def adv(q):
-                return advect_qdp_all_fused(q, vm, geom)
-        else:
-            def adv(q):
-                return advect_qdp_all(q, v, geom)
-
-        f0 = adv(qdp)
-        s1 = _dss_all(qdp + dt * f0, geom)
-        f1 = adv(s1)
-        s2 = _dss_all(0.5 * (qdp + s1 + dt * f1), geom)
-        if limiter:
-            # The elementwise rescale breaks edge continuity; a closing
-            # DSS restores it (a positive-weighted average of
-            # non-negative values stays non-negative), which keeps the
-            # *next* step's flux-form divergence exactly conservative.
-            return _dss_all(limit_qdp(s2, geom), geom)
-        return s2
-    if path != "looped":
-        raise KernelError(f"unknown euler path {path!r}")
-    nq = qdp.shape[1]
-    out = np.empty_like(qdp)
-    # Per-tracer loop: the contention point between execution backends.
-    for q in range(nq):
-        f0 = advect_qdp(qdp[:, q], v, geom)
-        s1 = geom.dss(qdp[:, q] + dt * f0)
-        f1 = advect_qdp(s1, v, geom)
-        s2 = geom.dss(0.5 * (qdp[:, q] + s1 + dt * f1))
-        if limiter:
-            out[:, q] = geom.dss(limit_qdp(s2, geom))
-        else:
-            out[:, q] = s2
-    return out
+    adv = homme_execution(path).tracer_tendency(state.v, geom)
+    f0 = adv(qdp)
+    s1 = _dss_all(qdp + dt * f0, geom)
+    f1 = adv(s1)
+    s2 = _dss_all(0.5 * (qdp + s1 + dt * f1), geom)
+    if limiter:
+        # The elementwise rescale breaks edge continuity; a closing
+        # DSS restores it (a positive-weighted average of
+        # non-negative values stays non-negative), which keeps the
+        # *next* step's flux-form divergence exactly conservative.
+        return _dss_all(limit_qdp(s2, geom), geom)
+    return s2
 
 
 def euler_step_subcycled(
@@ -164,7 +138,7 @@ def euler_step_subcycled(
     dt: float,
     subcycles: int = 3,
     limiter: bool = True,
-    path: str = "batched",
+    path: str = "fused",
 ) -> np.ndarray:
     """Run ``subcycles`` euler_steps of dt/subcycles each; returns new qdp."""
     if subcycles < 1:

@@ -33,8 +33,8 @@ changing the math:
   ``wk_fac * metinv * inv_jac`` planes.
 
 Everything here is cross-validated against the batched path to 1e-12
-(``tests/test_exec_paths.py``) and registered as the third execution
-path (``exec_path="fused"``) in
+(``tests/test_exec_paths.py``) and registered as the default
+execution path (``exec_path="fused"``) in
 :func:`repro.backends.functional_exec.homme_execution`.
 
 An optional float32 compute mode (``dtype=np.float32``) runs the same

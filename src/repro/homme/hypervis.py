@@ -38,6 +38,18 @@ def nu_for_ne(ne: int, nu0: float = NU0) -> float:
     return nu0 * (NE0 / ne) ** HV_SCALING
 
 
+def nu_for_mesh(mesh) -> float:
+    """The default coefficient of a model on ``mesh`` (serial and
+    distributed alike).
+
+    Hyperviscosity scales with the *physical* grid spacing: on a
+    reduced-radius sphere the effective ne is larger by the same factor
+    the radius shrank.
+    """
+    ne_eff = mesh.ne * C.EARTH_RADIUS / mesh.radius
+    return nu_for_ne(max(2, int(round(ne_eff))))
+
+
 def hypervis_dp1(
     state: ElementState,
     geom: ElementGeometry,
@@ -47,10 +59,10 @@ def hypervis_dp1(
     """First Laplacian sweep over momentum and temperature (with DSS).
 
     Returns (lap_v, lap_T), the continuous Laplacians that feed
-    :func:`hypervis_dp2`.  ``laplace_fn``/``vlaplace_fn`` select the
-    element-local execution path (batched operators by default; the
-    looped twins from :mod:`repro.homme.looped` via the dispatch in
-    :func:`repro.backends.functional_exec.homme_execution`).
+    :func:`hypervis_dp2`.  ``laplace_fn``/``vlaplace_fn`` are the
+    element-local Laplacians of an execution path
+    (:func:`repro.backends.functional_exec.homme_execution`); left
+    unset they are the reference operators.
     """
     lap = laplace_fn or op.laplace_sphere_wk
     vlap = vlaplace_fn or op.vlaplace_sphere
@@ -124,8 +136,8 @@ def advance_hypervis(
 
     ``nu_p`` (thickness diffusion) defaults to ``nu``; subcycling is
     chosen automatically from the stability analysis unless given.
-    ``laplace_fn``/``vlaplace_fn`` select the execution path for the
-    element-local Laplacians (batched by default).
+    ``laplace_fn``/``vlaplace_fn`` are the element-local Laplacians
+    (the reference operators when unset).
     """
     nu = nu_for_ne(ne) if nu is None else nu
     nu_p = nu if nu_p is None else nu_p

@@ -3,12 +3,12 @@
 All operators act elementwise on **stacked** fields shaped
 ``(E, ..., np, np)`` (arbitrary middle axes — typically levels, or
 tracers x levels) using the GLL derivative matrix along the two
-horizontal axes, so one call covers the whole element batch: this is
-the batched execution path the paper's Athread redesign motivates
-(dispatch the core-group once per kernel, not once per element).  The
-per-element *looped* path that dispatches these same kernels one
-element at a time lives in :mod:`repro.homme.looped`; the two are
-cross-validated in ``tests/test_exec_paths.py``.
+horizontal axes, so one call covers the whole element batch.  This is
+the operator library — diagnostics, physics and the Katrina tracker
+call it directly — and the building block of the ``"batched"``
+reference kernels; the production ``"fused"`` chains in
+:mod:`repro.homme.fused` are cross-validated against it in
+``tests/test_exec_paths.py``.
 
 Every operator pulls its geometric factors from the memoized
 :class:`~repro.homme.tensors.OperatorTensors` bundle on the geometry

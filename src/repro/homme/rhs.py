@@ -99,11 +99,11 @@ def compute_rhs(
 
     Split out from :func:`compute_and_apply_rhs` so RK drivers and the
     execution backends can account the compute phase separately from the
-    boundary exchange.  This is the **batched** form — every operator
-    acts on the full (E, L, np, np) stack in one shot, with the
-    geometric factors fetched once from the memoized tensor cache.  The
-    per-element looped twin is
-    :func:`repro.homme.looped.compute_rhs_looped`.
+    boundary exchange.  This is the **batched** reference form — one
+    operator-library call per term on the full (E, L, np, np) stack,
+    with the geometric factors fetched once from the memoized tensor
+    cache.  The production twin is
+    :func:`repro.homme.fused.compute_rhs_fused`.
     """
     state.check_consistent()
     v, T, dp3d = state.v, state.T, state.dp3d
@@ -150,10 +150,10 @@ def compute_and_apply_rhs(
     updated fields are projected onto the continuous basis with DSS —
     in the distributed dycore this is where ``bndry_exchangev`` runs.
 
-    ``rhs_fn`` selects the execution path for the element-local compute
-    (defaults to the batched :func:`compute_rhs`; the looped path
-    passes :func:`repro.homme.looped.compute_rhs_looped`).  The DSS is
-    global either way, so paths differ only in dispatch granularity.
+    ``rhs_fn`` is the element-local compute of an execution path (the
+    reference :func:`compute_rhs` when unset; the models pass
+    :func:`repro.homme.fused.compute_rhs_fused` by default).  The DSS
+    is the same either way.
     """
     if dt <= 0:
         raise KernelError(f"dt must be positive, got {dt}")

@@ -89,11 +89,12 @@ def sw_compute_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Element-local shallow-water tendencies (dh/dt, dv/dt), no DSS.
 
-    The **batched** form: one call covers the whole element stack, with
-    geometric factors from the memoized tensor cache.  The per-element
-    twin is :func:`repro.homme.looped.sw_compute_rhs_looped`; both are
-    timed against each other by ``repro.bench`` (the ne8 RK-step
-    speedup committed in ``BENCH_homme.json``).
+    The **batched** reference form: one operator-library call per term
+    over the whole element stack, geometric factors from the memoized
+    tensor cache.  The production twin is
+    :func:`repro.homme.fused.sw_compute_rhs_fused`; ``repro.bench``
+    times the two against each other (the ne8 RK-step ratio committed
+    in ``BENCH_homme.json``).
     """
     t = geom.tensors
     zeta = op.vorticity_sphere(v, geom, t)
@@ -109,11 +110,10 @@ def sw_compute_rhs(
 class ShallowWaterModel:
     """SE shallow-water solver (RK3, optional hyperviscosity).
 
-    ``exec_path`` selects how the element-local kernels (RHS and the
-    hyperviscosity Laplacians) are dispatched: ``"batched"`` (default,
-    whole element stack per call), ``"looped"`` (one call per element)
-    or ``"fused"`` (single-pass contractions) — see
-    :func:`repro.backends.functional_exec.homme_execution`.
+    ``exec_path`` names the element-local kernel set (RHS and the
+    hyperviscosity Laplacians): ``"fused"`` (default, single-pass
+    contractions) or ``"batched"`` (the operator-library reference) —
+    see :func:`repro.backends.functional_exec.homme_execution`.
     """
 
     def __init__(
@@ -122,7 +122,7 @@ class ShallowWaterModel:
         state: SWState | None = None,
         dt: float | None = None,
         nu: float = 0.0,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         self.mesh = mesh
         self.geom = ElementGeometry(mesh)
@@ -135,23 +135,13 @@ class ShallowWaterModel:
         self.dt = dt
         self.nu = nu
         self.t = 0.0
-        self.exec_path = exec_path
+        # Imported lazily: backends.functional_exec imports repro.homme.
         from ..backends.functional_exec import homme_execution
-        from ..errors import KernelError
 
-        try:
-            self._exec = homme_execution(exec_path)
-        except KernelError:
-            # Model-construction contract predates the dispatch registry:
-            # a bad path here is a config error, reported as ValueError.
-            raise ValueError(f"unknown exec_path {exec_path!r}") from None
-        self._rhs_fn = self._exec.sw_rhs
-
-    def _rhs(self, s: SWState) -> tuple[np.ndarray, np.ndarray]:
-        return self._rhs_fn(s.h, s.v, self.geom)
+        self._exec = homme_execution(exec_path)
 
     def _stage(self, base: SWState, point: SWState, dt: float) -> SWState:
-        dh, dv = self._rhs(point)
+        dh, dv = self._exec.sw_rhs(point.h, point.v, self.geom)
         return SWState(
             h=self.geom.dss(base.h + dt * dh),
             v=self.geom.dss_vector(base.v + dt * dv),

@@ -12,8 +12,8 @@ One dynamics step is (CAM-SE structure, paper Section 6):
 
 :class:`PrimitiveEquationModel` is the serial (whole-mesh) driver used
 by the numerics tests, the physics experiments, and the Katrina runs;
-the distributed form lives in :mod:`repro.homme.bndry` +
-:mod:`repro.perf.scaling`.
+the distributed form is
+:class:`repro.homme.distributed.DistributedPrimitiveEquations`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..obs.tracer import NULL_TRACER
 from ..utils.logging import RunLog
 from .element import ElementGeometry, ElementState
 from .euler import euler_step_subcycled
-from .hypervis import advance_hypervis, nu_for_ne
+from .hypervis import advance_hypervis, nu_for_mesh
 from .remap import vertical_remap
 from .rhs import compute_and_apply_rhs
 from . import diagnostics
@@ -65,12 +65,10 @@ class PrimitiveEquationModel:
         track, with schematic sub-spans for the RK stages, tracer
         advection, hyperviscosity, and remap phases.
     exec_path:
-        Element-local kernel dispatch: ``"batched"`` (default — whole
-        element stack per kernel call, memoized operator tensors),
-        ``"fused"`` (single-pass contractions against preassembled
-        per-mesh operands) or ``"looped"`` (one dispatch per element,
-        the pre-redesign discipline kept for cross-validation and
-        benchmarking).  See
+        Element-local kernel set: ``"fused"`` (default — single-pass
+        contractions against preassembled per-mesh operands) or
+        ``"batched"`` (the reference kernels built from the operator
+        library, which the fused ones are checked against).  See
         :func:`repro.backends.functional_exec.homme_execution`.
     """
 
@@ -85,7 +83,7 @@ class PrimitiveEquationModel:
         nu: float | None = None,
         phis: np.ndarray | None = None,
         tracer=None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         self.cfg = cfg
         self.mesh = mesh if mesh is not None else CubedSphereMesh(cfg.ne, cfg.np)
@@ -102,13 +100,7 @@ class PrimitiveEquationModel:
         self.forcing = forcing
         self.dt = dt if dt is not None else cfg.dt_dynamics
         self.hypervis = hypervis
-        # Hyperviscosity scales with the *physical* grid spacing; on a
-        # reduced-radius sphere the effective ne is larger by the same
-        # factor the radius shrank.
-        if nu is None:
-            ne_eff = cfg.ne * C.EARTH_RADIUS / self.mesh.radius
-            nu = nu_for_ne(max(2, int(round(ne_eff))))
-        self.nu = nu
+        self.nu = nu_for_mesh(self.mesh) if nu is None else nu
         self.phis = phis
         self.t = 0.0
         self.step_count = 0
@@ -136,7 +128,7 @@ class PrimitiveEquationModel:
         # Tracer advection on the updated winds (3 subcycles).
         s3.qdp = euler_step_subcycled(
             s3, geom, dt, subcycles=self.cfg.tracer_subcycles,
-            path=ex.euler_path,
+            path=ex.name,
         )
 
         if self.hypervis:

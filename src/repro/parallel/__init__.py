@@ -20,9 +20,9 @@ The contract (DESIGN.md §10):
 - **Fallback.** ``workers <= 1``, an unavailable ``fork`` start
   method, or any pool start-up failure silently degrades to in-process
   serial execution of the very same task functions.
-- **Validation.** ``validate=True`` mirrors the 1e-12 dispatch check
-  of :func:`repro.backends.functional_exec.cross_validate_paths`:
-  every parallel result is recomputed serially and compared bitwise.
+- **Validation.** ``validate=True`` mirrors the 1e-12 kernel check
+  of :func:`repro.homme.fused.cross_validate_fused`: every parallel
+  result is recomputed serially and compared bitwise.
 - **Self-healing.** Supervised engines (the default) recover worker
   crashes, hangs, overdue results, and corrupted result blocks locally
   — respawn the slot, redistribute only its in-flight tasks, re-execute

@@ -44,13 +44,10 @@ def _task_geom(meta):
 
 
 def _path_kernels(meta):
-    """Resolve the execution path named in a task meta.
-
-    Tasks default to the batched kernels when no ``"path"`` key is
-    present, so the bitwise parallel==serial guarantee for the default
-    path does not depend on the caller naming it.
-    """
-    return homme_execution(meta.get("path", "batched"))
+    """The kernel set a task meta names in ``meta["path"]`` — required,
+    like ``"ctx"``: a meta without it is a driver bug, not a request
+    for some default kernels."""
+    return homme_execution(meta["path"])
 
 
 def sw_stage_task(meta, base_h, base_v, point_h, point_v):

@@ -136,9 +136,8 @@ _LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 _CTX_TOUCHED: dict[str, int] = {}
 
 #: Attribute names skipped by :func:`context_nbytes`: references back to
-#: driver-resident shared structures (the full mesh) and caches of views
-#: that alias arrays counted elsewhere.
-_SIZER_SKIP_ATTRS = frozenset({"mesh", "_views"})
+#: driver-resident shared structures (the full mesh).
+_SIZER_SKIP_ATTRS = frozenset({"mesh"})
 
 
 def context_nbytes(obj: object) -> int:
@@ -394,8 +393,8 @@ class ParallelEngine:
     validate:
         When true, every parallel ``run`` is recomputed serially on the
         driver and compared **bitwise** — the ``repro.parallel``
-        mirror of the batched/looped 1e-12 dispatch check
-        (:func:`repro.backends.functional_exec.cross_validate_paths`).
+        mirror of the fused-vs-batched 1e-12 kernel check
+        (:func:`repro.homme.fused.cross_validate_fused`).
         Costs a full serial execution per call; meant for tests, CI
         smoke jobs, and paranoid runs.
     tracer:

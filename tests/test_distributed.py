@@ -155,6 +155,27 @@ class TestDistributedPrimitiveEquations:
         assert np.allclose(g.v, serial.state.v, atol=1e-16)
         assert np.allclose(g.qdp, serial.state.qdp, atol=1e-10)
 
+    def test_matches_serial_on_reduced_radius_sphere(self, setup):
+        """Both models scale hyperviscosity to the physical grid spacing
+        of a Katrina-style small planet (``nu_for_mesh``); with the
+        Earth-radius coefficient the distributed T was off by 440x its
+        magnitude after these two steps."""
+        from repro import constants as C
+        from repro.homme.timestep import PrimitiveEquationModel
+
+        cfg, _, state = setup
+        mesh = CubedSphereMesh(4, radius=C.EARTH_RADIUS / 10)
+        serial = PrimitiveEquationModel(cfg, mesh=mesh, init=state.copy(), dt=30.0)
+        dist = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=4, dt=30.0)
+        assert dist.nu == serial.nu == nu_for_ne(40)
+        serial.run_steps(2)
+        dist.run_steps(2)
+        g = dist.gather_state()
+        assert np.allclose(g.T, serial.state.T, rtol=0, atol=1e-11)
+        assert np.allclose(g.dp3d, serial.state.dp3d, rtol=0, atol=1e-9)
+        assert np.allclose(g.v, serial.state.v, rtol=0, atol=1e-17)
+        assert np.allclose(g.qdp, serial.state.qdp, rtol=0, atol=1e-11)
+
     def test_rank_invariance(self, setup):
         cfg, mesh, state = setup
         a = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=2, dt=600.0)

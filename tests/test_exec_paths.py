@@ -1,25 +1,29 @@
-"""Cross-validation of the batched vs looped execution paths, and the
-operator-tensor cache invalidation contract.
+"""Cross-validation of the fused (production) vs batched (reference)
+execution paths, and the operator-tensor cache invalidation contract.
 
-The batched path is only trusted because every dispatchable kernel
-agrees with its per-element looped twin to 1e-12 on the same inputs —
-random states, analytic shallow-water states, and full timestep
-trajectories.  The tensor cache is only trusted because mutating the
+The fused path is only trusted because every dispatchable kernel agrees
+with its batched twin to 1e-12 on the same inputs — random states,
+analytic shallow-water states, and full timestep trajectories; the
+batched reference itself is checked to be element-local and
+tracer-local.  The tensor cache is only trusted because mutating the
 geometry's metric terms demonstrably never serves stale tensors.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.backends.functional_exec import (
-    EXECUTION_PATHS,
-    cross_validate_paths,
-    homme_execution,
-)
+from repro.backends.functional_exec import EXECUTION_PATHS, homme_execution
 from repro.config import ModelConfig
 from repro.errors import KernelError
+from repro.homme.distributed import (
+    DistributedPrimitiveEquations,
+    DistributedShallowWater,
+)
 from repro.homme.element import ElementGeometry, ElementState
-from repro.homme.euler import euler_step, limit_qdp, tracer_mass
+from repro.homme.euler import euler_step, limit_qdp
+from repro.homme.fused import cross_validate_fused
 from repro.homme.shallow_water import (
     ShallowWaterModel,
     rossby_haurwitz_initial,
@@ -48,75 +52,120 @@ def prim_setup(mesh4):
     return cfg, geom, state
 
 
+def worst(errs, tag):
+    """Largest ``cross_validate_fused`` disagreement of one precision tag."""
+    return max(v for k, v in errs.items() if k.startswith(tag))
+
+
+#: The one unknown-path error, whoever is asked (a regex; format the name in).
+UNKNOWN_PATH = r"unknown execution path {!r}; choose from \['batched', 'fused'\]"
+
+
 def rel_err(a, b):
     scale = max(float(np.max(np.abs(a))), 1e-300)
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
 
 
+def _build(cls, mesh, cfg, state, **kw):
+    """Construct any of the four models with the smallest valid inputs."""
+    if cls is ShallowWaterModel:
+        return cls(mesh, **kw)
+    if cls is PrimitiveEquationModel:
+        return cls(cfg, mesh=mesh, init=state.copy(), **kw)
+    if cls is DistributedShallowWater:
+        return cls(mesh, nranks=2, **kw)
+    return cls(cfg, mesh, state, nranks=2, dt=300.0, **kw)
+
+
+MODELS = [ShallowWaterModel, PrimitiveEquationModel,
+          DistributedShallowWater, DistributedPrimitiveEquations]
+
+
 class TestDispatch:
     def test_registry_has_all_paths(self):
-        assert set(EXECUTION_PATHS) == {"batched", "looped", "fused"}
+        assert set(EXECUTION_PATHS) == {"fused", "batched"}
         for ex in EXECUTION_PATHS.values():
             assert callable(ex.compute_rhs) and callable(ex.sw_rhs)
+
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda c: c.__name__)
+    def test_models_default_to_fused(self, cls):
+        assert inspect.signature(cls).parameters["exec_path"].default == "fused"
 
     def test_unknown_path_rejected(self):
         with pytest.raises(KernelError, match="unknown execution path"):
             homme_execution("vectorized")
 
     def test_sw_model_unknown_path_rejected(self, mesh4):
-        with pytest.raises(ValueError, match="unknown exec_path"):
+        with pytest.raises(KernelError, match=UNKNOWN_PATH.format("gpu")):
             ShallowWaterModel(mesh4, exec_path="gpu")
+
+    @pytest.mark.parametrize("cls", MODELS[1:], ids=lambda c: c.__name__)
+    def test_model_unknown_path_rejected(self, mesh4, prim_setup, cls):
+        cfg, _, state = prim_setup
+        with pytest.raises(KernelError, match=UNKNOWN_PATH.format("looped")):
+            _build(cls, mesh4, cfg, state, exec_path="looped")
+
+    def test_task_meta_without_path_fails_loudly(self, mesh4):
+        from repro.parallel.dycore import prim_laplace_wk_task
+        from repro.parallel.engine import register_context, unregister_context
+
+        geom = ElementGeometry(mesh4, [0, 1])
+        key = register_context("test-exec-paths/no-path", geom)
+        try:
+            with pytest.raises(KeyError, match="path"):
+                prim_laplace_wk_task({"ctx": key}, np.zeros((2, 3, 4, 4)))
+        finally:
+            unregister_context(key)
 
 
 class TestCrossValidation:
     def test_random_state_all_kernels(self, prim_setup):
         _, geom, state = prim_setup
-        errs = cross_validate_paths(state, geom, rtol=RTOL)
-        assert max(errs.values()) <= RTOL
+        errs = cross_validate_fused(state, geom, rtol64=RTOL)
+        assert worst(errs, "f64") <= RTOL
 
     def test_random_state_with_topography(self, prim_setup):
         _, geom, state = prim_setup
         rng = np.random.default_rng(3)
         phis = 100.0 * rng.random((geom.nelem, geom.np, geom.np))
-        errs = cross_validate_paths(state, geom, phis=phis, rtol=RTOL)
-        assert max(errs.values()) <= RTOL
+        errs = cross_validate_fused(state, geom, phis=phis, rtol64=RTOL)
+        assert worst(errs, "f64") <= RTOL
 
-    @pytest.mark.parametrize("init", [williamson2_initial, rossby_haurwitz_initial])
-    def test_shallow_water_rhs(self, mesh4, init):
-        geom = ElementGeometry(mesh4)
-        s = init(mesh4)
+    @pytest.mark.parametrize("elems", [[0], [37], [5, 95]])
+    def test_reference_kernels_are_element_local(self, mesh4, prim_setup, elems):
+        # The batched kernels on a sub-geometry of a few elements give
+        # the rows the whole-mesh call gives: no kernel reads across
+        # elements, so a rank shard may be any element subset.
+        _, geom, state = prim_setup
+        sub = ElementGeometry(mesh4, elems)
+        part = ElementState(v=state.v[elems], T=state.T[elems],
+                            dp3d=state.dp3d[elems], qdp=state.qdp[elems])
         b = homme_execution("batched")
-        lo = homme_execution("looped")
-        dh_b, dv_b = b.sw_rhs(s.h, s.v, geom)
-        dh_l, dv_l = lo.sw_rhs(s.h, s.v, geom)
-        assert rel_err(dh_b, dh_l) <= RTOL
-        assert rel_err(dv_b, dv_l) <= RTOL
+        whole = (*b.compute_rhs(state, geom),
+                 *b.sw_rhs(state.T[:, 0], state.v[:, 0], geom),
+                 b.laplace_wk(state.T, geom), b.vlaplace(state.v, geom))
+        local = (*b.compute_rhs(part, sub),
+                 *b.sw_rhs(part.T[:, 0], part.v[:, 0], sub),
+                 b.laplace_wk(part.T, sub), b.vlaplace(part.v, sub))
+        for w, loc in zip(whole, local):
+            assert rel_err(w[elems], loc) <= RTOL
 
-    def test_euler_step_batched_vs_looped(self, prim_setup):
+    @pytest.mark.parametrize("limiter", [True, False])
+    def test_all_tracer_stage_equals_single_tracer_stages(self, prim_setup, limiter):
+        # Advecting, assembling and limiting every tracer in one shot
+        # equals Q independent single-tracer steps.
         _, geom, state = prim_setup
-        out_b = euler_step(state, geom, 60.0, path="batched")
-        out_l = euler_step(state, geom, 60.0, path="looped")
-        assert rel_err(out_b, out_l) <= RTOL
-
-    def test_euler_step_no_limiter(self, prim_setup):
-        _, geom, state = prim_setup
-        out_b = euler_step(state, geom, 60.0, limiter=False, path="batched")
-        out_l = euler_step(state, geom, 60.0, limiter=False, path="looped")
-        assert rel_err(out_b, out_l) <= RTOL
+        together = euler_step(state, geom, 60.0, limiter=limiter, path="batched")
+        for q in range(state.qdp.shape[1]):
+            one = ElementState(v=state.v, T=state.T, dp3d=state.dp3d,
+                               qdp=state.qdp[:, q:q + 1])
+            alone = euler_step(one, geom, 60.0, limiter=limiter, path="batched")
+            assert rel_err(together[:, q:q + 1], alone) <= RTOL
 
     def test_euler_unknown_path_rejected(self, prim_setup):
         _, geom, state = prim_setup
-        with pytest.raises(KernelError, match="unknown euler path"):
+        with pytest.raises(KernelError, match=UNKNOWN_PATH.format("simd")):
             euler_step(state, geom, 60.0, path="simd")
-
-    def test_batched_euler_mass_matches_looped(self, prim_setup):
-        # Whatever mass behavior the limiter has (the random state here
-        # is deliberately rough), batching must not change it: the two
-        # paths produce the same per-tracer mass to roundoff.
-        _, geom, state = prim_setup
-        m_b = tracer_mass(euler_step(state, geom, 60.0, path="batched"), geom)
-        m_l = tracer_mass(euler_step(state, geom, 60.0, path="looped"), geom)
-        np.testing.assert_allclose(m_b, m_l, rtol=1e-12)
 
     def test_limiter_rank5_matches_per_tracer(self, prim_setup):
         _, geom, state = prim_setup
@@ -126,30 +175,6 @@ class TestCrossValidation:
             [limit_qdp(dirty[:, q], geom) for q in range(dirty.shape[1])], axis=1
         )
         assert rel_err(all_at_once, per_tracer) <= RTOL
-
-    def test_sw_step_trajectories_agree(self, mesh4):
-        mb = ShallowWaterModel(mesh4, exec_path="batched")
-        ml = ShallowWaterModel(mesh4, exec_path="looped")
-        for _ in range(3):
-            mb.step()
-            ml.step()
-        assert rel_err(mb.state.h, ml.state.h) <= RTOL
-        assert rel_err(mb.state.v, ml.state.v) <= RTOL
-
-    def test_prim_model_trajectories_agree(self, mesh4, prim_setup):
-        cfg, _, state = prim_setup
-        mb = PrimitiveEquationModel(
-            cfg, mesh=mesh4, init=state.copy(), dt=300.0, exec_path="batched"
-        )
-        ml = PrimitiveEquationModel(
-            cfg, mesh=mesh4, init=state.copy(), dt=300.0, exec_path="looped"
-        )
-        mb.run_steps(2)
-        ml.run_steps(2)
-        assert rel_err(mb.state.T, ml.state.T) <= RTOL
-        assert rel_err(mb.state.v, ml.state.v) <= RTOL
-        assert rel_err(mb.state.dp3d, ml.state.dp3d) <= RTOL
-        assert rel_err(mb.state.qdp, ml.state.qdp) <= RTOL
 
 
 class TestTensorCache:
@@ -177,13 +202,6 @@ class TestTensorCache:
         np.testing.assert_allclose(new.inv_spheremp, 1.0 / geom.spheremp)
         after = op.laplace_sphere_wk(f, geom)
         np.testing.assert_allclose(after, 0.5 * before, rtol=1e-12)
-
-    def test_mutation_visible_through_element_views(self, mesh4):
-        geom = ElementGeometry(mesh4)
-        view = geom.element_view(5)
-        tok = view.tensors.token
-        geom.met[5] *= 1.5
-        assert view.tensors.token != tok  # view shares parent memory
 
     def test_explicit_invalidation(self, mesh4):
         geom = ElementGeometry(mesh4)
@@ -240,17 +258,15 @@ class TestFusedPath:
 
     def test_fused_kernels_match_batched(self, prim_setup):
         _, geom, state = prim_setup
-        errs = cross_validate_paths(state, geom, rtol=RTOL, paths=("fused",))
-        assert max(errs.values()) <= RTOL
+        errs = cross_validate_fused(state, geom, rtol64=RTOL)
+        assert worst(errs, "f64") <= RTOL
 
     def test_fused_kernels_with_topography(self, prim_setup):
         _, geom, state = prim_setup
         rng = np.random.default_rng(7)
         phis = 100.0 * rng.random((geom.nelem, geom.np, geom.np))
-        errs = cross_validate_paths(
-            state, geom, phis=phis, rtol=RTOL, paths=("fused",)
-        )
-        assert max(errs.values()) <= RTOL
+        errs = cross_validate_fused(state, geom, phis=phis, rtol64=RTOL)
+        assert worst(errs, "f64") <= RTOL
 
     @pytest.mark.parametrize("init", [williamson2_initial, rossby_haurwitz_initial])
     def test_fused_sw_rhs(self, mesh4, init):
@@ -304,14 +320,10 @@ class TestFloat32Mode:
     the float64 fused results (policy in DESIGN.md §14)."""
 
     def test_cross_validate_fused(self, prim_setup):
-        from repro.homme.fused import cross_validate_fused
-
         _, geom, state = prim_setup
         errs = cross_validate_fused(state, geom, rtol64=RTOL, rtol32=1e-4)
-        f64_worst = max(v for k, v in errs.items() if k.startswith("f64"))
-        f32_worst = max(v for k, v in errs.items() if k.startswith("f32"))
-        assert f64_worst <= RTOL
-        assert f32_worst <= 1e-4
+        assert worst(errs, "f64") <= RTOL
+        assert worst(errs, "f32") <= 1e-4
 
     def test_float32_outputs_carry_dtype(self, prim_setup):
         from repro.homme.fused import (
