@@ -14,6 +14,18 @@ def mesh4():
     return CubedSphereMesh(ne=4)
 
 
+def bincount_dss(mesh, field):
+    """Oracle: the per-column ``np.bincount`` form ``CubedSphereMesh.dss``
+    had before it moved onto the mesh assembly."""
+    flat = field.reshape(mesh.nelem * mesh.np * mesh.np, -1)
+    weighted = flat * mesh.dss_weight.reshape(-1, 1)
+    gid = mesh.gid.reshape(-1)
+    acc = np.empty((mesh.ngid, weighted.shape[1]))
+    for k in range(weighted.shape[1]):
+        acc[:, k] = np.bincount(gid, weights=weighted[:, k], minlength=mesh.ngid)
+    return acc[gid].reshape(field.shape)
+
+
 class TestConstruction:
     def test_element_count(self, mesh4):
         assert mesh4.nelem == 96
@@ -104,6 +116,25 @@ class TestDSS:
     def test_shape_validation(self, mesh4):
         with pytest.raises(MeshError):
             mesh4.dss(np.zeros((5, 4, 4)))
+
+    @pytest.mark.parametrize("trailing", [(), (1,), (3,), (16,), (8, 3)])
+    def test_equals_the_bincount_oracle_bitwise(self, mesh4, trailing):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((mesh4.nelem, 4, 4) + trailing)
+        f[rng.random(f.shape) < 0.1] = -0.0
+        got = mesh4.dss(f)
+        assert got.shape == f.shape and got.dtype == np.float64
+        assert got.tobytes() == bincount_dss(mesh4, f).tobytes()
+
+    def test_assembly_tables_equal_add_at(self, mesh4):
+        gid = mesh4.gid.reshape(-1)
+        assembled = np.zeros(mesh4.ngid)
+        np.add.at(assembled, gid, mesh4.spheremp.reshape(-1))
+        assert mesh4.assembled_spheremp.tobytes() == assembled.tobytes()
+        mult = np.zeros(mesh4.ngid, dtype=np.int64)
+        np.add.at(mult, gid, 1)
+        assert mesh4.multiplicity.dtype == np.int64
+        assert np.array_equal(mesh4.multiplicity, mult)
 
 
 class TestWindConversion:
