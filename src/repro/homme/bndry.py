@@ -32,6 +32,7 @@ import numpy as np
 
 from .. import constants as C
 from ..errors import KernelError
+from ..mesh.assembly import Assembly
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
 from ..network.simmpi import SimMPI, rank_track
@@ -85,24 +86,6 @@ class ExchangeReport:
         return max(self.rank_times) if self.rank_times else 0.0
 
 
-def _occurrence_layers(dest: np.ndarray) -> list[np.ndarray]:
-    """Split the accumulate ``acc[dest[i]] += src[i]`` into duplicate-free layers.
-
-    Layer *j* is the positions ``i`` of every destination's *j*-th
-    occurrence, in ascending destination order.  A layer's destinations
-    are unique, so plain indexing adds it; adding the layers in order sums
-    each destination in position order, as ``np.add.at`` does, bit for bit.
-    """
-    if len(dest) == 0:
-        return []
-    order = np.argsort(dest, kind="stable")
-    d = dest[order]
-    i = np.arange(len(d))
-    occurrence = i - np.maximum.accumulate(
-        np.where(np.r_[True, d[1:] != d[:-1]], i, 0))
-    return [order[occurrence == j] for j in range(int(occurrence.max()) + 1)]
-
-
 class HaloExchanger:
     """Distributed DSS over an SFC partition.
 
@@ -128,19 +111,9 @@ class HaloExchanger:
         #: Rank r's points: rows ``_offsets[r]:_offsets[r + 1]`` of the flat tables.
         self._offsets = [0, *np.cumsum(points).tolist()]
         gid = mesh.gid[elems].reshape(-1)
-        # One sort over (rank, gid) pairs gives the accumulator slots and
-        # each local point's slot.  Slots are numbered by descending
-        # point count, so the slots with a j-th local point — layer j of
-        # the local accumulate — are a prefix.
-        pairs, slot_of, counts = np.unique(
-            np.repeat(np.arange(nranks), points) * mesh.ngid + gid,
-            return_inverse=True, return_counts=True)
-        by_count = np.argsort(-counts, kind="stable")
-        number = np.empty_like(by_count)
-        number[by_count] = np.arange(len(pairs))
-        self._slot_of = number[slot_of]
-        slot_rank, slot_gid = np.divmod(pairs[by_count], mesh.ngid)
-        self._local_layers = _occurrence_layers(self._slot_of)
+        # One accumulator slot per (rank, gid) pair.
+        self._local = Assembly(np.repeat(np.arange(nranks), points) * mesh.ngid + gid)
+        slot_rank, slot_gid = np.divmod(self._local.keys, mesh.ngid)
         self._weights = mesh.spheremp[elems].reshape(-1, 1)
         self._assembled = mesh.assembled_spheremp[slot_gid][:, None]
 
@@ -164,8 +137,7 @@ class HaloExchanger:
         pair = slot_rank[src] * nranks + slot_rank[dst]
         order = np.lexsort((slot_gid[src], pair))
         self._send_idx = src[order]
-        self._recv_layers = [(pos, self._send_idx[pos])
-                             for pos in _occurrence_layers(self._send_idx)]
+        self._recv = Assembly(self._send_idx)
         pairs, starts = np.unique(pair[order], return_index=True)
         stops = [*starts[1:].tolist(), len(order)]
         shared = slot_gid[self._send_idx]
@@ -261,15 +233,11 @@ class HaloExchanger:
         # the redesign packs once and unpacks directly.
         copies = 2 if classic else 1
 
-        # Weighted contributions of every local point, summed per slot in
-        # local order from zero (0.0 + x turns a -0.0 into +0.0); then
-        # all message payloads in one gather.
+        # Weighted contributions of every local point summed per slot,
+        # then all message payloads in one gather.
         vals = np.concatenate([f.reshape(f.shape[0] * n * n, -1) for f in fields])
         vals *= self._weights
-        acc = vals.take(self._local_layers[0], axis=0)
-        acc += 0.0
-        for pos in self._local_layers[1:]:
-            acc[:len(pos)] += vals.take(pos, axis=0)
+        acc = self._local.accumulate(vals)
         payloads = acc.take(self._send_idx, axis=0)
 
         # Phase 1: compute + pack + send on every rank.
@@ -328,10 +296,10 @@ class HaloExchanger:
                                    nbytes=data.nbytes, copies=copies)
                 received.append(data)
         received = np.concatenate(received)
-        for pos, slot in self._recv_layers:
-            acc[slot] = acc.take(slot, axis=0) + received.take(pos, axis=0)
+        slots = self._recv.keys
+        acc[slots] = self._recv.accumulate(received, onto=acc.take(slots, axis=0))
         acc /= self._assembled
-        out = acc.take(self._slot_of, axis=0)
+        out = acc.take(self._local.slot_of, axis=0)
         outs = [out[lo:hi].reshape(f.shape)
                 for lo, hi, f in zip(self._offsets, self._offsets[1:], fields)]
 
@@ -350,7 +318,7 @@ class HaloExchanger:
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank locals into a global element array."""
         shape = (self.mesh.nelem,) + locals_[0].shape[1:]
-        out = np.empty(shape)
+        out = np.empty(shape, dtype=locals_[0].dtype)
         for r, e in enumerate(self.rank_elems):
             out[e] = locals_[r]
         return out

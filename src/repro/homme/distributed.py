@@ -53,40 +53,10 @@ from ..parallel.engine import (
 )
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
-from .element import ElementGeometry
+from .element import ElementGeometry, levels_first, levels_last
 from .hypervis import nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
 from .timestep import RSPLIT
-
-
-def _to_cartesian(e_cov, v, radius: float) -> np.ndarray:
-    """Contravariant (..., 2) components -> Cartesian tangent (..., 3) vectors.
-
-    ``radius * einsum("...xc,...c->...x", e_cov, v)`` as broadcast
-    multiply-adds: the same products summed in the same order from +0.0
-    (an all -0.0 sum comes out +0.0), so bitwise einsum's result, 2-4x
-    faster on level-carrying fields.
-    """
-    w = e_cov[..., 0] * v[..., 0:1]
-    w += 0.0
-    w += e_cov[..., 1] * v[..., 1:2]
-    w *= radius
-    return w
-
-
-def _from_cartesian(e_cov, metinv, w, radius: float) -> np.ndarray:
-    """Inverse of :func:`_to_cartesian`: ``radius * einsum("...xc,...x->...c")``
-    then ``einsum("...ij,...j->...i", metinv, cov)`` — same bitwise contract.
-    C-contiguous whatever ``w``'s layout (bitwise restart depends on it)."""
-    cov = e_cov[..., 0, :] * w[..., 0:1]
-    cov += 0.0
-    cov += e_cov[..., 1, :] * w[..., 1:2]
-    cov += e_cov[..., 2, :] * w[..., 2:3]
-    cov *= radius
-    v = metinv[..., 0] * cov[..., 0:1]
-    v += 0.0
-    v += metinv[..., 1] * cov[..., 1:2]
-    return np.ascontiguousarray(v)
 
 
 def charge_calibrated_compute(model, steps: int) -> None:
@@ -443,12 +413,9 @@ class DistributedShallowWater(_DistributedModel):
     def _dss_vector(self, vs: list[np.ndarray], stage: int,
                     slot: int) -> list[np.ndarray]:
         """Vector DSS through the Cartesian tangent representation."""
-        radius = self.mesh.radius
         ws = self._exchange(
-            [_to_cartesian(g.e_cov, v, radius) for g, v in zip(self.geoms, vs)],
-            stage, slot)
-        return [_from_cartesian(g.e_cov, g.metinv, w, radius)
-                for g, w in zip(self.geoms, ws)]
+            [g.to_cartesian(v) for g, v in zip(self.geoms, vs)], stage, slot)
+        return [g.from_cartesian(w) for g, w in zip(self.geoms, ws)]
 
     def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
                stage: int = 0) -> list[SWState]:
@@ -565,23 +532,16 @@ class DistributedPrimitiveEquations(_DistributedModel):
         whether the state came from stepping or from a restored
         checkpoint (bitwise restart depends on this).
         """
-        moved = [np.moveaxis(f, 1, -1) for f in fields]
-        out = self._exchange(moved, stage, slot)
-        return [np.ascontiguousarray(np.moveaxis(f, -1, 1)) for f in out]
+        out = self._exchange([levels_last(f) for f in fields], stage, slot)
+        return [np.ascontiguousarray(levels_first(o, f.shape))
+                for o, f in zip(out, fields)]
 
     def _dss_vector_levels(self, vs, stage, slot):
         """DSS (E_r, L, n, n, 2) contravariant fields via Cartesian form."""
-        radius = self.mesh.radius
-        ws = []
-        for g, v in zip(self.geoms, vs):
-            w = _to_cartesian(g.e_cov[:, None], v, radius)  # over levels
-            ws.append(np.moveaxis(w, 1, -2).reshape(w.shape[0], w.shape[2], w.shape[3], -1))
-        ws = self._exchange(ws, stage, slot)
-        out = []
-        for g, w in zip(self.geoms, ws):
-            w = np.moveaxis(w.reshape(w.shape[:3] + (-1, 3)), -2, 1)
-            out.append(_from_cartesian(g.e_cov[:, None], g.metinv[:, None], w, radius))
-        return out
+        ws = [levels_last(g.to_cartesian(v)) for g, v in zip(self.geoms, vs)]
+        out = self._exchange(ws, stage, slot)
+        return [g.from_cartesian(levels_first(o, v.shape[:4] + (3,)))
+                for g, o, v in zip(self.geoms, out, vs)]
 
     # -- one distributed dynamics step ------------------------------------------------
 

@@ -26,6 +26,18 @@ from ..mesh.cubed_sphere import CubedSphereMesh
 from . import tensors as tensors_mod
 
 
+def levels_last(f: np.ndarray) -> np.ndarray:
+    """(E, L, n, n[, K]) -> (E, n, n, L*K): the trailing-axis layout a DSS sums."""
+    f = np.moveaxis(f, 1, 3)
+    return f.reshape(f.shape[:3] + (-1,))
+
+
+def levels_first(f: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`levels_last`: a view of ``f`` with the level-first ``shape``."""
+    E, L, n, m = shape[:4]
+    return np.moveaxis(f.reshape((E, n, m, L) + tuple(shape[4:])), 3, 1)
+
+
 class ElementGeometry:
     """Per-element geometric data for a set of elements (a rank's subdomain).
 
@@ -36,10 +48,10 @@ class ElementGeometry:
 
     def __init__(self, mesh: CubedSphereMesh, elem_ids: np.ndarray | None = None) -> None:
         self.mesh = mesh
-        if elem_ids is None:
-            self.elem_ids = np.arange(mesh.nelem)
-        else:
-            self.elem_ids = np.asarray(elem_ids, dtype=np.int64)
+        whole = np.arange(mesh.nelem)
+        self.elem_ids = whole if elem_ids is None else np.asarray(elem_ids, dtype=np.int64)
+        #: Row e is mesh element e, so the serial DSS applies.
+        self._whole_mesh = np.array_equal(self.elem_ids, whole)
         sel = self.elem_ids
         self.nelem = len(sel)
         self.np = mesh.np
@@ -47,10 +59,8 @@ class ElementGeometry:
         self.met = mesh.met[sel]
         self.metinv = mesh.metinv[sel]
         self.spheremp = mesh.spheremp[sel]
-        self.dss_weight = mesh.dss_weight[sel]
         self.lat = mesh.lat[sel]
         self.lon = mesh.lon[sel]
-        self.gid = mesh.gid[sel]
         self.D = mesh.deriv
         self.jac = mesh.jac_ref
         self.radius = mesh.radius
@@ -82,26 +92,56 @@ class ElementGeometry:
         """Drop the memoized operator tensors."""
         self._tensors = None
 
-    def dss(self, field: np.ndarray) -> np.ndarray:
-        """Serial DSS through the full mesh (only valid for whole-mesh views)."""
-        if self.nelem != self.mesh.nelem:
+    def _mesh_dss(self, field: np.ndarray) -> np.ndarray:
+        if not self._whole_mesh:
             raise KernelError(
                 "serial DSS requires the whole mesh; rank-local domains use "
                 "bndry_exchangev"
             )
-        # Fields arrive as (E, L, np, np[, K]); mesh.dss wants (E, np, np, K).
+        return self.mesh.dss(field)
+
+    def dss(self, field: np.ndarray) -> np.ndarray:
+        """Serial DSS through the full mesh (only valid for whole-mesh views).
+
+        ``field`` is (E, np, np), or level-carrying (E, L, np, np[, K]).
+        """
         f = np.asarray(field)
         if f.ndim == 3:
-            return self.mesh.dss(f)
-        if f.ndim == 4:  # (E, L, np, np) -> levels as trailing axis
-            out = self.mesh.dss(np.moveaxis(f, 1, -1))
-            return np.moveaxis(out, -1, 1)
-        if f.ndim == 5:  # (E, L, np, np, K)
-            E, L, n, _, K = f.shape
-            merged = np.moveaxis(f, 1, -2).reshape(E, n, n, L * K)
-            out = self.mesh.dss(merged).reshape(E, n, n, L, K)
-            return np.moveaxis(out, -2, 1)
+            return self._mesh_dss(f)
+        if f.ndim in (4, 5):
+            return levels_first(self._mesh_dss(levels_last(f)), f.shape)
         raise KernelError(f"dss: unsupported field rank {f.ndim}")
+
+    def to_cartesian(self, v: np.ndarray) -> np.ndarray:
+        """Contravariant (E, [L,] np, np, 2) -> Cartesian tangent (..., 3) vectors.
+
+        ``w = radius (v^1 e_1 + v^2 e_2)`` as broadcast multiply-adds
+        summed from +0.0 (an all ``-0.0`` sum comes out ``+0.0``).
+        """
+        e_cov = self.e_cov[:, None] if v.ndim == 5 else self.e_cov
+        w = e_cov[..., 0] * v[..., 0:1]
+        w += 0.0
+        w += e_cov[..., 1] * v[..., 1:2]
+        w *= self.radius
+        return w
+
+    def from_cartesian(self, w: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_cartesian`: ``v^i = metinv^{ij} radius (e_j . w)``.
+
+        C-contiguous whatever ``w``'s layout (bitwise restart depends on it).
+        """
+        e_cov, metinv = self.e_cov, self.metinv
+        if w.ndim == 5:
+            e_cov, metinv = e_cov[:, None], metinv[:, None]
+        cov = e_cov[..., 0, :] * w[..., 0:1]
+        cov += 0.0
+        cov += e_cov[..., 1, :] * w[..., 1:2]
+        cov += e_cov[..., 2, :] * w[..., 2:3]
+        cov *= self.radius
+        v = metinv[..., 0] * cov[..., 0:1]
+        v += 0.0
+        v += metinv[..., 1] * cov[..., 1:2]
+        return np.ascontiguousarray(v)
 
     def dss_vector(self, v: np.ndarray) -> np.ndarray:
         """DSS a **contravariant vector** field (E, [L,] np, np, 2).
@@ -109,30 +149,20 @@ class ElementGeometry:
         Contravariant components live in each face's coordinate frame,
         so they cannot be averaged directly across cube edges (the
         frames differ).  The vector is converted to its global Cartesian
-        tangent representation ``w = radius (v^1 e_1 + v^2 e_2)`` —
-        frame-free and pole-singularity-free — DSS'd componentwise, and
-        projected back via ``v^i = metinv^{ij} (e_j . w) / radius``.
-        (HOMME achieves the same by exchanging lat-lon components; the
-        Cartesian form avoids the polar special cases.)
+        tangent representation (:meth:`to_cartesian`) — frame-free and
+        pole-singularity-free — DSS'd componentwise, and projected back
+        (:meth:`from_cartesian`).  (HOMME achieves the same by
+        exchanging lat-lon components; the Cartesian form avoids the
+        polar special cases.)
         """
         v = np.asarray(v)
         if v.shape[-1] != 2:
             raise KernelError("dss_vector expects trailing contravariant axis of 2")
-        has_lev = v.ndim == 5
-        e = self.e_cov  # (E, n, n, 3, 2)
-        if has_lev:
-            e_b = e[:, None]
-        elif v.ndim == 4:
-            e_b = e
-        else:
+        if v.ndim not in (4, 5):
             raise KernelError(f"dss_vector: unsupported field rank {v.ndim}")
-        w = self.radius * np.einsum("...xc,...c->...x", e_b, v)
-        # (E, n, n, 3) goes straight to the mesh; (E, L, n, n, 3) through
-        # the level-aware path.
-        w = self.mesh.dss(w) if not has_lev else self.dss(w)
-        cov = self.radius * np.einsum("...xc,...x->...c", e_b, w)
-        metinv_b = self.metinv[:, None] if has_lev else self.metinv
-        return np.einsum("...ij,...j->...i", metinv_b, cov)
+        # (E, n, n, 3) is already the mesh's layout; levels go through dss.
+        dss = self._mesh_dss if v.ndim == 4 else self.dss
+        return self.from_cartesian(dss(self.to_cartesian(v)))
 
 
 @dataclass

@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import constants as C
 from ..errors import MeshError
+from .assembly import Assembly
 from .gll import derivative_matrix, gll_points, gll_weights
 
 #: Face base vectors: P_f(a, b) before normalization, with a = tan(alpha),
@@ -67,6 +68,9 @@ class CubedSphereMesh:
       element size factor: ``sum(f * spheremp)`` integrates f over the
       sphere of radius ``radius``;
     - ``gid`` — (nelem, np, np) global DOF ids (shared on edges/corners);
+    - ``assembly`` — the :class:`~repro.mesh.assembly.Assembly` summing
+      GLL points per global id (:meth:`dss`); ``assembled_spheremp``,
+      ``multiplicity`` — (ngid,) its sums of spheremp and row counts;
     - ``dss_weight`` — (nelem, np, np) spheremp / (assembled spheremp),
       the weights a direct stiffness summation uses to average shared
       points conservatively.
@@ -207,14 +211,12 @@ class CubedSphereMesh:
         _, inverse = np.unique(pts, axis=0, return_inverse=True)
         self.gid = inverse.reshape(self.nelem, self.np, self.np)
         self.ngid = int(self.gid.max()) + 1
-        # Assembled spheremp per global id.
-        assembled = np.zeros(self.ngid)
-        np.add.at(assembled, self.gid.reshape(-1), self.spheremp.reshape(-1))
-        self.assembled_spheremp = assembled
-        self.dss_weight = self.spheremp / assembled[self.gid]
-        mult = np.zeros(self.ngid, dtype=np.int64)
-        np.add.at(mult, self.gid.reshape(-1), 1)
-        self.multiplicity = mult
+        #: GLL points -> one slot per global id (see :class:`Assembly`).
+        self.assembly = asm = Assembly(self.gid.reshape(-1))
+        by_gid = np.argsort(asm.keys)  # slot order -> global id order
+        self.assembled_spheremp = asm.accumulate(self.spheremp.reshape(-1))[by_gid]
+        self.dss_weight = self.spheremp / self.assembled_spheremp[self.gid]
+        self.multiplicity = asm.counts[by_gid]
 
     # ------------------------------------------------------------------ operations
 
@@ -231,34 +233,19 @@ class CubedSphereMesh:
                 f"dss expects leading shape {(self.nelem, self.np, self.np)}, "
                 f"got {field.shape}"
             )
-        extra = field.shape[3:]
         flat = field.reshape(self.nelem * self.np * self.np, -1)
-        weighted = flat * self.dss_weight.reshape(-1, 1)
-        gid_flat = self.gid.reshape(-1)
-        # bincount per trailing column: much faster than np.add.at for
-        # the scatter-add this hot path is.
-        K = weighted.shape[1]
-        acc = np.empty((self.ngid, K))
-        for k in range(K):
-            acc[:, k] = np.bincount(
-                gid_flat, weights=weighted[:, k], minlength=self.ngid
-            )
-        out = acc[gid_flat]
-        return out.reshape((self.nelem, self.np, self.np) + extra)
+        acc = self.assembly.accumulate(flat * self.dss_weight.reshape(-1, 1))
+        return acc.take(self.assembly.slot_of, axis=0).reshape(field.shape)
 
     def global_integral(self, field: np.ndarray) -> float:
         """Integrate a (nelem, np, np) field over the sphere.
 
-        Shared points are weighted by spheremp/assembled so edges are not
-        double counted; equivalent to integrating the continuous field.
+        ``spheremp`` gives each copy of a shared point its own element's
+        share of the area, so the plain sum integrates a continuous field
+        without double counting.
         """
         if field.shape != (self.nelem, self.np, self.np):
             raise MeshError("global_integral expects an (nelem, np, np) field")
-        w = self.spheremp * self.dss_weight  # de-duplicated area weights...
-        # NOTE: spheremp already partitions area among duplicates only after
-        # DSS weighting; for a continuous field the plain sum over spheremp
-        # integrates each shared point multiple times with its share of the
-        # area, which is exactly right.
         return float(np.sum(field * self.spheremp))
 
     def surface_area(self) -> float:

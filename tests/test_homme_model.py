@@ -190,4 +190,7 @@ class TestHaloExchanger:
     def test_scatter_gather_roundtrip(self, setup):
         mesh, part, hx = setup
         f = np.random.default_rng(5).standard_normal((mesh.nelem, 4, 4))
-        assert np.array_equal(hx.gather(hx.scatter(f)), f)
+        for dtype in (np.float64, np.float32):
+            back = hx.gather(hx.scatter(f.astype(dtype)))
+            assert back.dtype == dtype
+            assert np.array_equal(back, f.astype(dtype))

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import AthreadBackend, IntelBackend, KernelWorkload
 from repro.config import ModelConfig
+from repro.errors import KernelError
 from repro.homme.element import ElementGeometry
 from repro.mesh import CubedSphereMesh, SFCPartition
+from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
 
 
@@ -74,6 +76,86 @@ class TestDSSAlgebra:
         g = mesh.dss(f)
         assert g.max() <= f.max() + 1e-12
         assert g.min() >= f.min() - 1e-12
+
+
+class TestAssembly:
+    """The one slot accumulate against ``np.add.at`` from zeros."""
+
+    @given(
+        dest=st.one_of(
+            st.lists(st.integers(0, 8), max_size=60),            # multiplicity > 3
+            st.lists(st.integers(0, 10**6), max_size=40, unique=True),
+        ),
+        width=st.sampled_from([None, 1, 16, 64]),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_accumulate_equals_add_at_bitwise(self, dest, width, seed):
+        dest = np.array(dest, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((len(dest),) + (() if width is None else (width,)))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        asm = Assembly(dest)
+        assert np.array_equal(asm.keys[asm.slot_of], dest)
+        assert np.array_equal(asm.counts, np.sort(asm.counts)[::-1])
+        expected = np.zeros((len(asm.keys),) + rows.shape[1:])
+        np.add.at(expected, asm.slot_of, rows)
+        before = rows.copy()
+        got = asm.accumulate(rows)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # -0.0 vs +0.0 included
+        assert rows.tobytes() == before.tobytes()
+        # Starting from given per-slot values: the halo receive.
+        start = rng.standard_normal(expected.shape)
+        expected = start.copy()
+        np.add.at(expected, asm.slot_of, rows)
+        onto = start.copy()
+        assert asm.accumulate(rows, onto=onto) is onto
+        assert onto.tobytes() == expected.tobytes()
+
+
+class TestSerialDssLayouts:
+    def test_level_layouts_equal_per_level_mesh_dss(self, mesh, geom):
+        rng = np.random.default_rng(0)
+        f4 = rng.standard_normal((mesh.nelem, 5, 4, 4))
+        f5 = rng.standard_normal((mesh.nelem, 5, 4, 4, 3))
+        g4, g5 = geom.dss(f4), geom.dss(f5)
+        assert g4.shape == f4.shape and g5.shape == f5.shape
+        for lev in range(5):
+            assert np.array_equal(g4[:, lev], mesh.dss(f4[:, lev]))
+            assert np.array_equal(g5[:, lev], mesh.dss(f5[:, lev]))
+
+    @pytest.mark.parametrize("levels", [(), (5,)])
+    def test_vector_dss_equals_the_einsum_chain_bitwise(self, mesh, geom, levels):
+        v = np.random.default_rng(1).standard_normal((mesh.nelem,) + levels + (4, 4, 2))
+        v[:3] = -0.0
+        e, metinv = geom.e_cov, geom.metinv
+        if levels:
+            e, metinv = e[:, None], metinv[:, None]
+        w = geom.radius * np.einsum("...xc,...c->...x", e, v)
+        w = geom.dss(w) if levels else mesh.dss(w)
+        cov = geom.radius * np.einsum("...xc,...x->...c", e, w)
+        expected = np.einsum("...ij,...j->...i", metinv, cov)
+        got = geom.dss_vector(v)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("ids", [
+        lambda n: np.arange(n)[::-1],           # same length, reordered
+        lambda n: np.arange(n - 1),             # a proper subset
+        lambda n: np.r_[0, np.arange(n - 1)],   # same length, repeated
+    ])
+    def test_only_the_identity_view_may_run_the_serial_dss(self, mesh, ids):
+        sub = ElementGeometry(mesh, ids(mesh.nelem))
+        with pytest.raises(KernelError, match="whole mesh"):
+            sub.dss(np.zeros((sub.nelem, 4, 4)))
+        with pytest.raises(KernelError, match="whole mesh"):
+            sub.dss_vector(np.zeros((sub.nelem, 4, 4, 2)))
+        with pytest.raises(KernelError, match="whole mesh"):
+            sub.dss_vector(np.zeros((sub.nelem, 2, 4, 4, 2)))
+        whole = ElementGeometry(mesh, np.arange(mesh.nelem))
+        f = np.random.default_rng(2).standard_normal((mesh.nelem, 4, 4))
+        assert np.array_equal(whole.dss(f), mesh.dss(f))
 
 
 class TestSimMPIFuzz:
