@@ -237,6 +237,20 @@ class TestSharedBase:
         model.close()
         assert len(_CONTEXT) == baseline
 
+    @pytest.mark.xfail(strict=True, reason="split contexts still built without a pool")
+    def test_no_split_contexts_without_a_pool(self, build):
+        """``pipeline=True`` with ``workers <= 1`` can never dispatch a
+        split batch; it used to build, warm and register the 2 x nranks
+        boundary/inner geometries anyway."""
+        from repro.parallel.engine import _CONTEXT
+
+        gc.collect()
+        baseline = len(_CONTEXT)
+        with build(pipeline=True) as model:
+            assert len(_CONTEXT) == baseline + model.nranks
+            assert model._pipe_shard_keys == []
+            model.step()
+
     def test_dropped_model_releases_its_contexts(self, build):
         from repro.parallel.engine import _CONTEXT
 
