@@ -6,7 +6,7 @@ and through the ``repro.parallel`` worker pool — and shows:
 
 1. the trajectories are **bitwise identical** (the engine's structural
    determinism rule: workers compute per-rank partials, every combine
-   happens on the driver in fixed rank order);
+   sums in one canonical order);
 2. the simulated clocks agree exactly (SimMPI stays the timing model —
    real cores change wall time only);
 3. the wall-clock effect, plus the engine's own per-worker counters.

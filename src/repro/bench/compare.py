@@ -10,10 +10,9 @@ The gate applies three rules to a (current, baseline) report pair:
   hardware ratio but calibrated does not.  A genuine regression moves
   both together, so gating on the smaller of the two suppresses the
   false positives without opening a hole.  Wall entries whose
-  ``meta.gated`` is false (the batched reference path, the
-  multi-core distributed variants) are reported but never fail the
-  gate — their regressions only matter through the derived speedup
-  floors.
+  ``meta.gated`` is false (the batched reference path) are reported
+  but never fail the gate — their regressions only matter through the
+  derived speedup floors.
 - **simulated clock** — the backend cost models are deterministic, so
   any drift beyond ``sim_threshold`` (default 1%) means the
   performance model changed; that must be a deliberate, reviewed
@@ -121,8 +120,6 @@ def compare_reports(
             lines.append(f"ok   {name}: {val:.2f}x{bound}{note}")
     for name in sorted(set(baseline.get("derived", {})) - set(current.get("derived", {}))):
         lines.append(f"gone {name}: derived entry not measured (not gated)")
-    for name, reason in sorted(current.get("skipped", {}).items()):
-        lines.append(f"skip {name}: {reason}")
 
     lines.append("gate: " + ("PASS" if ok else "REGRESSION DETECTED"))
     return ok, lines

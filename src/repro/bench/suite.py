@@ -41,33 +41,7 @@ SPEEDUP_FLOORS = {
     # meaningful floor.
     "prim_rhs.ne4.fused_speedup": 1.5,
     "euler_step.ne4.fused_speedup": 1.1,
-    "dist_sw_step.ne8.parallel_speedup": 1.3,
-    "dist_sw_step.ne8.pipelined_speedup": 1.15,
-    # Recovery overhead gate (DESIGN.md §12): one injected worker kill
-    # may cost at most 50% wall time over the fault-free parallel step,
-    # i.e. recovery_speedup = parallel/recovery >= 1/1.5.
-    "dist_sw_step.ne8.recovery_speedup": 1.0 / 1.5,
-    # Telemetry overhead gate (DESIGN.md §13): the fully instrumented
-    # parallel step (tracing + in-worker packets + sampling profiler)
-    # may cost at most 10% wall time over the telemetry-off run.
-    "dist_sw_step.ne8.telemetry_speedup": 1.0 / 1.10,
-    # Sharded-ownership gate (DESIGN.md §15): with one shard context per
-    # rank group and shard-affinity dispatch, the sum of all shard
-    # contexts over the largest single worker's share must stay >= 2x —
-    # i.e. no worker holds more than half the geometry the old
-    # replicate-everything scheme shipped to every worker.  With 4 ranks
-    # on 4 workers the ideal ratio is 4.0.
-    "dist_sw_step.ne8.context_replication_ratio": 2.0,
 }
-
-#: Worker count for the parallel-vs-serial distributed section; the
-#: section is skipped (with a logged reason in ``report["skipped"]``)
-#: on machines with fewer usable cores.
-PARALLEL_BENCH_WORKERS = 4
-
-#: Steps in the recovery-overhead run: one worker kill amortized over a
-#: short run, the way a real job amortizes a node failure.
-RECOVERY_STEPS = 3
 
 
 def _prim_state(ne: int = 4, nlev: int = 8, qsize: int = 4, seed: int = 7):
@@ -136,118 +110,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
                   "gated": path == "fused"},
         ))
 
-    # -- wall clock: ne8 distributed SW step, serial vs real cores ---------
-    # The first section measuring the reproduction on real hardware
-    # parallelism: the same distributed step, once with the per-rank
-    # compute in-process and once fanned across a worker pool.  The
-    # trajectory is bitwise identical either way (tested); only the
-    # wall clock may differ.
-    from ..homme.distributed import DistributedShallowWater
-    from ..parallel import available_cores
-
-    skipped: dict[str, str] = {}
-    cores = available_cores()
-    if cores < PARALLEL_BENCH_WORKERS:
-        skipped["dist_sw_step.ne8"] = (
-            f"needs {PARALLEL_BENCH_WORKERS} cores for the parallel-vs-serial "
-            f"section, machine has {cores}"
-        )
-        skipped["dist_sw_step.ne8.pipelined_speedup"] = (
-            f"pipelined-vs-parallel floor needs {PARALLEL_BENCH_WORKERS} "
-            f"cores, machine has {cores}"
-        )
-        skipped["dist_sw_step.ne8.telemetry_speedup"] = (
-            f"telemetry-overhead floor needs {PARALLEL_BENCH_WORKERS} "
-            f"cores, machine has {cores}"
-        )
-        skipped["dist_sw_step.ne8.context_replication_ratio"] = (
-            f"shard-memory floor needs a {PARALLEL_BENCH_WORKERS}-worker "
-            f"pool, machine has {cores} cores"
-        )
-    else:
-        dist_repeats = min(repeats, 5)  # a distributed step is ~100x a kernel
-        for variant, nworkers, pipe, instrumented in (
-            ("serial", 0, False, False),
-            ("parallel", PARALLEL_BENCH_WORKERS, False, False),
-            ("pipelined", PARALLEL_BENCH_WORKERS, True, False),
-            # Fully instrumented parallel step: driver tracing plus
-            # in-worker telemetry packets and the sampling profiler
-            # (DESIGN.md §13).  Gated against the telemetry-off
-            # "parallel" entry via telemetry_speedup.
-            ("telemetry", PARALLEL_BENCH_WORKERS, False, True),
-        ):
-            tracer = None
-            engine_kwargs = None
-            if instrumented:
-                from ..obs import PROFILE_HZ, Tracer
-
-                tracer = Tracer("bench-telemetry")
-                engine_kwargs = {"profile_hz": PROFILE_HZ}
-            model = DistributedShallowWater(
-                mesh8, nranks=PARALLEL_BENCH_WORKERS, workers=nworkers,
-                pipeline=pipe, tracer=tracer, engine_kwargs=engine_kwargs,
-            )
-            snap = model.snapshot()
-            secs = time_wall(
-                model.step, repeats=dist_repeats,
-                setup=lambda m=model, s=snap: m.restore_snapshot(s),
-            )
-            meta = {"ne": 8, "nranks": PARALLEL_BENCH_WORKERS,
-                    "workers": nworkers, "pipeline": pipe,
-                    "kernel": "distributed SW step",
-                    "pool_active": bool(model.engine.active),
-                    "gated": False}
-            if instrumented:
-                meta["telemetry_packets"] = model.engine.telemetry_packets
-                meta["profile_samples"] = model.engine.profile_samples
-            if variant == "parallel":
-                # Sharded-ownership accounting (DESIGN.md §15): the
-                # largest single worker's context footprint vs the sum
-                # of every shard — what the old replicate-everything
-                # scheme would have shipped to *each* worker.  Read
-                # before close(): close() unregisters the shard keys.
-                meta["context_bytes_peak"] = model.engine.peak_context_bytes()
-                meta["context_bytes_total"] = model.engine.total_context_bytes()
-            results.append(BenchResult(
-                name=f"dist_sw_step.ne8.{variant}", clock="wall", seconds=secs,
-                repeats=dist_repeats, meta=meta,
-            ))
-            model.close()
-
-        # Recovery overhead: a short parallel *run* (RECOVERY_STEPS
-        # steps) absorbing one seeded worker kill, gated against the
-        # same run fault-free.  Chaos fires only on a task's first
-        # dispatch, so this is a single-shot measurement (repeats=1) of
-        # crash detection + respawn + redistribution amortized the way
-        # a real job amortizes a node failure.  The kill is scheduled
-        # into the second step: the first dispatch of the untimed
-        # warmup step pays the one-time block-allocation costs, same as
-        # the other entries.
-        from ..parallel import ChaosSpec
-
-        tasks_per_step = 3 * PARALLEL_BENCH_WORKERS  # 3 RK stages x ranks
-        kill_tid = PARALLEL_BENCH_WORKERS + tasks_per_step + 2
-        model = DistributedShallowWater(
-            mesh8, nranks=PARALLEL_BENCH_WORKERS,
-            workers=PARALLEL_BENCH_WORKERS,
-            engine_kwargs={"chaos": ChaosSpec(kill_tasks=(kill_tid,))},
-        )
-        secs = time_wall(lambda: model.run_steps(RECOVERY_STEPS),
-                         repeats=1, warmup=0, setup=model.step)
-        results.append(BenchResult(
-            name="dist_sw_step.ne8.recovery", clock="wall", seconds=secs,
-            repeats=1,
-            meta={"ne": 8, "nranks": PARALLEL_BENCH_WORKERS,
-                  "workers": PARALLEL_BENCH_WORKERS, "steps": RECOVERY_STEPS,
-                  "kernel": "distributed SW run + worker kill",
-                  "kill_task": kill_tid,
-                  "respawns": model.engine.recovery["respawns"],
-                  "pool_degrades": model.engine.recovery["pool_degrades"],
-                  "pool_active": bool(model.engine.active),
-                  "gated": False},
-        ))
-        model.close()
-
     # -- simulated clock: Table-1 kernels through the backend models -------
     workloads = table1_workloads()
     backends = {name: cls() for name, cls in ALL_BACKENDS.items()}
@@ -309,84 +171,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
             by_name[f"{group}.batched"].seconds
             / by_name[f"{group}.fused"].seconds
         )
-    # The distributed section is tolerant of missing members: when it is
-    # skipped it simply contributes no derived entry (the comparison
-    # gate treats absent entries as informational, never as failures).
-    ser = by_name.get("dist_sw_step.ne8.serial")
-    par = by_name.get("dist_sw_step.ne8.parallel")
-    pipe = by_name.get("dist_sw_step.ne8.pipelined")
-    if ser is not None and par is not None:
-        if par.meta.get("pool_active"):
-            derived["dist_sw_step.ne8.parallel_speedup"] = ser.seconds / par.seconds
-        else:
-            skipped["dist_sw_step.ne8.parallel_speedup"] = (
-                "worker pool fell back to serial; speedup floor not applicable"
-            )
-    # The pipelined floor is *relative to the synchronous parallel run*:
-    # overlapping driver combines with worker compute must buy >= 1.15x
-    # on top of the plain fan-out, not just beat serial.
-    if par is not None and pipe is not None:
-        if par.meta.get("pool_active") and pipe.meta.get("pool_active"):
-            derived["dist_sw_step.ne8.pipelined_speedup"] = (
-                par.seconds / pipe.seconds
-            )
-        else:
-            skipped["dist_sw_step.ne8.pipelined_speedup"] = (
-                "worker pool fell back to serial; speedup floor not applicable"
-            )
-    # Telemetry gate: >= 1/1.10 means full instrumentation (tracing,
-    # per-result packets, sampling profiler) cost <= 10% wall time over
-    # the telemetry-off parallel step.
-    tel = by_name.get("dist_sw_step.ne8.telemetry")
-    if par is not None and tel is not None:
-        if par.meta.get("pool_active") and tel.meta.get("pool_active"):
-            derived["dist_sw_step.ne8.telemetry_speedup"] = (
-                par.seconds / tel.seconds
-            )
-        else:
-            skipped["dist_sw_step.ne8.telemetry_speedup"] = (
-                "worker pool fell back to serial; overhead floor "
-                "not applicable"
-            )
-    # Shard-memory gate: total context bytes across all shard contexts
-    # over the busiest worker's share.  >= 2.0 means sharded ownership
-    # actually landed distinct shards on distinct workers (4.0 ideal at
-    # 4 ranks / 4 workers); 1.0 would mean one worker touched every
-    # shard, i.e. the replicated-geometry memory profile.
-    if par is not None and par.meta.get("pool_active"):
-        peak = par.meta.get("context_bytes_peak", 0)
-        total = par.meta.get("context_bytes_total", 0)
-        if peak > 0:
-            derived["dist_sw_step.ne8.context_replication_ratio"] = (
-                total / peak
-            )
-        else:
-            skipped["dist_sw_step.ne8.context_replication_ratio"] = (
-                "no per-slot context bytes recorded; ratio not applicable"
-            )
-    elif par is not None:
-        skipped["dist_sw_step.ne8.context_replication_ratio"] = (
-            "worker pool fell back to serial; shard-memory floor "
-            "not applicable"
-        )
-    # Recovery gate: >= 1/1.5 means the injected kill cost <= 50% wall
-    # time over the equivalent fault-free parallel run (the per-step
-    # parallel time scaled to the recovery run's step count).  Only
-    # meaningful when the recovery run actually recovered (respawned,
-    # pool survived).
-    rec = by_name.get("dist_sw_step.ne8.recovery")
-    if par is not None and rec is not None:
-        if (par.meta.get("pool_active") and rec.meta.get("pool_active")
-                and rec.meta.get("respawns", 0) >= 1):
-            derived["dist_sw_step.ne8.recovery_speedup"] = (
-                par.seconds * rec.meta["steps"] / rec.seconds
-            )
-        else:
-            skipped["dist_sw_step.ne8.recovery_speedup"] = (
-                "recovery run degraded or never respawned; "
-                "overhead floor not applicable"
-            )
-
     return {
         "schema": SCHEMA,
         "quick": quick,
@@ -395,7 +179,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
         "benchmarks": [r.to_json() for r in results],
         "derived": derived,
         "floors": SPEEDUP_FLOORS,
-        "skipped": skipped,
     }
 
 
@@ -418,6 +201,4 @@ def render_report(report: dict) -> str:
         # overhead floor rounding to 0) must still render.
         bound = f"  (floor {floor:.2f}x)" if floor is not None else ""
         lines.append(f"{name:<42} {val:>10.2f}x{bound}")
-    for name, reason in report.get("skipped", {}).items():
-        lines.append(f"skipped {name}: {reason}")
     return "\n".join(lines)

@@ -17,15 +17,14 @@ The paper redesigns this subroutine twice over (Section 7.6):
 DSS contributions really travel between ranks through
 :class:`~repro.network.simmpi.SimMPI`) with both the ``classic`` and
 ``overlap`` execution disciplines, charging pack/unpack memcpy time and
-compute time to each rank's simulated clock.  The result equals the serial
-:meth:`CubedSphereMesh.dss` to roundoff (it sums ``f*w`` then divides by
-the assembled weight ``A``; the serial form sums ``f*(w/A)``) and is
-bitwise reproducible for a fixed partition, whatever ``workers`` or
-``pipeline`` the models run with.
+compute time to each rank's simulated clock.  The result is bit-identical
+to the serial :meth:`CubedSphereMesh.dss` for every partition, whatever
+``workers`` or ``pipeline`` the models run with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +89,19 @@ class HaloExchanger:
     """Distributed DSS over an SFC partition.
 
     The constructor builds one flat *exchange plan* over all ranks: every
-    rank's GLL points concatenated in rank order, one accumulator slot
-    per touching (rank, gid) pair, and the index tables between points,
-    slots and message payloads.  An exchange is then a handful of
-    whole-mesh gathers and adds; its per-rank × per-peer loops only
-    post, charge and trace the messages.
+    rank's GLL points concatenated in rank order, then every row a rank
+    receives; one :class:`Assembly` with a slot per touching (rank, gid)
+    pair over both; and the gather that fills the messages.  An exchange
+    is then one gather, one accumulate and one take over the whole mesh;
+    its per-rank × per-peer loops only post, charge and trace messages.
+
+    A message carries, for every point of the sender whose gid the
+    receiver touches, that point's own contribution ``f * dss_weight``,
+    and a slot sums its rows — local and received alike — in ascending
+    global point row (``elem * np**2 + ij``) from ``+0.0``.  That is the
+    order and the weighting of :meth:`CubedSphereMesh.dss`, so the result
+    is the serial DSS bit for bit at any rank count, whoever does the
+    adding.
     """
 
     def __init__(self, mesh: CubedSphereMesh, part: SFCPartition) -> None:
@@ -107,51 +114,65 @@ class HaloExchanger:
         #: Per rank: owned element ids (curve order).
         self.rank_elems = [part.rank_elements(r) for r in range(nranks)]
         elems = np.concatenate(self.rank_elems)
-        points = np.array([len(e) for e in self.rank_elems]) * mesh.np ** 2
+        nn = mesh.np ** 2
+        points = np.array([len(e) for e in self.rank_elems]) * nn
         #: Rank r's points: rows ``_offsets[r]:_offsets[r + 1]`` of the flat tables.
         self._offsets = [0, *np.cumsum(points).tolist()]
         gid = mesh.gid[elems].reshape(-1)
-        # One accumulator slot per (rank, gid) pair.
-        self._local = Assembly(np.repeat(np.arange(nranks), points) * mesh.ngid + gid)
-        slot_rank, slot_gid = np.divmod(self._local.keys, mesh.ngid)
-        self._weights = mesh.spheremp[elems].reshape(-1, 1)
-        self._assembled = mesh.assembled_spheremp[slot_gid][:, None]
+        rank = np.repeat(np.arange(nranks), points)
+        row = (elems[:, None] * nn + np.arange(nn)).reshape(-1)
+        self._weights = mesh.dss_weight[elems].reshape(-1, 1)
 
-        # Slots of one gid on different ranks are neighbours at distance
-        # 1, 2, ... in gid order; each pair is a payload row both ways.
-        by_gid = np.argsort(slot_gid, kind="stable")
-        g = slot_gid[by_gid]
-        src, dst = [by_gid[:0]], [by_gid[:0]]
-        for s in range(1, nranks):
-            same = g[s:] == g[:-s]
-            if not same.any():
-                break
-            lo, hi = by_gid[:-s][same], by_gid[s:][same]
-            src += [lo, hi]
-            dst += [hi, lo]
+        # The ranks touching each gid, grouped by gid; a point is sent to
+        # every one of them but its own.
+        touching = np.unique(rank * mesh.ngid + gid)
+        t_rank, t_gid = np.divmod(touching, mesh.ngid)
+        by_gid = np.argsort(t_gid, kind="stable")
+        count = np.bincount(t_gid, minlength=mesh.ngid)
+        first = np.cumsum(count) - count
+        src, dst = [], []
+        for j in range(int(count.max())):
+            has = np.nonzero(count[gid] > j)[0]
+            to = t_rank[by_gid[first[gid[has]] + j]]
+            away = to != rank[has]
+            src.append(has[away])
+            dst.append(to[away])
         src, dst = np.concatenate(src), np.concatenate(dst)
-        # Payload rows ordered by sender, receiver, gid.  Pairs are
-        # symmetric, so read as (receiver, sender, gid) the same table is
-        # the order rows are received in: ``_send_idx`` is both the send
-        # gather and the receive scatter index.
-        pair = slot_rank[src] * nranks + slot_rank[dst]
-        order = np.lexsort((slot_gid[src], pair))
-        self._send_idx = src[order]
-        self._recv = Assembly(self._send_idx)
-        pairs, starts = np.unique(pair[order], return_index=True)
-        stops = [*starts[1:].tolist(), len(order)]
-        shared = slot_gid[self._send_idx]
+
+        # Payload rows as sent (by sender, receiver, point) and as they
+        # arrive (by receiver, sender, point).
+        sent = np.lexsort((src, dst, rank[src]))
+        src, dst = src[sent], dst[sent]
+        arrived = np.lexsort((src, rank[src], dst))
+        asrc, adst = src[arrived], dst[arrived]
+        #: Flat point of every payload row, in send order.
+        self._send_rows = src
+        self._assembly = Assembly(
+            np.concatenate([rank, adst]) * mesh.ngid
+            + np.concatenate([gid, gid[asrc]]),
+            order=np.concatenate([row, row[asrc]]))
+        #: Assembly slot of every flat point.
+        self._point_slot = self._assembly.slot_of[:len(gid)]
+
+        def blocks(major, minor):
+            pairs, starts = np.unique(major * nranks + minor, return_index=True)
+            return zip(pairs.tolist(), starts.tolist(),
+                       [*starts[1:].tolist(), len(major)])
+
         #: Sorted shared gids per ordered rank pair, and each rank's peers.
         self.shared_gids: dict[tuple[int, int], np.ndarray] = {}
         self.peers: dict[int, list[int]] = {r: [] for r in range(nranks)}
-        #: Per rank: (peer, start, stop) payload rows of its messages.
-        self._messages: list[list[tuple[int, int, int]]] = [
+        #: Per rank: (peer, payload rows sent, buffer rows received).
+        self._messages: list[list[tuple[int, slice, slice]]] = [
             [] for _ in range(nranks)]
-        for ab, lo, hi in zip(pairs.tolist(), starts.tolist(), stops):
+        # Sharing is symmetric: both tables list the same (rank, peer) pairs.
+        for (ab, lo, hi), (_, rlo, rhi) in zip(blocks(rank[src], dst),
+                                               blocks(adst, rank[asrc])):
             a, b = divmod(ab, nranks)
-            self.shared_gids[(a, b)] = shared[lo:hi]
+            self.shared_gids[(a, b)] = np.unique(gid[src[lo:hi]])
             self.peers[a].append(b)
-            self._messages[a].append((b, lo, hi))
+            self._messages[a].append(
+                (b, slice(lo, hi), slice(len(gid) + rlo, len(gid) + rhi)))
 
         # Positions within each rank's local element order of the
         # boundary and inner rows.  The pipelined engine mode dispatches
@@ -233,12 +254,15 @@ class HaloExchanger:
         # the redesign packs once and unpacks directly.
         copies = 2 if classic else 1
 
-        # Weighted contributions of every local point summed per slot,
-        # then all message payloads in one gather.
-        vals = np.concatenate([f.reshape(f.shape[0] * n * n, -1) for f in fields])
-        vals *= self._weights
-        acc = self._local.accumulate(vals)
-        payloads = acc.take(self._send_idx, axis=0)
+        # One buffer: every local point's weighted contribution, then
+        # room for every received row.  All payloads are one gather.
+        npoints = self._offsets[-1]
+        buf = np.empty((len(self._assembly.slot_of),
+                        math.prod(fields[0].shape[3:])))
+        for lo, hi, f in zip(self._offsets, self._offsets[1:], fields):
+            buf[lo:hi] = f.reshape(hi - lo, -1)
+        buf[:npoints] *= self._weights
+        payloads = buf.take(self._send_rows, axis=0)
 
         # Phase 1: compute + pack + send on every rank.
         for r in range(nranks):
@@ -250,8 +274,8 @@ class HaloExchanger:
                 name = "compute" if classic else "compute.boundary"
                 tracer.span_at(track, name, t0, clock.now, cat="exchange",
                                tag=tag)
-            for p, lo, hi in self._messages[r]:
-                payload = payloads[lo:hi]
+            for p, sent, _ in self._messages[r]:
+                payload = payloads[sent]
                 t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
                 t1 = clock.now
                 mpi.compute(r, t_pack)
@@ -274,18 +298,17 @@ class HaloExchanger:
                     tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
                                    cat="exchange", tag=tag)
 
-        # Phase 3: receive and charge the unpack per message, then add
-        # all received rows to their slots in arrival (ascending-peer)
-        # order, divide by the assembled weights and gather to the points.
-        received = [payloads[:0]]  # seed: one rank has no messages
+        # Phase 3: receive every message into its rows of the buffer and
+        # charge the unpack, then sum each slot and gather to the points.
         for r in range(nranks):
             track, clock = rank_track(r), mpi.clock(r)
-            for p, lo, hi in self._messages[r]:
+            for p, _, arrived in self._messages[r]:
                 data = mpi.wait(mpi.irecv(r, p, tag=tag))
-                if data.shape != (hi - lo, vals.shape[1]):
+                rows = buf[arrived]
+                if data.shape != rows.shape:
                     raise KernelError(
                         f"rank {r}: halo message from rank {p} has shape "
-                        f"{data.shape}, expected {(hi - lo, vals.shape[1])}")
+                        f"{data.shape}, expected {rows.shape}")
                 t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
                 t2 = clock.now
                 mpi.compute(r, t_unpack)
@@ -294,12 +317,8 @@ class HaloExchanger:
                     tracer.span_at(track, "unpack", t2, clock.now,
                                    cat="exchange", peer=p, tag=tag,
                                    nbytes=data.nbytes, copies=copies)
-                received.append(data)
-        received = np.concatenate(received)
-        slots = self._recv.keys
-        acc[slots] = self._recv.accumulate(received, onto=acc.take(slots, axis=0))
-        acc /= self._assembled
-        out = acc.take(self._local.slot_of, axis=0)
+                rows[:] = data
+        out = self._assembly.accumulate(buf).take(self._point_slot, axis=0)
         outs = [out[lo:hi].reshape(f.shape)
                 for lo, hi, f in zip(self._offsets, self._offsets[1:], fields)]
 

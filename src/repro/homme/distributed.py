@@ -9,9 +9,11 @@ performed by :class:`~repro.homme.bndry.HaloExchanger` — pack, send,
 exchange in the frame-free Cartesian tangent representation (the same
 device as :meth:`ElementGeometry.dss_vector`).
 
-The distributed trajectory matches the serial model to roundoff, and
-the per-rank clocks expose the overlap-vs-classic timing difference on
-a real integration.
+The distributed trajectory is the serial model's bit for bit at any
+rank count (the exchange sums what the serial DSS sums, in the same
+order; the tracer mass fixer's global sums run in global element
+order), and the per-rank clocks expose the overlap-vs-classic timing
+difference on a real integration.
 
 Everything the two models share — partition, halo tables, SimMPI,
 per-rank geometry, the worker engine and its shard contexts, the
@@ -54,6 +56,7 @@ from ..parallel.engine import (
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry, levels_first, levels_last
+from .euler import restoring_scale, sum_elements
 from .hypervis import nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
 from .timestep import RSPLIT
@@ -98,9 +101,10 @@ class _DistributedModel:
     the pool, or adopts the shared always-serial engine for ``workers
     <= 1``.  With the engine's shard-affinity dispatch a worker only
     ever resolves (and faults in) the shards pinned to its slot.
-    ``pipeline=True`` also registers the *split* geometries (slot
-    ``2r`` = rank ``r``'s boundary elements, ``2r+1`` = its inner
-    elements; ``None`` for an empty subset), one key each.
+    ``pipeline=True`` on a model that starts a pool also registers the
+    *split* geometries (slot ``2r`` = rank ``r``'s boundary elements,
+    ``2r+1`` = its inner elements; ``None`` for an empty subset), one
+    key each.
     ``engine_kwargs`` passes straight through to
     :class:`~repro.parallel.engine.ParallelEngine` — the supervision,
     chaos and integrity knobs of DESIGN.md §12.
@@ -152,7 +156,7 @@ class _DistributedModel:
         #: Per part (0 = boundary, 1 = inner), per rank: local element rows.
         self._split_idx = (self.hx.local_boundary_idx, self.hx.local_inner_idx)
         self._pipe_shard_keys: list[str] = []
-        if self.pipeline:
+        if self.pipeline and self.workers > 1:
             pipe_base = fresh_context_key(self._label + "-pipe")
             for r, elems in enumerate(self.hx.rank_elems):
                 for part in (0, 1):
@@ -225,9 +229,8 @@ class _DistributedModel:
         one batch and its inner rows immediately after (into the other
         shared-memory bank), and the boundary results are reassembled
         **while the workers compute the inner batch**.  Reassembly is a
-        pure scatter by precomputed indices, and every combine (DSS,
-        allreduce) still runs on the driver in fixed rank order, so the
-        result is bitwise identical to the whole-rank dispatch.
+        pure scatter by precomputed indices, so the result is bitwise
+        identical to the whole-rank dispatch.
         """
         if not (split and self._pipelined):
             return self.engine.run(
@@ -355,11 +358,10 @@ class DistributedShallowWater(_DistributedModel):
     """Shallow-water RK3 over ``nranks`` simulated MPI ranks.
 
     ``workers > 1`` runs each rank's tendency computation on a real
-    core through :class:`repro.parallel.engine.ParallelEngine`; every
-    DSS stays on the driver in fixed rank order, so the trajectory is
-    bitwise identical to ``workers=0`` (``validate=True`` asserts this
-    on every pool dispatch).  Simulated clocks are unaffected either
-    way — SimMPI remains the timing model.
+    core through :class:`repro.parallel.engine.ParallelEngine`; the
+    trajectory is bitwise identical to ``workers=0`` (``validate=True``
+    asserts this on every pool dispatch).  Simulated clocks are
+    unaffected either way — SimMPI remains the timing model.
 
     ``pipeline=True`` additionally splits each rank's elements into
     boundary and inner batches and overlaps the driver-side combines
@@ -451,14 +453,13 @@ class DistributedPrimitiveEquations(_DistributedModel):
     + tracer + hyperviscosity + remap step, with every DSS routed
     through ``bndry_exchangev``.  Column-local work (pressure scans,
     vertical remap, physics) needs no communication — exactly the
-    structure the paper exploits.  Trajectories match the serial model
-    to roundoff (verified in the tests).
+    structure the paper exploits.  Trajectories are the serial model's
+    bit for bit at any rank count (verified in the tests).
 
     ``workers > 1`` fans the per-rank tendency, tracer-advection, and
     hyperviscosity work across real cores (see
-    :mod:`repro.parallel.dycore`); all DSS and allreduce combines stay
-    on the driver in fixed rank order, so the trajectory is bitwise
-    identical to ``workers=0``.
+    :mod:`repro.parallel.dycore`); the trajectory is bitwise identical
+    to ``workers=0``.
 
     ``pipeline=True`` (with a live pool) overlaps driver-side combines
     with worker compute: the RK stages use the boundary-first split
@@ -543,6 +544,17 @@ class DistributedPrimitiveEquations(_DistributedModel):
         return [g.from_cartesian(levels_first(o, v.shape[:4] + (3,)))
                 for g, o, v in zip(self.geoms, out, vs)]
 
+    def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
+        """Sum per-rank (E_r, L) per-element rows over the whole mesh.
+
+        Every rank ends up with the sum in global element order — the
+        serial limiter's, whatever the partition — as CESM's
+        ``repro_sum`` stands in for a plain reduction.  What travels is
+        still one (L,) vector per rank, and that is what SimMPI charges.
+        """
+        self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
+        return sum_elements(self.hx.gather(per_elem))
+
     # -- one distributed dynamics step ------------------------------------------------
 
     def _rk_stage(self, bases, points, dt, stage=0):
@@ -618,17 +630,10 @@ class DistributedPrimitiveEquations(_DistributedModel):
                     prim_euler_stage2_task, euler_meta,
                     [(s.qdp[:, q], st1[r], s.v) for r, s in enumerate(s3)],
                 )], stage=4, slot=slot0 + 1)
-                # NOTE: the serial limiter's global fixer needs global
-                # sums; the distributed form uses an allreduce (on the
-                # driver, in fixed rank order — the determinism rule).
                 lim = self._fanout(prim_limit_task, euler_meta, [(a,) for a in st2])
-                limited = [o[0] for o in lim]
-                before = self.mpi.allreduce([o[1] for o in lim])
-                after = self.mpi.allreduce([o[2] for o in lim])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.where(after > 0, before / after, 0.0)
-                limited = [arr * np.clip(scale, 0.0, None)[None, :, None, None]
-                           for arr in limited]
+                scale = restoring_scale(self._mesh_sum([o[1] for o in lim]),
+                                        self._mesh_sum([o[2] for o in lim]))
+                limited = [o[0] * scale[None, :, None, None] for o in lim]
                 limited = self._dss_levels(limited, stage=4, slot=slot0 + 2)
                 for r in range(self.nranks):
                     s3[r].qdp[:, q] = limited[r]

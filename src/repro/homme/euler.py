@@ -56,6 +56,36 @@ def _dss_all(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     return geom.dss(qdp.reshape(E, Q * L, n, n)).reshape(E, Q, L, n, n)
 
 
+def element_mass(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
+    """Mass of (E, ..., n, n) tracer stacks per element (and middle axes).
+
+    The products are laid out C-contiguous whatever ``qdp``'s strides (a
+    serial DSS hands back a levels-last view), so the sum over an
+    element's points always runs in the same order.
+    """
+    w = geom.spheremp[(slice(None),) + (None,) * (qdp.ndim - 3)]
+    return np.sum(np.multiply(qdp, w, order="C"), axis=(-2, -1))
+
+
+def sum_elements(per_elem: np.ndarray) -> np.ndarray:
+    """Sum (E, ...) over elements strictly in element order.
+
+    The order every global sum of the mass fixer takes, serial or
+    distributed, so its bits do not depend on a partition.  A running
+    sum, because ``np.sum(axis=0)`` turns pairwise when the remaining
+    axes have size 1.
+    """
+    return np.cumsum(per_elem, axis=0)[-1]
+
+
+def restoring_scale(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The non-negative factor taking mass ``after`` back to ``before``
+    (0 where none is left to scale)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(after > 0, before / after, 0.0)
+    return np.clip(scale, 0.0, None)
+
+
 def limit_qdp(
     qdp: np.ndarray, geom: ElementGeometry, global_fixer: bool = True
 ) -> np.ndarray:
@@ -73,23 +103,19 @@ def limit_qdp(
     features makes empty elements slightly negative), so
 
     Stage 2 (global fixer): a single multiplicative factor per level
-    restores the exact global integral, keeping positivity.
+    restores the exact global integral, keeping positivity.  Its two
+    global sums add per-element masses in element order
+    (:func:`sum_elements`), as the distributed model's allreduce does.
     """
-    w = geom.spheremp[(slice(None),) + (None,) * (qdp.ndim - 3)]
-    mass_before = np.sum(qdp * w, axis=(-2, -1))
+    mass_before = element_mass(qdp, geom)
     clipped = np.maximum(qdp, 0.0)
-    mass_after = np.sum(clipped * w, axis=(-2, -1))
     # Rescale positives to restore mass (only where there is any mass).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mass_after > 0, mass_before / mass_after, 0.0)
-    scale = np.clip(scale, 0.0, None)
+    scale = restoring_scale(mass_before, element_mass(clipped, geom))
     out = clipped * scale[..., None, None]
     if global_fixer:
-        g_before = np.sum(mass_before, axis=0)            # per (tracer,) level
-        g_after = np.sum(out * w, axis=(0, -2, -1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_scale = np.where(g_after > 0, g_before / g_after, 0.0)
-        out = out * np.clip(g_scale, 0.0, None)[None, ..., None, None]
+        g_scale = restoring_scale(sum_elements(mass_before),
+                                  sum_elements(element_mass(out, geom)))
+        out = out * g_scale[None, ..., None, None]
     return out
 
 

@@ -246,25 +246,33 @@ class FusedOperands:
     #: expanded-plane cache keyed by (array id, target shape)
     _bcache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def _gemm(self, X: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """``X`` (..., np, np) against a lifted operator as one 2D GEMM.
+
+        GEMM rows do not depend on how many rows ride along, so a shard
+        gets the bits the whole mesh gets — but a single row would take
+        BLAS's vector-matrix path, so it goes in twice.
+        """
+        rows = X.reshape(-1, k.shape[0])
+        if len(rows) == 1:
+            return np.matmul(np.concatenate([rows, rows]), k)[:1].reshape(X.shape)
+        return np.matmul(rows, k).reshape(X.shape)
+
     def da(self, X: np.ndarray) -> np.ndarray:
-        """d/dalpha (``X @ Dt``) of (..., np, np) via one 2D GEMM."""
-        nn = self.kda.shape[0]
-        return np.matmul(X.reshape(-1, nn), self.kda).reshape(X.shape)
+        """d/dalpha (``X @ Dt``) of (..., np, np)."""
+        return self._gemm(X, self.kda)
 
     def db(self, X: np.ndarray) -> np.ndarray:
-        """d/dbeta (``D @ X``) of (..., np, np) via one 2D GEMM."""
-        nn = self.kdb.shape[0]
-        return np.matmul(X.reshape(-1, nn), self.kdb).reshape(X.shape)
+        """d/dbeta (``D @ X``) of (..., np, np)."""
+        return self._gemm(X, self.kdb)
 
     def wa(self, X: np.ndarray) -> np.ndarray:
-        """Weak-form alpha transpose (``X @ D``) via one 2D GEMM."""
-        nn = self.kwa.shape[0]
-        return np.matmul(X.reshape(-1, nn), self.kwa).reshape(X.shape)
+        """Weak-form alpha transpose (``X @ D``)."""
+        return self._gemm(X, self.kwa)
 
     def wb(self, X: np.ndarray) -> np.ndarray:
-        """Weak-form beta transpose (``Dt @ X``) via one 2D GEMM."""
-        nn = self.kwb.shape[0]
-        return np.matmul(X.reshape(-1, nn), self.kwb).reshape(X.shape)
+        """Weak-form beta transpose (``Dt @ X``)."""
+        return self._gemm(X, self.kwb)
 
     def bshape(self, geom_arr: np.ndarray, scalar_ref: np.ndarray) -> np.ndarray:
         """Expand a (E, np, np) plane to ``scalar_ref``'s shape; memoized.

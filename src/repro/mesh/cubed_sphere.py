@@ -225,7 +225,9 @@ class CubedSphereMesh:
 
         ``field`` has shape (nelem, np, np) or (nelem, np, np, K); shared
         GLL points are replaced by their spheremp-weighted average, the
-        conservative projection onto the continuous basis.
+        conservative projection onto the continuous basis.  Each point's
+        copies add as ``f * dss_weight`` in ascending point row
+        (``elem * np**2 + ij``) — the order the distributed exchange keeps.
         """
         field = np.asarray(field)
         if field.shape[:3] != (self.nelem, self.np, self.np):

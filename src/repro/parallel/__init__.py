@@ -15,8 +15,9 @@ The contract (DESIGN.md §10):
 - **Determinism.** Workers only ever compute *independent* work units
   (one simulated rank's tendencies, or its boundary / inner element
   rows).  Every cross-rank reduction — DSS accumulation, allreduce —
-  happens on the driver process in a fixed rank order, so parallel
-  results are **bitwise identical** to serial execution.
+  sums in one canonical order (global point row, global element), so
+  results are **bitwise identical** to serial execution wherever the
+  reduction runs.
 - **Fallback.** ``workers <= 1``, an unavailable ``fork`` start
   method, or any pool start-up failure silently degrades to in-process
   serial execution of the very same task functions.

@@ -5,8 +5,7 @@ simulated rank, packaged as module-level functions the engine can ship
 to a worker.  The driver (``repro.homme.distributed``) routes *both*
 the serial and the parallel path through these same functions, so the
 two modes execute identical float64 streams — bitwise identity by
-construction, with all DSS reductions staying on the driver in fixed
-rank order.
+construction.
 
 Geometry never crosses a queue: the driver registers each shard's
 :class:`~repro.homme.element.ElementGeometry` in the fork-inherited
@@ -121,17 +120,14 @@ def prim_euler_stage2_task(meta, qdp_q, st1, v):
 
 
 def prim_limit_task(meta, st2):
-    """One rank's limiter pass plus its local mass sums.
+    """One rank's limiter pass plus its per-element masses.
 
-    Returns ``(limited, before_r, after_r)``; the driver allreduces the
-    per-level mass sums across ranks in fixed rank order and applies
+    Returns ``(limited, before, after)`` with the masses (E_r, L); the
+    driver sums them over the mesh in global element order and applies
     the global fixer scale.
     """
-    from ..homme.euler import limit_qdp
+    from ..homme.euler import element_mass, limit_qdp
 
     geom = _task_geom(meta)
     limited = limit_qdp(st2, geom, global_fixer=False)
-    w = geom.spheremp[:, None]
-    before = np.sum(st2 * w, axis=(0, 2, 3))
-    after = np.sum(limited * w, axis=(0, 2, 3))
-    return limited, before, after
+    return limited, element_mass(st2, geom), element_mass(limited, geom)

@@ -1,4 +1,4 @@
-"""Simulated-time clock and wall-clock timing helpers.
+"""The simulated-time clock.
 
 The hardware simulators charge costs to a :class:`SimClock` rather than
 reading the host's wall clock, so simulated results are deterministic and
@@ -6,9 +6,6 @@ independent of the machine running the reproduction.
 """
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 
 class SimClock:
@@ -48,43 +45,3 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(now={self._now:.6e}s)"
-
-
-@dataclass
-class Timer:
-    """Accumulating named wall-clock timer (the paper's 'Measurement: Timers').
-
-    Used by the benchmark harness to time the *functional* numpy kernels;
-    the simulated machine timings come from :class:`SimClock` instead.
-    """
-
-    name: str
-    total: float = 0.0
-    count: int = 0
-    _start: float | None = field(default=None, repr=False)
-
-    def start(self) -> None:
-        if self._start is not None:
-            raise RuntimeError(f"timer {self.name!r} already running")
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError(f"timer {self.name!r} not running")
-        dt = time.perf_counter() - self._start
-        self._start = None
-        self.total += dt
-        self.count += 1
-        return dt
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def mean(self) -> float:
-        """Mean time per timed region [s]."""
-        return self.total / self.count if self.count else 0.0

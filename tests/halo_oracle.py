@@ -1,11 +1,13 @@
-"""Test oracle: the per-call halo-exchange algorithm that
-``HaloExchanger.exchange`` used before its flat precomputed plan.
+"""Test oracle: ``HaloExchanger.exchange`` as a per-call algorithm.
 
 Every mesh-constant table is re-derived on each call (``np.unique`` per
-rank, ``np.searchsorted`` per peer) and contributions are summed with
-``np.add.at`` — slow, obviously right, and the fixed summation order the
-plan must reproduce bit for bit.  Clock charges, SimMPI calls and tracer
-spans are issued in the order the production code must keep.
+rank, ``np.isin`` per peer): a message from rank *a* to rank *b* carries
+``f * dss_weight`` of each of *a*'s points whose gid *b* touches, in
+*a*'s point order, and every rank sums its own and its received rows per
+gid with ``np.add.at`` over rows sorted by global point row — slow,
+obviously right, and the fixed summation order the plan must reproduce
+bit for bit.  Clock charges, SimMPI calls and tracer spans are issued in
+the order the production code must keep.
 """
 
 import numpy as np
@@ -20,26 +22,25 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
     nranks, tracer, copies = part.nranks, mpi.tracer, 2 if mode == "classic" else 1
     bc = [0.0] * nranks if boundary_compute is None else boundary_compute
     ic = [0.0] * nranks if inner_compute is None else inner_compute
-    gids = [mesh.gid[part.rank_elements(r)].reshape(-1) for r in range(nranks)]
+    elems = [part.rank_elements(r) for r in range(nranks)]
+    gids = [mesh.gid[e].reshape(-1) for e in elems]
+    nn = mesh.np ** 2
+    rows = [(e[:, None] * nn + np.arange(nn)).reshape(-1) for e in elems]
     uniq = [np.unique(g) for g in gids]
-    shared = {(r, p): np.intersect1d(uniq[r], uniq[p])
-              for r in range(nranks) for p in range(nranks) if p != r}
-    peers = [[p for p in range(nranks) if p != r and len(shared[r, p])]
+    peers = [[p for p in range(nranks)
+              if p != r and len(np.intersect1d(uniq[r], uniq[p]))]
              for r in range(nranks)]
-    memcpy, accs = 0.0, []
+    memcpy, vals = 0.0, []
     for r in range(nranks):
         t0 = mpi.now(r)
         mpi.compute(r, bc[r] + ic[r] if mode == "classic" else bc[r])
         tracer.span_at(rank_track(r), "compute" if mode == "classic"
                        else "compute.boundary", t0, mpi.now(r), cat="exchange", tag=tag)
         f = np.asarray(local_fields[r], dtype=np.float64)
-        w = mesh.spheremp[part.rank_elements(r)].reshape(-1)
-        vals = f.reshape(len(w), -1) * w[:, None]
-        acc = np.zeros((len(uniq[r]),) + vals.shape[1:])
-        np.add.at(acc, np.searchsorted(uniq[r], gids[r]), vals)
-        accs.append(acc)
+        w = mesh.dss_weight[elems[r]].reshape(-1)
+        vals.append(f.reshape(len(w), -1) * w[:, None])
         for p in peers[r]:
-            payload = acc[np.searchsorted(uniq[r], shared[r, p])]
+            payload = vals[r][np.isin(gids[r], uniq[p])]
             t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
             t1 = mpi.now(r)
             mpi.compute(r, t_pack)
@@ -57,16 +58,23 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
                            cat="exchange", tag=tag)
     outs = []
     for r in range(nranks):
+        gid, row, val = [gids[r]], [rows[r]], [vals[r]]
         for p in peers[r]:
             data = mpi.wait(mpi.irecv(r, p, tag=tag))
-            accs[r][np.searchsorted(uniq[r], shared[r, p])] += data
+            sent = np.isin(gids[p], uniq[r])
+            gid.append(gids[p][sent])
+            row.append(rows[p][sent])
+            val.append(data)
             t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
             t2 = mpi.now(r)
             mpi.compute(r, t_unpack)
             memcpy += t_unpack
             tracer.span_at(rank_track(r), "unpack", t2, mpi.now(r), cat="exchange",
                            peer=p, tag=tag, nbytes=data.nbytes, copies=copies)
-        vals = (accs[r][np.searchsorted(uniq[r], gids[r])]
-                / mesh.assembled_spheremp[gids[r]][:, None])
-        outs.append(vals.reshape(np.shape(local_fields[r])))
+        order = np.argsort(np.concatenate(row))
+        acc = np.zeros((len(uniq[r]),) + vals[r].shape[1:])
+        np.add.at(acc, np.searchsorted(uniq[r], np.concatenate(gid)[order]),
+                  np.concatenate(val)[order])
+        outs.append(acc[np.searchsorted(uniq[r], gids[r])]
+                    .reshape(np.shape(local_fields[r])))
     return outs, memcpy

@@ -69,17 +69,8 @@ class TestSuite:
             assert b["seconds"] > 0
 
     def test_derived_speedups_present_with_floors(self, report):
-        # Every committed floor is either measured or explicitly skipped
-        # with a logged reason (e.g. the parallel section on small boxes).
-        skipped = report.get("skipped", {})
-        expected = {
-            name for name in SPEEDUP_FLOORS
-            if not any(name.startswith(g) for g in skipped)
-        }
-        assert expected <= set(report["derived"])
+        assert set(SPEEDUP_FLOORS) <= set(report["derived"])
         assert report["floors"] == SPEEDUP_FLOORS
-        for reason in skipped.values():
-            assert reason  # a skip always carries its reason
 
     def test_fused_entries_measured_and_gated(self, report):
         # Both paths are timed for all three wall groups; only the
@@ -121,35 +112,6 @@ class TestSuite:
         text = render_report(rep)
         assert "floor 0.00x" in text
         assert "floor 0.67x" in text
-
-
-class TestParallelSection:
-    """The parallel-vs-serial distributed section is core-count gated:
-    it must run (and emit its derived speedup) when the machine has
-    enough cores, and skip with a logged reason when it does not."""
-
-    def test_runs_with_enough_cores(self, monkeypatch):
-        monkeypatch.setattr("repro.parallel.available_cores", lambda: 4)
-        rep = run_suite(quick=True, repeats=1)
-        names = {b["name"]: b for b in rep["benchmarks"]}
-        assert "dist_sw_step.ne8.serial" in names
-        assert "dist_sw_step.ne8.parallel" in names
-        par = names["dist_sw_step.ne8.parallel"]
-        assert par["clock"] == "wall" and not par["meta"]["gated"]
-        if par["meta"]["pool_active"]:
-            # The speedup is measured (the >=1.3x floor is only policed
-            # on real 4-core machines via the committed baseline).
-            assert "dist_sw_step.ne8.parallel_speedup" in rep["derived"]
-        else:
-            assert "dist_sw_step.ne8.parallel_speedup" in rep["skipped"]
-
-    def test_skipped_on_small_machines(self, monkeypatch):
-        monkeypatch.setattr("repro.parallel.available_cores", lambda: 1)
-        rep = run_suite(quick=True, repeats=1)
-        names = [b["name"] for b in rep["benchmarks"]]
-        assert not any(n.startswith("dist_sw_step") for n in names)
-        assert "machine has 1" in rep["skipped"]["dist_sw_step.ne8"]
-        assert "dist_sw_step.ne8.parallel_speedup" not in rep["derived"]
 
 
 class TestCompare:
@@ -229,7 +191,7 @@ class TestCompare:
 
     def test_missing_baseline_entry_is_informational_both_ways(self, pinned):
         """A kernel not yet in BENCH_homme.json (or one the current run
-        skipped) must never raise or fail the gate — in either
+        no longer has) must never raise or fail the gate — in either
         direction, including derived entries with committed floors."""
         cur = json.loads(json.dumps(pinned))
         base = json.loads(json.dumps(pinned))
@@ -240,8 +202,7 @@ class TestCompare:
              "meta": {"gated": True}})
         cur["derived"]["dist_new.kernel.speedup"] = 9.0
         cur["floors"] = dict(cur.get("floors", {}), **{"dist_new.kernel.speedup": 1.5})
-        # Baseline holds a derived entry the current run did not measure
-        # (the skipped-parallel-section shape).
+        # Baseline holds a derived entry the current run did not measure.
         base["derived"]["retired.kernel.speedup"] = 2.0
         base["floors"] = dict(base.get("floors", {}), **{"retired.kernel.speedup": 1.5})
         ok, lines = compare_reports(cur, base)
@@ -252,13 +213,6 @@ class TestCompare:
         assert any(
             line.startswith("gone retired.kernel.speedup") for line in lines
         )
-
-    def test_skip_reasons_surface_in_comparison(self, pinned):
-        cur = json.loads(json.dumps(pinned))
-        cur["skipped"] = {"dist_sw_step.ne8": "needs 4 cores, machine has 1"}
-        ok, lines = compare_reports(cur, json.loads(json.dumps(pinned)))
-        assert ok
-        assert any(line.startswith("skip dist_sw_step.ne8") for line in lines)
 
 
 class TestCommittedBaseline:

@@ -44,10 +44,6 @@ needs_stable_rows = pytest.mark.skipif(
     reason="this BLAS build's GEMM rows depend on the row count, so a "
            "shard's kernels cannot return the whole mesh's bits")
 
-#: Tests first: these fail on the source as it stands and pass once the
-#: exchange and the mass fixer take the serial summation order.
-pending = pytest.mark.xfail(strict=True, reason="one summation order not in yet")
-
 _meshes: dict[int, CubedSphereMesh] = {}
 
 
@@ -57,7 +53,6 @@ def mesh_of(ne: int) -> CubedSphereMesh:
     return _meshes[ne]
 
 
-@pending
 @pytest.mark.parametrize("nranks", [1, 2, 4, 6, 16, 24])
 @pytest.mark.parametrize("ne", [2, 4, 8])
 def test_exchange_is_the_serial_dss_bitwise(ne, nranks):
@@ -120,7 +115,6 @@ def layouts(draw):
     return ne, nranks
 
 
-@pending
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3))
@@ -131,7 +125,6 @@ def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps):
         *serial_and_distributed("sw", ne, None, exec_path, nranks), steps)
 
 
-@pending
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3),  # the third step remaps
@@ -145,7 +138,6 @@ def test_prim_gathered_state_is_the_serial_models_bytes(exec_path, layout,
         *serial_and_distributed("prim", ne, shape, exec_path, nranks), steps)
 
 
-@pending
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 def test_one_element_single_level_shards(exec_path):

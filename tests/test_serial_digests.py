@@ -1,10 +1,13 @@
 """Serial trajectories pinned bit for bit.
 
-The distributed models have pinned digests in ``tests/test_halo_plan.py``;
-these are the serial twins, so a change to ``CubedSphereMesh.dss``,
+The distributed models are held to the serial ones byte for byte
+(``tests/test_halo_plan.py``, ``tests/test_layout_equality.py``), so
+these digests pin every model: a change to ``CubedSphereMesh.dss``,
 ``ElementGeometry.dss`` / ``dss_vector`` or a kernel set that moves one
 bit of a whole-mesh trajectory fails here.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,20 +18,25 @@ from repro.homme.shallow_water import ShallowWaterModel
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 
-from .test_halo_plan import PINNED_NUMPY, state_digest
-
 #: sha256 of the state after 3 steps at ne4 (the third step of the
 #: primitive equations runs ``vertical_remap``; shallow water runs with
 #: hyperviscosity on, so the 4-D vector DSS is covered), recorded with
-#: numpy 2.4.6 on the commit before the serial DSS moved onto the mesh
-#: assembly.  Kernel rounding is BLAS-build specific, so other numpy
+#: numpy 2.4.6.  Kernel rounding is BLAS-build specific, so other numpy
 #: builds skip.
+PINNED_NUMPY = "2.4.6"
 PINNED = {
     ("sw", "batched"): "28c7603b0d887fb23fd0c21e1c5b7b59a7f9a3fde2ae512155350eb0db234571",
     ("sw", "fused"): "2d1ec5c3304290a83f1d2a84fc28a3d019d2f3ca3b33f38419bdc7df1c7028c1",
-    ("prim", "batched"): "6e7980904743560e8d1bc39ac64a1f2c967a9e8b85695a7e53847fc201d72007",
-    ("prim", "fused"): "cbcb26d578d15a7c72f7268f15ad91bb049d06aed5a8d06409bf391f56285aca",
+    ("prim", "batched"): "967766c62ce995ae0cfd6669a538f289d604907c463456068cbf60b6fe1f72f2",
+    ("prim", "fused"): "164cfe3018d144721aef76cea96b787551368b7b736357c076b97ac35f9c9825",
 }
+
+
+def state_digest(state, names):
+    h = hashlib.sha256()
+    for name in names:
+        h.update(np.ascontiguousarray(getattr(state, name)).tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
-"""Tests for repro.utils: SimClock, Timer, tables, RunLog."""
+"""Tests for repro.utils: SimClock, tables, RunLog."""
 
 import pytest
 
-from repro.utils import SimClock, Timer, render_table, RunLog
+from repro.utils import SimClock, render_table, RunLog
 
 
 class TestSimClock:
@@ -32,31 +32,6 @@ class TestSimClock:
         c.advance(1.0)
         c.reset()
         assert c.now == 0.0
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        t = Timer("k")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.total >= 0.0
-        assert t.mean == pytest.approx(t.total / 2)
-
-    def test_double_start_rejected(self):
-        t = Timer("k")
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer("k").stop()
-
-    def test_mean_of_empty_is_zero(self):
-        assert Timer("k").mean == 0.0
 
 
 class TestRenderTable:
