@@ -85,6 +85,13 @@ class ExchangeReport:
         return max(self.rank_times) if self.rank_times else 0.0
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-empty 1-D array: plain ``np.unique``
+    without the ``numpy.ma`` import it costs a model's set-up."""
+    a = np.sort(a)
+    return a[np.r_[True, a[1:] != a[:-1]]]
+
+
 class HaloExchanger:
     """Distributed DSS over an SFC partition.
 
@@ -125,15 +132,13 @@ class HaloExchanger:
 
         # The ranks touching each gid, grouped by gid; a point is sent to
         # every one of them but its own.
-        touching = np.unique(rank * mesh.ngid + gid)
-        t_rank, t_gid = np.divmod(touching, mesh.ngid)
-        by_gid = np.argsort(t_gid, kind="stable")
+        t_gid, t_rank = np.divmod(_distinct(gid * nranks + rank), nranks)
         count = np.bincount(t_gid, minlength=mesh.ngid)
         first = np.cumsum(count) - count
         src, dst = [], []
         for j in range(int(count.max())):
             has = np.nonzero(count[gid] > j)[0]
-            to = t_rank[by_gid[first[gid[has]] + j]]
+            to = t_rank[first[gid[has]] + j]
             away = to != rank[has]
             src.append(has[away])
             dst.append(to[away])
@@ -169,7 +174,7 @@ class HaloExchanger:
         for (ab, lo, hi), (_, rlo, rhi) in zip(blocks(rank[src], dst),
                                                blocks(adst, rank[asrc])):
             a, b = divmod(ab, nranks)
-            self.shared_gids[(a, b)] = np.unique(gid[src[lo:hi]])
+            self.shared_gids[(a, b)] = _distinct(gid[src[lo:hi]])
             self.peers[a].append(b)
             self._messages[a].append(
                 (b, slice(lo, hi), slice(len(gid) + rlo, len(gid) + rhi)))
