@@ -13,26 +13,15 @@ Run:  python examples/katrina_lifecycle.py          (~5-10 minutes)
 
 import sys
 
-from repro.homme.rhs import PTOP
 from repro.katrina import KatrinaExperiment
 from repro.katrina.besttrack import KATRINA_BEST_TRACK
 from repro.utils.tables import render_table
-from repro.utils.viz import ascii_map
 
 
 def main(quick: bool = False) -> None:
     hours = 3.0 if quick else 8.0
     exp = KatrinaExperiment(coarse_ne=4, fine_ne=12, hours=hours)
 
-    # Show the planted storm before running (the Figure 9b structure).
-    model, tracker = exp._build_member(exp.fine_ne)
-    ps = model.state.ps(PTOP)
-    print(ascii_map(
-        model.mesh, -ps, nlat=20, nlon=64,
-        title="Initial surface-pressure depression (darker = higher ps)",
-        marker=(exp.params.center_lat_deg, exp.params.center_lon_deg),
-    ))
-    print()
     print(f"Running twin members for {hours:.0f} simulated hours "
           f"(reduced-radius sphere, X={exp.x:.0f}) ...")
     results = exp.run()

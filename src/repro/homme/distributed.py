@@ -57,7 +57,7 @@ from . import remap
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry, levels_first, levels_last
 from .euler import restoring_scale, sum_elements
-from .hypervis import nu_for_mesh
+from .hypervis import hypervis_stable_subcycles, nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
 from .timestep import RSPLIT
 
@@ -522,6 +522,9 @@ class DistributedPrimitiveEquations(_DistributedModel):
             for e in self.hx.rank_elems
         ]
         self.nu = nu_for_mesh(mesh)
+        #: Hyperviscosity sweeps per step — the serial model's stability rule.
+        self._hv_subcycles = hypervis_stable_subcycles(
+            dt, self.nu, cfg.ne, mesh.radius)
 
     # -- distributed DSS over level-carrying fields --------------------------------
 
@@ -574,16 +577,37 @@ class DistributedPrimitiveEquations(_DistributedModel):
             out.append(s)
         return out
 
-    def _hypervis_pipelined(self, s3):
-        """Per-field depth-2 software pipeline for hyperviscosity.
+    def _hypervis_sweep(self, s3, slot0):
+        """The biharmonic of T, v and dp3d: two laplacian rounds.
+
+        Each round is one pool dispatch computing all three field
+        laplacians per rank; the DSS rounds between them stay on the
+        driver.  (Values are unchanged from the per-field form — each
+        field's laplacian/DSS chain is independent.)
+        """
+        lap = self._fanout(prim_laplace_task, {},
+                           [(s.T, s.v, s.dp3d) for s in s3])
+        lap_T = self._dss_levels([o[0] for o in lap], stage=5, slot=slot0)
+        lap_v = self._dss_vector_levels([o[1] for o in lap], stage=5, slot=slot0 + 1)
+        lap_dp = self._dss_levels([o[2] for o in lap], stage=5, slot=slot0 + 2)
+        bih = self._fanout(prim_laplace_task, {},
+                           list(zip(lap_T, lap_v, lap_dp)))
+        bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=slot0 + 3)
+        bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=slot0 + 4)
+        bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=slot0 + 5)
+        return bih_T, bih_v, bih_dp
+
+    def _hypervis_pipelined(self, s3, slot0):
+        """Per-field depth-2 software pipeline for one hyperviscosity sweep.
 
         Splits the fused three-field laplacian dispatch into six
         per-field batches so the driver's DSS of one field overlaps
         worker compute of the next, never holding more than two batches
         in flight (the engine's two shared-memory banks).  The DSS
-        calls execute in the same slot order 0..5 as the synchronous
-        form and each field's laplacian/DSS chain is independent, so
-        the values and the simulated clocks are bitwise unchanged.
+        calls execute in the same slot order ``slot0 + 0..5`` as the
+        synchronous form and each field's laplacian/DSS chain is
+        independent, so the values and the simulated clocks are bitwise
+        unchanged.
         """
         def submit(task, fields):
             return self.engine.submit(
@@ -594,16 +618,16 @@ class DistributedPrimitiveEquations(_DistributedModel):
 
         p_lapT = submit(prim_laplace_wk_task, [s.T for s in s3])
         p_lapv = submit(prim_vlaplace_task, [s.v for s in s3])
-        lap_T = self._dss_levels(outs(p_lapT), stage=5, slot=0)
+        lap_T = self._dss_levels(outs(p_lapT), stage=5, slot=slot0)
         p_lapdp = submit(prim_laplace_wk_task, [s.dp3d for s in s3])
-        lap_v = self._dss_vector_levels(outs(p_lapv), stage=5, slot=1)
+        lap_v = self._dss_vector_levels(outs(p_lapv), stage=5, slot=slot0 + 1)
         p_bihT = submit(prim_laplace_wk_task, lap_T)
-        lap_dp = self._dss_levels(outs(p_lapdp), stage=5, slot=2)
+        lap_dp = self._dss_levels(outs(p_lapdp), stage=5, slot=slot0 + 2)
         p_bihv = submit(prim_vlaplace_task, lap_v)
-        bih_T = self._dss_levels(outs(p_bihT), stage=5, slot=3)
+        bih_T = self._dss_levels(outs(p_bihT), stage=5, slot=slot0 + 3)
         p_bihdp = submit(prim_laplace_wk_task, lap_dp)
-        bih_v = self._dss_vector_levels(outs(p_bihv), stage=5, slot=4)
-        bih_dp = self._dss_levels(outs(p_bihdp), stage=5, slot=5)
+        bih_v = self._dss_vector_levels(outs(p_bihv), stage=5, slot=slot0 + 4)
+        bih_dp = self._dss_levels(outs(p_bihdp), stage=5, slot=slot0 + 5)
         return bih_T, bih_v, bih_dp
 
     def step(self) -> None:
@@ -639,29 +663,17 @@ class DistributedPrimitiveEquations(_DistributedModel):
                     s3[r].qdp[:, q] = limited[r]
         self._rank_spans("euler_step", euler_t0s, step=self.step_count)
 
-        # Hyperviscosity (single subcycle configuration assumed small dt).
-        # Each biharmonic round is one pool dispatch computing all three
-        # field laplacians per rank; the DSS rounds between them stay on
-        # the driver.  (Values are unchanged from the per-field form —
-        # each field's laplacian/DSS chain is independent.)
+        # Hyperviscosity, subcycled like the serial advance_hypervis.
         hv_t0s = self._clocks()
-        if self._pipelined:
-            bih_T, bih_v, bih_dp = self._hypervis_pipelined(s3)
-        else:
-            lap = self._fanout(prim_laplace_task, {},
-                               [(s.T, s.v, s.dp3d) for s in s3])
-            lap_T = self._dss_levels([o[0] for o in lap], stage=5, slot=0)
-            lap_v = self._dss_vector_levels([o[1] for o in lap], stage=5, slot=1)
-            lap_dp = self._dss_levels([o[2] for o in lap], stage=5, slot=2)
-            bih = self._fanout(prim_laplace_task, {},
-                               list(zip(lap_T, lap_v, lap_dp)))
-            bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=3)
-            bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=4)
-            bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=5)
-        for r in range(self.nranks):
-            s3[r].T = s3[r].T - dt * self.nu * bih_T[r]
-            s3[r].v = s3[r].v - dt * self.nu * bih_v[r]
-            s3[r].dp3d = s3[r].dp3d - dt * self.nu * bih_dp[r]
+        sweep = (self._hypervis_pipelined if self._pipelined
+                 else self._hypervis_sweep)
+        sub_dt = dt / self._hv_subcycles
+        for slot0 in range(0, 6 * self._hv_subcycles, 6):
+            bih_T, bih_v, bih_dp = sweep(s3, slot0)
+            for r in range(self.nranks):
+                s3[r].T = s3[r].T - sub_dt * self.nu * bih_T[r]
+                s3[r].v = s3[r].v - sub_dt * self.nu * bih_v[r]
+                s3[r].dp3d = s3[r].dp3d - sub_dt * self.nu * bih_dp[r]
         self._rank_spans("hypervis", hv_t0s, step=self.step_count)
 
         self.step_count += 1

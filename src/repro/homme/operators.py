@@ -34,20 +34,6 @@ from .element import ElementGeometry
 from .tensors import OperatorTensors
 
 
-def _bshape(geom_arr: np.ndarray, scalar_ref: np.ndarray) -> np.ndarray:
-    """Broadcast a geometry array against a scalar field.
-
-    ``geom_arr`` is (E, np, np) or (E, np, np, 2, 2); ``scalar_ref`` is a
-    scalar-shaped field (E, ..., np, np).  Middle axes (levels, tracers)
-    are inserted after E so numpy broadcasting lines up.
-    """
-    extra = scalar_ref.ndim - 3
-    if extra <= 0:
-        return geom_arr
-    shape = (geom_arr.shape[0],) + (1,) * extra + geom_arr.shape[1:]
-    return geom_arr.reshape(shape)
-
-
 def _t(geom: ElementGeometry, tensors: OperatorTensors | None) -> OperatorTensors:
     return tensors if tensors is not None else geom.tensors
 

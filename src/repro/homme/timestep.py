@@ -27,7 +27,6 @@ from ..config import ModelConfig
 from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..obs.tracer import NULL_TRACER
-from ..utils.logging import RunLog
 from .element import ElementGeometry, ElementState
 from .euler import euler_step_subcycled
 from .hypervis import advance_hypervis, nu_for_mesh
@@ -105,7 +104,6 @@ class PrimitiveEquationModel:
         self.t = 0.0
         self.step_count = 0
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.log = RunLog("prim_run")
         # Imported lazily: backends.functional_exec imports repro.homme.
         from ..backends.functional_exec import homme_execution
 

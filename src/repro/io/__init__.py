@@ -3,25 +3,21 @@
 CAM's timing includes I/O ("Results reported on basis of: whole
 application with I/O"); on TaihuLight the daily history write is a
 serialized gather through rank 0 — the resolution-proportional term in
-the whole-CAM performance model.  This subpackage makes that concrete:
+the whole-CAM performance model (:mod:`repro.perf.scaling`).  Here:
 
 - :mod:`~repro.io.history` — a self-describing binary history format
   (header + named float64 records), written from gathered model state
   and readable back for analysis;
-- :mod:`~repro.io.gather` — the gather cost model over SimMPI (the
-  serialized funnel that caps I/O throughput).
+- :mod:`~repro.io.restart` — bit-exact model restart files on it.
 """
 
 from .history import HistoryWriter, HistoryReader, HistoryRecord
-from .gather import gather_field, gather_cost_seconds
 from .restart import save_restart, load_restart
 
 __all__ = [
     "HistoryWriter",
     "HistoryReader",
     "HistoryRecord",
-    "gather_field",
-    "gather_cost_seconds",
     "save_restart",
     "load_restart",
 ]

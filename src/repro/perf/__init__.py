@@ -1,24 +1,16 @@
-"""Performance models: flop counting, SYPD, and the scaling models.
+"""Performance models: SYPD and the scaling models.
 
-- :mod:`~repro.perf.flops` — the paper's three flop-counting methods
-  (static/assembly, PERF hardware counters, PAPI-on-Intel) and their
-  cross-check;
 - :mod:`~repro.perf.sypd` — simulated-years-per-day arithmetic;
 - :mod:`~repro.perf.scaling` — the HOMME step-time model over real
   partitions (Figures 7/8) and the whole-CAM model (Figure 6);
 - :mod:`~repro.perf.report` — paper-vs-measured comparison records.
 """
 
-from .flops import FlopCount, count_static, count_perf, count_papi_intel
 from .sypd import sypd_from_step_time, step_time_for_sypd
 from .scaling import HommePerfModel, CAMPerfModel
 from .report import ExperimentRecord, ComparisonTable
 
 __all__ = [
-    "FlopCount",
-    "count_static",
-    "count_perf",
-    "count_papi_intel",
     "sypd_from_step_time",
     "step_time_for_sypd",
     "HommePerfModel",

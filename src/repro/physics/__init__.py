@@ -11,8 +11,7 @@ communication inside physics):
 - :mod:`~repro.physics.kessler` — Kessler warm-rain microphysics;
 - :mod:`~repro.physics.radiation` — grey-gas two-stream longwave
   radiation (Frierson-style);
-- :mod:`~repro.physics.pbl` — bulk surface fluxes + boundary-layer
-  diffusion;
+- :mod:`~repro.physics.pbl` — the bulk surface exchange coefficients;
 - :mod:`~repro.physics.simple_physics` — the Reed--Jablonowski (2012)
   simplified moist physics (surface drag/fluxes + large-scale
   condensation), the standard package for idealized tropical-cyclone

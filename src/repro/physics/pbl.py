@@ -1,107 +1,21 @@
-"""Bulk surface fluxes and boundary-layer vertical diffusion.
-
-The Reed--Jablonowski (2012) simplified boundary layer: bulk
-aerodynamic surface fluxes of momentum, heat, and moisture with
-wind-speed-dependent exchange coefficients, plus implicit vertical
-diffusion through a prescribed K profile decaying above the boundary
-layer top.  The implicit (backward Euler) tridiagonal solve keeps long
-physics steps stable — the same reason CAM's own PBL is implicit.
+"""Bulk surface exchange coefficients of the Reed--Jablonowski (2012)
+simplified boundary layer: wind-speed-dependent momentum drag and the
+constant heat/moisture coefficient.
+:class:`~repro.physics.simple_physics.SimplePhysics` applies them
+(implicitly, so long physics steps stay stable).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import constants as C
-
 #: Exchange coefficient pieces (RJ2012).
 CD0 = 7.0e-4
 CD1 = 6.5e-5
 CD_MAX = 2.0e-3
 CE = 1.1e-3  # heat/moisture exchange coefficient
-#: Boundary-layer top pressure [Pa] and decay scale for K above it.
-P_PBL_TOP = 85000.0
-P_PBL_STRATO = 10000.0
 
 
 def drag_coefficient(wind_speed: np.ndarray) -> np.ndarray:
     """Wind-dependent surface drag Cd = min(Cd0 + Cd1 |v|, Cd_max)."""
     return np.minimum(CD0 + CD1 * wind_speed, CD_MAX)
-
-
-def eddy_diffusivity(p: np.ndarray, wind_lowest: np.ndarray) -> np.ndarray:
-    """K profile [m^2/s]: Ce |v| scale in the PBL, decaying above.
-
-    ``p`` is midlevel pressure (E, L, n, n); ``wind_lowest`` (E, n, n).
-    """
-    k_pbl = CE * wind_lowest * 1.0e3  # scale height ~1 km folded in
-    shape = np.ones_like(p)
-    above = p < P_PBL_TOP
-    decay = np.exp(-(((P_PBL_TOP - p) / P_PBL_STRATO) ** 2))
-    shape = np.where(above, decay, shape)
-    return k_pbl[:, None] * shape
-
-
-def implicit_diffusion(
-    x: np.ndarray, K: np.ndarray, dz: np.ndarray, dt: float
-) -> np.ndarray:
-    """Backward-Euler vertical diffusion d x/dt = d/dz (K d x/dz).
-
-    ``x``, ``K``, ``dz`` have levels on axis 1 (E, L, n, n); zero-flux
-    boundaries top and bottom (surface fluxes are applied separately).
-    Solves the tridiagonal system per column with the Thomas algorithm,
-    vectorized over columns.
-    """
-    E, L = x.shape[0], x.shape[1]
-    # Interface diffusivity (L-1 interior interfaces).
-    K_int = 0.5 * (K[:, 1:] + K[:, :-1])
-    dz_int = 0.5 * (dz[:, 1:] + dz[:, :-1])
-    lam = dt * K_int / (dz_int * 0.5 * (dz[:, 1:] + dz[:, :-1]))
-
-    a = np.zeros_like(x)          # sub-diagonal (couples k with k-1)
-    c = np.zeros_like(x)          # super-diagonal (couples k with k+1)
-    a[:, 1:] = -lam
-    c[:, :-1] = -lam
-    b = 1.0 - a - c               # diagonal
-
-    # Thomas algorithm along axis 1.
-    cp = np.zeros_like(x)
-    dp_ = np.zeros_like(x)
-    cp[:, 0] = c[:, 0] / b[:, 0]
-    dp_[:, 0] = x[:, 0] / b[:, 0]
-    for k in range(1, L):
-        denom = b[:, k] - a[:, k] * cp[:, k - 1]
-        cp[:, k] = c[:, k] / denom
-        dp_[:, k] = (x[:, k] - a[:, k] * dp_[:, k - 1]) / denom
-    out = np.empty_like(x)
-    out[:, -1] = dp_[:, -1]
-    for k in range(L - 2, -1, -1):
-        out[:, k] = dp_[:, k] - cp[:, k] * out[:, k + 1]
-    return out
-
-
-def surface_fluxes(
-    T: np.ndarray,
-    qv: np.ndarray,
-    v: np.ndarray,
-    speed: np.ndarray,
-    Ts: np.ndarray,
-    qs_sat: np.ndarray,
-    dp_lowest: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Implicit bulk surface-flux updates for the lowest model level.
-
-    Returns updated (T_low, qv_low, v_low_scale): temperature and
-    moisture relax toward (Ts, qs_sat); momentum decays by drag.  The
-    tendency scale is Cd |v| g / dp (flux divided by layer mass).
-    """
-    rho_fac = C.GRAVITY / dp_lowest  # converts kg m^-2 s^-1 flux to 1/s rate
-    cd = drag_coefficient(speed)
-    k_m = cd * speed * rho_fac * C.P0 / (C.R_DRY * 300.0)  # bulk momentum rate
-    k_e = CE * speed * rho_fac * C.P0 / (C.R_DRY * 300.0)
-
-    T_new = (T + dt * k_e * Ts) / (1.0 + dt * k_e)
-    q_new = (qv + dt * k_e * qs_sat) / (1.0 + dt * k_e)
-    v_scale = 1.0 / (1.0 + dt * k_m)
-    return T_new, q_new, v_scale

@@ -4,8 +4,7 @@ The paper counts double-precision flops three ways (Section 8.1.1):
 manual assembly counting, the Sunway PERF hardware monitor, and PAPI on
 an Intel run of the same code.  :class:`PerfCounters` plays the role of
 PERF: retired DP-flop and DMA-byte counters that kernels increment and
-experiments read.  :mod:`repro.perf.flops` implements the other two
-methods so the three can be cross-checked like the paper does.
+experiments read.
 """
 
 from __future__ import annotations

@@ -18,21 +18,11 @@ implement the patterns the paper builds on top.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import RegCommError
 from .spec import SW26010Spec, DEFAULT_SPEC
-
-
-@dataclass
-class RegMessage:
-    """One in-flight register payload."""
-
-    src: tuple[int, int]
-    dst: tuple[int, int]
-    payload: np.ndarray
 
 
 class CPEMeshComm:

@@ -173,6 +173,32 @@ class TestDistributedPrimitiveEquations:
         for f in ("T", "dp3d", "v", "qdp"):
             assert np.array_equal(getattr(g, f), getattr(serial.state, f)), f
 
+    @pytest.mark.parametrize("path", ["fused", "batched"])
+    def test_subcycled_hyperviscosity_matches_serial(self, setup, path):
+        """A ``dt`` past the explicit biharmonic limit makes the serial
+        ``advance_hypervis`` take two half-``dt`` sweeps; the distributed
+        step takes the same two (one full-``dt`` sweep left T off by
+        1.69 K and dp3d by 721 Pa, both finite), on a pool as in-process."""
+        from repro.homme.hypervis import hypervis_stable_subcycles
+        from repro.homme.timestep import PrimitiveEquationModel
+
+        cfg, mesh, state = setup
+        dt = 20000.0
+        serial = PrimitiveEquationModel(cfg, mesh=mesh, init=state.copy(),
+                                        dt=dt, exec_path=path)
+        assert hypervis_stable_subcycles(
+            dt, serial.nu, cfg.ne, mesh.radius) == 2
+        serial.step()
+        for pool in ({}, {"workers": 2, "pipeline": True}):
+            with DistributedPrimitiveEquations(
+                    cfg, mesh, state.copy(), nranks=3, dt=dt, exec_path=path,
+                    **pool) as dist:
+                dist.step()
+                g = dist.gather_state()
+            for f in ("T", "dp3d", "v", "qdp"):
+                assert (getattr(g, f).tobytes()
+                        == getattr(serial.state, f).tobytes()), (f, pool)
+
     def test_rank_invariance(self, setup):
         cfg, mesh, state = setup
         a = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=2, dt=600.0)

@@ -1,17 +1,9 @@
-"""Tests for the history format and the serialized gather."""
+"""Tests for the history format and restart files."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SimMPIError
-from repro.io import (
-    HistoryReader,
-    HistoryWriter,
-    gather_cost_seconds,
-    gather_field,
-)
-from repro.mesh import SFCPartition
-from repro.network import SimMPI
+from repro.io import HistoryReader, HistoryWriter
 
 
 class TestHistoryFormat:
@@ -58,40 +50,6 @@ class TestHistoryFormat:
         w.write("scalar", 1.0, np.array(42.0))
         rec = HistoryReader(path).record("scalar")
         assert rec.data == pytest.approx(42.0)
-
-
-class TestGather:
-    def test_functional_gather_reassembles(self):
-        part = SFCPartition(4, 6)
-        mpi = SimMPI(6)
-        rng = np.random.default_rng(1)
-        global_field = rng.standard_normal((96, 4, 4))
-        locals_ = [global_field[part.rank_elements(r)] for r in range(6)]
-        out = gather_field(mpi, part, locals_)
-        assert np.array_equal(out, global_field)
-
-    def test_gather_advances_root_clock(self):
-        part = SFCPartition(4, 4)
-        mpi = SimMPI(4)
-        locals_ = [np.ones((len(part.rank_elements(r)), 4, 4)) for r in range(4)]
-        gather_field(mpi, part, locals_)
-        assert mpi.now(0) > 0.0
-
-    def test_wrong_rank_count_rejected(self):
-        part = SFCPartition(4, 4)
-        with pytest.raises(SimMPIError):
-            gather_field(SimMPI(4), part, [np.ones((1, 4, 4))])
-
-    def test_cost_scales_with_bytes_and_ranks(self):
-        c1 = gather_cost_seconds(1e9, 1000)
-        c2 = gather_cost_seconds(2e9, 1000)
-        c3 = gather_cost_seconds(1e9, 100000)
-        assert c2 > c1
-        assert c3 > c1
-
-    def test_cost_validation(self):
-        with pytest.raises(ValueError):
-            gather_cost_seconds(-1, 10)
 
 
 class TestRestart:

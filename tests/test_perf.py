@@ -1,16 +1,8 @@
-"""Tests for flop counting, SYPD math, and the scaling models."""
+"""Tests for SYPD math and the scaling models."""
 
 import pytest
 
-from repro.backends import table1_workloads
 from repro.errors import ConfigurationError
-from repro.perf.flops import (
-    FlopCount,
-    count_papi_intel,
-    count_perf,
-    count_static,
-    cross_check,
-)
 from repro.perf.report import ComparisonTable, ExperimentRecord
 from repro.perf.scaling import CAMPerfModel, HommePerfModel, halo_stats
 from repro.perf.sypd import (
@@ -18,35 +10,6 @@ from repro.perf.sypd import (
     sypd_from_day_time,
     sypd_from_step_time,
 )
-from repro.sunway.perf import PerfCounters
-
-
-class TestFlops:
-    def test_static_sums_workloads(self):
-        wls = table1_workloads()
-        c = count_static(wls)
-        assert c.flops == sum(w.flops for w in wls.values())
-
-    def test_perf_reads_counters(self):
-        assert count_perf(PerfCounters(dp_flops=42)).flops == 42
-
-    def test_papi_reads_higher(self):
-        wls = table1_workloads()
-        assert count_papi_intel(wls).flops > count_static(wls).flops
-
-    def test_cross_check_paper_conclusion(self):
-        wls = table1_workloads()
-        static = count_static(wls)
-        perf = FlopCount("perf", static.flops * 1.001)
-        papi = count_papi_intel(wls)
-        res = cross_check(static, perf, papi)
-        assert res["static_matches_perf"]
-        assert res["papi_reads_higher"]
-        assert res["adopted_method"] == "perf"
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FlopCount("x", -1.0)
 
 
 class TestSypd:

@@ -18,7 +18,7 @@ from repro.physics.kessler import (
     saturation_mixing_ratio,
     saturation_vapor_pressure,
 )
-from repro.physics.pbl import drag_coefficient, implicit_diffusion
+from repro.physics.pbl import drag_coefficient
 from repro.physics.radiation import (
     grey_lw_fluxes,
     radiative_heating,
@@ -188,23 +188,6 @@ class TestPBL:
     def test_drag_coefficient_caps(self):
         assert drag_coefficient(np.array([0.0]))[0] == pytest.approx(7e-4)
         assert drag_coefficient(np.array([100.0]))[0] == pytest.approx(2e-3)
-
-    def test_implicit_diffusion_conserves_mean(self):
-        rng = np.random.default_rng(1)
-        x = rng.random((5, 12, 2, 2))
-        K = np.full_like(x, 10.0)
-        dz = np.full_like(x, 500.0)
-        out = implicit_diffusion(x, K, dz, dt=600.0)
-        assert np.allclose(out.mean(axis=1), x.mean(axis=1), rtol=1e-10)
-
-    def test_implicit_diffusion_smooths(self):
-        x = np.zeros((1, 16, 1, 1))
-        x[0, 8] = 1.0
-        K = np.full_like(x, 50.0)
-        dz = np.full_like(x, 300.0)
-        out = implicit_diffusion(x, K, dz, dt=3600.0)
-        assert out.max() < 1.0
-        assert out[0, 7] > 0 and out[0, 9] > 0
 
 
 class TestSimplePhysics:
