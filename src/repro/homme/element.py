@@ -38,6 +38,16 @@ def levels_first(f: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(f.reshape((E, n, m, L) + tuple(shape[4:])), 3, 1)
 
 
+def _component_planes(packed: np.ndarray) -> np.ndarray:
+    """(E, n, n, a, b) -> contiguous (a, b, E, n, n) component planes."""
+    return np.ascontiguousarray(np.moveaxis(packed, (-2, -1), (0, 1)))
+
+
+def _split(f: np.ndarray) -> list[np.ndarray]:
+    """The trailing-axis components of ``f`` gathered into contiguous planes."""
+    return [np.ascontiguousarray(f[..., c]) for c in range(f.shape[-1])]
+
+
 class ElementGeometry:
     """Per-element geometric data for a set of elements (a rank's subdomain).
 
@@ -57,19 +67,44 @@ class ElementGeometry:
         self.np = mesh.np
         self.metdet = mesh.metdet[sel]
         self.met = mesh.met[sel]
-        self.metinv = mesh.metinv[sel]
+        #: ``metinv_planes[i, k]`` is the contiguous (nelem, np, np) plane
+        #: of g^ik; :attr:`metinv` is the packed view of the same memory.
+        self.metinv_planes = _component_planes(mesh.metinv[sel])
         self.spheremp = mesh.spheremp[sel]
         self.lat = mesh.lat[sel]
         self.lon = mesh.lon[sel]
         self.D = mesh.deriv
         self.jac = mesh.jac_ref
         self.radius = mesh.radius
-        self.e_cov = mesh.e_cov[sel]
+        #: ``e_cov_planes[j, i]``: Cartesian component j of e_i, likewise.
+        self.e_cov_planes = _component_planes(mesh.e_cov[sel])
         #: Coriolis parameter f = 2 Omega sin(lat), shape (nelem, np, np);
         #: Omega follows the mesh (scaled on reduced-radius spheres).
         omega = getattr(mesh, "omega", C.EARTH_OMEGA)
         self.fcor = 2.0 * omega * np.sin(self.lat)
         self._tensors: tensors_mod.OperatorTensors | None = None
+
+    @property
+    def metinv(self) -> np.ndarray:
+        """Inverse metric (nelem, np, np, 2, 2): a view of :attr:`metinv_planes`.
+
+        Writing through it mutates the planes the Cartesian transforms
+        read, so those can never be stale.
+        """
+        return np.moveaxis(self.metinv_planes, (0, 1), (-2, -1))
+
+    @metinv.setter
+    def metinv(self, packed: np.ndarray) -> None:
+        self.metinv_planes = _component_planes(packed)
+
+    @property
+    def e_cov(self) -> np.ndarray:
+        """Covariant basis (nelem, np, np, 3, 2): a view of :attr:`e_cov_planes`."""
+        return np.moveaxis(self.e_cov_planes, (0, 1), (-2, -1))
+
+    @e_cov.setter
+    def e_cov(self, packed: np.ndarray) -> None:
+        self.e_cov_planes = _component_planes(packed)
 
     # -- memoized operator tensors (batched hot path) --------------------------
 
@@ -115,33 +150,44 @@ class ElementGeometry:
     def to_cartesian(self, v: np.ndarray) -> np.ndarray:
         """Contravariant (E, [L,] np, np, 2) -> Cartesian tangent (..., 3) vectors.
 
-        ``w = radius (v^1 e_1 + v^2 e_2)`` as broadcast multiply-adds
-        summed from +0.0 (an all ``-0.0`` sum comes out ``+0.0``).
+        ``w = radius (v^1 e_1 + v^2 e_2)`` on contiguous component
+        planes, each summed from +0.0 (an all ``-0.0`` sum comes out
+        ``+0.0``) in the one operation order the trajectories pin.
         """
-        e_cov = self.e_cov[:, None] if v.ndim == 5 else self.e_cov
-        w = e_cov[..., 0] * v[..., 0:1]
-        w += 0.0
-        w += e_cov[..., 1] * v[..., 1:2]
-        w *= self.radius
+        e = self.e_cov_planes[:, :, :, None] if v.ndim == 5 else self.e_cov_planes
+        v0, v1 = _split(v)
+        w = np.empty(v.shape[:-1] + (3,))
+        for j in range(3):
+            wj = e[j, 0] * v0
+            wj += 0.0
+            wj += e[j, 1] * v1
+            np.multiply(wj, self.radius, out=w[..., j])
         return w
 
     def from_cartesian(self, w: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_cartesian`: ``v^i = metinv^{ij} radius (e_j . w)``.
 
-        C-contiguous whatever ``w``'s layout (bitwise restart depends on it).
+        Same planes, same fixed order; C-contiguous whatever ``w``'s
+        layout (bitwise restart depends on it).
         """
-        e_cov, metinv = self.e_cov, self.metinv
+        e, metinv = self.e_cov_planes, self.metinv_planes
         if w.ndim == 5:
-            e_cov, metinv = e_cov[:, None], metinv[:, None]
-        cov = e_cov[..., 0, :] * w[..., 0:1]
-        cov += 0.0
-        cov += e_cov[..., 1, :] * w[..., 1:2]
-        cov += e_cov[..., 2, :] * w[..., 2:3]
-        cov *= self.radius
-        v = metinv[..., 0] * cov[..., 0:1]
-        v += 0.0
-        v += metinv[..., 1] * cov[..., 1:2]
-        return np.ascontiguousarray(v)
+            e, metinv = e[:, :, :, None], metinv[:, :, :, None]
+        w0, w1, w2 = _split(w)
+        cov = []
+        for i in range(2):
+            c = e[0, i] * w0
+            c += 0.0
+            c += e[1, i] * w1
+            c += e[2, i] * w2
+            c *= self.radius
+            cov.append(c)
+        v = np.empty(w.shape[:-1] + (2,))
+        for k in range(2):
+            vk = metinv[k, 0] * cov[0]
+            vk += 0.0
+            np.add(vk, metinv[k, 1] * cov[1], out=v[..., k])
+        return v
 
     def dss_vector(self, v: np.ndarray) -> np.ndarray:
         """DSS a **contravariant vector** field (E, [L,] np, np, 2).

@@ -21,6 +21,57 @@ from .element import ElementState
 from .rhs import PTOP
 
 
+def _a6(a, aL, aR):
+    """Curvature coefficient 6 (a - (aL + aR) / 2) of the PPM parabola."""
+    a6 = aL + aR
+    a6 *= 0.5
+    np.subtract(a, a6, out=a6)
+    a6 *= 6.0
+    return a6
+
+
+def _edge_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ppm_edge_values` with layers on the **first** axis.
+
+    Levels-first, every slice below is a run of whole contiguous levels,
+    so each pass is one long inner loop over all columns instead of one
+    L-element loop per column.
+    """
+    L = len(a)
+    if L < 2:
+        raise KernelError("PPM needs at least 2 layers")
+    # [a_0, the L - 1 interface estimates a_{k+1/2}, a_{L-1}]: before
+    # limiting, aL and aR are this block without its last / first level.
+    edges = np.empty((L + 1,) + a.shape[1:])
+    edges[0], edges[-1] = a[0], a[-1]
+    iface = edges[1:-1]
+    if L >= 4:
+        inner = a[1:-2] + a[2:-1]
+        inner *= 7.0
+        inner -= a[3:] + a[:-3]
+        np.divide(inner, 12.0, out=iface[1:-1])
+        iface[0] = 0.5 * (a[0] + a[1])
+        iface[-1] = 0.5 * (a[-2] + a[-1])
+    else:
+        np.multiply(0.5, a[:-1] + a[1:], out=iface)
+    # Clamp interface values between adjacent cell means (monotone edges).
+    np.clip(iface, np.minimum(a[:-1], a[1:]), np.maximum(a[:-1], a[1:]), out=iface)
+    aL, aR = edges[:-1], edges[1:]
+
+    # Colella-Woodward limiter: local extrema become piecewise constant;
+    # overshooting parabolas are reset on one side.
+    extrema = (aR - a) * (a - aL) <= 0.0
+    aL = np.where(extrema, a, aL)
+    aR = np.where(extrema, a, aR)
+    da = aR - aL
+    da_a6 = da * _a6(a, aL, aR)
+    da2 = np.multiply(da, da, out=da)
+    a3 = 3.0 * a
+    aL = np.where(da_a6 > da2, a3 - 2.0 * aR, aL)
+    aR = np.where(da_a6 < -da2, a3 - 2.0 * aL, aR)
+    return aL, aR
+
+
 def ppm_edge_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monotone-limited PPM edge values aL, aR per cell.
 
@@ -29,46 +80,78 @@ def ppm_edge_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     between remaps), clamped to the neighbouring cell means to keep the
     reconstruction monotone.
     """
-    L = a.shape[-1]
-    if L < 2:
-        raise KernelError("PPM needs at least 2 layers")
-    # Interface estimates a_{k+1/2} for k = 0..L-2 (between cells k, k+1).
-    if L >= 4:
-        inner = (7.0 * (a[..., 1:-2] + a[..., 2:-1]) - (a[..., 3:] + a[..., :-3])) / 12.0
-        first = 0.5 * (a[..., 0] + a[..., 1])
-        last = 0.5 * (a[..., -2] + a[..., -1])
-        iface = np.concatenate(
-            [first[..., None], inner, last[..., None]], axis=-1
-        )
-    else:
-        iface = 0.5 * (a[..., :-1] + a[..., 1:])
-    # Clamp interface values between adjacent cell means (monotone edges).
-    lo = np.minimum(a[..., :-1], a[..., 1:])
-    hi = np.maximum(a[..., :-1], a[..., 1:])
-    iface = np.clip(iface, lo, hi)
-
-    aL = np.concatenate([a[..., :1], iface], axis=-1)
-    aR = np.concatenate([iface, a[..., -1:]], axis=-1)
-
-    # Colella-Woodward limiter: local extrema become piecewise constant;
-    # overshooting parabolas are reset on one side.
-    da = aR - aL
-    a6 = 6.0 * (a - 0.5 * (aL + aR))
-    extrema = (aR - a) * (a - aL) <= 0.0
-    aL = np.where(extrema, a, aL)
-    aR = np.where(extrema, a, aR)
-    da = aR - aL
-    a6 = 6.0 * (a - 0.5 * (aL + aR))
-    overshoot_l = da * a6 > da * da
-    aL = np.where(overshoot_l, 3.0 * a - 2.0 * aR, aL)
-    overshoot_r = da * a6 < -da * da
-    aR = np.where(overshoot_r, 3.0 * a - 2.0 * aL, aR)
-    return aL, aR
+    aL, aR = _edge_values(np.moveaxis(np.asarray(a), -1, 0))
+    return np.moveaxis(aL, 0, -1), np.moveaxis(aR, 0, -1)
 
 
-def _partial_integral(aL, da, a6, xi):
-    """Integral of the PPM parabola over cell fraction [0, xi]."""
-    return aL * xi + 0.5 * (da + a6) * xi**2 - a6 * xi**3 / 3.0
+class RemapPlan:
+    """Where every target interface of a column set lies in its source grid.
+
+    Everything about a remap that does not depend on the field: the
+    thickness and column-mass checks, and for each interior target
+    interface the source cell ``k`` containing it, that cell's thickness
+    ``dz`` and the fraction ``xi`` of it below the interface (with its
+    square and cube).  Built once per ``(dp_src, dp_tgt)``, applied to
+    one field at a time — ``vertical_remap`` remaps 3 + Q fields over
+    the same pair.  Unlike :func:`remap_ppm`, arrays here have layers on
+    the **first** axis (see :func:`_edge_values`); every array held is
+    O(L * ncol).
+    """
+
+    def __init__(self, dp_src: np.ndarray, dp_tgt: np.ndarray) -> None:
+        dp_src = np.asarray(dp_src, dtype=np.float64)
+        dp_tgt = np.asarray(dp_tgt, dtype=np.float64)
+        if dp_src.shape != dp_tgt.shape:
+            raise KernelError("remap arrays must share shapes")
+        self.shape = dp_src.shape
+        L = self.shape[0]
+        dps = np.ascontiguousarray(dp_src.reshape(L, -1))
+        dpt = np.ascontiguousarray(dp_tgt.reshape(L, -1))
+        for dp in (dps, dpt):
+            if not np.all(np.isfinite(dp) & (dp > 0)):
+                raise KernelError("layer thicknesses must be positive and finite")
+        zi_s = np.cumsum(dps, axis=0)
+        zi_t = np.cumsum(dpt, axis=0)
+        if not np.allclose(zi_s[-1], zi_t[-1], rtol=1e-10):
+            raise KernelError("source and target grids must span the same column mass")
+        ncol = dps.shape[1]
+        # Left interface of every source cell, and the interior target
+        # interfaces (the outer two are the column's ends: mass 0 and total).
+        left = np.concatenate([np.zeros((1, ncol)), zi_s[:-1]])
+        z = zi_t[:-1]
+        # Cell containing z: the last whose left interface is <= z.  A
+        # stable sort of (left ++ z) within each column puts a left
+        # interface before a target interface it equals, and both halves
+        # are already ascending, so target j lands at position
+        # (number of left interfaces <= z_j) + j.
+        order = np.argsort(np.concatenate([left, z]).T, axis=1, kind="stable")
+        at = np.nonzero(order >= L)[1].reshape(ncol, L - 1).T
+        k = np.clip(at - np.arange(L - 1)[:, None] - 1, 0, L - 1)
+        self._k = (k * ncol + np.arange(ncol)).ravel()
+        self._dps, self._dpt = dps, dpt
+        self._dz = dps.take(self._k)
+        xi = np.clip((z.ravel() - left.take(self._k)) / self._dz, 0.0, 1.0)
+        self._xi, self._xi2, self._xi3 = xi, xi**2, xi**3
+
+    def apply(self, a_src: np.ndarray) -> np.ndarray:
+        """Remap one field of cell means onto the target grid."""
+        a_src = np.asarray(a_src, dtype=np.float64)
+        if a_src.shape != self.shape:
+            raise KernelError("remap arrays must share shapes")
+        dps, k = self._dps, self._k
+        a = np.ascontiguousarray(a_src.reshape(dps.shape))
+        aL, aR = _edge_values(a)
+        da = aR - aL
+        a6 = _a6(a, aL, aR)
+        # Cumulative mass at every target interface: 0, the parabola of
+        # cell k integrated up to each interior one, the column total.
+        m = np.empty((len(a) + 1, a.shape[1]))
+        m[0] = 0.0
+        np.cumsum(a * dps, axis=0, out=m[1:])
+        aL, da, a6 = aL.take(k), da.take(k), a6.take(k)
+        inside = aL * self._xi + 0.5 * (da + a6) * self._xi2 - a6 * self._xi3 / 3.0
+        m[1:-1] = (m.take(k) + self._dz * inside).reshape(len(a) - 1, -1)
+        return ((m[1:] - m[:-1]) / self._dpt).reshape(self.shape)
 
 
 def remap_ppm(
@@ -80,60 +163,9 @@ def remap_ppm(
     independent columns.  Source and target grids must span the same
     total (sum of dp equal per column).
     """
-    a_src = np.asarray(a_src, dtype=np.float64)
-    dp_src = np.asarray(dp_src, dtype=np.float64)
-    dp_tgt = np.asarray(dp_tgt, dtype=np.float64)
-    if a_src.shape != dp_src.shape or dp_src.shape != dp_tgt.shape:
-        raise KernelError("remap arrays must share shapes")
-    if np.any(dp_src <= 0) or np.any(dp_tgt <= 0):
-        raise KernelError("layer thicknesses must be positive")
-    tot_s = dp_src.sum(axis=-1)
-    tot_t = dp_tgt.sum(axis=-1)
-    if not np.allclose(tot_s, tot_t, rtol=1e-10):
-        raise KernelError("source and target grids must span the same column mass")
-
-    L = a_src.shape[-1]
-    lead = a_src.shape[:-1]
-    ncol = int(np.prod(lead)) if lead else 1
-    a = a_src.reshape(ncol, L)
-    dps = dp_src.reshape(ncol, L)
-    dpt = dp_tgt.reshape(ncol, L)
-
-    zi_s = np.concatenate([np.zeros((ncol, 1)), np.cumsum(dps, axis=1)], axis=1)
-    zi_t = np.concatenate([np.zeros((ncol, 1)), np.cumsum(dpt, axis=1)], axis=1)
-    # Guard against roundoff: force identical totals.
-    zi_t[:, -1] = zi_s[:, -1]
-
-    aL, aR = ppm_edge_values(a)
-    da = aR - aL
-    a6 = 6.0 * (a - 0.5 * (aL + aR))
-    # Cumulative mass at source interfaces.
-    cmass = np.concatenate(
-        [np.zeros((ncol, 1)), np.cumsum(a * dps, axis=1)], axis=1
-    )
-
-    cols = np.arange(ncol)
-
-    def cumulative_at(z):
-        """Cumulative mass at positions z (ncol,), via the parabola."""
-        # Cell containing z: largest k with zi_s[:, k] <= z, clipped to L-1.
-        k = np.clip(
-            (zi_s[:, :-1] <= z[:, None]).sum(axis=1) - 1, 0, L - 1
-        )
-        z0 = zi_s[cols, k]
-        dz = dps[cols, k]
-        xi = np.clip((z - z0) / dz, 0.0, 1.0)
-        return cmass[cols, k] + dz * _partial_integral(
-            aL[cols, k], da[cols, k], a6[cols, k], xi
-        )
-
-    out = np.empty_like(a)
-    m_lo = np.zeros(ncol)
-    for kt in range(L):
-        m_hi = cmass[:, -1] if kt == L - 1 else cumulative_at(zi_t[:, kt + 1])
-        out[:, kt] = (m_hi - m_lo) / dpt[:, kt]
-        m_lo = m_hi
-    return out.reshape(a_src.shape)
+    plan = RemapPlan(np.moveaxis(dp_src, -1, 0), np.moveaxis(dp_tgt, -1, 0))
+    out = plan.apply(np.moveaxis(a_src, -1, 0))
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def reference_dp(ps: np.ndarray, nlev: int, ptop: float = PTOP) -> np.ndarray:
@@ -147,34 +179,36 @@ def reference_dp(ps: np.ndarray, nlev: int, ptop: float = PTOP) -> np.ndarray:
 
 
 def vertical_remap(state: ElementState, ptop: float = PTOP) -> ElementState:
-    """Remap the full state back to reference levels (in place semantics).
+    """Remap the full state back to reference levels; returns a new state.
 
     Velocity and temperature remap mass-weighted (conserving momentum
     and internal energy); tracers remap as qdp directly (conserving
-    tracer mass).  Returns a new state on the reference grid.
+    tracer mass).  One :class:`RemapPlan` serves all 3 + Q fields, one
+    field at a time (a stacked (3 + Q, L, ncol) block is no faster and
+    holds every field's temporaries at once).  All four output arrays
+    are C-contiguous.
     """
-    dp_src = state.dp3d
-    ps = state.ps(ptop)
-    dp_tgt = reference_dp(ps, state.nlev, ptop)
+    dp_tgt = reference_dp(state.ps(ptop), state.nlev, ptop)
 
-    # Layers on the last axis for the remap kernel.
-    def to_last(x):
-        return np.moveaxis(x, 1, -1)
+    # Layers on the first axis for the remap kernel.
+    def to_first(x):
+        return np.moveaxis(x, 1, 0)
 
-    def from_last(x):
-        return np.moveaxis(x, -1, 1)
+    def from_first(x):
+        return np.moveaxis(x, 0, 1)
 
-    dps_l, dpt_l = to_last(dp_src), to_last(dp_tgt)
-    new = state.copy()
-    new.dp3d = dp_tgt
-    new.T = from_last(remap_ppm(to_last(state.T), dps_l, dpt_l))
+    dps_f, dpt_f = to_first(state.dp3d), to_first(dp_tgt)
+    plan = RemapPlan(dps_f, dpt_f)
+    new = ElementState(
+        np.empty_like(state.v), np.empty_like(state.T), dp_tgt,
+        np.empty_like(state.qdp),
+    )
+    new.T[...] = from_first(plan.apply(to_first(state.T)))
     for c in range(2):
-        new.v[..., c] = from_last(
-            remap_ppm(to_last(state.v[..., c]), dps_l, dpt_l)
-        )
+        new.v[..., c] = from_first(plan.apply(to_first(state.v[..., c])))
     for q in range(state.qsize):
         # qdp / dp is the conserved-density form: remap mixing ratio and
         # rebuild qdp on the target grid so tracer mass integrates identically.
-        qmix = to_last(state.qdp[:, q]) / dps_l
-        new.qdp[:, q] = from_last(remap_ppm(qmix, dps_l, dpt_l) * dpt_l)
+        qmix = to_first(state.qdp[:, q]) / dps_f
+        new.qdp[:, q] = from_first(plan.apply(qmix) * dpt_f)
     return new

@@ -52,7 +52,7 @@ def geometry_fingerprint(geom) -> int:
     unnoticed.
     """
     crc = 0
-    for arr in (geom.metdet, geom.met, geom.metinv, geom.spheremp, geom.D):
+    for arr in (geom.metdet, geom.met, geom.metinv_planes, geom.spheremp, geom.D):
         crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
     return crc
 
@@ -82,7 +82,8 @@ class OperatorTensors:
     met00: np.ndarray
     met01: np.ndarray
     met11: np.ndarray
-    #: contravariant metric components g^ij (symmetric), (E, np, np)
+    #: contravariant metric components g^ij (symmetric), (E, np, np):
+    #: the geometry's own ``metinv_planes``, not copies
     metinv00: np.ndarray
     metinv01: np.ndarray
     metinv11: np.ndarray
@@ -156,7 +157,7 @@ def build_tensors(geom) -> OperatorTensors:
     """Derive the full tensor bundle from an element geometry."""
     D = np.ascontiguousarray(geom.D)
     met = geom.met
-    metinv = geom.metinv
+    metinv = geom.metinv_planes
     metdet = geom.metdet
     spheremp = geom.spheremp
     jac = float(geom.jac)
@@ -173,9 +174,9 @@ def build_tensors(geom) -> OperatorTensors:
         met00=np.ascontiguousarray(met[..., 0, 0]),
         met01=np.ascontiguousarray(met[..., 0, 1]),
         met11=np.ascontiguousarray(met[..., 1, 1]),
-        metinv00=np.ascontiguousarray(metinv[..., 0, 0]),
-        metinv01=np.ascontiguousarray(metinv[..., 0, 1]),
-        metinv11=np.ascontiguousarray(metinv[..., 1, 1]),
+        metinv00=metinv[0, 0],
+        metinv01=metinv[0, 1],
+        metinv11=metinv[1, 1],
         spheremp=spheremp,
         inv_spheremp=1.0 / spheremp,
         wk_fac=metdet * wpwq[None, :, :] * jac**2,

@@ -1,5 +1,7 @@
 """Tests for the Table-1 kernels: rhs, euler_step, vertical_remap, hypervis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from repro.homme.hypervis import (
     hypervis_stable_subcycles,
     nu_for_ne,
 )
-from repro.homme.remap import ppm_edge_values, remap_ppm, vertical_remap
+from repro.homme.remap import RemapPlan, ppm_edge_values, remap_ppm, vertical_remap
 from repro.homme.rhs import (
     PTOP,
     compute_and_apply_rhs,
@@ -31,6 +33,8 @@ from repro.homme.rhs import (
     compute_rhs,
 )
 from repro.mesh import CubedSphereMesh
+
+from .remap_oracle import oracle_edge_values, oracle_remap_ppm
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +248,93 @@ class TestRemap:
         dp = np.array([[1.0, -1.0, 1.0, 1.0]])
         with pytest.raises(KernelError):
             remap_ppm(a, dp, dp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["dp_src", "dp_tgt"])
+    def test_nonfinite_dp_rejected(self, bad, which):
+        grids = {"dp_src": np.ones((2, 4)), "dp_tgt": np.ones((2, 4))}
+        grids[which][1, 2] = bad
+        with pytest.raises(KernelError, match="positive and finite"):
+            remap_ppm(np.ones((2, 4)), **grids)
+
+    def test_shape_mismatch_rejected(self):
+        dp = np.ones((2, 4))
+        with pytest.raises(KernelError, match="share shapes"):
+            remap_ppm(np.ones((2, 5)), dp, dp)
+        with pytest.raises(KernelError, match="share shapes"):
+            remap_ppm(np.ones((2, 4)), dp, np.ones((2, 5)))
+        with pytest.raises(KernelError, match="share shapes"):
+            RemapPlan(dp.T, dp.T).apply(np.ones((5, 2)))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        ncol=st.integers(1, 6),
+        L=st.sampled_from([2, 3, 4, 5, 16]),
+        grids=st.sampled_from(["random", "identical", "coincident"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_plan_equals_the_per_level_oracle_bitwise(self, seed, ncol, L, grids):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((ncol, L)) * 10
+        a[:, ::3] = np.round(a[:, ::3])  # flat runs and exact extrema
+        if grids == "coincident":
+            # Small-integer thicknesses sum exactly, so a per-column
+            # shuffle of the source layers puts target interfaces exactly
+            # on source interfaces: the ``<=`` tie of the locate step.
+            dp_src = rng.integers(1, 4, (ncol, L)).astype(float)
+            dp_tgt = rng.permuted(dp_src, axis=1)
+        else:
+            dp_src = rng.random((ncol, L)) + 0.2
+            dp_tgt = rng.random((ncol, L)) + 0.2
+            dp_tgt *= (dp_src.sum(axis=1) / dp_tgt.sum(axis=1))[:, None]
+            if grids == "identical":
+                dp_tgt = dp_src.copy()
+        expected = oracle_remap_ppm(a, dp_src, dp_tgt)
+        got = remap_ppm(a, dp_src, dp_tgt)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        # One plan, many fields, layers first: what vertical_remap runs.
+        plan = RemapPlan(dp_src.T, dp_tgt.T)
+        for field in (a, -a, np.abs(a)):
+            assert np.array_equal(plan.apply(field.T).T,
+                                  oracle_remap_ppm(field, dp_src, dp_tgt))
+        for got_e, exp_e in zip(ppm_edge_values(a), oracle_edge_values(a)):
+            assert got_e.tobytes() == np.ascontiguousarray(exp_e).tobytes()
+
+    def test_vertical_remap_peak_memory_is_a_few_states(self):
+        """No (ncol, L, L) locate, no all-fields stack: nlev defaults to 128."""
+        cfg = ModelConfig(ne=2, nlev=128, qsize=2)
+        geom = ElementGeometry(CubedSphereMesh(cfg.ne))
+        state = make_state(cfg, geom, wind=0.0, tnoise=0.0)
+        state.dp3d *= 1.0 + 0.05 * np.sin(np.arange(cfg.nlev))[None, :, None, None]
+        dp_src = np.moveaxis(state.dp3d, 1, 0)
+        dp_tgt = np.moveaxis(vertical_remap(state).dp3d, 1, 0)
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Locating holds ~13 (L, ncol) arrays at its peak; one boolean
+        # (ncol, L, L) compare alone is 16 of them at L = 128.
+        assert peak_of(lambda: RemapPlan(dp_src, dp_tgt)) < 20 * state.dp3d.nbytes
+        # Field by field the whole remap peaks at ~4 states (the new
+        # state, the plan, one field's temporaries); stacking the 3 + Q
+        # fields multiplies the temporaries by 5 (> 8 states).
+        state_bytes = sum(x.nbytes for x in (state.v, state.T, state.dp3d, state.qdp))
+        assert peak_of(lambda: vertical_remap(state)) < 6 * state_bytes
+
+    def test_vertical_remap_returns_contiguous_arrays(self, domain):
+        cfg, mesh, geom = domain
+        state = make_state(cfg, geom)
+        state.dp3d *= 1.0 + 0.05 * np.sin(np.arange(cfg.nlev))[None, :, None, None]
+        out = vertical_remap(state)
+        for name in ("v", "T", "dp3d", "qdp"):
+            assert getattr(out, name).flags.c_contiguous, name
+            assert getattr(out, name) is not getattr(state, name)
 
     def test_vertical_remap_restores_reference(self, domain):
         cfg, mesh, geom = domain

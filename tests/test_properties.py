@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.backends import AthreadBackend, IntelBackend, KernelWorkload
 from repro.config import ModelConfig
 from repro.errors import KernelError
-from repro.homme.element import ElementGeometry
+from repro.homme.element import ElementGeometry, levels_first, levels_last
 from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
@@ -127,20 +127,61 @@ class TestSerialDssLayouts:
             assert np.array_equal(g4[:, lev], mesh.dss(f4[:, lev]))
             assert np.array_equal(g5[:, lev], mesh.dss(f5[:, lev]))
 
+    @staticmethod
+    def _einsum_to(geom, v):
+        e = geom.e_cov[:, None] if v.ndim == 5 else geom.e_cov
+        return geom.radius * np.einsum("...xc,...c->...x", e, v)
+
+    @staticmethod
+    def _einsum_from(geom, w):
+        e, metinv = geom.e_cov, geom.metinv
+        if w.ndim == 5:
+            e, metinv = e[:, None], metinv[:, None]
+        cov = geom.radius * np.einsum("...xc,...x->...c", e, w)
+        return np.ascontiguousarray(np.einsum("...ij,...j->...i", metinv, cov))
+
     @pytest.mark.parametrize("levels", [(), (5,)])
     def test_vector_dss_equals_the_einsum_chain_bitwise(self, mesh, geom, levels):
         v = np.random.default_rng(1).standard_normal((mesh.nelem,) + levels + (4, 4, 2))
         v[:3] = -0.0
-        e, metinv = geom.e_cov, geom.metinv
-        if levels:
-            e, metinv = e[:, None], metinv[:, None]
-        w = geom.radius * np.einsum("...xc,...c->...x", e, v)
+        w = self._einsum_to(geom, v)
         w = geom.dss(w) if levels else mesh.dss(w)
-        cov = geom.radius * np.einsum("...xc,...x->...c", e, w)
-        expected = np.einsum("...ij,...j->...i", metinv, cov)
         got = geom.dss_vector(v)
         assert got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert got.tobytes() == self._einsum_from(geom, w).tobytes()
+
+    @pytest.mark.parametrize("levels", [(), (5,)])
+    def test_cartesian_transforms_on_a_shard_equal_the_einsum_chain_bitwise(
+            self, mesh, levels):
+        """A rank's geometry, and ``w`` strided as ``levels_first`` hands it over."""
+        shard = ElementGeometry(mesh, np.arange(mesh.nelem)[5::3])
+        v = np.random.default_rng(3).standard_normal((shard.nelem,) + levels + (4, 4, 2))
+        v[:2] = -0.0
+        w = shard.to_cartesian(v)
+        assert w.flags.c_contiguous
+        assert w.tobytes() == self._einsum_to(shard, v).tobytes()
+        if levels:
+            w = levels_first(np.ascontiguousarray(levels_last(w)), w.shape)
+            assert not w.flags.c_contiguous
+        back = shard.from_cartesian(w)
+        assert back.flags.c_contiguous
+        assert back.tobytes() == self._einsum_from(shard, w).tobytes()
+
+    def test_cartesian_transforms_follow_in_place_geometry_mutation(self, mesh):
+        g = ElementGeometry(mesh)
+        v = np.random.default_rng(4).standard_normal((mesh.nelem, 3, 4, 4, 2))
+        before = g.to_cartesian(v)
+        g.e_cov *= 2.0
+        g.e_cov[..., 1, 0] += 0.25
+        w = g.to_cartesian(v)
+        assert not np.array_equal(w, before)
+        assert w.tobytes() == self._einsum_to(g, v).tobytes()
+        g.metinv[..., 0, 1] *= 3.0
+        assert g.from_cartesian(w).tobytes() == self._einsum_from(g, w).tobytes()
+        assert np.array_equal(g.tensors.metinv01, g.metinv[..., 0, 1])
+        # Rebinding goes through the same storage as writing in place.
+        g.e_cov = mesh.e_cov.copy()
+        assert g.to_cartesian(v).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("ids", [
         lambda n: np.arange(n)[::-1],           # same length, reordered
