@@ -11,8 +11,7 @@ and through the ``repro.parallel`` worker pool — and shows:
    real cores change wall time only);
 3. the wall-clock effect, plus the engine's own per-worker counters.
 
-Run:  python examples/parallel_run.py [--workers N] [--validate]
-                                      [--steps N] [--pipeline]
+Run:  python examples/parallel_run.py [--workers N] [--steps N] [--pipeline]
                                       [--trace OUT.json] [--profile]
                                       [--report OUT.json]
 
@@ -50,13 +49,12 @@ from repro.obs import (
 from repro.parallel import available_cores
 
 
-def timed_run(mesh, nranks, workers, validate, steps, pipeline=False,
+def timed_run(mesh, nranks, workers, steps, pipeline=False,
               trace=False, profile=False):
     tracer = Tracer("parallel_run") if (trace or profile) else None
     engine_kwargs = {"profile_hz": PROFILE_HZ} if profile else None
     with DistributedShallowWater(mesh, nranks=nranks, workers=workers,
-                                 validate=validate, pipeline=pipeline,
-                                 tracer=tracer,
+                                 pipeline=pipeline, tracer=tracer,
                                  engine_kwargs=engine_kwargs) as m:
         t0 = time.perf_counter()
         m.run_steps(steps)
@@ -85,9 +83,6 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=min(4, available_cores()),
                     help="worker processes for the parallel run (default: "
                          "min(4, available cores))")
-    ap.add_argument("--validate", action="store_true",
-                    help="recompute every dispatched batch serially and "
-                         "fail on any byte difference")
     ap.add_argument("--steps", type=int, default=5, help="RK3 steps to run")
     ap.add_argument("--pipeline", action="store_true",
                     help="also run the pipelined mode (overlapped driver "
@@ -108,14 +103,13 @@ def main() -> int:
           f"machine has {available_cores()} core(s)")
 
     trace = ns.trace is not None
-    serial = timed_run(mesh, nranks, workers=0, validate=False, steps=ns.steps)
-    par = timed_run(mesh, nranks, workers=ns.workers, validate=ns.validate,
-                    steps=ns.steps, trace=trace, profile=ns.profile)
+    serial = timed_run(mesh, nranks, workers=0, steps=ns.steps)
+    par = timed_run(mesh, nranks, workers=ns.workers, steps=ns.steps,
+                    trace=trace, profile=ns.profile)
     pipe = None
     if ns.pipeline:
-        pipe = timed_run(mesh, nranks, workers=ns.workers,
-                         validate=ns.validate, steps=ns.steps, pipeline=True,
-                         trace=trace, profile=ns.profile)
+        pipe = timed_run(mesh, nranks, workers=ns.workers, steps=ns.steps,
+                         pipeline=True, trace=trace, profile=ns.profile)
 
     same_h = np.array_equal(serial["state"].h, par["state"].h)
     same_v = np.array_equal(serial["state"].v, par["state"].v)
@@ -123,9 +117,7 @@ def main() -> int:
     pool = par["engine"]
     if pool["active"]:
         print(f"pool: {pool['workers']} workers, "
-              f"{pool['tasks_parallel']} tasks dispatched"
-              + (f", {pool['validations']} batches validated"
-                 if ns.validate else ""))
+              f"{pool['tasks_parallel']} tasks dispatched")
         for w in pool["per_worker"]:
             print(f"  worker/{w['worker']}: {w['tasks']} tasks, "
                   f"{w['busy_seconds'] * 1e3:.1f} ms busy, "
@@ -164,7 +156,6 @@ def main() -> int:
     if ns.report:
         summary = {
             "workers": ns.workers,
-            "validate": ns.validate,
             "steps": ns.steps,
             "cores": available_cores(),
             "bitwise_identical": bool(same_h and same_v),

@@ -73,11 +73,6 @@ class KernelError(ReproError):
     """Raised when a kernel is invoked with inconsistent state shapes."""
 
 
-class ParallelError(KernelError):
-    """Raised on parallel-engine protocol misuse (registering a context
-    while a forked worker pool is live, dispatch to an empty pool)."""
-
-
 class TranslationError(ReproError):
     """Raised by the source-to-source loop translator on untransformable IR."""
 

@@ -47,7 +47,7 @@ def run_parallel_smoke(
     workers: int = 2,
     steps: int = 2,
 ) -> ComparisonTable:
-    """Cross-validate parallel vs serial distributed integration."""
+    """Compare parallel vs serial distributed integration, byte for byte."""
     table = ComparisonTable("parallel")
     workers = max(2, int(workers))
     if verbose:
@@ -56,8 +56,7 @@ def run_parallel_smoke(
 
     mesh8 = CubedSphereMesh(8, 4)
     with DistributedShallowWater(mesh8, nranks=4) as ser, \
-            DistributedShallowWater(mesh8, nranks=4, workers=workers,
-                                    validate=True) as par:
+            DistributedShallowWater(mesh8, nranks=4, workers=workers) as par:
         ser.run_steps(steps)
         par.run_steps(steps)
         gs, gp = ser.gather_state(), par.gather_state()
@@ -87,7 +86,7 @@ def run_parallel_smoke(
         # combines overlapped against worker compute — same bits, same
         # simulated clocks (DESIGN.md Section 11).
         with DistributedShallowWater(mesh8, nranks=4, workers=workers,
-                                     validate=True, pipeline=True) as pip:
+                                     pipeline=True) as pip:
             pip.run_steps(steps)
             gq = pip.gather_state()
             pipe_same = (np.array_equal(gs.h, gq.h)
@@ -109,8 +108,7 @@ def run_parallel_smoke(
     with DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
                                        dt=30.0) as ser, \
             DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
-                                          dt=30.0, workers=workers,
-                                          validate=True) as par:
+                                          dt=30.0, workers=workers) as par:
         ser.run_steps(steps)
         par.run_steps(steps)
         gs, gp = ser.gather_state(), par.gather_state()

@@ -16,15 +16,13 @@ order), and the per-rank clocks expose the overlap-vs-classic timing
 difference on a real integration.
 
 Everything the two models share — partition, halo tables, SimMPI,
-per-rank geometry, the worker engine and its shard contexts, the
+per-rank geometry, the engine built around those geometries, the
 exchange, the per-rank task fan-out, tracing, lifecycle and
 checkpointing — lives once in :class:`_DistributedModel`; each public
 class adds its initial state, its vector-DSS layout and its step recipe.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -36,8 +34,6 @@ from ..mesh.partition import SFCPartition
 from ..network.simmpi import SimMPI, rank_track
 from ..obs.tracer import NULL_TRACER
 from ..parallel.dycore import (
-    fresh_context_key,
-    shard_context_key,
     prim_euler_stage1_task,
     prim_euler_stage2_task,
     prim_laplace_task,
@@ -47,12 +43,7 @@ from ..parallel.dycore import (
     prim_vlaplace_task,
     sw_stage_task,
 )
-from ..parallel.engine import (
-    SERIAL_ENGINE,
-    ParallelEngine,
-    register_context,
-    unregister_context,
-)
+from ..parallel.engine import ParallelEngine
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry, levels_first, levels_last
@@ -84,34 +75,23 @@ def charge_calibrated_compute(model, steps: int) -> None:
         model.mpi.compute(r, per_elem * nelem * steps)
 
 
-def _drop_contexts(keys: tuple[str, ...]) -> None:
-    for key in keys:
-        unregister_context(key)
-
-
 class _DistributedModel:
     """What every rank-distributed model is made of.
 
     Construction partitions the mesh, builds the halo tables, the
     simulated communicator and one :class:`ElementGeometry` per rank,
-    then publishes **one context entry per rank shard** — rank ``r``'s
-    geometry under ``shard_context_key(base, r)`` — in the
-    fork-inherited registry (warming the execution path's memoized
-    operands first, so workers inherit them copy-on-write) and starts
-    the pool, or adopts the shared always-serial engine for ``workers
-    <= 1``.  With the engine's shard-affinity dispatch a worker only
-    ever resolves (and faults in) the shards pinned to its slot.
-    ``pipeline=True`` on a model that starts a pool also registers the
-    *split* geometries (slot ``2r`` = rank ``r``'s boundary elements,
-    ``2r+1`` = its inner elements; ``None`` for an empty subset), one
-    key each.
+    warms the execution path's memoized operands (so workers inherit
+    them copy-on-write) and builds the model's own engine around those
+    geometries: context ``r`` is rank ``r``'s shard.  ``workers <= 1``
+    makes that engine in-process.  With the engine's shard-affinity
+    dispatch a worker only ever touches (and faults in) the shards
+    pinned to its slot.  ``pipeline=True`` on a model that starts a pool
+    appends the *split* geometries (context ``nranks + 2r`` = rank
+    ``r``'s boundary elements, ``nranks + 2r + 1`` = its inner elements;
+    ``None`` for an empty subset).
     ``engine_kwargs`` passes straight through to
-    :class:`~repro.parallel.engine.ParallelEngine` — the supervision,
-    chaos and integrity knobs of DESIGN.md §12.
-
-    The shard contexts live as long as the model: :meth:`close` drops
-    them, and so does garbage collection of a model that was never
-    closed.
+    :class:`~repro.parallel.engine.ParallelEngine` — the supervision
+    and chaos knobs of DESIGN.md §12.
 
     Subclasses set ``_fields`` (prognostic array names of one rank's
     state, in snapshot-key order) and ``_label``, fill ``self.states``
@@ -125,7 +105,7 @@ class _DistributedModel:
     _ic: list[float] | None = None
 
     def __init__(self, mesh: CubedSphereMesh, nranks: int, mode: str, faults,
-                 tracer, workers: int, validate: bool, pipeline: bool,
+                 tracer, workers: int, pipeline: bool,
                  engine_kwargs: dict | None, exec_path: str,
                  combine: str = "flat") -> None:
         if mode not in ("overlap", "classic"):
@@ -146,36 +126,23 @@ class _DistributedModel:
         self._epoch = 0
 
         self.workers = max(0, int(workers))
-        self.validate = bool(validate)
         self.pipeline = bool(pipeline)
-        for g in self.geoms:
-            warm(g)
-        base = fresh_context_key(self._label)
-        self._shard_keys = [register_context(shard_context_key(base, r), g)
-                            for r, g in enumerate(self.geoms)]
         #: Per part (0 = boundary, 1 = inner), per rank: local element rows.
         self._split_idx = (self.hx.local_boundary_idx, self.hx.local_inner_idx)
-        self._pipe_shard_keys: list[str] = []
+        contexts = list(self.geoms)
         if self.pipeline and self.workers > 1:
-            pipe_base = fresh_context_key(self._label + "-pipe")
             for r, elems in enumerate(self.hx.rank_elems):
                 for part in (0, 1):
                     ix = self._split_idx[part][r]
-                    g = None
-                    if len(ix) > 0:
-                        g = ElementGeometry(mesh, elems[ix])
-                        warm(g)
-                    self._pipe_shard_keys.append(register_context(
-                        shard_context_key(pipe_base, 2 * r + part), g))
-        self._unregister = weakref.finalize(
-            self, _drop_contexts, (*self._shard_keys, *self._pipe_shard_keys))
-        if self.workers > 1:
-            self.engine = ParallelEngine(
-                workers=self.workers, validate=self.validate,
-                tracer=self.tracer, label=self._label, **(engine_kwargs or {}),
-            )
-        else:
-            self.engine = SERIAL_ENGINE
+                    contexts.append(ElementGeometry(mesh, elems[ix])
+                                    if len(ix) > 0 else None)
+        for g in contexts:
+            if g is not None:
+                warm(g)
+        self.engine = ParallelEngine(
+            workers=self.workers, contexts=contexts, tracer=self.tracer,
+            label=self._label, **(engine_kwargs or {}),
+        )
 
     # -- distributed DSS ----------------------------------------------------------
 
@@ -199,18 +166,19 @@ class _DistributedModel:
 
         Whole ranks by default; ``part`` 0 / 1 ships the boundary /
         inner element rows of every rank that has any, addressed to the
-        split shard contexts.
+        split shard contexts (which follow the ``nranks`` whole shards).
         """
         payloads = []
         for r, arrays in enumerate(per_rank_arrays):
-            slot, keys = r, self._shard_keys
+            slot, ctx = r, r
             if part is not None:
                 ix = self._split_idx[part][r]
                 if len(ix) == 0:
                     continue
-                slot, keys = 2 * r + part, self._pipe_shard_keys
+                slot = 2 * r + part
+                ctx = self.nranks + slot
                 arrays = tuple(a[ix] for a in arrays)
-            meta = {"ctx": keys[slot], "rank": slot, "shard": r,
+            meta = {"ctx": ctx, "rank": slot, "shard": r,
                     **meta_extra, "path": self.exec_path}
             payloads.append((meta, arrays))
         return payloads
@@ -276,10 +244,8 @@ class _DistributedModel:
             self.step()
 
     def close(self) -> None:
-        """Stop the worker pool (if any) and drop every shard context."""
-        if self.engine is not SERIAL_ENGINE:
-            self.engine.close()
-        self._unregister()
+        """Stop the worker pool (if any)."""
+        self.engine.close()
 
     def health(self, monitor=None):
         """Run the health rules over the engine (DESIGN.md §13.4)."""
@@ -359,9 +325,8 @@ class DistributedShallowWater(_DistributedModel):
 
     ``workers > 1`` runs each rank's tendency computation on a real
     core through :class:`repro.parallel.engine.ParallelEngine`; the
-    trajectory is bitwise identical to ``workers=0`` (``validate=True``
-    asserts this on every pool dispatch).  Simulated clocks are
-    unaffected either way — SimMPI remains the timing model.
+    trajectory is bitwise identical to ``workers=0``.  Simulated clocks
+    are unaffected either way — SimMPI remains the timing model.
 
     ``pipeline=True`` additionally splits each rank's elements into
     boundary and inner batches and overlaps the driver-side combines
@@ -388,13 +353,12 @@ class DistributedShallowWater(_DistributedModel):
         faults=None,
         tracer=None,
         workers: int = 0,
-        validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
     ) -> None:
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         validate, pipeline, engine_kwargs, exec_path)
+                         pipeline, engine_kwargs, exec_path)
         init = williamson2_initial(mesh)
         self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
                        for e in self.hx.rank_elems]
@@ -496,7 +460,6 @@ class DistributedPrimitiveEquations(_DistributedModel):
         faults=None,
         tracer=None,
         workers: int = 0,
-        validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
@@ -511,7 +474,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
                 f"initial state qdp has shape {init_state.qdp.shape}; mesh and "
                 f"configuration need (nelem, qsize, nlev, np, np) = {want}")
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         validate, pipeline, engine_kwargs, exec_path, combine)
+                         pipeline, engine_kwargs, exec_path, combine)
         self.cfg = cfg
         self.dt = dt
         self.combine = combine

@@ -16,6 +16,7 @@ out).  Here the whole local domain is struct-of-arrays:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from ..config import ModelConfig
 from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from . import tensors as tensors_mod
+from .tensors import frozen
 
 
 def levels_last(f: np.ndarray) -> np.ndarray:
@@ -51,9 +53,14 @@ def _split(f: np.ndarray) -> list[np.ndarray]:
 class ElementGeometry:
     """Per-element geometric data for a set of elements (a rank's subdomain).
 
-    Wraps slices of the mesh arrays plus the spectral machinery, with
-    the Coriolis parameter precomputed.  ``elem_ids=None`` selects the
-    whole mesh (the serial dycore).
+    Holds its own copies of the mesh arrays' rows plus the spectral
+    machinery, with the Coriolis parameter precomputed.  ``elem_ids=None``
+    selects the whole mesh (the serial dycore).
+
+    Every array is read-only from construction: a geometry is shared —
+    by the kernels' memoized operands, by forked workers — so an
+    in-place write raises ``ValueError`` at the write instead of leaving
+    a derived plane stale.  A different geometry is a new object.
     """
 
     def __init__(self, mesh: CubedSphereMesh, elem_ids: np.ndarray | None = None) -> None:
@@ -65,67 +72,42 @@ class ElementGeometry:
         sel = self.elem_ids
         self.nelem = len(sel)
         self.np = mesh.np
-        self.metdet = mesh.metdet[sel]
-        self.met = mesh.met[sel]
+        # Fancy indexing copies, and D is a view: freezing these flips no
+        # flag of the mesh's own arrays.
+        self.metdet = frozen(mesh.metdet[sel])
+        self.met = frozen(mesh.met[sel])
         #: ``metinv_planes[i, k]`` is the contiguous (nelem, np, np) plane
         #: of g^ik; :attr:`metinv` is the packed view of the same memory.
-        self.metinv_planes = _component_planes(mesh.metinv[sel])
-        self.spheremp = mesh.spheremp[sel]
-        self.lat = mesh.lat[sel]
-        self.lon = mesh.lon[sel]
-        self.D = mesh.deriv
+        self.metinv_planes = frozen(_component_planes(mesh.metinv[sel]))
+        self.spheremp = frozen(mesh.spheremp[sel])
+        self.lat = frozen(mesh.lat[sel])
+        self.lon = frozen(mesh.lon[sel])
+        self.D = frozen(mesh.deriv.view())
         self.jac = mesh.jac_ref
         self.radius = mesh.radius
         #: ``e_cov_planes[j, i]``: Cartesian component j of e_i, likewise.
-        self.e_cov_planes = _component_planes(mesh.e_cov[sel])
+        self.e_cov_planes = frozen(_component_planes(mesh.e_cov[sel]))
         #: Coriolis parameter f = 2 Omega sin(lat), shape (nelem, np, np);
         #: Omega follows the mesh (scaled on reduced-radius spheres).
         omega = getattr(mesh, "omega", C.EARTH_OMEGA)
-        self.fcor = 2.0 * omega * np.sin(self.lat)
-        self._tensors: tensors_mod.OperatorTensors | None = None
+        self.fcor = frozen(2.0 * omega * np.sin(self.lat))
 
     @property
     def metinv(self) -> np.ndarray:
-        """Inverse metric (nelem, np, np, 2, 2): a view of :attr:`metinv_planes`.
-
-        Writing through it mutates the planes the Cartesian transforms
-        read, so those can never be stale.
-        """
+        """Inverse metric (nelem, np, np, 2, 2): a view of :attr:`metinv_planes`."""
         return np.moveaxis(self.metinv_planes, (0, 1), (-2, -1))
-
-    @metinv.setter
-    def metinv(self, packed: np.ndarray) -> None:
-        self.metinv_planes = _component_planes(packed)
 
     @property
     def e_cov(self) -> np.ndarray:
         """Covariant basis (nelem, np, np, 3, 2): a view of :attr:`e_cov_planes`."""
         return np.moveaxis(self.e_cov_planes, (0, 1), (-2, -1))
 
-    @e_cov.setter
-    def e_cov(self, packed: np.ndarray) -> None:
-        self.e_cov_planes = _component_planes(packed)
-
-    # -- memoized operator tensors (batched hot path) --------------------------
-
-    @property
+    @cached_property
     def tensors(self) -> "tensors_mod.OperatorTensors":
-        """The memoized :class:`~repro.homme.tensors.OperatorTensors`.
-
-        Rebuilt automatically whenever the fingerprint of the source
-        geometry arrays changes (see :mod:`repro.homme.tensors` for the
-        invalidation rule), so in-place mutation of ``metdet``/``met``/
-        ``metinv``/``spheremp`` never serves stale tensors.
-        """
-        token = tensors_mod.geometry_fingerprint(self)
-        cached = self._tensors
-        if cached is None or cached.token != token:
-            self._tensors = tensors_mod.build_tensors(self)
-        return self._tensors
-
-    def invalidate_tensors(self) -> None:
-        """Drop the memoized operator tensors."""
-        self._tensors = None
+        """The :class:`~repro.homme.tensors.OperatorTensors` of this
+        geometry, built on first use and kept: nothing they derive from
+        can change."""
+        return tensors_mod.build_tensors(self)
 
     def _mesh_dss(self, field: np.ndarray) -> np.ndarray:
         if not self._whole_mesh:

@@ -344,7 +344,9 @@ def compute_rhs_fused(
     rt *= 0.5
     phi += rt
     if phis is not None:
-        phi += f.bshape(phis, T)
+        # The caller's array, so not bshape's: that cache is keyed by id
+        # and kept for the life of the bundle.
+        phi += _as(phis, f)[:, None]
 
     vc1 = m00 * v1
     vc1 += m01 * v2

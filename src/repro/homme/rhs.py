@@ -107,7 +107,7 @@ def compute_rhs(
     """
     state.check_consistent()
     v, T, dp3d = state.v, state.T, state.dp3d
-    t = geom.tensors  # one fingerprint check per RHS evaluation
+    t = geom.tensors
 
     p_mid, _ = compute_pressure(dp3d)
     phi = compute_geopotential(T, p_mid, dp3d, phis)

@@ -13,19 +13,16 @@ Python-level analogue of the paper's Athread redesign keeping shared
 metric tiles LDM-resident across the tracer loop (Section 7.3,
 Algorithm 2) instead of re-reading them every iteration.
 
-Cache invalidation rule (DESIGN.md §9): the bundle carries a CRC-32
-fingerprint of the geometry arrays it was derived from
-(``metdet``, ``met``, ``metinv``, ``spheremp``, ``D``).  Every access
-through ``ElementGeometry.tensors`` re-hashes those sources and
-rebuilds the bundle when the fingerprint differs, so in-place mutation
-of the metric terms can never serve stale tensors; an explicit
-:meth:`~repro.homme.element.ElementGeometry.invalidate_tensors` is
-available when the caller already knows it mutated the geometry.
+No invalidation rule (DESIGN.md §9): the geometry arrays a bundle is
+derived from are read-only from construction, and so is every plane
+here — the bundles' own fields and the memoized ``bshape`` expansions —
+so a cached plane cannot go stale; a write raises ``ValueError`` at the
+write.
 """
 
 from __future__ import annotations
 
-import zlib
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +32,7 @@ __all__ = [
     "OperatorTensors",
     "build_fused_operands",
     "build_tensors",
-    "geometry_fingerprint",
+    "frozen",
 ]
 
 #: Compute dtypes the fused path supports; anything else falls back to
@@ -43,23 +40,23 @@ __all__ = [
 FUSED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def geometry_fingerprint(geom) -> int:
-    """CRC-32 over the geometry arrays the operator tensors derive from.
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, flagged read-only (views taken from it are too)."""
+    a.flags.writeable = False
+    return a
 
-    Exact (full-bytes) rather than sampled: the metric arrays are small
-    (a few hundred KB at ne8) and hashing them costs microseconds next
-    to one RK stage, so there is no window where a mutation can go
-    unnoticed.
-    """
-    crc = 0
-    for arr in (geom.metdet, geom.met, geom.metinv_planes, geom.spheremp, geom.D):
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
-    return crc
+
+def _freeze_planes(bundle) -> None:
+    """Flag every ndarray field of a dataclass bundle read-only."""
+    for f in dataclasses.fields(bundle):
+        v = getattr(bundle, f.name)
+        if isinstance(v, np.ndarray):
+            frozen(v)
 
 
 @dataclass(frozen=True)
 class OperatorTensors:
-    """Memoized per-mesh operator tensors (all read-only by convention).
+    """Memoized per-mesh operator tensors, every plane read-only.
 
     Components are unpacked from their (..., 2, 2) packing so the
     operators run on contiguous (E, np, np) planes with plain
@@ -67,8 +64,6 @@ class OperatorTensors:
     hot loop.
     """
 
-    #: fingerprint of the source geometry arrays at build time
-    token: int
     #: GLL derivative matrix (np, np) and its transpose (C-contiguous)
     D: np.ndarray
     Dt: np.ndarray
@@ -97,14 +92,15 @@ class OperatorTensors:
     #: fused contraction-operand bundles keyed by compute dtype
     _fused: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _freeze_planes(self)
+
     def fused(self, dtype=np.float64) -> "FusedOperands":
         """Memoized fused contraction operands for a compute dtype.
 
         The folded planes (``wk_fac * metinv * inv_jac`` etc.) depend
         only on the geometry this bundle was built from, so they are
-        assembled once per (mesh, dtype) and cached here; geometry
-        mutation invalidates them together with the parent bundle
-        through the fingerprint check on ``ElementGeometry.tensors``.
+        assembled once per (mesh, dtype) and cached here.
         """
         dt = np.dtype(dtype)
         if dt not in FUSED_DTYPES:
@@ -164,7 +160,6 @@ def build_tensors(geom) -> OperatorTensors:
     w = geom.mesh.gll_w
     wpwq = w[:, None] * w[None, :]
     return OperatorTensors(
-        token=geometry_fingerprint(geom),
         D=D,
         Dt=np.ascontiguousarray(D.T),
         jac=jac,
@@ -247,6 +242,9 @@ class FusedOperands:
     #: expanded-plane cache keyed by (array id, target shape)
     _bcache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _freeze_planes(self)
+
     def _gemm(self, X: np.ndarray, k: np.ndarray) -> np.ndarray:
         """``X`` (..., np, np) against a lifted operator as one 2D GEMM.
 
@@ -284,8 +282,10 @@ class FusedOperands:
         elementwise op onto numpy's slow per-stride inner loop (~7x the
         contiguous cost at the bench shapes), which would eat the whole
         fusion win.  The expansion is cached per (plane, target shape)
-        — a handful of level-replicated copies per mesh.  Callers must
-        treat the result as read-only (it is shared across calls).
+        — a handful of level-replicated copies per mesh — and, being
+        shared across calls, read-only.  The key is the plane's ``id``,
+        so only planes that live as long as the bundle may be passed:
+        its own fields and the geometry's ``fcor``.
         """
         extra = scalar_ref.ndim - 3
         if extra <= 0:
@@ -295,13 +295,11 @@ class FusedOperands:
         entry = self._bcache.get(key)
         if entry is None:
             shape = (geom_arr.shape[0],) + (1,) * extra + geom_arr.shape[1:]
-            out = np.ascontiguousarray(
+            out = frozen(np.ascontiguousarray(
                 np.broadcast_to(geom_arr.reshape(shape), target), dtype=self.dtype
-            )
+            ))
             # Pin the source array: the key is its id(), which could
-            # otherwise be recycled after garbage collection.  Only
-            # mesh-constant planes may be passed here (the expansion is
-            # cached forever and shared across calls).
+            # otherwise be recycled after garbage collection.
             entry = (geom_arr, out)
             self._bcache[key] = entry
         return entry[1]
@@ -314,8 +312,6 @@ class FusedOperands:
         cache (its ``out`` copies are real memory; the pinned sources
         alias planes already counted and are skipped via ``id``).
         """
-        import dataclasses
-
         seen: set[int] = set()
         total = 0
         for f in dataclasses.fields(self):

@@ -194,7 +194,7 @@ class HealthMonitor:
     def _check_recovery(self, report: HealthReport, recovery: dict) -> None:
         for key in ("respawns", "crashes", "hangs", "timeouts",
                     "redistributed_tasks", "reexecuted_tasks",
-                    "corrupt_results", "nonfinite_results"):
+                    "corrupt_results"):
             n = recovery.get(key, 0)
             if n:
                 report.add("warn", f"recovery.{key}",

@@ -21,27 +21,24 @@ The contract (DESIGN.md §10):
 - **Fallback.** ``workers <= 1``, an unavailable ``fork`` start
   method, or any pool start-up failure silently degrades to in-process
   serial execution of the very same task functions.
-- **Validation.** ``validate=True`` mirrors the 1e-12 kernel check
-  of :func:`repro.homme.fused.cross_validate_fused`: every parallel
-  result is recomputed serially and compared bitwise.
-- **Self-healing.** Supervised engines (the default) recover worker
-  crashes, hangs, overdue results, and corrupted result blocks locally
-  — respawn the slot, redistribute only its in-flight tasks, re-execute
-  integrity failures — without giving up the pool or the bitwise
-  contract (DESIGN.md §12).  :mod:`repro.parallel.chaos` proves it with
+- **Contexts.** An engine is built around the read-only objects its
+  tasks compute against (``contexts=``, the shard geometries); workers
+  inherit them through ``fork`` and a task receives the one its meta
+  indexes.
+- **Self-healing.** Every engine recovers worker crashes, hangs,
+  overdue results, and corrupted result blocks locally — respawn the
+  slot, redistribute only its in-flight tasks, re-execute CRC
+  failures — without giving up the pool or the bitwise contract
+  (DESIGN.md §12).  :mod:`repro.parallel.chaos` proves it with
   seeded fault scenarios against a serial oracle.
 """
 
 from .engine import (  # noqa: F401
     ParallelEngine,
-    ParallelError,
     PendingRun,
-    SERIAL_ENGINE,
     WorkerStats,
     available_cores,
     context_nbytes,
-    register_context,
-    unregister_context,
     worker_track,
 )
 from .supervisor import (  # noqa: F401
@@ -57,14 +54,10 @@ from .chaos import (  # noqa: F401
 
 __all__ = [
     "ParallelEngine",
-    "ParallelError",
     "PendingRun",
-    "SERIAL_ENGINE",
     "WorkerStats",
     "available_cores",
     "context_nbytes",
-    "register_context",
-    "unregister_context",
     "worker_track",
     "ChaosSpec",
     "WorkerSupervisor",

@@ -11,12 +11,12 @@ task function knows, return through the result queue).
 Execution model
 ---------------
 
-``run(fn, payloads)`` executes ``fn(meta, *arrays)`` once per payload
-and returns the results **in payload order** — never in completion
-order — which is the fixed rank-ordered combine that makes parallel
-execution bitwise identical to serial.  ``fn`` must be a module-level
-function (it is pickled by reference into the workers) returning a
-tuple of ndarrays.
+``run(fn, payloads)`` executes ``fn(ctx, meta, *arrays)`` once per
+payload and returns the results **in payload order** — never in
+completion order — which is the fixed rank-ordered combine that makes
+parallel execution bitwise identical to serial.  ``fn`` must be a
+module-level function (it is pickled by reference into the workers)
+returning a tuple of ndarrays.
 
 ``submit(fn, payloads)`` is the non-blocking half of the same
 contract: it queues the batch and returns a :class:`PendingRun` whose
@@ -26,9 +26,12 @@ banks), which is what lets a driver overlap its combine work for
 batch *k* with worker compute of batch *k+1* — the pipelined
 execution mode of the distributed models.
 
-Large read-only context (element geometries, meshes) never crosses a
-queue: it is published via :func:`register_context` *before* the pool
-forks, so every worker inherits it copy-on-write through ``fork``.
+Large read-only context (element geometries) never crosses a queue:
+the engine is built around its ``contexts`` tuple and hands it to every
+worker it forks as a plain ``Process`` argument, inherited copy-on-write.
+A payload's ``meta["ctx"]`` is an index into that tuple; the task
+receives the object it names as ``ctx`` (``None`` when the meta names
+none), in a worker and in the serial twin alike.
 
 Self-healing (DESIGN.md §12)
 ----------------------------
@@ -39,13 +42,13 @@ waits on results it also supervises: a worker whose process exits is a
 *crash*, one whose heartbeat goes stale is a *hang*, and one sitting
 on a result past the batch deadline is *overdue*.  Any of the three
 triggers the same local recovery — respawn the slot (the fork inherits
-the registered context exactly as the original did) and re-dispatch
+the engine's contexts exactly as the original did) and re-dispatch
 only the failed worker's in-flight task ids to the survivors.  Results
-carry a CRC32 the driver re-verifies (plus an optional NaN/Inf guard),
-so a corrupted result is re-executed rather than combined.  Because
-tasks are pure functions of payloads the driver still owns, and the
-rank-ordered combine never moves off the driver, every recovery path
-reproduces the serial trajectory bit for bit.
+carry a CRC32 the driver re-verifies, so a corrupted result is
+re-executed rather than combined.  Because tasks are pure functions of
+payloads the driver still owns, and the rank-ordered combine never
+moves off the driver, every recovery path reproduces the serial
+trajectory bit for bit.
 
 Fallback
 --------
@@ -63,13 +66,12 @@ from __future__ import annotations
 
 import time
 import traceback
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..errors import KernelError, ParallelError
+from ..errors import KernelError
 from ..obs.telemetry import TelemetrySpec, quantile
 from ..obs.tracer import NULL_TRACER
 from .supervisor import (
@@ -78,27 +80,22 @@ from .supervisor import (
     ChaosSpec,
     WorkerSupervisor,
     result_crc,
+    task_context,
 )
 
 __all__ = [
     "ParallelEngine",
-    "ParallelError",
     "PendingRun",
-    "SERIAL_ENGINE",
     "WorkerStats",
     "available_cores",
     "context_nbytes",
-    "register_context",
-    "get_context",
-    "touched_context_bytes",
-    "unregister_context",
     "worker_track",
 ]
 
 #: Seconds the driver waits for a single batch's results before
-#: escalating — under supervision that means killing and respawning the
-#: overdue workers; without it (``supervise=False`` or budget
-#: exhausted) the pool is declared dead and the call finishes serially.
+#: escalating: the overdue workers are killed and respawned, and once
+#: the respawn budget is spent the pool is declared dead and the call
+#: finishes serially.
 RESULT_TIMEOUT = 120.0
 
 #: Seconds allowed for the start-up ping that proves the pool works.
@@ -113,27 +110,6 @@ PIPELINE_BANKS = 2
 #: Attempts per task before a repeatedly corrupted result becomes a
 #: task failure instead of another re-execution.
 MAX_TASK_ATTEMPTS = 3
-
-#: Read-only objects published to workers.  Entries registered before a
-#: pool starts are inherited by its forked workers copy-on-write;
-#: lookups in the driver (serial fallback) read the same dict.  A
-#: *respawned* worker forks from the current driver, so it re-inherits
-#: whatever is registered at respawn time — which is why contexts stay
-#: registered for the life of the model, not just through pool start.
-_CONTEXT: dict[str, object] = {}
-
-#: Engines whose fork pool is currently live.  ``register_context``
-#: consults this set: registering while any pool is live is a protocol
-#: error (the live workers forked from an older registry snapshot and
-#: would never see the new entry).
-_LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
-
-#: Bytes of distinct context entries resolved by *this* process (driver
-#: or forked worker), keyed by context key at first ``get_context``.  In
-#: a worker this approximates the copy-on-write context pages the worker
-#: actually touches — the per-worker memory the sharded-ownership model
-#: is designed to shrink.
-_CTX_TOUCHED: dict[str, int] = {}
 
 #: Attribute names skipped by :func:`context_nbytes`: references back to
 #: driver-resident shared structures (the full mesh).
@@ -178,11 +154,6 @@ def context_nbytes(obj: object) -> int:
     return walk(obj)
 
 
-def touched_context_bytes() -> int:
-    """Total bytes of context entries this process has resolved."""
-    return sum(_CTX_TOUCHED.values())
-
-
 def available_cores() -> int:
     """Usable core count (cgroup-aware where the platform exposes it)."""
     import os
@@ -196,62 +167,6 @@ def available_cores() -> int:
 def worker_track(worker: int) -> str:
     """Canonical trace-track name for pool worker ``worker``."""
     return f"worker/{worker}"
-
-
-def _live_pool_labels() -> list[str]:
-    return sorted(e.label for e in _LIVE_POOLS if getattr(e, "active", False))
-
-
-def register_context(key: str, obj: object) -> str:
-    """Publish a read-only object to (future) workers under ``key``.
-
-    Must be called *before* the engine that needs it starts its pool —
-    forked workers snapshot the registry at fork time.  Returns the key
-    for convenience.
-
-    Registering a *new* key while some other engine's pool is live is
-    fine (the pool that will use it forks later and inherits it), but
-    **overwriting an existing key** while any pool is live raises
-    :class:`~repro.errors.ParallelError`: live workers keep the
-    fork-time object, so they would silently compute with stale data
-    while the driver sees the new one.  The companion guard — a task
-    dispatched to a pool whose fork predates its context key — fires in
-    :meth:`ParallelEngine._dispatch_task`, so both halves of the
-    stale-registry hazard fail loudly at the misuse site instead of as
-    a confusing worker-side lookup error later.
-    """
-    if key in _CONTEXT:
-        live = _live_pool_labels()
-        if live:
-            raise ParallelError(
-                f"register_context({key!r}) would overwrite an existing "
-                f"entry while worker pool(s) [{', '.join(live)}] are live: "
-                "forked workers keep the fork-time object, so they would "
-                "silently compute with stale data. Close the live engine "
-                "(or use a fresh key) first."
-            )
-    _CONTEXT[key] = obj
-    return key
-
-
-def get_context(key: str) -> object:
-    """Fetch a registered context object (driver or worker side)."""
-    try:
-        obj = _CONTEXT[key]
-    except KeyError:
-        raise KernelError(
-            f"parallel context {key!r} was not registered before the pool "
-            "forked; register_context must run before ParallelEngine()"
-        ) from None
-    if key not in _CTX_TOUCHED:
-        _CTX_TOUCHED[key] = context_nbytes(obj)
-    return obj
-
-
-def unregister_context(key: str) -> None:
-    """Drop a registered context object (driver side only)."""
-    _CONTEXT.pop(key, None)
-    _CTX_TOUCHED.pop(key, None)
 
 
 @dataclass
@@ -321,25 +236,22 @@ def _pack(block: _Block | None, arrays: tuple, make) -> tuple[_Block, tuple]:
     descriptor carries (offset, shape, dtype) per array so the peer can
     rebuild zero-copy views.
     """
-    offsets, metas, need = [], [], 0
+    metas, need = [], 0
     for a in arrays:
-        a = np.ascontiguousarray(a)
         need = (need + 63) & ~63
-        offsets.append(need)
         metas.append((need, a.shape, a.dtype.str))
         need += a.nbytes
     if block is None or block.capacity < need:
         if block is not None:
             block.close(unlink=True)
         block = make(max(need, 1))
-    for a, off in zip(arrays, offsets):
-        a = np.ascontiguousarray(a)
-        dst = np.ndarray(a.shape, dtype=a.dtype, buffer=block.shm.buf, offset=off)
-        dst[...] = a
+    for a, (off, shape, dt) in zip(arrays, metas):
+        # One copy, whatever ``a``'s strides: the block side is C-contiguous.
+        np.ndarray(shape, dtype=dt, buffer=block.shm.buf, offset=off)[...] = a
     return block, (block.shm.name, tuple(metas))
 
 
-def _ping_task(meta: dict, arr: np.ndarray) -> tuple[np.ndarray]:
+def _ping_task(ctx, meta: dict, arr: np.ndarray) -> tuple[np.ndarray]:
     """Start-up health check: echo the payload."""
     return (arr + meta.get("add", 0.0),)
 
@@ -371,7 +283,6 @@ class PendingRun:
         self.overlapped = False
         self.submitted_at = time.perf_counter()
         self.timeout = engine.result_timeout
-        self.validate = engine.validate  # per-batch override (ping skips)
         self.results: list[tuple | None] = [None] * len(payloads)
         self.remaining = 0  # parallel tasks still in flight
         self.failures: list[str] = []
@@ -390,13 +301,11 @@ class ParallelEngine:
     workers:
         Requested worker count.  ``<= 1`` means serial execution (no
         processes are ever started).
-    validate:
-        When true, every parallel ``run`` is recomputed serially on the
-        driver and compared **bitwise** — the ``repro.parallel``
-        mirror of the fused-vs-batched 1e-12 kernel check
-        (:func:`repro.homme.fused.cross_validate_fused`).
-        Costs a full serial execution per call; meant for tests, CI
-        smoke jobs, and paranoid runs.
+    contexts:
+        The read-only objects tasks compute against (the distributed
+        models pass their shard geometries), fixed for the engine's
+        life.  ``meta["ctx"]`` indexes this tuple; every (re)spawned
+        worker inherits it through ``fork``.
     tracer:
         :mod:`repro.obs` tracer.  When enabled, each task becomes a
         span on the ``worker/<i>`` track of the worker that ran it, and
@@ -405,17 +314,13 @@ class ParallelEngine:
         wall-clock seconds since the engine started.
     label:
         Name used in log lines and trace spans.
-    supervise:
-        Enable the self-healing layer (default).  ``False`` restores
-        the all-or-nothing behaviour: any worker fault degrades the
-        whole pool to serial.
     heartbeat_timeout:
         Seconds of heartbeat silence before a live worker is declared
         hung and respawned.
     result_timeout:
         Seconds a batch may wait on results before the driver escalates
-        (kill + respawn + redistribute under supervision; pool death
-        otherwise).  Becomes each :class:`PendingRun`'s ``timeout``.
+        (kill + respawn + redistribute).  Becomes each
+        :class:`PendingRun`'s ``timeout``.
     max_respawns:
         Total respawn budget for this engine's lifetime; exhausted
         means the machine is sick, so the pool degrades to serial.
@@ -430,36 +335,25 @@ class ParallelEngine:
         recovery-worthy observation (worker crash/hang, overdue result,
         corrupt result) is appended to its event log so one injector
         narrates the whole faulty run.
-    integrity:
-        Verify the worker-computed CRC32 on every result (default).  A
-        mismatch re-executes the task instead of combining garbage.
-    guard_nonfinite:
-        Additionally treat NaN/Inf in returned float arrays as
-        corruption and re-execute once; a recomputed non-finite result
-        is accepted (it is the function's true output — the serial path
-        would produce it too).
     """
 
     def __init__(
         self,
         workers: int = 0,
-        validate: bool = False,
+        contexts: tuple = (),
         tracer=None,
         label: str = "parallel",
         *,
-        supervise: bool = True,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
         result_timeout: float = RESULT_TIMEOUT,
         max_respawns: int | None = None,
         chaos: ChaosSpec | None = None,
         faults=None,
-        integrity: bool = True,
-        guard_nonfinite: bool = False,
         telemetry: TelemetrySpec | bool | None = None,
         profile_hz: float = 0.0,
     ) -> None:
         self.workers = max(0, int(workers))
-        self.validate = bool(validate)
+        self.contexts = tuple(contexts)
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.label = label
         # Cross-process telemetry (DESIGN.md §13).  ``None`` means
@@ -493,10 +387,9 @@ class ParallelEngine:
         self._hb_samples: list[float] = []
         #: In-flight tasks per worker slot (the queue-depth counters).
         self._queue_depth: dict[int, int] = {}
-        #: Context keys each worker slot has been asked to touch —
+        #: Context indices each worker slot has been asked to touch —
         #: the basis of the sharded-ownership memory accounting.
-        self.context_keys_by_slot: dict[int, set[str]] = {}
-        self.supervise = bool(supervise)
+        self.contexts_by_slot: dict[int, set[int]] = {}
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.result_timeout = float(result_timeout)
         self.max_respawns = (
@@ -504,8 +397,6 @@ class ParallelEngine:
         )
         self.chaos = chaos
         self.faults = faults
-        self.integrity = bool(integrity)
-        self.guard_nonfinite = bool(guard_nonfinite)
         self.active = False
         self.fallback_reason: str | None = None
         #: Labelled tally of every degrade this engine took
@@ -521,14 +412,12 @@ class ParallelEngine:
             "redistributed_tasks": 0,
             "reexecuted_tasks": 0,
             "corrupt_results": 0,
-            "nonfinite_results": 0,
             "pool_degrades": 0,
         }
         self.stats: list[WorkerStats] = []
         self.calls = 0
         self.tasks_parallel = 0
         self.tasks_serial = 0
-        self.validations = 0
         self.supervisor: WorkerSupervisor | None = None
         self._result_q = None
         #: Shared-memory input blocks, keyed by (bank, payload index).
@@ -539,13 +428,6 @@ class ParallelEngine:
         self._owned_shm: set[str] = set()
         self._task_seq = 0
         self._rr = 0  # round-robin cursor over live worker slots
-        #: Registry keys present when the pool forked (``None`` while no
-        #: pool is live).  Workers snapshot ``_CONTEXT`` at fork time, so
-        #: dispatching a task whose context key postdates the fork would
-        #: fail with a confusing worker-side lookup error — the dispatch
-        #: guard in :meth:`_dispatch_task` turns that into an immediate
-        #: :class:`~repro.errors.ParallelError`.
-        self._fork_keys: frozenset[str] | None = None
         self._tasks: dict[int, _TaskRecord] = {}
         self._outstanding: list[PendingRun] = []
         self._closed = False
@@ -583,7 +465,7 @@ class ParallelEngine:
             resource_tracker.ensure_running()
             self._result_q = ctx.SimpleQueue()
             self.supervisor = WorkerSupervisor(
-                ctx, self.workers, self._result_q, self.label,
+                ctx, self.workers, self._result_q, self.label, self.contexts,
                 chaos=self.chaos, telemetry=self.telemetry,
             )
             self._owned_shm.add(self.supervisor.shm_name)
@@ -593,8 +475,6 @@ class ParallelEngine:
             self.stats = [WorkerStats(w) for w in range(self.workers)]
             self.active = True
             self._ping()
-            self._fork_keys = frozenset(_CONTEXT)
-            _LIVE_POOLS.add(self)
         except Exception as exc:  # noqa: BLE001 - any start-up failure => serial
             self._record_degrade("startup", f"pool start failed: {exc!r}")
             self._shutdown_pool()
@@ -619,7 +499,6 @@ class ParallelEngine:
         pend = self._submit(_ping_task,
                             [({"add": 1.0}, (probe,))] * self.workers)
         pend.timeout = PING_TIMEOUT
-        pend.validate = False
         outs = pend.wait()
         if not self.active:
             raise KernelError(
@@ -658,8 +537,6 @@ class ParallelEngine:
             self.tracer.counter("profile", frame, now, self_n)
 
     def _shutdown_pool(self) -> None:
-        _LIVE_POOLS.discard(self)
-        self._fork_keys = None
         self._tasks.clear()
         for p in self._outstanding:
             p.remaining = 0  # missing results are computed serially at wait()
@@ -710,12 +587,15 @@ class ParallelEngine:
     # -- execution ----------------------------------------------------------
 
     def run(self, fn, payloads: list[tuple[dict, tuple]]) -> list[tuple]:
-        """Execute ``fn(meta, *arrays)`` per payload; results in order.
+        """Execute ``fn(ctx, meta, *arrays)`` per payload; results in order.
 
         ``payloads`` is a list of ``(meta, arrays)`` with ``meta`` a
         small picklable dict and ``arrays`` a tuple of ndarrays shipped
-        through shared memory.  Returns one tuple of arrays per
-        payload, in payload order (the deterministic combine).
+        through shared memory; ``ctx`` is the context ``meta["ctx"]``
+        indexes (an index outside ``contexts`` raises
+        :class:`KernelError` before anything runs).  Returns one tuple
+        of arrays per payload, in payload order (the deterministic
+        combine).
         """
         self.calls += 1
         if not payloads:
@@ -756,24 +636,16 @@ class ParallelEngine:
         if not slots:
             raise KernelError(
                 f"no live workers left to dispatch to ({self.label})")
-        shard = rec.meta.get("shard") if isinstance(rec.meta, dict) else None
+        shard = rec.meta.get("shard")
         if shard is not None:
             slot = slots[int(shard) % len(slots)]
         else:
             slot = slots[self._rr % len(slots)]
             self._rr += 1
         rec.slot = slot
-        ctx = rec.meta.get("ctx") if isinstance(rec.meta, dict) else None
+        ctx = rec.meta.get("ctx")
         if ctx is not None:
-            if self._fork_keys is not None and ctx not in self._fork_keys:
-                raise ParallelError(
-                    f"task context {ctx!r} was registered after engine "
-                    f"{self.label!r} forked its worker pool; live workers "
-                    "hold the fork-time registry snapshot and cannot "
-                    "resolve it. Register every context before creating "
-                    "the ParallelEngine that will use it."
-                )
-            self.context_keys_by_slot.setdefault(slot, set()).add(ctx)
+            self.contexts_by_slot.setdefault(slot, set()).add(ctx)
         self.supervisor.handles[slot].task_q.put(
             (tid, rec.attempt, rec.fn, rec.meta, rec.desc))
         depth = self._queue_depth.get(slot, 0) + 1
@@ -788,6 +660,8 @@ class ParallelEngine:
 
     def _submit(self, fn, payloads) -> PendingRun:
         payloads = list(payloads)
+        for meta, _ in payloads:
+            task_context(self.contexts, meta)  # a bad index is the caller's bug
         if not self.active or not payloads:
             return PendingRun(self, fn, payloads, bank=-1, parallel=False)
         if len(self._outstanding) >= PIPELINE_BANKS:
@@ -823,12 +697,6 @@ class ParallelEngine:
                 self._tasks[tid] = _TaskRecord(pend, idx, fn, meta, desc)
                 self._dispatch_task(tid)
                 pend.remaining += 1
-        except ParallelError:
-            # Protocol misuse (context registered after fork) must surface
-            # to the caller, not silently degrade to serial — but still
-            # tear the pool down so no half-dispatched batch lingers.
-            self._degrade("parallel protocol misuse", kind="dispatch")
-            raise
         except Exception as exc:  # noqa: BLE001 - dispatch failure => pool death
             self._degrade(f"parallel dispatch failed: {exc!r}", kind="dispatch")
             return pend
@@ -843,17 +711,13 @@ class ParallelEngine:
                 )
         return pend
 
-    def _supervised(self) -> bool:
-        return self.supervise and self.active and self.supervisor is not None
-
     def _wait(self, pend: PendingRun) -> list[tuple]:
         """Drain results for ``pend`` (routing other batches' results to
         their owners), supervising the workers while blocked: crashes,
         hangs, and overdue results trigger respawn + redistribution of
         only the failed worker's tasks; the pool dies (and the call
-        finishes serially) only when recovery is off or exhausted.
-        Raise on task failure, cross-validate when asked.  Fixed
-        payload order."""
+        finishes serially) only when recovery is exhausted.  Raise on
+        task failure.  Fixed payload order."""
         if pend.done:
             raise KernelError("PendingRun.wait() called twice")
         t_entry = time.perf_counter()
@@ -872,20 +736,17 @@ class ParallelEngine:
                         f"parallel pool timed out after {pend.timeout:.0f}s "
                         f"({self.label}); falling back to serial"
                     )
-                tick = min(SUPERVISION_TICK, budget) if self._supervised() \
-                    else budget
                 tw = time.perf_counter()
-                item = self._poll_result(tick)
+                item = self._poll_result(min(SUPERVISION_TICK, budget))
                 if pend.overlapped:
                     self.pipeline_wait_seconds += time.perf_counter() - tw
                 if item is not None:
                     self._route(item)
                     continue
-                if self._supervised():
-                    if self._supervise_tick():
-                        deadline = time.monotonic() + pend.timeout
-                    if not self.active:
-                        break  # recovery degraded the pool; remaining = 0
+                if self._supervise_tick():
+                    deadline = time.monotonic() + pend.timeout
+                if not self.active:
+                    break  # recovery degraded the pool; remaining = 0
         except KernelError as exc:
             # Pool death (timeout, closed pipe): degrade every
             # outstanding batch; missing results are computed serially.
@@ -908,10 +769,7 @@ class ParallelEngine:
             raise KernelError(
                 "parallel task failed:\n" + "\n".join(pend.failures)
             )
-        results = [tuple(r) for r in pend.results]  # type: ignore[arg-type]
-        if pend.validate and pend.parallel and self.active:
-            self._cross_validate(pend.fn, pend.payloads, results)
-        return results
+        return [tuple(r) for r in pend.results]  # type: ignore[arg-type]
 
     # -- supervision & recovery ---------------------------------------------
 
@@ -928,9 +786,7 @@ class ParallelEngine:
         """Batch deadline hit: treat the workers owning ``pend``'s
         still-missing tasks as stalled and recover them.  Returns True
         if recovery ran and the pool survived (the caller re-arms the
-        deadline); False routes to the legacy pool-death path."""
-        if not self._supervised():
-            return False
+        deadline); False routes to the pool-death path."""
         slots = sorted({
             r.slot for r in self._tasks.values() if r.pend is pend
         })
@@ -1041,8 +897,8 @@ class ParallelEngine:
 
     def _route(self, item) -> None:
         """Deliver one result-queue item to the batch that owns it,
-        verifying integrity (CRC32, optional NaN/Inf guard) before
-        accepting — a failed check re-executes the task instead."""
+        verifying its CRC32 before accepting — a failed check
+        re-executes the task instead."""
         tid, slot, status, data, crc, t0, t1, fn_name = item[:8]
         packet = item[8] if len(item) > 8 else None
         rec = self._tasks.get(tid)
@@ -1068,7 +924,7 @@ class ParallelEngine:
             pend.failures.append(f"task {idx} on worker {slot}:\n{data}")
             return
         data = tuple(data)
-        if self.integrity and crc is not None and result_crc(data) != crc:
+        if result_crc(data) != crc:
             self.recovery["corrupt_results"] += 1
             if self.faults is not None:
                 self.faults.record("result_corrupt", task=tid, worker=slot)
@@ -1081,17 +937,6 @@ class ParallelEngine:
                 )
                 return
             self._reexecute(tid, "crc-mismatch")
-            return
-        if self.guard_nonfinite and rec.attempt == 0 and any(
-            np.issubdtype(a.dtype, np.floating) and not np.isfinite(a).all()
-            for a in data
-        ):
-            # Attempt 0 only: a *recomputed* non-finite result is the
-            # function's true output (serial would produce it too).
-            self.recovery["nonfinite_results"] += 1
-            if self.faults is not None:
-                self.faults.record("result_nonfinite", task=tid, worker=slot)
-            self._reexecute(tid, "nonfinite")
             return
         del self._tasks[tid]
         st.tasks += 1
@@ -1170,7 +1015,7 @@ class ParallelEngine:
             if pend.results[i] is not None:
                 continue
             try:
-                res = pend.fn(meta, *arrays)
+                res = pend.fn(task_context(self.contexts, meta), meta, *arrays)
             except Exception:  # noqa: BLE001 - surface as a task failure
                 pend.failures.append(
                     f"task {i} (serial fallback):\n{traceback.format_exc()}"
@@ -1183,10 +1028,11 @@ class ParallelEngine:
         pend.remaining = 0
 
     def _run_serial(self, fn, payloads) -> list[tuple]:
+        ctxs = [task_context(self.contexts, meta) for meta, _ in payloads]
         self.tasks_serial += len(payloads)
         out = []
-        for meta, arrays in payloads:
-            res = fn(meta, *arrays)
+        for ctx, (meta, arrays) in zip(ctxs, payloads):
+            res = fn(ctx, meta, *arrays)
             if not isinstance(res, (tuple, list)):
                 res = (res,)
             out.append(tuple(np.asarray(a) for a in res))
@@ -1195,8 +1041,8 @@ class ParallelEngine:
     def _poll_result(self, timeout: float):
         """Result-queue poll: one item, or None after ``timeout``.
 
-        Under supervision the select also watches every live worker's
-        process *sentinel*, so a crash wakes the driver immediately —
+        The select also watches every live worker's process
+        *sentinel*, so a crash wakes the driver immediately —
         detection latency is the OS reap, not the supervision tick.
         (Hangs have no such signal; they wait for the heartbeat
         deadline.)  A sentinel firing returns None: the caller's
@@ -1206,14 +1052,13 @@ class ParallelEngine:
 
         reader = self._result_q._reader  # SimpleQueue's underlying pipe
         fds = [reader]
-        if self._supervised():
-            for h in self.supervisor.handles:
-                if h is None:
-                    continue
-                try:
-                    fds.append(h.proc.sentinel)
-                except ValueError:  # process object already closed
-                    pass
+        for h in self.supervisor.handles:
+            if h is None:
+                continue
+            try:
+                fds.append(h.proc.sentinel)
+            except ValueError:  # process object already closed
+                pass
         ready, _, _ = select.select(fds, [], [], max(0.0, timeout))
         if reader in ready:
             return self._result_q.get()
@@ -1225,39 +1070,19 @@ class ParallelEngine:
         total = self.pipeline_overlap_seconds + self.pipeline_wait_seconds
         return self.pipeline_overlap_seconds / total if total > 0 else 0.0
 
-    # -- validation ---------------------------------------------------------
-
-    def _cross_validate(self, fn, payloads, results) -> None:
-        """Bitwise-compare parallel results against a serial recompute."""
-        self.validations += 1
-        serial = self._run_serial(fn, payloads)
-        self.tasks_serial -= len(payloads)  # recompute is bookkeeping-neutral
-        for idx, (par, ser) in enumerate(zip(results, serial)):
-            for k, (a, b) in enumerate(zip(par, ser)):
-                if not np.array_equal(a, b):
-                    scale = max(float(np.max(np.abs(b))), 1e-300)
-                    err = float(np.max(np.abs(a - b))) / scale
-                    raise KernelError(
-                        f"parallel/serial cross-validation failed for "
-                        f"{getattr(fn, '__name__', fn)} task {idx} output {k}: "
-                        f"max rel err {err:.3e} (required: bitwise identical)"
-                    )
-
     # -- sharded-context accounting -----------------------------------------
 
     def context_bytes_by_slot(self) -> dict[int, int]:
-        """Resident bytes of the context entries each worker slot was
-        asked to touch (still-registered entries only).
+        """Resident bytes of the contexts each worker slot was asked to
+        touch.
 
         Under sharded ownership with shard affinity each slot maps to a
-        disjoint set of per-shard keys, so the per-slot totals are the
+        disjoint set of shard indices, so the per-slot totals are the
         per-worker context footprints.
         """
         return {
-            slot: sum(
-                context_nbytes(_CONTEXT[k]) for k in keys if k in _CONTEXT
-            )
-            for slot, keys in self.context_keys_by_slot.items()
+            slot: sum(context_nbytes(self.contexts[i]) for i in idxs)
+            for slot, idxs in self.contexts_by_slot.items()
         }
 
     def peak_context_bytes(self) -> int:
@@ -1265,14 +1090,11 @@ class ParallelEngine:
         return max(self.context_bytes_by_slot().values(), default=0)
 
     def total_context_bytes(self) -> int:
-        """Bytes of every context entry dispatched through this engine —
-        what *each* worker would fault in under replicated ownership
-        (the pre-shard model, where one global key held all shards and
-        round-robin dispatch touched it from every worker)."""
-        if not self.context_keys_by_slot:
-            return 0
-        keys: set[str] = set().union(*self.context_keys_by_slot.values())
-        return sum(context_nbytes(_CONTEXT[k]) for k in keys if k in _CONTEXT)
+        """Bytes of every context dispatched through this engine — what
+        *each* worker would fault in under replicated ownership (round-
+        robin dispatch touching every shard from every worker)."""
+        idxs: set[int] = set().union(*self.contexts_by_slot.values())
+        return sum(context_nbytes(self.contexts[i]) for i in idxs)
 
     # -- introspection ------------------------------------------------------
 
@@ -1281,14 +1103,12 @@ class ParallelEngine:
         return {
             "workers": self.workers,
             "active": self.active,
-            "supervised": self.supervise,
             "fallback_reason": self.fallback_reason,
             "degrade_reasons": dict(self.degrade_kinds),
             "recovery": dict(self.recovery),
             "calls": self.calls,
             "tasks_parallel": self.tasks_parallel,
             "tasks_serial": self.tasks_serial,
-            "validations": self.validations,
             "pipeline": {
                 "batches": self.pipeline_batches,
                 "max_depth": self.pipeline_max_depth,
@@ -1332,8 +1152,3 @@ class ParallelEngine:
         from ..obs.health import HealthMonitor
 
         return (monitor or HealthMonitor()).evaluate_engine(self)
-
-
-#: The shared always-serial engine: the default everywhere a
-#: ``workers=`` knob is absent or 0 — zero processes, zero overhead.
-SERIAL_ENGINE = ParallelEngine(workers=0, label="serial")

@@ -1,11 +1,9 @@
 """Worker supervision: heartbeats, liveness, respawn, and chaos hooks.
 
-The engine's original fault story was all-or-nothing: any worker fault
-killed the whole pool and degraded every outstanding batch to serial,
-throwing away the multi-core speedup for the rest of the run.  The
-full-machine runs the paper (and the 40-million-core follow-on, Duan
-et al.) describe survive *because* a failed node is handled locally:
-detect, replace, re-issue the lost work, keep going.
+The full-machine runs the paper (and the 40-million-core follow-on,
+Duan et al.) describe survive *because* a failed node is handled
+locally: detect, replace, re-issue the lost work, keep going — a worker
+fault does not cost the pool.
 
 This module is the driver-side half of that story plus everything that
 runs *inside* a worker process:
@@ -21,10 +19,9 @@ runs *inside* a worker process:
   stuck or stalled process).  The engine decides what to do about it.
 - **Respawn.**  :meth:`WorkerSupervisor.respawn` replaces a failed
   worker in the same slot with a fresh fork (generation + 1).  The
-  fork-inherited context registry (:func:`repro.parallel.engine
-  .register_context`) still holds every geometry the driver registered,
-  so the replacement worker re-inherits the exact same read-only
-  context the original had — no re-registration protocol needed.
+  supervisor holds the engine's ``contexts`` tuple and passes it to
+  every worker it starts, so the replacement inherits the exact same
+  read-only objects the original had.
 - **Chaos hooks.**  :class:`ChaosSpec` is the deterministic fault
   schedule the chaos harness (:mod:`repro.parallel.chaos`) injects:
   self-SIGKILL, heartbeat stall, result delay, and result bit-flips,
@@ -53,6 +50,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..errors import KernelError
+
 __all__ = [
     "HEARTBEAT_INTERVAL",
     "HEARTBEAT_TIMEOUT",
@@ -61,6 +60,7 @@ __all__ = [
     "WorkerHandle",
     "WorkerSupervisor",
     "result_crc",
+    "task_context",
 ]
 
 #: Seconds between heartbeat stamps inside each worker.
@@ -146,6 +146,18 @@ class ChaosSpec:
         )
 
 
+def task_context(contexts: tuple, meta: dict):
+    """The context ``meta["ctx"]`` indexes; ``None`` when it names none."""
+    idx = meta.get("ctx")
+    if idx is None:
+        return None
+    if not isinstance(idx, int) or not 0 <= idx < len(contexts):
+        raise KernelError(
+            f"task meta names context {idx!r}; this engine was built "
+            f"around {len(contexts)}")
+    return contexts[idx]
+
+
 def result_crc(arrays: tuple) -> int:
     """CRC32 over every result array's bytes, in tuple order."""
     crc = 0
@@ -203,9 +215,12 @@ def _chaos_post(spec: ChaosSpec | None, tid: int, attempt: int,
 
 
 def _worker_main(slot: int, generation: int, task_q, result_q,
-                 hb_desc: tuple[str, int], chaos: ChaosSpec | None,
-                 telemetry=None) -> None:
+                 hb_desc: tuple[str, int], contexts: tuple,
+                 chaos: ChaosSpec | None, telemetry=None) -> None:
     """Pool worker loop: attach inputs, compute, send results back.
+
+    ``contexts`` is the engine's tuple, inherited through the fork (a
+    ``Process`` argument is not pickled under ``fork``).
 
     Inputs arrive through the driver-owned shared-memory blocks;
     results (whose shapes only the task function knows) return through
@@ -241,11 +256,6 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
         from ..obs.telemetry import WorkerTelemetry
 
         tel = WorkerTelemetry(telemetry, slot, generation, hb_view)
-    # Lazy import: engine imports this module at load time, so the
-    # reverse import must wait until the worker body actually runs.
-    from .engine import touched_context_bytes
-
-    ctx_reported = 0.0
     try:
         while True:
             item = task_q.get()
@@ -268,7 +278,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
                         attached[name] = shm
                     ins = _unpack(shm, metas)
                 tc0 = time.perf_counter()
-                outs = fn(meta, *ins)
+                outs = fn(task_context(contexts, meta), meta, *ins)
                 tc1 = time.perf_counter()
                 if not isinstance(outs, (tuple, list)):
                     outs = (outs,)
@@ -277,18 +287,12 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
                 _chaos_post(chaos, tid, attempt, outs)
                 packet = None
                 if tel is not None:
-                    # context.bytes ships as a delta (packets are folded
-                    # additively driver-side): first touch of a shard's
-                    # context raises it once, steady state adds zero.
-                    ctx_now = float(touched_context_bytes())
                     packet = tel.packet(
                         spans=(("unpack", t0, tc0), ("compute", tc0, tc1)),
                         metrics={"unpack.seconds": tc0 - t0,
                                  "compute.seconds": tc1 - tc0,
-                                 "context.bytes": ctx_now - ctx_reported,
                                  "tasks": 1.0},
                     )
-                    ctx_reported = ctx_now
                 result_q.put(
                     (tid, slot, "ok", outs, crc, t0, time.perf_counter(),
                      getattr(fn, "__name__", str(fn)), packet)
@@ -348,11 +352,15 @@ class WorkerSupervisor:
     """
 
     def __init__(self, ctx, nslots: int, result_q, label: str,
-                 chaos: ChaosSpec | None = None, telemetry=None) -> None:
+                 contexts: tuple, chaos: ChaosSpec | None = None,
+                 telemetry=None) -> None:
         self.ctx = ctx
         self.nslots = nslots
         self.result_q = result_q
         self.label = label
+        #: The engine's read-only contexts, a fork-inherited argument of
+        #: every (re)spawned worker.
+        self.contexts = contexts
         self.chaos = chaos
         #: Optional :class:`~repro.obs.telemetry.TelemetrySpec`, handed
         #: to every (re)spawned worker — picklable, so it crosses the
@@ -378,7 +386,8 @@ class WorkerSupervisor:
         proc = self.ctx.Process(
             target=_worker_main,
             args=(slot, generation, task_q, self.result_q,
-                  (self.hb.name, self.nslots), self.chaos, self.telemetry),
+                  (self.hb.name, self.nslots), self.contexts, self.chaos,
+                  self.telemetry),
             daemon=True,
             name=f"{self.label}-worker-{slot}.g{generation}",
         )
@@ -395,8 +404,7 @@ class WorkerSupervisor:
 
         The old worker's private task queue dies with it — the engine
         redistributes its in-flight tasks explicitly.  The replacement
-        forks from the *current* driver, so it inherits the context
-        registry exactly as registered (copy-on-write), same as the
+        is handed the same ``contexts`` (copy-on-write), same as the
         original pool start.
         """
         old = self.handles[slot]

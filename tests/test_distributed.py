@@ -1,6 +1,7 @@
 """Tests for the distributed models and the RH wave."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -247,44 +248,37 @@ class TestSharedBase:
     """What both models inherit from the one distributed base."""
 
     def test_close_is_idempotent_and_with_exit_closes(self, build):
-        from repro.parallel.engine import _CONTEXT
-
-        gc.collect()  # earlier tests' dropped models release theirs now
-        baseline = len(_CONTEXT)
         with build(workers=2, pipeline=True) as model:
             model.step()
+            engine = model.engine
             # 4 rank shards + 8 boundary/inner split shards.
-            assert len(_CONTEXT) == baseline + 12
-        assert len(_CONTEXT) == baseline
+            assert len(engine.contexts) == 12
+            assert list(engine.contexts[:4]) == model.geoms
+        assert not engine.active and engine.leaked_shm() == []
         model.close()
         model.close()
-        assert len(_CONTEXT) == baseline
+        assert model.engine is engine and not engine.active
 
     def test_no_split_contexts_without_a_pool(self, build):
         """``pipeline=True`` with ``workers <= 1`` can never dispatch a
-        split batch; it used to build, warm and register the 2 x nranks
+        split batch; it used to build and warm the 2 x nranks
         boundary/inner geometries anyway."""
-        from repro.parallel.engine import _CONTEXT
-
-        gc.collect()
-        baseline = len(_CONTEXT)
         with build(pipeline=True) as model:
-            assert len(_CONTEXT) == baseline + model.nranks
-            assert model._pipe_shard_keys == []
+            assert list(model.engine.contexts) == model.geoms
             model.step()
 
     def test_dropped_model_releases_its_contexts(self, build):
-        from repro.parallel.engine import _CONTEXT
-
-        gc.collect()
-        baseline = len(_CONTEXT)
-        for _ in range(3):
+        """Nothing outside a model holds its shard geometries: dropping
+        it — closed or not — frees them."""
+        for close in (True, False):
             model = build()
             model.step()
-            assert len(_CONTEXT) == baseline + 4
+            shards = [weakref.ref(g) for g in model.engine.contexts]
+            if close:
+                model.close()
             del model
             gc.collect()
-            assert len(_CONTEXT) == baseline
+            assert [ref() for ref in shards] == [None] * 4
 
     def test_snapshot_restore_continues_bitwise(self, build):
         straight, resumed = build(), build()

@@ -1,14 +1,16 @@
 """Cross-validation of the fused (production) vs batched (reference)
-execution paths, and the operator-tensor cache invalidation contract.
+execution paths, and the read-only contract of the geometry and the
+operator tensors cached on it.
 
 The fused path is only trusted because every dispatchable kernel agrees
 with its batched twin to 1e-12 on the same inputs — random states,
 analytic shallow-water states, and full timestep trajectories; the
 batched reference itself is checked to be element-local and
-tracer-local.  The tensor cache is only trusted because mutating the
-geometry's metric terms demonstrably never serves stale tensors.
+tracer-local.  The tensor cache is only trusted because nothing it
+derives from, and nothing it hands out, can be written in place.
 """
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -107,15 +109,10 @@ class TestDispatch:
 
     def test_task_meta_without_path_fails_loudly(self, mesh4):
         from repro.parallel.dycore import prim_laplace_wk_task
-        from repro.parallel.engine import register_context, unregister_context
 
         geom = ElementGeometry(mesh4, [0, 1])
-        key = register_context("test-exec-paths/no-path", geom)
-        try:
-            with pytest.raises(KeyError, match="path"):
-                prim_laplace_wk_task({"ctx": key}, np.zeros((2, 3, 4, 4)))
-        finally:
-            unregister_context(key)
+        with pytest.raises(KeyError, match="path"):
+            prim_laplace_wk_task(geom, {"ctx": 0}, np.zeros((2, 3, 4, 4)))
 
 
 class TestCrossValidation:
@@ -184,31 +181,6 @@ class TestTensorCache:
         t2 = geom.tensors
         assert t1 is t2
 
-    def test_mutating_metric_terms_rebuilds(self, mesh4):
-        geom = ElementGeometry(mesh4)
-        f = np.sin(geom.lat)
-        from repro.homme import operators as op
-
-        before = op.laplace_sphere_wk(f, geom)
-        assert np.max(np.abs(before)) > 0
-        old = geom.tensors
-        # Double spheremp in place: the weak Laplacian divides by it,
-        # so a fresh tensor bundle must exactly halve the result —
-        # serving the stale bundle would leave it unchanged.
-        geom.spheremp *= 2.0
-        new = geom.tensors
-        assert new is not old
-        assert new.token != old.token
-        np.testing.assert_allclose(new.inv_spheremp, 1.0 / geom.spheremp)
-        after = op.laplace_sphere_wk(f, geom)
-        np.testing.assert_allclose(after, 0.5 * before, rtol=1e-12)
-
-    def test_explicit_invalidation(self, mesh4):
-        geom = ElementGeometry(mesh4)
-        t1 = geom.tensors
-        geom.invalidate_tensors()
-        assert geom.tensors is not t1
-
     def test_cache_contents_match_geometry(self, mesh4):
         geom = ElementGeometry(mesh4)
         t = geom.tensors
@@ -239,16 +211,95 @@ class TestTensorCache:
         np.testing.assert_allclose(f.wk_out, -(t.inv_jac * t.inv_spheremp))
         np.testing.assert_allclose(f.imdj, t.inv_metdet * t.inv_jac)
 
-    def test_fused_operands_invalidate_with_geometry(self, mesh4):
-        from repro.homme.fused import laplace_sphere_wk_fused
+    def test_topography_is_not_cached(self, prim_setup):
+        """``phis`` is the caller's array: an in-place edit between two
+        RHS evaluations must reach the fused path (it used to read a
+        cached level-expanded copy), and evaluating with any number of
+        distinct ``phis`` arrays leaves the bundle's cache as it was."""
+        _, geom, state = prim_setup
+        fz, b = homme_execution("fused"), homme_execution("batched")
+        f = geom.tensors.fused()
+        phis = 100.0 * np.random.default_rng(5).random(
+            (geom.nelem, geom.np, geom.np))
+        fz.compute_rhs(state, geom)  # the mesh's own planes are cached now
+        cached = len(f._bcache)
+        for scale in (1.0, 50.0):
+            phis *= scale
+            for got, want in zip(fz.compute_rhs(state, geom, phis),
+                                 b.compute_rhs(state, geom, phis)):
+                assert rel_err(want, got) <= RTOL
+        for _ in range(3):
+            fz.compute_rhs(state, geom, phis.copy())
+        assert len(f._bcache) == cached
 
+
+def _planes(bundle):
+    return [(f.name, getattr(bundle, f.name))
+            for f in dataclasses.fields(bundle)
+            if isinstance(getattr(bundle, f.name), np.ndarray)]
+
+
+def _read_only_arrays(geom):
+    """``(name, array)`` of everything a geometry owns or hands out."""
+    t = geom.tensors
+    f64, f32 = t.fused(np.float64), t.fused(np.float32)
+    level_field = np.zeros((geom.nelem, 3, geom.np, geom.np))
+    out = [(f"geom.{name}", getattr(geom, name)) for name in (
+        "metdet", "met", "metinv_planes", "e_cov_planes", "spheremp",
+        "lat", "lon", "fcor", "D", "metinv", "e_cov")]
+    out += [(f"tensors.{n}", a) for n, a in _planes(t)]
+    out += [(f"fused64.{n}", a) for n, a in _planes(f64)]
+    out += [(f"fused32.{n}", a) for n, a in _planes(f32)]
+    out += [
+        ("tensors.bshape(metdet)", t.bshape(t.metdet, level_field)),
+        ("fused64.bshape(metdet)", f64.bshape(f64.metdet, level_field)),
+        ("fused64.bshape(fcor)", f64.bshape(geom.fcor, level_field)),
+        ("fused32.bshape(imdj)", f32.bshape(f32.imdj, level_field)),
+    ]
+    return out
+
+
+_READ_ONLY_NAMES = [n for n, _ in _read_only_arrays(
+    ElementGeometry(CubedSphereMesh(2, 4)))]
+
+
+class TestReadOnlyGeometry:
+    """Frozen at construction: an edit fails at the edit, so there is no
+    stale derived plane to detect afterwards."""
+
+    @pytest.mark.parametrize("shard", [None, [3, 1, 7]], ids=["whole", "shard"])
+    @pytest.mark.parametrize("name", _READ_ONLY_NAMES)
+    def test_in_place_write_raises(self, mesh4, name, shard):
+        arr = dict(_read_only_arrays(ElementGeometry(mesh4, shard)))[name]
+        assert not arr.flags.writeable
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1, out=arr)
+        assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("attr", ["metinv", "e_cov"])
+    def test_packed_views_cannot_be_rebound(self, mesh4, attr):
         geom = ElementGeometry(mesh4)
-        field = np.sin(geom.lat)
-        before = laplace_sphere_wk_fused(field, geom)
-        geom.spheremp *= 2.0
-        after = laplace_sphere_wk_fused(field, geom)
-        np.testing.assert_allclose(after, 0.5 * before, rtol=1e-12)
-        geom.spheremp /= 2.0
+        with pytest.raises(AttributeError):
+            setattr(geom, attr, getattr(mesh4, attr).copy())
+
+    def test_building_a_geometry_flips_no_flag_of_the_mesh(self):
+        """The geometry freezes its own copies (and a view of ``deriv``,
+        which ``gll.derivative_matrix`` already hands out read-only)."""
+        mesh = CubedSphereMesh(2, 4)
+        names = ("deriv", "metdet", "met", "metinv", "e_cov", "spheremp",
+                 "lat", "lon")
+        before = {n: getattr(mesh, n).flags.writeable for n in names}
+        geom = ElementGeometry(mesh)
+        geom.tensors.fused()
+        assert {n: getattr(mesh, n).flags.writeable for n in names} == before
+        assert all(before[n] for n in names if n != "deriv")
+        assert np.shares_memory(geom.D, mesh.deriv)
+        assert not np.shares_memory(geom.metdet, mesh.metdet)
 
 
 class TestFusedPath:

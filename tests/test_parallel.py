@@ -20,36 +20,35 @@ from repro.homme.element import ElementGeometry, ElementState
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.obs import MetricsRegistry, Tracer, collect_parallel_engine
 from repro.parallel import (
-    SERIAL_ENGINE,
     ParallelEngine,
-    ParallelError,
     available_cores,
     context_nbytes,
-    register_context,
-    unregister_context,
+    scenario_spec,
     worker_track,
 )
-from repro.parallel.engine import PIPELINE_BANKS, _ping_task
+from repro.parallel.engine import PIPELINE_BANKS, _Block, _pack, _ping_task
+from repro.parallel.supervisor import _unpack
+
+from .trajectory import assert_same_trajectory
 
 
-def _boom_task(meta, arr):
+def _boom_task(ctx, meta, arr):
     raise RuntimeError("intentional task failure")
 
 
-def _sleepy_task(meta, arr):
+def _sleepy_task(ctx, meta, arr):
     import time
 
     time.sleep(meta.get("sleep", 0.0))
     return (arr + 1.0,)
 
 
-def _nan_task(meta, arr):
-    out = arr.copy()
-    out[0] = np.nan
-    return (out,)
+def _add_context_task(ctx, meta, arr):
+    """Adds the (scalar) context the meta names — 0 when it names none."""
+    return (arr + (0.0 if ctx is None else ctx),)
 
 
-def _sleep_once_task(meta, arr):
+def _sleep_once_task(ctx, meta, arr):
     """Sleeps long on its first execution only (flag file marks it),
     modeling a one-off stall the supervisor must recover from."""
     import os
@@ -81,12 +80,51 @@ class TestEngineBasics:
         assert worker_track(3) == "worker/3"
 
     def test_serial_engine_never_starts_processes(self):
-        assert SERIAL_ENGINE.workers == 0
-        assert not SERIAL_ENGINE.active
-        outs = SERIAL_ENGINE.run(
-            _ping_task, [({"add": 2.0}, (np.arange(3.0),))]
-        )
+        e = ParallelEngine(workers=0)
+        assert e.workers == 0
+        assert not e.active and e.supervisor is None
+        outs = e.run(_ping_task, [({"add": 2.0}, (np.arange(3.0),))])
         assert np.array_equal(outs[0][0], np.arange(3.0) + 2.0)
+        assert not e.active and e.supervisor is None
+
+    def test_pack_copies_strided_inputs_as_they_are(self):
+        """Non-contiguous inputs (``qdp[:, q]``, a transposed view) land
+        in the block with the right values under C-contiguous
+        descriptors of their own shape."""
+        from multiprocessing import shared_memory
+
+        qdp = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
+        arrays = (qdp[:, 1], qdp.T, np.arange(7, dtype=np.int32)[::2])
+        assert not any(a.flags.c_contiguous for a in arrays)
+
+        def make(capacity):
+            return _Block(
+                shared_memory.SharedMemory(create=True, size=capacity), capacity)
+
+        block, (name, metas) = _pack(None, arrays, make)
+        try:
+            assert name == block.shm.name
+            assert [m[1:] for m in metas] == [
+                (a.shape, a.dtype.str) for a in arrays]
+            assert all(off % 64 == 0 for off, _, _ in metas)
+            # Copies: a live view of the block would keep it from closing.
+            got = [(v.flags.c_contiguous, v.copy())
+                   for v in _unpack(block.shm, metas)]
+        finally:
+            block.close(unlink=True)
+        for (contiguous, values), want in zip(got, arrays):
+            assert contiguous
+            assert np.array_equal(values, want)
+
+    def test_strided_payload_round_trips_and_counts_its_own_bytes(self):
+        qdp = np.arange(2 * 3 * 8, dtype=np.float64).reshape(2, 3, 8)
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            before = sum(s.bytes_in for s in e.stats)
+            (out,), = e.run(_ping_task, [({"add": 1.0}, (qdp[:, 1],))])
+            assert np.array_equal(out, qdp[:, 1] + 1.0)
+            assert sum(s.bytes_in for s in e.stats) - before == qdp[:, 1].nbytes
 
     def test_results_in_payload_order(self):
         with ParallelEngine(workers=2) as e:
@@ -115,11 +153,6 @@ class TestEngineBasics:
         outs = e.run(_ping_task, [({"add": 1.0}, (np.arange(4.0),))])
         assert np.array_equal(outs[0][0], np.arange(4.0) + 1.0)
         e.close()
-
-    def test_validate_flag_recomputes_and_passes(self):
-        with ParallelEngine(workers=2, validate=True) as e:
-            e.run(_ping_task, [({"add": 0.5}, (np.arange(6.0),))])
-            assert e.validations == 1
 
     def test_close_is_idempotent_and_describe_reports(self):
         e = ParallelEngine(workers=2)
@@ -160,10 +193,11 @@ class TestSelfHealing:
         assert e.leaked_shm() == []
 
     def test_unsupervised_result_timeout_degrades_whole_pool(self):
-        """Satellite: the legacy mid-batch RESULT_TIMEOUT path — with
-        supervision off, an overdue batch is pool death, and the call
-        completes serially."""
-        with ParallelEngine(workers=2, supervise=False,
+        """The all-or-nothing pool death: with no respawn budget an
+        overdue batch cannot be recovered locally — supervision has
+        nothing left to do — so the pool dies and the call completes
+        serially."""
+        with ParallelEngine(workers=2, max_respawns=0,
                             result_timeout=0.5) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
@@ -172,7 +206,10 @@ class TestSelfHealing:
             assert not e.active
             assert "timed out" in e.fallback_reason
             assert e.degrade_kinds.get("timeout") == 1
-            assert e.recovery["pool_degrades"] == 1
+            assert e.degrade_kinds.get("respawn-budget") == 1
+            assert e.recovery["timeouts"] == 1
+            assert e.recovery["respawns"] == 0
+        assert e.leaked_shm() == []
 
     def test_supervised_overdue_result_recovers_without_degrade(self, tmp_path):
         """The same overdue batch under supervision: the stalled worker
@@ -219,19 +256,6 @@ class TestSelfHealing:
         assert reg.value("parallel.degrade.reason.startup") == 1
         e.close()
 
-    def test_nonfinite_guard_reexecutes_then_accepts(self):
-        """A NaN result is re-executed once; a *recomputed* NaN is the
-        function's true output and must be accepted (serial would
-        produce it too) — no infinite re-execution loop."""
-        with ParallelEngine(workers=2, guard_nonfinite=True) as e:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            (out,), = e.run(_nan_task, [({}, (np.arange(3.0),))])
-            assert np.isnan(out[0])
-            assert e.recovery["nonfinite_results"] == 1
-            assert e.recovery["reexecuted_tasks"] == 1
-            assert e.active
-
     def test_respawn_budget_exhaustion_degrades(self):
         """Recovery gives up when the machine looks sick: respawn
         budget 0 turns the first crash into a whole-pool degrade, and
@@ -258,8 +282,7 @@ class TestSelfHealing:
             reg = collect_parallel_engine(MetricsRegistry("par"), e)
         for key in ("respawns", "crashes", "hangs", "timeouts",
                     "redistributed_tasks", "reexecuted_tasks",
-                    "corrupt_results", "nonfinite_results",
-                    "pool_degrades"):
+                    "corrupt_results", "pool_degrades"):
             assert reg.value(f"parallel.recovery.{key}") == 0
 
 
@@ -341,19 +364,12 @@ class TestPipelineSubmit:
 class TestDistributedBitwise:
     def test_sw_ne8_workers2_matches_serial_bitwise(self):
         """Acceptance criterion: ne8 shallow water, parallel == serial
-        to the last bit (validate=True additionally asserts it on every
-        pool dispatch)."""
+        to the last bit after every step, simulated clocks included
+        (they are the timing model either way)."""
         mesh = CubedSphereMesh(8, 4)
         with DistributedShallowWater(mesh, nranks=4) as ser, \
-                DistributedShallowWater(mesh, nranks=4, workers=2,
-                                        validate=True) as par:
-            ser.run_steps(2)
-            par.run_steps(2)
-            gs, gp = ser.gather_state(), par.gather_state()
-            assert np.array_equal(gs.h, gp.h)
-            assert np.array_equal(gs.v, gp.v)
-            # Simulated clocks are the timing model either way.
-            assert ser.max_rank_time() == par.max_rank_time()
+                DistributedShallowWater(mesh, nranks=4, workers=2) as par:
+            assert_same_trajectory(ser, par, 2)
             if par.engine.active:
                 assert par.engine.tasks_parallel > 0
 
@@ -364,14 +380,8 @@ class TestDistributedBitwise:
         with DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0) as ser, \
             DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                validate=True) as par:
-            ser.run_steps(2)
-            par.run_steps(2)
-            gs, gp = ser.gather_state(), par.gather_state()
-            for f in ("v", "T", "dp3d", "qdp"):
-                assert np.array_equal(getattr(gs, f), getattr(gp, f)), f
-            assert ser.max_rank_time() == par.max_rank_time()
+                cfg, mesh, state, nranks=4, dt=30.0, workers=2) as par:
+            assert_same_trajectory(ser, par, 2)
 
     def test_prim_snapshot_restore_under_parallel_engine(self):
         """Satellite: snapshot()/restore_snapshot() round-trip with
@@ -395,19 +405,13 @@ class TestDistributedBitwise:
     def test_sw_ne8_pipelined_matches_serial_bitwise(self):
         """Acceptance criterion: the pipelined mode (boundary/inner
         split dispatch, combines overlapped with worker compute) is
-        bitwise identical to serial — validate=True additionally
-        recomputes every batch on the driver and compares bitwise."""
+        bitwise identical to serial; pipelining changes wall time only,
+        never simulated clocks."""
         mesh = CubedSphereMesh(8, 4)
         with DistributedShallowWater(mesh, nranks=4) as ser, \
                 DistributedShallowWater(mesh, nranks=4, workers=2,
-                                        validate=True, pipeline=True) as pip:
-            ser.run_steps(2)
-            pip.run_steps(2)
-            gs, gp = ser.gather_state(), pip.gather_state()
-            assert np.array_equal(gs.h, gp.h)
-            assert np.array_equal(gs.v, gp.v)
-            # Pipelining changes wall time only, never simulated clocks.
-            assert ser.max_rank_time() == pip.max_rank_time()
+                                        pipeline=True) as pip:
+            assert_same_trajectory(ser, pip, 2)
             if pip.engine.active:
                 assert pip.engine.pipeline_batches > 0
                 assert pip.engine.pipeline_overlap_seconds > 0.0
@@ -420,13 +424,8 @@ class TestDistributedBitwise:
                 cfg, mesh, state, nranks=4, dt=30.0) as ser, \
             DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                validate=True, pipeline=True) as pip:
-            ser.run_steps(2)
-            pip.run_steps(2)
-            gs, gp = ser.gather_state(), pip.gather_state()
-            for f in ("v", "T", "dp3d", "qdp"):
-                assert np.array_equal(getattr(gs, f), getattr(gp, f)), f
-            assert ser.max_rank_time() == pip.max_rank_time()
+                pipeline=True) as pip:
+            assert_same_trajectory(ser, pip, 2)
 
     def test_prim_snapshot_restore_under_pipeline(self):
         """snapshot()/restore_snapshot() round-trip stays bitwise under
@@ -450,8 +449,10 @@ class TestDistributedBitwise:
     def test_serial_workers_knob_is_default_path(self):
         mesh = CubedSphereMesh(4, 4)
         with DistributedShallowWater(mesh, nranks=2) as m:
-            assert m.engine is SERIAL_ENGINE
+            assert m.engine.workers == 0
             m.step()
+            assert not m.engine.active and m.engine.supervisor is None
+            assert m.engine.tasks_serial > 0 and m.engine.tasks_parallel == 0
 
 
 class TestObservability:
@@ -511,58 +512,88 @@ class TestObservability:
 
 
 class TestShardedContexts:
-    """Sharded geometry ownership (DESIGN.md §15): per-shard context
-    registry entries, shard-affinity dispatch, fork-snapshot guards,
+    """Sharded geometry ownership (DESIGN.md §15): an engine is built
+    around its contexts, a meta indexes them, shard-affinity dispatch,
     and the per-worker memory accounting."""
 
-    def test_register_overwrite_while_pool_live_raises(self):
-        key = register_context("test-ctx/overwrite", np.arange(4.0))
-        try:
-            with ParallelEngine(workers=2) as e:
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("bad", [-1, 2, 99, "0"])
+    def test_context_index_outside_the_tuple_raises(self, workers, bad):
+        with ParallelEngine(workers=workers, contexts=(1.0, 2.0)) as e:
+            if workers and not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            good = ({"ctx": 1}, (np.arange(3.0),))
+            for call in (e.run, lambda fn, p: e.submit(fn, p).wait()):
+                with pytest.raises(KernelError, match="names context"):
+                    call(_add_context_task,
+                         [good, ({"ctx": bad}, (np.arange(3.0),))])
+            # The caller's bug, not the pool's: nothing ran, nothing died.
+            assert e.active == bool(workers)
+            assert e.recovery["pool_degrades"] == 0
+            assert e.tasks_parallel + e.tasks_serial == workers  # the pings
+            (out,), = e.run(_add_context_task, [good])
+            assert np.array_equal(out, np.arange(3.0) + 2.0)
+
+    def test_two_live_engines_resolve_their_own_contexts(self):
+        payloads = [({"ctx": i}, (np.zeros(2),)) for i in (0, 1)] \
+            + [({}, (np.zeros(2),))]
+        with ParallelEngine(workers=2, contexts=(1.0, 2.0),
+                            label="first") as first, \
+                ParallelEngine(workers=2, contexts=(10.0, 20.0),
+                               label="second") as second, \
+                ParallelEngine(workers=0, contexts=(100.0, 200.0)) as third:
+            for e in (first, second):
                 if not e.active:
                     pytest.skip(f"pool unavailable: {e.fallback_reason}")
-                with pytest.raises(ParallelError, match="overwrite"):
-                    register_context(key, np.arange(8.0))
-            # Pool closed: overwriting is allowed again.
-            register_context(key, np.arange(8.0))
-        finally:
-            unregister_context(key)
+            for e, base in ((first, 1.0), (second, 10.0), (third, 100.0),
+                            (first, 1.0)):
+                outs = [o[0][0] for o in e.run(_add_context_task, payloads)]
+                assert outs == [base, 2 * base, 0.0]
 
-    def test_dispatch_of_post_fork_context_raises(self):
-        e = ParallelEngine(workers=2)
-        key = None
-        try:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            key = register_context("test-ctx/post-fork", np.arange(4.0))
-            with pytest.raises(ParallelError, match="after engine"):
-                e.run(_ping_task, [({"add": 1.0, "ctx": key},
-                                    (np.arange(3.0),))])
-        finally:
-            e.close()
-            if key is not None:
-                unregister_context(key)
+    def test_prim_kill_worker_respawn_reinherits_the_contexts(self):
+        """The chaos scenarios drive shallow water; this is the
+        primitive-equation model losing a worker in its first RK stage.
+        The respawned worker is handed the engine's contexts again, so
+        the redistributed shard computes on the same geometry."""
+        cfg, mesh, _, state = _noisy_prim_state()
+        spec, overrides = scenario_spec("kill-worker", workers=2, nranks=4)
+        with DistributedPrimitiveEquations(
+                cfg, mesh, state, nranks=4, dt=30.0) as ser, \
+            DistributedPrimitiveEquations(
+                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
+                engine_kwargs={"chaos": spec, **overrides}) as par:
+            if not par.engine.active:
+                pytest.skip(f"pool unavailable: {par.engine.fallback_reason}")
+            assert_same_trajectory(ser, par, 2)
+            assert par.engine.active
+            assert par.engine.recovery["crashes"] == 1
+            assert par.engine.recovery["respawns"] == 1
+            assert par.engine.recovery["pool_degrades"] == 0
+            # Both generations of the killed slot computed on contexts.
+            assert max(s.generation for s in par.engine.stats) == 1
 
-    def test_new_key_for_fresh_engine_is_allowed_while_pool_live(self):
-        # The legitimate multi-engine pattern: registering a *new* key
-        # while another engine's pool is live is fine — the engine that
-        # uses it forks later and inherits the entry.
-        with ParallelEngine(workers=2, label="first") as first:
-            if not first.active:
-                pytest.skip(f"pool unavailable: {first.fallback_reason}")
-            key = register_context("test-ctx/fresh", np.arange(16.0))
-            try:
-                with ParallelEngine(workers=2, label="second") as second:
-                    if not second.active:
-                        pytest.skip(
-                            f"pool unavailable: {second.fallback_reason}")
-                    outs = second.run(
-                        _ping_task,
-                        [({"add": 1.0, "ctx": key}, (np.arange(3.0),))],
-                    )
-                    assert np.array_equal(outs[0][0], np.arange(3.0) + 1.0)
-            finally:
-                unregister_context(key)
+    def test_closed_inprocess_model_leaves_no_module_state(self):
+        """There is no registry: building, stepping and closing a model
+        changes no module-level container of the parallel package."""
+        import weakref
+
+        from repro.parallel import dycore, engine, supervisor
+
+        def module_state():
+            return {
+                (m.__name__, k): len(v)
+                for m in (engine, supervisor, dycore)
+                for k, v in vars(m).items()
+                if isinstance(v, (dict, list, set, weakref.WeakSet))
+                and not k.startswith("__")
+            }
+
+        before = module_state()
+        mesh = CubedSphereMesh(4, 4)
+        with DistributedShallowWater(mesh, nranks=4) as model:
+            model.step()
+            assert module_state() == before
+        assert module_state() == before
 
     def test_sharded_sw_context_accounting(self):
         mesh = CubedSphereMesh(4, 4)
@@ -572,11 +603,11 @@ class TestShardedContexts:
                 pytest.skip(
                     f"pool unavailable: {model.engine.fallback_reason}")
             model.step()
-            per_slot = model.engine.context_keys_by_slot
+            per_slot = model.engine.contexts_by_slot
             assert len(per_slot) == 2
             # Shard affinity: each worker touched only its own shards.
-            all_keys = [k for keys in per_slot.values() for k in keys]
-            assert len(all_keys) == len(set(all_keys))
+            all_idx = [i for idxs in per_slot.values() for i in idxs]
+            assert sorted(all_idx) == list(range(model.nranks))
             peak = model.engine.peak_context_bytes()
             total = model.engine.total_context_bytes()
             assert 0 < peak < total
@@ -586,14 +617,12 @@ class TestShardedContexts:
         finally:
             model.close()
 
-    def test_task_geom_resolves_shard_and_legacy_list(self):
-        from repro.parallel.dycore import _task_geom
+    def test_task_context_resolves_index_or_none(self):
+        from repro.parallel.supervisor import task_context
 
-        key_item = register_context("test-ctx/shard-item", "solo")
-        try:
-            assert _task_geom({"ctx": key_item, "rank": 0}) == "solo"
-        finally:
-            unregister_context(key_item)
+        assert task_context(("solo", "duo"), {"ctx": 1, "rank": 0}) == "duo"
+        assert task_context(("solo", "duo"), {"rank": 0}) is None
+        assert task_context((), {}) is None
 
     def test_context_nbytes_counts_arrays_once(self):
         arr = np.zeros(128)

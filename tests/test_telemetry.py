@@ -36,7 +36,7 @@ from repro.parallel import ParallelEngine, run_scenario, worker_track
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _scale_task(meta, arr):
+def _scale_task(ctx, meta, arr):
     return (arr * meta["k"],)
 
 
@@ -221,10 +221,9 @@ class TestEngineTelemetry:
 
 def _desc(**over):
     base = {
-        "workers": 2, "active": True, "supervised": True,
+        "workers": 2, "active": True,
         "fallback_reason": None, "degrade_reasons": {}, "recovery": {},
         "calls": 1, "tasks_parallel": 8, "tasks_serial": 0,
-        "validations": 0,
         "per_worker": [
             {"worker": 0, "tasks": 4, "busy_seconds": 1.0, "errors": 0},
             {"worker": 1, "tasks": 4, "busy_seconds": 1.0, "errors": 0},
