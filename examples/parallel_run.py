@@ -117,7 +117,9 @@ def main() -> int:
     pool = par["engine"]
     if pool["active"]:
         print(f"pool: {pool['workers']} workers, "
-              f"{pool['tasks_parallel']} tasks dispatched")
+              f"{pool['tasks_parallel']} tasks dispatched; results: "
+              f"{pool['transport']['results_shm']} via shared memory, "
+              f"{pool['transport']['results_queued']} via the queue")
         for w in pool["per_worker"]:
             print(f"  worker/{w['worker']}: {w['tasks']} tasks, "
                   f"{w['busy_seconds'] * 1e3:.1f} ms busy, "

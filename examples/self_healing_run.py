@@ -21,8 +21,8 @@ distributed shallow-water model, and shows:
 
 Run:  python examples/self_healing_run.py [--chaos SCENARIO]
                                           [--workers N] [--steps N]
-                                          [--seed N] [--pipeline]
-                                          [--report OUT.json]
+                                          [--seed N] [--at-step N]
+                                          [--pipeline] [--report OUT.json]
 
 ``--chaos all`` (the default) runs every scenario.  With ``--report``,
 a JSON summary of every scenario report is written for downstream
@@ -47,6 +47,10 @@ def main() -> int:
     ap.add_argument("--steps", type=int, default=2, help="RK3 steps to run")
     ap.add_argument("--seed", type=int, default=0,
                     help="chaos schedule seed (same seed -> same faults)")
+    ap.add_argument("--at-step", type=int, default=0,
+                    help="step whose first RK stage takes the faults: 0 "
+                         "(default) hits results still travelling by queue, "
+                         "a later one results in the shared-memory blocks")
     ap.add_argument("--pipeline", action="store_true",
                     help="inject into the pipelined dispatch mode instead")
     ap.add_argument("--report", metavar="OUT.json", default=None,
@@ -64,7 +68,7 @@ def main() -> int:
         faults = FaultInjector(seed=ns.seed)
         rep = run_scenario(
             name, workers=ns.workers, steps=ns.steps, seed=ns.seed,
-            pipeline=ns.pipeline, faults=faults,
+            at_step=ns.at_step, pipeline=ns.pipeline, faults=faults,
         )
         reports.append(rep)
         recovered = {k: v for k, v in rep["recovery"].items() if v}

@@ -10,7 +10,10 @@ primitive-equation models serially and through the
 - the simulated clocks agree exactly (SimMPI stays the timing model);
 - when the pool starts, work is actually dispatched to workers;
 - the pipelined mode (DESIGN.md Section 11) keeps both guarantees
-  while overlapping driver combines with worker compute.
+  while overlapping driver combines with worker compute;
+- results return through the tasks' shared-memory blocks: after the
+  first primitive-equation step has sized them, nothing but descriptors
+  travels on the result queue.
 
 The "paper" column holds the contract's expected values (all boolean),
 so a MISS here means the determinism rule broke, not that a scale-down
@@ -109,9 +112,23 @@ def run_parallel_smoke(
                                        dt=30.0) as ser, \
             DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
                                           dt=30.0, workers=workers) as par:
-        ser.run_steps(steps)
-        par.run_steps(steps)
+        prim_steps = max(2, steps)  # step 1 sizes the blocks, step 2 shows it
+        ser.run_steps(prim_steps)
+        transport = []
+        for _ in range(prim_steps):
+            par.step()
+            transport.append(dict(par.engine.transport))
         gs, gp = ser.gather_state(), par.gather_state()
+        off_queue = (not par.engine.active) or (
+            transport[-1]["results_queued"] == transport[0]["results_queued"]
+            and transport[-1]["results_shm"] > transport[0]["results_shm"])
+        table.add("prim ne4 result queue idle after step 1 (or clean fallback)",
+                  1.0, 1.0 if off_queue else 0.0, "boolean", 0.0)
+        if verbose:
+            print("  transport: " + "; ".join(
+                f"after step {i + 1} {t['results_shm']} results via shared "
+                f"memory, {t['results_queued']} via the queue"
+                for i, t in enumerate(transport)))
         same = all(np.array_equal(getattr(gs, f), getattr(gp, f))
                    for f in ("v", "T", "dp3d", "qdp"))
         table.add("prim ne4 bitwise (v,T,dp3d,qdp)", 1.0,

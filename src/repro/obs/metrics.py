@@ -330,6 +330,8 @@ def collect_parallel_engine(reg: MetricsRegistry, engine) -> MetricsRegistry:
     reg.inc("parallel.calls", engine.calls)
     reg.inc("parallel.tasks.parallel", engine.tasks_parallel)
     reg.inc("parallel.tasks.serial", engine.tasks_serial)
+    for key, value in engine.transport.items():
+        reg.inc(f"parallel.transport.{key}", value)
     reg.inc("parallel.pipeline.batches", engine.pipeline_batches)
     reg.set_gauge("parallel.pipeline.max_depth", engine.pipeline_max_depth)
     reg.inc("parallel.pipeline.overlap_seconds", engine.pipeline_overlap_seconds)

@@ -12,8 +12,10 @@ that make the fault observable fast, and :func:`run_scenario` executes
 the faulty parallel integration next to a fault-free serial one and
 compares the gathered states byte for byte.
 
-Scenarios (all keyed to task ids in the run's first RK stage, so they
-fire mid-batch in both plain and pipelined dispatch):
+Scenarios (all keyed to task ids in the first RK stage of one step, so
+they fire mid-batch in both plain and pipelined dispatch; step 0 by
+default — where every block is new and results still travel by queue —
+or, with ``at_step``, a later one, where they return through the blocks):
 
 - ``kill-worker`` — a worker self-SIGKILLs before computing; the
   supervisor sees the crash, respawns the slot, redistributes.
@@ -74,15 +76,17 @@ SCENARIOS: dict[str, tuple[dict, dict]] = {
 }
 
 
-def scenario_spec(name: str, workers: int, nranks: int,
-                  seed: int = 0) -> tuple[ChaosSpec, dict]:
+def scenario_spec(name: str, workers: int, nranks: int, seed: int = 0,
+                  first_task: int | None = None) -> tuple[ChaosSpec, dict]:
     """Build the seeded spec and engine overrides for one scenario.
 
-    Task ids are drawn from ``[workers, workers + nranks)``: the
-    engine's start-up ping takes ids ``0..workers-1``, and the next
-    ``nranks`` ids are the first RK stage's per-rank tasks — dispatched
-    as one batch in plain mode and as the (never-empty) boundary batch
-    in pipelined mode, so the same spec lands mid-batch in both.
+    Task ids are drawn from ``[first_task, first_task + nranks)``, by
+    default ``first_task = workers``: the engine's start-up ping takes
+    ids ``0..workers-1``, and the next ``nranks`` ids are the first RK
+    stage's per-rank tasks — dispatched as one batch in plain mode and
+    as the (never-empty) boundary batch in pipelined mode, so the same
+    spec lands mid-batch in both.  A later stage's first id moves the
+    same draw there.
     """
     try:
         counts, overrides = SCENARIOS[name]
@@ -91,8 +95,9 @@ def scenario_spec(name: str, workers: int, nranks: int,
             f"unknown chaos scenario {name!r}; "
             f"pick one of {sorted(SCENARIOS)}"
         ) from None
+    first = workers if first_task is None else first_task
     spec = ChaosSpec.seeded(
-        seed, first_task=workers, last_task=workers + nranks, **counts
+        seed, first_task=first, last_task=first + nranks, **counts
     )
     return spec, dict(overrides)
 
@@ -106,6 +111,7 @@ def run_scenario(
     workers: int = 2,
     pipeline: bool = False,
     seed: int = 0,
+    at_step: int = 0,
     faults=None,
     tracer=None,
 ) -> dict:
@@ -119,15 +125,25 @@ def run_scenario(
     property — alongside the engine's recovery tallies and degrade
     history so a scenario can also assert *how* it survived (e.g. a
     kill recovers via respawn, never via whole-pool degrade).
+    ``at_step`` picks the step whose first RK stage takes the faults.
     """
     from ..homme.distributed import DistributedShallowWater
     from ..mesh.cubed_sphere import CubedSphereMesh
 
-    spec, overrides = scenario_spec(name, workers, nranks, seed)
+    if not 0 <= at_step < steps:
+        raise KernelError(f"at_step {at_step} outside a {steps}-step run")
     mesh = CubedSphereMesh(ne, 4)
     with DistributedShallowWater(mesh, nranks=nranks) as serial:
         serial.run_steps(steps)
         ref = serial.gather_state()
+        parts = (serial.hx.local_boundary_idx, serial.hx.local_inner_idx)
+    # Task ids a step consumes: three RK stages, each one task per rank —
+    # per non-empty boundary / inner part of a rank under split dispatch.
+    per_stage = nranks
+    if pipeline:
+        per_stage = sum(len(ix) > 0 for part in parts for ix in part)
+    spec, overrides = scenario_spec(
+        name, workers, nranks, seed, workers + at_step * 3 * per_stage)
     with DistributedShallowWater(
         mesh, nranks=nranks, workers=workers, pipeline=pipeline,
         tracer=tracer,
@@ -147,12 +163,14 @@ def run_scenario(
         "ne": ne,
         "nranks": nranks,
         "steps": steps,
+        "at_step": at_step,
         "workers": workers,
         "pipeline": pipeline,
         "engine_overrides": overrides,
         "bitwise_identical": identical,
         "pool_active_at_end": desc["active"],
         "recovery": desc["recovery"],
+        "transport": desc["transport"],
         "degrade_reasons": desc["degrade_reasons"],
         "health": health,
         "fault_events": faults.summary() if faults is not None else {},

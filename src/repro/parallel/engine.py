@@ -2,11 +2,14 @@
 
 :class:`ParallelEngine` owns a persistent pool of forked worker
 processes and a set of ``multiprocessing.shared_memory`` blocks through
-which the element arrays travel to the workers.  One engine serves
-many calls: the per-task input blocks are allocated once and grown on
-demand, so a steady-state dispatch is one memcpy into shared memory
-plus one queue round-trip per task (results, whose shapes only the
-task function knows, return through the result queue).
+which the element arrays travel to the workers and back.  One engine
+serves many calls: the per-task blocks are allocated once and grown on
+demand, so a steady-state dispatch is one memcpy into shared memory,
+one queue round-trip of descriptors per task, and one memcpy out.
+Results, whose shapes only the task function knows, land in an out
+region behind the task's inputs, sized by the largest result that slot
+has returned; one that does not fit yet — a slot's first, or one that
+grew — travels on the result queue once and raises the capacity.
 
 Execution model
 ---------------
@@ -44,11 +47,11 @@ on a result past the batch deadline is *overdue*.  Any of the three
 triggers the same local recovery — respawn the slot (the fork inherits
 the engine's contexts exactly as the original did) and re-dispatch
 only the failed worker's in-flight task ids to the survivors.  Results
-carry a CRC32 the driver re-verifies, so a corrupted result is
-re-executed rather than combined.  Because tasks are pure functions of
-payloads the driver still owns, and the rank-ordered combine never
-moves off the driver, every recovery path reproduces the serial
-trajectory bit for bit.
+carry a CRC32 the driver re-verifies over its own copy of the bytes, so
+a corrupted result is re-executed rather than combined.  Because tasks
+are pure functions of payloads the driver still owns, and the
+rank-ordered combine never moves off the driver, every recovery path
+reproduces the serial trajectory bit for bit.
 
 Fallback
 --------
@@ -79,6 +82,9 @@ from .supervisor import (
     SUPERVISION_TICK,
     ChaosSpec,
     WorkerSupervisor,
+    _layout,
+    _store,
+    _unpack,
     result_crc,
     task_context,
 )
@@ -195,6 +201,7 @@ class _Block:
     shm: shared_memory.SharedMemory
     capacity: int
     owner: set | None = None  # engine's owned-name set, for leak tracking
+    out_need: int = 0  # bytes of the largest result this slot has returned
 
     def close(self, unlink: bool) -> None:
         try:
@@ -213,7 +220,7 @@ class _TaskRecord:
     """Driver-side record of one dispatched task.
 
     Everything needed to re-dispatch the task after a worker failure
-    (``fn``/``meta``/``desc`` — the shared-memory input block stays
+    (``fn``/``meta``/``desc`` — the shared-memory block stays
     valid until the whole batch is collected) and to route its result
     back (``pend``/``idx``).  ``slot`` tracks the worker currently
     responsible; ``attempt`` counts dispatches, and chaos hooks only
@@ -224,31 +231,33 @@ class _TaskRecord:
     idx: int
     fn: object
     meta: dict
-    desc: tuple | None
+    desc: tuple
     attempt: int = 0
     slot: int = -1
 
 
-def _pack(block: _Block | None, arrays: tuple, make) -> tuple[_Block, tuple]:
-    """Copy ``arrays`` into a (possibly grown) block; return descriptors.
+def _pack(block: _Block | None, key: tuple, arrays: tuple,
+          make) -> tuple[_Block, tuple]:
+    """Copy ``arrays`` into slot ``key``'s (possibly grown) block; return
+    the descriptor ``(key, name, metas, out_off, out_cap)``.
 
-    The layout is a flat concatenation at 64-byte-aligned offsets; the
-    descriptor carries (offset, shape, dtype) per array so the peer can
-    rebuild zero-copy views.
+    The layout is a flat concatenation at 64-byte-aligned offsets —
+    ``metas`` carries (offset, shape, dtype) per array so the peer can
+    rebuild zero-copy views — and everything from ``out_off`` to the end
+    of the block is the out region the worker may write results into.
+    The block is regrown when it cannot hold the inputs plus the largest
+    result the slot has returned (``block.out_need``).
     """
-    metas, need = [], 0
-    for a in arrays:
-        need = (need + 63) & ~63
-        metas.append((need, a.shape, a.dtype.str))
-        need += a.nbytes
-    if block is None or block.capacity < need:
+    metas, end = _layout(arrays)
+    out_off = (end + 63) & ~63
+    out_need = block.out_need if block is not None else 0
+    if block is None or block.capacity < out_off + out_need:
         if block is not None:
             block.close(unlink=True)
-        block = make(max(need, 1))
-    for a, (off, shape, dt) in zip(arrays, metas):
-        # One copy, whatever ``a``'s strides: the block side is C-contiguous.
-        np.ndarray(shape, dtype=dt, buffer=block.shm.buf, offset=off)[...] = a
-    return block, (block.shm.name, tuple(metas))
+        block = make(max(out_off + out_need, 1))
+        block.out_need = out_need
+    _store(block.shm, metas, arrays)
+    return block, (key, block.shm.name, metas, out_off, block.capacity - out_off)
 
 
 def _ping_task(ctx, meta: dict, arr: np.ndarray) -> tuple[np.ndarray]:
@@ -418,10 +427,14 @@ class ParallelEngine:
         self.calls = 0
         self.tasks_parallel = 0
         self.tasks_serial = 0
+        #: How accepted pool results travelled: written into the task's
+        #: block, or pickled onto the result queue (did not fit yet).
+        self.transport: dict[str, int] = {"results_shm": 0, "results_queued": 0}
         self.supervisor: WorkerSupervisor | None = None
         self._result_q = None
-        #: Shared-memory input blocks, keyed by (bank, payload index).
-        self._in_blocks: dict[tuple[int, int], _Block] = {}
+        #: Shared-memory task blocks (inputs, then the out region), keyed
+        #: by (bank, payload index).
+        self._blocks: dict[tuple[int, int], _Block] = {}
         #: Names of every shared-memory block this engine created and
         #: has not yet unlinked — the leak-tracking ledger behind
         #: :meth:`leaked_shm`.
@@ -546,9 +559,9 @@ class ParallelEngine:
             self.supervisor.shutdown()
             self._owned_shm.discard(name)
             self.supervisor = None
-        for blk in self._in_blocks.values():
+        for blk in self._blocks.values():
             blk.close(unlink=True)
-        self._in_blocks.clear()
+        self._blocks.clear()
         if self._result_q is not None:
             try:
                 self._result_q.close()
@@ -675,7 +688,7 @@ class ParallelEngine:
         pend.overlapped = bool(self._tasks)
         self._outstanding.append(pend)
 
-        def make_in(capacity: int) -> _Block:
+        def make_block(capacity: int) -> _Block:
             blk = _Block(
                 shared_memory.SharedMemory(create=True, size=capacity),
                 capacity,
@@ -686,12 +699,9 @@ class ParallelEngine:
 
         try:
             for idx, (meta, arrays) in enumerate(payloads):
-                desc = None
-                if arrays:
-                    block, desc = _pack(
-                        self._in_blocks.get((bank, idx)), tuple(arrays), make_in
-                    )
-                    self._in_blocks[(bank, idx)] = block
+                key = (bank, idx)
+                self._blocks[key], desc = _pack(
+                    self._blocks.get(key), key, tuple(arrays), make_block)
                 tid = self._task_seq
                 self._task_seq += 1
                 self._tasks[tid] = _TaskRecord(pend, idx, fn, meta, desc)
@@ -898,7 +908,11 @@ class ParallelEngine:
     def _route(self, item) -> None:
         """Deliver one result-queue item to the batch that owns it,
         verifying its CRC32 before accepting — a failed check
-        re-executes the task instead."""
+        re-executes the task instead.  A ``"shm"`` item carries only the
+        layout of a result sitting in the task's block: it is copied out
+        first and the CRC is taken over that private copy, the bytes the
+        caller will get, so whatever is written to the shared region
+        afterwards can at worst cost a re-execution."""
         tid, slot, status, data, crc, t0, t1, fn_name = item[:8]
         packet = item[8] if len(item) > 8 else None
         rec = self._tasks.get(tid)
@@ -923,7 +937,11 @@ class ParallelEngine:
             pend.remaining -= 1
             pend.failures.append(f"task {idx} on worker {slot}:\n{data}")
             return
-        data = tuple(data)
+        block = self._blocks[(pend.bank, idx)]
+        if status == "shm":
+            data = tuple(v.copy() for v in _unpack(block.shm, data))
+        else:
+            data = tuple(data)
         if result_crc(data) != crc:
             self.recovery["corrupt_results"] += 1
             if self.faults is not None:
@@ -943,6 +961,8 @@ class ParallelEngine:
         st.busy_seconds += max(0.0, t1 - t0)
         pend.remaining -= 1
         pend.results[idx] = data
+        block.out_need = max(block.out_need, _layout(data)[1])
+        self.transport["results_shm" if status == "shm" else "results_queued"] += 1
         st.bytes_out += sum(a.nbytes for a in data)
         meta_in = pend.payloads[idx][0]
         st.bytes_in += sum(np.asarray(a).nbytes for a in pend.payloads[idx][1])
@@ -1109,6 +1129,7 @@ class ParallelEngine:
             "calls": self.calls,
             "tasks_parallel": self.tasks_parallel,
             "tasks_serial": self.tasks_serial,
+            "transport": dict(self.transport),
             "pipeline": {
                 "batches": self.pipeline_batches,
                 "max_depth": self.pipeline_max_depth,

@@ -32,9 +32,10 @@ runs *inside* a worker process:
   redistributed task re-executes clean and recovery converges.
 
 Result integrity rides along: :func:`result_crc` is the CRC32 the
-worker stamps on every result tuple and the driver re-computes before
-accepting it, which is what turns a bit flipped in transit into a
-detected-and-re-executed task instead of a silently corrupted combine.
+worker stamps on every result tuple and the driver re-computes — over
+its own private copy of the bytes — before accepting it, which is what
+turns a bit flipped in transit, or a late writer to a shared block, into
+a detected-and-re-executed task instead of a silently corrupted combine.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ class ChaosSpec:
     detect by silence.  ``delay_tasks`` sleep *after* computing but
     before replying — a healthy worker whose result misses the batch
     deadline.  ``corrupt_tasks`` flip one bit of the first float64
-    result array *after* the integrity CRC is computed, modeling
-    corruption in transit.
+    result array *after* the integrity CRC is computed and before the
+    reply is queued (in the shared block when the result travels there),
+    modeling corruption in transit.
     """
 
     kill_tasks: tuple[int, ...] = ()
@@ -171,12 +173,33 @@ def result_crc(arrays: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _layout(arrays: tuple, start: int = 0) -> tuple[tuple, int]:
+    """Where ``arrays`` sit in a block from byte ``start`` on: one
+    ``(offset, shape, dtype)`` per array at 64-byte-aligned offsets, and
+    the end of the last one."""
+    metas, end = [], start
+    for a in arrays:
+        end = (end + 63) & ~63
+        metas.append((end, a.shape, a.dtype.str))
+        end += a.nbytes
+    return tuple(metas), end
+
+
 def _unpack(shm: shared_memory.SharedMemory, metas: tuple) -> tuple[np.ndarray, ...]:
     """Zero-copy views into a peer's block (copy before the next reuse!)."""
     return tuple(
         np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf, offset=off)
         for off, shape, dt in metas
     )
+
+
+def _store(shm: shared_memory.SharedMemory, metas: tuple, arrays: tuple) -> tuple:
+    """Copy ``arrays`` into the block at ``metas``; return the block's views."""
+    views = _unpack(shm, metas)
+    for dst, a in zip(views, arrays):
+        # One copy, whatever ``a``'s strides: the block side is C-contiguous.
+        dst[...] = a
+    return views
 
 
 def _heartbeat_loop(hb_view: np.ndarray, slot: int, stop: threading.Event) -> None:
@@ -217,19 +240,28 @@ def _chaos_post(spec: ChaosSpec | None, tid: int, attempt: int,
 def _worker_main(slot: int, generation: int, task_q, result_q,
                  hb_desc: tuple[str, int], contexts: tuple,
                  chaos: ChaosSpec | None, telemetry=None) -> None:
-    """Pool worker loop: attach inputs, compute, send results back.
+    """Pool worker loop: attach the task's block, compute, write the
+    results back into it.
 
     ``contexts`` is the engine's tuple, inherited through the fork (a
     ``Process`` argument is not pickled under ``fork``).
 
-    Inputs arrive through the driver-owned shared-memory blocks;
-    results (whose shapes only the task function knows) return through
-    the result queue with a CRC32 stamp over their bytes.  The driver
-    double-buffers its input blocks per *bank*: a bank's blocks are not
+    A task names one driver-owned shared-memory block — its slot key
+    ``(bank, idx)``, the block's current name, the input layout, and the
+    out region ``[out_off, out_off + out_cap)`` behind the inputs.  The
+    worker writes each output once into that region and replies with
+    only the layout (status ``"shm"``) and a CRC32 stamp over the bytes;
+    outputs that do not fit (a slot's first result, or one that grew)
+    travel on the result queue as arrays (status ``"ok"``), which is how
+    the driver learns the capacity to pack next time.  The driver
+    double-buffers its blocks per *bank*: a bank's blocks are not
     repacked until every task of the batch that used them has been
-    collected, so reading from the attached views is race-free even
-    with two batches in flight — and a *redistributed* task can re-read
-    the very same block from a different worker.
+    collected, so the attached views are race-free even with two batches
+    in flight — and a *redistributed* task can re-read, and rewrite with
+    the same bytes, the very same block from a different worker.  One
+    attachment is kept per slot: when the driver regrows a slot's block
+    under a new name the superseded mapping is closed, so unlinked
+    generations do not stay resident in the worker.
 
     A daemon heartbeat thread stamps ``time.monotonic()`` into this
     worker's slot of the shared heartbeat block; the driver declares
@@ -242,7 +274,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
     ``None`` and nothing extra is measured — the NULL_TRACER-style
     zero-cost default.
     """
-    attached: dict[str, shared_memory.SharedMemory] = {}
+    attached: dict[tuple, shared_memory.SharedMemory] = {}  # by slot key
     hb_name, nslots = hb_desc
     hb = shared_memory.SharedMemory(name=hb_name)
     hb_view = np.ndarray((nslots,), dtype=np.float64, buffer=hb.buf)
@@ -258,31 +290,38 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
         tel = WorkerTelemetry(telemetry, slot, generation, hb_view)
     try:
         while True:
+            # No view of a block outlives its task: a superseded
+            # attachment can only be closed once nothing exports it.
+            ins = outs = data = None
             item = task_q.get()
             if item is None:
                 break
-            tid, attempt, fn, meta, in_desc = item
+            tid, attempt, fn, meta, (key, name, metas, out_off, out_cap) = item
             t0 = time.perf_counter()
             try:
                 _chaos_pre(chaos, tid, attempt, hb_stop)
-                ins: tuple = ()
-                if in_desc is not None:
-                    name, metas = in_desc
-                    shm = attached.get(name)
-                    if shm is None:
-                        # Forked workers share the driver's resource
-                        # tracker, whose cache is a set — this attach-
-                        # side registration is a no-op and the driver's
-                        # unlink-on-close retires the name exactly once.
-                        shm = shared_memory.SharedMemory(name=name)
-                        attached[name] = shm
-                    ins = _unpack(shm, metas)
+                shm = attached.get(key)
+                if shm is None or shm.name != name:
+                    if shm is not None:
+                        shm.close()  # the driver regrew this slot
+                    # Forked workers share the driver's resource
+                    # tracker, whose cache is a set — this attach-side
+                    # registration is a no-op and the driver's
+                    # unlink-on-close retires the name exactly once.
+                    shm = attached[key] = shared_memory.SharedMemory(name=name)
+                ins = _unpack(shm, metas)
                 tc0 = time.perf_counter()
                 outs = fn(task_context(contexts, meta), meta, *ins)
                 tc1 = time.perf_counter()
                 if not isinstance(outs, (tuple, list)):
                     outs = (outs,)
-                outs = tuple(np.ascontiguousarray(o) for o in outs)
+                outs = tuple(np.asarray(o) for o in outs)
+                data, end = _layout(outs, out_off)
+                if end <= out_off + out_cap:
+                    status, outs = "shm", _store(shm, data, outs)
+                else:
+                    status = "ok"  # (not ascontiguousarray: rank 0 stays rank 0)
+                    outs = data = tuple(np.asarray(o, order="C") for o in outs)
                 crc = result_crc(outs)
                 _chaos_post(chaos, tid, attempt, outs)
                 packet = None
@@ -294,7 +333,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
                                  "tasks": 1.0},
                     )
                 result_q.put(
-                    (tid, slot, "ok", outs, crc, t0, time.perf_counter(),
+                    (tid, slot, status, data, crc, t0, time.perf_counter(),
                      getattr(fn, "__name__", str(fn)), packet)
                 )
             except BaseException:

@@ -54,9 +54,57 @@ class TestChaosSpec:
             scenario_spec("bogus", workers=2, nranks=4)
 
 
+#: Scenario -> recovery tallies that must be non-zero once it has run.
+EXPECTED_RECOVERY = {
+    "kill-worker": ("crashes", "respawns", "redistributed_tasks"),
+    "stall-heartbeat": ("hangs", "respawns"),
+    "delay-result": ("timeouts", "respawns"),
+    "corrupt-result": ("corrupt_results", "reexecuted_tasks"),
+    "mixed": ("crashes", "respawns", "corrupt_results"),
+}
+
+#: (scenario, pipeline, at_step) not already run by a named step-0 test
+#: of TestScenarioRecovery: every scenario at step 1, plain and
+#: pipelined, and the slow ones pipelined at step 0.
+LANDINGS = [
+    (name, pipeline, at_step)
+    for name in sorted(EXPECTED_RECOVERY)
+    for pipeline in (False, True)
+    for at_step in (0, 1)
+    if at_step or (pipeline and name not in ("kill-worker", "corrupt-result"))
+]
+
+
 class TestScenarioRecovery:
     """Each scenario completes bitwise identical to serial with the
     expected recovery action and zero whole-pool degrades."""
+
+    @pytest.mark.parametrize("name,pipeline,at_step", LANDINGS)
+    def test_every_scenario_at_both_landing_points(self, name, pipeline,
+                                                   at_step):
+        """Step 0's first stage returns its results on the queue (every
+        block is new); step 1's returns them through the blocks — the
+        steady state.  The same seeded fault recovers at both, plain and
+        pipelined."""
+        rep = run_scenario(name, workers=2, seed=0, pipeline=pipeline,
+                           at_step=at_step)
+        assert rep["bitwise_identical"]
+        for key in EXPECTED_RECOVERY[name]:
+            assert rep["recovery"][key] >= 1, key
+        assert rep["recovery"]["pool_degrades"] == 0
+        assert rep["pool_active_at_end"]
+        assert rep["transport"]["results_shm"] > 0
+        first = 2 + at_step * 3 * 4  # ping, then 3 stages x 4 ranks a step
+        tids = (rep["spec"]["kill_tasks"] + rep["spec"]["stall_tasks"]
+                + rep["spec"]["corrupt_tasks"]
+                + tuple(t for t, _ in rep["spec"]["delay_tasks"]))
+        assert tids and all(first <= t < first + 4 for t in tids)
+
+    def test_landing_point_outside_the_run_raises(self):
+        from repro.errors import KernelError
+
+        with pytest.raises(KernelError, match="at_step"):
+            run_scenario("kill-worker", workers=2, steps=2, at_step=2)
 
     @pytest.mark.parametrize("name,expect", [
         ("kill-worker", "crashes"),

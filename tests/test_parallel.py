@@ -7,8 +7,13 @@ on the engine's raw task interface and on whole distributed-model
 trajectories.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig
 from repro.errors import KernelError
@@ -60,6 +65,27 @@ def _sleep_once_task(ctx, meta, arr):
     return (arr + 1.0,)
 
 
+def _bytes_task(ctx, meta, arr):
+    """A result of exactly ``meta["n"]`` bytes."""
+    return (np.full(meta["n"], 7, dtype=np.uint8),)
+
+
+def _views_task(ctx, meta, *arrays):
+    """Each input back as the view ``meta["how"]`` names — transposed and
+    strided results are not C-contiguous — plus one array of its own."""
+    how = {"same": lambda a: a, "T": lambda a: a.T,
+           "step": lambda a: a[::2] if a.ndim else a}[meta["how"]]
+    return tuple(how(a) for a in arrays) + (np.arange(3, dtype=np.int16),)
+
+
+def _shm_maps_task(ctx, meta, arr):
+    """The names of the ``/dev/shm`` files this process has mapped."""
+    with open("/proc/self/maps") as fh:
+        names = {tok.rsplit("/", 1)[1] for line in fh
+                 for tok in line.split() if tok.startswith("/dev/shm/")}
+    return (np.frombuffer("\n".join(sorted(names)).encode(), dtype=np.uint8),)
+
+
 def _noisy_prim_state(ne=4, nlev=8, qsize=2, seed=7):
     mesh = CubedSphereMesh(ne, 4)
     geom = ElementGeometry(mesh)
@@ -90,7 +116,10 @@ class TestEngineBasics:
     def test_pack_copies_strided_inputs_as_they_are(self):
         """Non-contiguous inputs (``qdp[:, q]``, a transposed view) land
         in the block with the right values under C-contiguous
-        descriptors of their own shape."""
+        descriptors of their own shape; the out region starts aligned
+        behind them and runs to the end of the block, which is regrown
+        (under a new name) only when the slot has returned a result the
+        region cannot hold."""
         from multiprocessing import shared_memory
 
         qdp = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
@@ -101,15 +130,25 @@ class TestEngineBasics:
             return _Block(
                 shared_memory.SharedMemory(create=True, size=capacity), capacity)
 
-        block, (name, metas) = _pack(None, arrays, make)
+        block, (key, name, metas, out_off, out_cap) = _pack(
+            None, (1, 3), arrays, make)
         try:
-            assert name == block.shm.name
+            assert key == (1, 3) and name == block.shm.name
             assert [m[1:] for m in metas] == [
                 (a.shape, a.dtype.str) for a in arrays]
             assert all(off % 64 == 0 for off, _, _ in metas)
+            end = metas[-1][0] + arrays[-1].nbytes
+            assert out_off % 64 == 0 and end <= out_off < end + 64
+            assert out_cap == block.capacity - out_off == 0  # nothing learned
             # Copies: a live view of the block would keep it from closing.
             got = [(v.flags.c_contiguous, v.copy())
                    for v in _unpack(block.shm, metas)]
+            block.out_need = 100  # what _route records from a result
+            block, again = _pack(block, (1, 3), arrays, make)
+            assert again[1] != name and again[2:] == (metas, out_off, 100)
+            same, third = _pack(block, (1, 3), arrays[:1], make)
+            assert same is block and third[1] == again[1]
+            assert third[3] + third[4] == block.capacity  # the slack is usable
         finally:
             block.close(unlink=True)
         for (contiguous, values), want in zip(got, arrays):
@@ -359,6 +398,183 @@ class TestPipelineSubmit:
             with pytest.raises(KernelError, match="intentional task failure"):
                 pend.wait()
             assert e.active  # a task bug is not pool death
+
+
+_DTYPES = ("<f8", "<f4", "<i4", "|i1", "|b1", "<c16", "<u2")
+
+
+@st.composite
+def _payload_batches(draw):
+    """1-3 payloads of 0-3 arrays: mixed dtypes, ranks 0-5, dims 0-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payloads = []
+    for _ in range(draw(st.integers(1, 3))):
+        arrays = []
+        for _ in range(draw(st.integers(0, 3))):
+            shape = tuple(draw(st.lists(st.integers(0, 3), max_size=5)))
+            raw = rng.integers(0, 256, size=shape + (16,), dtype=np.uint8)
+            dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+            arrays.append(raw.view(dtype)[..., 0] if dtype.kind != "b"
+                          else raw[..., 0] > 127)
+        how = draw(st.sampled_from(("same", "T", "step")))
+        payloads.append(({"how": how}, tuple(arrays)))
+    return payloads
+
+
+def _poll(engine, seconds=30.0):
+    """The next result-queue item, unrouted."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        item = engine._poll_result(0.5)
+        if item is not None:
+            return item
+    raise AssertionError("no result within the deadline")
+
+
+class TestResultTransport:
+    """Results return through the task's shared-memory block (DESIGN.md
+    §10.2): the queue carries arrays only until a slot's out region has
+    been sized, and the driver verifies its own copy of the bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_payload_batches())
+    def test_round_trip_equals_the_inprocess_engine_bytes(self, payloads):
+        """First-touch (queue), grown (first use of the regrown block)
+        and steady-state results all carry the in-process engine's
+        bytes, shapes and dtypes."""
+        want = ParallelEngine(workers=0).run(_views_task, payloads)
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            for call in range(3):
+                if call == 2:
+                    queued = e.transport["results_queued"]
+                got = e.run(_views_task, payloads)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert [(a.shape, a.dtype) for a in g] \
+                        == [(a.shape, a.dtype) for a in w]
+                    assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+            assert e.transport["results_queued"] == queued
+            assert sum(e.transport.values()) == e.tasks_parallel
+        assert e.leaked_shm() == []
+
+    def test_one_byte_over_capacity_takes_the_queue_once(self):
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            seen = []
+            for n in (1000, 1000, 1000, 1001, 1001, 999):
+                before = dict(e.transport)
+                (out,), = e.run(_bytes_task, [({"n": n}, (np.arange(5.0),))])
+                assert out.nbytes == n and np.all(out == 7)
+                seen.append(tuple(e.transport[k] - before[k]
+                                  for k in ("results_shm", "results_queued")))
+            assert seen == [(0, 1), (1, 0), (1, 0), (0, 1), (1, 0), (1, 0)]
+            desc = e.describe()["transport"]
+            assert desc == e.transport == {
+                "results_shm": 4, "results_queued": 2 + e.workers}  # + pings
+            reg = collect_parallel_engine(MetricsRegistry("par"), e)
+            assert reg.value("parallel.transport.results_shm") == 4
+            assert reg.value("parallel.transport.results_queued") == 4
+
+    def test_bytes_accounting_is_the_same_on_either_path(self):
+        """``bytes_in`` / ``bytes_out`` count the arrays' own bytes, the
+        same whether the result came by queue or through the block."""
+        arr = np.arange(24.0).reshape(4, 6)
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            deltas = []
+            for _ in range(3):
+                b_in = sum(s.bytes_in for s in e.stats)
+                b_out = sum(s.bytes_out for s in e.stats)
+                e.run(_views_task, [({"how": "T"}, (arr[:, ::2], arr))] * 3)
+                deltas.append((sum(s.bytes_in for s in e.stats) - b_in,
+                               sum(s.bytes_out for s in e.stats) - b_out))
+            assert e.transport["results_shm"] == 6
+        in_bytes = 3 * (arr[:, ::2].nbytes + arr.nbytes)
+        assert deltas == [(in_bytes, in_bytes + 3 * 6)] * 3  # + the int16[3]
+
+    def test_driver_verifies_its_own_copy_of_the_region(self, monkeypatch):
+        """Copy, then verify.  A region scribbled on after the worker's
+        reply is queued and before ``_route`` runs is rejected and the
+        task re-executed; one scribbled on after the driver's CRC pass
+        cannot reach the caller, because the CRC was taken over the
+        private copy that is returned."""
+        from repro.parallel import engine as engine_mod
+
+        payload = [({"add": 1.0}, (np.arange(16.0),))]
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            e.run(_ping_task, payload)  # sizes the out region of slot (0, 0)
+
+            def scribble(pend, item):
+                assert item[2] == "shm"
+                e._blocks[(pend.bank, 0)].shm.buf[item[3][0][0] + 9] ^= 0x40
+
+            pend = e.submit(_ping_task, payload)
+            item = _poll(e)
+            scribble(pend, item)
+            e._route(item)
+            assert e.recovery["corrupt_results"] == 1
+            assert e.recovery["reexecuted_tasks"] == 1
+            (out,), = pend.wait()
+            assert np.array_equal(out, np.arange(16.0) + 1.0)
+
+            real_crc = engine_mod.result_crc
+
+            def crc_then_scribble(arrays):
+                crc = real_crc(arrays)
+                scribble(pend, item)
+                return crc
+
+            pend = e.submit(_ping_task, payload)
+            item = _poll(e)
+            monkeypatch.setattr(engine_mod, "result_crc", crc_then_scribble)
+            e._route(item)
+            monkeypatch.undo()
+            (out,), = pend.wait()
+            assert np.array_equal(out, np.arange(16.0) + 1.0)
+            assert e.recovery["corrupt_results"] == 1  # still only the first
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_worker_keeps_one_attachment_per_slot(self):
+        """A regrown block is a new name; the worker closes the mapping
+        of the one it supersedes, so unlinked generations are freed."""
+        regrows, created = 6, set()
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            for k in range(1, regrows + 1):
+                outs = e.run(_shm_maps_task, [  # both slots on worker 0
+                    ({"shard": 0}, (np.zeros(1000 * k),)) for _ in range(2)])
+                current = {e._blocks[(0, i)].shm.name for i in (0, 1)}
+                created |= current
+                for (out,) in outs:
+                    mapped = set(out.tobytes().decode().split("\n")) & created
+                    assert len(mapped) <= 2, mapped
+                assert mapped == current  # after the batch's last task
+            assert len(created) >= 2 * regrows
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_prim_result_queue_is_idle_after_the_first_step(self, pipeline):
+        cfg, mesh, _, state = _noisy_prim_state()
+        with DistributedPrimitiveEquations(
+                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
+                pipeline=pipeline) as par:
+            e = par.engine
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            par.step()
+            first, tasks = dict(e.transport), e.tasks_parallel
+            par.run_steps(3)  # crosses the rsplit remap boundary
+            assert e.transport["results_queued"] == first["results_queued"]
+            assert e.transport["results_shm"] - first["results_shm"] \
+                == e.tasks_parallel - tasks > 0
+        assert e.leaked_shm() == []
 
 
 class TestDistributedBitwise:
