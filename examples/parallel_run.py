@@ -11,14 +11,9 @@ and through the ``repro.parallel`` worker pool — and shows:
    real cores change wall time only);
 3. the wall-clock effect, plus the engine's own per-worker counters.
 
-Run:  python examples/parallel_run.py [--workers N] [--steps N] [--pipeline]
+Run:  python examples/parallel_run.py [--workers N] [--steps N]
                                       [--trace OUT.json] [--profile]
                                       [--report OUT.json]
-
-``--pipeline`` adds a third run with ``pipeline=True``: each rank's
-elements split into boundary and inner batches, with the driver's
-combine work overlapped against worker compute (DESIGN.md Section 11)
-— same bits, same simulated clocks, less wall time.
 
 ``--trace`` turns on cross-process telemetry (DESIGN.md §13) and
 writes one merged Chrome/Perfetto timeline: per-worker process tracks
@@ -49,12 +44,11 @@ from repro.obs import (
 from repro.parallel import available_cores
 
 
-def timed_run(mesh, nranks, workers, steps, pipeline=False,
-              trace=False, profile=False):
+def timed_run(mesh, nranks, workers, steps, trace=False, profile=False):
     tracer = Tracer("parallel_run") if (trace or profile) else None
     engine_kwargs = {"profile_hz": PROFILE_HZ} if profile else None
     with DistributedShallowWater(mesh, nranks=nranks, workers=workers,
-                                 pipeline=pipeline, tracer=tracer,
+                                 tracer=tracer,
                                  engine_kwargs=engine_kwargs) as m:
         t0 = time.perf_counter()
         m.run_steps(steps)
@@ -84,9 +78,6 @@ def main() -> int:
                     help="worker processes for the parallel run (default: "
                          "min(4, available cores))")
     ap.add_argument("--steps", type=int, default=5, help="RK3 steps to run")
-    ap.add_argument("--pipeline", action="store_true",
-                    help="also run the pipelined mode (overlapped driver "
-                         "combines) and compare it bitwise")
     ap.add_argument("--trace", metavar="OUT.json", default=None,
                     help="enable cross-process telemetry and write the "
                          "merged Chrome/Perfetto trace here")
@@ -106,10 +97,6 @@ def main() -> int:
     serial = timed_run(mesh, nranks, workers=0, steps=ns.steps)
     par = timed_run(mesh, nranks, workers=ns.workers, steps=ns.steps,
                     trace=trace, profile=ns.profile)
-    pipe = None
-    if ns.pipeline:
-        pipe = timed_run(mesh, nranks, workers=ns.workers, steps=ns.steps,
-                         pipeline=True, trace=trace, profile=ns.profile)
 
     same_h = np.array_equal(serial["state"].h, par["state"].h)
     same_v = np.array_equal(serial["state"].v, par["state"].v)
@@ -142,19 +129,6 @@ def main() -> int:
         print(f"worker profile ({samples} samples):")
         print(render_profile(frames, samples, top=8))
 
-    pipe_ok = True
-    if pipe is not None:
-        pipe_ok = (np.array_equal(serial["state"].h, pipe["state"].h)
-                   and np.array_equal(serial["state"].v, pipe["state"].v)
-                   and serial["simulated_s"] == pipe["simulated_s"])
-        pl = pipe["engine"]["pipeline"]
-        print(f"pipelined: bitwise identical: {pipe_ok}; "
-              f"wall {pipe['wall_s']:.3f}s "
-              f"(x{serial['wall_s'] / pipe['wall_s']:.2f} vs serial, "
-              f"x{par['wall_s'] / pipe['wall_s']:.2f} vs parallel); "
-              f"{pl['batches']} overlapped batches, "
-              f"overlap fraction {pl['overlap_fraction']:.2f}")
-
     if ns.report:
         summary = {
             "workers": ns.workers,
@@ -169,33 +143,17 @@ def main() -> int:
             "health": par["health"],
             "metrics": par["metrics"],
         }
-        if pipe is not None:
-            summary["pipelined"] = {
-                "bitwise_identical": bool(pipe_ok),
-                "wall_s": pipe["wall_s"],
-                "pipeline": pipe["engine"]["pipeline"],
-                "health": pipe["health"],
-                "metrics": pipe["metrics"],
-            }
         with open(ns.report, "w") as f:
             json.dump(summary, f, indent=2)
         print(f"[report] -> {ns.report}")
 
     if ns.trace:
-        traces = [("parallel", par["chrome"])]
-        if pipe is not None:
-            traces.append(("pipelined", pipe["chrome"]))
-        if len(traces) == 1:
-            merged = traces[0][1]
-        else:
-            from repro.obs.__main__ import _merge_traces
-            merged = _merge_traces(traces)
         with open(ns.trace, "w") as f:
-            json.dump(merged, f)
-        print(f"[trace] {len(merged['traceEvents'])} events -> {ns.trace} "
+            json.dump(par["chrome"], f)
+        print(f"[trace] {len(par['chrome']['traceEvents'])} events -> {ns.trace} "
               "(open in https://ui.perfetto.dev)")
 
-    return 0 if (same_h and same_v and same_clock and pipe_ok) else 1
+    return 0 if (same_h and same_v and same_clock) else 1
 
 
 if __name__ == "__main__":

@@ -15,14 +15,12 @@ distributed shallow-water model, and shows:
    degrade history, which stays empty — worker faults no longer cost
    the pool — plus the :class:`repro.obs.health.HealthMonitor` verdict
    over the same state (a recovered fault reads ``warn``, never
-   ``critical``);
-3. optionally the same scenario through the pipelined
-   (``submit``/``PendingRun``) dispatch mode.
+   ``critical``).
 
 Run:  python examples/self_healing_run.py [--chaos SCENARIO]
                                           [--workers N] [--steps N]
                                           [--seed N] [--at-step N]
-                                          [--pipeline] [--report OUT.json]
+                                          [--report OUT.json]
 
 ``--chaos all`` (the default) runs every scenario.  With ``--report``,
 a JSON summary of every scenario report is written for downstream
@@ -51,16 +49,13 @@ def main() -> int:
                     help="step whose first RK stage takes the faults: 0 "
                          "(default) hits results still travelling by queue, "
                          "a later one results in the shared-memory blocks")
-    ap.add_argument("--pipeline", action="store_true",
-                    help="inject into the pipelined dispatch mode instead")
     ap.add_argument("--report", metavar="OUT.json", default=None,
                     help="write the JSON scenario reports here")
     ns = ap.parse_args()
 
     names = list(SCENARIOS) if ns.chaos == "all" else [ns.chaos]
-    mode = "pipelined" if ns.pipeline else "plain-parallel"
     print(f"ne2 shallow water, 4 simulated ranks, {ns.steps} steps, "
-          f"{ns.workers} workers ({mode}); machine has "
+          f"{ns.workers} workers; machine has "
           f"{available_cores()} core(s)")
 
     reports, all_ok = [], True
@@ -68,7 +63,7 @@ def main() -> int:
         faults = FaultInjector(seed=ns.seed)
         rep = run_scenario(
             name, workers=ns.workers, steps=ns.steps, seed=ns.seed,
-            at_step=ns.at_step, pipeline=ns.pipeline, faults=faults,
+            at_step=ns.at_step, faults=faults,
         )
         reports.append(rep)
         recovered = {k: v for k, v in rep["recovery"].items() if v}

@@ -9,8 +9,9 @@ primitive-equation models serially and through the
 - parallel trajectories are **bitwise identical** to serial;
 - the simulated clocks agree exactly (SimMPI stays the timing model);
 - when the pool starts, work is actually dispatched to workers;
-- the pipelined mode (DESIGN.md Section 11) keeps both guarantees
-  while overlapping driver combines with worker compute;
+- the pool dispatches exactly what the in-process engine does — the
+  same calls and tasks per step — so a change that splits tasks again
+  shows up as a number;
 - results return through the tasks' shared-memory blocks: after the
   first primitive-equation step has sized them, nothing but descriptors
   travels on the result queue.
@@ -85,28 +86,6 @@ def run_parallel_smoke(
             print(f"  note: pool fell back to serial "
                   f"({par.engine.fallback_reason})")
 
-        # Pipelined mode: boundary/inner split dispatch with driver
-        # combines overlapped against worker compute — same bits, same
-        # simulated clocks (DESIGN.md Section 11).
-        with DistributedShallowWater(mesh8, nranks=4, workers=workers,
-                                     pipeline=True) as pip:
-            pip.run_steps(steps)
-            gq = pip.gather_state()
-            pipe_same = (np.array_equal(gs.h, gq.h)
-                         and np.array_equal(gs.v, gq.v))
-            table.add("sw ne8 pipelined bitwise (h,v)", 1.0,
-                      1.0 if pipe_same else 0.0, "boolean", 0.0)
-            table.add("sw ne8 pipelined simulated clocks equal", 1.0,
-                      1.0 if ser.max_rank_time() == pip.max_rank_time()
-                      else 0.0, "boolean", 0.0)
-            pipe_ok = (not pip.engine.active) or pip.engine.pipeline_batches > 0
-            table.add("pipeline overlapped batches (or clean fallback)", 1.0,
-                      1.0 if pipe_ok else 0.0, "boolean", 0.0)
-            if verbose and pip.engine.active:
-                print(f"  pipeline: {pip.engine.pipeline_batches} overlapped "
-                      f"batches, overlap fraction "
-                      f"{pip.engine.overlap_fraction():.2f}")
-
     cfg, mesh4, state = _prim_state(ne=4)
     with DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
                                        dt=30.0) as ser, \
@@ -129,6 +108,19 @@ def run_parallel_smoke(
                 f"after step {i + 1} {t['results_shm']} results via shared "
                 f"memory, {t['results_queued']} via the queue"
                 for i, t in enumerate(transport)))
+        # (calls, tasks) per engine, the pool's start-up ping left out.
+        pool = (par.engine.calls, par.engine.tasks_parallel
+                + par.engine.tasks_serial - par.engine.workers)
+        inproc = (ser.engine.calls, ser.engine.tasks_serial)
+        table.add("pool dispatches == in-process dispatches (or clean fallback)",
+                  1.0, 1.0 if not par.engine.active or pool == inproc else 0.0,
+                  "boolean", 0.0)
+        if verbose:
+            print("  dispatch: " + "; ".join(
+                f"{who} {calls / prim_steps:g} calls, {tasks / prim_steps:g} "
+                f"tasks per step"
+                for who, (calls, tasks) in (("pool", pool),
+                                            ("in-process", inproc))))
         same = all(np.array_equal(getattr(gs, f), getattr(gp, f))
                    for f in ("v", "T", "dp3d", "qdp"))
         table.add("prim ne4 bitwise (v,T,dp3d,qdp)", 1.0,

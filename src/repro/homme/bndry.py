@@ -19,7 +19,7 @@ DSS contributions really travel between ranks through
 ``overlap`` execution disciplines, charging pack/unpack memcpy time and
 compute time to each rank's simulated clock.  The result is bit-identical
 to the serial :meth:`CubedSphereMesh.dss` for every partition, whatever
-``workers`` or ``pipeline`` the models run with.
+``workers`` the models run with.
 """
 
 from __future__ import annotations
@@ -178,15 +178,6 @@ class HaloExchanger:
             self.peers[a].append(b)
             self._messages[a].append(
                 (b, slice(lo, hi), slice(len(gid) + rlo, len(gid) + rhi)))
-
-        # Positions within each rank's local element order of the
-        # boundary and inner rows.  The pipelined engine mode dispatches
-        # these as separate worker batches and reassembles by exactly
-        # these indices — a pure scatter, so bit-identical to computing
-        # the full stack at once.
-        masks = [part.boundary_mask[e] for e in self.rank_elems]
-        self.local_boundary_idx = [np.nonzero(m)[0] for m in masks]
-        self.local_inner_idx = [np.nonzero(~m)[0] for m in masks]
 
     # -- core exchange ------------------------------------------------------------
 

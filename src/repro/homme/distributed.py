@@ -37,16 +37,14 @@ from ..parallel.dycore import (
     prim_euler_stage1_task,
     prim_euler_stage2_task,
     prim_laplace_task,
-    prim_laplace_wk_task,
     prim_limit_task,
     prim_stage_task,
-    prim_vlaplace_task,
     sw_stage_task,
 )
 from ..parallel.engine import ParallelEngine
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
-from .element import ElementGeometry, levels_first, levels_last
+from .element import ElementGeometry, check_dt, levels_first, levels_last
 from .euler import restoring_scale, sum_elements
 from .hypervis import hypervis_stable_subcycles, nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
@@ -85,10 +83,7 @@ class _DistributedModel:
     geometries: context ``r`` is rank ``r``'s shard.  ``workers <= 1``
     makes that engine in-process.  With the engine's shard-affinity
     dispatch a worker only ever touches (and faults in) the shards
-    pinned to its slot.  ``pipeline=True`` on a model that starts a pool
-    appends the *split* geometries (context ``nranks + 2r`` = rank
-    ``r``'s boundary elements, ``nranks + 2r + 1`` = its inner elements;
-    ``None`` for an empty subset).
+    pinned to its slot.
     ``engine_kwargs`` passes straight through to
     :class:`~repro.parallel.engine.ParallelEngine` — the supervision
     and chaos knobs of DESIGN.md §12.
@@ -105,7 +100,7 @@ class _DistributedModel:
     _ic: list[float] | None = None
 
     def __init__(self, mesh: CubedSphereMesh, nranks: int, mode: str, faults,
-                 tracer, workers: int, pipeline: bool,
+                 tracer, workers: int,
                  engine_kwargs: dict | None, exec_path: str,
                  combine: str = "flat") -> None:
         if mode not in ("overlap", "classic"):
@@ -126,21 +121,10 @@ class _DistributedModel:
         self._epoch = 0
 
         self.workers = max(0, int(workers))
-        self.pipeline = bool(pipeline)
-        #: Per part (0 = boundary, 1 = inner), per rank: local element rows.
-        self._split_idx = (self.hx.local_boundary_idx, self.hx.local_inner_idx)
-        contexts = list(self.geoms)
-        if self.pipeline and self.workers > 1:
-            for r, elems in enumerate(self.hx.rank_elems):
-                for part in (0, 1):
-                    ix = self._split_idx[part][r]
-                    contexts.append(ElementGeometry(mesh, elems[ix])
-                                    if len(ix) > 0 else None)
-        for g in contexts:
-            if g is not None:
-                warm(g)
+        for g in self.geoms:
+            warm(g)
         self.engine = ParallelEngine(
-            workers=self.workers, contexts=contexts, tracer=self.tracer,
+            workers=self.workers, contexts=self.geoms, tracer=self.tracer,
             label=self._label, **(engine_kwargs or {}),
         )
 
@@ -160,64 +144,14 @@ class _DistributedModel:
 
     # -- per-rank task dispatch ---------------------------------------------------
 
-    def _payloads(self, meta_extra: dict, per_rank_arrays: list[tuple],
-                  part: int | None = None) -> list[tuple]:
-        """``(meta, arrays)`` of one dispatch, in rank order.
-
-        Whole ranks by default; ``part`` 0 / 1 ships the boundary /
-        inner element rows of every rank that has any, addressed to the
-        split shard contexts (which follow the ``nranks`` whole shards).
-        """
-        payloads = []
-        for r, arrays in enumerate(per_rank_arrays):
-            slot, ctx = r, r
-            if part is not None:
-                ix = self._split_idx[part][r]
-                if len(ix) == 0:
-                    continue
-                slot = 2 * r + part
-                ctx = self.nranks + slot
-                arrays = tuple(a[ix] for a in arrays)
-            meta = {"ctx": ctx, "rank": slot, "shard": r,
-                    **meta_extra, "path": self.exec_path}
-            payloads.append((meta, arrays))
-        return payloads
-
-    @property
-    def _pipelined(self) -> bool:
-        """Pipelined dispatch is only meaningful on a live pool."""
-        return self.pipeline and self.engine.active
-
-    def _fanout(self, task, meta_extra: dict, per_rank_arrays: list[tuple],
-                split: bool = False) -> list[tuple]:
-        """Run ``task`` once per rank; one tuple of output arrays per rank.
-
-        ``split=True`` on a pipelined model is the boundary-first split
-        dispatch of DESIGN.md §11: every rank's boundary rows go out as
-        one batch and its inner rows immediately after (into the other
-        shared-memory bank), and the boundary results are reassembled
-        **while the workers compute the inner batch**.  Reassembly is a
-        pure scatter by precomputed indices, so the result is bitwise
-        identical to the whole-rank dispatch.
-        """
-        if not (split and self._pipelined):
-            return self.engine.run(
-                task, self._payloads(meta_extra, per_rank_arrays))
-        pends = []
-        for part in (0, 1):
-            payloads = self._payloads(meta_extra, per_rank_arrays, part)
-            pends.append((self.engine.submit(task, payloads), payloads))
-        outs: list = [None] * self.nranks
-        for idx_of, (pend, payloads) in zip(self._split_idx, pends):
-            for (meta, _), res in zip(payloads, pend.wait()):
-                r = meta["shard"]
-                if outs[r] is None:
-                    nelem = len(self.hx.rank_elems[r])
-                    outs[r] = tuple(np.empty((nelem,) + a.shape[1:], a.dtype)
-                                    for a in res)
-                for out, a in zip(outs[r], res):
-                    out[idx_of[r]] = a
-        return outs
+    def _fanout(self, task, meta_extra: dict,
+                per_rank_arrays: list[tuple]) -> list[tuple]:
+        """Run ``task`` once per rank — one batch of whole-rank tasks, in
+        rank order; one tuple of output arrays per rank."""
+        return self.engine.run(task, [
+            ({"ctx": r, "shard": r, **meta_extra, "path": self.exec_path},
+             arrays)
+            for r, arrays in enumerate(per_rank_arrays)])
 
     # -- tracing ------------------------------------------------------------------
 
@@ -328,12 +262,6 @@ class DistributedShallowWater(_DistributedModel):
     trajectory is bitwise identical to ``workers=0``.  Simulated clocks
     are unaffected either way — SimMPI remains the timing model.
 
-    ``pipeline=True`` additionally splits each rank's elements into
-    boundary and inner batches and overlaps the driver-side combines
-    with worker compute (:meth:`_DistributedModel._fanout`); results
-    stay bitwise identical and the simulated clocks are untouched —
-    only wall time changes.
-
     ``exec_path`` names the element-local kernel set each rank task
     runs (``"fused"`` default, the single-pass contraction kernels;
     ``"batched"``, the operator-library reference); the DSS structure
@@ -353,12 +281,14 @@ class DistributedShallowWater(_DistributedModel):
         faults=None,
         tracer=None,
         workers: int = 0,
-        pipeline: bool = False,
+        pipeline: bool = False,  # ignored: benchmarks/step/adapter.py passes it
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
     ) -> None:
+        if dt is not None:
+            check_dt(dt)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         pipeline, engine_kwargs, exec_path)
+                         engine_kwargs, exec_path)
         init = williamson2_initial(mesh)
         self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
                        for e in self.hx.rank_elems]
@@ -388,7 +318,7 @@ class DistributedShallowWater(_DistributedModel):
         t0s = self._clocks()
         outs = self._fanout(
             sw_stage_task, {"dt": dt},
-            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)], split=True)
+            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)])
         hs = self._exchange([o[0] for o in outs], stage, slot=0)
         vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
         self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
@@ -425,14 +355,6 @@ class DistributedPrimitiveEquations(_DistributedModel):
     :mod:`repro.parallel.dycore`); the trajectory is bitwise identical
     to ``workers=0``.
 
-    ``pipeline=True`` (with a live pool) overlaps driver-side combines
-    with worker compute: the RK stages use the boundary-first split
-    dispatch of :meth:`_DistributedModel._fanout`, and hyperviscosity
-    runs a per-field depth-2 software pipeline (the DSS of field *f*
-    overlaps the laplacian of field *f+1*).  DSS calls keep their slot
-    order, so both the trajectory and the simulated clocks are bitwise
-    unchanged.
-
     ``exec_path`` names the element-local kernel set the per-rank tasks
     run (``"fused"`` default, ``"batched"`` reference); the
     exchange/allreduce structure is identical across paths.
@@ -460,7 +382,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
         faults=None,
         tracer=None,
         workers: int = 0,
-        pipeline: bool = False,
+        pipeline: bool = False,  # ignored: benchmarks/step/adapter.py passes it
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
         combine: str = "flat",
@@ -473,10 +395,10 @@ class DistributedPrimitiveEquations(_DistributedModel):
             raise KernelError(
                 f"initial state qdp has shape {init_state.qdp.shape}; mesh and "
                 f"configuration need (nelem, qsize, nlev, np, np) = {want}")
+        self.dt = check_dt(dt)
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         pipeline, engine_kwargs, exec_path, combine)
+                         engine_kwargs, exec_path, combine)
         self.cfg = cfg
-        self.dt = dt
         self.combine = combine
         self.states = [
             type(init_state)(v=init_state.v[e].copy(), T=init_state.T[e].copy(),
@@ -528,7 +450,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
         outs = self._fanout(
             prim_stage_task, {"dt": dt},
             [(b.v, b.T, b.dp3d, p.v, p.T, p.dp3d)
-             for b, p in zip(bases, points)], split=True)
+             for b, p in zip(bases, points)])
         Ts = self._dss_levels([o[1] for o in outs], stage, slot=0)
         dps = self._dss_levels([o[2] for o in outs], stage, slot=1)
         vs = self._dss_vector_levels([o[0] for o in outs], stage, slot=2)
@@ -545,8 +467,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
 
         Each round is one pool dispatch computing all three field
         laplacians per rank; the DSS rounds between them stay on the
-        driver.  (Values are unchanged from the per-field form — each
-        field's laplacian/DSS chain is independent.)
+        driver.
         """
         lap = self._fanout(prim_laplace_task, {},
                            [(s.T, s.v, s.dp3d) for s in s3])
@@ -558,39 +479,6 @@ class DistributedPrimitiveEquations(_DistributedModel):
         bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=slot0 + 3)
         bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=slot0 + 4)
         bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=slot0 + 5)
-        return bih_T, bih_v, bih_dp
-
-    def _hypervis_pipelined(self, s3, slot0):
-        """Per-field depth-2 software pipeline for one hyperviscosity sweep.
-
-        Splits the fused three-field laplacian dispatch into six
-        per-field batches so the driver's DSS of one field overlaps
-        worker compute of the next, never holding more than two batches
-        in flight (the engine's two shared-memory banks).  The DSS
-        calls execute in the same slot order ``slot0 + 0..5`` as the
-        synchronous form and each field's laplacian/DSS chain is
-        independent, so the values and the simulated clocks are bitwise
-        unchanged.
-        """
-        def submit(task, fields):
-            return self.engine.submit(
-                task, self._payloads({}, [(f,) for f in fields]))
-
-        def outs(pend):
-            return [o[0] for o in pend.wait()]
-
-        p_lapT = submit(prim_laplace_wk_task, [s.T for s in s3])
-        p_lapv = submit(prim_vlaplace_task, [s.v for s in s3])
-        lap_T = self._dss_levels(outs(p_lapT), stage=5, slot=slot0)
-        p_lapdp = submit(prim_laplace_wk_task, [s.dp3d for s in s3])
-        lap_v = self._dss_vector_levels(outs(p_lapv), stage=5, slot=slot0 + 1)
-        p_bihT = submit(prim_laplace_wk_task, lap_T)
-        lap_dp = self._dss_levels(outs(p_lapdp), stage=5, slot=slot0 + 2)
-        p_bihv = submit(prim_vlaplace_task, lap_v)
-        bih_T = self._dss_levels(outs(p_bihT), stage=5, slot=slot0 + 3)
-        p_bihdp = submit(prim_laplace_wk_task, lap_dp)
-        bih_v = self._dss_vector_levels(outs(p_bihv), stage=5, slot=slot0 + 4)
-        bih_dp = self._dss_levels(outs(p_bihdp), stage=5, slot=slot0 + 5)
         return bih_T, bih_v, bih_dp
 
     def step(self) -> None:
@@ -628,11 +516,9 @@ class DistributedPrimitiveEquations(_DistributedModel):
 
         # Hyperviscosity, subcycled like the serial advance_hypervis.
         hv_t0s = self._clocks()
-        sweep = (self._hypervis_pipelined if self._pipelined
-                 else self._hypervis_sweep)
         sub_dt = dt / self._hv_subcycles
         for slot0 in range(0, 6 * self._hv_subcycles, 6):
-            bih_T, bih_v, bih_dp = sweep(s3, slot0)
+            bih_T, bih_v, bih_dp = self._hypervis_sweep(s3, slot0)
             for r in range(self.nranks):
                 s3[r].T = s3[r].T - sub_dt * self.nu * bih_T[r]
                 s3[r].v = s3[r].v - sub_dt * self.nu * bih_v[r]

@@ -28,6 +28,13 @@ from . import tensors as tensors_mod
 from .tensors import frozen
 
 
+def check_dt(dt: float) -> float:
+    """``dt`` itself; :class:`KernelError` unless it is finite and > 0."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise KernelError(f"time step dt must be finite and > 0, got {dt!r}")
+    return dt
+
+
 def levels_last(f: np.ndarray) -> np.ndarray:
     """(E, L, n, n[, K]) -> (E, n, n, L*K): the trailing-axis layout a DSS sums."""
     f = np.moveaxis(f, 1, 3)

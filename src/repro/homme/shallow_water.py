@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import constants as C
 from ..mesh.cubed_sphere import CubedSphereMesh
-from .element import ElementGeometry
+from .element import ElementGeometry, check_dt
 from . import operators as op
 
 
@@ -132,7 +132,7 @@ class ShallowWaterModel:
             c = float(np.sqrt(C.GRAVITY * self.state.h.max()))
             dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
             dt = 0.25 * dx / c
-        self.dt = dt
+        self.dt = check_dt(dt)
         self.nu = nu
         self.t = 0.0
         # Imported lazily: backends.functional_exec imports repro.homme.

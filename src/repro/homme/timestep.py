@@ -27,7 +27,7 @@ from ..config import ModelConfig
 from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..obs.tracer import NULL_TRACER
-from .element import ElementGeometry, ElementState
+from .element import ElementGeometry, ElementState, check_dt
 from .euler import euler_step_subcycled
 from .hypervis import advance_hypervis, nu_for_mesh
 from .remap import vertical_remap
@@ -97,7 +97,7 @@ class PrimitiveEquationModel:
             raise KernelError(f"unknown initial condition {init!r}")
         self.state.check_consistent()
         self.forcing = forcing
-        self.dt = dt if dt is not None else cfg.dt_dynamics
+        self.dt = check_dt(dt if dt is not None else cfg.dt_dynamics)
         self.hypervis = hypervis
         self.nu = nu_for_mesh(self.mesh) if nu is None else nu
         self.phis = phis

@@ -332,11 +332,6 @@ def collect_parallel_engine(reg: MetricsRegistry, engine) -> MetricsRegistry:
     reg.inc("parallel.tasks.serial", engine.tasks_serial)
     for key, value in engine.transport.items():
         reg.inc(f"parallel.transport.{key}", value)
-    reg.inc("parallel.pipeline.batches", engine.pipeline_batches)
-    reg.set_gauge("parallel.pipeline.max_depth", engine.pipeline_max_depth)
-    reg.inc("parallel.pipeline.overlap_seconds", engine.pipeline_overlap_seconds)
-    reg.inc("parallel.pipeline.wait_seconds", engine.pipeline_wait_seconds)
-    reg.set_gauge("parallel.pipeline.overlap_fraction", engine.overlap_fraction())
     # Self-healing tallies (DESIGN.md §12): what the supervisor saw and
     # did, plus a labelled counter per degrade reason — the full history,
     # not just the engine's last fallback_reason string.

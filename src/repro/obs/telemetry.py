@@ -144,7 +144,7 @@ def quantile(samples, q: float) -> float:
 #: Track names (exact or ``prefix/``) whose events are stamped with the
 #: *wall* clock — the explicitly whitelisted nondeterministic family.
 #: Everything else is simulated time and must be byte-identical raw.
-WALL_TRACKS = ("worker/", "supervisor", "pipeline", "health", "profile")
+WALL_TRACKS = ("worker/", "supervisor", "health", "profile")
 
 #: Argument keys on wall-track events whose values depend on wall-clock
 #: timing (ages, durations, in-flight depths, free-text details) or on
@@ -199,8 +199,7 @@ def canonical_trace_jsonl(recorder) -> str:
 
 #: Metric-name markers whose values are wall-clock measurements.
 _VOLATILE_METRIC_MARKERS = (
-    "seconds", "heartbeat", "profile", "overlap", "busy", "depth",
-    "fraction", "age", "samples",
+    "seconds", "heartbeat", "profile", "busy", "depth", "age", "samples",
 )
 
 

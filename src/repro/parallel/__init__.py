@@ -13,8 +13,7 @@ the timing model.
 The contract (DESIGN.md §10):
 
 - **Determinism.** Workers only ever compute *independent* work units
-  (one simulated rank's tendencies, or its boundary / inner element
-  rows).  Every cross-rank reduction — DSS accumulation, allreduce —
+  (one simulated rank's tendencies).  Every cross-rank reduction — DSS accumulation, allreduce —
   sums in one canonical order (global point row, global element), so
   results are **bitwise identical** to serial execution wherever the
   reduction runs.

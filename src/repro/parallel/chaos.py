@@ -13,9 +13,9 @@ the faulty parallel integration next to a fault-free serial one and
 compares the gathered states byte for byte.
 
 Scenarios (all keyed to task ids in the first RK stage of one step, so
-they fire mid-batch in both plain and pipelined dispatch; step 0 by
-default — where every block is new and results still travel by queue —
-or, with ``at_step``, a later one, where they return through the blocks):
+they fire mid-batch; step 0 by default — where every block is new and
+results still travel by queue — or, with ``at_step``, a later one, where
+they return through the blocks):
 
 - ``kill-worker`` — a worker self-SIGKILLs before computing; the
   supervisor sees the crash, respawns the slot, redistributes.
@@ -83,10 +83,8 @@ def scenario_spec(name: str, workers: int, nranks: int, seed: int = 0,
     Task ids are drawn from ``[first_task, first_task + nranks)``, by
     default ``first_task = workers``: the engine's start-up ping takes
     ids ``0..workers-1``, and the next ``nranks`` ids are the first RK
-    stage's per-rank tasks — dispatched as one batch in plain mode and
-    as the (never-empty) boundary batch in pipelined mode, so the same
-    spec lands mid-batch in both.  A later stage's first id moves the
-    same draw there.
+    stage's per-rank tasks, dispatched as one batch.  A later stage's
+    first id moves the same draw there.
     """
     try:
         counts, overrides = SCENARIOS[name]
@@ -109,7 +107,6 @@ def run_scenario(
     nranks: int = 4,
     steps: int = 2,
     workers: int = 2,
-    pipeline: bool = False,
     seed: int = 0,
     at_step: int = 0,
     faults=None,
@@ -136,17 +133,11 @@ def run_scenario(
     with DistributedShallowWater(mesh, nranks=nranks) as serial:
         serial.run_steps(steps)
         ref = serial.gather_state()
-        parts = (serial.hx.local_boundary_idx, serial.hx.local_inner_idx)
-    # Task ids a step consumes: three RK stages, each one task per rank —
-    # per non-empty boundary / inner part of a rank under split dispatch.
-    per_stage = nranks
-    if pipeline:
-        per_stage = sum(len(ix) > 0 for part in parts for ix in part)
+    # Task ids a step consumes: three RK stages, each one task per rank.
     spec, overrides = scenario_spec(
-        name, workers, nranks, seed, workers + at_step * 3 * per_stage)
+        name, workers, nranks, seed, workers + at_step * 3 * nranks)
     with DistributedShallowWater(
-        mesh, nranks=nranks, workers=workers, pipeline=pipeline,
-        tracer=tracer,
+        mesh, nranks=nranks, workers=workers, tracer=tracer,
         engine_kwargs={"chaos": spec, "faults": faults, **overrides},
     ) as chaotic:
         chaotic.run_steps(steps)
@@ -165,12 +156,12 @@ def run_scenario(
         "steps": steps,
         "at_step": at_step,
         "workers": workers,
-        "pipeline": pipeline,
         "engine_overrides": overrides,
         "bitwise_identical": identical,
         "pool_active_at_end": desc["active"],
         "recovery": desc["recovery"],
         "transport": desc["transport"],
+        "leaked_shm": chaotic.engine.leaked_shm(),  # after close(): must be []
         "degrade_reasons": desc["degrade_reasons"],
         "health": health,
         "fault_events": faults.summary() if faults is not None else {},

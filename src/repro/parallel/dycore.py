@@ -61,23 +61,6 @@ def prim_laplace_task(geom, meta, T, v, dp):
     )
 
 
-def prim_laplace_wk_task(geom, meta, f):
-    """One rank's scalar weak laplacian of a single field.
-
-    The per-field twin of :func:`prim_laplace_task`, used by the
-    pipelined hyperviscosity chain: splitting the fused three-field
-    task lets the driver's DSS of field *f* overlap worker compute of
-    field *f+1* (values are unchanged — each field's laplacian is
-    computed by the same operator on the same inputs).
-    """
-    return (_path_kernels(meta).laplace_wk(f, geom),)
-
-
-def prim_vlaplace_task(geom, meta, v):
-    """One rank's vector laplacian of a single field (pipelined twin)."""
-    return (_path_kernels(meta).vlaplace(v, geom),)
-
-
 def prim_euler_stage1_task(geom, meta, qdp_q, v):
     """Tracer SSP-RK2 stage 1 (pre-DSS): qdp + sdt * advect(qdp)."""
     advect = _path_kernels(meta).advect_qdp

@@ -21,13 +21,11 @@ parallel execution bitwise identical to serial.  ``fn`` must be a
 module-level function (it is pickled by reference into the workers)
 returning a tuple of ndarrays.
 
-``submit(fn, payloads)`` is the non-blocking half of the same
-contract: it queues the batch and returns a :class:`PendingRun` whose
-``wait()`` yields the payload-ordered results later.  Up to two
-batches may be in flight at once (double-buffered shared-memory
-banks), which is what lets a driver overlap its combine work for
-batch *k* with worker compute of batch *k+1* — the pipelined
-execution mode of the distributed models.
+``submit(fn, payloads)`` is the same contract in two halves: it queues
+the batch and returns a :class:`PendingRun` whose ``wait()`` yields the
+payload-ordered results.  One batch is in flight at a time — its tasks
+own the shared-memory blocks until they are collected — so a second
+``submit`` before that ``wait`` raises.
 
 Large read-only context (element geometries) never crosses a queue:
 the engine is built around its ``contexts`` tuple and hands it to every
@@ -106,12 +104,6 @@ RESULT_TIMEOUT = 120.0
 
 #: Seconds allowed for the start-up ping that proves the pool works.
 PING_TIMEOUT = 30.0
-
-#: Shared-memory banks for pipelined dispatch.  Two banks = double
-#: buffering: batch k+1 packs into the other bank while workers may
-#: still be reading batch k's blocks, so at most two batches may be in
-#: flight at once.
-PIPELINE_BANKS = 2
 
 #: Attempts per task before a repeatedly corrupted result becomes a
 #: task failure instead of another re-execution.
@@ -222,12 +214,11 @@ class _TaskRecord:
     Everything needed to re-dispatch the task after a worker failure
     (``fn``/``meta``/``desc`` — the shared-memory block stays
     valid until the whole batch is collected) and to route its result
-    back (``pend``/``idx``).  ``slot`` tracks the worker currently
-    responsible; ``attempt`` counts dispatches, and chaos hooks only
-    fire on attempt 0 so recovery always replays clean.
+    back (``idx``, into the in-flight batch).  ``slot`` tracks the worker
+    currently responsible; ``attempt`` counts dispatches, and chaos hooks
+    only fire on attempt 0 so recovery always replays clean.
     """
 
-    pend: "PendingRun"
     idx: int
     fn: object
     meta: dict
@@ -236,7 +227,7 @@ class _TaskRecord:
     slot: int = -1
 
 
-def _pack(block: _Block | None, key: tuple, arrays: tuple,
+def _pack(block: _Block | None, key: int, arrays: tuple,
           make) -> tuple[_Block, tuple]:
     """Copy ``arrays`` into slot ``key``'s (possibly grown) block; return
     the descriptor ``(key, name, metas, out_off, out_cap)``.
@@ -274,23 +265,15 @@ class PendingRun:
     and returns them **in payload order** — the same deterministic
     combine contract as :meth:`ParallelEngine.run`.
 
-    Between ``submit`` and ``wait`` the driver is free to do other work
-    (reassembly, DSS accumulation, further submits) — that window is
-    the pipeline's computation/communication overlap.  The payload
-    arrays must not be mutated until ``wait`` returns: worker recovery
-    re-dispatches from them, and the serial fallback recomputes from
-    them if the pool dies mid-flight.
+    The payload arrays must not be mutated until ``wait`` returns:
+    worker recovery re-dispatches from them, and the serial fallback
+    recomputes from them if the pool dies mid-flight.
     """
 
-    def __init__(self, engine: "ParallelEngine", fn, payloads,
-                 bank: int, parallel: bool) -> None:
+    def __init__(self, engine: "ParallelEngine", fn, payloads) -> None:
         self.engine = engine
         self.fn = fn
         self.payloads = payloads
-        self.bank = bank
-        self.parallel = parallel
-        self.overlapped = False
-        self.submitted_at = time.perf_counter()
         self.timeout = engine.result_timeout
         self.results: list[tuple | None] = [None] * len(payloads)
         self.remaining = 0  # parallel tasks still in flight
@@ -433,8 +416,8 @@ class ParallelEngine:
         self.supervisor: WorkerSupervisor | None = None
         self._result_q = None
         #: Shared-memory task blocks (inputs, then the out region), keyed
-        #: by (bank, payload index).
-        self._blocks: dict[tuple[int, int], _Block] = {}
+        #: by payload index.
+        self._blocks: dict[int, _Block] = {}
         #: Names of every shared-memory block this engine created and
         #: has not yet unlinked — the leak-tracking ledger behind
         #: :meth:`leaked_shm`.
@@ -442,13 +425,9 @@ class ParallelEngine:
         self._task_seq = 0
         self._rr = 0  # round-robin cursor over live worker slots
         self._tasks: dict[int, _TaskRecord] = {}
-        self._outstanding: list[PendingRun] = []
+        #: The batch whose tasks are with the workers, if any.
+        self._inflight: PendingRun | None = None
         self._closed = False
-        # Pipeline tallies (see collect_parallel_engine / describe()).
-        self.pipeline_batches = 0
-        self.pipeline_max_depth = 0
-        self.pipeline_overlap_seconds = 0.0
-        self.pipeline_wait_seconds = 0.0
         self._t0 = time.perf_counter()
         if self.workers > 1:
             self._try_start()
@@ -524,8 +503,8 @@ class ParallelEngine:
         """Stop the workers and release every shared-memory block.
 
         Idempotent: closing twice (or letting ``__del__`` run after an
-        explicit close) is a no-op.  Outstanding :class:`PendingRun`\\ s
-        are detached — their ``wait()`` completes serially — and no
+        explicit close) is a no-op.  An outstanding :class:`PendingRun`
+        is detached — its ``wait()`` completes serially — and no
         shared-memory block survives (:meth:`leaked_shm` returns ``[]``).
         """
         if self._closed:
@@ -551,9 +530,10 @@ class ParallelEngine:
 
     def _shutdown_pool(self) -> None:
         self._tasks.clear()
-        for p in self._outstanding:
-            p.remaining = 0  # missing results are computed serially at wait()
-        self._outstanding.clear()
+        if self._inflight is not None:
+            # missing results are computed serially at wait()
+            self._inflight.remaining = 0
+            self._inflight = None
         if self.supervisor is not None:
             name = self.supervisor.shm_name
             self.supervisor.shutdown()
@@ -610,28 +590,28 @@ class ParallelEngine:
         of arrays per payload, in payload order (the deterministic
         combine).
         """
-        self.calls += 1
-        if not payloads:
-            return []
         if not self.active:
+            self.calls += 1
             return self._run_serial(fn, payloads)
-        return self._submit(fn, payloads).wait()
-
-    def submit(self, fn, payloads: list[tuple[dict, tuple]]) -> PendingRun:
-        """Dispatch a batch without blocking; collect via ``.wait()``.
-
-        The pipelining primitive: tasks are packed into this batch's
-        shared-memory *bank* and queued to the workers immediately, and
-        the driver keeps running — overlapping its combine work (and
-        further submits) with worker compute.  Double buffering bounds
-        the depth: at most :data:`PIPELINE_BANKS` batches may be in
-        flight, so a bank is never repacked while its previous batch's
-        workers could still be reading it.  On an inactive engine the
-        batch is executed serially inside ``wait()`` — same results,
-        no overlap.
-        """
+        pend = self._submit(fn, payloads)
         self.calls += 1
-        return self._submit(fn, payloads)
+        return pend.wait()
+
+    # Public (``run`` alone would do) because benchmarks/step/adapter.py
+    # patches ``submit`` and ``PendingRun.wait`` as its ``engine`` layer.
+    def submit(self, fn, payloads: list[tuple[dict, tuple]]) -> PendingRun:
+        """Queue a batch to the workers; collect via ``.wait()``.
+
+        The engine's one dispatch primitive.  A batch's tasks own the
+        shared-memory blocks until they are collected, so a ``submit``
+        while another batch is in flight raises :class:`KernelError`
+        and leaves that batch collectable.  A call counts in ``calls``
+        once it is accepted.  On an inactive engine the batch is
+        executed serially inside ``wait()`` — same results.
+        """
+        pend = self._submit(fn, payloads)
+        self.calls += 1
+        return pend
 
     def _dispatch_task(self, tid: int) -> None:
         """Queue task ``tid`` to a live worker.
@@ -676,17 +656,13 @@ class ParallelEngine:
         for meta, _ in payloads:
             task_context(self.contexts, meta)  # a bad index is the caller's bug
         if not self.active or not payloads:
-            return PendingRun(self, fn, payloads, bank=-1, parallel=False)
-        if len(self._outstanding) >= PIPELINE_BANKS:
+            return PendingRun(self, fn, payloads)
+        if self._inflight is not None:
             raise KernelError(
-                f"pipeline depth exceeded: at most {PIPELINE_BANKS} batches "
-                "may be in flight (double-buffered shared-memory banks)"
-            )
-        used = {p.bank for p in self._outstanding}
-        bank = next(b for b in range(PIPELINE_BANKS) if b not in used)
-        pend = PendingRun(self, fn, payloads, bank=bank, parallel=True)
-        pend.overlapped = bool(self._tasks)
-        self._outstanding.append(pend)
+                f"a batch is already in flight ({self.label}): wait() on it "
+                "before the next submit — its tasks own the shared-memory "
+                "blocks")
+        pend = self._inflight = PendingRun(self, fn, payloads)
 
         def make_block(capacity: int) -> _Block:
             blk = _Block(
@@ -699,57 +675,38 @@ class ParallelEngine:
 
         try:
             for idx, (meta, arrays) in enumerate(payloads):
-                key = (bank, idx)
-                self._blocks[key], desc = _pack(
-                    self._blocks.get(key), key, tuple(arrays), make_block)
+                self._blocks[idx], desc = _pack(
+                    self._blocks.get(idx), idx, tuple(arrays), make_block)
                 tid = self._task_seq
                 self._task_seq += 1
-                self._tasks[tid] = _TaskRecord(pend, idx, fn, meta, desc)
+                self._tasks[tid] = _TaskRecord(idx, fn, meta, desc)
                 self._dispatch_task(tid)
                 pend.remaining += 1
         except Exception as exc:  # noqa: BLE001 - dispatch failure => pool death
             self._degrade(f"parallel dispatch failed: {exc!r}", kind="dispatch")
-            return pend
-        self.pipeline_max_depth = max(self.pipeline_max_depth, len(self._tasks))
-        if pend.overlapped:
-            self.pipeline_batches += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "pipeline", f"submit:{getattr(fn, '__name__', fn)}",
-                    pend.submitted_at - self._t0, cat="pipeline",
-                    tasks=len(payloads), depth=len(self._tasks),
-                )
         return pend
 
     def _wait(self, pend: PendingRun) -> list[tuple]:
-        """Drain results for ``pend`` (routing other batches' results to
-        their owners), supervising the workers while blocked: crashes,
-        hangs, and overdue results trigger respawn + redistribution of
-        only the failed worker's tasks; the pool dies (and the call
-        finishes serially) only when recovery is exhausted.  Raise on
-        task failure.  Fixed payload order."""
+        """Drain results for ``pend``, supervising the workers while
+        blocked: crashes, hangs, and overdue results trigger respawn +
+        redistribution of only the failed worker's tasks; the pool dies
+        (and the call finishes serially) only when recovery is
+        exhausted.  Raise on task failure.  Fixed payload order."""
         if pend.done:
             raise KernelError("PendingRun.wait() called twice")
-        t_entry = time.perf_counter()
-        if pend.overlapped:
-            # Driver-side work done since submit = the overlap window.
-            self.pipeline_overlap_seconds += t_entry - pend.submitted_at
         deadline = time.monotonic() + pend.timeout
         try:
             while pend.remaining:
                 budget = deadline - time.monotonic()
                 if budget <= 0:
-                    if self._recover_overdue(pend):
+                    if self._recover_overdue(pend.timeout):
                         deadline = time.monotonic() + pend.timeout
                         continue
                     raise KernelError(
                         f"parallel pool timed out after {pend.timeout:.0f}s "
                         f"({self.label}); falling back to serial"
                     )
-                tw = time.perf_counter()
                 item = self._poll_result(min(SUPERVISION_TICK, budget))
-                if pend.overlapped:
-                    self.pipeline_wait_seconds += time.perf_counter() - tw
                 if item is not None:
                     self._route(item)
                     continue
@@ -758,23 +715,13 @@ class ParallelEngine:
                 if not self.active:
                     break  # recovery degraded the pool; remaining = 0
         except KernelError as exc:
-            # Pool death (timeout, closed pipe): degrade every
-            # outstanding batch; missing results are computed serially.
+            # Pool death (timeout, closed pipe): missing results are
+            # computed serially.
             self._degrade(str(exc), kind="timeout")
-        if pend in self._outstanding:
-            self._outstanding.remove(pend)
+        if pend is self._inflight:
+            self._inflight = None
         self._finish_serial(pend)
         pend.done = True
-        if pend.overlapped and self.tracer.enabled:
-            t_done = time.perf_counter() - self._t0
-            self.tracer.span_at(
-                "pipeline", f"wait:{getattr(pend.fn, '__name__', pend.fn)}",
-                t_entry - self._t0, t_done,
-                cat="pipeline", tasks=len(pend.payloads),
-            )
-            self.tracer.counter(
-                "pipeline", "overlap.fraction", t_done,
-                self.overlap_fraction())
         if pend.failures:
             raise KernelError(
                 "parallel task failed:\n" + "\n".join(pend.failures)
@@ -792,14 +739,12 @@ class ParallelEngine:
             recovered = self._recover_worker(slot, kind, detail) or recovered
         return recovered
 
-    def _recover_overdue(self, pend: PendingRun) -> bool:
-        """Batch deadline hit: treat the workers owning ``pend``'s
-        still-missing tasks as stalled and recover them.  Returns True
-        if recovery ran and the pool survived (the caller re-arms the
-        deadline); False routes to the pool-death path."""
-        slots = sorted({
-            r.slot for r in self._tasks.values() if r.pend is pend
-        })
+    def _recover_overdue(self, timeout: float) -> bool:
+        """Batch deadline hit: treat the workers owning the still-missing
+        tasks as stalled and recover them.  Returns True if recovery ran
+        and the pool survived (the caller re-arms the deadline); False
+        routes to the pool-death path."""
+        slots = sorted({r.slot for r in self._tasks.values()})
         if not slots:
             return False
         self.recovery["timeouts"] += 1
@@ -809,8 +754,7 @@ class ParallelEngine:
                 break
             recovered = self._recover_worker(
                 slot, "overdue",
-                f"worker {slot} holds results overdue past "
-                f"{pend.timeout:.1f}s",
+                f"worker {slot} holds results overdue past {timeout:.1f}s",
             ) or recovered
         return recovered and self.active
 
@@ -906,7 +850,7 @@ class ParallelEngine:
             )
 
     def _route(self, item) -> None:
-        """Deliver one result-queue item to the batch that owns it,
+        """Deliver one result-queue item to the in-flight batch,
         verifying its CRC32 before accepting — a failed check
         re-executes the task instead.  A ``"shm"`` item carries only the
         layout of a result sitting in the task's block: it is copied out
@@ -927,7 +871,7 @@ class ParallelEngine:
                     "health", f"queue.depth.w{slot}",
                     time.perf_counter() - self._t0, self._queue_depth[slot],
                 )
-        pend, idx = rec.pend, rec.idx
+        pend, idx = self._inflight, rec.idx
         st = self.stats[slot] if 0 <= slot < len(self.stats) else WorkerStats(slot)
         if status == "err":
             st.tasks += 1
@@ -937,7 +881,7 @@ class ParallelEngine:
             pend.remaining -= 1
             pend.failures.append(f"task {idx} on worker {slot}:\n{data}")
             return
-        block = self._blocks[(pend.bank, idx)]
+        block = self._blocks[idx]
         if status == "shm":
             data = tuple(v.copy() for v in _unpack(block.shm, data))
         else:
@@ -1023,11 +967,11 @@ class ParallelEngine:
                 "supervisor", f"degrade:{kind}",
                 time.perf_counter() - self._t0, cat="recovery", reason=reason,
             )
-        pending = list(self._outstanding)
+        pend = self._inflight
         self._shutdown_pool()
         self.active = False
-        for p in pending:
-            self._finish_serial(p)
+        if pend is not None:
+            self._finish_serial(pend)
 
     def _finish_serial(self, pend: PendingRun) -> None:
         """Compute any still-missing results of ``pend`` in-process."""
@@ -1084,12 +1028,6 @@ class ParallelEngine:
             return self._result_q.get()
         return None
 
-    def overlap_fraction(self) -> float:
-        """Fraction of pipelined driver time spent doing useful work
-        (combines, submits) rather than blocked waiting on workers."""
-        total = self.pipeline_overlap_seconds + self.pipeline_wait_seconds
-        return self.pipeline_overlap_seconds / total if total > 0 else 0.0
-
     # -- sharded-context accounting -----------------------------------------
 
     def context_bytes_by_slot(self) -> dict[int, int]:
@@ -1130,13 +1068,8 @@ class ParallelEngine:
             "tasks_parallel": self.tasks_parallel,
             "tasks_serial": self.tasks_serial,
             "transport": dict(self.transport),
-            "pipeline": {
-                "batches": self.pipeline_batches,
-                "max_depth": self.pipeline_max_depth,
-                "overlap_seconds": self.pipeline_overlap_seconds,
-                "wait_seconds": self.pipeline_wait_seconds,
-                "overlap_fraction": self.overlap_fraction(),
-            },
+            # Constant: benchmarks/step/adapter.py reads these two keys.
+            "pipeline": {"overlap_seconds": 0.0, "wait_seconds": 0.0},
             "telemetry": {
                 "enabled": self.telemetry is not None,
                 "packets": self.telemetry_packets,

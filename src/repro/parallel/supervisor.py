@@ -246,22 +246,20 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
     ``contexts`` is the engine's tuple, inherited through the fork (a
     ``Process`` argument is not pickled under ``fork``).
 
-    A task names one driver-owned shared-memory block — its slot key
-    ``(bank, idx)``, the block's current name, the input layout, and the
+    A task names one driver-owned shared-memory block — its slot (the
+    payload index), the block's current name, the input layout, and the
     out region ``[out_off, out_off + out_cap)`` behind the inputs.  The
     worker writes each output once into that region and replies with
     only the layout (status ``"shm"``) and a CRC32 stamp over the bytes;
     outputs that do not fit (a slot's first result, or one that grew)
     travel on the result queue as arrays (status ``"ok"``), which is how
-    the driver learns the capacity to pack next time.  The driver
-    double-buffers its blocks per *bank*: a bank's blocks are not
-    repacked until every task of the batch that used them has been
-    collected, so the attached views are race-free even with two batches
-    in flight — and a *redistributed* task can re-read, and rewrite with
-    the same bytes, the very same block from a different worker.  One
-    attachment is kept per slot: when the driver regrows a slot's block
-    under a new name the superseded mapping is closed, so unlinked
-    generations do not stay resident in the worker.
+    the driver learns the capacity to pack next time.  The driver does
+    not repack a block until the batch that used it has been collected,
+    so the attached views are race-free — and a *redistributed* task can
+    re-read, and rewrite with the same bytes, the very same block from a
+    different worker.  One attachment is kept per slot: when the driver
+    regrows a slot's block under a new name the superseded mapping is
+    closed, so unlinked generations do not stay resident in the worker.
 
     A daemon heartbeat thread stamps ``time.monotonic()`` into this
     worker's slot of the shared heartbeat block; the driver declares
@@ -274,7 +272,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
     ``None`` and nothing extra is measured — the NULL_TRACER-style
     zero-cost default.
     """
-    attached: dict[tuple, shared_memory.SharedMemory] = {}  # by slot key
+    attached: dict[int, shared_memory.SharedMemory] = {}  # by slot
     hb_name, nslots = hb_desc
     hb = shared_memory.SharedMemory(name=hb_name)
     hb_view = np.ndarray((nslots,), dtype=np.float64, buffer=hb.buf)

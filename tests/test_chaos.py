@@ -3,9 +3,8 @@
 The property under test everywhere: any injected worker fault — crash,
 hang, overdue result, corrupted result block — is recovered *locally*
 (respawn + redistribute + re-execute, never whole-pool degrade), and
-the trajectory stays **bitwise identical** to the serial run, in both
-plain-parallel and pipelined dispatch.  Scenarios are seeded and
-deterministic, mirroring the FaultInjector contract.
+the trajectory stays **bitwise identical** to the serial run.  Scenarios
+are seeded and deterministic, mirroring the FaultInjector contract.
 """
 
 import numpy as np
@@ -63,15 +62,14 @@ EXPECTED_RECOVERY = {
     "mixed": ("crashes", "respawns", "corrupt_results"),
 }
 
-#: (scenario, pipeline, at_step) not already run by a named step-0 test
-#: of TestScenarioRecovery: every scenario at step 1, plain and
-#: pipelined, and the slow ones pipelined at step 0.
+#: (scenario, at_step): every scenario at step 1, and at step 0 the two
+#: fast ones — the slow three land there in their own named tests of
+#: TestScenarioRecovery.
 LANDINGS = [
-    (name, pipeline, at_step)
+    (name, at_step)
     for name in sorted(EXPECTED_RECOVERY)
-    for pipeline in (False, True)
     for at_step in (0, 1)
-    if at_step or (pipeline and name not in ("kill-worker", "corrupt-result"))
+    if at_step or name in ("kill-worker", "corrupt-result")
 ]
 
 
@@ -79,21 +77,19 @@ class TestScenarioRecovery:
     """Each scenario completes bitwise identical to serial with the
     expected recovery action and zero whole-pool degrades."""
 
-    @pytest.mark.parametrize("name,pipeline,at_step", LANDINGS)
-    def test_every_scenario_at_both_landing_points(self, name, pipeline,
-                                                   at_step):
+    @pytest.mark.parametrize("name,at_step", LANDINGS)
+    def test_every_scenario_at_both_landing_points(self, name, at_step):
         """Step 0's first stage returns its results on the queue (every
         block is new); step 1's returns them through the blocks — the
-        steady state.  The same seeded fault recovers at both, plain and
-        pipelined."""
-        rep = run_scenario(name, workers=2, seed=0, pipeline=pipeline,
-                           at_step=at_step)
+        steady state.  The same seeded fault recovers at both."""
+        rep = run_scenario(name, workers=2, seed=0, at_step=at_step)
         assert rep["bitwise_identical"]
         for key in EXPECTED_RECOVERY[name]:
             assert rep["recovery"][key] >= 1, key
         assert rep["recovery"]["pool_degrades"] == 0
         assert rep["pool_active_at_end"]
         assert rep["transport"]["results_shm"] > 0
+        assert rep["leaked_shm"] == []
         first = 2 + at_step * 3 * 4  # ping, then 3 stages x 4 ranks a step
         tids = (rep["spec"]["kill_tasks"] + rep["spec"]["stall_tasks"]
                 + rep["spec"]["corrupt_tasks"]
@@ -105,18 +101,6 @@ class TestScenarioRecovery:
 
         with pytest.raises(KernelError, match="at_step"):
             run_scenario("kill-worker", workers=2, steps=2, at_step=2)
-
-    @pytest.mark.parametrize("name,expect", [
-        ("kill-worker", "crashes"),
-        ("corrupt-result", "corrupt_results"),
-    ])
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_fast_scenarios_plain_and_pipelined(self, name, expect, pipeline):
-        rep = run_scenario(name, workers=2, seed=0, pipeline=pipeline)
-        assert rep["bitwise_identical"]
-        assert rep["recovery"][expect] >= 1
-        assert rep["recovery"]["pool_degrades"] == 0
-        assert rep["pool_active_at_end"]
 
     def test_stall_heartbeat_recovers(self):
         rep = run_scenario("stall-heartbeat", workers=2, seed=0)
@@ -185,9 +169,8 @@ class TestResilientRunnerParallel:
     restore while the engine keeps its pool — the integration of
     repro.resilience with repro.parallel."""
 
-    @pytest.mark.parametrize("pipeline", [False, True])
     def test_sdc_rollback_of_parallel_run_matches_serial(
-            self, mesh2, tmp_path, pipeline):
+            self, mesh2, tmp_path):
         ref = DistributedShallowWater(mesh2, nranks=4)
         ref.run_steps(3)
         gref = ref.gather_state()
@@ -197,7 +180,7 @@ class TestResilientRunnerParallel:
             bitflips=[BitFlip(step=1, field_name="h", rank=1, word=7, bit=63)],
         )
         with DistributedShallowWater(
-            mesh2, nranks=4, dt=ref.dt, workers=2, pipeline=pipeline,
+            mesh2, nranks=4, dt=ref.dt, workers=2,
             faults=fi, engine_kwargs={"faults": fi},
         ) as m:
             runner = ResilientRunner(

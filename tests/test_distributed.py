@@ -190,7 +190,7 @@ class TestDistributedPrimitiveEquations:
         assert hypervis_stable_subcycles(
             dt, serial.nu, cfg.ne, mesh.radius) == 2
         serial.step()
-        for pool in ({}, {"workers": 2, "pipeline": True}):
+        for pool in ({}, {"workers": 2}):
             with DistributedPrimitiveEquations(
                     cfg, mesh, state.copy(), nranks=3, dt=dt, exec_path=path,
                     **pool) as dist:
@@ -248,23 +248,21 @@ class TestSharedBase:
     """What both models inherit from the one distributed base."""
 
     def test_close_is_idempotent_and_with_exit_closes(self, build):
-        with build(workers=2, pipeline=True) as model:
+        with build(workers=2) as model:
             model.step()
             engine = model.engine
-            # 4 rank shards + 8 boundary/inner split shards.
-            assert len(engine.contexts) == 12
-            assert list(engine.contexts[:4]) == model.geoms
+            assert list(engine.contexts) == model.geoms  # the rank shards
         assert not engine.active and engine.leaked_shm() == []
         model.close()
         model.close()
         assert model.engine is engine and not engine.active
 
     def test_no_split_contexts_without_a_pool(self, build):
-        """``pipeline=True`` with ``workers <= 1`` can never dispatch a
-        split batch; it used to build and warm the 2 x nranks
-        boundary/inner geometries anyway."""
+        """``pipeline=True`` — the step benchmark still passes it — is
+        accepted and ignored: the contexts are the rank shards."""
         with build(pipeline=True) as model:
             assert list(model.engine.contexts) == model.geoms
+            assert not hasattr(model, "pipeline")
             model.step()
 
     def test_dropped_model_releases_its_contexts(self, build):

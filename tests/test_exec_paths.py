@@ -76,7 +76,7 @@ def _build(cls, mesh, cfg, state, **kw):
         return cls(cfg, mesh=mesh, init=state.copy(), **kw)
     if cls is DistributedShallowWater:
         return cls(mesh, nranks=2, **kw)
-    return cls(cfg, mesh, state, nranks=2, dt=300.0, **kw)
+    return cls(cfg, mesh, state, nranks=2, **{"dt": 300.0, **kw})
 
 
 MODELS = [ShallowWaterModel, PrimitiveEquationModel,
@@ -108,11 +108,23 @@ class TestDispatch:
             _build(cls, mesh4, cfg, state, exec_path="looped")
 
     def test_task_meta_without_path_fails_loudly(self, mesh4):
-        from repro.parallel.dycore import prim_laplace_wk_task
+        from repro.parallel.dycore import prim_laplace_task
 
         geom = ElementGeometry(mesh4, [0, 1])
+        f = np.zeros((2, 3, 4, 4))
         with pytest.raises(KeyError, match="path"):
-            prim_laplace_wk_task(geom, {"ctx": 0}, np.zeros((2, 3, 4, 4)))
+            prim_laplace_task(geom, {"ctx": 0}, f, np.zeros(f.shape + (2,)), f)
+
+
+class TestTimeStepValidation:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda c: c.__name__)
+    def test_bad_dt_rejected_at_construction(self, mesh4, prim_setup, cls, dt):
+        """Every model stepped happily with these (``nan`` silently
+        produced a non-finite state); now none is built."""
+        cfg, _, state = prim_setup
+        with pytest.raises(KernelError, match=f"dt must be finite.*{dt!r}"):
+            _build(cls, mesh4, cfg, state, dt=dt)
 
 
 class TestCrossValidation:

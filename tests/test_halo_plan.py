@@ -124,9 +124,6 @@ def test_public_tables_keep_their_meaning(meshes):
         for b in expected:
             assert np.array_equal(hx.shared_gids[a, b],
                                   np.intersect1d(uniq[a], uniq[b]))
-        mask = part.boundary_mask[part.rank_elements(a)]
-        assert np.array_equal(hx.local_boundary_idx[a], np.nonzero(mask)[0])
-        assert np.array_equal(hx.local_inner_idx[a], np.nonzero(~mask)[0])
     assert set(hx.shared_gids) == {(a, b) for a in range(6) for b in hx.peers[a]}
 
 

@@ -31,7 +31,7 @@ from repro.parallel import (
     scenario_spec,
     worker_track,
 )
-from repro.parallel.engine import PIPELINE_BANKS, _Block, _pack, _ping_task
+from repro.parallel.engine import _Block, _pack, _ping_task
 from repro.parallel.supervisor import _unpack
 
 from .trajectory import assert_same_trajectory
@@ -131,9 +131,9 @@ class TestEngineBasics:
                 shared_memory.SharedMemory(create=True, size=capacity), capacity)
 
         block, (key, name, metas, out_off, out_cap) = _pack(
-            None, (1, 3), arrays, make)
+            None, 3, arrays, make)
         try:
-            assert key == (1, 3) and name == block.shm.name
+            assert key == 3 and name == block.shm.name
             assert [m[1:] for m in metas] == [
                 (a.shape, a.dtype.str) for a in arrays]
             assert all(off % 64 == 0 for off, _, _ in metas)
@@ -144,9 +144,9 @@ class TestEngineBasics:
             got = [(v.flags.c_contiguous, v.copy())
                    for v in _unpack(block.shm, metas)]
             block.out_need = 100  # what _route records from a result
-            block, again = _pack(block, (1, 3), arrays, make)
+            block, again = _pack(block, 3, arrays, make)
             assert again[1] != name and again[2:] == (metas, out_off, 100)
-            same, third = _pack(block, (1, 3), arrays[:1], make)
+            same, third = _pack(block, 3, arrays[:1], make)
             assert same is block and third[1] == again[1]
             assert third[3] + third[4] == block.capacity  # the slack is usable
         finally:
@@ -326,44 +326,44 @@ class TestSelfHealing:
 
 
 class TestPipelineSubmit:
-    def test_two_outstanding_batches_any_wait_order(self):
-        """submit/wait with both banks in flight: results stay in
-        payload order regardless of collection order."""
-        with ParallelEngine(workers=2) as e:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            p1 = e.submit(_ping_task, [
-                ({"add": float(i)}, (np.arange(4.0),)) for i in range(3)
-            ])
-            p2 = e.submit(_ping_task, [
-                ({"add": 10.0 + i}, (np.arange(4.0),)) for i in range(2)
-            ])
-            r2 = p2.wait()  # out of submit order: routes p1's results too
-            r1 = p1.wait()
-            for i, (out,) in enumerate(r1):
-                assert np.array_equal(out, np.arange(4.0) + i)
-            for i, (out,) in enumerate(r2):
-                assert np.array_equal(out, np.arange(4.0) + 10.0 + i)
-            assert e.pipeline_batches >= 1  # p2 overlapped p1
-            assert e.pipeline_max_depth >= 5  # 3 + 2 tasks in flight
+    """``submit``/``wait``, the engine's one dispatch primitive: one
+    batch in flight."""
 
-    def test_depth_beyond_banks_raises(self):
+    def test_second_submit_before_wait_is_rejected_and_not_counted(self):
+        """A rejected submit is not a dispatch: ``calls``, the pool and
+        the batch in flight are as they were, and nothing leaks."""
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            pends = [
-                e.submit(_ping_task, [({"add": 1.0}, (np.arange(2.0),))])
-                for _ in range(PIPELINE_BANKS)
-            ]
-            with pytest.raises(KernelError, match="pipeline depth"):
-                e.submit(_ping_task, [({"add": 1.0}, (np.arange(2.0),))])
-            for p in pends:
-                p.wait()
+            e.run(_ping_task, [({"add": 1.0}, (np.arange(2.0),))])
+            pend = e.submit(_ping_task, [
+                ({"add": float(i)}, (np.arange(4.0),)) for i in range(3)])
+            assert e.calls == 2
+            for call in (e.submit, e.run):
+                with pytest.raises(KernelError, match="already in flight"):
+                    call(_ping_task, [({"add": 9.0}, (np.arange(2.0),))])
+            assert e.calls == 2 and e.active
+            for i, (out,) in enumerate(pend.wait()):
+                assert np.array_equal(out, np.arange(4.0) + i)
+            (out,), = e.submit(  # collected: the next batch is accepted
+                _ping_task, [({"add": 5.0}, (np.arange(2.0),))]).wait()
+            assert np.array_equal(out, np.arange(2.0) + 5.0)
+            assert e.calls == 3 == e.describe()["calls"]
+            assert e.recovery["pool_degrades"] == 0
+        assert e.leaked_shm() == []
+
+    def test_run_is_submit_then_wait(self):
+        payloads = [({"add": float(i)}, (np.arange(5.0),)) for i in range(4)]
+        with ParallelEngine(workers=2) as e:
+            via_run = e.run(_ping_task, payloads)
+            via_submit = e.submit(_ping_task, payloads).wait()
+            assert e.calls == 2
+        for (a,), (b,) in zip(via_run, via_submit):
+            assert a.tobytes() == b.tobytes()
 
     def test_inactive_engine_submit_finishes_serially(self):
         e = ParallelEngine(workers=0)
         pend = e.submit(_ping_task, [({"add": 3.0}, (np.arange(4.0),))])
-        assert not pend.parallel
         (out,), = pend.wait()
         assert np.array_equal(out, np.arange(4.0) + 3.0)
         assert e.tasks_serial == 1
@@ -374,21 +374,6 @@ class TestPipelineSubmit:
         pend.wait()
         with pytest.raises(KernelError, match="twice"):
             pend.wait()
-
-    def test_overlap_metrics_populated(self):
-        with ParallelEngine(workers=2) as e:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            p1 = e.submit(_ping_task, [({"add": 1.0}, (np.arange(64.0),))] * 2)
-            p2 = e.submit(_ping_task, [({"add": 2.0}, (np.arange(64.0),))] * 2)
-            p1.wait()
-            p2.wait()
-            assert e.pipeline_batches == 1
-            assert e.pipeline_overlap_seconds > 0.0
-            assert 0.0 <= e.overlap_fraction() <= 1.0
-            desc = e.describe()["pipeline"]
-            assert desc["batches"] == 1
-            assert desc["max_depth"] >= 2
 
     def test_submit_task_error_raised_at_wait(self):
         with ParallelEngine(workers=2) as e:
@@ -508,15 +493,15 @@ class TestResultTransport:
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            e.run(_ping_task, payload)  # sizes the out region of slot (0, 0)
+            e.run(_ping_task, payload)  # sizes the out region of slot 0
 
-            def scribble(pend, item):
+            def scribble(item):
                 assert item[2] == "shm"
-                e._blocks[(pend.bank, 0)].shm.buf[item[3][0][0] + 9] ^= 0x40
+                e._blocks[0].shm.buf[item[3][0][0] + 9] ^= 0x40
 
             pend = e.submit(_ping_task, payload)
             item = _poll(e)
-            scribble(pend, item)
+            scribble(item)
             e._route(item)
             assert e.recovery["corrupt_results"] == 1
             assert e.recovery["reexecuted_tasks"] == 1
@@ -527,7 +512,7 @@ class TestResultTransport:
 
             def crc_then_scribble(arrays):
                 crc = real_crc(arrays)
-                scribble(pend, item)
+                scribble(item)
                 return crc
 
             pend = e.submit(_ping_task, payload)
@@ -551,7 +536,7 @@ class TestResultTransport:
             for k in range(1, regrows + 1):
                 outs = e.run(_shm_maps_task, [  # both slots on worker 0
                     ({"shard": 0}, (np.zeros(1000 * k),)) for _ in range(2)])
-                current = {e._blocks[(0, i)].shm.name for i in (0, 1)}
+                current = {e._blocks[i].shm.name for i in (0, 1)}
                 created |= current
                 for (out,) in outs:
                     mapped = set(out.tobytes().decode().split("\n")) & created
@@ -559,12 +544,10 @@ class TestResultTransport:
                 assert mapped == current  # after the batch's last task
             assert len(created) >= 2 * regrows
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_prim_result_queue_is_idle_after_the_first_step(self, pipeline):
+    def test_prim_result_queue_is_idle_after_the_first_step(self):
         cfg, mesh, _, state = _noisy_prim_state()
         with DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                pipeline=pipeline) as par:
+                cfg, mesh, state, nranks=4, dt=30.0, workers=2) as par:
             e = par.engine
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
@@ -618,49 +601,36 @@ class TestDistributedBitwise:
             for f in ("v", "T", "dp3d", "qdp"):
                 assert np.array_equal(getattr(gs, f), getattr(gp, f)), f
 
-    def test_sw_ne8_pipelined_matches_serial_bitwise(self):
-        """Acceptance criterion: the pipelined mode (boundary/inner
-        split dispatch, combines overlapped with worker compute) is
-        bitwise identical to serial; pipelining changes wall time only,
-        never simulated clocks."""
-        mesh = CubedSphereMesh(8, 4)
-        with DistributedShallowWater(mesh, nranks=4) as ser, \
-                DistributedShallowWater(mesh, nranks=4, workers=2,
-                                        pipeline=True) as pip:
-            assert_same_trajectory(ser, pip, 2)
-            if pip.engine.active:
-                assert pip.engine.pipeline_batches > 0
-                assert pip.engine.pipeline_overlap_seconds > 0.0
-
-    def test_prim_ne4_pipelined_matches_serial_bitwise(self):
-        """Pipelined primitive equations — split RK fanout plus the
-        per-field depth-2 hyperviscosity chain — bitwise vs serial."""
+    def test_pool_dispatches_what_the_inprocess_engine_does(self):
+        """Exact-counter pin: over two steps the pool takes the same
+        calls and tasks as its ``workers=0`` twin — one batch of
+        whole-rank tasks per dispatch — and ``pipeline=True``, which the
+        step benchmark still passes, changes nothing."""
         cfg, mesh, _, state = _noisy_prim_state()
-        with DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0) as ser, \
-            DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                pipeline=True) as pip:
-            assert_same_trajectory(ser, pip, 2)
 
-    def test_prim_snapshot_restore_under_pipeline(self):
-        """snapshot()/restore_snapshot() round-trip stays bitwise under
-        pipelined execution, across the rsplit remap boundary."""
-        cfg, mesh, _, state = _noisy_prim_state()
-        with DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0) as ser, \
-            DistributedPrimitiveEquations(
-                cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                pipeline=True) as pip:
-            ser.run_steps(4)
-            pip.run_steps(1)
-            snap = pip.snapshot()
-            pip.run_steps(1)  # diverge past the snapshot...
-            pip.restore_snapshot(snap)  # ...and rewind
-            pip.run_steps(3)
-            gs, gp = ser.gather_state(), pip.gather_state()
+        def build(**kw):
+            return DistributedPrimitiveEquations(
+                cfg, mesh, state, nranks=4, dt=30.0, **kw)
+
+        with build() as ser, build(workers=2) as par, \
+                build(workers=2, pipeline=True) as ignored:
+            if not (par.engine.active and ignored.engine.active):
+                pytest.skip(f"pool unavailable: {par.engine.fallback_reason}")
+            assert_same_trajectory(ser, par, 2)
+            ignored.run_steps(2)
+            want = ser.engine.describe()
+            assert want["tasks_parallel"] == 0 and want["calls"] > 0
+            for model in (par, ignored):
+                got = model.engine.describe()
+                assert got["calls"] == want["calls"]
+                assert got["tasks_serial"] == 0
+                assert got["tasks_parallel"] - 2 == want["tasks_serial"]  # ping
+                assert got["pipeline"] == {"overlap_seconds": 0.0,
+                                           "wait_seconds": 0.0}
+            gp, gi = par.gather_state(), ignored.gather_state()
             for f in ("v", "T", "dp3d", "qdp"):
-                assert np.array_equal(getattr(gs, f), getattr(gp, f)), f
+                assert getattr(gp, f).tobytes() == getattr(gi, f).tobytes(), f
+            assert par.max_rank_time() == ignored.max_rank_time()
 
     def test_serial_workers_knob_is_default_path(self):
         mesh = CubedSphereMesh(4, 4)
@@ -684,35 +654,6 @@ class TestObservability:
         )
         assert total >= 4  # ping tasks included
         assert reg.value("parallel.active") == (1.0 if was_active else 0.0)
-
-    def test_pipeline_metrics_collected(self):
-        with ParallelEngine(workers=2) as e:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            p1 = e.submit(_ping_task, [({"add": 1.0}, (np.arange(8.0),))] * 2)
-            p2 = e.submit(_ping_task, [({"add": 2.0}, (np.arange(8.0),))] * 2)
-            p1.wait()
-            p2.wait()
-            reg = collect_parallel_engine(MetricsRegistry("par"), e)
-        assert reg.value("parallel.pipeline.batches") == e.pipeline_batches
-        assert reg.value("parallel.pipeline.max_depth") == e.pipeline_max_depth
-        assert reg.value("parallel.pipeline.overlap_seconds") > 0.0
-        assert 0.0 <= reg.value("parallel.pipeline.overlap_fraction") <= 1.0
-
-    def test_pipeline_spans_land_on_pipeline_track(self):
-        tracer = Tracer("pipeline-test")
-        e = ParallelEngine(workers=2, tracer=tracer)
-        try:
-            if not e.active:
-                pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            p1 = e.submit(_ping_task, [({"add": 1.0}, (np.arange(4.0),))] * 2)
-            p2 = e.submit(_ping_task, [({"add": 2.0}, (np.arange(4.0),))] * 2)
-            p1.wait()
-            p2.wait()
-            tracks = {ev.track for ev in tracer.recorder.events}
-            assert "pipeline" in tracks
-        finally:
-            e.close()
 
     def test_worker_spans_land_on_worker_tracks(self):
         tracer = Tracer("parallel-test")
