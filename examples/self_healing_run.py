@@ -34,7 +34,7 @@ from repro.parallel import SCENARIOS, available_cores, run_scenario
 from repro.resilience import FaultInjector
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--chaos", default="all", metavar="SCENARIO",
                     choices=["all", *SCENARIOS],
@@ -51,7 +51,7 @@ def main() -> int:
                          "a later one results in the shared-memory blocks")
     ap.add_argument("--report", metavar="OUT.json", default=None,
                     help="write the JSON scenario reports here")
-    ns = ap.parse_args()
+    ns = ap.parse_args(argv)
 
     names = list(SCENARIOS) if ns.chaos == "all" else [ns.chaos]
     print(f"ne2 shallow water, 4 simulated ranks, {ns.steps} steps, "
@@ -86,8 +86,8 @@ def main() -> int:
 
     if ns.report:
         with open(ns.report, "w") as f:
-            json.dump({"mode": mode, "cores": available_cores(),
-                       "scenarios": reports}, f, indent=2)
+            json.dump({"cores": available_cores(), "scenarios": reports},
+                      f, indent=2)
         print(f"[report] -> {ns.report}")
 
     return 0 if all_ok else 1

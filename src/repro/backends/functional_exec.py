@@ -98,8 +98,6 @@ class HommeExecution:
     #: all-tracer advection for one euler_step: f(v, geom) returns
     #: g(qdp) -> tendency, so per-step velocity work happens once
     tracer_tendency: Callable
-    #: single-tracer advection tendency: f(qdp_q, v, geom) -> field
-    advect_qdp: Callable
     #: build every memoized operand this path reads from ``geom`` — call
     #: it before a worker pool forks so workers inherit them copy-on-write
     warm: Callable
@@ -113,7 +111,6 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         laplace_wk=_fz.laplace_sphere_wk_fused,
         vlaplace=_fz.vlaplace_sphere_fused,
         tracer_tendency=_fused_tracer_tendency,
-        advect_qdp=_fz.advect_qdp_fused,
         warm=_warm_fused,
     ),
     "batched": HommeExecution(
@@ -123,7 +120,6 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         laplace_wk=_op.laplace_sphere_wk,
         vlaplace=_op.vlaplace_sphere,
         tracer_tendency=_batched_tracer_tendency,
-        advect_qdp=_euler.advect_qdp,
         warm=_warm_tensors,
     ),
 }

@@ -12,6 +12,8 @@ primitive-equation models serially and through the
 - the pool dispatches exactly what the in-process engine does — the
   same calls and tasks per step — so a change that splits tasks again
   shows up as a number;
+- a distributed step makes an exchange wherever the serial step makes a
+  DSS, so a tracer path split per tracer again shows up as a number too;
 - results return through the tasks' shared-memory blocks: after the
   first primitive-equation step has sized them, nothing but descriptors
   travels on the result queue.
@@ -31,6 +33,7 @@ from ..homme.distributed import (
     DistributedShallowWater,
 )
 from ..homme.element import ElementGeometry, ElementState
+from ..homme.timestep import PrimitiveEquationModel
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..parallel import available_cores
 from ..perf.report import ComparisonTable
@@ -44,6 +47,17 @@ def _prim_state(ne: int, nlev: int = 8, qsize: int = 2):
     state.T += rng.standard_normal(state.T.shape)
     state.qdp[:] = (0.5 + rng.random(state.qdp.shape)) * state.dp3d[:, None]
     return cfg, mesh, state
+
+
+def _count_calls(obj, name: str) -> list[int]:
+    """Count calls of ``obj.name`` from here on; item 0 is the running tally."""
+    fn, tally = getattr(obj, name), [0]
+
+    def counted(*args, **kwargs):
+        tally[0] += 1
+        return fn(*args, **kwargs)
+    setattr(obj, name, counted)
+    return tally
 
 
 def run_parallel_smoke(
@@ -92,7 +106,19 @@ def run_parallel_smoke(
             DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
                                           dt=30.0, workers=workers) as par:
         prim_steps = max(2, steps)  # step 1 sizes the blocks, step 2 shows it
+        exchanges = _count_calls(ser.hx, "exchange")
+        allreduces = _count_calls(ser.mpi, "allreduce")
         ser.run_steps(prim_steps)
+        whole = PrimitiveEquationModel(cfg, mesh4, init=state.copy(), dt=30.0)
+        dss = _count_calls(whole.geom, "dss")  # dss_vector goes through it too
+        whole.run_steps(prim_steps)
+        table.add("distributed exchanges == serial DSS calls", 1.0,
+                  1.0 if exchanges[0] == dss[0] else 0.0, "boolean", 0.0)
+        if verbose:
+            print(f"  recipe: {exchanges[0] / prim_steps:g} exchanges, "
+                  f"{dss[0] / prim_steps:g} serial DSS calls, "
+                  f"{allreduces[0] / prim_steps:g} allreduces, "
+                  f"{ser.engine.calls / prim_steps:g} dispatches per step")
         transport = []
         for _ in range(prim_steps):
             par.step()

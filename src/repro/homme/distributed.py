@@ -216,11 +216,12 @@ class _DistributedModel:
         """Reset the prognostic state from a :meth:`snapshot` dict.
 
         The snapshot must hold exactly this model's keys with its
-        arrays' shapes and dtypes; anything else raises
-        :class:`KernelError` and leaves the model untouched.  The tag
-        epoch is *not* restored — it strictly increases so a replayed
-        step can never match a stale in-flight message from the aborted
-        attempt (which is also purged outright).
+        arrays' shapes and dtypes, a finite time >= 0 and a whole step
+        count >= 0; anything else raises :class:`KernelError` and leaves
+        the model untouched.  The tag epoch is *not* restored — it
+        strictly increases so a replayed step can never match a stale
+        in-flight message from the aborted attempt (which is also purged
+        outright).
         """
         live = self._state_arrays()
         if "meta" not in snap or np.shape(snap["meta"]) != (3,):
@@ -239,6 +240,10 @@ class _DistributedModel:
                     f"snapshot key {key!r} is {arr.dtype}{arr.shape}, this "
                     f"model's state is {cur.dtype}{cur.shape}")
         t, steps, _epoch = (float(x) for x in snap["meta"])
+        if not (np.isfinite(t) and t >= 0 and steps.is_integer() and steps >= 0):
+            raise KernelError(
+                f"snapshot key 'meta': time {t} must be finite and >= 0, step "
+                f"count {steps} a whole number >= 0")
         self.t = t
         self.step_count = int(steps)
         self._epoch += 1
@@ -432,13 +437,21 @@ class DistributedPrimitiveEquations(_DistributedModel):
         return [g.from_cartesian(levels_first(o, v.shape[:4] + (3,)))
                 for g, o, v in zip(self.geoms, out, vs)]
 
+    def _dss_stack(self, stacks, slot):
+        """DSS (E_r, Q, L, n, n) tracer stacks in one exchange, (Q, L) folded
+        into the level axis as the serial ``euler._dss_all`` folds them."""
+        Q, L, n, _ = stacks[0].shape[1:]
+        out = self._dss_levels([s.reshape(len(s), Q * L, n, n) for s in stacks],
+                               stage=4, slot=slot)
+        return [o.reshape(len(o), Q, L, n, n) for o in out]
+
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
-        """Sum per-rank (E_r, L) per-element rows over the whole mesh.
+        """Sum per-rank (E_r, Q, L) per-element rows over the whole mesh.
 
         Every rank ends up with the sum in global element order — the
         serial limiter's, whatever the partition — as CESM's
         ``repro_sum`` stands in for a plain reduction.  What travels is
-        still one (L,) vector per rank, and that is what SimMPI charges.
+        still one (Q, L) block per rank, and that is what SimMPI charges.
         """
         self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
         return sum_elements(self.hx.gather(per_elem))
@@ -455,12 +468,9 @@ class DistributedPrimitiveEquations(_DistributedModel):
         dps = self._dss_levels([o[2] for o in outs], stage, slot=1)
         vs = self._dss_vector_levels([o[0] for o in outs], stage, slot=2)
         self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
-        out = []
-        for r in range(self.nranks):
-            s = bases[r].copy()
-            s.v, s.T, s.dp3d = vs[r], Ts[r], dps[r]
-            out.append(s)
-        return out
+        # Nothing writes a qdp in place, so every stage shares the base's.
+        return [type(b)(v=v, T=T, dp3d=dp, qdp=b.qdp)
+                for b, v, T, dp in zip(bases, vs, Ts, dps)]
 
     def _hypervis_sweep(self, s3, slot0):
         """The biharmonic of T, v and dp3d: two laplacian rounds.
@@ -489,29 +499,28 @@ class DistributedPrimitiveEquations(_DistributedModel):
         s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
         s3 = self._rk_stage(s0, s2, dt, stage=3)
 
-        # Tracer advection: subcycled SSP-RK2, distributed DSS per stage.
+        # Tracer advection: the serial euler_step on each rank's whole tracer
+        # stack, an exchange where it has a DSS.  A stage's per-rank list is
+        # dropped once the next stage has consumed it (peak RSS).
         euler_t0s = self._clocks()
         sub = self.cfg.tracer_subcycles
-        euler_meta = {"sdt": dt / sub}
-        for sub_i in range(sub):
-            for q in range(self.cfg.qsize):
-                # Three exchanges per (subcycle, tracer): st1, st2, limited.
-                slot0 = 3 * (sub_i * self.cfg.qsize + q)
-                st1 = self._dss_levels([o[0] for o in self._fanout(
-                    prim_euler_stage1_task, euler_meta,
-                    [(s.qdp[:, q], s.v) for s in s3],
-                )], stage=4, slot=slot0)
-                st2 = self._dss_levels([o[0] for o in self._fanout(
-                    prim_euler_stage2_task, euler_meta,
-                    [(s.qdp[:, q], st1[r], s.v) for r, s in enumerate(s3)],
-                )], stage=4, slot=slot0 + 1)
-                lim = self._fanout(prim_limit_task, euler_meta, [(a,) for a in st2])
-                scale = restoring_scale(self._mesh_sum([o[1] for o in lim]),
-                                        self._mesh_sum([o[2] for o in lim]))
-                limited = [o[0] * scale[None, :, None, None] for o in lim]
-                limited = self._dss_levels(limited, stage=4, slot=slot0 + 2)
-                for r in range(self.nranks):
-                    s3[r].qdp[:, q] = limited[r]
+        meta = {"sdt": dt / sub}
+        vs, qdps = [s.v for s in s3], [s.qdp for s in s3]
+        for slot0 in range(0, 3 * sub, 3):
+            st1 = self._dss_stack([o[0] for o in self._fanout(
+                prim_euler_stage1_task, meta, list(zip(qdps, vs)))], slot0)
+            st2 = self._dss_stack([o[0] for o in self._fanout(
+                prim_euler_stage2_task, meta, list(zip(qdps, st1, vs)))], slot0 + 1)
+            del st1
+            lim = self._fanout(prim_limit_task, meta, [(a,) for a in st2])
+            del st2
+            scale = restoring_scale(self._mesh_sum([o[1] for o in lim]),
+                                    self._mesh_sum([o[2] for o in lim]))
+            qdps = self._dss_stack(
+                [o[0] * scale[None, ..., None, None] for o in lim], slot0 + 2)
+            del lim
+        for s, qdp in zip(s3, qdps):
+            s.qdp = qdp
         self._rank_spans("euler_step", euler_t0s, step=self.step_count)
 
         # Hyperviscosity, subcycled like the serial advance_hypervis.

@@ -17,6 +17,11 @@ Athread backend keeps them LDM-resident — see
 A monotone limiter (clip-and-restore) keeps mixing ratios positive and
 preserves element tracer mass, mirroring the sign-preserving limiter in
 CAM-SE.
+
+The element-local pieces — :func:`ssp_stage1`, :func:`ssp_stage2`,
+:func:`limit_local` — take the whole ``(E, Q, L, n, n)`` stack and are
+what the distributed model's tasks run too (:mod:`repro.parallel.dycore`),
+with an exchange where :func:`euler_step` has a DSS.
 """
 
 from __future__ import annotations
@@ -26,14 +31,6 @@ import numpy as np
 from ..errors import KernelError
 from .element import ElementGeometry, ElementState
 from . import operators as op
-
-
-def advect_qdp(
-    qdp: np.ndarray, v: np.ndarray, geom: ElementGeometry
-) -> np.ndarray:
-    """Flux-form tendency -div(v * qdp) for one tracer (E, L, n, n)."""
-    flux = v * qdp[..., None]
-    return -op.divergence_sphere(flux, geom)
 
 
 def advect_qdp_all(
@@ -86,37 +83,49 @@ def restoring_scale(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return np.clip(scale, 0.0, None)
 
 
-def limit_qdp(
-    qdp: np.ndarray, geom: ElementGeometry, global_fixer: bool = True
-) -> np.ndarray:
-    """Sign-preserving limiter: clip negatives, restore mass.
+def limit_local(qdp: np.ndarray, geom: ElementGeometry) -> tuple[np.ndarray, ...]:
+    """The elementwise half of the limiter (HOMME's limiter8 idea).
 
-    Accepts any stack of middle axes: (E, L, n, n) for one tracer or
-    (E, Q, L, n, n) for the batched all-tracer path — the element axis
-    is first and the GLL axes last, everything between is limited
-    independently.
-
-    Stage 1 (elementwise, HOMME's limiter8 idea): clipped mass is
-    removed proportionally from positive points of the same element and
-    level.  Element-levels whose *total* went negative are zeroed —
-    which by itself manufactures mass (spectral ringing around compact
-    features makes empty elements slightly negative), so
-
-    Stage 2 (global fixer): a single multiplicative factor per level
-    restores the exact global integral, keeping positivity.  Its two
-    global sums add per-element masses in element order
-    (:func:`sum_elements`), as the distributed model's allreduce does.
+    Negatives are clipped and the clipped mass is removed proportionally
+    from positive points of the same element and level; element-levels
+    whose *total* went negative are zeroed.  Returns ``(limited, before,
+    after)``, the last two the :func:`element_mass` a global fixer sums.
     """
     mass_before = element_mass(qdp, geom)
     clipped = np.maximum(qdp, 0.0)
     # Rescale positives to restore mass (only where there is any mass).
     scale = restoring_scale(mass_before, element_mass(clipped, geom))
-    out = clipped * scale[..., None, None]
-    if global_fixer:
-        g_scale = restoring_scale(sum_elements(mass_before),
-                                  sum_elements(element_mass(out, geom)))
-        out = out * g_scale[None, ..., None, None]
-    return out
+    limited = clipped * scale[..., None, None]
+    return limited, mass_before, element_mass(limited, geom)
+
+
+def limit_qdp(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
+    """Sign-preserving limiter: clip negatives, restore mass.
+
+    Accepts any stack of middle axes: (E, L, n, n) for one tracer or
+    (E, Q, L, n, n) for the tracer stack — the element axis is first and
+    the GLL axes last, everything between is limited independently.
+
+    :func:`limit_local` by itself manufactures mass (spectral ringing
+    around compact features makes empty elements slightly negative), so
+    a global fixer follows: one multiplicative factor per level restores
+    the exact global integral, keeping positivity.  Its two global sums
+    add per-element masses in element order (:func:`sum_elements`), as
+    the distributed model's allreduce does.
+    """
+    limited, before, after = limit_local(qdp, geom)
+    g_scale = restoring_scale(sum_elements(before), sum_elements(after))
+    return limited * g_scale[None, ..., None, None]
+
+
+def ssp_stage1(qdp: np.ndarray, adv, dt: float) -> np.ndarray:
+    """SSP-RK2 stage 1 (pre-DSS): ``qdp + dt L(qdp)``."""
+    return qdp + dt * adv(qdp)
+
+
+def ssp_stage2(qdp: np.ndarray, s1: np.ndarray, adv, dt: float) -> np.ndarray:
+    """SSP-RK2 stage 2 (pre-DSS): ``(qdp + s1 + dt L(s1)) / 2``."""
+    return 0.5 * (qdp + s1 + dt * adv(s1))
 
 
 def euler_step(
@@ -145,10 +154,8 @@ def euler_step(
         raise KernelError(f"dt must be positive, got {dt}")
     qdp = state.qdp
     adv = homme_execution(path).tracer_tendency(state.v, geom)
-    f0 = adv(qdp)
-    s1 = _dss_all(qdp + dt * f0, geom)
-    f1 = adv(s1)
-    s2 = _dss_all(0.5 * (qdp + s1 + dt * f1), geom)
+    s1 = _dss_all(ssp_stage1(qdp, adv, dt), geom)
+    s2 = _dss_all(ssp_stage2(qdp, s1, adv, dt), geom)
     if limiter:
         # The elementwise rescale breaks edge continuity; a closing
         # DSS restores it (a positive-weighted average of

@@ -57,7 +57,6 @@ from .rhs import PTOP
 __all__ = [
     "StatePack",
     "advect_qdp_all_fused",
-    "advect_qdp_fused",
     "compute_rhs_fused",
     "cross_validate_fused",
     "fold_velocity",
@@ -430,10 +429,7 @@ def compute_rhs_fused(
 # ---------------------------------------------------------------------------
 
 def fold_velocity(
-    v: np.ndarray,
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-    dtype=None,
+    v: np.ndarray, geom: ElementGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """metdet-folded SoA velocity planes ``(sqrt(g) v^1, sqrt(g) v^2)``.
 
@@ -441,7 +437,7 @@ def fold_velocity(
     the velocity is stage-constant, so fold the metric in once and
     share the planes across all tracers and both RK stages.
     """
-    f = _operands(geom, tensors, v[..., 0], dtype)
+    f = _operands(geom, None, v, None)
     v1, v2 = _split_v(v, f)
     md = f.bshape(f.metdet, v1)
     return md * v1, md * v2
@@ -466,29 +462,6 @@ def advect_qdp_all_fused(
     np.multiply(vm2[:, None], qdp, out=flux)
     out += f.db(flux)
     out *= f.bshape(f.imdj, qdp)
-    np.negative(out, out=out)
-    return out
-
-
-def advect_qdp_fused(
-    qdp_q: np.ndarray,
-    v: np.ndarray,
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
-    """Fused single-tracer tendency -div(v qdp); qdp_q is (E, L, n, n).
-
-    The per-tracer twin of :func:`advect_qdp_all_fused`, used by the
-    distributed per-rank euler stages (which advect one tracer per
-    task).
-    """
-    f = _operands(geom, tensors, qdp_q, qdp_q.dtype)
-    vm1, vm2 = fold_velocity(v, geom, tensors, qdp_q.dtype)
-    flux = vm1 * qdp_q
-    out = f.da(flux)
-    np.multiply(vm2, qdp_q, out=flux)
-    out += f.db(flux)
-    out *= f.bshape(f.imdj, qdp_q)
     np.negative(out, out=out)
     return out
 

@@ -10,7 +10,9 @@ construction.
 Geometry never crosses a queue: the engine is built around the shard
 :class:`~repro.homme.element.ElementGeometry` objects, a task meta
 names its shard's (``"ctx"``, an index) and its execution path
-(``"path"``), and the task receives that geometry as its first argument.
+(``"path"`` — required: a meta without it is a driver bug, not a request
+for default kernels), and the task receives that geometry as its first
+argument.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends.functional_exec import homme_execution
-
-
-def _path_kernels(meta):
-    """The kernel set a task meta names in ``meta["path"]`` — required:
-    a meta without it is a driver bug, not a request for some default
-    kernels."""
-    return homme_execution(meta["path"])
+from ..homme.element import ElementState
+from ..homme.euler import limit_local, ssp_stage1, ssp_stage2
 
 
 def sw_stage_task(geom, meta, base_h, base_v, point_h, point_v):
@@ -33,27 +30,24 @@ def sw_stage_task(geom, meta, base_h, base_v, point_h, point_v):
     Returns ``(base + dt * tendency)`` for h and v, evaluated with the
     rank's geometry.
     """
-    dh, dv = _path_kernels(meta).sw_rhs(point_h, point_v, geom)
+    dh, dv = homme_execution(meta["path"]).sw_rhs(point_h, point_v, geom)
     dt = meta["dt"]
     return base_h + dt * dh, base_v + dt * dv
 
 
 def prim_stage_task(geom, meta, base_v, base_T, base_dp, point_v, point_T, point_dp):
     """One rank's primitive-equation RK-stage update (pre-DSS)."""
-    from ..homme.element import ElementState
-
-    E, L, n = point_T.shape[0], point_T.shape[1], point_T.shape[2]
-    point = ElementState(
-        v=point_v, T=point_T, dp3d=point_dp, qdp=np.zeros((E, 1, L, n, n))
-    )
-    dv, dT, ddp = _path_kernels(meta).compute_rhs(point, geom)
+    E, L, n = point_T.shape[:3]
+    point = ElementState(v=point_v, T=point_T, dp3d=point_dp,
+                         qdp=np.zeros((E, 1, L, n, n)))
+    dv, dT, ddp = homme_execution(meta["path"]).compute_rhs(point, geom)
     dt = meta["dt"]
     return base_v + dt * dv, base_T + dt * dT, base_dp + dt * ddp
 
 
 def prim_laplace_task(geom, meta, T, v, dp):
     """One rank's hyperviscosity laplacians for all three fields."""
-    ex = _path_kernels(meta)
+    ex = homme_execution(meta["path"])
     return (
         ex.laplace_wk(T, geom),
         ex.vlaplace(v, geom),
@@ -61,26 +55,20 @@ def prim_laplace_task(geom, meta, T, v, dp):
     )
 
 
-def prim_euler_stage1_task(geom, meta, qdp_q, v):
-    """Tracer SSP-RK2 stage 1 (pre-DSS): qdp + sdt * advect(qdp)."""
-    advect = _path_kernels(meta).advect_qdp
-    return (qdp_q + meta["sdt"] * advect(qdp_q, v, geom),)
+def prim_euler_stage1_task(geom, meta, qdp, v):
+    """A rank's (E_r, Q, L, n, n) tracer stack through SSP-RK2 stage 1 (pre-DSS)."""
+    adv = homme_execution(meta["path"]).tracer_tendency(v, geom)
+    return (ssp_stage1(qdp, adv, meta["sdt"]),)
 
 
-def prim_euler_stage2_task(geom, meta, qdp_q, st1, v):
-    """Tracer SSP-RK2 stage 2 (pre-DSS): 0.5 (qdp + st1 + sdt advect(st1))."""
-    advect = _path_kernels(meta).advect_qdp
-    return (0.5 * (qdp_q + st1 + meta["sdt"] * advect(st1, v, geom)),)
+def prim_euler_stage2_task(geom, meta, qdp, st1, v):
+    """A rank's tracer stack through SSP-RK2 stage 2 (pre-DSS)."""
+    adv = homme_execution(meta["path"]).tracer_tendency(v, geom)
+    return (ssp_stage2(qdp, st1, adv, meta["sdt"]),)
 
 
 def prim_limit_task(geom, meta, st2):
-    """One rank's limiter pass plus its per-element masses.
-
-    Returns ``(limited, before, after)`` with the masses (E_r, L); the
-    driver sums them over the mesh in global element order and applies
-    the global fixer scale.
-    """
-    from ..homme.euler import element_mass, limit_qdp
-
-    limited = limit_qdp(st2, geom, global_fixer=False)
-    return limited, element_mass(st2, geom), element_mass(limited, geom)
+    """A rank's elementwise limiter pass: ``(limited, before, after)`` with
+    the (E_r, Q, L) per-element masses the driver sums over the mesh, in
+    global element order, for the global fixer's scale."""
+    return limit_local(st2, geom)

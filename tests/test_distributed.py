@@ -293,23 +293,29 @@ class TestSharedBase:
             assert np.array_equal(a[key], b[key]), key
 
     @pytest.mark.parametrize("damage, named", [
-        (lambda s, k: s.pop("meta"), "meta"),
-        (lambda s, k: s.update(meta=s["meta"][:2]), "meta"),
+        (lambda s, k: s.pop("meta"), "'meta'"),
+        (lambda s, k: s.update(meta=s["meta"][:2]), "'meta'"),
         (lambda s, k: s.pop(k), None),
-        (lambda s, k: s.update(extra_9=s[k]), "extra_9"),
+        (lambda s, k: s.update(extra_9=s[k]), "'extra_9'"),
         (lambda s, k: s.update({k: s[k][:-1]}), None),
         (lambda s, k: s.update({k: s[k].astype(np.float32)}), None),
+        # The shape of meta was checked, its values were not: a nan time or
+        # a step count of 1.5 went into the exchange tags and remap cadence.
+        *[(lambda s, k, i=i, x=x: s["meta"].__setitem__(i, x), f"'meta'.* {x} ")
+          for i, x in [(0, np.nan), (0, np.inf), (0, -1.0),
+                       (1, np.nan), (1, np.inf), (1, -1.0), (1, 1.5)]],
     ], ids=["no-meta", "short-meta", "missing-key", "extra-key",
-            "wrong-shape", "wrong-dtype"])
+            "wrong-shape", "wrong-dtype", "t-nan", "t-inf", "t-negative",
+            "steps-nan", "steps-inf", "steps-negative", "steps-fractional"])
     def test_bad_snapshot_rejected_and_state_untouched(self, build, damage,
                                                        named):
         model = build()
         model.step()
-        before = model.snapshot()
+        before = model.snapshot()  # arrays and (t, step_count, _epoch)
         snap = model.snapshot()
         key = sorted(k for k in snap if k != "meta")[-1]
         damage(snap, key)
-        with pytest.raises(KernelError, match=repr(named or key)):
+        with pytest.raises(KernelError, match=named or repr(key)):
             model.restore_snapshot(snap)
         after = model.snapshot()
         assert before.keys() == after.keys()

@@ -24,7 +24,13 @@ from repro.homme.distributed import (
     DistributedShallowWater,
 )
 from repro.homme.element import ElementGeometry, ElementState
-from repro.homme.euler import euler_step, limit_qdp
+from repro.homme.euler import (
+    euler_step,
+    limit_local,
+    limit_qdp,
+    restoring_scale,
+    sum_elements,
+)
 from repro.homme.fused import cross_validate_fused
 from repro.homme.shallow_water import (
     ShallowWaterModel,
@@ -184,6 +190,18 @@ class TestCrossValidation:
             [limit_qdp(dirty[:, q], geom) for q in range(dirty.shape[1])], axis=1
         )
         assert rel_err(all_at_once, per_tracer) <= RTOL
+
+    def test_limiter_is_the_local_pass_times_one_global_scale(self, prim_setup):
+        """What the distributed model computes — ``limit_local`` on the
+        shards, two mesh sums, one scale — is ``limit_qdp``, bit for bit."""
+        _, geom, state = prim_setup
+        dirty = state.qdp - 0.6 * np.mean(state.qdp)
+        limited, before, after = limit_local(dirty, geom)
+        assert before.shape == after.shape == dirty.shape[:3]
+        assert (limited >= 0).all()
+        scale = restoring_scale(sum_elements(before), sum_elements(after))
+        assert (limited * scale[None, ..., None, None]).tobytes() \
+            == limit_qdp(dirty, geom).tobytes()
 
 
 class TestTensorCache:

@@ -10,8 +10,9 @@ with its reason on a BLAS build where it does not hold.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.backends.functional_exec import homme_execution
 from repro.config import ModelConfig
 from repro.homme.bndry import HaloExchanger
 from repro.homme.distributed import (
@@ -128,7 +129,9 @@ def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps):
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3),  # the third step remaps
-       shape=st.sampled_from([(1, 2), (3, 1), (4, 2), (9, 1)]))
+       shape=st.sampled_from([(1, 2), (3, 1), (4, 2), (9, 1), (3, 0)]))
+@example(layout=(2, 5), steps=3, shape=(3, 0))  # no tracers at all
+@example(layout=(2, 5), steps=3, shape=(3, 1))  # a stack of one
 @settings(max_examples=8, deadline=None)
 def test_prim_gathered_state_is_the_serial_models_bytes(exec_path, layout,
                                                         steps, shape):
@@ -146,3 +149,17 @@ def test_one_element_single_level_shards(exec_path):
     ``OperatorTensors._gemm`` keeps it on the GEMM's."""
     assert_same_bytes(
         *serial_and_distributed("sw", 2, None, exec_path, nranks=24), steps=3)
+
+
+@needs_stable_rows
+@pytest.mark.parametrize("exec_path", EXEC_PATHS)
+def test_a_shards_tracer_tendency_is_the_whole_meshs_rows(exec_path):
+    """The tracer tendency is element-local: a rank that advects its own
+    (E_r, Q, L, n, n) stack gets the rows the serial model computes."""
+    _, mesh, state = prim_setup(3, nlev=4, qsize=3)
+    tendency = homme_execution(exec_path).tracer_tendency
+    whole = tendency(state.v, ElementGeometry(mesh))(state.qdp)
+    part = SFCPartition(3, 5)
+    for elems in map(part.rank_elements, range(5)):
+        shard = tendency(state.v[elems], ElementGeometry(mesh, elems))
+        assert shard(state.qdp[elems]).tobytes() == whole[elems].tobytes()

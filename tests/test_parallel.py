@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
+from repro.experiments.parallel_smoke import _count_calls
 from repro.errors import KernelError
 from repro.homme.distributed import (
     DistributedPrimitiveEquations,
     DistributedShallowWater,
 )
 from repro.homme.element import ElementGeometry, ElementState
+from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.obs import MetricsRegistry, Tracer, collect_parallel_engine
 from repro.parallel import (
@@ -631,6 +633,27 @@ class TestDistributedBitwise:
             for f in ("v", "T", "dp3d", "qdp"):
                 assert getattr(gp, f).tobytes() == getattr(gi, f).tobytes(), f
             assert par.max_rank_time() == ignored.max_rank_time()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_step_is_the_serial_recipe_call_for_call(self, workers):
+        """Exact-counter pin of the one tracer recipe: a distributed step
+        makes an exchange wherever the serial step makes a DSS — the
+        tracer stack travels whole, not tracer by tracer — plus one pair
+        of allreduces per tracer subcycle and one dispatch per phase."""
+        cfg, mesh, _, state = _noisy_prim_state()
+        serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=30.0)
+        dss = _count_calls(serial.geom, "dss")  # dss_vector goes through it
+        serial.step()
+        with DistributedPrimitiveEquations(
+                cfg, mesh, state, nranks=4, dt=30.0, workers=workers) as model:
+            if workers and not model.engine.active:
+                pytest.skip(f"pool unavailable: {model.engine.fallback_reason}")
+            assert model._hv_subcycles == 1 and cfg.tracer_subcycles == 3
+            exchanges = _count_calls(model.hx, "exchange")
+            allreduces = _count_calls(model.mpi, "allreduce")
+            model.step()
+            assert (dss, exchanges, allreduces) == ([24], [24], [6])
+            assert model.engine.calls == 14
 
     def test_serial_workers_knob_is_default_path(self):
         mesh = CubedSphereMesh(4, 4)
