@@ -15,11 +15,13 @@ Run:  python examples/parallel_run.py [--workers N] [--steps N]
                                       [--trace OUT.json] [--profile]
                                       [--report OUT.json]
 
-``--trace`` turns on cross-process telemetry (DESIGN.md §13) and
+``--trace`` attaches a tracer, from which the driver derives the pool's
+telemetry (DESIGN.md §13) out of the stamps on each worker reply, and
 writes one merged Chrome/Perfetto timeline: per-worker process tracks
-with the workers' own compute spans, heartbeat-age and queue-depth
-counter tracks, and supervisor instants.  ``--profile`` additionally
-runs the in-worker sampling profiler and prints the top frames.
+with each task's span and its unpack / compute sub-spans, heartbeat-age
+and queue-depth counter tracks, and supervisor instants.  ``--profile``
+additionally runs the in-worker sampling profiler and prints the top
+frames.
 
 With ``--report``, a JSON summary (timings, per-worker stats, the
 bitwise verdict, the health report) is written for downstream tooling
@@ -79,8 +81,11 @@ def main() -> int:
                          "min(4, available cores))")
     ap.add_argument("--steps", type=int, default=5, help="RK3 steps to run")
     ap.add_argument("--trace", metavar="OUT.json", default=None,
-                    help="enable cross-process telemetry and write the "
-                         "merged Chrome/Perfetto trace here")
+                    help="trace the pool (task spans with unpack/compute "
+                         "sub-spans, heartbeat-age and queue-depth "
+                         "counters, derived from each worker reply's "
+                         "stamps) and write the merged Chrome/Perfetto "
+                         "trace here")
     ap.add_argument("--profile", action="store_true",
                     help="run the in-worker sampling profiler "
                          f"({PROFILE_HZ:g} Hz) and print the top frames")

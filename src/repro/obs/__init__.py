@@ -14,10 +14,10 @@ Three coordinated pieces (DESIGN.md Section 7):
   computed from recorded kernel spans;
 - :mod:`repro.obs.telemetry` / :mod:`repro.obs.profiler` /
   :mod:`repro.obs.health` — cross-process telemetry for the worker
-  pool (DESIGN.md §13): in-worker spans and metric deltas shipped in
-  per-result packets, a wall-clock sampling profiler, and the run
-  health monitor.  ``python -m repro.obs`` offers ``summary`` /
-  ``merge`` / ``diff`` over trace and metrics artifacts.
+  pool (DESIGN.md §13): canonical projections of the wall-clock traces
+  the driver derives from each reply's stamps, a wall-clock sampling
+  profiler, and the run health monitor.  ``python -m repro.obs`` offers
+  ``summary`` / ``merge`` / ``diff`` over trace and metrics artifacts.
 
 Quickstart::
 
@@ -49,13 +49,7 @@ from .metrics import (
     collect_supervisor,
 )
 from .profiler import PROFILE_HZ, SamplingProfiler, merge_profiles, render_profile
-from .telemetry import (
-    TelemetrySpec,
-    WorkerTelemetry,
-    canonical_metrics_jsonl,
-    canonical_trace_jsonl,
-    quantile,
-)
+from .telemetry import canonical_metrics_jsonl, canonical_trace_jsonl, quantile
 from .health import HealthFinding, HealthMonitor, HealthReport
 from .roofline_report import (
     KernelAttribution,
@@ -87,8 +81,6 @@ __all__ = [
     "SamplingProfiler",
     "merge_profiles",
     "render_profile",
-    "TelemetrySpec",
-    "WorkerTelemetry",
     "canonical_metrics_jsonl",
     "canonical_trace_jsonl",
     "quantile",

@@ -3,7 +3,7 @@
 A chaos run can be bitwise correct and still be *sick* — workers
 respawning every step, one slot doing all the work, heartbeats aging
 toward the hang deadline.  :class:`HealthMonitor` turns the engine's
-``describe()`` snapshot plus the telemetry heartbeat samples into an
+``describe()`` snapshot plus its heartbeat-age samples into an
 ok/warn/critical :class:`HealthReport` that CI can gate on and humans
 can read next to the recovery narration.
 
@@ -139,14 +139,13 @@ class HealthMonitor:
         return report
 
     def evaluate_engine(self, engine) -> HealthReport:
-        """Evaluate an engine directly (describe + telemetry heartbeats).
+        """Evaluate an engine directly (describe + heartbeat samples).
 
-        Falls back to the supervisor's live heartbeat ages when no
-        telemetry packets carried worker-side samples — a supervised
-        pool is health-checkable even with telemetry off.
+        Falls back to the supervisor's live heartbeat ages when telemetry
+        sampled none at reply arrival — a supervised pool is
+        health-checkable even with telemetry off.
         """
-        hb = list(getattr(engine, "_hb_samples", ()) or ())
-        supervisor = getattr(engine, "supervisor", None)
+        hb, supervisor = engine._hb_samples, engine.supervisor
         if not hb and supervisor is not None:
             hb = [
                 supervisor.heartbeat_age(h.slot)

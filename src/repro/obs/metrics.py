@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .telemetry import quantile
+
 
 @dataclass
 class Counter:
@@ -321,9 +323,10 @@ def collect_parallel_engine(reg: MetricsRegistry, engine) -> MetricsRegistry:
     """Fold a :class:`~repro.parallel.engine.ParallelEngine` into ``reg``.
 
     Whole-pool tallies under ``parallel.*`` plus per-worker counters
-    under ``parallel.worker.<i>.*`` — these are *wall-clock* quantities
-    (the pool runs on real cores), unlike the simulated-time ``mpi.*``
-    family.
+    under ``parallel.worker.<i>.*``, read from the engine's one
+    per-worker ledger (:class:`~repro.parallel.engine.WorkerStats`) —
+    these are *wall-clock* quantities (the pool runs on real cores),
+    unlike the simulated-time ``mpi.*`` family.
     """
     reg.set_gauge("parallel.workers", engine.workers)
     reg.set_gauge("parallel.active", 1.0 if engine.active else 0.0)
@@ -343,32 +346,24 @@ def collect_parallel_engine(reg: MetricsRegistry, engine) -> MetricsRegistry:
         prefix = f"parallel.worker.{s.worker}"
         reg.inc(f"{prefix}.tasks", s.tasks)
         reg.inc(f"{prefix}.busy_seconds", s.busy_seconds)
+        reg.inc(f"{prefix}.unpack.seconds", s.unpack_seconds)
+        reg.inc(f"{prefix}.compute.seconds", s.compute_seconds)
         reg.inc(f"{prefix}.bytes_in", s.bytes_in)
         reg.inc(f"{prefix}.bytes_out", s.bytes_out)
         reg.inc(f"{prefix}.errors", s.errors)
         reg.inc(f"{prefix}.respawns", s.respawns)
-        reg.set_gauge(f"{prefix}.generation", getattr(s, "generation", 0))
-        reg.set_gauge(f"{prefix}.queue_depth.peak",
-                      getattr(s, "queue_peak", 0))
-    # Cross-process telemetry (DESIGN.md §13): heartbeat ages observed
-    # worker-side, packet/profile tallies, and the per-worker metric
-    # deltas the packets carried.
-    hb = list(getattr(engine, "_hb_samples", ()) or ())
+        reg.set_gauge(f"{prefix}.generation", s.generation)
+        reg.set_gauge(f"{prefix}.queue_depth.peak", s.queue_peak)
+    # Cross-process telemetry (DESIGN.md §13): heartbeat ages sampled at
+    # each reply's arrival and the profile tallies.
+    hb = engine._hb_samples
     if hb:
-        from .telemetry import quantile
-
         reg.set_gauge("parallel.heartbeat.age.max", max(hb))
         reg.set_gauge("parallel.heartbeat.age.p99", quantile(hb, 0.99))
-    reg.inc("parallel.telemetry.packets",
-            getattr(engine, "telemetry_packets", 0))
-    reg.inc("parallel.profile.samples",
-            getattr(engine, "profile_samples", 0))
-    tele = getattr(engine, "telemetry_metrics", None)
-    if tele is not None:
-        reg.merge(tele)
-    supervisor = getattr(engine, "supervisor", None)
-    if supervisor is not None:
-        collect_supervisor(reg, supervisor)
+    reg.inc("parallel.telemetry.packets", engine.telemetry_packets)
+    reg.inc("parallel.profile.samples", engine.profile_samples)
+    if engine.supervisor is not None:
+        collect_supervisor(reg, engine.supervisor)
     return reg
 
 

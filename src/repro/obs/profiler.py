@@ -16,8 +16,8 @@ Design constraints, in order:
   default rate is a prime (:data:`PROFILE_HZ`) so periodic workloads
   don't alias against the sampler.
 - **Cross-process mergeable.**  Frames are plain strings and counts
-  plain ints, so a worker's :meth:`drain` output travels in a
-  telemetry packet and folds into the driver's aggregate with
+  plain ints, so a worker's :meth:`drain` output rides back on its pool
+  reply and folds into the driver's aggregate with
   :func:`merge_profiles` — no pickle games, no live objects.
 - **Statistical, and labelled as such.**  Sample counts are never part
   of any determinism contract; the telemetry canonicalizer
@@ -153,8 +153,8 @@ class SamplingProfiler:
         """Atomically take and reset the accumulated counts.
 
         Returns ``(frames, samples)`` with ``frames`` mapping frame key
-        to ``(self_count, cumulative_count)`` — the shape a telemetry
-        packet ships and :func:`merge_profiles` folds.
+        to ``(self_count, cumulative_count)`` — the shape a pool reply
+        ships and :func:`merge_profiles` folds.
         """
         with self._lock:
             out = {k: (v[0], v[1]) for k, v in self._counts.items()}

@@ -1,131 +1,28 @@
-"""Cross-process telemetry: the worker->driver wire format.
+"""Determinism canonicalization of wall-clock telemetry.
 
-The parallel engine's workers are forked processes; before this module
-their execution was *inferred* driver-side from result timestamps.
-Telemetry closes the gap: each worker owns a tiny in-process
-instrumentation kit (:class:`WorkerTelemetry`) and ships a compact
-**telemetry packet** back with every result over the existing result
-queue — no extra channel, no extra synchronization.
-
-Wire format (DESIGN.md §13)
----------------------------
-
-A result-queue item grows one trailing field::
-
-    (tid, slot, status, data, crc, t0, t1, fn_name, packet)
-
-``packet`` is ``None`` when telemetry is off (the engine keeps the old
-8-tuple readable for compatibility) and otherwise a plain dict:
-
-- ``pid`` — the worker's OS pid (drives the per-process Perfetto track);
-- ``gen`` — the worker's respawn generation;
-- ``hb_age`` — seconds since the worker's own heartbeat stamp, sampled
-  at send time (the worker-side view the driver's p99 rule consumes);
-- ``spans`` — tuple of ``(name, t0, t1)`` in-worker sub-spans
-  (``unpack``, ``compute``) in ``time.perf_counter()`` seconds, which
-  on Linux is ``CLOCK_MONOTONIC`` and therefore directly comparable to
-  the driver's clock across the fork;
-- ``metrics`` — flat ``name -> delta`` counter increments;
-- ``profile`` / ``samples`` — a :meth:`SamplingProfiler.drain` delta.
-
-Everything in a packet is plain data (str/int/float/tuple/dict): it
-pickles through ``SimpleQueue`` untouched and merges deterministically.
-
-Determinism canonicalization
-----------------------------
-
-Telemetry is wall-clock by nature, so raw traces from two identical
-runs differ in timestamps and arrival order while agreeing on
-*structure*.  :func:`canonical_trace_jsonl` and
-:func:`canonical_metrics_jsonl` project the wall-clock-dependent fields
-out (zeroed timestamps, scrubbed volatile args, dropped profile tracks,
-sorted rows) so the byte-identity determinism tests can compare what is
-actually promised to be deterministic — the event structure.
+The worker pool's telemetry (DESIGN.md §13) is derived by the driver
+from the four ``perf_counter`` stamps every pool reply carries, so it
+is wall-clock by nature: raw traces from two identical runs differ in
+timestamps and arrival order while agreeing on *structure*.
+:func:`canonical_trace_jsonl` and :func:`canonical_metrics_jsonl`
+project the wall-clock-dependent fields out (zeroed timestamps,
+scrubbed volatile args, dropped profile tracks, sorted rows) so the
+byte-identity determinism tests can compare what is actually promised
+to be deterministic — the event structure.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
-from dataclasses import dataclass
 
 from ..utils.logging import jsonable as _jsonable
-from .profiler import PROFILE_HZ, SamplingProfiler
 
 __all__ = [
-    "TelemetrySpec",
-    "WorkerTelemetry",
     "WALL_TRACKS",
     "canonical_trace_jsonl",
     "canonical_metrics_jsonl",
     "quantile",
 ]
-
-
-@dataclass(frozen=True)
-class TelemetrySpec:
-    """What the workers should measure (picklable; crosses the fork).
-
-    ``enabled`` turns on per-task sub-spans, metric deltas, and
-    heartbeat-age reporting; ``profile_hz > 0`` additionally runs a
-    :class:`~repro.obs.profiler.SamplingProfiler` against the worker's
-    task loop at that rate.
-    """
-
-    enabled: bool = False
-    profile_hz: float = 0.0
-
-    @property
-    def live(self) -> bool:
-        return self.enabled or self.profile_hz > 0
-
-
-class WorkerTelemetry:
-    """The in-worker instrumentation kit (built inside ``_worker_main``).
-
-    Owns the worker-side sampling profiler and assembles one packet per
-    completed task.  Never touches task *data* — telemetry runs beside
-    the compute, which is how enabling it cannot perturb the bitwise
-    serial==parallel contract.
-    """
-
-    def __init__(self, spec: TelemetrySpec, slot: int, generation: int,
-                 hb_view) -> None:
-        self.spec = spec
-        self.slot = slot
-        self.generation = generation
-        self.hb_view = hb_view
-        self.pid = os.getpid()
-        self.profiler: SamplingProfiler | None = None
-        if spec.profile_hz > 0:
-            self.profiler = SamplingProfiler(
-                hz=spec.profile_hz or PROFILE_HZ).start()
-
-    def packet(self, spans: tuple = (),
-               metrics: dict | None = None) -> dict:
-        """Assemble one telemetry packet (rides the result tuple)."""
-        profile: dict = {}
-        samples = 0
-        if self.profiler is not None:
-            profile, samples = self.profiler.drain()
-        hb_age = 0.0
-        if self.hb_view is not None:
-            hb_age = max(0.0, time.monotonic() - float(self.hb_view[self.slot]))
-        return {
-            "pid": self.pid,
-            "gen": self.generation,
-            "hb_age": hb_age,
-            "spans": tuple(spans),
-            "metrics": dict(metrics or {}),
-            "profile": profile,
-            "samples": samples,
-        }
-
-    def close(self) -> None:
-        if self.profiler is not None:
-            self.profiler.stop()
-            self.profiler = None
 
 
 def quantile(samples, q: float) -> float:
@@ -147,12 +44,12 @@ def quantile(samples, q: float) -> float:
 WALL_TRACKS = ("worker/", "supervisor", "health", "profile")
 
 #: Argument keys on wall-track events whose values depend on wall-clock
-#: timing (ages, durations, in-flight depths, free-text details) or on
-#: process-global counters (the shared-context registry key) rather
-#: than run structure.
+#: timing (ages, durations, in-flight depths, free-text details) rather
+#: than run structure.  A worker span's ``ctx`` (the rank it served) is
+#: structure and stays.
 _VOLATILE_ARGS = frozenset({
     "value", "detail", "reason", "why", "redistributed", "age",
-    "seconds", "depth", "ctx",
+    "seconds", "depth",
 })
 
 

@@ -73,7 +73,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..errors import KernelError
-from ..obs.telemetry import TelemetrySpec, quantile
+from ..obs.profiler import merge_profiles
+from ..obs.telemetry import quantile
 from ..obs.tracer import NULL_TRACER
 from .supervisor import (
     HEARTBEAT_TIMEOUT,
@@ -178,6 +179,8 @@ class WorkerStats:
     worker: int
     tasks: int = 0
     busy_seconds: float = 0.0
+    unpack_seconds: float = 0.0
+    compute_seconds: float = 0.0
     bytes_in: int = 0
     bytes_out: int = 0
     errors: int = 0
@@ -300,9 +303,10 @@ class ParallelEngine:
         worker inherits it through ``fork``.
     tracer:
         :mod:`repro.obs` tracer.  When enabled, each task becomes a
-        span on the ``worker/<i>`` track of the worker that ran it, and
-        recovery actions (crashes, hangs, respawns, corrupt results)
-        become instants on the ``supervisor`` track — all stamped in
+        span (with ``unpack`` and ``compute`` sub-spans) on the
+        ``worker/<i>`` track of the worker that ran it, and recovery
+        actions (crashes, hangs, respawns, corrupt results) become
+        instants on the ``supervisor`` track — all stamped in
         wall-clock seconds since the engine started.
     label:
         Name used in log lines and trace spans.
@@ -327,6 +331,10 @@ class ParallelEngine:
         recovery-worthy observation (worker crash/hang, overdue result,
         corrupt result) is appended to its event log so one injector
         narrates the whole faulty run.
+    profile_hz:
+        ``> 0`` runs a sampling profiler in every worker; the frames
+        ride back on the replies and are flushed as ``profile`` counters
+        at :meth:`close`.
     """
 
     def __init__(
@@ -341,44 +349,24 @@ class ParallelEngine:
         max_respawns: int | None = None,
         chaos: ChaosSpec | None = None,
         faults=None,
-        telemetry: TelemetrySpec | bool | None = None,
         profile_hz: float = 0.0,
     ) -> None:
         self.workers = max(0, int(workers))
         self.contexts = tuple(contexts)
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.label = label
-        # Cross-process telemetry (DESIGN.md §13).  ``None`` means
-        # "follow the tracer": an enabled tracer (or a requested
-        # profiler) turns worker-side measurement on; otherwise the
-        # workers ship ``None`` packets and measure nothing — the
-        # NULL_TRACER-style zero-cost default.
-        if telemetry is None:
-            spec = TelemetrySpec(
-                enabled=self.tracer.enabled or profile_hz > 0,
-                profile_hz=float(profile_hz),
-            )
-        elif isinstance(telemetry, TelemetrySpec):
-            spec = telemetry
-        else:
-            spec = TelemetrySpec(enabled=bool(telemetry),
-                                 profile_hz=float(profile_hz))
-        self.telemetry: TelemetrySpec | None = spec if spec.live else None
-        #: Driver-side aggregate of the metric deltas worker packets
-        #: carried (``parallel.worker.<i>.compute.seconds``, ...).
-        self.telemetry_metrics = None
-        if self.telemetry is not None:
-            from ..obs.metrics import MetricsRegistry
-
-            self.telemetry_metrics = MetricsRegistry(f"{label}.telemetry")
+        self.profile_hz = float(profile_hz)
+        #: Cross-process telemetry (DESIGN.md §13) is derived from the
+        #: replies' stamps while a tracer or a profiler wants it; off,
+        #: the driver only carries the stamps.
+        self.telemetry = self.tracer.enabled or self.profile_hz > 0
+        #: Replies the driver derived telemetry from.
         self.telemetry_packets = 0
         #: Aggregated profiler frames: frame -> (self, cumulative).
         self.profile_frames: dict[str, tuple[int, int]] = {}
         self.profile_samples = 0
-        #: Worker-side heartbeat ages sampled at each result send.
+        #: Heartbeat age of the replying slot at each reply's arrival.
         self._hb_samples: list[float] = []
-        #: In-flight tasks per worker slot (the queue-depth counters).
-        self._queue_depth: dict[int, int] = {}
         #: Context indices each worker slot has been asked to touch —
         #: the basis of the sharded-ownership memory accounting.
         self.contexts_by_slot: dict[int, set[int]] = {}
@@ -458,7 +446,7 @@ class ParallelEngine:
             self._result_q = ctx.SimpleQueue()
             self.supervisor = WorkerSupervisor(
                 ctx, self.workers, self._result_q, self.label, self.contexts,
-                chaos=self.chaos, telemetry=self.telemetry,
+                chaos=self.chaos, profile_hz=self.profile_hz,
             )
             self._owned_shm.add(self.supervisor.shm_name)
             for w in range(self.workers):
@@ -641,15 +629,19 @@ class ParallelEngine:
             self.contexts_by_slot.setdefault(slot, set()).add(ctx)
         self.supervisor.handles[slot].task_q.put(
             (tid, rec.attempt, rec.fn, rec.meta, rec.desc))
-        depth = self._queue_depth.get(slot, 0) + 1
-        self._queue_depth[slot] = depth
-        if 0 <= slot < len(self.stats):
-            self.stats[slot].queue_peak = max(self.stats[slot].queue_peak, depth)
+        depth = self._depth_counter(slot)
+        self.stats[slot].queue_peak = max(self.stats[slot].queue_peak, depth)
+
+    def _depth_counter(self, slot: int) -> int:
+        """Queue depth of ``slot`` — the in-flight tasks naming it —
+        sampled onto the ``health`` track when tracing."""
+        depth = sum(1 for r in self._tasks.values() if r.slot == slot)
         if self.tracer.enabled:
             self.tracer.counter(
                 "health", f"queue.depth.w{slot}",
                 time.perf_counter() - self._t0, depth,
             )
+        return depth
 
     def _submit(self, fn, payloads) -> PendingRun:
         payloads = list(payloads)
@@ -797,7 +789,6 @@ class ParallelEngine:
             # when no survivor is left.
             live = self.supervisor.live_slots()
             respawn_first = slot in live or not live
-            self._queue_depth[slot] = 0  # its queue died with the worker
             if respawn_first:
                 self._respawn_slot(slot, len(lost))
             for tid in lost:
@@ -818,11 +809,8 @@ class ParallelEngine:
         self.supervisor.respawn(slot)
         self._register_worker_pid(slot)
         self.recovery["respawns"] += 1
-        if 0 <= slot < len(self.stats):
-            self.stats[slot].respawns += 1
-            handle = self.supervisor.handles[slot]
-            if handle is not None:
-                self.stats[slot].generation = handle.generation
+        self.stats[slot].respawns += 1
+        self.stats[slot].generation = self.supervisor.handles[slot].generation
         if self.tracer.enabled:
             self.tracer.instant(
                 "supervisor", f"respawn:{worker_track(slot)}",
@@ -856,28 +844,25 @@ class ParallelEngine:
         layout of a result sitting in the task's block: it is copied out
         first and the CRC is taken over that private copy, the bytes the
         caller will get, so whatever is written to the shared region
-        afterwards can at worst cost a re-execution."""
-        tid, slot, status, data, crc, t0, t1, fn_name = item[:8]
-        packet = item[8] if len(item) > 8 else None
-        rec = self._tasks.get(tid)
+        afterwards can at worst cost a re-execution.
+
+        The reply's four stamps (see ``supervisor._worker_main``) are the
+        only worker-side facts: busy, unpack and compute seconds go to
+        the slot's :class:`WorkerStats`; with telemetry on the driver
+        also samples the slot's heartbeat age, merges the profile delta
+        and records the task's sub-spans."""
+        tid, slot, status, data, crc, t0, tc0, tc1, t1, fn_name, profile = item
+        rec = self._tasks.pop(tid, None)
         if rec is None:
             return  # stale result from a batch already degraded/recovered
-        if packet is not None:
-            self._ingest_packet(slot, packet, t1)
-        if self._queue_depth.get(slot, 0) > 0:
-            self._queue_depth[slot] -= 1
-            if self.tracer.enabled:
-                self.tracer.counter(
-                    "health", f"queue.depth.w{slot}",
-                    time.perf_counter() - self._t0, self._queue_depth[slot],
-                )
+        if self.telemetry:
+            self._observe(slot, t1, profile)
         pend, idx = self._inflight, rec.idx
-        st = self.stats[slot] if 0 <= slot < len(self.stats) else WorkerStats(slot)
+        st = self.stats[slot]
         if status == "err":
             st.tasks += 1
             st.busy_seconds += max(0.0, t1 - t0)
             st.errors += 1
-            del self._tasks[tid]
             pend.remaining -= 1
             pend.failures.append(f"task {idx} on worker {slot}:\n{data}")
             return
@@ -891,18 +876,19 @@ class ParallelEngine:
             if self.faults is not None:
                 self.faults.record("result_corrupt", task=tid, worker=slot)
             if rec.attempt + 1 >= MAX_TASK_ATTEMPTS:
-                del self._tasks[tid]
                 pend.remaining -= 1
                 pend.failures.append(
                     f"task {idx} on worker {slot}: result CRC mismatch on "
                     f"{rec.attempt + 1} attempts"
                 )
                 return
+            self._tasks[tid] = rec
             self._reexecute(tid, "crc-mismatch")
             return
-        del self._tasks[tid]
         st.tasks += 1
         st.busy_seconds += max(0.0, t1 - t0)
+        st.unpack_seconds += tc0 - t0
+        st.compute_seconds += tc1 - tc0
         pend.remaining -= 1
         pend.results[idx] = data
         block.out_need = max(block.out_need, _layout(data)[1])
@@ -912,48 +898,32 @@ class ParallelEngine:
         st.bytes_in += sum(np.asarray(a).nbytes for a in pend.payloads[idx][1])
         self.tasks_parallel += 1
         if self.tracer.enabled:
+            track, base = worker_track(slot), self._t0
             self.tracer.span_at(
-                worker_track(slot), fn_name,
-                t0 - self._t0, t1 - self._t0, cat="parallel",
+                track, fn_name, t0 - base, t1 - base, cat="parallel",
                 task=idx, **{k: v for k, v in meta_in.items()
                              if isinstance(v, (int, float, str, bool))},
             )
+            self.tracer.span_at(track, "unpack", t0 - base, tc0 - base,
+                                cat="telemetry")
+            self.tracer.span_at(track, "compute", tc0 - base, tc1 - base,
+                                cat="telemetry")
 
-    def _ingest_packet(self, slot: int, packet: dict, t1: float) -> None:
-        """Merge one worker telemetry packet into the driver's view.
-
-        Re-records the in-worker sub-spans on the worker's trace track
-        (worker ``perf_counter`` stamps are driver-comparable on Linux:
-        both read ``CLOCK_MONOTONIC`` across the fork), folds metric
-        deltas and profiler frames into the engine aggregates, and
-        samples the worker-reported heartbeat age as a counter on the
-        ``health`` track.
-        """
+    def _observe(self, slot: int, t1: float, profile) -> None:
+        """Derive the driver-side telemetry of one reply from ``slot``:
+        its queue depth and heartbeat age as ``health`` counters (the
+        age also feeds the health monitor's samples) and the reply's
+        profile delta folded into :attr:`profile_frames`."""
         self.telemetry_packets += 1
-        hb_age = packet.get("hb_age")
-        if hb_age is not None and len(self._hb_samples) < 65536:
-            self._hb_samples.append(float(hb_age))
-        if 0 <= slot < len(self.stats):
-            self.stats[slot].generation = max(
-                self.stats[slot].generation, packet.get("gen", 0))
-        if self.telemetry_metrics is not None:
-            for key, delta in packet.get("metrics", {}).items():
-                self.telemetry_metrics.inc(
-                    f"parallel.worker.{slot}.{key}", delta)
-        profile = packet.get("profile")
-        if profile:
-            from ..obs.profiler import merge_profiles
-
-            merge_profiles(self.profile_frames, profile)
-        self.profile_samples += packet.get("samples", 0)
-        if self.tracer.enabled:
-            track = worker_track(slot)
-            for name, s0, s1 in packet.get("spans", ()):
-                self.tracer.span_at(track, name, s0 - self._t0, s1 - self._t0,
-                                    cat="telemetry")
-            if hb_age is not None:
-                self.tracer.counter(
-                    "health", f"heartbeat.age.w{slot}", t1 - self._t0, hb_age)
+        hb_age = max(0.0, self.supervisor.heartbeat_age(slot))
+        if len(self._hb_samples) < 65536:
+            self._hb_samples.append(hb_age)
+        if profile is not None:
+            merge_profiles(self.profile_frames, profile[0])
+            self.profile_samples += profile[1]
+        self._depth_counter(slot)
+        self.tracer.counter(
+            "health", f"heartbeat.age.w{slot}", t1 - self._t0, hb_age)
 
     def _degrade(self, reason: str, kind: str = "worker-loss") -> None:
         """Pool death: record why, stop the pool, finish pending work
@@ -1071,7 +1041,7 @@ class ParallelEngine:
             # Constant: benchmarks/step/adapter.py reads these two keys.
             "pipeline": {"overlap_seconds": 0.0, "wait_seconds": 0.0},
             "telemetry": {
-                "enabled": self.telemetry is not None,
+                "enabled": self.telemetry,
                 "packets": self.telemetry_packets,
                 "profile_samples": self.profile_samples,
                 "profile_frames": len(self.profile_frames),

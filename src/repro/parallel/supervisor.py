@@ -52,6 +52,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..errors import KernelError
+from ..obs.profiler import SamplingProfiler
 
 __all__ = [
     "HEARTBEAT_INTERVAL",
@@ -237,9 +238,9 @@ def _chaos_post(spec: ChaosSpec | None, tid: int, attempt: int,
                 break
 
 
-def _worker_main(slot: int, generation: int, task_q, result_q,
-                 hb_desc: tuple[str, int], contexts: tuple,
-                 chaos: ChaosSpec | None, telemetry=None) -> None:
+def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
+                 contexts: tuple, chaos: ChaosSpec | None,
+                 profile_hz: float) -> None:
     """Pool worker loop: attach the task's block, compute, write the
     results back into it.
 
@@ -265,12 +266,16 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
     worker's slot of the shared heartbeat block; the driver declares
     the worker hung when the stamp goes stale.
 
-    With a live :class:`~repro.obs.telemetry.TelemetrySpec`, every
-    result carries a telemetry packet (in-worker ``unpack``/``compute``
-    sub-spans, metric deltas, profiler frames, the worker's own
-    heartbeat age) as a ninth tuple field; without one the field is
-    ``None`` and nothing extra is measured — the NULL_TRACER-style
-    zero-cost default.
+    Every task gets exactly one reply, built here and nowhere else::
+
+        (tid, slot, status, data, crc, t0, tc0, tc1, t1, fn_name, profile)
+
+    ``t0``/``tc0``/``tc1``/``t1`` are ``time.perf_counter()`` stamps at
+    task start, compute start, compute end and send (``CLOCK_MONOTONIC``
+    on Linux, so the driver compares them with its own clock across the
+    fork); the driver derives every per-task telemetry fact from them.
+    ``profile`` is a :meth:`~repro.obs.profiler.SamplingProfiler.drain`
+    delta when ``profile_hz > 0`` and ``None`` otherwise.
     """
     attached: dict[int, shared_memory.SharedMemory] = {}  # by slot
     hb_name, nslots = hb_desc
@@ -281,11 +286,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
         target=_heartbeat_loop, args=(hb_view, slot, hb_stop),
         daemon=True, name=f"heartbeat-{slot}",
     ).start()
-    tel = None
-    if telemetry is not None and getattr(telemetry, "live", False):
-        from ..obs.telemetry import WorkerTelemetry
-
-        tel = WorkerTelemetry(telemetry, slot, generation, hb_view)
+    profiler = SamplingProfiler(hz=profile_hz).start() if profile_hz > 0 else None
     try:
         while True:
             # No view of a block outlives its task: a superseded
@@ -295,7 +296,7 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
             if item is None:
                 break
             tid, attempt, fn, meta, (key, name, metas, out_off, out_cap) = item
-            t0 = time.perf_counter()
+            t0 = tc0 = tc1 = time.perf_counter()
             try:
                 _chaos_pre(chaos, tid, attempt, hb_stop)
                 shm = attached.get(key)
@@ -322,29 +323,17 @@ def _worker_main(slot: int, generation: int, task_q, result_q,
                     outs = data = tuple(np.asarray(o, order="C") for o in outs)
                 crc = result_crc(outs)
                 _chaos_post(chaos, tid, attempt, outs)
-                packet = None
-                if tel is not None:
-                    packet = tel.packet(
-                        spans=(("unpack", t0, tc0), ("compute", tc0, tc1)),
-                        metrics={"unpack.seconds": tc0 - t0,
-                                 "compute.seconds": tc1 - tc0,
-                                 "tasks": 1.0},
-                    )
-                result_q.put(
-                    (tid, slot, status, data, crc, t0, time.perf_counter(),
-                     getattr(fn, "__name__", str(fn)), packet)
-                )
             except BaseException:
-                result_q.put(
-                    (tid, slot, "err", traceback.format_exc(), None, t0,
-                     time.perf_counter(), getattr(fn, "__name__", str(fn)),
-                     tel.packet(metrics={"errors": 1.0})
-                     if tel is not None else None)
-                )
+                status, data, crc = "err", traceback.format_exc(), None
+            result_q.put(
+                (tid, slot, status, data, crc, t0, tc0, tc1,
+                 time.perf_counter(), getattr(fn, "__name__", str(fn)),
+                 profiler.drain() if profiler is not None else None)
+            )
     finally:
         hb_stop.set()
-        if tel is not None:
-            tel.close()
+        if profiler is not None:
+            profiler.stop()
         for shm in attached.values():
             try:
                 shm.close()
@@ -390,7 +379,7 @@ class WorkerSupervisor:
 
     def __init__(self, ctx, nslots: int, result_q, label: str,
                  contexts: tuple, chaos: ChaosSpec | None = None,
-                 telemetry=None) -> None:
+                 profile_hz: float = 0.0) -> None:
         self.ctx = ctx
         self.nslots = nslots
         self.result_q = result_q
@@ -399,10 +388,8 @@ class WorkerSupervisor:
         #: every (re)spawned worker.
         self.contexts = contexts
         self.chaos = chaos
-        #: Optional :class:`~repro.obs.telemetry.TelemetrySpec`, handed
-        #: to every (re)spawned worker — picklable, so it crosses the
-        #: fork as a plain process argument.
-        self.telemetry = telemetry
+        #: Sampling rate of each worker's profiler (0: none runs).
+        self.profile_hz = profile_hz
         self.hb = shared_memory.SharedMemory(create=True, size=8 * max(1, nslots))
         self.hb_view = np.ndarray((nslots,), dtype=np.float64, buffer=self.hb.buf)
         self.handles: list[WorkerHandle | None] = [None] * nslots
@@ -422,9 +409,8 @@ class WorkerSupervisor:
         task_q = self.ctx.SimpleQueue()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(slot, generation, task_q, self.result_q,
-                  (self.hb.name, self.nslots), self.contexts, self.chaos,
-                  self.telemetry),
+            args=(slot, task_q, self.result_q, (self.hb.name, self.nslots),
+                  self.contexts, self.chaos, self.profile_hz),
             daemon=True,
             name=f"{self.label}-worker-{slot}.g{generation}",
         )

@@ -15,8 +15,8 @@ This subpackage models the pieces the paper's redesign exploits:
   functional (values actually move) with cycle accounting;
 - :mod:`~repro.sunway.vector` — the 256-bit vector unit including the
   ``shuffle`` instruction used by the transposition scheme;
-- :mod:`~repro.sunway.cpe`, :mod:`~repro.sunway.core_group`,
-  :mod:`~repro.sunway.processor` — the composition hierarchy;
+- :mod:`~repro.sunway.cpe`, :mod:`~repro.sunway.core_group` — the
+  composition hierarchy (one CG per MPI rank, as CAM-SE assigns them);
 - :mod:`~repro.sunway.perf` — PERF-style hardware counters.
 """
 
@@ -27,7 +27,6 @@ from .regcomm import CPEMeshComm
 from .vector import VectorUnit, shuffle, transpose4x4
 from .cpe import CPE
 from .core_group import CoreGroup
-from .processor import SW26010
 from .perf import PerfCounters
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "transpose4x4",
     "CPE",
     "CoreGroup",
-    "SW26010",
     "PerfCounters",
 ]

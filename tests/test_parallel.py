@@ -278,7 +278,7 @@ class TestSelfHealing:
             before = e.tasks_parallel
             data = (np.zeros(3),)
             e._route((10_000, 0, "ok", data, result_crc(data),
-                      0.0, 0.0, "stale"))
+                      0.0, 0.0, 0.0, 0.0, "stale", None))
             assert e.tasks_parallel == before  # silently dropped
             outs = e.run(_ping_task, [({"add": 1.0}, (np.arange(3.0),))])
             assert np.array_equal(outs[0][0], np.arange(3.0) + 1.0)

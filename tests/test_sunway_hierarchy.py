@@ -1,10 +1,10 @@
-"""Tests for CPE / CoreGroup / SW26010 composition and PERF counters."""
+"""Tests for the SW26010 spec, CPE / CoreGroup composition and PERF counters."""
 
 import numpy as np
 import pytest
 
 from repro import constants as C
-from repro.sunway import CPE, CoreGroup, SW26010, PerfCounters
+from repro.sunway import CPE, CoreGroup, PerfCounters
 from repro.sunway.spec import SW26010Spec, DEFAULT_SPEC
 
 
@@ -102,24 +102,6 @@ class TestCoreGroup:
         cg.charge_mpe(1.0)
         cg.reset()
         assert cg.collect().cycles == 0
-
-
-class TestSW26010:
-    def test_260_cores(self):
-        assert SW26010().n_cores == 260
-
-    def test_collect_parallel_cgs(self):
-        node = SW26010()
-        for cg in node.core_groups:
-            cg.charge_mpe(1.0)
-        perf = node.collect()
-        # CGs run in parallel: time is one CG's, not four.
-        assert perf.cycles == pytest.approx(1.0 * DEFAULT_SPEC.clock_hz)
-
-    def test_memory_fits(self):
-        node = SW26010()
-        assert node.memory_fits(30 * 1024**3)
-        assert not node.memory_fits(33 * 1024**3)
 
 
 class TestPerfCounters:

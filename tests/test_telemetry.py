@@ -1,8 +1,9 @@
 """Tests for cross-process telemetry (DESIGN.md §13).
 
-The contract under test: workers ship spans, metric deltas, profile
-frames, and heartbeat ages back in per-result packets; the driver
-merges them into one multi-process Chrome trace; a seeded chaos run
+The contract under test: every pool reply carries four perf_counter
+stamps (and a profile delta when profiling); the driver derives the
+worker spans, heartbeat ages and per-worker tallies from them into one
+multi-process Chrome trace and one ledger; a seeded chaos run
 with full telemetry stays bitwise identical to serial AND produces
 byte-identical canonical artifacts across repeated runs; the health
 monitor turns engine state into an ok/warn/critical verdict.
@@ -17,11 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.errors import KernelError
 from repro.obs import (
     HealthMonitor,
     MetricsRegistry,
+    NullTracer,
     SamplingProfiler,
-    TelemetrySpec,
     Tracer,
     collect_parallel_engine,
     merge_profiles,
@@ -38,6 +40,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 def _scale_task(ctx, meta, arr):
     return (arr * meta["k"],)
+
+
+def _fail_task(ctx, meta, arr):
+    raise ValueError("task failed on purpose")
 
 
 def _spin(seconds):
@@ -123,13 +129,30 @@ class TestQuantile:
 
 
 # ---------------------------------------------------------------------------
-# engine packet flow
+# engine telemetry derived from the reply stamps
 # ---------------------------------------------------------------------------
+
+
+class _CountingNullTracer(NullTracer):
+    """A disabled tracer that counts the events it is still handed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def span_at(self, *args, **kwargs):
+        self.calls += 1
+
+    def instant(self, *args, **kwargs):
+        self.calls += 1
+
+    def counter(self, *args, **kwargs):
+        self.calls += 1
 
 
 class TestEngineTelemetry:
     def test_disabled_by_default_zero_cost(self):
-        e = ParallelEngine(workers=2, label="notel")
+        tr = _CountingNullTracer()
+        e = ParallelEngine(workers=2, tracer=tr, label="notel")
         try:
             if not e.active:
                 pytest.skip(f"pool fell back: {e.fallback_reason}")
@@ -137,8 +160,12 @@ class TestEngineTelemetry:
             d = e.describe()
             assert d["telemetry"]["enabled"] is False
             assert d["telemetry"]["packets"] == 0
-            assert e.telemetry is None
-            assert e.telemetry_metrics is None
+            assert e.telemetry is False
+            # Untraced: no worker span, no counter, no heartbeat sample.
+            assert tr.calls == 0
+            assert e._hb_samples == [] and e.profile_frames == {}
+            # The ledger still counts every task once.
+            assert sum(w["tasks"] for w in d["per_worker"]) == d["tasks_parallel"]
         finally:
             e.close()
 
@@ -158,12 +185,14 @@ class TestEngineTelemetry:
             assert e._hb_samples and min(e._hb_samples) >= 0.0
 
             rec = tr.recorder
-            # Worker compute spans re-recorded on per-worker tracks.
+            # Each task's span plus its unpack / compute sub-spans on
+            # the per-worker tracks, derived from the reply's stamps.
             names_by_track = {}
             for ev in rec.events:
                 names_by_track.setdefault(ev.track, set()).add(ev.name)
-            assert "compute" in names_by_track[worker_track(0)]
-            assert "compute" in names_by_track[worker_track(1)]
+            for w in range(2):
+                assert {"_scale_task", "unpack", "compute"} <= \
+                    names_by_track[worker_track(w)]
             # Heartbeat-age and queue-depth counter tracks.
             health_names = names_by_track["health"]
             assert any(n.startswith("heartbeat.age.") for n in health_names)
@@ -171,11 +200,9 @@ class TestEngineTelemetry:
             # Worker processes registered with distinct real pids.
             pids = {rec._procs[worker_track(w)][0] for w in range(2)}
             assert len(pids) == 2 and all(p > 0 for p in pids)
-            # Per-worker in-worker metrics folded into the side registry.
-            snap = e.telemetry_metrics.snapshot()
-            assert any(k.endswith(".tasks") for k in snap)
             per = e.describe()["per_worker"]
             assert all(w["queue_peak"] >= 1 for w in per)
+            assert all(s.compute_seconds > 0 for s in e.stats)
         finally:
             e.close()
         # close() flushed the profile frames as counter events.
@@ -204,14 +231,6 @@ class TestEngineTelemetry:
             key = (ev["pid"], ev["tid"])
             assert ev["ts"] >= last.get(key, float("-inf"))
             last[key] = ev["ts"]
-
-    def test_telemetry_spec_coercion(self):
-        e = ParallelEngine(workers=0, telemetry=True)
-        assert e.telemetry == TelemetrySpec(enabled=True, profile_hz=0.0)
-        e2 = ParallelEngine(workers=0)
-        assert e2.telemetry is None
-        e3 = ParallelEngine(workers=0, profile_hz=50.0)
-        assert e3.telemetry.live and e3.telemetry.profile_hz == 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +446,26 @@ class TestCollectors:
             assert "parallel.heartbeat.age.p99" in snap
             assert "parallel.supervisor.respawns" in snap
             assert snap["parallel.supervisor.live"]["peak"] == 2
+            per = e.describe()["per_worker"]
             for w in range(2):
-                assert f"parallel.worker.{w}.queue_depth.peak" in snap
-                assert f"parallel.worker.{w}.heartbeat_age" in snap
-                assert f"parallel.worker.{w}.generation" in snap
-            # in-worker deltas merged under the worker prefix
-            assert any(".compute.seconds" in k for k in snap)
+                prefix = f"parallel.worker.{w}"
+                assert f"{prefix}.queue_depth.peak" in snap
+                assert f"{prefix}.heartbeat_age" in snap
+                assert f"{prefix}.generation" in snap
+                assert snap[f"{prefix}.compute.seconds"] > 0
+                assert f"{prefix}.unpack.seconds" in snap
+                # one ledger: each task and error counted once
+                assert snap[f"{prefix}.tasks"] == per[w]["tasks"]
+                assert snap[f"{prefix}.errors"] == per[w]["errors"] == 0
+            assert (sum(snap[f"parallel.worker.{w}.tasks"] for w in range(2))
+                    == snap["parallel.tasks.parallel"] == e.tasks_parallel)
+
+            # One task raising on the pool is one error, not two.
+            with pytest.raises(KernelError, match="failed on purpose"):
+                e.run(_fail_task, [({}, (np.arange(4.0),))])
+            snap = collect_parallel_engine(MetricsRegistry("m"), e).snapshot()
+            errors = [snap[f"parallel.worker.{w}.errors"] for w in range(2)]
+            assert sorted(errors) == [0, 1]
         finally:
             e.close()
 
