@@ -31,7 +31,7 @@ def _exchange(hx, field, mode):
     mpi = SimMPI(16)
     # Realistic compute attribution: boundary-heavy partition at ne8/16.
     outs, rep = hx.exchange(
-        hx.scatter(field), mpi, mode=mode,
+        [(f,) for f in hx.scatter(field)], mpi, mode=mode,
         boundary_compute=[2e-4] * 16, inner_compute=[6e-4] * 16,
     )
     return rep

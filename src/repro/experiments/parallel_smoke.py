@@ -12,8 +12,8 @@ primitive-equation models serially and through the
 - the pool dispatches exactly what the in-process engine does — the
   same calls and tasks per step — so a change that splits tasks again
   shows up as a number;
-- a distributed step makes an exchange wherever the serial step makes a
-  DSS, so a tracer path split per tracer again shows up as a number too;
+- a distributed step makes one exchange per synchronisation point, so a
+  field split into its own exchange again shows up as a number too;
 - results return through the tasks' shared-memory blocks: after the
   first primitive-equation step has sized them, nothing but descriptors
   travels on the result queue.
@@ -112,10 +112,13 @@ def run_parallel_smoke(
         whole = PrimitiveEquationModel(cfg, mesh4, init=state.copy(), dt=30.0)
         dss = _count_calls(whole.geom, "dss")  # dss_vector goes through it too
         whole.run_steps(prim_steps)
-        table.add("distributed exchanges == serial DSS calls", 1.0,
-                  1.0 if exchanges[0] == dss[0] else 0.0, "boolean", 0.0)
+        # 3 RK stages, 3 per tracer subcycle, 2 per hyperviscosity sweep.
+        points = 3 + 3 * cfg.tracer_subcycles + 2 * ser._hv_subcycles
+        table.add("distributed exchanges == synchronisation points", 1.0,
+                  float(exchanges[0] == points * prim_steps), "boolean", 0.0)
         if verbose:
             print(f"  recipe: {exchanges[0] / prim_steps:g} exchanges, "
+                  f"{points} synchronisation points, "
                   f"{dss[0] / prim_steps:g} serial DSS calls, "
                   f"{allreduces[0] / prim_steps:g} allreduces, "
                   f"{ser.engine.calls / prim_steps:g} dispatches per step")

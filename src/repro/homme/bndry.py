@@ -13,13 +13,14 @@ The paper redesigns this subroutine twice over (Section 7.6):
    straight into the destination elements (another ~30% off the
    dynamical core's memory-copy time).
 
-:class:`HaloExchanger` implements the exchange functionally (weighted
-DSS contributions really travel between ranks through
-:class:`~repro.network.simmpi.SimMPI`) with both the ``classic`` and
-``overlap`` execution disciplines, charging pack/unpack memcpy time and
-compute time to each rank's simulated clock.  The result is bit-identical
-to the serial :meth:`CubedSphereMesh.dss` for every partition, whatever
-``workers`` the models run with.
+:class:`HaloExchanger` implements the exchange with both the ``classic``
+and ``overlap`` disciplines.  As HOMME's ``edgeVpack`` packs every field
+of a synchronisation point into one buffer per neighbour, one call
+exchanges a tuple of fields per rank in one message per neighbour.  The
+exchanger alone moves data (from its own flat buffer);
+:class:`~repro.network.simmpi.SimMPI` carries sizes and charges memcpy,
+compute and transfer time to each rank's simulated clock.  The result is
+the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class ExchangeReport:
 
     ``dropped``/``retransmissions`` count fault-injected losses healed
     by SimMPI's retransmit protocol during this exchange — the DSS
-    result is unaffected (the sender's copy is re-posted verbatim), but
-    the waiting rank's clock shows the timeout windows it rode out.
+    result is unaffected (faults cost time, never bytes), but the
+    waiting rank's clock shows the timeout windows it rode out.
     """
 
     mode: str
@@ -98,9 +99,10 @@ class HaloExchanger:
     The constructor builds one flat *exchange plan* over all ranks: every
     rank's GLL points concatenated in rank order, then every row a rank
     receives; one :class:`Assembly` with a slot per touching (rank, gid)
-    pair over both; and the gather that fills the messages.  An exchange
-    is then one gather, one accumulate and one take over the whole mesh;
-    its per-rank × per-peer loops only post, charge and trace messages.
+    pair over both; and the gather that fills the received rows.  An
+    exchange is then one gather, one accumulate and one take per field
+    over the whole mesh; its per-rank × per-peer loops only post sizes,
+    charge clocks and trace.
 
     A message carries, for every point of the sender whose gid the
     receiver touches, that point's own contribution ``f * dss_weight``,
@@ -150,8 +152,8 @@ class HaloExchanger:
         src, dst = src[sent], dst[sent]
         arrived = np.lexsort((src, rank[src], dst))
         asrc, adst = src[arrived], dst[arrived]
-        #: Flat point of every payload row, in send order.
-        self._send_rows = src
+        #: Flat point of every received row, in arrival order.
+        self._recv_rows = asrc
         self._assembly = Assembly(
             np.concatenate([rank, adst]) * mesh.ngid
             + np.concatenate([gid, gid[asrc]]),
@@ -167,8 +169,8 @@ class HaloExchanger:
         #: Sorted shared gids per ordered rank pair, and each rank's peers.
         self.shared_gids: dict[tuple[int, int], np.ndarray] = {}
         self.peers: dict[int, list[int]] = {r: [] for r in range(nranks)}
-        #: Per rank: (peer, payload rows sent, buffer rows received).
-        self._messages: list[list[tuple[int, slice, slice]]] = [
+        #: Per rank: (peer, rows sent, rows received).
+        self._messages: list[list[tuple[int, int, int]]] = [
             [] for _ in range(nranks)]
         # Sharing is symmetric: both tables list the same (rank, peer) pairs.
         for (ab, lo, hi), (_, rlo, rhi) in zip(blocks(rank[src], dst),
@@ -176,8 +178,7 @@ class HaloExchanger:
             a, b = divmod(ab, nranks)
             self.shared_gids[(a, b)] = _distinct(gid[src[lo:hi]])
             self.peers[a].append(b)
-            self._messages[a].append(
-                (b, slice(lo, hi), slice(len(gid) + rlo, len(gid) + rhi)))
+            self._messages[a].append((b, hi - lo, rhi - rlo))
 
     # -- core exchange ------------------------------------------------------------
 
@@ -191,21 +192,22 @@ class HaloExchanger:
 
     def exchange(
         self,
-        local_fields: list[np.ndarray],
+        local_fields: list[tuple[np.ndarray, ...]],
         mpi: SimMPI,
         mode: str = "overlap",
         boundary_compute: list[float] | None = None,
         inner_compute: list[float] | None = None,
         tag: int = 0,
-    ) -> tuple[list[np.ndarray], ExchangeReport]:
-        """Run one DSS exchange over all ranks.
+    ) -> tuple[list[tuple[np.ndarray, ...]], ExchangeReport]:
+        """Run one DSS exchange of a bundle of fields over all ranks.
 
         Parameters
         ----------
         local_fields:
-            Per rank, array (E_r, np, np) or (E_r, np, np, K) of the
-            element-local field to make continuous; trailing shapes must
-            agree across ranks.
+            Per rank, a tuple of element-local fields to make continuous,
+            each (E_r, np, np) or (E_r, np, np, K...); a field's trailing
+            shape must agree across ranks, the fields of a tuple may
+            differ.  One field is a 1-tuple.
         mpi:
             The simulated communicator (nranks must match).
         mode:
@@ -218,8 +220,11 @@ class HaloExchanger:
             part is charged before the sends and the inner part between
             send and wait — which is what hides the transfer.
 
-        Returns the DSS'd local fields and an :class:`ExchangeReport`.
-        The per-rank outputs are slices of one array.
+        Returns, per rank, a tuple of the DSS'd fields in the input
+        shapes, and an :class:`ExchangeReport`.  A rank sends one message
+        per peer carrying every field of the bundle.  Each field's
+        outputs are slices of that field's own whole-mesh array, so a
+        kept field never holds the others alive.
         """
         nranks = self.nranks
         if mpi.nranks != nranks:
@@ -228,19 +233,22 @@ class HaloExchanger:
         if mode not in ("classic", "overlap"):
             raise KernelError(f"unknown exchange mode {mode!r}")
         if len(local_fields) != nranks:
-            raise KernelError("need one local field array per rank")
+            raise KernelError("need one tuple of local fields per rank")
         bc = self._per_rank_costs(boundary_compute, "boundary_compute")
         ic = self._per_rank_costs(inner_compute, "inner_compute")
 
-        n = self.mesh.np
-        fields = [np.asarray(f, dtype=np.float64) for f in local_fields]
-        for r, f in enumerate(fields):
-            if f.shape[:3] != (len(self.rank_elems[r]), n, n):
-                raise KernelError(f"rank {r} field has shape {f.shape}")
-            if f.shape[3:] != fields[0].shape[3:]:
+        n, first = self.mesh.np, local_fields[0]
+        for r, fields in enumerate(local_fields):
+            if len(fields) != len(first):
                 raise KernelError(
-                    f"rank {r} field has trailing shape {f.shape[3:]}, "
-                    f"rank 0 has {fields[0].shape[3:]}")
+                    f"rank {r} passes {len(fields)} fields, rank 0 {len(first)}")
+            for f, f0 in zip(fields, first):
+                if f.shape[:3] != (len(self.rank_elems[r]), n, n):
+                    raise KernelError(f"rank {r} field has shape {f.shape}")
+                if f.shape[3:] != f0.shape[3:]:
+                    raise KernelError(
+                        f"rank {r} field has trailing shape {f.shape[3:]}, "
+                        f"rank 0 has {f0.shape[3:]}")
 
         report = ExchangeReport(mode=mode)
         dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
@@ -250,15 +258,18 @@ class HaloExchanger:
         # the redesign packs once and unpacks directly.
         copies = 2 if classic else 1
 
-        # One buffer: every local point's weighted contribution, then
-        # room for every received row.  All payloads are one gather.
+        # One buffer: every local point's weighted contribution, one
+        # column block per field, then room for every received row.
+        cols = [0, *np.cumsum([math.prod(f.shape[3:]) for f in first]).tolist()]
         npoints = self._offsets[-1]
-        buf = np.empty((len(self._assembly.slot_of),
-                        math.prod(fields[0].shape[3:])))
-        for lo, hi, f in zip(self._offsets, self._offsets[1:], fields):
-            buf[lo:hi] = f.reshape(hi - lo, -1)
+        buf = np.empty((len(self._assembly.slot_of), cols[-1]))
+        for lo, hi, fields in zip(self._offsets, self._offsets[1:], local_fields):
+            for c0, c1, f in zip(cols, cols[1:], fields):
+                # Splitting axes only, so the reshape is a view of buf.
+                np.copyto(buf[lo:hi, c0:c1].reshape(f.shape), f)
         buf[:npoints] *= self._weights
-        payloads = buf.take(self._send_rows, axis=0)
+        buf.take(self._recv_rows, axis=0, out=buf[npoints:])
+        row_bytes = buf.itemsize * cols[-1]
 
         # Phase 1: compute + pack + send on every rank.
         for r in range(nranks):
@@ -270,20 +281,20 @@ class HaloExchanger:
                 name = "compute" if classic else "compute.boundary"
                 tracer.span_at(track, name, t0, clock.now, cat="exchange",
                                tag=tag)
-            for p, sent, _ in self._messages[r]:
-                payload = payloads[sent]
-                t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
+            for p, nsent, _ in self._messages[r]:
+                nbytes = nsent * row_bytes
+                t_pack = copies * nbytes / MEMCPY_BANDWIDTH
                 t1 = clock.now
                 mpi.compute(r, t_pack)
                 report.memcpy_seconds += t_pack
                 if tracer.enabled:
                     tracer.span_at(track, "pack", t1, clock.now,
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=payload.nbytes, copies=copies)
+                                   nbytes=nbytes, copies=copies)
                     tracer.span_at(track, "send", clock.now, clock.now,
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=payload.nbytes)
-                mpi.isend(r, p, payload, tag=tag)
+                                   nbytes=nbytes)
+                mpi.isend(r, p, nbytes, tag=tag)
 
         # Phase 2: overlap window — inner compute happens while in flight.
         if not classic:
@@ -294,35 +305,38 @@ class HaloExchanger:
                     tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
                                    cat="exchange", tag=tag)
 
-        # Phase 3: receive every message into its rows of the buffer and
-        # charge the unpack, then sum each slot and gather to the points.
+        # Phase 3: complete every receive and charge its unpack.
         for r in range(nranks):
             track, clock = rank_track(r), mpi.clock(r)
-            for p, _, arrived in self._messages[r]:
-                data = mpi.wait(mpi.irecv(r, p, tag=tag))
-                rows = buf[arrived]
-                if data.shape != rows.shape:
+            for p, _, nrecv in self._messages[r]:
+                nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
+                if nbytes != nrecv * row_bytes:
                     raise KernelError(
-                        f"rank {r}: halo message from rank {p} has shape "
-                        f"{data.shape}, expected {rows.shape}")
-                t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
+                        f"rank {r}: halo message from rank {p} has {nbytes} "
+                        f"bytes, expected {nrecv * row_bytes}")
+                t_unpack = copies * nbytes / MEMCPY_BANDWIDTH
                 t2 = clock.now
                 mpi.compute(r, t_unpack)
                 report.memcpy_seconds += t_unpack
                 if tracer.enabled:
                     tracer.span_at(track, "unpack", t2, clock.now,
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=data.nbytes, copies=copies)
-                rows[:] = data
-        out = self._assembly.accumulate(buf).take(self._point_slot, axis=0)
-        outs = [out[lo:hi].reshape(f.shape)
-                for lo, hi, f in zip(self._offsets, self._offsets[1:], fields)]
+                                   nbytes=nbytes, copies=copies)
+
+        # Sum each slot, then gather every field to its own points.
+        acc = self._assembly.accumulate(buf)
+        del buf  # peak RSS: only the slot sums are needed from here on
+        outs = [acc[:, c0:c1].take(self._point_slot, axis=0)
+                for c0, c1 in zip(cols, cols[1:])]
+        per_rank = [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
+                    for lo, hi, fields in zip(self._offsets, self._offsets[1:],
+                                              local_fields)]
 
         report.rank_times = [mpi.now(r) for r in range(nranks)]
         report.comm_wait = list(mpi.comm_seconds)
         report.dropped = mpi.messages_dropped - dropped0
         report.retransmissions = mpi.retransmissions - retrans0
-        return outs, report
+        return per_rank, report
 
     # -- helpers for tests/benches --------------------------------------------------
 

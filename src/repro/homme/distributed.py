@@ -5,9 +5,10 @@ The end-to-end demonstration of the communication redesign: the same
 RK3 shallow-water step as :class:`~repro.homme.shallow_water.ShallowWaterModel`,
 but with the mesh partitioned across simulated MPI ranks and every DSS
 performed by :class:`~repro.homme.bndry.HaloExchanger` — pack, send,
-(overlap), receive, unpack.  Scalar fields exchange directly; vectors
-exchange in the frame-free Cartesian tangent representation (the same
-device as :meth:`ElementGeometry.dss_vector`).
+(overlap), receive, unpack — one exchange per synchronisation point,
+every field of it in one message per neighbour.  Scalar fields exchange
+directly; vectors exchange in the frame-free Cartesian tangent
+representation (the same device as :meth:`ElementGeometry.dss_vector`).
 
 The distributed trajectory is the serial model's bit for bit at any
 rank count (the exchange sums what the serial DSS sums, in the same
@@ -44,7 +45,7 @@ from ..parallel.dycore import (
 from ..parallel.engine import ParallelEngine
 from . import remap
 from .bndry import HaloExchanger, exchange_tag
-from .element import ElementGeometry, check_dt, levels_first, levels_last
+from .element import ElementGeometry, check_dt
 from .euler import restoring_scale, sum_elements
 from .hypervis import hypervis_stable_subcycles, nu_for_mesh
 from .shallow_water import SWState, williamson2_initial
@@ -89,12 +90,14 @@ class _DistributedModel:
     and chaos knobs of DESIGN.md §12.
 
     Subclasses set ``_fields`` (prognostic array names of one rank's
-    state, in snapshot-key order) and ``_label``, fill ``self.states``
-    and define ``step()``.
+    state, in snapshot-key order), ``_label`` and ``_levels`` (whether
+    fields carry a level axis after the element axis), fill
+    ``self.states`` and define ``step()``.
     """
 
     _fields: tuple[str, ...]
     _label: str
+    _levels: bool
     #: Per-rank simulated kernel seconds charged around each exchange.
     _bc: list[float] | None = None
     _ic: list[float] | None = None
@@ -130,17 +133,38 @@ class _DistributedModel:
 
     # -- distributed DSS ----------------------------------------------------------
 
-    def _exchange(self, locals_: list[np.ndarray], stage: int,
-                  slot: int) -> list[np.ndarray]:
+    def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
+        """DSS every rank's tuple of fields in one exchange.
+
+        A field with one axis more than a scalar is a contravariant
+        (..., 2) vector and crosses in Cartesian form; level axes move
+        last for the exchange and come back C-contiguous, so the
+        state's memory layout — and therefore every later reduction's
+        rounding — is the one a restored checkpoint has.
+        """
+        vector = 4 + self._levels
+
+        def out(g, f):
+            w = g.to_cartesian(f) if f.ndim == vector else f
+            return np.moveaxis(w, 1, 3) if self._levels else w
+
+        def back(g, o, f):
+            if self._levels:
+                o = np.moveaxis(o, 3, 1)
+            if f.ndim == vector:
+                return g.from_cartesian(o)
+            return np.ascontiguousarray(o)
+
         outs, _ = self.hx.exchange(
-            locals_,
+            [tuple(out(g, f) for f in fs) for g, fs in zip(self.geoms, fields)],
             self.mpi,
             mode=self.mode,
             boundary_compute=self._bc,
             inner_compute=self._ic,
             tag=exchange_tag(self.step_count, stage, slot, self._epoch),
         )
-        return outs
+        return [tuple(back(g, o, f) for o, f in zip(os, fs))
+                for g, os, fs in zip(self.geoms, outs, fields)]
 
     # -- per-rank task dispatch ---------------------------------------------------
 
@@ -275,6 +299,7 @@ class DistributedShallowWater(_DistributedModel):
 
     _fields = ("h", "v")
     _label = "dist-sw"
+    _levels = False
 
     def __init__(
         self,
@@ -311,23 +336,15 @@ class DistributedShallowWater(_DistributedModel):
             self._cost * len(self.part.inner_elements(r)) for r in range(nranks)
         ]
 
-    def _dss_vector(self, vs: list[np.ndarray], stage: int,
-                    slot: int) -> list[np.ndarray]:
-        """Vector DSS through the Cartesian tangent representation."""
-        ws = self._exchange(
-            [g.to_cartesian(v) for g, v in zip(self.geoms, vs)], stage, slot)
-        return [g.from_cartesian(w) for g, w in zip(self.geoms, ws)]
-
     def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
                stage: int = 0) -> list[SWState]:
         t0s = self._clocks()
         outs = self._fanout(
             sw_stage_task, {"dt": dt},
             [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)])
-        hs = self._exchange([o[0] for o in outs], stage, slot=0)
-        vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
+        hvs = self._dss(outs, stage, slot=0)
         self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
-        return [SWState(h=h, v=v) for h, v in zip(hs, vs)]
+        return [SWState(h=h, v=v) for h, v in hvs]
 
     def step(self) -> None:
         """One distributed RK3 step (three halo-exchange rounds)."""
@@ -375,6 +392,7 @@ class DistributedPrimitiveEquations(_DistributedModel):
 
     _fields = ("v", "T", "dp3d", "qdp")
     _label = "dist-prim"
+    _levels = True
 
     def __init__(
         self,
@@ -416,42 +434,22 @@ class DistributedPrimitiveEquations(_DistributedModel):
         self._hv_subcycles = hypervis_stable_subcycles(
             dt, self.nu, cfg.ne, mesh.radius)
 
-    # -- distributed DSS over level-carrying fields --------------------------------
-
-    def _dss_levels(self, fields, stage, slot):
-        """DSS (E_r, L, n, n) fields: levels move to the trailing axis.
-
-        Outputs are made contiguous so the state's memory layout — and
-        therefore every subsequent reduction's rounding — is identical
-        whether the state came from stepping or from a restored
-        checkpoint (bitwise restart depends on this).
-        """
-        out = self._exchange([levels_last(f) for f in fields], stage, slot)
-        return [np.ascontiguousarray(levels_first(o, f.shape))
-                for o, f in zip(out, fields)]
-
-    def _dss_vector_levels(self, vs, stage, slot):
-        """DSS (E_r, L, n, n, 2) contravariant fields via Cartesian form."""
-        ws = [levels_last(g.to_cartesian(v)) for g, v in zip(self.geoms, vs)]
-        out = self._exchange(ws, stage, slot)
-        return [g.from_cartesian(levels_first(o, v.shape[:4] + (3,)))
-                for g, o, v in zip(self.geoms, out, vs)]
-
     def _dss_stack(self, stacks, slot):
         """DSS (E_r, Q, L, n, n) tracer stacks in one exchange, (Q, L) folded
         into the level axis as the serial ``euler._dss_all`` folds them."""
         Q, L, n, _ = stacks[0].shape[1:]
-        out = self._dss_levels([s.reshape(len(s), Q * L, n, n) for s in stacks],
-                               stage=4, slot=slot)
-        return [o.reshape(len(o), Q, L, n, n) for o in out]
+        out = self._dss([(s.reshape(len(s), Q * L, n, n),) for s in stacks],
+                        stage=4, slot=slot)
+        return [o.reshape(len(o), Q, L, n, n) for o, in out]
 
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
-        """Sum per-rank (E_r, Q, L) per-element rows over the whole mesh.
+        """Sum per-rank (E_r, ...) per-element rows over the whole mesh.
 
         Every rank ends up with the sum in global element order — the
         serial limiter's, whatever the partition — as CESM's
-        ``repro_sum`` stands in for a plain reduction.  What travels is
-        still one (Q, L) block per rank, and that is what SimMPI charges.
+        ``repro_sum`` stands in for a plain reduction; each column is
+        summed on its own, so stacking sums changes no bit.  What travels
+        is still one row block per rank, and that is what SimMPI charges.
         """
         self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
         return sum_elements(self.hx.gather(per_elem))
@@ -464,32 +462,25 @@ class DistributedPrimitiveEquations(_DistributedModel):
             prim_stage_task, {"dt": dt},
             [(b.v, b.T, b.dp3d, p.v, p.T, p.dp3d)
              for b, p in zip(bases, points)])
-        Ts = self._dss_levels([o[1] for o in outs], stage, slot=0)
-        dps = self._dss_levels([o[2] for o in outs], stage, slot=1)
-        vs = self._dss_vector_levels([o[0] for o in outs], stage, slot=2)
+        outs = self._dss(outs, stage, slot=0)
         self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         # Nothing writes a qdp in place, so every stage shares the base's.
         return [type(b)(v=v, T=T, dp3d=dp, qdp=b.qdp)
-                for b, v, T, dp in zip(bases, vs, Ts, dps)]
+                for b, (v, T, dp) in zip(bases, outs)]
 
     def _hypervis_sweep(self, s3, slot0):
         """The biharmonic of T, v and dp3d: two laplacian rounds.
 
         Each round is one pool dispatch computing all three field
-        laplacians per rank; the DSS rounds between them stay on the
-        driver.
+        laplacians per rank and one exchange of all three; the exchanges
+        stay on the driver.  Returns per rank ``(T, v, dp3d)``.
         """
-        lap = self._fanout(prim_laplace_task, {},
-                           [(s.T, s.v, s.dp3d) for s in s3])
-        lap_T = self._dss_levels([o[0] for o in lap], stage=5, slot=slot0)
-        lap_v = self._dss_vector_levels([o[1] for o in lap], stage=5, slot=slot0 + 1)
-        lap_dp = self._dss_levels([o[2] for o in lap], stage=5, slot=slot0 + 2)
-        bih = self._fanout(prim_laplace_task, {},
-                           list(zip(lap_T, lap_v, lap_dp)))
-        bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=slot0 + 3)
-        bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=slot0 + 4)
-        bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=slot0 + 5)
-        return bih_T, bih_v, bih_dp
+        lap = self._dss(self._fanout(prim_laplace_task, {},
+                                     [(s.T, s.v, s.dp3d) for s in s3]),
+                        stage=5, slot=slot0)
+        bih = self._fanout(prim_laplace_task, {}, lap)
+        del lap
+        return self._dss(bih, stage=5, slot=slot0 + 1)
 
     def step(self) -> None:
         dt = self.dt
@@ -514,8 +505,9 @@ class DistributedPrimitiveEquations(_DistributedModel):
             del st1
             lim = self._fanout(prim_limit_task, meta, [(a,) for a in st2])
             del st2
-            scale = restoring_scale(self._mesh_sum([o[1] for o in lim]),
-                                    self._mesh_sum([o[2] for o in lim]))
+            before, after = self._mesh_sum(
+                [np.stack(o[1:], axis=1) for o in lim])
+            scale = restoring_scale(before, after)
             qdps = self._dss_stack(
                 [o[0] * scale[None, ..., None, None] for o in lim], slot0 + 2)
             del lim
@@ -526,12 +518,12 @@ class DistributedPrimitiveEquations(_DistributedModel):
         # Hyperviscosity, subcycled like the serial advance_hypervis.
         hv_t0s = self._clocks()
         sub_dt = dt / self._hv_subcycles
-        for slot0 in range(0, 6 * self._hv_subcycles, 6):
-            bih_T, bih_v, bih_dp = self._hypervis_sweep(s3, slot0)
-            for r in range(self.nranks):
-                s3[r].T = s3[r].T - sub_dt * self.nu * bih_T[r]
-                s3[r].v = s3[r].v - sub_dt * self.nu * bih_v[r]
-                s3[r].dp3d = s3[r].dp3d - sub_dt * self.nu * bih_dp[r]
+        for slot0 in range(0, 2 * self._hv_subcycles, 2):
+            for s, (bih_T, bih_v, bih_dp) in zip(
+                    s3, self._hypervis_sweep(s3, slot0)):
+                s.T = s.T - sub_dt * self.nu * bih_T
+                s.v = s.v - sub_dt * self.nu * bih_v
+                s.dp3d = s.dp3d - sub_dt * self.nu * bih_dp
         self._rank_spans("hypervis", hv_t0s, step=self.step_count)
 
         self.step_count += 1

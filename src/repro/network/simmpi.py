@@ -1,30 +1,30 @@
 """SimMPI: a single-process, simulated-time MPI for the reproduction.
 
-Every rank has its own :class:`~repro.utils.timing.SimClock`.  Messages
-really carry numpy payloads between ranks (the dycore's halo exchange is
-functional), and each message is stamped with an *arrival time* computed
-from the sender's clock plus the :class:`NetworkCostModel` transfer time.
-A receiver that waits on a message advances its clock to
-``max(receiver_now, arrival)`` — which is exactly what permits
-computation/communication overlap: compute charged between ``isend`` and
-``wait`` hides transfer time, reproducing the redesigned
-``bndry_exchangev`` behaviour (paper Section 7.6).
+Every rank has its own :class:`~repro.utils.timing.SimClock`.  SimMPI is
+a clock, not a transport: a message carries only its size (the halo
+exchanger moves the data), stamped with an *arrival time* — the sender's
+clock plus the :class:`NetworkCostModel` transfer time.  A receiver that
+waits on a message advances its clock to ``max(receiver_now, arrival)``
+— which is exactly what permits computation/communication overlap:
+compute charged between ``isend`` and ``wait`` hides transfer time,
+reproducing the redesigned ``bndry_exchangev`` behaviour (paper Section
+7.6).
 
 Because all ranks execute inside one Python process, drivers iterate
 ranks in phases (all sends posted, then receives completed) — the natural
 structure of a halo exchange.  ``wait`` on a receive whose matching send
-has not been posted raises :class:`SimMPIError`.
+has not been posted raises :class:`SimMPIError`.  Messages on one
+``(src, dst, tag)`` are received in posting order, as MPI guarantees.
 
 **Fault model.**  A :class:`~repro.resilience.faults.FaultInjector` can
-drop or delay messages and slow individual ranks down.  Because
-``isend`` copies the payload at post time, the sender always holds a
-retransmittable copy: when a receiver waits on a dropped message it
-waits out a (simulated-time) timeout window, the sender re-posts the
-copy with a fresh arrival stamp, and the window doubles on every retry —
-a retransmit-with-exponential-backoff protocol.  Only after
+drop or delay messages and slow individual ranks down.  A dropped
+message keeps its place in its queue, marked lost: the receiver that
+waits on it rides out a (simulated-time) timeout window, the sender
+re-posts it with a fresh arrival stamp, and the window doubles on every
+retry — a retransmit-with-exponential-backoff protocol.  Only after
 ``max_retries`` failed retransmissions does ``wait`` surface
-:class:`SimMPITimeoutError`.  All of it is deterministic under the
-injector's seed.
+:class:`SimMPITimeoutError`.  Faults cost time, never bytes; all of it
+is deterministic under the injector's seed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class SimRequest:
     peer: int
     tag: int
     completion_time: float | None = None
-    payload: np.ndarray | None = None
+    nbytes: int | None = None
     done: bool = False
     comm: "SimMPI | None" = None  # owning communicator
 
@@ -71,8 +71,9 @@ class _Message:
     src: int
     dst: int
     tag: int
-    payload: np.ndarray
+    nbytes: int
     arrival: float
+    lost: bool = False
 
 
 class SimMPI:
@@ -151,9 +152,8 @@ class SimMPI:
         self.allreduce_algorithm = allreduce_algorithm
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._clocks = [SimClock() for _ in range(nranks)]
+        #: One queue per (src, dst, tag) in posting order, lost ones included.
         self._mailbox: dict[tuple[int, int, int], deque[_Message]] = {}
-        #: Dropped messages awaiting retransmission (sender-side copies).
-        self._lost: dict[tuple[int, int, int], deque[_Message]] = {}
         #: (src, dst) -> (alpha, beta), resolved on a pair's first message.
         self._paths: dict[tuple[int, int], tuple[float, float]] = {}
         self.messages_sent = 0
@@ -195,40 +195,36 @@ class SimMPI:
 
     # -- point to point -------------------------------------------------------
 
-    def isend(self, src: int, dst: int, payload: np.ndarray, tag: int = 0) -> SimRequest:
-        """Post a non-blocking send.  The payload is copied at post time.
+    def isend(self, src: int, dst: int, nbytes: int, tag: int = 0) -> SimRequest:
+        """Post a non-blocking send of ``nbytes``.
 
         The send itself is near-free on the sender (the MPE drives the
         NIC); transfer time is charged to the message's arrival stamp.
-        The copy doubles as the retransmission buffer when the fault
-        injector drops the message in flight.
+        A message the fault injector drops keeps its place in the queue,
+        so a later one on the same ``(src, dst, tag)`` cannot overtake it.
         """
-        payload = np.asarray(payload)
-        transfer = self._transfer_time(src, dst, payload.nbytes)
+        transfer = self._transfer_time(src, dst, nbytes)
         t_send = self._clocks[src].now
-        msg = _Message(src, dst, tag, payload.copy(), t_send + transfer)
+        msg = _Message(src, dst, tag, nbytes, t_send + transfer)
         fate, extra = ("deliver", 0.0)
         if self.faults is not None:
-            fate, extra = self.faults.on_send(src, dst, tag, payload.nbytes)
+            fate, extra = self.faults.on_send(src, dst, tag, nbytes)
         if fate == "drop":
-            self._lost.setdefault((src, dst, tag), deque()).append(msg)
+            msg.lost = True
             self.messages_dropped += 1
-        else:
-            if fate == "delay":
-                msg.arrival += extra
-                self.messages_delayed += 1
-            self._mailbox.setdefault((src, dst, tag), deque()).append(msg)
+        elif fate == "delay":
+            msg.arrival += extra
+            self.messages_delayed += 1
+        self._mailbox.setdefault((src, dst, tag), deque()).append(msg)
         self.messages_sent += 1
-        self.bytes_sent += payload.nbytes
+        self.bytes_sent += nbytes
         if self.tracer.enabled:
             self.tracer.instant(
                 rank_track(src), "mpi.isend", t_send, cat="mpi",
-                dst=dst, tag=tag, nbytes=payload.nbytes, fate=fate,
+                dst=dst, tag=tag, nbytes=nbytes, fate=fate,
             )
-        return SimRequest(
-            "send", src, dst, tag,
-            completion_time=t_send, payload=msg.payload, done=True, comm=self,
-        )
+        return SimRequest("send", src, dst, tag, completion_time=t_send,
+                          nbytes=nbytes, done=True, comm=self)
 
     def irecv(self, dst: int, src: int, tag: int = 0) -> SimRequest:
         """Post a non-blocking receive (completion resolved at wait)."""
@@ -236,16 +232,18 @@ class SimMPI:
         self._check_rank(dst)
         return SimRequest("recv", dst, src, tag, comm=self)
 
-    def wait(self, req: SimRequest) -> np.ndarray | None:
+    def wait(self, req: SimRequest) -> int | None:
         """Complete a request, advancing the owner's clock as needed.
 
-        Waiting any *completed* request again is an idempotent no-op
-        (matching MPI_Wait on an inactive request, and what
-        :meth:`waitall`'s contract already promised): a completed send
-        returns ``None``, a completed receive returns the payload it
-        already delivered — without touching the mailbox, the owner's
-        clock, or ``comm_seconds`` again.  Waiting a request owned by a
-        different communicator is always a protocol error.
+        A completed receive returns the size of the message it took: the
+        oldest one posted on its ``(src, dst, tag)``, recovered first if
+        it was lost.  Waiting any *completed* request again is an
+        idempotent no-op (matching MPI_Wait on an inactive request, and
+        what :meth:`waitall`'s contract already promised): a completed
+        send returns ``None``, a completed receive the size it already
+        returned — without touching the mailbox, the owner's clock, or
+        ``comm_seconds`` again.  Waiting a request owned by a different
+        communicator is always a protocol error.
         """
         if req.comm is not None and req.comm is not self:
             raise SimMPIError(
@@ -255,10 +253,9 @@ class SimMPI:
             # Sends complete at post time; repeated waits are no-ops.
             return None
         if req.done:
-            return req.payload
+            return req.nbytes
         key = (req.peer, req.rank, req.tag)
-        queues = self._mailbox if key in self._mailbox else self._lost
-        q = queues.get(key)
+        q = self._mailbox.get(key)
         if not q:
             raise SimMPIError(
                 f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
@@ -268,9 +265,9 @@ class SimMPI:
         if not q:
             # The halo layer uses a fresh tag per exchange: a drained
             # queue left under its key would never be reused or freed.
-            del queues[key]
-        if queues is self._lost:
-            msg = self._recover(key, msg)
+            del self._mailbox[key]
+        if msg.lost:
+            self._recover(msg)
         clock = self._clocks[req.rank]
         t_wait = clock.now
         waited = max(0.0, msg.arrival - clock.now)
@@ -278,14 +275,13 @@ class SimMPI:
         clock.advance_to(msg.arrival)
         req.done = True
         req.completion_time = clock.now
-        req.payload = msg.payload
+        req.nbytes = msg.nbytes
         if self.tracer.enabled:
             self.tracer.span_at(
                 rank_track(req.rank), "mpi.wait", t_wait, clock.now, cat="mpi",
-                src=req.peer, tag=req.tag, nbytes=msg.payload.nbytes,
-                waited=waited,
+                src=req.peer, tag=req.tag, nbytes=msg.nbytes, waited=waited,
             )
-        return msg.payload
+        return msg.nbytes
 
     def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """``cost.p2p_time``; ranks checked and path resolved once per pair."""
@@ -296,20 +292,20 @@ class SimMPI:
             path = self._paths[src, dst] = self.cost.path(src, dst)
         return path[0] + nbytes / path[1]
 
-    def _recover(self, key: tuple[int, int, int], msg: _Message) -> _Message:
+    def _recover(self, msg: _Message) -> None:
         """Retransmit a dropped message until it arrives or the retry
         budget runs out.
 
         The receiver first waits out ``timeout`` simulated seconds (the
         window in which the original would have arrived); each failed
         retransmission widens the window by ``backoff``.  A successful
-        retransmission is a mailbox re-post of the sender's copy with a
-        fresh arrival stamp: re-post time plus the transfer time.
+        retransmission re-stamps the message's arrival: re-post time plus
+        the transfer time.
         """
-        src, dst, _tag = key
+        src, dst = msg.src, msg.dst
         clock = self._clocks[dst]
         t = clock.now
-        transfer = self._transfer_time(src, dst, msg.payload.nbytes)
+        transfer = self._transfer_time(src, dst, msg.nbytes)
         window = self.timeout
         for attempt in range(1, self.max_retries + 1):
             t += window  # receiver rides out the timeout window
@@ -325,7 +321,7 @@ class SimMPI:
                 )
             if delivered:
                 msg.arrival = t + transfer
-                return msg
+                return
         self.comm_seconds[dst] += max(0.0, t - clock.now)
         clock.advance_to(t)
         raise SimMPITimeoutError(
@@ -333,12 +329,12 @@ class SimMPI:
             f"after {self.max_retries} retransmissions"
         )
 
-    def waitall(self, reqs: list[SimRequest]) -> list[np.ndarray | None]:
+    def waitall(self, reqs: list[SimRequest]) -> list[int | None]:
         """Complete a list of requests in order.
 
         Requests appearing more than once complete exactly once: the
-        duplicates are idempotent no-ops (receives re-return the payload
-        already delivered; sends return ``None``) and never consume
+        duplicates are idempotent no-ops (receives re-return the size
+        already received; sends return ``None``) and never consume
         another request's message or charge ``comm_seconds`` twice.
         """
         return [self.wait(r) for r in reqs]
@@ -472,10 +468,7 @@ class SimMPI:
         :class:`SimMPIError` naming the leaked (src, dst, tag) triples.
         """
         self._finalized = True
-        leaked = {
-            key: len(q) for key, q in self._mailbox.items() if q
-        }
-        leaked.update({key: len(q) for key, q in self._lost.items() if q})
+        leaked = {key: len(q) for key, q in self._mailbox.items() if q}
         if leaked:
             desc = ", ".join(
                 f"src={k[0]} dst={k[1]} tag={k[2]} x{n}" for k, n in sorted(leaked.items())
@@ -492,9 +485,7 @@ class SimMPI:
 
     def pending_messages(self) -> int:
         """Messages posted but not yet received (should be 0 after a step)."""
-        return sum(len(q) for q in self._mailbox.values()) + sum(
-            len(q) for q in self._lost.values()
-        )
+        return sum(len(q) for q in self._mailbox.values())
 
     def purge_pending(self) -> int:
         """Discard every undelivered message; returns how many.
@@ -507,5 +498,4 @@ class SimMPI:
         """
         n = self.pending_messages()
         self._mailbox.clear()
-        self._lost.clear()
         return n

@@ -80,7 +80,7 @@ class FaultInjector:
         same arguments take identical decisions.
     drop_messages:
         Send indices (0-based, in posting order) whose message is lost
-        in flight.  The sender's copy survives for retransmission.
+        in flight; SimMPI retransmits it after a timeout window.
     drop_probability:
         Additionally drop any message with this probability.
     drop_retransmits:
@@ -88,7 +88,7 @@ class FaultInjector:
         :class:`~repro.errors.SimMPITimeoutError`).
     delay_messages:
         Mapping of send index -> extra in-flight seconds (a congested or
-        rerouted path; the payload still arrives intact).
+        rerouted path; the message still arrives).
     laggards:
         Mapping of rank -> compute slowdown factor (>= 1).  A factor of
         4.0 models the "one slow node" that dominates full-machine jobs.

@@ -6,8 +6,10 @@ rank, ``np.isin`` per peer): a message from rank *a* to rank *b* carries
 *a*'s point order, and every rank sums its own and its received rows per
 gid with ``np.add.at`` over rows sorted by global point row — slow,
 obviously right, and the fixed summation order the plan must reproduce
-bit for bit.  Clock charges, SimMPI calls and tracer spans are issued in
-the order the production code must keep.
+bit for bit.  A rank's bundle of fields travels as its columns side by
+side.  SimMPI carries only sizes; the data a receiver sums is read from
+the sender's rows here.  Clock charges, SimMPI calls and tracer spans are
+issued in the order the production code must keep.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from repro.network.simmpi import rank_track
 
 def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
                     boundary_compute=None, inner_compute=None, tag=0):
-    """Returns ``(outs, memcpy_seconds)`` for one DSS exchange."""
+    """Returns ``(outs, memcpy_seconds)`` for one DSS exchange of per-rank
+    tuples of fields; ``outs`` holds per-rank tuples of the same shapes."""
     nranks, tracer, copies = part.nranks, mpi.tracer, 2 if mode == "classic" else 1
     bc = [0.0] * nranks if boundary_compute is None else boundary_compute
     ic = [0.0] * nranks if inner_compute is None else inner_compute
@@ -36,9 +39,10 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
         mpi.compute(r, bc[r] + ic[r] if mode == "classic" else bc[r])
         tracer.span_at(rank_track(r), "compute" if mode == "classic"
                        else "compute.boundary", t0, mpi.now(r), cat="exchange", tag=tag)
-        f = np.asarray(local_fields[r], dtype=np.float64)
         w = mesh.dss_weight[elems[r]].reshape(-1)
-        vals.append(f.reshape(len(w), -1) * w[:, None])
+        columns = [np.reshape(f, (len(w), -1)) for f in local_fields[r]]
+        vals.append(np.concatenate(columns + [np.empty((len(w), 0))], axis=1)
+                    * w[:, None])
         for p in peers[r]:
             payload = vals[r][np.isin(gids[r], uniq[p])]
             t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
@@ -49,7 +53,7 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
                            peer=p, tag=tag, nbytes=payload.nbytes, copies=copies)
             tracer.span_at(rank_track(r), "send", mpi.now(r), mpi.now(r),
                            cat="exchange", peer=p, tag=tag, nbytes=payload.nbytes)
-            mpi.isend(r, p, payload, tag=tag)
+            mpi.isend(r, p, payload.nbytes, tag=tag)
     if mode == "overlap":
         for r in range(nranks):
             t0 = mpi.now(r)
@@ -60,21 +64,25 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
     for r in range(nranks):
         gid, row, val = [gids[r]], [rows[r]], [vals[r]]
         for p in peers[r]:
-            data = mpi.wait(mpi.irecv(r, p, tag=tag))
+            nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
             sent = np.isin(gids[p], uniq[r])
             gid.append(gids[p][sent])
             row.append(rows[p][sent])
-            val.append(data)
-            t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
+            val.append(vals[p][sent])
+            assert nbytes == val[-1].nbytes
+            t_unpack = copies * nbytes / MEMCPY_BANDWIDTH
             t2 = mpi.now(r)
             mpi.compute(r, t_unpack)
             memcpy += t_unpack
             tracer.span_at(rank_track(r), "unpack", t2, mpi.now(r), cat="exchange",
-                           peer=p, tag=tag, nbytes=data.nbytes, copies=copies)
+                           peer=p, tag=tag, nbytes=nbytes, copies=copies)
         order = np.argsort(np.concatenate(row))
         acc = np.zeros((len(uniq[r]),) + vals[r].shape[1:])
         np.add.at(acc, np.searchsorted(uniq[r], np.concatenate(gid)[order]),
                   np.concatenate(val)[order])
-        outs.append(acc[np.searchsorted(uniq[r], gids[r])]
-                    .reshape(np.shape(local_fields[r])))
+        out = acc[np.searchsorted(uniq[r], gids[r])]
+        cols = np.cumsum([0] + [np.prod(np.shape(f)[3:], dtype=int)
+                                for f in local_fields[r]])
+        outs.append(tuple(out[:, c0:c1].reshape(np.shape(f)) for c0, c1, f
+                          in zip(cols, cols[1:], local_fields[r])))
     return outs, memcpy

@@ -45,6 +45,11 @@ def random_field(rng, shape):
     return f
 
 
+def scatter(hx, *fields):
+    """Per-rank tuples of the ranks' slices of whole-mesh ``fields``."""
+    return list(zip(*map(hx.scatter, fields)))
+
+
 def assert_same_exchange(mesh, part, hx, locals_, mode, make_mpi, tag=7):
     """Run plan and oracle on twin communicators; compare everything."""
     nranks = part.nranks
@@ -55,9 +60,11 @@ def assert_same_exchange(mesh, part, hx, locals_, mode, make_mpi, tag=7):
                                boundary_compute=bc, inner_compute=ic, tag=tag)
     expected, memcpy = oracle_exchange(mesh, part, locals_, mpi_oracle, mode,
                                        bc, ic, tag)
-    for r, (a, b) in enumerate(zip(outs, expected)):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes(), f"rank {r} differs"
+    for r, (got, want) in enumerate(zip(outs, expected)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), f"rank {r} differs"
     clocks = [mpi_plan.now(r) for r in range(nranks)]
     assert clocks == [mpi_oracle.now(r) for r in range(nranks)]
     assert report.rank_times == clocks
@@ -78,7 +85,7 @@ def test_plan_equals_oracle_bitwise(meshes, ne, nranks):
     for trailing in TRAILING:
         f = random_field(rng, (mesh.nelem, mesh.np, mesh.np) + trailing)
         for mode in MODES:
-            assert_same_exchange(mesh, part, hx, hx.scatter(f), mode,
+            assert_same_exchange(mesh, part, hx, scatter(hx, f), mode,
                                  lambda: SimMPI(nranks))
 
 
@@ -86,7 +93,8 @@ def test_plan_equals_oracle_bitwise(meshes, ne, nranks):
 def test_plan_equals_oracle_under_drops_and_delays(meshes, mode):
     mesh, part = meshes[4], SFCPartition(4, 6)
     hx = HaloExchanger(mesh, part)
-    f = random_field(np.random.default_rng(3), (mesh.nelem, 4, 4, 3))
+    rng = np.random.default_rng(3)
+    fields = [random_field(rng, (mesh.nelem, 4, 4) + t) for t in ((3,), ())]
 
     def make_mpi():
         faults = FaultInjector(seed=11, drop_messages=(0, 5), drop_probability=0.2,
@@ -94,7 +102,8 @@ def test_plan_equals_oracle_under_drops_and_delays(meshes, mode):
                                laggards={1: 2.0})
         return SimMPI(part.nranks, faults=faults)
 
-    mpi, _ = assert_same_exchange(mesh, part, hx, hx.scatter(f), mode, make_mpi)
+    mpi, _ = assert_same_exchange(mesh, part, hx, scatter(hx, *fields), mode,
+                                  make_mpi)
     assert mpi.retransmissions >= 2 and mpi.messages_delayed >= 1
 
 
@@ -102,9 +111,10 @@ def test_plan_equals_oracle_under_drops_and_delays(meshes, mode):
 def test_plan_emits_the_oracle_span_sequence(meshes, mode):
     mesh, part = meshes[4], SFCPartition(4, 4)
     hx = HaloExchanger(mesh, part)
-    f = random_field(np.random.default_rng(4), (mesh.nelem, 4, 4, 2))
+    rng = np.random.default_rng(4)
+    fields = [random_field(rng, (mesh.nelem, 4, 4) + t) for t in ((2,), (3, 2))]
     mpis = assert_same_exchange(
-        mesh, part, hx, hx.scatter(f), mode,
+        mesh, part, hx, scatter(hx, *fields), mode,
         lambda: SimMPI(part.nranks, tracer=Tracer("t")))
     plan, oracle = (
         [(e.track, e.name, e.cat, e.ph, e.ts, e.dur, e.args)
@@ -134,7 +144,7 @@ class TestBoundaryValidation:
         return HaloExchanger(mesh, SFCPartition(2, 4))
 
     def locals_(self, hx, trailing=()):
-        return hx.scatter(np.ones((hx.mesh.nelem, 4, 4) + trailing))
+        return scatter(hx, np.ones((hx.mesh.nelem, 4, 4) + trailing))
 
     def test_numpy_cost_arrays_are_accepted(self, hx):
         costs = np.full(4, 1e-3)
@@ -149,18 +159,27 @@ class TestBoundaryValidation:
 
     def test_mismatched_trailing_shapes_name_the_rank(self, hx):
         fields = self.locals_(hx, (3,))
-        fields[2] = fields[2][..., :2]
+        fields[2] = (fields[2][0][..., :2],)
         with pytest.raises(KernelError, match="rank 2 .*trailing shape"):
             hx.exchange(fields, SimMPI(4))
 
+    def test_ranks_pass_the_same_number_of_fields(self, hx):
+        fields = self.locals_(hx)
+        fields[1] = fields[1] * 2
+        with pytest.raises(KernelError, match="rank 1 passes 2 fields"):
+            hx.exchange(fields, SimMPI(4))
+
     def test_received_payload_shape_is_checked_in_full(self, hx):
-        """A stale message under the same tag with the right row count
-        but another width must not be unpacked."""
+        """A stale message under the same tag, posted first, with the
+        right row count but another width is received first and refused
+        by its size."""
         mpi = SimMPI(4)
         p = hx.peers[0][0]
         rows = np.isin(hx.mesh.gid[hx.rank_elems[p]], hx.shared_gids[p, 0]).sum()
-        mpi.isend(p, 0, np.zeros((rows, 2)), tag=9)
-        with pytest.raises(KernelError, match=f"rank 0: halo message from rank {p}"):
+        mpi.isend(p, 0, int(rows) * 2 * 8, tag=9)
+        with pytest.raises(KernelError,
+                           match=f"rank 0: halo message from rank {p} has "
+                                 f"{rows * 16} bytes, expected {rows * 8}"):
             hx.exchange(self.locals_(hx), mpi, tag=9)
 
 
@@ -170,23 +189,68 @@ def test_communicator_holds_no_per_tag_state_after_many_exchanges():
     mesh = CubedSphereMesh(2)
     hx = HaloExchanger(mesh, SFCPartition(2, 4))
     mpi = SimMPI(4, faults=FaultInjector(seed=1, drop_probability=0.1))
-    locals_ = hx.scatter(np.ones((mesh.nelem, 4, 4)))
+    locals_ = scatter(hx, np.ones((mesh.nelem, 4, 4)))
     for tag in range(200):
         hx.exchange(locals_, mpi, tag=tag)
     assert mpi.retransmissions > 0
-    assert mpi._mailbox == {} and mpi._lost == {}
+    assert mpi._mailbox == {}
     assert mpi.pending_messages() == 0
     mpi.finalize()
 
 
+# -- bundles ------------------------------------------------------------------
+
+@pytest.mark.parametrize("nranks", [1, 4, 16])
+@pytest.mark.parametrize("ne", [2, 4, 8])
+@pytest.mark.parametrize("mode", MODES)
+def test_a_bundle_is_its_fields_exchanged_one_by_one(meshes, ne, nranks, mode):
+    """One exchange of three fields returns the bytes of three single-field
+    exchanges, in one message per ordered peer pair carrying all of them."""
+    mesh, part = meshes[ne], SFCPartition(ne, nranks)
+    hx = HaloExchanger(mesh, part)
+    rng = np.random.default_rng(10 * ne + nranks)
+    fields = [random_field(rng, (mesh.nelem, mesh.np, mesh.np) + t)
+              for t in ((), (3,), (16, 3))]
+    bundle = SimMPI(nranks)
+    outs, _ = hx.exchange(scatter(hx, *fields), bundle, mode=mode)
+    nbytes = 0
+    for k, f in enumerate(fields):
+        mpi = SimMPI(nranks)
+        single, _ = hx.exchange(scatter(hx, f), mpi, mode=mode)
+        assert mpi.messages_sent == bundle.messages_sent
+        nbytes += mpi.bytes_sent
+        for r in range(nranks):
+            assert outs[r][k].shape == f[hx.rank_elems[r]].shape
+            assert outs[r][k].tobytes() == single[r][0].tobytes(), (k, r)
+    assert bundle.messages_sent == sum(len(hx.peers[r]) for r in range(nranks))
+    assert bundle.bytes_sent == nbytes
+
+
+def test_a_ranks_bundled_outputs_share_no_memory(meshes):
+    """Each field comes back in its own array: a kept field must not hold
+    the whole bundle alive (peak RSS)."""
+    mesh = meshes[4]
+    hx = HaloExchanger(mesh, SFCPartition(4, 4))
+    rng = np.random.default_rng(5)
+    fields = [random_field(rng, (mesh.nelem, 4, 4) + t) for t in ((), (2,), (8, 3))]
+    outs, _ = hx.exchange(scatter(hx, *fields), SimMPI(4))
+    for got in outs:
+        assert len(got) == 3
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.shares_memory(got[i], got[j]), (i, j)
+
+
 # -- whole trajectories -------------------------------------------------------
 
-#: (max_rank_time, messages, bytes) after 3 steps (ne4, 4 ranks).  "prim"
-#: moved once, at ISSUE 24, from (0.00017000872727272742, 1188, 3484032):
-#: the tracer stack travels in one exchange per SSP stage instead of one
-#: per tracer — fewer messages and latencies, the same bytes.
-PINNED_CLOCKS = {"sw": (0.004322007272727276, 216, 121536),
-                 "prim": (0.00012291200000000025, 864, 3484032)}
+#: (max_rank_time, messages, bytes) after 3 steps (ne4, 4 ranks).  Both
+#: moved when each synchronisation point's fields began to travel in one
+#: exchange (one message per neighbour) and the limiter's two mass sums in
+#: one allreduce: "sw" from (0.004322007272727276, 216, 121536), "prim"
+#: from (0.00012291200000000025, 864, 3484032) — half the messages and
+#: latencies for sw, 504/864 for prim, the same bytes.
+PINNED_CLOCKS = {"sw": (0.0021620072727272736, 108, 121536),
+                 "prim": (9.134109090909098e-05, 504, 3484032)}
 
 
 @pytest.mark.parametrize("exec_path", ["batched", "fused"])

@@ -117,6 +117,12 @@ class TestHaloExchanger:
         part = SFCPartition(4, 8)
         return mesh, part, HaloExchanger(mesh, part)
 
+    @staticmethod
+    def dss(hx, f, mpi, **kwargs):
+        """Exchange one whole-mesh field; its per-rank outputs and report."""
+        outs, rep = hx.exchange([(x,) for x in hx.scatter(f)], mpi, **kwargs)
+        return [o for o, in outs], rep
+
     @pytest.fixture
     def make_mpi(self):
         """Communicator factory whose teardown verifies the mailbox
@@ -135,20 +141,20 @@ class TestHaloExchanger:
     def test_matches_serial_dss_scalar(self, setup, make_mpi):
         mesh, part, hx = setup
         f = np.random.default_rng(0).standard_normal((mesh.nelem, 4, 4))
-        outs, _ = hx.exchange(hx.scatter(f), make_mpi(), mode="classic")
+        outs, _ = self.dss(hx, f, make_mpi(), mode="classic")
         assert np.allclose(hx.gather(outs), mesh.dss(f), atol=1e-13)
 
     def test_matches_serial_dss_multifield(self, setup, make_mpi):
         mesh, part, hx = setup
         f = np.random.default_rng(1).standard_normal((mesh.nelem, 4, 4, 3))
-        outs, _ = hx.exchange(hx.scatter(f), make_mpi(), mode="overlap")
+        outs, _ = self.dss(hx, f, make_mpi(), mode="overlap")
         assert np.allclose(hx.gather(outs), mesh.dss(f), atol=1e-13)
 
     def test_classic_equals_overlap_numerically(self, setup, make_mpi):
         mesh, part, hx = setup
         f = np.random.default_rng(2).standard_normal((mesh.nelem, 4, 4))
-        a, _ = hx.exchange(hx.scatter(f), make_mpi(), mode="classic")
-        b, _ = hx.exchange(hx.scatter(f), make_mpi(), mode="overlap")
+        a, _ = self.dss(hx, f, make_mpi(), mode="classic")
+        b, _ = self.dss(hx, f, make_mpi(), mode="overlap")
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -158,12 +164,12 @@ class TestHaloExchanger:
         # Generous inner work so messages are fully hidden.
         inner = [5e-3] * 8
         bdry = [1e-3] * 8
-        _, rep_c = hx.exchange(
-            hx.scatter(f), make_mpi(), mode="classic",
+        _, rep_c = self.dss(
+            hx, f, make_mpi(), mode="classic",
             boundary_compute=bdry, inner_compute=inner,
         )
-        _, rep_o = hx.exchange(
-            hx.scatter(f), make_mpi(), mode="overlap",
+        _, rep_o = self.dss(
+            hx, f, make_mpi(), mode="overlap",
             boundary_compute=bdry, inner_compute=inner,
         )
         assert rep_o.max_time < rep_c.max_time
@@ -171,21 +177,21 @@ class TestHaloExchanger:
     def test_classic_has_double_memcpy(self, setup, make_mpi):
         mesh, part, hx = setup
         f = np.random.default_rng(4).standard_normal((mesh.nelem, 4, 4))
-        _, rep_c = hx.exchange(hx.scatter(f), make_mpi(), mode="classic")
-        _, rep_o = hx.exchange(hx.scatter(f), make_mpi(), mode="overlap")
+        _, rep_c = self.dss(hx, f, make_mpi(), mode="classic")
+        _, rep_o = self.dss(hx, f, make_mpi(), mode="overlap")
         assert rep_c.memcpy_seconds == pytest.approx(2 * rep_o.memcpy_seconds)
 
     def test_wrong_communicator_size(self, setup):
         mesh, part, hx = setup
         f = np.zeros((mesh.nelem, 4, 4))
         with pytest.raises(KernelError):
-            hx.exchange(hx.scatter(f), SimMPI(4))
+            self.dss(hx, f, SimMPI(4))
 
     def test_unknown_mode(self, setup):
         mesh, part, hx = setup
         f = np.zeros((mesh.nelem, 4, 4))
         with pytest.raises(KernelError):
-            hx.exchange(hx.scatter(f), SimMPI(8), mode="magic")
+            self.dss(hx, f, SimMPI(8), mode="magic")
 
     def test_scatter_gather_roundtrip(self, setup):
         mesh, part, hx = setup

@@ -26,7 +26,7 @@ from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.mesh.partition import SFCPartition
 from repro.network.simmpi import SimMPI
 
-from .test_halo_plan import MODES, TRAILING, random_field
+from .test_halo_plan import MODES, TRAILING, random_field, scatter
 
 EXEC_PATHS = ["fused", "batched"]
 
@@ -64,8 +64,8 @@ def test_exchange_is_the_serial_dss_bitwise(ne, nranks):
         f = random_field(rng, (mesh.nelem, mesh.np, mesh.np) + trailing)
         serial = mesh.dss(f).tobytes()
         for mode in MODES:
-            outs, _ = hx.exchange(hx.scatter(f), SimMPI(nranks), mode=mode)
-            assert hx.gather(outs).tobytes() == serial, (trailing, mode)
+            outs, _ = hx.exchange(scatter(hx, f), SimMPI(nranks), mode=mode)
+            assert hx.gather([o for o, in outs]).tobytes() == serial, (trailing, mode)
 
 
 def prim_setup(ne: int, nlev: int, qsize: int):

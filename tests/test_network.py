@@ -122,34 +122,26 @@ class TestCostModel:
 
 class TestSimMPI:
     def test_payload_delivery(self):
+        """A message is a size: the receive returns the bytes posted."""
         mpi = SimMPI(4)
-        data = np.arange(10.0)
-        mpi.isend(0, 3, data, tag=7)
+        mpi.isend(0, 3, 80, tag=7)
         req = mpi.irecv(3, 0, tag=7)
-        out = mpi.wait(req)
-        assert np.array_equal(out, data)
-
-    def test_payload_copied_at_send(self):
-        mpi = SimMPI(2)
-        data = np.ones(4)
-        mpi.isend(0, 1, data)
-        data[:] = 99.0
-        out = mpi.wait(mpi.irecv(1, 0))
-        assert np.all(out == 1.0)
+        assert mpi.wait(req) == 80
+        assert (mpi.messages_sent, mpi.bytes_sent) == (1, 80)
 
     def test_recv_clock_advances_by_transfer(self):
         mpi = SimMPI(8)
-        mpi.isend(0, 4, np.zeros(1 << 14))
+        mpi.isend(0, 4, 8 << 14)
         mpi.wait(mpi.irecv(4, 0))
         assert mpi.now(4) > 0
         assert mpi.now(0) == 0.0  # sender pays nothing here
 
     def test_tags_disambiguate(self):
         mpi = SimMPI(2)
-        mpi.isend(0, 1, np.array([1.0]), tag=1)
-        mpi.isend(0, 1, np.array([2.0]), tag=2)
-        assert mpi.wait(mpi.irecv(1, 0, tag=2))[0] == 2.0
-        assert mpi.wait(mpi.irecv(1, 0, tag=1))[0] == 1.0
+        mpi.isend(0, 1, 8, tag=1)
+        mpi.isend(0, 1, 16, tag=2)
+        assert mpi.wait(mpi.irecv(1, 0, tag=2)) == 16
+        assert mpi.wait(mpi.irecv(1, 0, tag=1)) == 8
 
     def test_wait_without_send_raises(self):
         mpi = SimMPI(2)
@@ -158,24 +150,24 @@ class TestSimMPI:
 
     def test_double_wait_is_idempotent(self):
         # waitall's contract: a completed request re-waited is a no-op
-        # that re-returns its payload without touching clocks/mailbox.
+        # that re-returns its size without touching clocks/mailbox.
         mpi = SimMPI(2)
-        mpi.isend(0, 1, np.array([5.0]))
+        mpi.isend(0, 1, 8)
         req = mpi.irecv(1, 0)
         first = mpi.wait(req)
-        assert mpi.wait(req) is first
+        assert first == 8 and mpi.wait(req) == first
         assert mpi.pending_messages() == 0
         mpi.finalize()
 
     def test_unknown_rank_rejected(self):
         mpi = SimMPI(2)
         with pytest.raises(SimMPIError):
-            mpi.isend(0, 5, np.zeros(1))
+            mpi.isend(0, 5, 8)
 
     def test_overlap_hides_communication(self):
         """The bndry_exchangev redesign in miniature: compute charged
         between isend and wait absorbs the transfer time."""
-        big = np.zeros(1 << 18)
+        big = 8 << 18  # bytes
 
         # Without overlap: recv waits the full transfer.
         mpi1 = SimMPI(8)
@@ -222,7 +214,7 @@ class TestSimMPI:
 
     def test_pending_messages(self):
         mpi = SimMPI(2)
-        mpi.isend(0, 1, np.zeros(1))
+        mpi.isend(0, 1, 8)
         assert mpi.pending_messages() == 1
         mpi.wait(mpi.irecv(1, 0))
         assert mpi.pending_messages() == 0
@@ -267,10 +259,10 @@ class TestSimMPI:
     @settings(max_examples=30, deadline=None)
     def test_arrival_monotone_in_size(self, nbytes):
         mpi = SimMPI(8)
-        mpi.isend(0, 4, np.zeros(max(1, nbytes // 8)))
+        mpi.isend(0, 4, nbytes)
         mpi.wait(mpi.irecv(4, 0))
         small = mpi.now(4)
         mpi2 = SimMPI(8)
-        mpi2.isend(0, 4, np.zeros(max(1, nbytes // 8) * 2))
+        mpi2.isend(0, 4, 2 * nbytes)
         mpi2.wait(mpi2.irecv(4, 0))
         assert mpi2.now(4) >= small

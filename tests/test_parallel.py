@@ -636,10 +636,12 @@ class TestDistributedBitwise:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_one_step_is_the_serial_recipe_call_for_call(self, workers):
-        """Exact-counter pin of the one tracer recipe: a distributed step
-        makes an exchange wherever the serial step makes a DSS — the
-        tracer stack travels whole, not tracer by tracer — plus one pair
-        of allreduces per tracer subcycle and one dispatch per phase."""
+        """Exact-counter pin of the one recipe: a distributed step makes
+        one exchange per synchronisation point where the serial step
+        makes one DSS per field — 3 RK stages, 3 tracer stages per
+        subcycle (the stack travels whole), 2 laplacian rounds per
+        hyperviscosity sweep — plus one allreduce per tracer subcycle and
+        one dispatch per phase."""
         cfg, mesh, _, state = _noisy_prim_state()
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=30.0)
         dss = _count_calls(serial.geom, "dss")  # dss_vector goes through it
@@ -652,7 +654,7 @@ class TestDistributedBitwise:
             exchanges = _count_calls(model.hx, "exchange")
             allreduces = _count_calls(model.mpi, "allreduce")
             model.step()
-            assert (dss, exchanges, allreduces) == ([24], [24], [6])
+            assert (dss, exchanges, allreduces) == ([24], [14], [3])
             assert model.engine.calls == 14
 
     def test_serial_workers_knob_is_default_path(self):

@@ -17,6 +17,7 @@ from repro.homme.element import ElementGeometry, levels_first, levels_last
 from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
+from repro.resilience.faults import FaultInjector
 
 
 @pytest.fixture(scope="module")
@@ -192,23 +193,28 @@ class TestSimMPIFuzz:
     )
     @settings(max_examples=25, deadline=None)
     def test_any_posting_order_delivers(self, order, nbytes):
-        """All-to-one with sends posted in arbitrary order."""
+        """All-to-one with sends posted in arbitrary order: each receive
+        gets its own sender's size, and the clock is the latest arrival."""
         mpi = SimMPI(7)
         for src in order:
-            mpi.isend(src, 6, np.full(nbytes // 8 + 1, float(src)), tag=src)
+            mpi.isend(src, 6, nbytes + src, tag=src)
         for src in sorted(order):
-            data = mpi.wait(mpi.irecv(6, src, tag=src))
-            assert np.all(data == float(src))
+            assert mpi.wait(mpi.irecv(6, src, tag=src)) == nbytes + src
         assert mpi.pending_messages() == 0
+        assert mpi.now(6) == max(mpi.cost.p2p_time(src, 6, nbytes + src)
+                                 for src in order)
 
-    @given(seeds=st.lists(st.integers(0, 5), min_size=2, max_size=10))
+    @given(sizes=st.lists(st.integers(0, 5), min_size=2, max_size=10),
+           drops=st.sets(st.integers(0, 9)))
     @settings(max_examples=25, deadline=None)
-    def test_fifo_per_route(self, seeds):
-        mpi = SimMPI(2)
-        for s in seeds:
-            mpi.isend(0, 1, np.array([float(s)]))
-        got = [float(mpi.wait(mpi.irecv(1, 0))[0]) for _ in seeds]
-        assert got == [float(s) for s in seeds]
+    def test_fifo_per_route(self, sizes, drops):
+        """Receives on one route take messages in posting order, whichever
+        of them were lost and retransmitted."""
+        mpi = SimMPI(2, faults=FaultInjector(drop_messages=drops))
+        for s in sizes:
+            mpi.isend(0, 1, s)
+        assert [mpi.wait(mpi.irecv(1, 0)) for _ in sizes] == sizes
+        assert mpi.retransmissions == len(drops & set(range(len(sizes))))
 
     @given(n=st.integers(2, 32))
     @settings(max_examples=15, deadline=None)
