@@ -16,7 +16,9 @@ primitive-equation models serially and through the
   field split into its own exchange again shows up as a number too;
 - results return through the tasks' shared-memory blocks: after the
   first primitive-equation step has sized them, nothing but descriptors
-  travels on the result queue.
+  travels on the result queue;
+- the physics runs on every path: a Held-Suarez-forced pool run is the
+  whole-mesh model's forced trajectory, byte for byte.
 
 The "paper" column holds the contract's expected values (all boolean),
 so a MISS here means the determinism rule broke, not that a scale-down
@@ -37,6 +39,7 @@ from ..homme.timestep import PrimitiveEquationModel
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..parallel import available_cores
 from ..perf.report import ComparisonTable
+from ..physics import PhysicsSuite
 
 
 def _prim_state(ne: int, nlev: int = 8, qsize: int = 2):
@@ -157,6 +160,19 @@ def run_parallel_smoke(
         table.add("prim ne4 simulated clocks equal", 1.0,
                   1.0 if ser.max_rank_time() == par.max_rank_time() else 0.0,
                   "boolean", 0.0)
+
+    whole = PrimitiveEquationModel(cfg, mesh4, init=state.copy(), dt=30.0,
+                                   forcing=PhysicsSuite(("held_suarez",)))
+    whole.run_steps(prim_steps)
+    with DistributedPrimitiveEquations(
+            cfg, mesh4, state, nranks=4, dt=30.0, workers=workers,
+            forcing=PhysicsSuite(("held_suarez",))) as par:
+        par.run_steps(prim_steps)
+        gp = par.gather_state()
+    same = all(np.array_equal(getattr(gp, f), getattr(whole.state, f))
+               for f in ("v", "T", "dp3d", "qdp"))
+    table.add(f"Held-Suarez forcing, 4 ranks on {workers} workers == serial, "
+              f"bitwise", 1.0, 1.0 if same else 0.0, "boolean", 0.0)
 
     if verbose:
         print(table.render())

@@ -17,7 +17,8 @@ Real numerics for every kernel in the paper's Table 1:
 - :mod:`~repro.homme.bndry` — ``bndry_exchangev``: the halo exchange in
   both the classic (pack-buffer, no overlap) and redesigned
   (inner/boundary split, overlap, direct unpack) forms;
-- :mod:`~repro.homme.timestep` — ``prim_run``: the full dynamics loop;
+- :mod:`~repro.homme.timestep` — ``prim_run``: the dynamics step, written
+  once and run by the whole-mesh and the rank-distributed models alike;
 - :mod:`~repro.homme.shallow_water` — a shallow-water mode used to
   verify the spectral operators against analytic solutions.
 

@@ -1,12 +1,12 @@
-"""Rank-distributed integrations over SimMPI (shallow water and the
-full primitive equations).
+"""The N-shard layout: the step recipes over simulated MPI ranks.
 
 The end-to-end demonstration of the communication redesign: the same
-RK3 shallow-water step as :class:`~repro.homme.shallow_water.ShallowWaterModel`,
-but with the mesh partitioned across simulated MPI ranks and every DSS
-performed by :class:`~repro.homme.bndry.HaloExchanger` — pack, send,
-(overlap), receive, unpack — one exchange per synchronisation point,
-every field of it in one message per neighbour.  Scalar fields exchange
+step recipes the whole-mesh models run (:mod:`repro.homme.timestep`,
+:mod:`repro.homme.shallow_water`) — one recipe, two layouts — with the
+mesh partitioned across simulated MPI ranks and every DSS performed by
+:class:`~repro.homme.bndry.HaloExchanger` — pack, send, (overlap),
+receive, unpack — one exchange per synchronisation point, every field
+of it in one message per neighbour.  Scalar fields exchange
 directly; vectors exchange in the frame-free Cartesian tangent
 representation (the same device as :meth:`ElementGeometry.dss_vector`).
 
@@ -16,40 +16,29 @@ order; the tracer mass fixer's global sums run in global element
 order), and the per-rank clocks expose the overlap-vs-classic timing
 difference on a real integration.
 
-Everything the two models share — partition, halo tables, SimMPI,
-per-rank geometry, the engine built around those geometries, the
-exchange, the per-rank task fan-out, tracing, lifecycle and
+The layout — partition, halo tables, SimMPI, per-rank geometry, the
+engine built around those geometries, the three calls a recipe makes
+(``_fanout``, ``_dss``, ``_mesh_sum``), tracing, lifecycle and
 checkpointing — lives once in :class:`_DistributedModel`; each public
-class adds its initial state, its vector-DSS layout and its step recipe.
+class is a recipe on it plus its initial state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import constants as C
 from ..backends.functional_exec import homme_execution
 from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
 from ..network.simmpi import SimMPI, rank_track
 from ..obs.tracer import NULL_TRACER
-from ..parallel.dycore import (
-    prim_euler_stage1_task,
-    prim_euler_stage2_task,
-    prim_laplace_task,
-    prim_limit_task,
-    prim_stage_task,
-    sw_stage_task,
-)
 from ..parallel.engine import ParallelEngine
-from . import remap
 from .bndry import HaloExchanger, exchange_tag
-from .element import ElementGeometry, check_dt
-from .euler import restoring_scale, sum_elements
-from .hypervis import hypervis_stable_subcycles, nu_for_mesh
-from .shallow_water import SWState, williamson2_initial
-from .timestep import RSPLIT
+from .element import ElementGeometry
+from .euler import sum_elements
+from .shallow_water import SWState, _SWRecipe, williamson2_initial
+from .timestep import _PrimRecipe
 
 
 def charge_calibrated_compute(model, steps: int) -> None:
@@ -90,9 +79,9 @@ class _DistributedModel:
     and chaos knobs of DESIGN.md §12.
 
     Subclasses set ``_fields`` (prognostic array names of one rank's
-    state, in snapshot-key order), ``_label`` and ``_levels`` (whether
-    fields carry a level axis after the element axis), fill
-    ``self.states`` and define ``step()``.
+    state, in snapshot-key order) and ``_label``, fill ``self.states``
+    and take ``_levels`` (whether fields carry a level axis after the
+    element axis) and ``step()`` from their recipe.
     """
 
     _fields: tuple[str, ...]
@@ -165,6 +154,20 @@ class _DistributedModel:
         )
         return [tuple(back(g, o, f) for o, f in zip(os, fs))
                 for g, os, fs in zip(self.geoms, outs, fields)]
+
+    # -- distributed global sum ---------------------------------------------------
+
+    def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
+        """Sum per-rank (E_r, ...) per-element rows over the whole mesh.
+
+        Every rank ends up with the sum in global element order — the
+        one-shard layout's, whatever the partition — as CESM's
+        ``repro_sum`` stands in for a plain reduction; each column is
+        summed on its own, so stacking sums changes no bit.  What travels
+        is still one row block per rank, and that is what SimMPI charges.
+        """
+        self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
+        return sum_elements(self.hx.gather(per_elem))
 
     # -- per-rank task dispatch ---------------------------------------------------
 
@@ -283,14 +286,15 @@ class _DistributedModel:
             for f in self._fields})
 
 
-class DistributedShallowWater(_DistributedModel):
-    """Shallow-water RK3 over ``nranks`` simulated MPI ranks.
+class DistributedShallowWater(_SWRecipe, _DistributedModel):
+    """The shallow-water recipe over ``nranks`` simulated MPI ranks.
 
     ``workers > 1`` runs each rank's tendency computation on a real
     core through :class:`repro.parallel.engine.ParallelEngine`; the
     trajectory is bitwise identical to ``workers=0``.  Simulated clocks
     are unaffected either way — SimMPI remains the timing model.
 
+    ``nu > 0`` adds the recipe's hyperviscosity (off by default).
     ``exec_path`` names the element-local kernel set each rank task
     runs (``"fused"`` default, the single-pass contraction kernels;
     ``"batched"``, the operator-library reference); the DSS structure
@@ -299,7 +303,6 @@ class DistributedShallowWater(_DistributedModel):
 
     _fields = ("h", "v")
     _label = "dist-sw"
-    _levels = False
 
     def __init__(
         self,
@@ -314,19 +317,14 @@ class DistributedShallowWater(_DistributedModel):
         pipeline: bool = False,  # ignored: benchmarks/step/adapter.py passes it
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
+        nu: float = 0.0,
     ) -> None:
-        if dt is not None:
-            check_dt(dt)  # before a pool is started
+        init = williamson2_initial(mesh)
+        self._sw_init(mesh, init, dt, nu)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          engine_kwargs, exec_path)
-        init = williamson2_initial(mesh)
         self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
                        for e in self.hx.rank_elems]
-        if dt is None:
-            c = float(np.sqrt(C.GRAVITY * init.h.max()))
-            dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
-            dt = 0.25 * dx / c
-        self.dt = dt
         # Simulated kernel cost attribution for the overlap window.
         self._cost = compute_cost_per_element
         self._bc = [
@@ -336,41 +334,21 @@ class DistributedShallowWater(_DistributedModel):
             self._cost * len(self.part.inner_elements(r)) for r in range(nranks)
         ]
 
-    def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
-               stage: int = 0) -> list[SWState]:
-        t0s = self._clocks()
-        outs = self._fanout(
-            sw_stage_task, {"dt": dt},
-            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)])
-        hvs = self._dss(outs, stage, slot=0)
-        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
-        return [SWState(h=h, v=v) for h, v in hvs]
-
-    def step(self) -> None:
-        """One distributed RK3 step (three halo-exchange rounds)."""
-        t0s = self._clocks()
-        s0 = self.states
-        s1 = self._stage(s0, s0, self.dt / 3.0, stage=1)
-        s2 = self._stage(s0, s1, self.dt / 2.0, stage=2)
-        self.states = self._stage(s0, s2, self.dt, stage=3)
-        self._rank_spans("step", t0s, step=self.step_count)
-        self.t += self.dt
-        self.step_count += 1
-
     def total_mass(self) -> float:
         s = self.gather_state()
         return float(np.sum(self.mesh.spheremp * s.h))
 
 
-class DistributedPrimitiveEquations(_DistributedModel):
-    """The full prim_run distributed across simulated MPI ranks.
+class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
+    """The primitive-equation recipe across simulated MPI ranks.
 
-    Mirrors :class:`~repro.homme.timestep.PrimitiveEquationModel`'s RK3
-    + tracer + hyperviscosity + remap step, with every DSS routed
-    through ``bndry_exchangev``.  Column-local work (pressure scans,
-    vertical remap, physics) needs no communication — exactly the
-    structure the paper exploits.  Trajectories are the serial model's
-    bit for bit at any rank count (verified in the tests).
+    The :class:`~repro.homme.timestep.PrimitiveEquationModel` step —
+    RK3 + tracers + hyperviscosity + remap + forcing — with every DSS
+    routed through ``bndry_exchangev``.  Column-local work (pressure
+    scans, vertical remap, physics) needs no communication — exactly the
+    structure the paper exploits; ``forcing`` runs on each rank's state
+    and geometry in turn.  Trajectories are the serial model's bit for
+    bit at any rank count (verified in the tests).
 
     ``workers > 1`` fans the per-rank tendency, tracer-advection, and
     hyperviscosity work across real cores (see
@@ -392,7 +370,6 @@ class DistributedPrimitiveEquations(_DistributedModel):
 
     _fields = ("v", "T", "dp3d", "qdp")
     _label = "dist-prim"
-    _levels = True
 
     def __init__(
         self,
@@ -409,19 +386,11 @@ class DistributedPrimitiveEquations(_DistributedModel):
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
         combine: str = "flat",
+        forcing=None,
     ) -> None:
-        if cfg.ne != mesh.ne:
-            raise KernelError("mesh resolution disagrees with configuration")
-        init_state.check_consistent()
-        want = (mesh.nelem, cfg.qsize, cfg.nlev, mesh.np, mesh.np)
-        if init_state.qdp.shape != want:
-            raise KernelError(
-                f"initial state qdp has shape {init_state.qdp.shape}; mesh and "
-                f"configuration need (nelem, qsize, nlev, np, np) = {want}")
-        self.dt = check_dt(dt)
+        self._prim_init(cfg, mesh, init_state, dt, forcing)
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          engine_kwargs, exec_path, combine)
-        self.cfg = cfg
         self.combine = combine
         self.states = [
             type(init_state)(v=init_state.v[e].copy(), T=init_state.T[e].copy(),
@@ -429,108 +398,3 @@ class DistributedPrimitiveEquations(_DistributedModel):
                              qdp=init_state.qdp[e].copy())
             for e in self.hx.rank_elems
         ]
-        self.nu = nu_for_mesh(mesh)
-        #: Hyperviscosity sweeps per step — the serial model's stability rule.
-        self._hv_subcycles = hypervis_stable_subcycles(
-            dt, self.nu, cfg.ne, mesh.radius)
-
-    def _dss_stack(self, stacks, slot):
-        """DSS (E_r, Q, L, n, n) tracer stacks in one exchange, (Q, L) folded
-        into the level axis as the serial ``euler._dss_all`` folds them."""
-        Q, L, n, _ = stacks[0].shape[1:]
-        out = self._dss([(s.reshape(len(s), Q * L, n, n),) for s in stacks],
-                        stage=4, slot=slot)
-        return [o.reshape(len(o), Q, L, n, n) for o, in out]
-
-    def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
-        """Sum per-rank (E_r, ...) per-element rows over the whole mesh.
-
-        Every rank ends up with the sum in global element order — the
-        serial limiter's, whatever the partition — as CESM's
-        ``repro_sum`` stands in for a plain reduction; each column is
-        summed on its own, so stacking sums changes no bit.  What travels
-        is still one row block per rank, and that is what SimMPI charges.
-        """
-        self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
-        return sum_elements(self.hx.gather(per_elem))
-
-    # -- one distributed dynamics step ------------------------------------------------
-
-    def _rk_stage(self, bases, points, dt, stage=0):
-        t0s = self._clocks()
-        outs = self._fanout(
-            prim_stage_task, {"dt": dt},
-            [(b.v, b.T, b.dp3d, p.v, p.T, p.dp3d)
-             for b, p in zip(bases, points)])
-        outs = self._dss(outs, stage, slot=0)
-        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
-        # Nothing writes a qdp in place, so every stage shares the base's.
-        return [type(b)(v=v, T=T, dp3d=dp, qdp=b.qdp)
-                for b, (v, T, dp) in zip(bases, outs)]
-
-    def _hypervis_sweep(self, s3, slot0):
-        """The biharmonic of T, v and dp3d: two laplacian rounds.
-
-        Each round is one pool dispatch computing all three field
-        laplacians per rank and one exchange of all three; the exchanges
-        stay on the driver.  Returns per rank ``(T, v, dp3d)``.
-        """
-        lap = self._dss(self._fanout(prim_laplace_task, {},
-                                     [(s.T, s.v, s.dp3d) for s in s3]),
-                        stage=5, slot=slot0)
-        bih = self._fanout(prim_laplace_task, {}, lap)
-        del lap
-        return self._dss(bih, stage=5, slot=slot0 + 1)
-
-    def step(self) -> None:
-        dt = self.dt
-        step_t0s = self._clocks()
-        s0 = self.states
-        s1 = self._rk_stage(s0, s0, dt / 3.0, stage=1)
-        s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
-        s3 = self._rk_stage(s0, s2, dt, stage=3)
-
-        # Tracer advection: the serial euler_step on each rank's whole tracer
-        # stack, an exchange where it has a DSS.  A stage's per-rank list is
-        # dropped once the next stage has consumed it (peak RSS).
-        euler_t0s = self._clocks()
-        sub = self.cfg.tracer_subcycles
-        meta = {"sdt": dt / sub}
-        vs, qdps = [s.v for s in s3], [s.qdp for s in s3]
-        for slot0 in range(0, 3 * sub, 3):
-            st1 = self._dss_stack([o[0] for o in self._fanout(
-                prim_euler_stage1_task, meta, list(zip(qdps, vs)))], slot0)
-            st2 = self._dss_stack([o[0] for o in self._fanout(
-                prim_euler_stage2_task, meta, list(zip(qdps, st1, vs)))], slot0 + 1)
-            del st1
-            lim = self._fanout(prim_limit_task, meta, [(a,) for a in st2])
-            del st2
-            before, after = self._mesh_sum(
-                [np.stack(o[1:], axis=1) for o in lim])
-            scale = restoring_scale(before, after)
-            qdps = self._dss_stack(
-                [o[0] * scale[None, ..., None, None] for o in lim], slot0 + 2)
-            del lim
-        for s, qdp in zip(s3, qdps):
-            s.qdp = qdp
-        self._rank_spans("euler_step", euler_t0s, step=self.step_count)
-
-        # Hyperviscosity, subcycled like the serial advance_hypervis.
-        hv_t0s = self._clocks()
-        sub_dt = dt / self._hv_subcycles
-        for slot0 in range(0, 2 * self._hv_subcycles, 2):
-            for s, (bih_T, bih_v, bih_dp) in zip(
-                    s3, self._hypervis_sweep(s3, slot0)):
-                s.T = s.T - sub_dt * self.nu * bih_T
-                s.v = s.v - sub_dt * self.nu * bih_v
-                s.dp3d = s.dp3d - sub_dt * self.nu * bih_dp
-        self._rank_spans("hypervis", hv_t0s, step=self.step_count)
-
-        self.step_count += 1
-        if self.step_count % RSPLIT == 0:
-            for r in range(self.nranks):
-                s3[r] = remap.vertical_remap(s3[r])
-            self._rank_spans("vertical_remap", None, step=self.step_count)
-        self.t += dt
-        self.states = s3
-        self._rank_spans("step", step_t0s, step=self.step_count - 1)

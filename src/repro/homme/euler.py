@@ -20,8 +20,9 @@ CAM-SE.
 
 The element-local pieces — :func:`ssp_stage1`, :func:`ssp_stage2`,
 :func:`limit_local` — take the whole ``(E, Q, L, n, n)`` stack and are
-what the distributed model's tasks run too (:mod:`repro.parallel.dycore`),
-with an exchange where :func:`euler_step` has a DSS.
+what the models' step recipe runs (the :mod:`repro.parallel.dycore`
+tasks, subcycled by :func:`repro.homme.timestep.euler_step_subcycled`),
+with a layout's DSS where :func:`euler_step` has one.
 """
 
 from __future__ import annotations
@@ -163,24 +164,6 @@ def euler_step(
         # *next* step's flux-form divergence exactly conservative.
         return _dss_all(limit_qdp(s2, geom), geom)
     return s2
-
-
-def euler_step_subcycled(
-    state: ElementState,
-    geom: ElementGeometry,
-    dt: float,
-    subcycles: int = 3,
-    limiter: bool = True,
-    path: str = "fused",
-) -> np.ndarray:
-    """Run ``subcycles`` euler_steps of dt/subcycles each; returns new qdp."""
-    if subcycles < 1:
-        raise KernelError(f"subcycles must be >= 1, got {subcycles}")
-    work = state.copy()
-    sub_dt = dt / subcycles
-    for _ in range(subcycles):
-        work.qdp = euler_step(work, geom, sub_dt, limiter=limiter, path=path)
-    return work.qdp
 
 
 def tracer_mass(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:

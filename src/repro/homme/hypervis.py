@@ -10,8 +10,10 @@ update (``hypervis_dp2``), and the thickness operator
 
 The coefficient follows the CAM-SE resolution scaling
 ``nu = nu0 * (ne0 / ne)^hv_scaling`` so runs remain stable across the
-paper's resolution sweep, with explicit subcycling when dt exceeds the
-diffusive stability limit.
+paper's resolution sweep, with explicit subcycling
+(:func:`hypervis_stable_subcycles`) when dt exceeds the diffusive
+stability limit — the models' step recipe applies it
+(:func:`repro.homme.timestep.advance_hypervis`).
 """
 
 from __future__ import annotations
@@ -119,42 +121,3 @@ def hypervis_stable_subcycles(dt: float, nu: float, ne: int, radius: float) -> i
     lam_max = (8.0 / dx**2) ** 2  # conservative spectral bound
     dt_stable = 1.2 / (nu * lam_max)
     return max(1, math.ceil(dt / dt_stable))
-
-
-def advance_hypervis(
-    state: ElementState,
-    geom: ElementGeometry,
-    dt: float,
-    ne: int,
-    nu: float | None = None,
-    nu_p: float | None = None,
-    subcycles: int | None = None,
-    laplace_fn=None,
-    vlaplace_fn=None,
-) -> ElementState:
-    """Apply hyperviscosity to v, T and dp3d over one dynamics step.
-
-    ``nu_p`` (thickness diffusion) defaults to ``nu``; subcycling is
-    chosen automatically from the stability analysis unless given.
-    ``laplace_fn``/``vlaplace_fn`` are the element-local Laplacians
-    (the reference operators when unset).
-    """
-    nu = nu_for_ne(ne) if nu is None else nu
-    nu_p = nu if nu_p is None else nu_p
-    if subcycles is None:
-        n_sub = hypervis_stable_subcycles(dt, nu, ne, geom.radius)
-    elif subcycles < 1:
-        # `subcycles or auto(...)` would silently re-enable auto-selection
-        # for an explicit 0 — an invalid request must fail loudly instead.
-        raise KernelError(f"subcycles must be >= 1, got {subcycles}")
-    else:
-        n_sub = subcycles
-    sub_dt = dt / n_sub
-    out = state
-    for _ in range(n_sub):
-        lap_v, lap_T = hypervis_dp1(out, geom, laplace_fn, vlaplace_fn)
-        out = hypervis_dp2(out, lap_v, lap_T, geom, sub_dt, nu,
-                           laplace_fn, vlaplace_fn)
-        bih_dp = biharmonic_dp3d(out.dp3d, geom, laplace_fn=laplace_fn)
-        out.dp3d = out.dp3d - sub_dt * nu_p * bih_dp
-    return out

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants as C
+from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
+from ..parallel import dycore
 from .element import ElementGeometry, check_dt
+from .timestep import _WholeMesh, biharmonic
 from . import operators as op
 
 
@@ -107,8 +110,62 @@ def sw_compute_rhs(
     return dh, dv
 
 
-class ShallowWaterModel:
-    """SE shallow-water solver (RK3, optional hyperviscosity).
+class _SWRecipe:
+    """The shallow-water step, for any layout (see :mod:`repro.homme.timestep`)."""
+
+    _levels = False
+
+    def _sw_init(self, mesh: CubedSphereMesh, state: SWState,
+                 dt: float | None, nu: float) -> None:
+        """Check the initial state against the mesh and set the recipe's
+        knobs; ``dt`` defaults to the gravity-wave CFL of ``state``."""
+        n = mesh.np
+        if state.h.shape != (mesh.nelem, n, n) or state.v.shape != (mesh.nelem, n, n, 2):
+            raise KernelError(
+                f"initial state h{state.h.shape}, v{state.v.shape}; the mesh "
+                f"needs h{(mesh.nelem, n, n)}, v{(mesh.nelem, n, n, 2)}")
+        if not (np.isfinite(nu) and nu >= 0):
+            raise KernelError(f"hyperviscosity nu must be finite and >= 0, got {nu!r}")
+        if dt is None:
+            c = float(np.sqrt(C.GRAVITY * state.h.max()))
+            dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
+            dt = 0.25 * dx / c
+        self.dt = check_dt(dt)
+        self.nu = nu
+
+    def _rk_stage(self, bases: list[SWState], points: list[SWState], dt: float,
+                  stage: int) -> list[SWState]:
+        t0s = self._clocks()
+        hvs = self._dss(self._fanout(
+            dycore.sw_stage_task, {"dt": dt},
+            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)]), stage, slot=0)
+        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
+        return [SWState(h=h, v=v) for h, v in hvs]
+
+    def step(self) -> None:
+        """One RK3 step (the primitive-equation scheme), then, when
+        ``nu > 0``, one weak biharmonic of (h, v) — exactly
+        mass-conserving under DSS."""
+        t0s = self._clocks()
+        dt = self.dt
+        s0 = self.states
+        s1 = self._rk_stage(s0, s0, dt / 3.0, stage=1)
+        s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
+        s3 = self._rk_stage(s0, s2, dt, stage=3)
+        if self.nu > 0:
+            s3 = [SWState(h=s.h - dt * self.nu * bih_h, v=s.v - dt * self.nu * bih_v)
+                  for s, (bih_h, bih_v) in zip(s3, biharmonic(
+                      self, dycore.sw_laplace_task, [(s.h, s.v) for s in s3], slot0=0))]
+        self.states = s3
+        self.t += dt
+        self._rank_spans("step", t0s, step=self.step_count)
+        self.step_count += 1
+
+
+class ShallowWaterModel(_SWRecipe, _WholeMesh):
+    """SE shallow-water solver on the whole mesh (RK3, optional
+    hyperviscosity): the shallow-water recipe at one shard; the N-shard
+    form is :class:`repro.homme.distributed.DistributedShallowWater`.
 
     ``exec_path`` names the element-local kernel set (RHS and the
     hyperviscosity Laplacians): ``"fused"`` (default, single-pass
@@ -124,53 +181,13 @@ class ShallowWaterModel:
         nu: float = 0.0,
         exec_path: str = "fused",
     ) -> None:
-        self.mesh = mesh
-        self.geom = ElementGeometry(mesh)
-        self.state = state if state is not None else williamson2_initial(mesh)
-        # Gravity-wave CFL: c = sqrt(g h_max).
-        if dt is None:
-            c = float(np.sqrt(C.GRAVITY * self.state.h.max()))
-            dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
-            dt = 0.25 * dx / c
-        self.dt = check_dt(dt)
-        self.nu = nu
-        self.t = 0.0
-        # Imported lazily: backends.functional_exec imports repro.homme.
-        from ..backends.functional_exec import homme_execution
-
-        self._exec = homme_execution(exec_path)
-
-    def _stage(self, base: SWState, point: SWState, dt: float) -> SWState:
-        dh, dv = self._exec.sw_rhs(point.h, point.v, self.geom)
-        return SWState(
-            h=self.geom.dss(base.h + dt * dh),
-            v=self.geom.dss_vector(base.v + dt * dv),
-        )
-
-    def step(self) -> None:
-        """One RK3 step (same scheme as the primitive-equation driver)."""
-        s0 = self.state
-        s1 = self._stage(s0, s0, self.dt / 3.0)
-        s2 = self._stage(s0, s1, self.dt / 2.0)
-        s3 = self._stage(s0, s2, self.dt)
-        if self.nu > 0:
-            # Weak form: exactly mass-conserving under DSS.  The
-            # Laplacians dispatch through the selected execution path.
-            lap = self._exec.laplace_wk
-            vlap = self._exec.vlaplace
-            lap_h = self.geom.dss(lap(s3.h, self.geom))
-            bih_h = self.geom.dss(lap(lap_h, self.geom))
-            s3.h = s3.h - self.dt * self.nu * bih_h
-            lap_v = self.geom.dss_vector(vlap(s3.v, self.geom))
-            bih_v = self.geom.dss_vector(vlap(lap_v, self.geom))
-            s3.v = s3.v - self.dt * self.nu * bih_v
-        self.state = s3
-        self.t += self.dt
+        state = state if state is not None else williamson2_initial(mesh)
+        self._sw_init(mesh, state, dt, nu)
+        super().__init__(mesh, None, exec_path)
+        self.state = state
 
     def run_hours(self, hours: float) -> None:
-        n = int(round(hours * 3600.0 / self.dt))
-        for _ in range(n):
-            self.step()
+        self.run_steps(int(round(hours * 3600.0 / self.dt)))
 
     def height_l2_error(self, reference: SWState) -> float:
         """Normalized L2 height error against a reference state."""

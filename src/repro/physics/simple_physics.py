@@ -66,7 +66,6 @@ class SimplePhysics:
         self.sst = sst
         self.qv_index = qv_index
         self.thermo_acceleration = thermo_acceleration
-        self.total_precip = 0.0
 
     def __call__(
         self, state: ElementState, geom: ElementGeometry, t: float, dt: float
@@ -78,11 +77,8 @@ class SimplePhysics:
         qv = state.qdp[:, iq] / dp
 
         # 1. Large-scale condensation through the whole column.
-        T_new, qv_new, precip = large_scale_condensation(state.T, qv, p_mid, dt_thermo)
+        T_new, qv, _ = large_scale_condensation(state.T, qv, p_mid, dt_thermo)
         state.T[:] = T_new
-        qv = qv_new
-        w = geom.spheremp[:, None]
-        self.total_precip += float(np.sum(precip * dt * dp * w) / C.GRAVITY)
 
         # 2. Surface fluxes on the lowest level (index -1 = surface).
         from ..homme import operators as op

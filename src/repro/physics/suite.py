@@ -3,12 +3,14 @@
 CAM alternates dynamics and physics phases (paper Section 6).
 :class:`PhysicsSuite` is the physics phase: a configurable sequence of
 column processes applied to the state, usable directly as the
-``forcing`` callback of
-:class:`~repro.homme.timestep.PrimitiveEquationModel`.  Being purely
-column-local it needs no halo communication — the structural property
-that makes the physics phase embarrassingly parallel on the CPE
-clusters (and why the paper's physics refactoring is tool-driven while
-the dycore needed manual redesign).
+``forcing`` callback of either primitive-equation model — the step
+recipe (:mod:`repro.homme.timestep`) calls it once per shard, on that
+shard's state and geometry.  Being purely column-local it needs no halo
+communication and keeps no whole-mesh total, so its result does not
+depend on how the mesh is sharded — the structural property that makes
+the physics phase embarrassingly parallel on the CPE clusters (and why
+the paper's physics refactoring is tool-driven while the dycore needed
+manual redesign).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class PhysicsSuite:
         self.qc_index = qc_index
         self.qr_index = qr_index
         self._simple = SimplePhysics(qv_index=qv_index)
-        self.precip_total = 0.0
 
     def __call__(
         self, state: ElementState, geom: ElementGeometry, t: float, dt: float
@@ -81,13 +82,11 @@ class PhysicsSuite:
         qv = state.qdp[:, self.qv_index] / dp
         qc = state.qdp[:, self.qc_index] / dp
         qr = state.qdp[:, self.qr_index] / dp
-        T, qv, qc, qr, precip = kessler_step(state.T, qv, qc, qr, p_mid, dt)
+        T, qv, qc, qr, _ = kessler_step(state.T, qv, qc, qr, p_mid, dt)
         state.T[:] = T
         state.qdp[:, self.qv_index] = qv * dp
         state.qdp[:, self.qc_index] = qc * dp
         state.qdp[:, self.qr_index] = qr * dp
-        w = geom.spheremp[:, None]
-        self.precip_total += float(np.sum(precip * dp * w) / C.GRAVITY)
 
     def _apply_radiation(self, state, geom, t, dt) -> None:
         p_mid, _ = compute_pressure(state.dp3d)

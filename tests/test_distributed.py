@@ -200,6 +200,29 @@ class TestDistributedPrimitiveEquations:
                 assert (getattr(g, f).tobytes()
                         == getattr(serial.state, f).tobytes()), (f, pool)
 
+    def test_forced_run_on_a_pool_matches_serial(self, setup):
+        """Held–Suarez forcing runs rank by rank in the calling process; on a
+        2-worker pool the forced trajectory, through a remap, is the
+        serial model's bytes, and no shared memory is left behind."""
+        from repro.homme.timestep import PrimitiveEquationModel
+        from repro.physics import PhysicsSuite
+
+        cfg, mesh, state = setup
+        serial = PrimitiveEquationModel(cfg, mesh=mesh, init=state.copy(), dt=600.0,
+                                        forcing=PhysicsSuite(("held_suarez",)))
+        unforced = PrimitiveEquationModel(cfg, mesh=mesh, init=state.copy(), dt=600.0)
+        serial.run_steps(3)
+        unforced.run_steps(3)
+        assert not np.array_equal(serial.state.T, unforced.state.T)  # it forces
+        with DistributedPrimitiveEquations(
+                cfg, mesh, state.copy(), nranks=3, dt=600.0, workers=2,
+                forcing=PhysicsSuite(("held_suarez",))) as dist:
+            dist.run_steps(3)
+            g = dist.gather_state()
+        assert dist.engine.leaked_shm() == []
+        for f in ("T", "dp3d", "v", "qdp"):
+            assert getattr(g, f).tobytes() == getattr(serial.state, f).tobytes(), f
+
     def test_rank_invariance(self, setup):
         cfg, mesh, state = setup
         a = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=2, dt=600.0)

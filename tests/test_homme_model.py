@@ -8,6 +8,7 @@ from repro import constants as C
 from repro.config import ModelConfig
 from repro.errors import KernelError
 from repro.homme.bndry import HaloExchanger
+from repro.homme.element import ElementGeometry, ElementState
 from repro.homme.shallow_water import ShallowWaterModel, williamson2_initial
 from repro.homme.timestep import PrimitiveEquationModel, RSPLIT
 from repro.mesh import CubedSphereMesh, SFCPartition
@@ -103,9 +104,25 @@ class TestPrimitiveEquationModel:
         with pytest.raises(KernelError):
             PrimitiveEquationModel(ModelConfig(ne=4, nlev=8), mesh=mesh)
 
+    def test_initial_state_must_match_configuration(self):
+        """A state of other levels and tracers than the configuration says
+        is refused, as the distributed constructor refuses it (it used to
+        construct and step silently)."""
+        mesh = CubedSphereMesh(ne=4)
+        other = ElementState.isothermal_rest(
+            ElementGeometry(mesh), ModelConfig(ne=4, nlev=4, qsize=3))
+        with pytest.raises(KernelError, match="initial state qdp has shape"):
+            PrimitiveEquationModel(ModelConfig(ne=4, nlev=8, qsize=2),
+                                   mesh=mesh, init=other)
+
+    def test_shallow_water_state_must_match_mesh(self):
+        with pytest.raises(KernelError, match="initial state"):
+            ShallowWaterModel(CubedSphereMesh(ne=4),
+                              state=williamson2_initial(CubedSphereMesh(ne=3)))
+
     def test_run_days(self):
         cfg = ModelConfig(ne=4, nlev=8, qsize=0)
-        model = PrimitiveEquationModel(cfg, dt=1800.0, hypervis=False)
+        model = PrimitiveEquationModel(cfg, dt=1800.0)
         model.run_days(0.125)
         assert model.t == pytest.approx(0.125 * 86400)
 

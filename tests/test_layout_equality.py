@@ -20,15 +20,21 @@ from repro.homme.distributed import (
     DistributedShallowWater,
 )
 from repro.homme.element import ElementGeometry, ElementState
+from repro.homme.hypervis import nu_for_ne
 from repro.homme.shallow_water import ShallowWaterModel
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.mesh.partition import SFCPartition
 from repro.network.simmpi import SimMPI
+from repro.physics import PhysicsSuite
 
 from .test_halo_plan import MODES, TRAILING, random_field, scatter
 
 EXEC_PATHS = ["fused", "batched"]
+
+#: Forcings a primitive-equation layout draws (process names of a
+#: ``PhysicsSuite``); Kessler needs the three water species.
+FORCINGS = (None, ("held_suarez",), ("held_suarez", "kessler", "radiation"))
 
 
 def blas_rows_stable() -> bool:
@@ -82,18 +88,23 @@ def prim_setup(ne: int, nlev: int, qsize: int):
     return cfg, mesh, state
 
 
-def serial_and_distributed(kind, ne, shape, exec_path, nranks):
-    """Fresh (serial, distributed) twins of one configuration."""
+def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
+                           nu=0.0):
+    """Fresh (serial, distributed) twins of one configuration; ``forcing``
+    names a ``PhysicsSuite`` (one each), ``nu`` the shallow-water
+    hyperviscosity."""
     if kind == "sw":
-        serial = ShallowWaterModel(mesh_of(ne), exec_path=exec_path)
+        serial = ShallowWaterModel(mesh_of(ne), nu=nu, exec_path=exec_path)
         dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
-                                       exec_path=exec_path)
+                                       nu=nu, exec_path=exec_path)
         return serial, dist, ("h", "v")
     cfg, mesh, state = prim_setup(ne, *shape)
     serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=600.0,
+                                    forcing=forcing and PhysicsSuite(forcing),
                                     exec_path=exec_path)
     dist = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=nranks,
-                                         dt=600.0, exec_path=exec_path)
+                                         dt=600.0, exec_path=exec_path,
+                                         forcing=forcing and PhysicsSuite(forcing))
     return serial, dist, ("v", "T", "dp3d", "qdp")
 
 
@@ -116,29 +127,42 @@ def layouts(draw):
     return ne, nranks
 
 
+@st.composite
+def prim_configs(draw):
+    """(nlev, qsize) and a forcing that shape can carry."""
+    shape = draw(st.sampled_from([(1, 2), (3, 1), (4, 2), (9, 1), (3, 0), (4, 3)]))
+    forcing = draw(st.sampled_from(FORCINGS if shape[1] >= 3 else FORCINGS[:2]))
+    return shape, forcing
+
+
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
-@given(layout=layouts(), steps=st.integers(1, 3))
+@given(layout=layouts(), steps=st.integers(1, 3), hyperviscous=st.booleans())
 @settings(max_examples=8, deadline=None)
-def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps):
+def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps,
+                                                      hyperviscous):
     ne, nranks = layout
+    nu = nu_for_ne(ne) if hyperviscous else 0.0
     assert_same_bytes(
-        *serial_and_distributed("sw", ne, None, exec_path, nranks), steps)
+        *serial_and_distributed("sw", ne, None, exec_path, nranks, nu=nu), steps)
 
 
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3),  # the third step remaps
-       shape=st.sampled_from([(1, 2), (3, 1), (4, 2), (9, 1), (3, 0)]))
-@example(layout=(2, 5), steps=3, shape=(3, 0))  # no tracers at all
-@example(layout=(2, 5), steps=3, shape=(3, 1))  # a stack of one
+       config=prim_configs())
+@example(layout=(2, 5), steps=3, config=((3, 0), None))  # no tracers at all
+@example(layout=(2, 5), steps=3, config=((3, 1), None))  # a stack of one
+@example(layout=(3, 7), steps=3, config=((4, 3), FORCINGS[2]))  # whole suite
 @settings(max_examples=8, deadline=None)
 def test_prim_gathered_state_is_the_serial_models_bytes(exec_path, layout,
-                                                        steps, shape):
+                                                        steps, config):
     ne, nranks = layout
+    shape, forcing = config
     assume(shape[0] > 1 or steps < 3)  # one level cannot be remapped
     assert_same_bytes(
-        *serial_and_distributed("prim", ne, shape, exec_path, nranks), steps)
+        *serial_and_distributed("prim", ne, shape, exec_path, nranks, forcing),
+        steps)
 
 
 @needs_stable_rows

@@ -330,8 +330,8 @@ class TestComponentInstrumentation:
         )
         model.run_steps(3)
         assert len(tr.recorder.spans(track="serial", name="step")) == 3
-        # rsplit = 3: exactly one remap span in three steps.
-        assert len(tr.recorder.spans(track="serial", name="vertical_remap")) == 1
+        # rsplit = 3: exactly one remap record in three steps.
+        assert len(tr.recorder.instants(track="serial", name="vertical_remap")) == 1
 
 
 class TestRooflineAttribution:
