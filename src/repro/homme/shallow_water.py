@@ -185,6 +185,7 @@ class ShallowWaterModel(_SWRecipe, _WholeMesh):
         self._sw_init(mesh, state, dt, nu)
         super().__init__(mesh, None, exec_path)
         self.state = state
+        self._split_blocks()
 
     def run_hours(self, hours: float) -> None:
         self.run_steps(int(round(hours * 3600.0 / self.dt)))

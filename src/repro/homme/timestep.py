@@ -50,17 +50,26 @@ RSPLIT = 3
 #: Forcing signature: f(state, geom, t, dt) -> None (modifies state in place).
 ForcingFn = Callable[[ElementState, ElementGeometry, float, float], None]
 
+#: Bytes of the largest state array one element block may hold: a
+#: quarter of a 2 MiB per-core L2, so a task's inputs, temporaries and
+#: outputs stay in cache.
+BLOCK_BYTES = 512 * 1024
+
 
 class _WholeMesh:
-    """The one-shard layout: the whole mesh is shard 0.
+    """The one-shard layout: the whole mesh is shard 0, run in element blocks.
 
-    ``_fanout`` calls the task in process on the whole-mesh geometry,
-    ``_dss`` is :meth:`ElementGeometry.dss` (``dss_vector`` for a field
-    with one axis more than a scalar) per field, and ``_mesh_sum`` is
+    ``_fanout`` calls the task in process once per element block — a
+    contiguous mesh-order range with its own :class:`ElementGeometry`
+    (:meth:`_split_blocks`) — on views of the inputs, and copies each
+    block's outputs into whole-mesh arrays; every task is element-local,
+    so the bits are the unblocked call's.  ``_dss`` is
+    :meth:`ElementGeometry.dss` (``dss_vector`` for a field with one axis
+    more than a scalar) per field on the whole mesh, and ``_mesh_sum`` is
     :func:`~repro.homme.euler.sum_elements`.  There is no simulated
     hardware clock, so spans live on the *model time* axis of the
     ``"serial"`` track.  Subclasses set ``_levels`` (through their
-    recipe) and ``state``.
+    recipe) and ``state``, then call :meth:`_split_blocks`.
     """
 
     _levels: bool
@@ -89,10 +98,34 @@ class _WholeMesh:
     def geoms(self) -> list[ElementGeometry]:
         return [self.geom]
 
+    def _split_blocks(self) -> None:
+        """Split the mesh into near-equal contiguous element ranges, as few
+        as keep the state's largest per-element array under
+        :data:`BLOCK_BYTES` a block; one block reuses :attr:`geom`."""
+        E = self.mesh.nelem
+        per_elem = max(a.nbytes // E for a in vars(self.state).values())
+        k = -(-E // max(1, BLOCK_BYTES // per_elem))
+        bounds = [i * E // k for i in range(k + 1)]
+        #: ``(lo, hi, geometry of elements lo..hi-1)`` in mesh order.
+        self.blocks = [(0, E, self.geom)] if k == 1 else [
+            (lo, hi, ElementGeometry(self.mesh, np.arange(lo, hi)))
+            for lo, hi in zip(bounds, bounds[1:])]
+
     def _fanout(self, task, meta_extra: dict,
                 per_shard_arrays: list[tuple]) -> list[tuple]:
-        return [task(self.geom, {**meta_extra, "path": self.exec_path}, *arrays)
-                for arrays in per_shard_arrays]
+        meta = {**meta_extra, "path": self.exec_path}
+        arrays, = per_shard_arrays
+        if len(self.blocks) == 1:
+            return [task(self.geom, meta, *arrays)]
+        outs = None
+        for lo, hi, g in self.blocks:
+            part = task(g, meta, *(a[lo:hi] for a in arrays))
+            if outs is None:
+                outs = tuple(np.empty((self.mesh.nelem,) + p.shape[1:], p.dtype)
+                             for p in part)
+            for o, p in zip(outs, part):
+                o[lo:hi] = p
+        return [outs]
 
     def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
         """DSS every field; C-contiguous, as the N-shard exchange returns
@@ -313,6 +346,7 @@ class PrimitiveEquationModel(_PrimRecipe, _WholeMesh):
         self._prim_init(cfg, mesh, state, cfg.dt_dynamics if dt is None else dt,
                         forcing)
         self.state = state
+        self._split_blocks()
 
     def run_days(self, days: float) -> None:
         """Advance the given number of simulated days."""

@@ -1,12 +1,16 @@
 """Integration tests: shallow-water verification, prim_run stability,
 and the distributed boundary exchange."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import constants as C
 from repro.config import ModelConfig
 from repro.errors import KernelError
+from repro.homme import timestep
 from repro.homme.bndry import HaloExchanger
 from repro.homme.element import ElementGeometry, ElementState
 from repro.homme.shallow_water import ShallowWaterModel, williamson2_initial
@@ -125,6 +129,31 @@ class TestPrimitiveEquationModel:
         model = PrimitiveEquationModel(cfg, dt=1800.0)
         model.run_days(0.125)
         assert model.t == pytest.approx(0.125 * 86400)
+
+    def test_element_blocks_lower_memory(self):
+        """At ne8 x 16 levels x 4 tracers the step runs in six 64-element
+        blocks: the whole-mesh geometry builds no operator tensors, and a
+        step peaks no higher than the same step as one block (a block's
+        outputs land in whole-mesh arrays; no list of every block's)."""
+        cfg, mesh = ModelConfig(ne=8, nlev=16, qsize=4), CubedSphereMesh(8)
+
+        def stepped(budget):
+            with mock.patch.object(timestep, "BLOCK_BYTES", budget):
+                model = PrimitiveEquationModel(cfg, mesh, dt=600.0)
+            model.step()  # operands built before tracing
+            tracemalloc.start()
+            try:
+                model.step()
+                return model, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked, blocked_peak = stepped(timestep.BLOCK_BYTES)
+        assert [hi - lo for lo, hi, _ in blocked.blocks] == [64] * 6
+        assert "tensors" not in vars(blocked.geom)
+        whole, whole_peak = stepped(1 << 40)
+        assert len(whole.blocks) == 1
+        assert blocked_peak <= whole_peak
 
 
 class TestHaloExchanger:

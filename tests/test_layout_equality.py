@@ -1,4 +1,5 @@
-"""Serial == distributed, bit for bit, at any rank count.
+"""Serial == distributed, bit for bit, at any rank count and any split of
+the serial model into element blocks.
 
 The exchange sums what ``CubedSphereMesh.dss`` sums in the same order
 and the tracer mass fixer's global sums run in global element order, so
@@ -8,12 +9,15 @@ kernels' BLAS: a GEMM row must not depend on how many rows ride along.
 with its reason on a BLAS build where it does not hold.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.backends.functional_exec import homme_execution
 from repro.config import ModelConfig
+from repro.homme import timestep
 from repro.homme.bndry import HaloExchanger
 from repro.homme.distributed import (
     DistributedPrimitiveEquations,
@@ -35,6 +39,11 @@ EXEC_PATHS = ["fused", "batched"]
 #: Forcings a primitive-equation layout draws (process names of a
 #: ``PhysicsSuite``); Kessler needs the three water species.
 FORCINGS = (None, ("held_suarez",), ("held_suarez", "kessler", "radiation"))
+
+#: Elements per block the serial twin draws: one-element blocks, an
+#: uneven split (7 blocks of the 96 at ne4, 4 of the 54 at ne3) and a
+#: single block.
+BLOCKS = (1, 14, None)
 
 
 def blas_rows_stable() -> bool:
@@ -88,24 +97,37 @@ def prim_setup(ne: int, nlev: int, qsize: int):
     return cfg, mesh, state
 
 
+def split_into_blocks(serial, per_block):
+    """Re-split a one-shard model into element blocks of ``per_block``
+    elements (None: one block) through the budget its constructor reads."""
+    E = serial.mesh.nelem
+    per_elem = max(a.nbytes // E for a in vars(serial.state).values())
+    with mock.patch.object(timestep, "BLOCK_BYTES", per_elem * (per_block or E)):
+        serial._split_blocks()
+    assert len(serial.blocks) == -(-E // (per_block or E))
+
+
 def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
-                           nu=0.0):
+                           nu=0.0, per_block=None):
     """Fresh (serial, distributed) twins of one configuration; ``forcing``
     names a ``PhysicsSuite`` (one each), ``nu`` the shallow-water
-    hyperviscosity."""
+    hyperviscosity, ``per_block`` the serial model's elements per block."""
     if kind == "sw":
         serial = ShallowWaterModel(mesh_of(ne), nu=nu, exec_path=exec_path)
         dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
                                        nu=nu, exec_path=exec_path)
-        return serial, dist, ("h", "v")
-    cfg, mesh, state = prim_setup(ne, *shape)
-    serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=600.0,
-                                    forcing=forcing and PhysicsSuite(forcing),
-                                    exec_path=exec_path)
-    dist = DistributedPrimitiveEquations(cfg, mesh, state.copy(), nranks=nranks,
-                                         dt=600.0, exec_path=exec_path,
-                                         forcing=forcing and PhysicsSuite(forcing))
-    return serial, dist, ("v", "T", "dp3d", "qdp")
+        names = ("h", "v")
+    else:
+        cfg, mesh, state = prim_setup(ne, *shape)
+        serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=600.0,
+                                        forcing=forcing and PhysicsSuite(forcing),
+                                        exec_path=exec_path)
+        dist = DistributedPrimitiveEquations(
+            cfg, mesh, state.copy(), nranks=nranks, dt=600.0,
+            exec_path=exec_path, forcing=forcing and PhysicsSuite(forcing))
+        names = ("v", "T", "dp3d", "qdp")
+    split_into_blocks(serial, per_block)
+    return serial, dist, names
 
 
 def assert_same_bytes(serial, dist, names, steps):
@@ -137,31 +159,36 @@ def prim_configs(draw):
 
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
-@given(layout=layouts(), steps=st.integers(1, 3), hyperviscous=st.booleans())
+@given(layout=layouts(), steps=st.integers(1, 3), hyperviscous=st.booleans(),
+       per_block=st.sampled_from(BLOCKS))
 @settings(max_examples=8, deadline=None)
 def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps,
-                                                      hyperviscous):
+                                                      hyperviscous, per_block):
     ne, nranks = layout
     nu = nu_for_ne(ne) if hyperviscous else 0.0
     assert_same_bytes(
-        *serial_and_distributed("sw", ne, None, exec_path, nranks, nu=nu), steps)
+        *serial_and_distributed("sw", ne, None, exec_path, nranks, nu=nu,
+                                per_block=per_block), steps)
 
 
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3),  # the third step remaps
-       config=prim_configs())
-@example(layout=(2, 5), steps=3, config=((3, 0), None))  # no tracers at all
-@example(layout=(2, 5), steps=3, config=((3, 1), None))  # a stack of one
-@example(layout=(3, 7), steps=3, config=((4, 3), FORCINGS[2]))  # whole suite
+       config=prim_configs(), per_block=st.sampled_from(BLOCKS))
+# No tracers at all, in one-element blocks.
+@example(layout=(2, 5), steps=3, config=((3, 0), None), per_block=1)
+@example(layout=(2, 5), steps=3, config=((3, 1), None), per_block=None)  # a stack of one
+# The whole suite, in four uneven blocks.
+@example(layout=(3, 7), steps=3, config=((4, 3), FORCINGS[2]), per_block=14)
 @settings(max_examples=8, deadline=None)
 def test_prim_gathered_state_is_the_serial_models_bytes(exec_path, layout,
-                                                        steps, config):
+                                                        steps, config, per_block):
     ne, nranks = layout
     shape, forcing = config
     assume(shape[0] > 1 or steps < 3)  # one level cannot be remapped
     assert_same_bytes(
-        *serial_and_distributed("prim", ne, shape, exec_path, nranks, forcing),
+        *serial_and_distributed("prim", ne, shape, exec_path, nranks, forcing,
+                                per_block=per_block),
         steps)
 
 
