@@ -16,8 +16,10 @@ The paper redesigns this subroutine twice over (Section 7.6):
 :class:`HaloExchanger` implements the exchange with both the ``classic``
 and ``overlap`` disciplines.  As HOMME's ``edgeVpack`` packs every field
 of a synchronisation point into one buffer per neighbour, one call
-exchanges a tuple of fields per rank in one message per neighbour.  The
-exchanger alone moves data (from its own flat buffer);
+exchanges a tuple of fields per rank in one message per neighbour; a run
+of consecutive ranks may hand its fields over as one block (a *rank
+group*), which changes no message and no bit.  The exchanger alone moves
+data (from its own flat buffer);
 :class:`~repro.network.simmpi.SimMPI` carries sizes and charges memcpy,
 compute and transfer time to each rank's simulated clock.  The result is
 the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
@@ -76,7 +78,6 @@ class ExchangeReport:
 
     mode: str
     rank_times: list[float] = field(default_factory=list)
-    comm_wait: list[float] = field(default_factory=list)
     memcpy_seconds: float = 0.0
     dropped: int = 0
     retransmissions: int = 0
@@ -122,13 +123,20 @@ class HaloExchanger:
 
         #: Per rank: owned element ids (curve order).
         self.rank_elems = [part.rank_elements(r) for r in range(nranks)]
-        elems = np.concatenate(self.rank_elems)
+        #: Every rank's elements in rank order: the plan's element order.
+        self.plan_elems = elems = np.concatenate(self.rank_elems)
         nn = mesh.np ** 2
-        points = np.array([len(e) for e in self.rank_elems]) * nn
+        counts = np.array([len(e) for e in self.rank_elems])
+        #: Rank r's elements: entries ``elem_offsets[r]:elem_offsets[r + 1]``
+        #: of :attr:`plan_elems`.
+        self.elem_offsets = [0, *np.cumsum(counts).tolist()]
+        #: ``_end_rank[elem_offsets[r]] = r``: the first rank after a group
+        #: of ranks whose elements end at that plan offset.
+        self._end_rank = {e: r for r, e in enumerate(self.elem_offsets)}
         #: Rank r's points: rows ``_offsets[r]:_offsets[r + 1]`` of the flat tables.
-        self._offsets = [0, *np.cumsum(points).tolist()]
+        self._offsets = [nn * e for e in self.elem_offsets]
         gid = mesh.gid[elems].reshape(-1)
-        rank = np.repeat(np.arange(nranks), points)
+        rank = np.repeat(np.arange(nranks), counts * nn)
         row = (elems[:, None] * nn + np.arange(nn)).reshape(-1)
         self._weights = mesh.dss_weight[elems].reshape(-1, 1)
 
@@ -204,10 +212,14 @@ class HaloExchanger:
         Parameters
         ----------
         local_fields:
-            Per rank, a tuple of element-local fields to make continuous,
-            each (E_r, np, np) or (E_r, np, np, K...); a field's trailing
-            shape must agree across ranks, the fields of a tuple may
-            differ.  One field is a 1-tuple.
+            Per *rank group* — a run of consecutive ranks, in rank order —
+            a tuple of element-local fields to make continuous, each
+            (E_g, np, np) or (E_g, np, np, K...) over the group's elements
+            in plan order (:attr:`plan_elems`); the leading length says
+            which ranks a group covers.  Per-rank tuples are the
+            one-rank groups.  A field's trailing shape must agree across
+            groups, the fields of a tuple may differ.  One field is a
+            1-tuple.
         mpi:
             The simulated communicator (nranks must match).
         mode:
@@ -220,11 +232,12 @@ class HaloExchanger:
             part is charged before the sends and the inner part between
             send and wait — which is what hides the transfer.
 
-        Returns, per rank, a tuple of the DSS'd fields in the input
+        Returns, per group, a tuple of the DSS'd fields in the input
         shapes, and an :class:`ExchangeReport`.  A rank sends one message
-        per peer carrying every field of the bundle.  Each field's
-        outputs are slices of that field's own whole-mesh array, so a
-        kept field never holds the others alive.
+        per peer carrying every field of the bundle, however the ranks
+        are grouped.  Each field's outputs are C-contiguous row ranges of
+        that field's own whole-mesh array, so a kept field never holds
+        the others alive.  Errors name a group by its first rank.
         """
         nranks = self.nranks
         if mpi.nranks != nranks:
@@ -232,23 +245,34 @@ class HaloExchanger:
                 f"communicator has {mpi.nranks} ranks, partition {nranks}")
         if mode not in ("classic", "overlap"):
             raise KernelError(f"unknown exchange mode {mode!r}")
-        if len(local_fields) != nranks:
-            raise KernelError("need one tuple of local fields per rank")
         bc = self._per_rank_costs(boundary_compute, "boundary_compute")
         ic = self._per_rank_costs(inner_compute, "inner_compute")
 
-        n, first = self.mesh.np, local_fields[0]
-        for r, fields in enumerate(local_fields):
+        uncovered = KernelError(
+            "need one tuple of local fields per rank or rank group, "
+            f"covering each of the {nranks} ranks once")
+        if not local_fields:
+            raise uncovered
+        n, first, eoff = self.mesh.np, local_fields[0], self.elem_offsets
+        spans, r0 = [], 0  # each group's (first rank, end rank)
+        for fields in local_fields:
+            if r0 == nranks:
+                raise uncovered
             if len(fields) != len(first):
                 raise KernelError(
-                    f"rank {r} passes {len(fields)} fields, rank 0 {len(first)}")
+                    f"rank {r0} passes {len(fields)} fields, rank 0 {len(first)}")
+            r1 = self._end_rank.get(eoff[r0] + len(fields[0])) if fields else r0 + 1
             for f, f0 in zip(fields, first):
-                if f.shape[:3] != (len(self.rank_elems[r]), n, n):
-                    raise KernelError(f"rank {r} field has shape {f.shape}")
+                if r1 is None or r1 <= r0 or f.shape[:3] != (eoff[r1] - eoff[r0], n, n):
+                    raise KernelError(f"rank {r0} field has shape {f.shape}")
                 if f.shape[3:] != f0.shape[3:]:
                     raise KernelError(
-                        f"rank {r} field has trailing shape {f.shape[3:]}, "
+                        f"rank {r0} field has trailing shape {f.shape[3:]}, "
                         f"rank 0 has {f0.shape[3:]}")
+            spans.append((r0, r1))
+            r0 = r1
+        if r0 != nranks:
+            raise uncovered
 
         report = ExchangeReport(mode=mode)
         dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
@@ -263,7 +287,8 @@ class HaloExchanger:
         cols = [0, *np.cumsum([math.prod(f.shape[3:]) for f in first]).tolist()]
         npoints = self._offsets[-1]
         buf = np.empty((len(self._assembly.slot_of), cols[-1]))
-        for lo, hi, fields in zip(self._offsets, self._offsets[1:], local_fields):
+        points = [(self._offsets[r0], self._offsets[r1]) for r0, r1 in spans]
+        for (lo, hi), fields in zip(points, local_fields):
             for c0, c1, f in zip(cols, cols[1:], fields):
                 # Splitting axes only, so the reshape is a view of buf.
                 np.copyto(buf[lo:hi, c0:c1].reshape(f.shape), f)
@@ -328,15 +353,13 @@ class HaloExchanger:
         del buf  # peak RSS: only the slot sums are needed from here on
         outs = [acc[:, c0:c1].take(self._point_slot, axis=0)
                 for c0, c1 in zip(cols, cols[1:])]
-        per_rank = [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
-                    for lo, hi, fields in zip(self._offsets, self._offsets[1:],
-                                              local_fields)]
+        per_group = [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
+                     for (lo, hi), fields in zip(points, local_fields)]
 
         report.rank_times = [mpi.now(r) for r in range(nranks)]
-        report.comm_wait = list(mpi.comm_seconds)
         report.dropped = mpi.messages_dropped - dropped0
         report.retransmissions = mpi.retransmissions - retrans0
-        return per_rank, report
+        return per_group, report
 
     # -- helpers for tests/benches --------------------------------------------------
 

@@ -37,6 +37,7 @@ from ..parallel.engine import ParallelEngine
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry
 from .euler import sum_elements
+from . import timestep
 from .shallow_water import SWState, _SWRecipe, williamson2_initial
 from .timestep import _PrimRecipe
 
@@ -67,21 +68,23 @@ class _DistributedModel:
     """What every rank-distributed model is made of.
 
     Construction partitions the mesh, builds the halo tables, the
-    simulated communicator and one :class:`ElementGeometry` per rank,
-    warms the execution path's memoized operands (so workers inherit
-    them copy-on-write) and builds the model's own engine around those
-    geometries: context ``r`` is rank ``r``'s shard.  ``workers <= 1``
-    makes that engine in-process.  With the engine's shard-affinity
-    dispatch a worker only ever touches (and faults in) the shards
-    pinned to its slot.
+    simulated communicator and one :class:`ElementGeometry` over the
+    exchange plan's element order (:attr:`plan_geom`) whose row ranges
+    are the rank geometries ``geoms[r]``, warms the execution path's
+    memoized operands (so workers inherit them copy-on-write) and builds
+    the model's own engine around the rank geometries: context ``r`` is
+    rank ``r``'s shard.  ``workers <= 1`` makes that engine in-process.
+    With the engine's shard-affinity dispatch a worker only ever touches
+    (and faults in) the shards pinned to its slot.
     ``engine_kwargs`` passes straight through to
     :class:`~repro.parallel.engine.ParallelEngine` — the supervision
     and chaos knobs of DESIGN.md §12.
 
     Subclasses set ``_fields`` (prognostic array names of one rank's
     state, in snapshot-key order) and ``_label``, fill ``self.states``
-    and take ``_levels`` (whether fields carry a level axis after the
-    element axis) and ``step()`` from their recipe.
+    and call :meth:`_split_groups`, and take ``_levels`` (whether fields
+    carry a level axis after the element axis) and ``step()`` from their
+    recipe.
     """
 
     _fields: tuple[str, ...]
@@ -107,7 +110,10 @@ class _DistributedModel:
         self.hx = HaloExchanger(mesh, self.part)
         self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
                           allreduce_algorithm=combine)
-        self.geoms = [ElementGeometry(mesh, e) for e in self.hx.rank_elems]
+        self.plan_geom = ElementGeometry(mesh, self.hx.plan_elems)
+        bounds = self.hx.elem_offsets
+        self.geoms = [self.plan_geom.rows(lo, hi)
+                      for lo, hi in zip(bounds, bounds[1:])]
         self.t = 0.0
         self.step_count = 0
         self._epoch = 0
@@ -122,38 +128,68 @@ class _DistributedModel:
 
     # -- distributed DSS ----------------------------------------------------------
 
+    def _split_groups(self) -> None:
+        """Merge consecutive ranks into groups of at most one block's
+        elements (:func:`timestep.block_elements`, the one-shard layout's
+        rule); a rank over the budget is a group of its own."""
+        cap = timestep.block_elements(self.states[0])
+        off, spans, r0 = self.hx.elem_offsets, [], 0
+        for r in range(1, self.nranks):
+            if off[r + 1] - off[r0] > cap:
+                spans.append((r0, r))
+                r0 = r
+        spans.append((r0, self.nranks))
+        #: ``(first rank, end rank, geometry of their elements)``; the
+        #: geometry is the rank's own for a one-rank group, else a view
+        #: of :attr:`plan_geom`.
+        self.groups = [(r0, r1, self.geoms[r0] if r1 == r0 + 1
+                        else self.plan_geom.rows(off[r0], off[r1]))
+                       for r0, r1 in spans]
+
     def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
         """DSS every rank's tuple of fields in one exchange.
 
-        A field with one axis more than a scalar is a contravariant
-        (..., 2) vector and crosses in Cartesian form; level axes move
-        last for the exchange and come back C-contiguous, so the
-        state's memory layout — and therefore every later reduction's
-        rounding — is the one a restored checkpoint has.
+        The element-local work runs once per rank group
+        (:meth:`_split_groups`) on the group's fields as one block — a
+        rank's own arrays, or the group's ranks concatenated: a field
+        with one axis more than a scalar is a contravariant (..., 2)
+        vector and crosses in Cartesian form, and level axes move last
+        for the exchange.  Results come back C-contiguous per group and a
+        rank's are row ranges of its group's, so the state's memory
+        layout — and therefore every later reduction's rounding — is the
+        one a restored checkpoint has.
         """
-        vector = 4 + self._levels
+        vector, off = 4 + self._levels, self.hx.elem_offsets
 
         def out(g, f):
             w = g.to_cartesian(f) if f.ndim == vector else f
             return np.moveaxis(w, 1, 3) if self._levels else w
 
-        def back(g, o, f):
+        def back(g, o, is_vector):
             if self._levels:
                 o = np.moveaxis(o, 3, 1)
-            if f.ndim == vector:
-                return g.from_cartesian(o)
-            return np.ascontiguousarray(o)
+            return g.from_cartesian(o) if is_vector else np.ascontiguousarray(o)
 
+        vectors = [f.ndim == vector for f in fields[0]]
+        # A generator: a group's concatenated inputs die once converted.
+        blocks = (fields[r0] if r1 == r0 + 1
+                  else tuple(map(np.concatenate, zip(*fields[r0:r1])))
+                  for r0, r1, _ in self.groups)
         outs, _ = self.hx.exchange(
-            [tuple(out(g, f) for f in fs) for g, fs in zip(self.geoms, fields)],
+            [tuple(out(g, f) for f in fs)
+             for (_, _, g), fs in zip(self.groups, blocks)],
             self.mpi,
             mode=self.mode,
             boundary_compute=self._bc,
             inner_compute=self._ic,
             tag=exchange_tag(self.step_count, stage, slot, self._epoch),
         )
-        return [tuple(back(g, o, f) for o, f in zip(os, fs))
-                for g, os, fs in zip(self.geoms, outs, fields)]
+        per_rank = []
+        for (r0, r1, g), os in zip(self.groups, outs):
+            done = [back(g, o, v) for o, v in zip(os, vectors)]
+            per_rank += [tuple(d[off[r] - off[r0]:off[r + 1] - off[r0]] for d in done)
+                         for r in range(r0, r1)]
+        return per_rank
 
     # -- distributed global sum ---------------------------------------------------
 
@@ -325,6 +361,7 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
                          engine_kwargs, exec_path)
         self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
                        for e in self.hx.rank_elems]
+        self._split_groups()
         # Simulated kernel cost attribution for the overlap window.
         self._cost = compute_cost_per_element
         self._bc = [
@@ -398,3 +435,4 @@ class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
                              qdp=init_state.qdp[e].copy())
             for e in self.hx.rank_elems
         ]
+        self._split_groups()

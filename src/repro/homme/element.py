@@ -60,9 +60,12 @@ def _split(f: np.ndarray) -> list[np.ndarray]:
 class ElementGeometry:
     """Per-element geometric data for a set of elements (a rank's subdomain).
 
-    Holds its own copies of the mesh arrays' rows plus the spectral
-    machinery, with the Coriolis parameter precomputed.  ``elem_ids=None``
-    selects the whole mesh (the serial dycore).
+    The constructor copies the mesh arrays' rows of ``elem_ids`` (in that
+    order) plus the spectral machinery, with the Coriolis parameter
+    precomputed; ``elem_ids=None`` selects the whole mesh (the serial
+    dycore).  :meth:`rows` cuts a contiguous range of elements out of a
+    geometry as views of its memory — how a layout's ranks and element
+    blocks share one geometry instead of holding copies.
 
     Every array is read-only from construction: a geometry is shared —
     by the kernels' memoized operands, by forked workers — so an
@@ -98,6 +101,26 @@ class ElementGeometry:
         #: Omega follows the mesh (scaled on reduced-radius spheres).
         omega = getattr(mesh, "omega", C.EARTH_OMEGA)
         self.fcor = frozen(2.0 * omega * np.sin(self.lat))
+
+    def rows(self, lo: int, hi: int) -> "ElementGeometry":
+        """Elements ``lo..hi-1`` of this geometry as a geometry of their own.
+
+        Every array is a view of this one's rows (the component planes
+        are cut along their element axis), so nothing is copied and the
+        views are read-only like their base; the operator tensors are
+        the view's own, built on first use.
+        """
+        g = object.__new__(type(self))
+        g.mesh, g.np, g.D, g.jac, g.radius = (
+            self.mesh, self.np, self.D, self.jac, self.radius)
+        g.elem_ids = self.elem_ids[lo:hi]
+        g.nelem = len(g.elem_ids)
+        g._whole_mesh = np.array_equal(g.elem_ids, np.arange(self.mesh.nelem))
+        for name in ("metdet", "met", "spheremp", "lat", "lon", "fcor"):
+            setattr(g, name, getattr(self, name)[lo:hi])
+        g.metinv_planes = self.metinv_planes[:, :, lo:hi]
+        g.e_cov_planes = self.e_cov_planes[:, :, lo:hi]
+        return g
 
     @property
     def metinv(self) -> np.ndarray:

@@ -56,19 +56,26 @@ ForcingFn = Callable[[ElementState, ElementGeometry, float, float], None]
 BLOCK_BYTES = 512 * 1024
 
 
+def block_elements(state) -> int:
+    """Elements of ``state`` one block holds: as many as keep its largest
+    per-element array within :data:`BLOCK_BYTES`, and at least one."""
+    per_elem = max(a.nbytes // len(a) for a in vars(state).values())
+    return max(1, BLOCK_BYTES // per_elem)
+
+
 class _WholeMesh:
     """The one-shard layout: the whole mesh is shard 0, run in element blocks.
 
     ``_fanout`` calls the task in process once per element block — a
-    contiguous mesh-order range with its own :class:`ElementGeometry`
-    (:meth:`_split_blocks`) — on views of the inputs, and copies each
-    block's outputs into whole-mesh arrays; every task is element-local,
-    so the bits are the unblocked call's.  ``_dss`` is
-    :meth:`ElementGeometry.dss` (``dss_vector`` for a field with one axis
-    more than a scalar) per field on the whole mesh, and ``_mesh_sum`` is
-    :func:`~repro.homme.euler.sum_elements`.  There is no simulated
-    hardware clock, so spans live on the *model time* axis of the
-    ``"serial"`` track.  Subclasses set ``_levels`` (through their
+    contiguous mesh-order range whose :class:`ElementGeometry` is a
+    view of :attr:`geom` (:meth:`_split_blocks`) — on views of the
+    inputs, and copies each block's outputs into whole-mesh arrays;
+    every task is element-local, so the bits are the unblocked call's.
+    ``_dss`` is :meth:`ElementGeometry.dss` (``dss_vector`` for a field
+    with one axis more than a scalar) per field on the whole mesh, and
+    ``_mesh_sum`` is :func:`~repro.homme.euler.sum_elements`.  There is
+    no simulated hardware clock, so spans live on the *model time* axis
+    of the ``"serial"`` track.  Subclasses set ``_levels`` (through their
     recipe) and ``state``, then call :meth:`_split_blocks`.
     """
 
@@ -103,13 +110,11 @@ class _WholeMesh:
         as keep the state's largest per-element array under
         :data:`BLOCK_BYTES` a block; one block reuses :attr:`geom`."""
         E = self.mesh.nelem
-        per_elem = max(a.nbytes // E for a in vars(self.state).values())
-        k = -(-E // max(1, BLOCK_BYTES // per_elem))
+        k = -(-E // block_elements(self.state))
         bounds = [i * E // k for i in range(k + 1)]
         #: ``(lo, hi, geometry of elements lo..hi-1)`` in mesh order.
         self.blocks = [(0, E, self.geom)] if k == 1 else [
-            (lo, hi, ElementGeometry(self.mesh, np.arange(lo, hi)))
-            for lo, hi in zip(bounds, bounds[1:])]
+            (lo, hi, self.geom.rows(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
     def _fanout(self, task, meta_extra: dict,
                 per_shard_arrays: list[tuple]) -> list[tuple]:

@@ -2,16 +2,19 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
 from repro.homme import distributed as dist_mod
+from repro.homme import timestep
 from repro.homme.distributed import (
     DistributedPrimitiveEquations,
     DistributedShallowWater,
 )
+from repro.homme.element import ElementGeometry
 from repro.homme.hypervis import nu_for_ne
 from repro.homme.shallow_water import (
     ShallowWaterModel,
@@ -300,6 +303,48 @@ class TestSharedBase:
             del model
             gc.collect()
             assert [ref() for ref in shards] == [None] * 4
+
+    def test_rank_geometries_share_the_plan_geometry_never_copy(self, build):
+        """One geometry over the plan's element order; every rank's (and
+        every rank group's) is a read-only row range of it, equal to the
+        geometry the rank's elements would build on their own."""
+        model = build()
+        plan, off = model.plan_geom, model.hx.elem_offsets
+        assert np.array_equal(plan.elem_ids, np.concatenate(model.hx.rank_elems))
+        names = ("e_cov_planes", "metinv_planes", "spheremp", "fcor")
+        views = [*model.geoms, *(g for r0, r1, g in model.groups if r1 > r0 + 1)]
+        for g in views:
+            own = ElementGeometry(model.mesh, g.elem_ids)
+            for name in (*names, "metdet", "met", "lat", "lon"):
+                a = getattr(g, name)
+                assert np.shares_memory(a, getattr(plan, name)), name
+                assert a.tobytes() == getattr(own, name).tobytes(), name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0.0
+        for r, g in enumerate(model.geoms):
+            assert np.array_equal(g.elem_ids, plan.elem_ids[off[r]:off[r + 1]])
+
+    def test_rank_groups_follow_the_state_bytes(self, build):
+        """Consecutive ranks merge while their largest per-element state
+        array fits the block budget; a rank over it stays alone, and a
+        one-rank group computes on the rank's own geometry."""
+        model = build()
+        plan, off = model.plan_geom, model.hx.elem_offsets
+        per_rank = max(a.nbytes for a in vars(model.states[0]).values())
+        alone = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        for budget, want in ((per_rank - 1, alone), (per_rank, alone),
+                             (2 * per_rank, [(0, 2), (2, 4)]),
+                             (3 * per_rank, [(0, 3), (3, 4)]),
+                             (4 * per_rank, [(0, 4)])):
+            with mock.patch.object(timestep, "BLOCK_BYTES", budget):
+                model._split_groups()
+            assert [(r0, r1) for r0, r1, _ in model.groups] == want, budget
+            for r0, r1, g in model.groups:
+                if r1 == r0 + 1:
+                    assert g is model.geoms[r0]
+                else:
+                    assert np.array_equal(g.elem_ids,
+                                          plan.elem_ids[off[r0]:off[r1]])
 
     def test_snapshot_restore_continues_bitwise(self, build):
         straight, resumed = build(), build()

@@ -50,30 +50,64 @@ def scatter(hx, *fields):
     return list(zip(*map(hx.scatter, fields)))
 
 
+def groupings(nranks):
+    """Rank-group bounds an exchange is run under: every rank alone, one
+    group of all ranks, and an uneven split (6 ranks as 1 + 3 + 2)."""
+    first = -(-nranks // 6)
+    return sorted({tuple(range(nranks + 1)), (0, nranks),
+                   tuple(sorted({0, first, first + nranks // 2, nranks}))},
+                  key=len, reverse=True)
+
+
+def grouped(locals_, bounds):
+    """Per-group tuples: each field of ranks ``lo..hi-1`` concatenated."""
+    if len(bounds) == len(locals_) + 1:
+        return locals_
+    return [tuple(map(np.concatenate, zip(*locals_[lo:hi])))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def events(mpi):
+    return [(e.track, e.name, e.cat, e.ph, e.ts, e.dur, e.args)
+            for e in mpi.tracer.recorder.events]
+
+
 def assert_same_exchange(mesh, part, hx, locals_, mode, make_mpi, tag=7):
-    """Run plan and oracle on twin communicators; compare everything."""
-    nranks = part.nranks
+    """Run the oracle per rank and the plan under every rank grouping,
+    each on its own communicator; compare everything.  Returns the
+    communicators of the per-rank plan run and of the oracle."""
+    nranks, off = part.nranks, hx.elem_offsets
     bc = [1e-4 * (r + 1) for r in range(nranks)]
     ic = [3e-4] * nranks
-    mpi_plan, mpi_oracle = make_mpi(), make_mpi()
-    outs, report = hx.exchange(locals_, mpi_plan, mode=mode,
-                               boundary_compute=bc, inner_compute=ic, tag=tag)
+    mpi_oracle = make_mpi()
     expected, memcpy = oracle_exchange(mesh, part, locals_, mpi_oracle, mode,
                                        bc, ic, tag)
-    for r, (got, want) in enumerate(zip(outs, expected)):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), f"rank {r} differs"
-    clocks = [mpi_plan.now(r) for r in range(nranks)]
-    assert clocks == [mpi_oracle.now(r) for r in range(nranks)]
-    assert report.rank_times == clocks
-    assert report.memcpy_seconds == memcpy
-    for name in ("comm_seconds", "messages_sent", "bytes_sent",
-                 "messages_dropped", "messages_delayed", "retransmissions"):
-        assert getattr(mpi_plan, name) == getattr(mpi_oracle, name), name
-    assert mpi_plan.pending_messages() == 0
-    return mpi_plan, mpi_oracle
+    plans = []
+    for bounds in groupings(nranks):
+        mpi_plan = make_mpi()
+        outs, report = hx.exchange(grouped(locals_, bounds), mpi_plan, mode=mode,
+                                   boundary_compute=bc, inner_compute=ic, tag=tag)
+        assert len(outs) == len(bounds) - 1
+        for lo, hi, group in zip(bounds, bounds[1:], outs):
+            assert all(o.flags.c_contiguous for o in group)
+            for r in range(lo, hi):
+                got = [o[off[r] - off[lo]:off[r + 1] - off[lo]] for o in group]
+                assert len(got) == len(expected[r])
+                for a, b in zip(got, expected[r]):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), f"rank {r} differs, {bounds}"
+        clocks = [mpi_plan.now(r) for r in range(nranks)]
+        assert clocks == [mpi_oracle.now(r) for r in range(nranks)], bounds
+        assert report.rank_times == clocks
+        assert report.memcpy_seconds == memcpy
+        for name in ("comm_seconds", "messages_sent", "bytes_sent",
+                     "messages_dropped", "messages_delayed", "retransmissions"):
+            assert getattr(mpi_plan, name) == getattr(mpi_oracle, name), name
+        assert mpi_plan.pending_messages() == 0
+        if mpi_plan.tracer.enabled:
+            assert events(mpi_plan) == events(mpi_oracle), bounds
+        plans.append(mpi_plan)
+    return plans[0], mpi_oracle
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4, 6, 16, 24])
@@ -113,12 +147,9 @@ def test_plan_emits_the_oracle_span_sequence(meshes, mode):
     hx = HaloExchanger(mesh, part)
     rng = np.random.default_rng(4)
     fields = [random_field(rng, (mesh.nelem, 4, 4) + t) for t in ((2,), (3, 2))]
-    mpis = assert_same_exchange(
+    plan, oracle = map(events, assert_same_exchange(
         mesh, part, hx, scatter(hx, *fields), mode,
-        lambda: SimMPI(part.nranks, tracer=Tracer("t")))
-    plan, oracle = (
-        [(e.track, e.name, e.cat, e.ph, e.ts, e.dur, e.args)
-         for e in m.tracer.recorder.events] for m in mpis)
+        lambda: SimMPI(part.nranks, tracer=Tracer("t"))))
     assert plan == oracle
     assert {"pack", "send", "unpack", "mpi.isend", "mpi.wait"} <= {e[1] for e in plan}
 
@@ -168,6 +199,20 @@ class TestBoundaryValidation:
         fields[1] = fields[1] * 2
         with pytest.raises(KernelError, match="rank 1 passes 2 fields"):
             hx.exchange(fields, SimMPI(4))
+
+    def test_a_group_ends_where_a_rank_ends(self, hx):
+        """A group's leading length must cover whole ranks; the error
+        names the group by its first rank."""
+        (a,), (b,), *rest = self.locals_(hx)
+        short = np.concatenate([a, b[:-1]])
+        with pytest.raises(KernelError, match=r"rank 0 field has shape \(\d+, 4, 4\)"):
+            hx.exchange([(short,), *rest], SimMPI(4))
+
+    def test_groups_cover_every_rank_once(self, hx):
+        fields = self.locals_(hx)
+        for bad in (fields[:3], fields + fields[:1], []):
+            with pytest.raises(KernelError, match="each of the 4 ranks once"):
+                hx.exchange(bad, SimMPI(4))
 
     def test_received_payload_shape_is_checked_in_full(self, hx):
         """A stale message under the same tag, posted first, with the

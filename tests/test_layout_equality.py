@@ -1,5 +1,5 @@
-"""Serial == distributed, bit for bit, at any rank count and any split of
-the serial model into element blocks.
+"""Serial == distributed, bit for bit, at any rank count, any split of
+the serial model into element blocks and any grouping of the ranks.
 
 The exchange sums what ``CubedSphereMesh.dss`` sums in the same order
 and the tracer mass fixer's global sums run in global element order, so
@@ -44,6 +44,11 @@ FORCINGS = (None, ("held_suarez",), ("held_suarez", "kessler", "radiation"))
 #: uneven split (7 blocks of the 96 at ne4, 4 of the 54 at ne3) and a
 #: single block.
 BLOCKS = (1, 14, None)
+
+#: Ranks per group the distributed twin draws: every rank alone, about
+#: three (an uneven grouping when three does not divide the rank count,
+#: or the ranks differ in size) and all ranks in one group.
+GROUPS = (1, 3, None)
 
 
 def blas_rows_stable() -> bool:
@@ -97,21 +102,40 @@ def prim_setup(ne: int, nlev: int, qsize: int):
     return cfg, mesh, state
 
 
+def budget(state, elems):
+    """The ``BLOCK_BYTES`` at which a block of ``state`` holds ``elems``
+    elements."""
+    return elems * max(a.nbytes // len(a) for a in vars(state).values())
+
+
 def split_into_blocks(serial, per_block):
     """Re-split a one-shard model into element blocks of ``per_block``
     elements (None: one block) through the budget its constructor reads."""
     E = serial.mesh.nelem
-    per_elem = max(a.nbytes // E for a in vars(serial.state).values())
-    with mock.patch.object(timestep, "BLOCK_BYTES", per_elem * (per_block or E)):
+    with mock.patch.object(timestep, "BLOCK_BYTES", budget(serial.state, per_block or E)):
         serial._split_blocks()
     assert len(serial.blocks) == -(-E // (per_block or E))
 
 
+def group_ranks(dist, per_group):
+    """Re-group a distributed model's ranks through the budget its
+    constructor reads: ``per_group`` average ranks' elements a group
+    (1: every rank alone, None: one group)."""
+    E, nranks = dist.mesh.nelem, dist.nranks
+    elems = {1: 1, None: E}.get(per_group) or per_group * E // nranks
+    with mock.patch.object(timestep, "BLOCK_BYTES", budget(dist.states[0], elems)):
+        dist._split_groups()
+    if per_group in (1, None):
+        assert len(dist.groups) == (nranks if per_group else 1)
+    assert [r for r0, r1, _ in dist.groups for r in range(r0, r1)] == list(range(nranks))
+
+
 def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
-                           nu=0.0, per_block=None):
+                           nu=0.0, per_block=None, per_group=None):
     """Fresh (serial, distributed) twins of one configuration; ``forcing``
     names a ``PhysicsSuite`` (one each), ``nu`` the shallow-water
-    hyperviscosity, ``per_block`` the serial model's elements per block."""
+    hyperviscosity, ``per_block`` the serial model's elements per block,
+    ``per_group`` the distributed model's ranks per group."""
     if kind == "sw":
         serial = ShallowWaterModel(mesh_of(ne), nu=nu, exec_path=exec_path)
         dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
@@ -127,6 +151,7 @@ def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
             exec_path=exec_path, forcing=forcing and PhysicsSuite(forcing))
         names = ("v", "T", "dp3d", "qdp")
     split_into_blocks(serial, per_block)
+    group_ranks(dist, per_group)
     return serial, dist, names
 
 
@@ -160,35 +185,40 @@ def prim_configs(draw):
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3), hyperviscous=st.booleans(),
-       per_block=st.sampled_from(BLOCKS))
+       per_block=st.sampled_from(BLOCKS), per_group=st.sampled_from(GROUPS))
 @settings(max_examples=8, deadline=None)
 def test_sw_gathered_state_is_the_serial_models_bytes(exec_path, layout, steps,
-                                                      hyperviscous, per_block):
+                                                      hyperviscous, per_block,
+                                                      per_group):
     ne, nranks = layout
     nu = nu_for_ne(ne) if hyperviscous else 0.0
     assert_same_bytes(
         *serial_and_distributed("sw", ne, None, exec_path, nranks, nu=nu,
-                                per_block=per_block), steps)
+                                per_block=per_block, per_group=per_group), steps)
 
 
 @needs_stable_rows
 @pytest.mark.parametrize("exec_path", EXEC_PATHS)
 @given(layout=layouts(), steps=st.integers(1, 3),  # the third step remaps
-       config=prim_configs(), per_block=st.sampled_from(BLOCKS))
-# No tracers at all, in one-element blocks.
-@example(layout=(2, 5), steps=3, config=((3, 0), None), per_block=1)
-@example(layout=(2, 5), steps=3, config=((3, 1), None), per_block=None)  # a stack of one
-# The whole suite, in four uneven blocks.
-@example(layout=(3, 7), steps=3, config=((4, 3), FORCINGS[2]), per_block=14)
+       config=prim_configs(), per_block=st.sampled_from(BLOCKS),
+       per_group=st.sampled_from(GROUPS))
+# No tracers at all, in one-element blocks, every rank alone.
+@example(layout=(2, 5), steps=3, config=((3, 0), None), per_block=1, per_group=1)
+@example(layout=(2, 5), steps=3, config=((3, 1), None), per_block=None,
+         per_group=None)  # a stack of one, one rank group
+# The whole suite, in four uneven blocks and uneven rank groups.
+@example(layout=(3, 7), steps=3, config=((4, 3), FORCINGS[2]), per_block=14,
+         per_group=3)
 @settings(max_examples=8, deadline=None)
 def test_prim_gathered_state_is_the_serial_models_bytes(exec_path, layout,
-                                                        steps, config, per_block):
+                                                        steps, config, per_block,
+                                                        per_group):
     ne, nranks = layout
     shape, forcing = config
     assume(shape[0] > 1 or steps < 3)  # one level cannot be remapped
     assert_same_bytes(
         *serial_and_distributed("prim", ne, shape, exec_path, nranks, forcing,
-                                per_block=per_block),
+                                per_block=per_block, per_group=per_group),
         steps)
 
 
