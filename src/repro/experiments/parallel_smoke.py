@@ -9,9 +9,10 @@ primitive-equation models serially and through the
 - parallel trajectories are **bitwise identical** to serial;
 - the simulated clocks agree exactly (SimMPI stays the timing model);
 - when the pool starts, work is actually dispatched to workers;
-- the pool dispatches exactly what the in-process engine does — the
-  same calls and tasks per step — so a change that splits tasks again
-  shows up as a number;
+- the pool dispatches what the in-process engine does — the same calls
+  per step, each one task per shard (the pool has a shard per worker,
+  so it may have more) — so a change that splits tasks again shows up
+  as a number;
 - a distributed step makes one exchange per synchronisation point, so a
   field split into its own exchange again shows up as a number too;
 - results return through the tasks' shared-memory blocks: after the
@@ -140,19 +141,22 @@ def run_parallel_smoke(
                 f"after step {i + 1} {t['results_shm']} results via shared "
                 f"memory, {t['results_queued']} via the queue"
                 for i, t in enumerate(transport)))
-        # (calls, tasks) per engine, the pool's start-up ping left out.
+        # (calls, tasks, shards) per engine, the pool's start-up ping left out.
         pool = (par.engine.calls, par.engine.tasks_parallel
-                + par.engine.tasks_serial - par.engine.workers)
-        inproc = (ser.engine.calls, ser.engine.tasks_serial)
-        table.add("pool dispatches == in-process dispatches (or clean fallback)",
-                  1.0, 1.0 if not par.engine.active or pool == inproc else 0.0,
+                + par.engine.tasks_serial - par.engine.workers, len(par.groups))
+        inproc = (ser.engine.calls, ser.engine.tasks_serial, len(ser.groups))
+        same_dispatch = pool[0] == inproc[0] and all(
+            tasks == calls * shards for calls, tasks, shards in (pool, inproc))
+        table.add("pool calls == in-process calls, one task per shard "
+                  "(or clean fallback)", 1.0,
+                  1.0 if not par.engine.active or same_dispatch else 0.0,
                   "boolean", 0.0)
         if verbose:
             print("  dispatch: " + "; ".join(
                 f"{who} {calls / prim_steps:g} calls, {tasks / prim_steps:g} "
-                f"tasks per step"
-                for who, (calls, tasks) in (("pool", pool),
-                                            ("in-process", inproc))))
+                f"tasks per step over {shards} shard(s)"
+                for who, (calls, tasks, shards) in (("pool", pool),
+                                                    ("in-process", inproc))))
         same = all(np.array_equal(getattr(gs, f), getattr(gp, f))
                    for f in ("v", "T", "dp3d", "qdp"))
         table.add("prim ne4 bitwise (v,T,dp3d,qdp)", 1.0,

@@ -16,9 +16,9 @@ order; the tracer mass fixer's global sums run in global element
 order), and the per-rank clocks expose the overlap-vs-classic timing
 difference on a real integration.
 
-The layout — partition, halo tables, SimMPI, per-rank geometry, the
-engine built around those geometries, the three calls a recipe makes
-(``_fanout``, ``_dss``, ``_mesh_sum``), tracing, lifecycle and
+The layout — partition, halo tables, SimMPI, rank groups (the shards),
+the engine built around their geometries, the three calls a recipe
+makes (``_fanout``, ``_dss``, ``_mesh_sum``), tracing, lifecycle and
 checkpointing — lives once in :class:`_DistributedModel`; each public
 class is a recipe on it plus its initial state.
 """
@@ -64,27 +64,45 @@ def charge_calibrated_compute(model, steps: int) -> None:
         model.mpi.compute(r, per_elem * nelem * steps)
 
 
+def rank_groups(offsets: list[int], state, workers: int) -> list[tuple[int, int]]:
+    """``(first rank, end rank)`` of each run of consecutive ranks (rank
+    ``r`` owns plan elements ``offsets[r]:offsets[r + 1]``) merged while
+    it fits one element block of ``state`` (:func:`timestep.block_elements`,
+    the one-shard layout's rule) and ``E // workers`` elements, so a pool
+    has a group per worker; a rank over that is a group of its own."""
+    cap = min(timestep.block_elements(state),
+              max(1, offsets[-1] // max(1, workers)))
+    spans, r0 = [], 0
+    for r in range(1, len(offsets) - 1):
+        if offsets[r + 1] - offsets[r0] > cap:
+            spans.append((r0, r))
+            r0 = r
+    return [*spans, (r0, len(offsets) - 1)]
+
+
 class _DistributedModel:
     """What every rank-distributed model is made of.
 
-    Construction partitions the mesh, builds the halo tables, the
-    simulated communicator and one :class:`ElementGeometry` over the
-    exchange plan's element order (:attr:`plan_geom`) whose row ranges
-    are the rank geometries ``geoms[r]``, warms the execution path's
-    memoized operands (so workers inherit them copy-on-write) and builds
-    the model's own engine around the rank geometries: context ``r`` is
-    rank ``r``'s shard.  ``workers <= 1`` makes that engine in-process.
-    With the engine's shard-affinity dispatch a worker only ever touches
-    (and faults in) the shards pinned to its slot.
-    ``engine_kwargs`` passes straight through to
-    :class:`~repro.parallel.engine.ParallelEngine` — the supervision
-    and chaos knobs of DESIGN.md §12.
+    Construction partitions the mesh, builds the halo tables and the
+    simulated communicator, and merges consecutive ranks into the shards
+    the recipe steps (:attr:`groups`, :func:`rank_groups`; a pool gets a
+    shard per worker).  ``states[g]`` holds shard ``g``'s elements
+    contiguous in the exchange plan's order, ``geoms[g]`` is that row
+    range of one :class:`ElementGeometry` over the plan
+    (:attr:`plan_geom`), and a rank is a row range of its shard
+    (:meth:`rank_states`).  Only the shard geometries are warmed (workers
+    inherit their memoized operands copy-on-write) and the engine is
+    built around them: context ``g`` is shard ``g``, and with its
+    shard-affinity dispatch a worker only ever touches (and faults in)
+    the shards pinned to its slot.  ``workers <= 1`` makes the engine
+    in-process; ``engine_kwargs`` passes straight through to
+    :class:`~repro.parallel.engine.ParallelEngine` — the supervision and
+    chaos knobs of DESIGN.md §12.
 
     Subclasses set ``_fields`` (prognostic array names of one rank's
-    state, in snapshot-key order) and ``_label``, fill ``self.states``
-    and call :meth:`_split_groups`, and take ``_levels`` (whether fields
-    carry a level axis after the element axis) and ``step()`` from their
-    recipe.
+    state, in snapshot-key order) and ``_label``, pass the whole-mesh
+    initial state, and take ``_levels`` (whether fields carry a level
+    axis after the element axis) and ``step()`` from their recipe.
     """
 
     _fields: tuple[str, ...]
@@ -96,7 +114,7 @@ class _DistributedModel:
 
     def __init__(self, mesh: CubedSphereMesh, nranks: int, mode: str, faults,
                  tracer, workers: int,
-                 engine_kwargs: dict | None, exec_path: str,
+                 engine_kwargs: dict | None, exec_path: str, init,
                  combine: str = "flat") -> None:
         if mode not in ("overlap", "classic"):
             raise KernelError(f"unknown exchange mode {mode!r}")
@@ -111,14 +129,18 @@ class _DistributedModel:
         self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
                           allreduce_algorithm=combine)
         self.plan_geom = ElementGeometry(mesh, self.hx.plan_elems)
-        bounds = self.hx.elem_offsets
-        self.geoms = [self.plan_geom.rows(lo, hi)
-                      for lo, hi in zip(bounds, bounds[1:])]
         self.t = 0.0
         self.step_count = 0
         self._epoch = 0
-
         self.workers = max(0, int(workers))
+
+        off, elems = self.hx.elem_offsets, self.hx.plan_elems
+        #: ``(first rank, end rank)`` of every shard, in rank order.
+        self.groups = rank_groups(off, init, self.workers)
+        rows = [(off[r0], off[r1]) for r0, r1 in self.groups]
+        self.geoms = [self.plan_geom.rows(lo, hi) for lo, hi in rows]
+        self.states = [type(init)(**{f: getattr(init, f)[elems[lo:hi]]
+                                     for f in self._fields}) for lo, hi in rows]
         for g in self.geoms:
             warm(g)
         self.engine = ParallelEngine(
@@ -126,40 +148,36 @@ class _DistributedModel:
             label=self._label, **(engine_kwargs or {}),
         )
 
+    def _rank_rows(self, per_shard: list[np.ndarray]) -> list[np.ndarray]:
+        """Every rank's rows of per-shard (E_g, ...) arrays, as views, in
+        rank order."""
+        off = self.hx.elem_offsets
+        return [a[off[r] - off[r0]:off[r + 1] - off[r0]]
+                for (r0, r1), a in zip(self.groups, per_shard)
+                for r in range(r0, r1)]
+
+    def rank_states(self) -> list:
+        """Every rank's state, its arrays row views of its shard's: a
+        write through one is a write into the shard."""
+        per_field = [self._rank_rows([getattr(s, f) for s in self.states])
+                     for f in self._fields]
+        return [type(self.states[0])(**dict(zip(self._fields, arrays)))
+                for arrays in zip(*per_field)]
+
     # -- distributed DSS ----------------------------------------------------------
 
-    def _split_groups(self) -> None:
-        """Merge consecutive ranks into groups of at most one block's
-        elements (:func:`timestep.block_elements`, the one-shard layout's
-        rule); a rank over the budget is a group of its own."""
-        cap = timestep.block_elements(self.states[0])
-        off, spans, r0 = self.hx.elem_offsets, [], 0
-        for r in range(1, self.nranks):
-            if off[r + 1] - off[r0] > cap:
-                spans.append((r0, r))
-                r0 = r
-        spans.append((r0, self.nranks))
-        #: ``(first rank, end rank, geometry of their elements)``; the
-        #: geometry is the rank's own for a one-rank group, else a view
-        #: of :attr:`plan_geom`.
-        self.groups = [(r0, r1, self.geoms[r0] if r1 == r0 + 1
-                        else self.plan_geom.rows(off[r0], off[r1]))
-                       for r0, r1 in spans]
-
     def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
-        """DSS every rank's tuple of fields in one exchange.
+        """DSS every shard's tuple of fields in one exchange.
 
-        The element-local work runs once per rank group
-        (:meth:`_split_groups`) on the group's fields as one block — a
-        rank's own arrays, or the group's ranks concatenated: a field
-        with one axis more than a scalar is a contravariant (..., 2)
-        vector and crosses in Cartesian form, and level axes move last
-        for the exchange.  Results come back C-contiguous per group and a
-        rank's are row ranges of its group's, so the state's memory
-        layout — and therefore every later reduction's rounding — is the
-        one a restored checkpoint has.
+        The element-local work runs once per shard on its fields as one
+        block: a field with one axis more than a scalar is a
+        contravariant (..., 2) vector and crosses in Cartesian form, and
+        level axes move last for the exchange.  Results come back
+        C-contiguous per shard, so the state's memory layout — and
+        therefore every later reduction's rounding — is the one a
+        restored checkpoint has.
         """
-        vector, off = 4 + self._levels, self.hx.elem_offsets
+        vector = 4 + self._levels
 
         def out(g, f):
             w = g.to_cartesian(f) if f.ndim == vector else f
@@ -171,30 +189,21 @@ class _DistributedModel:
             return g.from_cartesian(o) if is_vector else np.ascontiguousarray(o)
 
         vectors = [f.ndim == vector for f in fields[0]]
-        # A generator: a group's concatenated inputs die once converted.
-        blocks = (fields[r0] if r1 == r0 + 1
-                  else tuple(map(np.concatenate, zip(*fields[r0:r1])))
-                  for r0, r1, _ in self.groups)
         outs, _ = self.hx.exchange(
-            [tuple(out(g, f) for f in fs)
-             for (_, _, g), fs in zip(self.groups, blocks)],
+            [tuple(out(g, f) for f in fs) for g, fs in zip(self.geoms, fields)],
             self.mpi,
             mode=self.mode,
             boundary_compute=self._bc,
             inner_compute=self._ic,
             tag=exchange_tag(self.step_count, stage, slot, self._epoch),
         )
-        per_rank = []
-        for (r0, r1, g), os in zip(self.groups, outs):
-            done = [back(g, o, v) for o, v in zip(os, vectors)]
-            per_rank += [tuple(d[off[r] - off[r0]:off[r + 1] - off[r0]] for d in done)
-                         for r in range(r0, r1)]
-        return per_rank
+        return [tuple(back(g, o, v) for o, v in zip(os, vectors))
+                for g, os in zip(self.geoms, outs)]
 
     # -- distributed global sum ---------------------------------------------------
 
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
-        """Sum per-rank (E_r, ...) per-element rows over the whole mesh.
+        """Sum per-shard (E_g, ...) per-element rows over the whole mesh.
 
         Every rank ends up with the sum in global element order — the
         one-shard layout's, whatever the partition — as CESM's
@@ -202,19 +211,20 @@ class _DistributedModel:
         summed on its own, so stacking sums changes no bit.  What travels
         is still one row block per rank, and that is what SimMPI charges.
         """
-        self.mpi.allreduce([rows.sum(axis=0) for rows in per_elem])
-        return sum_elements(self.hx.gather(per_elem))
+        per_rank = self._rank_rows(per_elem)
+        self.mpi.allreduce([rows.sum(axis=0) for rows in per_rank])
+        return sum_elements(self.hx.gather(per_rank))
 
-    # -- per-rank task dispatch ---------------------------------------------------
+    # -- per-shard task dispatch --------------------------------------------------
 
     def _fanout(self, task, meta_extra: dict,
-                per_rank_arrays: list[tuple]) -> list[tuple]:
-        """Run ``task`` once per rank — one batch of whole-rank tasks, in
-        rank order; one tuple of output arrays per rank."""
+                per_shard_arrays: list[tuple]) -> list[tuple]:
+        """Run ``task`` once per shard — one batch, in shard order; one
+        tuple of output arrays per shard."""
         return self.engine.run(task, [
-            ({"ctx": r, "shard": r, **meta_extra, "path": self.exec_path},
+            ({"ctx": g, "shard": g, **meta_extra, "path": self.exec_path},
              arrays)
-            for r, arrays in enumerate(per_rank_arrays)])
+            for g, arrays in enumerate(per_shard_arrays)])
 
     # -- tracing ------------------------------------------------------------------
 
@@ -262,7 +272,7 @@ class _DistributedModel:
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{f}_{r}": getattr(s, f)
-                for r, s in enumerate(self.states) for f in self._fields}
+                for r, s in enumerate(self.rank_states()) for f in self._fields}
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Everything needed to continue the trajectory bitwise.
@@ -311,27 +321,27 @@ class _DistributedModel:
         self.step_count = int(steps)
         self._epoch += 1
         self.mpi.purge_pending()
-        for r, s in enumerate(self.states):
-            for f in self._fields:
-                setattr(s, f, new[f"{f}_{r}"].copy())
+        for key, arr in new.items():
+            live[key][...] = arr
 
     def gather_state(self):
         """Assemble the global state (for comparison with serial runs)."""
-        return type(self.states[0])(**{
-            f: self.hx.gather([getattr(s, f) for s in self.states])
+        ranks = self.rank_states()
+        return type(ranks[0])(**{
+            f: self.hx.gather([getattr(s, f) for s in ranks])
             for f in self._fields})
 
 
 class DistributedShallowWater(_SWRecipe, _DistributedModel):
     """The shallow-water recipe over ``nranks`` simulated MPI ranks.
 
-    ``workers > 1`` runs each rank's tendency computation on a real
+    ``workers > 1`` runs each shard's tendency computation on a real
     core through :class:`repro.parallel.engine.ParallelEngine`; the
     trajectory is bitwise identical to ``workers=0``.  Simulated clocks
     are unaffected either way — SimMPI remains the timing model.
 
     ``nu > 0`` adds the recipe's hyperviscosity (off by default).
-    ``exec_path`` names the element-local kernel set each rank task
+    ``exec_path`` names the element-local kernel set each shard task
     runs (``"fused"`` default, the single-pass contraction kernels;
     ``"batched"``, the operator-library reference); the DSS structure
     is identical across paths.
@@ -358,10 +368,7 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
         init = williamson2_initial(mesh)
         self._sw_init(mesh, init, dt, nu)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         engine_kwargs, exec_path)
-        self.states = [SWState(h=init.h[e].copy(), v=init.v[e].copy())
-                       for e in self.hx.rank_elems]
-        self._split_groups()
+                         engine_kwargs, exec_path, init)
         # Simulated kernel cost attribution for the overlap window.
         self._cost = compute_cost_per_element
         self._bc = [
@@ -383,16 +390,16 @@ class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
     RK3 + tracers + hyperviscosity + remap + forcing — with every DSS
     routed through ``bndry_exchangev``.  Column-local work (pressure
     scans, vertical remap, physics) needs no communication — exactly the
-    structure the paper exploits; ``forcing`` runs on each rank's state
+    structure the paper exploits; ``forcing`` runs on each shard's state
     and geometry in turn.  Trajectories are the serial model's bit for
     bit at any rank count (verified in the tests).
 
-    ``workers > 1`` fans the per-rank tendency, tracer-advection, and
+    ``workers > 1`` fans the per-shard tendency, tracer-advection, and
     hyperviscosity work across real cores (see
     :mod:`repro.parallel.dycore`); the trajectory is bitwise identical
     to ``workers=0``.
 
-    ``exec_path`` names the element-local kernel set the per-rank tasks
+    ``exec_path`` names the element-local kernel set the per-shard tasks
     run (``"fused"`` default, ``"batched"`` reference); the
     exchange/allreduce structure is identical across paths.
 
@@ -427,12 +434,5 @@ class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
     ) -> None:
         self._prim_init(cfg, mesh, init_state, dt, forcing)
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
-                         engine_kwargs, exec_path, combine)
+                         engine_kwargs, exec_path, init_state, combine)
         self.combine = combine
-        self.states = [
-            type(init_state)(v=init_state.v[e].copy(), T=init_state.T[e].copy(),
-                             dp3d=init_state.dp3d[e].copy(),
-                             qdp=init_state.qdp[e].copy())
-            for e in self.hx.rank_elems
-        ]
-        self._split_groups()

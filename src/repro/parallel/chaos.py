@@ -12,10 +12,11 @@ that make the fault observable fast, and :func:`run_scenario` executes
 the faulty parallel integration next to a fault-free serial one and
 compares the gathered states byte for byte.
 
-Scenarios (all keyed to task ids in the first RK stage of one step, so
-they fire mid-batch; step 0 by default — where every block is new and
-results still travel by queue — or, with ``at_step``, a later one, where
-they return through the blocks):
+Scenarios (all keyed to task ids in the first RK stage of one step, one
+task per shard of the model's ``groups``, so they fire mid-batch; step
+0 by default — where every block is new and results still travel by
+queue — or, with ``at_step``, a later one, where they return through
+the blocks):
 
 - ``kill-worker`` — a worker self-SIGKILLs before computing; the
   supervisor sees the crash, respawns the slot, redistributes.
@@ -76,15 +77,16 @@ SCENARIOS: dict[str, tuple[dict, dict]] = {
 }
 
 
-def scenario_spec(name: str, workers: int, nranks: int, seed: int = 0,
+def scenario_spec(name: str, workers: int, tasks: int, seed: int = 0,
                   first_task: int | None = None) -> tuple[ChaosSpec, dict]:
     """Build the seeded spec and engine overrides for one scenario.
 
-    Task ids are drawn from ``[first_task, first_task + nranks)``, by
+    Task ids are drawn from ``[first_task, first_task + tasks)``, by
     default ``first_task = workers``: the engine's start-up ping takes
-    ids ``0..workers-1``, and the next ``nranks`` ids are the first RK
-    stage's per-rank tasks, dispatched as one batch.  A later stage's
-    first id moves the same draw there.
+    ids ``0..workers-1``, and the next ``tasks`` ids — one per shard of
+    the model, ``len(model.groups)`` — are the first RK stage's tasks,
+    dispatched as one batch.  A later stage's first id moves the same
+    draw there.
     """
     try:
         counts, overrides = SCENARIOS[name]
@@ -95,7 +97,7 @@ def scenario_spec(name: str, workers: int, nranks: int, seed: int = 0,
         ) from None
     first = workers if first_task is None else first_task
     spec = ChaosSpec.seeded(
-        seed, first_task=first, last_task=first + nranks, **counts
+        seed, first_task=first, last_task=first + tasks, **counts
     )
     return spec, dict(overrides)
 
@@ -124,7 +126,7 @@ def run_scenario(
     kill recovers via respawn, never via whole-pool degrade).
     ``at_step`` picks the step whose first RK stage takes the faults.
     """
-    from ..homme.distributed import DistributedShallowWater
+    from ..homme.distributed import DistributedShallowWater, rank_groups
     from ..mesh.cubed_sphere import CubedSphereMesh
 
     if not 0 <= at_step < steps:
@@ -133,9 +135,10 @@ def run_scenario(
     with DistributedShallowWater(mesh, nranks=nranks) as serial:
         serial.run_steps(steps)
         ref = serial.gather_state()
-    # Task ids a step consumes: three RK stages, each one task per rank.
+        # The pool model's shards: one task each per RK stage, three a step.
+        tasks = len(rank_groups(serial.hx.elem_offsets, ref, workers))
     spec, overrides = scenario_spec(
-        name, workers, nranks, seed, workers + at_step * 3 * nranks)
+        name, workers, tasks, seed, workers + at_step * 3 * tasks)
     with DistributedShallowWater(
         mesh, nranks=nranks, workers=workers, tracer=tracer,
         engine_kwargs={"chaos": spec, "faults": faults, **overrides},
@@ -153,6 +156,7 @@ def run_scenario(
         "spec": asdict(spec),
         "ne": ne,
         "nranks": nranks,
+        "tasks_per_stage": len(chaotic.groups),
         "steps": steps,
         "at_step": at_step,
         "workers": workers,

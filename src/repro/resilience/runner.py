@@ -57,7 +57,7 @@ class ResilientRunner:
     Parameters
     ----------
     model:
-        Anything with ``step()``, ``step_count``, ``states``,
+        Anything with ``step()``, ``step_count``, ``rank_states()``,
         ``snapshot()`` and ``restore_snapshot()`` — both distributed
         HOMME models qualify.
     checkpointer:
@@ -109,7 +109,13 @@ class ResilientRunner:
         if self.faults is None:
             return
         for bf in self.faults.state_flips_at(self.model.step_count):
-            state = self.model.states[bf.rank % len(self.model.states)]
+            ranks = self.model.rank_states()
+            if not 0 <= bf.rank < len(ranks):
+                raise ResilienceError(
+                    f"bit-flip targets rank {bf.rank}; the model has ranks "
+                    f"0..{len(ranks) - 1}"
+                )
+            state = ranks[bf.rank]
             arr = getattr(state, bf.field_name, None)
             if arr is None:
                 raise ResilienceError(

@@ -46,9 +46,10 @@ class StateValidator:
         return out
 
     def problems(self, model) -> list[str]:
-        """All invariant violations in ``model.states``, human-readable."""
+        """All invariant violations in ``model.rank_states()``, each named
+        by the rank whose rows hold it, human-readable."""
         found: list[str] = []
-        for r, state in enumerate(model.states):
+        for r, state in enumerate(model.rank_states()):
             for name, arr in self._fields(state).items():
                 bad = ~np.isfinite(arr)
                 if bad.any():

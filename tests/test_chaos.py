@@ -50,7 +50,7 @@ class TestChaosSpec:
         from repro.errors import KernelError
 
         with pytest.raises(KernelError, match="unknown chaos scenario"):
-            scenario_spec("bogus", workers=2, nranks=4)
+            scenario_spec("bogus", workers=2, tasks=4)
 
 
 #: Scenario -> recovery tallies that must be non-zero once it has run.
@@ -90,11 +90,15 @@ class TestScenarioRecovery:
         assert rep["pool_active_at_end"]
         assert rep["transport"]["results_shm"] > 0
         assert rep["leaked_shm"] == []
-        first = 2 + at_step * 3 * 4  # ping, then 3 stages x 4 ranks a step
+        # The ping, then 3 stages a step of one task per shard: the pool
+        # splits the 4 ranks into a shard per worker.
+        tasks = rep["tasks_per_stage"]
+        assert tasks == 2
+        first = 2 + at_step * 3 * tasks
         tids = (rep["spec"]["kill_tasks"] + rep["spec"]["stall_tasks"]
                 + rep["spec"]["corrupt_tasks"]
                 + tuple(t for t, _ in rep["spec"]["delay_tasks"]))
-        assert tids and all(first <= t < first + 4 for t in tids)
+        assert tids and all(first <= t < first + tasks for t in tids)
 
     def test_landing_point_outside_the_run_raises(self):
         from repro.errors import KernelError
@@ -209,7 +213,7 @@ class TestResilientRunnerParallel:
             seed=9,
             bitflips=[BitFlip(step=2, field_name="h", rank=0, word=3, bit=63)],
         )
-        spec, _ = scenario_spec("kill-worker", workers=2, nranks=4, seed=1)
+        spec, _ = scenario_spec("kill-worker", workers=2, tasks=2, seed=1)
         with DistributedShallowWater(
             mesh2, nranks=4, dt=ref.dt, workers=2,
             faults=fi, engine_kwargs={"chaos": spec, "faults": fi},

@@ -258,6 +258,14 @@ class TestDistributedPrimitiveEquations:
             DistributedPrimitiveEquations(cfg, mesh, state, nranks=2, dt=600.0, mode="x")
 
 
+def rank_bytes(build) -> int:
+    """Largest per-rank state array of ``build``'s models: the
+    ``BLOCK_BYTES`` at which each rank is one element block."""
+    state = build().states[0]
+    per_elem = max(a.nbytes // len(a) for a in vars(state).values())
+    return per_elem * len(state.v) // 4
+
+
 @pytest.fixture(params=["sw", "prim"])
 def build(request, mesh4, setup):
     """Constructor of a 4-rank model of either class from shared inputs."""
@@ -277,7 +285,7 @@ class TestSharedBase:
         with build(workers=2) as model:
             model.step()
             engine = model.engine
-            assert list(engine.contexts) == model.geoms  # the rank shards
+            assert list(engine.contexts) == model.geoms  # the shards
         assert not engine.active and engine.leaked_shm() == []
         model.close()
         model.close()
@@ -285,7 +293,7 @@ class TestSharedBase:
 
     def test_no_split_contexts_without_a_pool(self, build):
         """``pipeline=True`` — the step benchmark still passes it — is
-        accepted and ignored: the contexts are the rank shards."""
+        accepted and ignored: the contexts are the shards."""
         with build(pipeline=True) as model:
             assert list(model.engine.contexts) == model.geoms
             assert not hasattr(model, "pipeline")
@@ -302,18 +310,34 @@ class TestSharedBase:
                 model.close()
             del model
             gc.collect()
-            assert [ref() for ref in shards] == [None] * 4
+            assert shards and [ref() for ref in shards] == [None] * len(shards)
 
-    def test_rank_geometries_share_the_plan_geometry_never_copy(self, build):
-        """One geometry over the plan's element order; every rank's (and
-        every rank group's) is a read-only row range of it, equal to the
-        geometry the rank's elements would build on their own."""
-        model = build()
+    def test_shard_geometries_are_plan_geometry_views(self, build):
+        """One geometry over the plan's element order; every shard's is a
+        read-only row range of it, equal to the geometry its elements
+        would build on their own, and carries the only operator tensors:
+        the engine's contexts are the shard geometries, and no per-rank
+        geometry is built (each would warm tensors of its own)."""
+        cut, budget = [], 2 * rank_bytes(build)
+        rows = ElementGeometry.rows
+
+        def counting_rows(geom, lo, hi):
+            cut.append(rows(geom, lo, hi))
+            return cut[-1]
+
+        # Two ranks a shard, so a shard is neither a rank nor the plan.
+        with mock.patch.object(ElementGeometry, "rows", counting_rows), \
+                mock.patch.object(timestep, "BLOCK_BYTES", budget):
+            model = build()
+        assert model.groups == [(0, 2), (2, 4)]
+        assert cut == model.geoms and model.engine.contexts == tuple(model.geoms)
         plan, off = model.plan_geom, model.hx.elem_offsets
         assert np.array_equal(plan.elem_ids, np.concatenate(model.hx.rank_elems))
+        assert "tensors" not in vars(plan)
         names = ("e_cov_planes", "metinv_planes", "spheremp", "fcor")
-        views = [*model.geoms, *(g for r0, r1, g in model.groups if r1 > r0 + 1)]
-        for g in views:
+        for (r0, r1), g in zip(model.groups, model.geoms):
+            assert np.array_equal(g.elem_ids, plan.elem_ids[off[r0]:off[r1]])
+            assert "tensors" in vars(g)  # warmed before the engine
             own = ElementGeometry(model.mesh, g.elem_ids)
             for name in (*names, "metdet", "met", "lat", "lon"):
                 a = getattr(g, name)
@@ -321,30 +345,85 @@ class TestSharedBase:
                 assert a.tobytes() == getattr(own, name).tobytes(), name
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 0.0
-        for r, g in enumerate(model.geoms):
-            assert np.array_equal(g.elem_ids, plan.elem_ids[off[r]:off[r + 1]])
 
     def test_rank_groups_follow_the_state_bytes(self, build):
         """Consecutive ranks merge while their largest per-element state
-        array fits the block budget; a rank over it stays alone, and a
-        one-rank group computes on the rank's own geometry."""
-        model = build()
-        plan, off = model.plan_geom, model.hx.elem_offsets
-        per_rank = max(a.nbytes for a in vars(model.states[0]).values())
+        array fits the block budget read at construction; a rank over it
+        stays alone.  The groups are the shards: one state, one geometry
+        and one engine context each, over the group's rows of the plan."""
+        per_rank = rank_bytes(build)
         alone = [(0, 1), (1, 2), (2, 3), (3, 4)]
         for budget, want in ((per_rank - 1, alone), (per_rank, alone),
                              (2 * per_rank, [(0, 2), (2, 4)]),
                              (3 * per_rank, [(0, 3), (3, 4)]),
                              (4 * per_rank, [(0, 4)])):
             with mock.patch.object(timestep, "BLOCK_BYTES", budget):
-                model._split_groups()
-            assert [(r0, r1) for r0, r1, _ in model.groups] == want, budget
-            for r0, r1, g in model.groups:
-                if r1 == r0 + 1:
-                    assert g is model.geoms[r0]
-                else:
-                    assert np.array_equal(g.elem_ids,
-                                          plan.elem_ids[off[r0]:off[r1]])
+                model = build()
+            assert model.groups == want, budget
+            assert len(model.states) == len(model.geoms) == len(model.engine.contexts)
+            off = model.hx.elem_offsets
+            for (r0, r1), s, g in zip(model.groups, model.states, model.geoms):
+                assert np.array_equal(g.elem_ids,
+                                      model.plan_geom.elem_ids[off[r0]:off[r1]])
+                assert all(len(a) == off[r1] - off[r0] for a in vars(s).values())
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_task_per_shard_per_stage(self, build, workers):
+        """A step dispatches one task per shard per batch, in process and
+        on a pool alike."""
+        with mock.patch.object(timestep, "BLOCK_BYTES", 2 * rank_bytes(build)), \
+                build(workers=workers) as model:
+            engine = model.engine
+            calls, tasks = engine.calls, engine.tasks_parallel + engine.tasks_serial
+            model.step()
+            assert len(model.groups) == 2
+            assert (engine.tasks_parallel + engine.tasks_serial - tasks
+                    == len(model.groups) * (engine.calls - calls))
+
+    def test_a_pool_gets_a_shard_per_worker_and_the_in_process_bits(self, build):
+        """Ranks that would fit one block still split so that every worker
+        has a shard; the trajectory is the in-process model's bytes."""
+        with build() as alone, build(workers=2) as pooled:
+            assert alone.groups == [(0, 4)]
+            assert len(pooled.groups) >= 2
+            alone.run_steps(2)
+            pooled.run_steps(2)
+            a, b = alone.snapshot(), pooled.snapshot()
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
+        assert pooled.engine.leaked_shm() == []
+
+    def test_rank_states_are_views_of_the_shards(self, build):
+        """A write through a rank's state lands in its shard's array, at
+        the rank's rows."""
+        with mock.patch.object(timestep, "BLOCK_BYTES", 2 * rank_bytes(build)):
+            model = build()
+        off, field = model.hx.elem_offsets, model._fields[0]
+        ranks = model.rank_states()
+        assert len(ranks) == model.nranks
+        for r, s in enumerate(ranks):
+            g = next(i for i, (r0, r1) in enumerate(model.groups) if r0 <= r < r1)
+            shard = getattr(model.states[g], field)
+            lo = off[r] - off[model.groups[g][0]]
+            getattr(s, field)[0] = -float(r + 1)
+            assert np.all(shard[lo] == -float(r + 1)), r
+            assert np.shares_memory(getattr(s, field), shard)
+
+    def test_snapshot_keys_and_shapes_are_per_rank(self, build):
+        """Whatever the shards, a snapshot holds ``<field>_<rank>`` arrays
+        of each rank's own elements, as it did before ranks were grouped."""
+        model = build()
+        assert len(model.groups) < model.nranks
+        snap = model.snapshot()
+        want = {"meta"} | {f"{f}_{r}" for f in model._fields
+                           for r in range(model.nranks)}
+        assert set(snap) == want
+        for f in model._fields:
+            whole = getattr(model.gather_state(), f)
+            for r, elems in enumerate(model.hx.rank_elems):
+                assert snap[f"{f}_{r}"].shape == whole[elems].shape
+                assert snap[f"{f}_{r}"].tobytes() == whole[elems].tobytes()
 
     def test_snapshot_restore_continues_bitwise(self, build):
         straight, resumed = build(), build()

@@ -117,17 +117,13 @@ def split_into_blocks(serial, per_block):
     assert len(serial.blocks) == -(-E // (per_block or E))
 
 
-def group_ranks(dist, per_group):
-    """Re-group a distributed model's ranks through the budget its
-    constructor reads: ``per_group`` average ranks' elements a group
-    (1: every rank alone, None: one group)."""
-    E, nranks = dist.mesh.nelem, dist.nranks
+def grouped(state, nranks, per_group):
+    """Patch the budget the distributed constructor reads so that its rank
+    groups hold ``per_group`` average ranks' elements of ``state`` (1:
+    every rank alone, None: one group)."""
+    E = len(state.v)
     elems = {1: 1, None: E}.get(per_group) or per_group * E // nranks
-    with mock.patch.object(timestep, "BLOCK_BYTES", budget(dist.states[0], elems)):
-        dist._split_groups()
-    if per_group in (1, None):
-        assert len(dist.groups) == (nranks if per_group else 1)
-    assert [r for r0, r1, _ in dist.groups for r in range(r0, r1)] == list(range(nranks))
+    return mock.patch.object(timestep, "BLOCK_BYTES", budget(state, elems))
 
 
 def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
@@ -135,23 +131,29 @@ def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
     """Fresh (serial, distributed) twins of one configuration; ``forcing``
     names a ``PhysicsSuite`` (one each), ``nu`` the shallow-water
     hyperviscosity, ``per_block`` the serial model's elements per block,
-    ``per_group`` the distributed model's ranks per group."""
+    ``per_group`` the distributed model's ranks per group (its shards,
+    fixed at construction)."""
     if kind == "sw":
         serial = ShallowWaterModel(mesh_of(ne), nu=nu, exec_path=exec_path)
-        dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
-                                       nu=nu, exec_path=exec_path)
+        with grouped(serial.state, nranks, per_group):
+            dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
+                                           nu=nu, exec_path=exec_path)
         names = ("h", "v")
     else:
         cfg, mesh, state = prim_setup(ne, *shape)
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=600.0,
                                         forcing=forcing and PhysicsSuite(forcing),
                                         exec_path=exec_path)
-        dist = DistributedPrimitiveEquations(
-            cfg, mesh, state.copy(), nranks=nranks, dt=600.0,
-            exec_path=exec_path, forcing=forcing and PhysicsSuite(forcing))
+        with grouped(state, nranks, per_group):
+            dist = DistributedPrimitiveEquations(
+                cfg, mesh, state.copy(), nranks=nranks, dt=600.0,
+                exec_path=exec_path, forcing=forcing and PhysicsSuite(forcing))
         names = ("v", "T", "dp3d", "qdp")
     split_into_blocks(serial, per_block)
-    group_ranks(dist, per_group)
+    if per_group in (1, None):
+        assert len(dist.groups) == (nranks if per_group else 1)
+    assert [r for r0, r1 in dist.groups for r in range(r0, r1)] == list(range(nranks))
+    assert len(dist.states) == len(dist.geoms) == len(dist.groups)
     return serial, dist, names
 
 

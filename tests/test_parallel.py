@@ -605,9 +605,9 @@ class TestDistributedBitwise:
 
     def test_pool_dispatches_what_the_inprocess_engine_does(self):
         """Exact-counter pin: over two steps the pool takes the same
-        calls and tasks as its ``workers=0`` twin — one batch of
-        whole-rank tasks per dispatch — and ``pipeline=True``, which the
-        step benchmark still passes, changes nothing."""
+        calls as its ``workers=0`` twin — one batch of whole-shard tasks
+        per dispatch, on its shard per worker — and ``pipeline=True``,
+        which the step benchmark still passes, changes nothing."""
         cfg, mesh, _, state = _noisy_prim_state()
 
         def build(**kw):
@@ -626,9 +626,13 @@ class TestDistributedBitwise:
                 got = model.engine.describe()
                 assert got["calls"] == want["calls"]
                 assert got["tasks_serial"] == 0
-                assert got["tasks_parallel"] - 2 == want["tasks_serial"]  # ping
+                # One task per shard per call, the ping left out; the pool
+                # has a shard per worker.
+                assert got["tasks_parallel"] - 2 == got["calls"] * len(model.groups)
                 assert got["pipeline"] == {"overlap_seconds": 0.0,
                                            "wait_seconds": 0.0}
+            assert want["tasks_serial"] == want["calls"] * len(ser.groups)
+            assert (len(ser.groups), len(par.groups)) == (1, 2)
             gp, gi = par.gather_state(), ignored.gather_state()
             for f in ("v", "T", "dp3d", "qdp"):
                 assert getattr(gp, f).tobytes() == getattr(gi, f).tobytes(), f
@@ -738,7 +742,7 @@ class TestShardedContexts:
         The respawned worker is handed the engine's contexts again, so
         the redistributed shard computes on the same geometry."""
         cfg, mesh, _, state = _noisy_prim_state()
-        spec, overrides = scenario_spec("kill-worker", workers=2, nranks=4)
+        spec, overrides = scenario_spec("kill-worker", workers=2, tasks=2)
         with DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0) as ser, \
             DistributedPrimitiveEquations(
@@ -746,6 +750,7 @@ class TestShardedContexts:
                 engine_kwargs={"chaos": spec, **overrides}) as par:
             if not par.engine.active:
                 pytest.skip(f"pool unavailable: {par.engine.fallback_reason}")
+            assert len(par.groups) == 2  # the spec's tasks per stage
             assert_same_trajectory(ser, par, 2)
             assert par.engine.active
             assert par.engine.recovery["crashes"] == 1
@@ -787,9 +792,10 @@ class TestShardedContexts:
             model.step()
             per_slot = model.engine.contexts_by_slot
             assert len(per_slot) == 2
-            # Shard affinity: each worker touched only its own shards.
+            # Shard affinity: each worker touched only its own shards,
+            # one rank group each.
             all_idx = [i for idxs in per_slot.values() for i in idxs]
-            assert sorted(all_idx) == list(range(model.nranks))
+            assert sorted(all_idx) == list(range(len(model.groups))) == [0, 1]
             peak = model.engine.peak_context_bytes()
             total = model.engine.total_context_bytes()
             assert 0 < peak < total

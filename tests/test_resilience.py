@@ -255,7 +255,7 @@ class TestCheckpointer:
         ck = Checkpointer(tmp_path)
         path = ck.save(m)
         snap = ck.load(path)
-        assert np.array_equal(snap["h_0"], m.states[0].h)
+        assert np.array_equal(snap["h_0"], m.rank_states()[0].h)
 
     def test_corrupt_checkpoint_detected(self, mesh4, tmp_path):
         m = DistributedShallowWater(mesh4, nranks=2)
@@ -415,20 +415,28 @@ class TestStateValidator:
 
     def test_detects_nan(self, mesh4):
         m = DistributedShallowWater(mesh4, nranks=2)
-        m.states[1].v[0, 0, 0, 0] = np.nan
+        m.rank_states()[1].v[0, 0, 0, 0] = np.nan
         v = StateValidator()
         probs = v.problems(m)
         assert len(probs) == 1 and "rank 1" in probs[0] and "v" in probs[0]
 
     def test_detects_negative_h(self, mesh4):
         m = DistributedShallowWater(mesh4, nranks=2)
-        flip_bit(m.states[0].h, 5, 63)  # sign-bit SDC
+        flip_bit(m.rank_states()[0].h, 5, 63)  # sign-bit SDC
         v = StateValidator()
         assert not v.check(m)
 
+    def test_names_the_rank_whose_rows_hold_the_violation(self, mesh4):
+        """Four ranks in one shard: a NaN in rank 3's rows is rank 3's."""
+        m = DistributedShallowWater(mesh4, nranks=4)
+        assert len(m.groups) == 1
+        m.rank_states()[3].h[2, 1, 1] = np.nan
+        assert StateValidator().problems(m) == [
+            "rank 3: h has 1 non-finite value(s)"]
+
     def test_require_raises(self, mesh4):
         m = DistributedShallowWater(mesh4, nranks=2)
-        m.states[0].h[0, 0, 0] = np.inf
+        m.rank_states()[0].h[0, 0, 0] = np.inf
         with pytest.raises(ResilienceError):
             StateValidator().require(m)
 
@@ -498,6 +506,31 @@ class TestResilientRunner:
         with pytest.raises(ResilienceError, match="budget"):
             runner.run(3)
 
+    def test_bit_flip_lands_in_the_named_ranks_rows(self, mesh4, tmp_path):
+        """Four ranks in one shard: a flip on rank 2 changes rank 2's
+        elements of the gathered state and nothing else."""
+        ref = DistributedShallowWater(mesh4, nranks=4)
+        ref.run_steps(1)
+        # Word 5 of rank 2's (24, 4, 4) h is in its first element; bit 0
+        # leaves the state valid, so nothing rolls back.
+        fi = FaultInjector(
+            bitflips=[BitFlip(step=1, field_name="h", rank=2, word=5, bit=0)])
+        m = DistributedShallowWater(mesh4, nranks=4, dt=ref.dt)
+        assert len(m.groups) == 1
+        rep = ResilientRunner(m, Checkpointer(tmp_path, cadence=1), faults=fi).run(1)
+        assert rep.rollbacks == 0 and rep.fault_summary.get("bitflip") == 1
+        changed = np.any(m.gather_state().h != ref.gather_state().h, axis=(1, 2))
+        assert np.flatnonzero(changed).tolist() == [m.hx.rank_elems[2][0]]
+
+    def test_bit_flip_on_a_rank_the_model_lacks_raises(self, mesh4, tmp_path):
+        """A flip used to wrap onto another rank while the log named the
+        requested one."""
+        fi = FaultInjector(
+            bitflips=[BitFlip(step=1, field_name="h", rank=4, word=0, bit=63)])
+        m = DistributedShallowWater(mesh4, nranks=4)
+        with pytest.raises(ResilienceError, match="rank 4; the model has ranks 0..3"):
+            ResilientRunner(m, Checkpointer(tmp_path, cadence=1), faults=fi).run(1)
+
     def test_sw_rollback_recovers(self, mesh4, tmp_path):
         ref = DistributedShallowWater(mesh4, nranks=2)
         ref.run_steps(3)
@@ -532,7 +565,7 @@ class TestDMABitFlips:
         fi = FaultInjector(bitflips=[BitFlip(transfer=0, word=7, bit=63)])
         dma = DMAEngine(faults=fi)
         m = DistributedShallowWater(mesh4, nranks=2)
-        h = m.states[0].h
+        h = m.rank_states()[0].h
         dma.get(h.copy(), h)  # LDM round-trip of the layer field
         assert not StateValidator().check(m)
 
