@@ -3,7 +3,8 @@
 
 Runs one seeded chaos scenario from :mod:`repro.parallel.chaos` — a
 worker SIGKILL, a stalled heartbeat, a result delayed past the batch
-timeout, or a bit flipped in a result block — against the ne2
+timeout, or a bit flipped in a result block, each a task schedule on
+one :class:`repro.resilience.FaultInjector` — against the ne2
 distributed shallow-water model, and shows:
 
 1. the faulty run completes **bitwise identical** to the fault-free
@@ -15,7 +16,7 @@ distributed shallow-water model, and shows:
    degrade history, which stays empty — worker faults no longer cost
    the pool — plus the :class:`repro.obs.health.HealthMonitor` verdict
    over the same state (a recovered fault reads ``warn``, never
-   ``critical``).
+   ``critical``) — and what the same injector observed.
 
 Run:  python examples/self_healing_run.py [--chaos SCENARIO]
                                           [--workers N] [--steps N]
@@ -31,7 +32,6 @@ import argparse
 import json
 
 from repro.parallel import SCENARIOS, available_cores, run_scenario
-from repro.resilience import FaultInjector
 
 
 def main(argv=None) -> int:
@@ -60,10 +60,9 @@ def main(argv=None) -> int:
 
     reports, all_ok = [], True
     for name in names:
-        faults = FaultInjector(seed=ns.seed)
         rep = run_scenario(
             name, workers=ns.workers, steps=ns.steps, seed=ns.seed,
-            at_step=ns.at_step, faults=faults,
+            at_step=ns.at_step,
         )
         reports.append(rep)
         recovered = {k: v for k, v in rep["recovery"].items() if v}

@@ -18,9 +18,10 @@ difference on a real integration.
 
 The layout — partition, halo tables, SimMPI, rank groups (the shards),
 the engine built around their geometries, the three calls a recipe
-makes (``_fanout``, ``_dss``, ``_mesh_sum``), tracing, lifecycle and
-checkpointing — lives once in :class:`_DistributedModel`; each public
-class is a recipe on it plus its initial state.
+makes (``_fanout``, ``_dss``, ``_mesh_sum``), tracing and lifecycle —
+lives once in :class:`_DistributedModel`, on the snapshot every layout
+shares (:class:`repro.homme.timestep._Layout`); each public class is a
+recipe on it plus its initial state.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def rank_groups(offsets: list[int], state, workers: int) -> list[tuple[int, int]
     return [*spans, (r0, len(offsets) - 1)]
 
 
-class _DistributedModel:
+class _DistributedModel(timestep._Layout):
     """What every rank-distributed model is made of.
 
     Construction partitions the mesh, builds the halo tables and the
@@ -95,17 +96,18 @@ class _DistributedModel:
     built around them: context ``g`` is shard ``g``, and with its
     shard-affinity dispatch a worker only ever touches (and faults in)
     the shards pinned to its slot.  ``workers <= 1`` makes the engine
-    in-process; ``engine_kwargs`` passes straight through to
-    :class:`~repro.parallel.engine.ParallelEngine` — the supervision and
-    chaos knobs of DESIGN.md §12.
+    in-process.  The one ``faults`` injector goes to SimMPI and to the
+    engine alike (its worker schedule, DESIGN.md §12); ``engine_kwargs``
+    passes straight through to
+    :class:`~repro.parallel.engine.ParallelEngine` — the supervision
+    knobs.
 
-    Subclasses set ``_fields`` (prognostic array names of one rank's
-    state, in snapshot-key order) and ``_label``, pass the whole-mesh
-    initial state, and take ``_levels`` (whether fields carry a level
-    axis after the element axis) and ``step()`` from their recipe.
+    Subclasses set ``_label``, pass the whole-mesh initial state, and
+    take ``_fields`` (prognostic array names, in snapshot-key order),
+    ``_levels`` (whether fields carry a level axis after the element
+    axis) and ``step()`` from their recipe.
     """
 
-    _fields: tuple[str, ...]
     _label: str
     _levels: bool
     #: Per-rank simulated kernel seconds charged around each exchange.
@@ -129,9 +131,6 @@ class _DistributedModel:
         self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
                           allreduce_algorithm=combine)
         self.plan_geom = ElementGeometry(mesh, self.hx.plan_elems)
-        self.t = 0.0
-        self.step_count = 0
-        self._epoch = 0
         self.workers = max(0, int(workers))
 
         off, elems = self.hx.elem_offsets, self.hx.plan_elems
@@ -145,7 +144,7 @@ class _DistributedModel:
             warm(g)
         self.engine = ParallelEngine(
             workers=self.workers, contexts=self.geoms, tracer=self.tracer,
-            label=self._label, **(engine_kwargs or {}),
+            label=self._label, faults=faults, **(engine_kwargs or {}),
         )
 
     def _rank_rows(self, per_shard: list[np.ndarray]) -> list[np.ndarray]:
@@ -246,10 +245,6 @@ class _DistributedModel:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
-
     def close(self) -> None:
         """Stop the worker pool (if any)."""
         self.engine.close()
@@ -270,59 +265,12 @@ class _DistributedModel:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"{f}_{r}": getattr(s, f)
-                for r, s in enumerate(self.rank_states()) for f in self._fields}
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Everything needed to continue the trajectory bitwise.
-
-        Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
-        counters (model time, step count, tag epoch) under ``"meta"``.
-        """
-        snap = {"meta": np.array([self.t, self.step_count, self._epoch],
-                                 dtype=np.float64)}
-        snap.update((k, a.copy()) for k, a in self._state_arrays().items())
-        return snap
-
-    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Reset the prognostic state from a :meth:`snapshot` dict.
-
-        The snapshot must hold exactly this model's keys with its
-        arrays' shapes and dtypes, a finite time >= 0 and a whole step
-        count >= 0; anything else raises :class:`KernelError` and leaves
-        the model untouched.  The tag epoch is *not* restored — it
-        strictly increases so a replayed step can never match a stale
-        in-flight message from the aborted attempt (which is also purged
-        outright).
-        """
-        live = self._state_arrays()
-        if "meta" not in snap or np.shape(snap["meta"]) != (3,):
-            raise KernelError(
-                "snapshot key 'meta' must hold (t, step_count, epoch)")
-        odd = sorted(set(snap) ^ {"meta", *live})
-        if odd:
-            raise KernelError(
-                f"snapshot rank count or fields do not match this model: key "
-                f"{odd[0]!r} is {'unexpected' if odd[0] in snap else 'missing'}")
-        new = {key: np.asarray(snap[key]) for key in live}
-        for key, arr in new.items():
-            cur = live[key]
-            if arr.shape != cur.shape or arr.dtype != cur.dtype:
-                raise KernelError(
-                    f"snapshot key {key!r} is {arr.dtype}{arr.shape}, this "
-                    f"model's state is {cur.dtype}{cur.shape}")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
-        if not (np.isfinite(t) and t >= 0 and steps.is_integer() and steps >= 0):
-            raise KernelError(
-                f"snapshot key 'meta': time {t} must be finite and >= 0, step "
-                f"count {steps} a whole number >= 0")
-        self.t = t
-        self.step_count = int(steps)
+    def _restored(self) -> None:
+        """A restored model moves to a fresh tag epoch — it strictly
+        increases, so a replayed step can never match a stale in-flight
+        message from the aborted attempt — and purges those outright."""
         self._epoch += 1
         self.mpi.purge_pending()
-        for key, arr in new.items():
-            live[key][...] = arr
 
     def gather_state(self):
         """Assemble the global state (for comparison with serial runs)."""
@@ -347,7 +295,6 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
     is identical across paths.
     """
 
-    _fields = ("h", "v")
     _label = "dist-sw"
 
     def __init__(
@@ -412,7 +359,6 @@ class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
     only the clock charging differs.
     """
 
-    _fields = ("v", "T", "dp3d", "qdp")
     _label = "dist-prim"
 
     def __init__(

@@ -114,6 +114,7 @@ class _SWRecipe:
     """The shallow-water step, for any layout (see :mod:`repro.homme.timestep`)."""
 
     _levels = False
+    _fields = ("h", "v")
 
     def _sw_init(self, mesh: CubedSphereMesh, state: SWState,
                  dt: float | None, nu: float) -> None:
@@ -181,7 +182,8 @@ class ShallowWaterModel(_SWRecipe, _WholeMesh):
         nu: float = 0.0,
         exec_path: str = "fused",
     ) -> None:
-        state = state if state is not None else williamson2_initial(mesh)
+        # Owned, not the caller's: restore writes in place.
+        state = williamson2_initial(mesh) if state is None else state.copy()
         self._sw_init(mesh, state, dt, nu)
         super().__init__(mesh, None, exec_path)
         self.state = state

@@ -63,7 +63,86 @@ def block_elements(state) -> int:
     return max(1, BLOCK_BYTES // per_elem)
 
 
-class _WholeMesh:
+class _Layout:
+    """What every layout shares: stepping and the one snapshot.
+
+    A snapshot is every rank's prognostic arrays (``<field>_<rank>``,
+    ``_fields`` from the recipe, ranks from :meth:`rank_states` — the
+    whole mesh is rank 0) plus ``(t, step_count, epoch)`` under
+    ``"meta"``; :class:`~repro.resilience.checkpoint.Checkpointer`,
+    :class:`~repro.resilience.runner.ResilientRunner` and
+    :class:`~repro.resilience.validator.StateValidator` read models only
+    through it and :meth:`rank_states`.
+    """
+
+    _fields: tuple[str, ...]
+    #: Model time [s] and steps taken, until the first step or restore.
+    t = 0.0
+    step_count = 0
+    #: Exchange-tag epoch; only the N-shard layout's moves (:meth:`_restored`).
+    _epoch = 0
+
+    def run_steps(self, n: int) -> None:
+        """Advance ``n`` steps."""
+        for _ in range(n):
+            self.step()
+
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        return {f"{f}_{r}": getattr(s, f)
+                for r, s in enumerate(self.rank_states()) for f in self._fields}
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Everything needed to continue the trajectory bitwise.
+
+        Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
+        counters (model time, step count, tag epoch) under ``"meta"``.
+        """
+        snap = {"meta": np.array([self.t, self.step_count, self._epoch],
+                                 dtype=np.float64)}
+        snap.update((k, a.copy()) for k, a in self._state_arrays().items())
+        return snap
+
+    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
+        """Reset the prognostic state from a :meth:`snapshot` dict.
+
+        The snapshot must hold exactly this model's keys with its
+        arrays' shapes and dtypes, a finite time >= 0 and a whole step
+        count >= 0; anything else raises :class:`KernelError` and leaves
+        the model untouched.  The tag epoch is *not* restored (see
+        :meth:`_restored`).
+        """
+        live = self._state_arrays()
+        if "meta" not in snap or np.shape(snap["meta"]) != (3,):
+            raise KernelError(
+                "snapshot key 'meta' must hold (t, step_count, epoch)")
+        odd = sorted(set(snap) ^ {"meta", *live})
+        if odd:
+            raise KernelError(
+                f"snapshot rank count or fields do not match this model: key "
+                f"{odd[0]!r} is {'unexpected' if odd[0] in snap else 'missing'}")
+        new = {key: np.asarray(snap[key]) for key in live}
+        for key, arr in new.items():
+            cur = live[key]
+            if arr.shape != cur.shape or arr.dtype != cur.dtype:
+                raise KernelError(
+                    f"snapshot key {key!r} is {arr.dtype}{arr.shape}, this "
+                    f"model's state is {cur.dtype}{cur.shape}")
+        t, steps, _epoch = (float(x) for x in snap["meta"])
+        if not (np.isfinite(t) and t >= 0 and steps.is_integer() and steps >= 0):
+            raise KernelError(
+                f"snapshot key 'meta': time {t} must be finite and >= 0, step "
+                f"count {steps} a whole number >= 0")
+        self.t = t
+        self.step_count = int(steps)
+        self._restored()
+        for key, arr in new.items():
+            live[key][...] = arr
+
+    def _restored(self) -> None:
+        """Layout hook between a snapshot's validation and its write."""
+
+
+class _WholeMesh(_Layout):
     """The one-shard layout: the whole mesh is shard 0, run in element blocks.
 
     ``_fanout`` calls the task in process once per element block — a
@@ -75,8 +154,9 @@ class _WholeMesh:
     with one axis more than a scalar) per field on the whole mesh, and
     ``_mesh_sum`` is :func:`~repro.homme.euler.sum_elements`.  There is
     no simulated hardware clock, so spans live on the *model time* axis
-    of the ``"serial"`` track.  Subclasses set ``_levels`` (through their
-    recipe) and ``state``, then call :meth:`_split_blocks`.
+    of the ``"serial"`` track.  Subclasses set ``_levels`` and ``_fields``
+    (through their recipe) and ``state`` (their own copy), then call
+    :meth:`_split_blocks`.
     """
 
     _levels: bool
@@ -90,8 +170,6 @@ class _WholeMesh:
         self.mesh = mesh
         self.geom = ElementGeometry(mesh)
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.t = 0.0
-        self.step_count = 0
 
     @property
     def states(self) -> list:
@@ -104,6 +182,10 @@ class _WholeMesh:
     @property
     def geoms(self) -> list[ElementGeometry]:
         return [self.geom]
+
+    def rank_states(self) -> list:
+        """The whole mesh is rank 0."""
+        return self.states
 
     def _split_blocks(self) -> None:
         """Split the mesh into near-equal contiguous element ranges, as few
@@ -143,11 +225,6 @@ class _WholeMesh:
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
         rows, = per_elem
         return sum_elements(rows)
-
-    def run_steps(self, n: int) -> None:
-        """Advance ``n`` steps."""
-        for _ in range(n):
-            self.step()
 
     def _clocks(self) -> list[float]:
         return [self.t]
@@ -250,6 +327,7 @@ class _PrimRecipe:
     """The primitive-equation step, for any layout."""
 
     _levels = True
+    _fields = ("v", "T", "dp3d", "qdp")
 
     def _prim_init(self, cfg: ModelConfig, mesh: CubedSphereMesh,
                    state: ElementState, dt: float, forcing) -> None:
@@ -343,7 +421,7 @@ class PrimitiveEquationModel(_PrimRecipe, _WholeMesh):
         mesh = mesh if mesh is not None else CubedSphereMesh(cfg.ne, cfg.np)
         super().__init__(mesh, tracer, exec_path)
         if isinstance(init, ElementState):
-            state = init
+            state = init.copy()  # owned, not the caller's: restore writes in place
         elif init == "isothermal":
             state = ElementState.isothermal_rest(self.geom, cfg)
         else:

@@ -41,7 +41,6 @@ from .metrics import (
     MetricsRegistry,
     collect_dma,
     collect_exchange_report,
-    collect_faults,
     collect_ldm,
     collect_parallel_engine,
     collect_perf_counters,
@@ -71,7 +70,6 @@ __all__ = [
     "MetricsRegistry",
     "collect_dma",
     "collect_exchange_report",
-    "collect_faults",
     "collect_ldm",
     "collect_parallel_engine",
     "collect_perf_counters",

@@ -312,13 +312,6 @@ def collect_exchange_report(reg: MetricsRegistry, report) -> MetricsRegistry:
     return reg
 
 
-def collect_faults(reg: MetricsRegistry, injector) -> MetricsRegistry:
-    """Fold a :class:`~repro.resilience.faults.FaultInjector` into ``reg``."""
-    for kind, n in sorted(injector.summary().items()):
-        reg.inc(f"faults.{kind}", n)
-    return reg
-
-
 def collect_parallel_engine(reg: MetricsRegistry, engine) -> MetricsRegistry:
     """Fold a :class:`~repro.parallel.engine.ParallelEngine` into ``reg``.
 

@@ -29,7 +29,9 @@ The contract (DESIGN.md §10):
   slot, redistribute only its in-flight tasks, re-execute CRC
   failures — without giving up the pool or the bitwise contract
   (DESIGN.md §12).  :mod:`repro.parallel.chaos` proves it with
-  seeded fault scenarios against a serial oracle.
+  seeded fault scenarios — task schedules on a
+  :class:`~repro.resilience.faults.FaultInjector` — against a serial
+  oracle.
 """
 
 from .engine import (  # noqa: F401
@@ -41,7 +43,6 @@ from .engine import (  # noqa: F401
     worker_track,
 )
 from .supervisor import (  # noqa: F401
-    ChaosSpec,
     WorkerSupervisor,
     result_crc,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "available_cores",
     "context_nbytes",
     "worker_track",
-    "ChaosSpec",
     "WorkerSupervisor",
     "result_crc",
     "SCENARIOS",

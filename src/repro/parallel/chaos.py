@@ -5,11 +5,11 @@ The supervision layer (:mod:`repro.parallel.supervisor`, DESIGN.md §12)
 claims that any worker fault — crash, hang, late result, corrupted
 result — is recovered locally while the trajectory stays **bitwise
 identical** to the serial run.  This module makes that claim testable
-the way :class:`~repro.resilience.faults.FaultInjector` makes network
-faults testable: every scenario is a seeded, deterministic
-:class:`~repro.parallel.supervisor.ChaosSpec` plus the engine knobs
-that make the fault observable fast, and :func:`run_scenario` executes
-the faulty parallel integration next to a fault-free serial one and
+with the same :class:`~repro.resilience.faults.FaultInjector` that
+makes network faults testable: every scenario is a seeded,
+deterministic task schedule on an injector plus the engine knobs that
+make the fault observable fast, and :func:`run_scenario` executes the
+faulty parallel integration next to a fault-free serial one and
 compares the gathered states byte for byte.
 
 Scenarios (all keyed to task ids in the first RK stage of one step, one
@@ -40,66 +40,59 @@ Use from tests, ``examples/self_healing_run.py``, and the CI
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 
 from ..errors import KernelError
-from .supervisor import ChaosSpec
+from ..resilience.faults import BitFlip, FaultInjector
 
 __all__ = ["SCENARIOS", "scenario_spec", "run_scenario"]
 
-#: Scenario name -> (fault counts for :meth:`ChaosSpec.seeded`, engine
-#: keyword overrides that make the fault detectable quickly).  Timeouts
-#: are deliberately generous against the fault's own duration so slow
-#: CI machines classify the fault the same way fast ones do.
-SCENARIOS: dict[str, tuple[dict, dict]] = {
-    "kill-worker": (
-        {"kills": 1},
-        {},
-    ),
-    "stall-heartbeat": (
-        {"stalls": 1, "stall_seconds": 60.0},
-        {"heartbeat_timeout": 1.5},
-    ),
-    "delay-result": (
-        {"delays": 1, "delay_seconds": 45.0},
-        {"result_timeout": 3.0},
-    ),
-    "corrupt-result": (
-        {"corruptions": 1},
-        {},
-    ),
-    "mixed": (
-        {"kills": 1, "corruptions": 1},
-        {},
-    ),
+#: Scenario name -> (its faults in draw order, each ``(kind, seconds)``
+#: with kind one of kill / stall / delay / corrupt and seconds the
+#: stall's or delay's length; engine keyword overrides that make the
+#: fault detectable quickly).  Timeouts are deliberately generous against
+#: the fault's own duration so slow CI machines classify the fault the
+#: same way fast ones do.
+SCENARIOS: dict[str, tuple[tuple, dict]] = {
+    "kill-worker": ((("kill", None),), {}),
+    "stall-heartbeat": ((("stall", 60.0),), {"heartbeat_timeout": 1.5}),
+    "delay-result": ((("delay", 45.0),), {"result_timeout": 3.0}),
+    "corrupt-result": ((("corrupt", None),), {}),
+    "mixed": ((("kill", None), ("corrupt", None)), {}),
 }
 
 
 def scenario_spec(name: str, workers: int, tasks: int, seed: int = 0,
-                  first_task: int | None = None) -> tuple[ChaosSpec, dict]:
-    """Build the seeded spec and engine overrides for one scenario.
+                  first_task: int | None = None) -> tuple[FaultInjector, dict]:
+    """Build the seeded injector and engine overrides for one scenario.
 
     Task ids are drawn from ``[first_task, first_task + tasks)``, by
     default ``first_task = workers``: the engine's start-up ping takes
     ids ``0..workers-1``, and the next ``tasks`` ids — one per shard of
     the model, ``len(model.groups)`` — are the first RK stage's tasks,
     dispatched as one batch.  A later stage's first id moves the same
-    draw there.
+    draw there.  The same arguments draw the same distinct ids (one
+    seeded permutation of the span); more faults than ids raise
+    ``ValueError``.
     """
     try:
-        counts, overrides = SCENARIOS[name]
+        kinds, overrides = SCENARIOS[name]
     except KeyError:
         raise KernelError(
             f"unknown chaos scenario {name!r}; "
             f"pick one of {sorted(SCENARIOS)}"
         ) from None
     first = workers if first_task is None else first_task
-    spec = ChaosSpec.seeded(
-        seed, first_task=first, last_task=first + tasks, **counts
-    )
-    return spec, dict(overrides)
+    if len(kinds) > tasks:
+        raise ValueError(f"cannot schedule {len(kinds)} faults over {tasks} task ids")
+    picks = first + np.random.default_rng(seed).permutation(tasks)[:len(kinds)]
+    drawn = {k: {int(t): s for (kind, s), t in zip(kinds, picks) if kind == k}
+             for k in ("kill", "stall", "delay", "corrupt")}
+    faults = FaultInjector(
+        seed=seed, kill_tasks=tuple(drawn["kill"]), stall_tasks=drawn["stall"],
+        delay_tasks=drawn["delay"],
+        bitflips=[BitFlip(task=t) for t in drawn["corrupt"]])
+    return faults, dict(overrides)
 
 
 def run_scenario(
@@ -111,19 +104,19 @@ def run_scenario(
     workers: int = 2,
     seed: int = 0,
     at_step: int = 0,
-    faults=None,
     tracer=None,
 ) -> dict:
     """Run one chaos scenario against the shallow-water model and its
     serial oracle; return a JSON-friendly report.
 
-    The faulty run uses ``workers`` pool workers with the scenario's
-    seeded :class:`ChaosSpec` injected; the oracle is the same model at
-    ``workers=0``.  The report's ``bitwise_identical`` is the byte-level
-    comparison of the two gathered final states — the acceptance
-    property — alongside the engine's recovery tallies and degrade
-    history so a scenario can also assert *how* it survived (e.g. a
-    kill recovers via respawn, never via whole-pool degrade).
+    The faulty run uses ``workers`` pool workers and the scenario's
+    seeded injector (:func:`scenario_spec`) as its ``faults``; the
+    oracle is the same model at ``workers=0``.  The report's
+    ``bitwise_identical`` is the byte-level comparison of the two
+    gathered final states — the acceptance property — alongside the
+    engine's recovery tallies, its degrade history and the injector's
+    event counts, so a scenario can also assert *how* it survived (e.g.
+    a kill recovers via respawn, never via whole-pool degrade).
     ``at_step`` picks the step whose first RK stage takes the faults.
     """
     from ..homme.distributed import DistributedShallowWater, rank_groups
@@ -137,11 +130,11 @@ def run_scenario(
         ref = serial.gather_state()
         # The pool model's shards: one task each per RK stage, three a step.
         tasks = len(rank_groups(serial.hx.elem_offsets, ref, workers))
-    spec, overrides = scenario_spec(
+    faults, overrides = scenario_spec(
         name, workers, tasks, seed, workers + at_step * 3 * tasks)
     with DistributedShallowWater(
-        mesh, nranks=nranks, workers=workers, tracer=tracer,
-        engine_kwargs={"chaos": spec, "faults": faults, **overrides},
+        mesh, nranks=nranks, workers=workers, tracer=tracer, faults=faults,
+        engine_kwargs=overrides,
     ) as chaotic:
         chaotic.run_steps(steps)
         got = chaotic.gather_state()
@@ -153,7 +146,10 @@ def run_scenario(
     return {
         "scenario": name,
         "seed": seed,
-        "spec": asdict(spec),
+        "spec": {"kill_tasks": sorted(faults.kill_tasks),
+                 "stall_tasks": sorted(faults.stall_tasks),
+                 "delay_tasks": sorted(faults.delay_tasks),
+                 "corrupt_tasks": [bf.task for bf in faults.bitflips]},
         "ne": ne,
         "nranks": nranks,
         "tasks_per_stage": len(chaotic.groups),
@@ -168,5 +164,5 @@ def run_scenario(
         "leaked_shm": chaotic.engine.leaked_shm(),  # after close(): must be []
         "degrade_reasons": desc["degrade_reasons"],
         "health": health,
-        "fault_events": faults.summary() if faults is not None else {},
+        "fault_events": faults.summary(),
     }

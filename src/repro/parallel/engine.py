@@ -79,7 +79,6 @@ from ..obs.tracer import NULL_TRACER
 from .supervisor import (
     HEARTBEAT_TIMEOUT,
     SUPERVISION_TICK,
-    ChaosSpec,
     WorkerSupervisor,
     _layout,
     _store,
@@ -321,15 +320,13 @@ class ParallelEngine:
         Total respawn budget for this engine's lifetime; exhausted
         means the machine is sick, so the pool degrades to serial.
         Defaults to ``max(4, 2 * workers)``.
-    chaos:
-        A :class:`~repro.parallel.supervisor.ChaosSpec` of deterministic
-        injected worker faults (kill / stall / delay / corrupt), keyed
-        by global task id.  Test-only knob driven by
-        :mod:`repro.parallel.chaos`.
     faults:
-        Optional :class:`~repro.resilience.faults.FaultInjector`; every
-        recovery-worthy observation (worker crash/hang, overdue result,
-        corrupt result) is appended to its event log so one injector
+        Optional :class:`~repro.resilience.faults.FaultInjector`.  Its
+        task schedule (kill / stall / delay / ``BitFlip(task=)``, keyed
+        by global task id) is injected into the workers — what
+        :mod:`repro.parallel.chaos` draws — and every recovery-worthy
+        observation (worker crash/hang, overdue result, corrupt result)
+        is appended to its event log, so one injector schedules and
         narrates the whole faulty run.
     profile_hz:
         ``> 0`` runs a sampling profiler in every worker; the frames
@@ -347,7 +344,6 @@ class ParallelEngine:
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
         result_timeout: float = RESULT_TIMEOUT,
         max_respawns: int | None = None,
-        chaos: ChaosSpec | None = None,
         faults=None,
         profile_hz: float = 0.0,
     ) -> None:
@@ -375,7 +371,6 @@ class ParallelEngine:
         self.max_respawns = (
             max(4, 2 * self.workers) if max_respawns is None else int(max_respawns)
         )
-        self.chaos = chaos
         self.faults = faults
         self.active = False
         self.fallback_reason: str | None = None
@@ -446,7 +441,7 @@ class ParallelEngine:
             self._result_q = ctx.SimpleQueue()
             self.supervisor = WorkerSupervisor(
                 ctx, self.workers, self._result_q, self.label, self.contexts,
-                chaos=self.chaos, profile_hz=self.profile_hz,
+                faults=self.faults, profile_hz=self.profile_hz,
             )
             self._owned_shm.add(self.supervisor.shm_name)
             for w in range(self.workers):

@@ -22,14 +22,18 @@ runs *inside* a worker process:
   supervisor holds the engine's ``contexts`` tuple and passes it to
   every worker it starts, so the replacement inherits the exact same
   read-only objects the original had.
-- **Chaos hooks.**  :class:`ChaosSpec` is the deterministic fault
-  schedule the chaos harness (:mod:`repro.parallel.chaos`) injects:
-  self-SIGKILL, heartbeat stall, result delay, and result bit-flips,
-  all keyed by the engine's global task id.  Hooks only fire on a
-  task's *first* dispatch (``attempt == 0``) — mirroring the
-  fire-exactly-once rule of
-  :meth:`repro.resilience.faults.FaultInjector.state_flips_at` — so a
-  redistributed task re-executes clean and recovery converges.
+- **Chaos hooks.**  The worker side of a
+  :class:`~repro.resilience.faults.FaultInjector`'s task schedule, which
+  the chaos harness (:mod:`repro.parallel.chaos`) draws: self-SIGKILL
+  (``kill_tasks``), heartbeat stall (``stall_tasks``), result delay
+  (``delay_tasks``) and result bit flips (``BitFlip(task=)``), all keyed
+  by the engine's global task id.  Hooks only fire on a task's *first*
+  dispatch (``attempt == 0``) — mirroring the fire-exactly-once rule of
+  :meth:`~repro.resilience.faults.FaultInjector.state_flips_at` — so a
+  redistributed task re-executes clean and recovery converges.  The
+  kill lands mid-batch, never mid-queue-write, so the shared result
+  pipe stays intact; the bit flip lands after the CRC stamp (in the
+  shared block when the result travels there).
 
 Result integrity rides along: :func:`result_crc` is the CRC32 the
 worker stamps on every result tuple and the driver re-computes — over
@@ -53,12 +57,12 @@ import numpy as np
 
 from ..errors import KernelError
 from ..obs.profiler import SamplingProfiler
+from ..resilience.faults import flip_bit
 
 __all__ = [
     "HEARTBEAT_INTERVAL",
     "HEARTBEAT_TIMEOUT",
     "SUPERVISION_TICK",
-    "ChaosSpec",
     "WorkerHandle",
     "WorkerSupervisor",
     "result_crc",
@@ -79,74 +83,6 @@ HEARTBEAT_TIMEOUT = 10.0
 #: results.  Bounds fault-detection latency; costs nothing while
 #: results are flowing (the poll returns as soon as data is ready).
 SUPERVISION_TICK = 0.2
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """A deterministic worker-fault schedule, keyed by global task id.
-
-    Task ids are assigned by the driver in dispatch order (the ping
-    batch takes ids ``0..workers-1``), so a spec names exact points in
-    the run the way :class:`~repro.resilience.faults.BitFlip` names the
-    Nth DMA transfer.  Every hook fires only on a task's first dispatch
-    (``attempt == 0``): once the engine redistributes or re-executes a
-    task, the replay is clean.
-
-    ``kill_tasks`` self-deliver ``SIGKILL`` before computing (the crash
-    lands mid-batch, never mid-queue-write, so the shared result pipe
-    stays intact — the same reason real chaos tools kill between
-    I/O operations).  ``stall_tasks`` stop the worker's heartbeat
-    thread and sleep, modeling a wedged process the driver can only
-    detect by silence.  ``delay_tasks`` sleep *after* computing but
-    before replying — a healthy worker whose result misses the batch
-    deadline.  ``corrupt_tasks`` flip one bit of the first float64
-    result array *after* the integrity CRC is computed and before the
-    reply is queued (in the shared block when the result travels there),
-    modeling corruption in transit.
-    """
-
-    kill_tasks: tuple[int, ...] = ()
-    stall_tasks: tuple[int, ...] = ()
-    stall_seconds: float = 30.0
-    delay_tasks: tuple[tuple[int, float], ...] = ()
-    corrupt_tasks: tuple[int, ...] = ()
-    corrupt_word: int = 0
-    corrupt_bit: int = 63
-
-    @staticmethod
-    def seeded(
-        seed: int,
-        first_task: int,
-        last_task: int,
-        kills: int = 0,
-        stalls: int = 0,
-        delays: int = 0,
-        corruptions: int = 0,
-        stall_seconds: float = 30.0,
-        delay_seconds: float = 3.0,
-    ) -> "ChaosSpec":
-        """Draw a reproducible schedule over ``[first_task, last_task)``.
-
-        Two calls with the same arguments build the identical spec (the
-        same seeded-RNG contract as :class:`FaultInjector`); distinct
-        task ids are drawn for every fault so no task is double-booked.
-        """
-        need = kills + stalls + delays + corruptions
-        span = last_task - first_task
-        if need > span:
-            raise ValueError(
-                f"cannot schedule {need} faults over {span} task ids"
-            )
-        rng = np.random.default_rng(seed)
-        picks = first_task + rng.permutation(span)[:need]
-        k, s, d = kills, kills + stalls, kills + stalls + delays
-        return ChaosSpec(
-            kill_tasks=tuple(int(t) for t in picks[:k]),
-            stall_tasks=tuple(int(t) for t in picks[k:s]),
-            stall_seconds=stall_seconds,
-            delay_tasks=tuple((int(t), delay_seconds) for t in picks[s:d]),
-            corrupt_tasks=tuple(int(t) for t in picks[d:need]),
-        )
 
 
 def task_context(contexts: tuple, meta: dict):
@@ -209,43 +145,38 @@ def _heartbeat_loop(hb_view: np.ndarray, slot: int, stop: threading.Event) -> No
         stop.wait(HEARTBEAT_INTERVAL)
 
 
-def _chaos_pre(spec: ChaosSpec | None, tid: int, attempt: int,
+def _chaos_pre(faults, tid: int, attempt: int,
                hb_stop: threading.Event) -> None:
     """Faults that fire before the task function runs (kill, stall)."""
-    if spec is None or attempt > 0:
+    if faults is None or attempt > 0:
         return
-    if tid in spec.kill_tasks:
+    if tid in faults.kill_tasks:
         os.kill(os.getpid(), signal.SIGKILL)
-    if tid in spec.stall_tasks:
+    if tid in faults.stall_tasks:
         hb_stop.set()  # go silent: the driver can only see missed beats
-        time.sleep(spec.stall_seconds)
+        time.sleep(faults.stall_tasks[tid])
 
 
-def _chaos_post(spec: ChaosSpec | None, tid: int, attempt: int,
-                outs: tuple) -> None:
+def _chaos_post(faults, tid: int, attempt: int, outs: tuple) -> None:
     """Faults that fire after compute (delay, corrupt-after-CRC)."""
-    if spec is None or attempt > 0:
+    if faults is None or attempt > 0:
         return
-    for t, seconds in spec.delay_tasks:
-        if t == tid:
-            time.sleep(seconds)
-    if tid in spec.corrupt_tasks:
-        from ..resilience.faults import flip_bit
-
-        for o in outs:
-            if o.dtype == np.float64 and o.size:
-                flip_bit(o, spec.corrupt_word, spec.corrupt_bit)
-                break
+    if tid in faults.delay_tasks:
+        time.sleep(faults.delay_tasks[tid])
+    first = next((o for o in outs if o.dtype == np.float64 and o.size), None)
+    for bf in faults.bitflips:
+        if bf.task == tid and first is not None:
+            flip_bit(first, bf.word, bf.bit)
 
 
 def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
-                 contexts: tuple, chaos: ChaosSpec | None,
-                 profile_hz: float) -> None:
+                 contexts: tuple, faults, profile_hz: float) -> None:
     """Pool worker loop: attach the task's block, compute, write the
     results back into it.
 
-    ``contexts`` is the engine's tuple, inherited through the fork (a
-    ``Process`` argument is not pickled under ``fork``).
+    ``contexts`` is the engine's tuple and ``faults`` its injector (or
+    None), both inherited through the fork (a ``Process`` argument is
+    not pickled under ``fork``).
 
     A task names one driver-owned shared-memory block — its slot (the
     payload index), the block's current name, the input layout, and the
@@ -298,7 +229,7 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
             tid, attempt, fn, meta, (key, name, metas, out_off, out_cap) = item
             t0 = tc0 = tc1 = time.perf_counter()
             try:
-                _chaos_pre(chaos, tid, attempt, hb_stop)
+                _chaos_pre(faults, tid, attempt, hb_stop)
                 shm = attached.get(key)
                 if shm is None or shm.name != name:
                     if shm is not None:
@@ -322,7 +253,7 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
                     status = "ok"  # (not ascontiguousarray: rank 0 stays rank 0)
                     outs = data = tuple(np.asarray(o, order="C") for o in outs)
                 crc = result_crc(outs)
-                _chaos_post(chaos, tid, attempt, outs)
+                _chaos_post(faults, tid, attempt, outs)
             except BaseException:
                 status, data, crc = "err", traceback.format_exc(), None
             result_q.put(
@@ -378,7 +309,7 @@ class WorkerSupervisor:
     """
 
     def __init__(self, ctx, nslots: int, result_q, label: str,
-                 contexts: tuple, chaos: ChaosSpec | None = None,
+                 contexts: tuple, faults=None,
                  profile_hz: float = 0.0) -> None:
         self.ctx = ctx
         self.nslots = nslots
@@ -387,7 +318,9 @@ class WorkerSupervisor:
         #: The engine's read-only contexts, a fork-inherited argument of
         #: every (re)spawned worker.
         self.contexts = contexts
-        self.chaos = chaos
+        #: The engine's injector: every (re)spawned worker reads its task
+        #: schedule.
+        self.faults = faults
         #: Sampling rate of each worker's profiler (0: none runs).
         self.profile_hz = profile_hz
         self.hb = shared_memory.SharedMemory(create=True, size=8 * max(1, nslots))
@@ -410,7 +343,7 @@ class WorkerSupervisor:
         proc = self.ctx.Process(
             target=_worker_main,
             args=(slot, task_q, self.result_q, (self.hb.name, self.nslots),
-                  self.contexts, self.chaos, self.profile_hz),
+                  self.contexts, self.faults, self.profile_hz),
             daemon=True,
             name=f"{self.label}-worker-{slot}.g{generation}",
         )

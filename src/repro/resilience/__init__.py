@@ -8,10 +8,11 @@ simulated machine the same survival kit:
 
 - :class:`~repro.resilience.faults.FaultInjector` — one seeded,
   deterministic source for every injected fault (message drops/delays,
-  laggard ranks, DMA and state bit flips, dead CPEs);
+  laggard ranks, DMA, state and result bit flips, worker kills, stalls
+  and delays);
 - :class:`~repro.resilience.checkpoint.Checkpointer` — CRC32-checked,
-  atomically written, bitwise-restoring snapshots of the distributed
-  models;
+  atomically written, bitwise-restoring snapshots of every model — the
+  serial restart too;
 - :class:`~repro.resilience.validator.StateValidator` — post-step
   NaN/Inf/negative-thickness detection;
 - :class:`~repro.resilience.runner.ResilientRunner` — checkpoint,

@@ -1,4 +1,4 @@
-"""Checkpoint/restart for the distributed models.
+"""Checkpoint/restart for every model.
 
 Multi-day full-machine integrations are only as durable as their
 checkpoints: the journey to 40-million-core climate runs (Duan et al.)
@@ -19,9 +19,10 @@ real model has:
 - **rotation** — only the newest ``keep`` checkpoints are retained.
 
 Any model exposing ``snapshot() -> dict[str, ndarray]`` and
-``restore_snapshot(dict)`` can be checkpointed; both distributed HOMME
-models (:class:`~repro.homme.distributed.DistributedShallowWater`,
-:class:`~repro.homme.distributed.DistributedPrimitiveEquations`) do.
+``restore_snapshot(dict)`` can be checkpointed; all four HOMME models
+do, through the one snapshot their layouts share
+(:class:`repro.homme.timestep._Layout`), so this is the serial restart
+as well as the distributed one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def snapshot_crc(snap: dict[str, np.ndarray]) -> int:
 
 
 class Checkpointer:
-    """Cadenced, integrity-checked snapshots of a distributed model.
+    """Cadenced, integrity-checked snapshots of a model.
 
     Parameters
     ----------
@@ -67,8 +68,6 @@ class Checkpointer:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.cadence = cadence
         self.keep = keep
-        self.saved = 0
-        self.restored = 0
 
     # -- paths --------------------------------------------------------------
 
@@ -76,8 +75,11 @@ class Checkpointer:
         return self.dir / f"ckpt_{step:08d}.npz"
 
     def checkpoints(self) -> list[Path]:
-        """Existing checkpoint files, oldest first."""
-        return sorted(self.dir.glob("ckpt_*.npz"))
+        """Finished checkpoint files (``ckpt_<step>.npz``), oldest first —
+        never the temporary file of a save that was interrupted."""
+        step = {p: p.stem.removeprefix("ckpt_") for p in self.dir.glob("ckpt_*.npz")}
+        return sorted((p for p, s in step.items() if s.isdigit()),
+                      key=lambda p: int(step[p]))
 
     def latest(self) -> Path | None:
         """Newest checkpoint file, or None."""
@@ -97,7 +99,6 @@ class Checkpointer:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        self.saved += 1
         self._rotate()
         return path
 
@@ -150,7 +151,6 @@ class Checkpointer:
                 last_err = err
                 continue
             model.restore_snapshot(snap)
-            self.restored += 1
             return int(model.step_count)
         if last_err is not None:
             raise CheckpointCorruptError(

@@ -2,17 +2,20 @@
 
 The full-machine runs the paper reports (10.6 M cores for days) only
 finish because the software tolerates the machine misbehaving: nodes
-run slow, messages get lost, DRAM and DMA transfers flip bits, CPEs
-die.  :class:`FaultInjector` is the single source of truth for every
-injected fault in the reproduction — the network layer, the Sunway DMA
-engines, and the resilient runner all consult the same injector, so a
-whole faulty run is reproducible from one seed.
+run slow, messages get lost, DRAM and DMA transfers flip bits, worker
+processes die or hang.  :class:`FaultInjector` is the single source of
+truth for every injected fault in the reproduction — the network layer,
+the Sunway DMA engines, the parallel engine's workers and the resilient
+runner all consult the same injector, so a whole faulty run is
+reproducible from one seed.  (CPE loss is not injected here: it is
+:meth:`~repro.sunway.core_group.CoreGroup.disable_cpes` and
+``AthreadBackend(healthy_cpes=)``.)
 
 Faults come in two flavours:
 
 - **scheduled** — fire at an exact event index (the 3rd message sent,
-  the 12th DMA transfer, model step 5), which is what the tests and the
-  acceptance criteria use;
+  the 12th DMA transfer, model step 5, pool task 7), which is what the
+  tests and the acceptance criteria use;
 - **random** — fire with a configured probability from a seeded
   :class:`numpy.random.Generator`, for soak-style runs.
 
@@ -33,8 +36,11 @@ class BitFlip:
 
     ``transfer`` targets the Nth DMA transfer (0-based, counted across
     all engines sharing the injector); ``step`` targets the model state
-    after step N of a :class:`~repro.resilience.runner.ResilientRunner`.
-    Exactly one of the two should be set.  ``word`` and ``bit`` pick the
+    after step N of a :class:`~repro.resilience.runner.ResilientRunner`;
+    ``task`` targets the first float64 result of a pool task, by the
+    engine's global task id, after its integrity CRC is stamped
+    (corruption in transit).  Exactly one of the three should be set.
+    ``word`` and ``bit`` pick the
     float64 element (flattened index, modulo the array size) and the bit
     within its 64-bit pattern.  Bit 63 is the IEEE-754 sign bit — the
     classic silent-data-corruption that turns a layer thickness
@@ -44,6 +50,7 @@ class BitFlip:
 
     transfer: int | None = None
     step: int | None = None
+    task: int | None = None
     field_name: str = "dp3d"
     rank: int = 0
     word: int = 0
@@ -93,9 +100,24 @@ class FaultInjector:
         Mapping of rank -> compute slowdown factor (>= 1).  A factor of
         4.0 models the "one slow node" that dominates full-machine jobs.
     bitflips:
-        :class:`BitFlip` schedule for DMA transfers and model state.
-    disabled_cpes:
-        Mapping of core-group id -> number of CPEs that have failed.
+        :class:`BitFlip` schedule for DMA transfers, model state and pool
+        task results.
+    kill_tasks:
+        Pool task ids whose worker kills itself (``SIGKILL``) before
+        computing.
+    stall_tasks:
+        Mapping of pool task id -> seconds its worker stops heartbeating
+        and sleeps (a wedged process, seen only as silence).
+    delay_tasks:
+        Mapping of pool task id -> seconds its worker sleeps after
+        computing, before replying (a result that misses its deadline).
+
+    The three task schedules and the ``task`` bit flips are the worker
+    faults of the supervised engine (DESIGN.md §12): task ids are the
+    driver's, in dispatch order (the start-up ping takes
+    ``0..workers-1``), and each fires only on a task's first dispatch,
+    so a redistributed or re-executed task runs clean.  Workers inherit
+    the injector through ``fork`` and only read it.
     """
 
     def __init__(
@@ -107,14 +129,15 @@ class FaultInjector:
         delay_messages: dict[int, float] | None = None,
         laggards: dict[int, float] | None = None,
         bitflips: tuple[BitFlip, ...] | list[BitFlip] = (),
-        disabled_cpes: dict[int, int] | None = None,
+        kill_tasks: tuple[int, ...] | list[int] = (),
+        stall_tasks: dict[int, float] | None = None,
+        delay_tasks: dict[int, float] | None = None,
     ) -> None:
         if not (0.0 <= drop_probability < 1.0):
             raise ValueError(f"drop_probability must be in [0,1), got {drop_probability}")
         for r, f in (laggards or {}).items():
             if f < 1.0:
                 raise ValueError(f"laggard factor for rank {r} must be >= 1, got {f}")
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.drop_messages = frozenset(int(i) for i in drop_messages)
         self.drop_probability = float(drop_probability)
@@ -122,7 +145,9 @@ class FaultInjector:
         self.delay_messages = {int(k): float(v) for k, v in (delay_messages or {}).items()}
         self.laggards = dict(laggards or {})
         self.bitflips = tuple(bitflips)
-        self.disabled_cpes = dict(disabled_cpes or {})
+        self.kill_tasks = frozenset(int(t) for t in kill_tasks)
+        self.stall_tasks = {int(k): float(v) for k, v in (stall_tasks or {}).items()}
+        self.delay_tasks = {int(k): float(v) for k, v in (delay_tasks or {}).items()}
         self.events: list[FaultEvent] = []
         self.send_index = 0
         self.dma_index = 0
@@ -187,10 +212,6 @@ class FaultInjector:
                 fired = True
         return fired
 
-    def healthy_cpes(self, cg_id: int, total: int) -> int:
-        """Surviving CPE count for core group ``cg_id`` out of ``total``."""
-        return max(0, total - self.disabled_cpes.get(cg_id, 0))
-
     # -- model-state hooks --------------------------------------------------
 
     def state_flips_at(self, step: int) -> list[BitFlip]:
@@ -212,7 +233,7 @@ class FaultInjector:
 
     # -- external observations ----------------------------------------------
 
-    def record(self, kind: str, **detail) -> FaultEvent:
+    def record(self, kind: str, /, **detail) -> FaultEvent:
         """Append an externally observed fault to the event log.
 
         The supervised parallel engine reports what it *saw* — worker

@@ -1,7 +1,7 @@
 """The self-healing driver: detect, roll back, retry, complete.
 
-:class:`ResilientRunner` ties the subsystem together around either
-distributed model:
+:class:`ResilientRunner` ties the subsystem together around any of the
+four models, serial or distributed:
 
 1. checkpoint on a cadence (:class:`~repro.resilience.checkpoint.Checkpointer`);
 2. after every step, apply any scheduled silent-data-corruption from the
@@ -52,14 +52,14 @@ class RunReport:
 
 
 class ResilientRunner:
-    """Run a distributed model to completion through injected faults.
+    """Run a model to completion through injected faults.
 
     Parameters
     ----------
     model:
         Anything with ``step()``, ``step_count``, ``rank_states()``,
-        ``snapshot()`` and ``restore_snapshot()`` — both distributed
-        HOMME models qualify.
+        ``snapshot()`` and ``restore_snapshot()`` — all four HOMME
+        models qualify (a serial model is one rank).
     checkpointer:
         Where and how often to checkpoint.
     validator:

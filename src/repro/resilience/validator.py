@@ -8,7 +8,7 @@ thickness ``dp3d`` must stay positive (a negative thickness is
 unphysical and the vertical remap's death sentence).
 
 :class:`StateValidator` implements those checks against the per-rank
-states of either distributed model.  It reports *where* the violation
+states of any model (a serial model is one rank).  It reports *where* the violation
 lives (rank and field), which the resilient runner logs before rolling
 back to the last good checkpoint.
 """
@@ -21,7 +21,7 @@ from ..errors import ResilienceError
 
 
 class StateValidator:
-    """Post-step invariant checks for distributed model states.
+    """Post-step invariant checks for per-rank model states.
 
     Parameters
     ----------
@@ -34,23 +34,13 @@ class StateValidator:
 
     def __init__(self, check_positive: tuple[str, ...] = DEFAULT_POSITIVE) -> None:
         self.check_positive = tuple(check_positive)
-        self.checks = 0
-        self.violations = 0
-
-    def _fields(self, state) -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("h", "v", "T", "dp3d", "qdp"):
-            arr = getattr(state, name, None)
-            if arr is not None:
-                out[name] = arr
-        return out
 
     def problems(self, model) -> list[str]:
         """All invariant violations in ``model.rank_states()``, each named
         by the rank whose rows hold it, human-readable."""
         found: list[str] = []
         for r, state in enumerate(model.rank_states()):
-            for name, arr in self._fields(state).items():
+            for name, arr in vars(state).items():
                 bad = ~np.isfinite(arr)
                 if bad.any():
                     found.append(
@@ -61,9 +51,6 @@ class StateValidator:
                         f"rank {r}: {name} has {int((arr <= 0).sum())} "
                         "non-positive value(s)"
                     )
-        self.checks += 1
-        if found:
-            self.violations += 1
         return found
 
     def check(self, model) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from repro.homme.distributed import DistributedShallowWater
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.obs import MetricsRegistry, collect_parallel_engine
-from repro.parallel import ChaosSpec, ParallelEngine, run_scenario, scenario_spec
+from repro.parallel import SCENARIOS, ParallelEngine, run_scenario, scenario_spec
 from repro.parallel.engine import _ping_task
 from repro.resilience import (
     BitFlip,
@@ -28,23 +28,55 @@ def mesh2():
     return CubedSphereMesh(2, 4)
 
 
+def schedule(fi: FaultInjector) -> tuple:
+    """An injector's worker faults: kill, stall and delay task ids with
+    their seconds, and the result flips."""
+    return (tuple(sorted(fi.kill_tasks)), fi.stall_tasks, fi.delay_tasks,
+            tuple(bf for bf in fi.bitflips if bf.task is not None))
+
+
+def task_ids(fi: FaultInjector) -> list[int]:
+    kills, stalls, delays, flips = schedule(fi)
+    return [*kills, *stalls, *delays, *(bf.task for bf in flips)]
+
+
 class TestChaosSpec:
+    """The chaos spec: a scenario's seeded task schedule, drawn by
+    ``scenario_spec`` onto one FaultInjector."""
+
     def test_seeded_is_deterministic(self):
-        a = ChaosSpec.seeded(42, 2, 10, kills=1, stalls=1, corruptions=2)
-        b = ChaosSpec.seeded(42, 2, 10, kills=1, stalls=1, corruptions=2)
-        assert a == b
+        for name in SCENARIOS:
+            a, ka = scenario_spec(name, workers=2, tasks=8, seed=42)
+            b, kb = scenario_spec(name, workers=2, tasks=8, seed=42)
+            assert schedule(a) == schedule(b) and ka == kb, name
+            assert task_ids(a), name
 
     def test_seeded_draws_distinct_task_ids(self):
-        spec = ChaosSpec.seeded(0, 4, 12, kills=2, stalls=2, delays=2,
-                                corruptions=2)
-        tids = (spec.kill_tasks + spec.stall_tasks + spec.corrupt_tasks
-                + tuple(t for t, _ in spec.delay_tasks))
-        assert len(tids) == len(set(tids)) == 8
-        assert all(4 <= t < 12 for t in tids)
+        for seed in range(20):
+            fi, _ = scenario_spec("mixed", workers=4, tasks=2, seed=seed)
+            tids = task_ids(fi)
+            assert len(tids) == len(set(tids)) == 2
+            assert all(4 <= t < 6 for t in tids)
+
+    @pytest.mark.parametrize("seed, first, kill, corrupt", [
+        (0, 2, 2, 3), (3, 8, 9, 8)])
+    def test_pinned_task_ids(self, seed, first, kill, corrupt):
+        """The draw is the one the scenarios have always made (workers 2,
+        tasks 2): the kill alone, then the mixed kill and corrupt."""
+        fi, _ = scenario_spec("kill-worker", 2, 2, seed, first)
+        assert schedule(fi) == ((kill,), {}, {}, ())
+        fi, _ = scenario_spec("mixed", 2, 2, seed, first)
+        assert schedule(fi) == ((kill,), {}, {}, (BitFlip(task=corrupt),))
+
+    def test_stall_and_delay_carry_their_seconds(self):
+        stall, over = scenario_spec("stall-heartbeat", 2, 2, 0)
+        assert stall.stall_tasks == {2: 60.0} and over == {"heartbeat_timeout": 1.5}
+        delay, over = scenario_spec("delay-result", 2, 2, 0)
+        assert delay.delay_tasks == {2: 45.0} and over == {"result_timeout": 3.0}
 
     def test_overbooked_span_raises(self):
         with pytest.raises(ValueError, match="cannot schedule"):
-            ChaosSpec.seeded(0, 0, 3, kills=2, corruptions=2)
+            scenario_spec("mixed", workers=2, tasks=1)
 
     def test_unknown_scenario_raises(self):
         from repro.errors import KernelError
@@ -95,9 +127,7 @@ class TestScenarioRecovery:
         tasks = rep["tasks_per_stage"]
         assert tasks == 2
         first = 2 + at_step * 3 * tasks
-        tids = (rep["spec"]["kill_tasks"] + rep["spec"]["stall_tasks"]
-                + rep["spec"]["corrupt_tasks"]
-                + tuple(t for t, _ in rep["spec"]["delay_tasks"]))
+        tids = [t for ids in rep["spec"].values() for t in ids]
         assert tids and all(first <= t < first + tasks for t in tids)
 
     def test_landing_point_outside_the_run_raises(self):
@@ -135,10 +165,8 @@ class TestScenarioRecovery:
 
     def test_fault_injector_narrates_engine_recovery(self):
         """The engine reports what it saw into the same FaultInjector
-        that could be scheduling network faults — one event log for a
-        whole faulty run."""
-        fi = FaultInjector(seed=0)
-        rep = run_scenario("kill-worker", workers=2, seed=0, faults=fi)
+        that scheduled the kill — one event log for a whole faulty run."""
+        rep = run_scenario("kill-worker", workers=2, seed=0)
         assert rep["bitwise_identical"]
         assert rep["fault_events"].get("worker_crash", 0) >= 1
 
@@ -148,8 +176,8 @@ class TestKillOneOfThree:
         """Acceptance criterion: worker death no longer degrades
         unaffected payloads — >= 1 respawn in parallel.recovery.respawns
         and zero whole-pool degrades; every result still correct."""
-        spec = ChaosSpec(kill_tasks=(4,))  # ping takes tids 0..2
-        with ParallelEngine(workers=3, chaos=spec) as e:
+        fi = FaultInjector(kill_tasks=(4,))  # ping takes tids 0..2
+        with ParallelEngine(workers=3, faults=fi) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
             outs = e.run(_ping_task, [
@@ -184,8 +212,7 @@ class TestResilientRunnerParallel:
             bitflips=[BitFlip(step=1, field_name="h", rank=1, word=7, bit=63)],
         )
         with DistributedShallowWater(
-            mesh2, nranks=4, dt=ref.dt, workers=2,
-            faults=fi, engine_kwargs={"faults": fi},
+            mesh2, nranks=4, dt=ref.dt, workers=2, faults=fi,
         ) as m:
             runner = ResilientRunner(
                 m, Checkpointer(tmp_path, cadence=1), faults=fi)
@@ -204,19 +231,19 @@ class TestResilientRunnerParallel:
     def test_worker_kill_and_sdc_in_one_run(self, mesh2, tmp_path):
         """Both recovery systems in one run: a chaos worker kill handled
         by the supervisor AND a state bit-flip handled by checkpoint
-        rollback — one injector narrates both, final state bitwise."""
+        rollback — one injector schedules and narrates both, final state
+        bitwise."""
         ref = DistributedShallowWater(mesh2, nranks=4)
         ref.run_steps(3)
         gref = ref.gather_state()
 
+        kill, _ = scenario_spec("kill-worker", workers=2, tasks=2, seed=1)
         fi = FaultInjector(
-            seed=9,
+            seed=9, kill_tasks=kill.kill_tasks,
             bitflips=[BitFlip(step=2, field_name="h", rank=0, word=3, bit=63)],
         )
-        spec, _ = scenario_spec("kill-worker", workers=2, tasks=2, seed=1)
         with DistributedShallowWater(
-            mesh2, nranks=4, dt=ref.dt, workers=2,
-            faults=fi, engine_kwargs={"chaos": spec, "faults": fi},
+            mesh2, nranks=4, dt=ref.dt, workers=2, faults=fi,
         ) as m:
             runner = ResilientRunner(
                 m, Checkpointer(tmp_path, cadence=1), faults=fi)

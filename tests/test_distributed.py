@@ -20,6 +20,7 @@ from repro.homme.shallow_water import (
     ShallowWaterModel,
     rossby_haurwitz_initial,
 )
+from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh import CubedSphereMesh
 
 
@@ -278,6 +279,33 @@ def build(request, mesh4, setup):
     return make
 
 
+@pytest.fixture(params=["sw", "prim", "serial-sw", "serial-prim"])
+def any_build(request, mesh4, setup):
+    """Constructor of a model of any of the four classes from shared
+    inputs: ``build``'s 4-rank models, or a serial one (rank 0 holds the
+    whole mesh)."""
+    cfg, mesh, state = setup
+    make = {
+        "sw": lambda: DistributedShallowWater(mesh4, nranks=4),
+        "prim": lambda: DistributedPrimitiveEquations(
+            cfg, mesh, state, nranks=4, dt=600.0),
+        "serial-sw": lambda: ShallowWaterModel(mesh4),
+        "serial-prim": lambda: PrimitiveEquationModel(
+            cfg, mesh=mesh, init=state, dt=600.0),
+    }[request.param]
+    return make
+
+
+def rank_elements(model) -> list[np.ndarray]:
+    """Global element ids of each rank's rows, in rank order."""
+    hx = getattr(model, "hx", None)
+    return hx.rank_elems if hx is not None else [np.arange(model.mesh.nelem)]
+
+
+def whole_state(model):
+    return model.gather_state() if hasattr(model, "gather_state") else model.state
+
+
 class TestSharedBase:
     """What both models inherit from the one distributed base."""
 
@@ -410,23 +438,25 @@ class TestSharedBase:
             assert np.all(shard[lo] == -float(r + 1)), r
             assert np.shares_memory(getattr(s, field), shard)
 
-    def test_snapshot_keys_and_shapes_are_per_rank(self, build):
+    def test_snapshot_keys_and_shapes_are_per_rank(self, any_build):
         """Whatever the shards, a snapshot holds ``<field>_<rank>`` arrays
-        of each rank's own elements, as it did before ranks were grouped."""
-        model = build()
-        assert len(model.groups) < model.nranks
+        of each rank's own elements, as it did before ranks were grouped;
+        a serial model's whole mesh is rank 0."""
+        model = any_build()
+        ranks = rank_elements(model)
+        assert len(model.states) < len(ranks) or len(ranks) == 1
         snap = model.snapshot()
         want = {"meta"} | {f"{f}_{r}" for f in model._fields
-                           for r in range(model.nranks)}
+                           for r in range(len(ranks))}
         assert set(snap) == want
         for f in model._fields:
-            whole = getattr(model.gather_state(), f)
-            for r, elems in enumerate(model.hx.rank_elems):
+            whole = getattr(whole_state(model), f)
+            for r, elems in enumerate(ranks):
                 assert snap[f"{f}_{r}"].shape == whole[elems].shape
                 assert snap[f"{f}_{r}"].tobytes() == whole[elems].tobytes()
 
-    def test_snapshot_restore_continues_bitwise(self, build):
-        straight, resumed = build(), build()
+    def test_snapshot_restore_continues_bitwise(self, any_build):
+        straight, resumed = any_build(), any_build()
         straight.run_steps(2)
         snap = straight.snapshot()
         straight.run_steps(2)  # prim: crosses the rsplit=3 remap
@@ -454,9 +484,9 @@ class TestSharedBase:
     ], ids=["no-meta", "short-meta", "missing-key", "extra-key",
             "wrong-shape", "wrong-dtype", "t-nan", "t-inf", "t-negative",
             "steps-nan", "steps-inf", "steps-negative", "steps-fractional"])
-    def test_bad_snapshot_rejected_and_state_untouched(self, build, damage,
+    def test_bad_snapshot_rejected_and_state_untouched(self, any_build, damage,
                                                        named):
-        model = build()
+        model = any_build()
         model.step()
         before = model.snapshot()  # arrays and (t, step_count, _epoch)
         snap = model.snapshot()
@@ -470,13 +500,31 @@ class TestSharedBase:
             assert np.array_equal(before[k], after[k]), k
         model.step()  # still a working model
 
-    def test_snapshot_from_other_rank_count_rejected(self, build):
-        model = build()
+    def test_snapshot_from_other_rank_count_rejected(self, any_build):
+        model = any_build()
         snap = model.snapshot()
+        n = len(model.rank_states())
         for f in model._fields:
-            snap[f"{f}_4"] = snap[f"{f}_3"]
+            snap[f"{f}_{n}"] = snap[f"{f}_{n - 1}"]
         with pytest.raises(KernelError, match="rank count"):
             model.restore_snapshot(snap)
+
+    def test_checkpointer_round_trips_every_model(self, any_build, tmp_path):
+        """One file format for all four: a checkpoint written after two
+        steps restores into a fresh model with its time, step count and
+        bytes."""
+        from repro.resilience import Checkpointer
+
+        model, fresh = any_build(), any_build()
+        model.run_steps(2)
+        ck = Checkpointer(tmp_path)
+        ck.save(model)
+        assert ck.restore(fresh) == 2 and fresh.t == model.t
+        a, b = model.snapshot(), fresh.snapshot()
+        a.pop("meta"), b.pop("meta")
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
 
     def test_benchmark_seam_one_halo_table_one_pool_per_model(
             self, build, monkeypatch):

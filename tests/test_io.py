@@ -1,4 +1,4 @@
-"""Tests for the history format and restart files."""
+"""Tests for the history format and the serial restart (a Checkpointer)."""
 
 import numpy as np
 import pytest
@@ -52,58 +52,76 @@ class TestHistoryFormat:
         assert rec.data == pytest.approx(42.0)
 
 
-class TestRestart:
-    def test_round_trip_bit_exact(self, tmp_path):
-        from repro.config import ModelConfig
-        from repro.homme.element import ElementGeometry, ElementState
-        from repro.io.restart import load_restart, save_restart
-        from repro.mesh import CubedSphereMesh
+def prim_setup(seed: int):
+    from repro.config import ModelConfig
+    from repro.homme.element import ElementGeometry, ElementState
+    from repro.mesh import CubedSphereMesh
 
-        cfg = ModelConfig(ne=4, nlev=4, qsize=2)
-        mesh = CubedSphereMesh(4)
-        geom = ElementGeometry(mesh)
-        state = ElementState.isothermal_rest(geom, cfg)
-        rng = np.random.default_rng(3)
-        state.T += rng.standard_normal(state.T.shape)
-        state.v += rng.standard_normal(state.v.shape) * 1e-6
-        path = tmp_path / "restart.camh"
-        save_restart(path, state, cfg, t=1234.5)
-        loaded, cfg2, t = load_restart(path)
-        assert t == 1234.5
-        assert cfg2 == cfg
-        assert np.array_equal(loaded.T, state.T)
-        assert np.array_equal(loaded.v, state.v)
-        assert np.array_equal(loaded.dp3d, state.dp3d)
-        assert np.array_equal(loaded.qdp, state.qdp)
+    cfg = ModelConfig(ne=4, nlev=4, qsize=1)
+    mesh = CubedSphereMesh(4)
+    geom = ElementGeometry(mesh)
+    init = ElementState.isothermal_rest(geom, cfg)
+    rng = np.random.default_rng(seed)
+    init.T = geom.dss(init.T + rng.standard_normal(init.T.shape))
+    init.qdp[:, 0] = 1e-3 * init.dp3d
+    return cfg, mesh, init
+
+
+class TestRestart:
+    """The serial restart is the model's snapshot through the Checkpointer."""
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        from repro.homme.timestep import PrimitiveEquationModel
+        from repro.resilience import Checkpointer
+
+        cfg, mesh, init = prim_setup(3)
+        model = PrimitiveEquationModel(cfg, mesh=mesh, init=init, dt=600.0)
+        model.run_steps(1)
+        ck = Checkpointer(tmp_path)
+        snap = ck.load(ck.save(model))
+        t, steps, _ = snap.pop("meta")
+        assert (t, steps) == (600.0, 1)
+        assert set(snap) == {"v_0", "T_0", "dp3d_0", "qdp_0"}
+        for f in ("v", "T", "dp3d", "qdp"):
+            assert snap[f"{f}_0"].tobytes() == getattr(model.state, f).tobytes(), f
 
     def test_restarted_run_continues_bitwise(self, tmp_path):
-        """Run 4 steps straight vs 2 + restart + 2: identical states."""
-        from repro.config import ModelConfig
-        from repro.homme.element import ElementGeometry, ElementState
+        """Run 4 steps straight vs 2 + restart + 2: identical states; time
+        and step count (the remap phase) come back with the state."""
         from repro.homme.timestep import PrimitiveEquationModel
-        from repro.io.restart import load_restart, save_restart
-        from repro.mesh import CubedSphereMesh
+        from repro.resilience import Checkpointer
 
-        cfg = ModelConfig(ne=4, nlev=4, qsize=1)
-        mesh = CubedSphereMesh(4)
-        geom = ElementGeometry(mesh)
-        init = ElementState.isothermal_rest(geom, cfg)
-        rng = np.random.default_rng(4)
-        init.T = geom.dss(init.T + rng.standard_normal(init.T.shape))
-        init.qdp[:, 0] = 1e-3 * init.dp3d
-
-        straight = PrimitiveEquationModel(cfg, mesh=mesh, init=init.copy(), dt=600.0)
+        cfg, mesh, init = prim_setup(4)
+        straight = PrimitiveEquationModel(cfg, mesh=mesh, init=init, dt=600.0)
         straight.run_steps(4)
 
-        half = PrimitiveEquationModel(cfg, mesh=mesh, init=init.copy(), dt=600.0)
+        half = PrimitiveEquationModel(cfg, mesh=mesh, init=init, dt=600.0)
         half.run_steps(2)
-        path = tmp_path / "mid.camh"
-        save_restart(path, half.state, cfg, t=half.t)
-        loaded, cfg2, t = load_restart(path)
-        resumed = PrimitiveEquationModel(cfg2, mesh=mesh, init=loaded, dt=600.0)
-        resumed.step_count = 2  # keep the remap phase aligned
+        ck = Checkpointer(tmp_path)
+        ck.save(half)
+        resumed = PrimitiveEquationModel(cfg, mesh=mesh, init=init, dt=600.0)
+        assert ck.restore(resumed) == 2
+        assert resumed.t == half.t
         resumed.run_steps(2)
 
-        assert np.array_equal(resumed.state.T, straight.state.T)
-        assert np.array_equal(resumed.state.v, straight.state.v)
-        assert np.array_equal(resumed.state.qdp, straight.state.qdp)
+        for f in ("v", "T", "dp3d", "qdp"):
+            assert np.array_equal(getattr(resumed.state, f),
+                                  getattr(straight.state, f)), f
+
+    def test_restore_leaves_the_callers_initial_state_alone(self, tmp_path):
+        """A serial model restored before its first step writes its own
+        arrays, never the ``init`` it was built from."""
+        from repro.homme.timestep import PrimitiveEquationModel
+        from repro.resilience import Checkpointer
+
+        cfg, mesh, caller = prim_setup(5)
+        before = {f: getattr(caller, f).tobytes() for f in ("v", "T", "dp3d", "qdp")}
+        ahead = PrimitiveEquationModel(cfg, mesh=mesh, init=caller, dt=600.0)
+        ahead.run_steps(1)
+        ck = Checkpointer(tmp_path)
+        ck.save(ahead)
+        model = PrimitiveEquationModel(cfg, mesh=mesh, init=caller, dt=600.0)
+        ck.restore(model)
+        assert model.state.T.tobytes() == ahead.state.T.tobytes()
+        for f, raw in before.items():
+            assert getattr(caller, f).tobytes() == raw, f

@@ -301,10 +301,10 @@ class TestSelfHealing:
         """Recovery gives up when the machine looks sick: respawn
         budget 0 turns the first crash into a whole-pool degrade, and
         the batch still completes serially."""
-        from repro.parallel import ChaosSpec
+        from repro.resilience import FaultInjector
 
-        spec = ChaosSpec(kill_tasks=(2,))  # first post-ping task
-        with ParallelEngine(workers=2, chaos=spec, max_respawns=0) as e:
+        fi = FaultInjector(kill_tasks=(2,))  # first post-ping task
+        with ParallelEngine(workers=2, faults=fi, max_respawns=0) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
             outs = e.run(_ping_task, [
@@ -742,12 +742,12 @@ class TestShardedContexts:
         The respawned worker is handed the engine's contexts again, so
         the redistributed shard computes on the same geometry."""
         cfg, mesh, _, state = _noisy_prim_state()
-        spec, overrides = scenario_spec("kill-worker", workers=2, tasks=2)
+        faults, overrides = scenario_spec("kill-worker", workers=2, tasks=2)
         with DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0) as ser, \
             DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0, workers=2,
-                engine_kwargs={"chaos": spec, **overrides}) as par:
+                faults=faults, engine_kwargs=overrides) as par:
             if not par.engine.active:
                 pytest.skip(f"pool unavailable: {par.engine.fallback_reason}")
             assert len(par.groups) == 2  # the spec's tasks per stage

@@ -304,6 +304,31 @@ class TestCheckpointer:
             ck.save(m)
         assert len(ck.checkpoints()) == 2
 
+    def test_interrupted_save_is_not_a_checkpoint(self, mesh4, tmp_path):
+        """A save cut off before its rename leaves ``ckpt_<step>.tmp.npz``
+        behind: it is never listed, never counted toward ``keep``, never
+        restored — and alone it does not stop the runner's step-0 net."""
+        m = DistributedShallowWater(mesh4, nranks=2)
+        lone = Checkpointer(tmp_path / "lone", cadence=1)
+        (lone.dir / "ckpt_00000004.tmp.npz").write_bytes(b"PK\x03\x04trunc")
+        assert lone.checkpoints() == [] and lone.latest() is None
+        ResilientRunner(m, lone).run(1)
+        assert [p.name for p in lone.checkpoints()] == [
+            "ckpt_00000000.npz", "ckpt_00000001.npz"]
+
+        ck = Checkpointer(tmp_path / "kept", cadence=1, keep=2)
+        for _ in range(3):
+            m.run_steps(1)
+            ck.save(m)
+        tmp = ck.dir / f"ckpt_{m.step_count + 3:08d}.tmp.npz"
+        tmp.write_bytes(b"PK\x03\x04trunc")
+        ck.save(m)  # rotation keeps two finished files, the temp untouched
+        assert [p.name for p in ck.checkpoints()] == [
+            f"ckpt_{m.step_count - 1:08d}.npz", f"ckpt_{m.step_count:08d}.npz"]
+        assert tmp.exists() and ck.latest().name == f"ckpt_{m.step_count:08d}.npz"
+        fresh = DistributedShallowWater(mesh4, nranks=2)
+        assert ck.restore(fresh) == m.step_count
+
     def test_no_checkpoint_raises(self, mesh4, tmp_path):
         m = DistributedShallowWater(mesh4, nranks=2)
         with pytest.raises(ResilienceError):
@@ -530,6 +555,30 @@ class TestResilientRunner:
         m = DistributedShallowWater(mesh4, nranks=4)
         with pytest.raises(ResilienceError, match="rank 4; the model has ranks 0..3"):
             ResilientRunner(m, Checkpointer(tmp_path, cadence=1), faults=fi).run(1)
+
+    @pytest.mark.parametrize("kind", ["sw", "prim"])
+    def test_serial_model_rolls_back_bitwise(self, kind, mesh4, pe_setup,
+                                             tmp_path):
+        """The serial models are one rank of the same snapshot: a flip in
+        rank 0's state rolls back once and ends on the fault-free bytes."""
+        from repro.homme.timestep import PrimitiveEquationModel
+
+        cfg, mesh, state = pe_setup
+
+        def build():
+            if kind == "sw":
+                return ShallowWaterModel(mesh4)
+            return PrimitiveEquationModel(cfg, mesh=mesh, init=state, dt=600.0)
+
+        ref = build()
+        ref.run_steps(3)
+        field = "h" if kind == "sw" else "dp3d"
+        fi = FaultInjector(bitflips=[BitFlip(step=2, field_name=field, word=3)])
+        m = build()
+        rep = ResilientRunner(m, Checkpointer(tmp_path, cadence=1), faults=fi).run(3)
+        assert rep.rollbacks == 1 and rep.fault_summary == {"bitflip": 1}
+        for f in m._fields:
+            assert getattr(m.state, f).tobytes() == getattr(ref.state, f).tobytes(), f
 
     def test_sw_rollback_recovers(self, mesh4, tmp_path):
         ref = DistributedShallowWater(mesh4, nranks=2)
