@@ -73,6 +73,12 @@ class KernelError(ReproError):
     """Raised when a kernel is invoked with inconsistent state shapes."""
 
 
+class HaloSizeError(SimMPIError, KernelError):
+    """Raised when a halo message's size differs from the rows its
+    receiver expects: a protocol error of the communicator and a shape
+    error of the exchange that declared the rows."""
+
+
 class TranslationError(ReproError):
     """Raised by the source-to-source loop translator on untransformable IR."""
 

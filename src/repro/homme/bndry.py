@@ -20,8 +20,9 @@ exchanges a tuple of fields per rank in one message per neighbour; a run
 of consecutive ranks may hand its fields over as one block (a *rank
 group*), which changes no message and no bit.  The exchanger alone moves
 data (from its own flat buffer);
-:class:`~repro.network.simmpi.SimMPI` carries sizes and charges memcpy,
-compute and transfer time to each rank's simulated clock.  The result is
+:meth:`SimMPI.neighbor_exchange <repro.network.simmpi.SimMPI.neighbor_exchange>`
+charges memcpy, compute and transfer time of the whole exchange to each
+rank's simulated clock in one call, carrying sizes only.  The result is
 the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
 """
 
@@ -37,7 +38,7 @@ from ..errors import KernelError
 from ..mesh.assembly import Assembly
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
-from ..network.simmpi import SimMPI, rank_track
+from ..network.simmpi import SimMPI
 
 #: Memory-copy bandwidth for pack/unpack staging [bytes/s] (one CG's share).
 MEMCPY_BANDWIDTH = C.SW_MEMORY_BANDWIDTH / C.SW_CORE_GROUPS
@@ -102,8 +103,9 @@ class HaloExchanger:
     receives; one :class:`Assembly` with a slot per touching (rank, gid)
     pair over both; and the gather that fills the received rows.  An
     exchange is then one gather, one accumulate and one take per field
-    over the whole mesh; its per-rank × per-peer loops only post sizes,
-    charge clocks and trace.
+    over the whole mesh, and one SimMPI call that posts sizes, charges
+    clocks and traces over the per-rank ``(peer, rows sent, rows
+    received)`` lists.
 
     A message carries, for every point of the sender whose gid the
     receiver touches, that point's own contribution ``f * dss_weight``,
@@ -190,13 +192,17 @@ class HaloExchanger:
 
     # -- core exchange ------------------------------------------------------------
 
-    def _per_rank_costs(self, costs, name: str):
+    def _per_rank_costs(self, costs, name: str) -> list[float]:
         if costs is None:
             return [0.0] * self.nranks
         if len(costs) != self.nranks:
             raise KernelError(
                 f"{name} has {len(costs)} entries, need {self.nranks}")
-        return costs
+        for r, c in enumerate(costs):
+            if not (math.isfinite(c) and c >= 0):
+                raise KernelError(
+                    f"{name} for rank {r} is {c}, need finite seconds >= 0")
+        return [float(c) for c in costs]
 
     def exchange(
         self,
@@ -230,7 +236,9 @@ class HaloExchanger:
             boundary / inner element sets.  In classic mode their sum is
             charged before communication; in overlap mode the boundary
             part is charged before the sends and the inner part between
-            send and wait — which is what hides the transfer.
+            send and wait — which is what hides the transfer.  A cost
+            that is not finite and >= 0 raises :class:`KernelError`
+            before any clock moves.
 
         Returns, per group, a tuple of the DSS'd fields in the input
         shapes, and an :class:`ExchangeReport`.  A rank sends one message
@@ -276,11 +284,7 @@ class HaloExchanger:
 
         report = ExchangeReport(mode=mode)
         dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
-        tracer = mpi.tracer
         classic = mode == "classic"
-        # Classic stages through the pack buffer (2 copies each way);
-        # the redesign packs once and unpacks directly.
-        copies = 2 if classic else 1
 
         # One buffer: every local point's weighted contribution, one
         # column block per field, then room for every received row.
@@ -294,59 +298,16 @@ class HaloExchanger:
                 np.copyto(buf[lo:hi, c0:c1].reshape(f.shape), f)
         buf[:npoints] *= self._weights
         buf.take(self._recv_rows, axis=0, out=buf[npoints:])
-        row_bytes = buf.itemsize * cols[-1]
 
-        # Phase 1: compute + pack + send on every rank.
-        for r in range(nranks):
-            track, clock = rank_track(r), mpi.clock(r)
-            t0 = clock.now
-            # Classic: all kernel work first.  Overlap: boundary only.
-            mpi.compute(r, bc[r] + ic[r] if classic else bc[r])
-            if tracer.enabled:
-                name = "compute" if classic else "compute.boundary"
-                tracer.span_at(track, name, t0, clock.now, cat="exchange",
-                               tag=tag)
-            for p, nsent, _ in self._messages[r]:
-                nbytes = nsent * row_bytes
-                t_pack = copies * nbytes / MEMCPY_BANDWIDTH
-                t1 = clock.now
-                mpi.compute(r, t_pack)
-                report.memcpy_seconds += t_pack
-                if tracer.enabled:
-                    tracer.span_at(track, "pack", t1, clock.now,
-                                   cat="exchange", peer=p, tag=tag,
-                                   nbytes=nbytes, copies=copies)
-                    tracer.span_at(track, "send", clock.now, clock.now,
-                                   cat="exchange", peer=p, tag=tag,
-                                   nbytes=nbytes)
-                mpi.isend(r, p, nbytes, tag=tag)
-
-        # Phase 2: overlap window — inner compute happens while in flight.
-        if not classic:
-            for r in range(nranks):
-                t0 = mpi.now(r)
-                mpi.compute(r, ic[r])
-                if tracer.enabled:
-                    tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
-                                   cat="exchange", tag=tag)
-
-        # Phase 3: complete every receive and charge its unpack.
-        for r in range(nranks):
-            track, clock = rank_track(r), mpi.clock(r)
-            for p, _, nrecv in self._messages[r]:
-                nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
-                if nbytes != nrecv * row_bytes:
-                    raise KernelError(
-                        f"rank {r}: halo message from rank {p} has {nbytes} "
-                        f"bytes, expected {nrecv * row_bytes}")
-                t_unpack = copies * nbytes / MEMCPY_BANDWIDTH
-                t2 = clock.now
-                mpi.compute(r, t_unpack)
-                report.memcpy_seconds += t_unpack
-                if tracer.enabled:
-                    tracer.span_at(track, "unpack", t2, clock.now,
-                                   cat="exchange", peer=p, tag=tag,
-                                   nbytes=nbytes, copies=copies)
+        # The clock program: classic charges all kernel work before the
+        # sends and stages through the pack buffer (2 copies each way);
+        # the redesign charges the boundary part first, the inner part
+        # while messages fly, and packs once and unpacks directly.
+        report.memcpy_seconds = mpi.neighbor_exchange(
+            self._messages, buf.itemsize * cols[-1],
+            [b + i for b, i in zip(bc, ic)] if classic else bc,
+            None if classic else ic,
+            copies=2 if classic else 1, bandwidth=MEMCPY_BANDWIDTH, tag=tag)
 
         # Sum each slot, then gather every field to its own points.
         acc = self._assembly.accumulate(buf)

@@ -12,9 +12,12 @@ reproducing the redesigned ``bndry_exchangev`` behaviour (paper Section
 
 Because all ranks execute inside one Python process, drivers iterate
 ranks in phases (all sends posted, then receives completed) — the natural
-structure of a halo exchange.  ``wait`` on a receive whose matching send
-has not been posted raises :class:`SimMPIError`.  Messages on one
+structure of a halo exchange, which :meth:`SimMPI.neighbor_exchange`
+charges in one call.  ``wait`` on a receive whose matching send has not
+been posted raises :class:`SimMPIError`.  Messages on one
 ``(src, dst, tag)`` are received in posting order, as MPI guarantees.
+After :meth:`SimMPI.finalize` the communicator is closed: posting,
+receiving, computing and the collectives raise :class:`SimMPIError`.
 
 **Fault model.**  A :class:`~repro.resilience.faults.FaultInjector` can
 drop or delay messages and slow individual ranks down.  A dropped
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import SimMPIError, SimMPITimeoutError
+from ..errors import HaloSizeError, SimMPIError, SimMPITimeoutError
 from ..obs.tracer import NULL_TRACER
 from ..utils.timing import SimClock
 from .costmodel import NetworkCostModel
@@ -66,14 +69,12 @@ class SimRequest:
     comm: "SimMPI | None" = None  # owning communicator
 
 
-@dataclass
-class _Message:
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-    arrival: float
-    lost: bool = False
+def _check_seconds(name: str, rank: int, seconds: float) -> None:
+    """Refuse a simulated cost that is not finite and >= 0 before it
+    reaches a clock."""
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise SimMPIError(
+            f"{name} for rank {rank} is {seconds}, need finite seconds >= 0")
 
 
 class SimMPI:
@@ -152,8 +153,9 @@ class SimMPI:
         self.allreduce_algorithm = allreduce_algorithm
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._clocks = [SimClock() for _ in range(nranks)]
-        #: One queue per (src, dst, tag) in posting order, lost ones included.
-        self._mailbox: dict[tuple[int, int, int], deque[_Message]] = {}
+        #: One queue per (src, dst, tag) of ``(nbytes, arrival, lost)``
+        #: messages in posting order, lost ones included.
+        self._mailbox: dict[tuple[int, int, int], deque[tuple[int, float, bool]]] = {}
         #: (src, dst) -> (alpha, beta), resolved on a pair's first message.
         self._paths: dict[tuple[int, int], tuple[float, float]] = {}
         self.messages_sent = 0
@@ -184,9 +186,11 @@ class SimMPI:
         the nominal time — the whole-job effect is visible in
         :meth:`max_time` because every peer ends up waiting for it.
         """
+        self._check_open()
+        self._check_rank(rank)
+        _check_seconds("seconds", rank, seconds)
         if self.faults is not None:
             seconds *= self.faults.compute_factor(rank)
-        self._check_rank(rank)
         self._clocks[rank].advance(seconds)
 
     def max_time(self) -> float:
@@ -203,19 +207,20 @@ class SimMPI:
         A message the fault injector drops keeps its place in the queue,
         so a later one on the same ``(src, dst, tag)`` cannot overtake it.
         """
+        self._check_open()
         transfer = self._transfer_time(src, dst, nbytes)
         t_send = self._clocks[src].now
-        msg = _Message(src, dst, tag, nbytes, t_send + transfer)
+        arrival = t_send + transfer
         fate, extra = ("deliver", 0.0)
         if self.faults is not None:
             fate, extra = self.faults.on_send(src, dst, tag, nbytes)
         if fate == "drop":
-            msg.lost = True
             self.messages_dropped += 1
         elif fate == "delay":
-            msg.arrival += extra
+            arrival += extra
             self.messages_delayed += 1
-        self._mailbox.setdefault((src, dst, tag), deque()).append(msg)
+        self._mailbox.setdefault((src, dst, tag), deque()).append(
+            (nbytes, arrival, fate == "drop"))
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if self.tracer.enabled:
@@ -228,6 +233,7 @@ class SimMPI:
 
     def irecv(self, dst: int, src: int, tag: int = 0) -> SimRequest:
         """Post a non-blocking receive (completion resolved at wait)."""
+        self._check_open()
         self._check_rank(src)
         self._check_rank(dst)
         return SimRequest("recv", dst, src, tag, comm=self)
@@ -245,6 +251,7 @@ class SimMPI:
         ``comm_seconds`` again.  Waiting a request owned by a different
         communicator is always a protocol error.
         """
+        self._check_open()
         if req.comm is not None and req.comm is not self:
             raise SimMPIError(
                 "wait called on a request owned by another communicator"
@@ -261,40 +268,43 @@ class SimMPI:
                 f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
                 "but no matching send was posted"
             )
-        msg = q.popleft()
+        nbytes, arrival, lost = q.popleft()
         if not q:
             # The halo layer uses a fresh tag per exchange: a drained
             # queue left under its key would never be reused or freed.
             del self._mailbox[key]
-        if msg.lost:
-            self._recover(msg)
+        if lost:
+            arrival = self._recover(*key, nbytes)
         clock = self._clocks[req.rank]
         t_wait = clock.now
-        waited = max(0.0, msg.arrival - clock.now)
+        waited = max(0.0, arrival - clock.now)
         self.comm_seconds[req.rank] += waited
-        clock.advance_to(msg.arrival)
+        clock.advance_to(arrival)
         req.done = True
         req.completion_time = clock.now
-        req.nbytes = msg.nbytes
+        req.nbytes = nbytes
         if self.tracer.enabled:
             self.tracer.span_at(
                 rank_track(req.rank), "mpi.wait", t_wait, clock.now, cat="mpi",
-                src=req.peer, tag=req.tag, nbytes=msg.nbytes, waited=waited,
+                src=req.peer, tag=req.tag, nbytes=nbytes, waited=waited,
             )
-        return msg.nbytes
+        return nbytes
 
     def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """``cost.p2p_time``; ranks checked and path resolved once per pair."""
-        path = self._paths.get((src, dst))
-        if path is None:
-            self._check_rank(src)
-            self._check_rank(dst)
-            path = self._paths[src, dst] = self.cost.path(src, dst)
-        return path[0] + nbytes / path[1]
+        alpha, beta = self._paths.get((src, dst)) or self._path(src, dst)
+        return alpha + nbytes / beta
 
-    def _recover(self, msg: _Message) -> None:
+    def _path(self, src: int, dst: int) -> tuple[float, float]:
+        """Resolve and keep a pair's ``(alpha, beta)``, ranks checked."""
+        self._check_rank(src)
+        self._check_rank(dst)
+        path = self._paths[src, dst] = self.cost.path(src, dst)
+        return path
+
+    def _recover(self, src: int, dst: int, tag: int, nbytes: int) -> float:
         """Retransmit a dropped message until it arrives or the retry
-        budget runs out.
+        budget runs out; returns its new arrival stamp.
 
         The receiver first waits out ``timeout`` simulated seconds (the
         window in which the original would have arrived); each failed
@@ -302,10 +312,9 @@ class SimMPI:
         retransmission re-stamps the message's arrival: re-post time plus
         the transfer time.
         """
-        src, dst = msg.src, msg.dst
         clock = self._clocks[dst]
         t = clock.now
-        transfer = self._transfer_time(src, dst, msg.nbytes)
+        transfer = self._transfer_time(src, dst, nbytes)
         window = self.timeout
         for attempt in range(1, self.max_retries + 1):
             t += window  # receiver rides out the timeout window
@@ -313,19 +322,18 @@ class SimMPI:
             self.retransmissions += 1
             delivered = True
             if self.faults is not None:
-                delivered = self.faults.on_retransmit(src, dst, msg.tag, attempt)
+                delivered = self.faults.on_retransmit(src, dst, tag, attempt)
             if self.tracer.enabled:
                 self.tracer.instant(
                     rank_track(dst), "mpi.retransmit", t, cat="fault",
-                    src=src, tag=msg.tag, attempt=attempt, delivered=delivered,
+                    src=src, tag=tag, attempt=attempt, delivered=delivered,
                 )
             if delivered:
-                msg.arrival = t + transfer
-                return
+                return t + transfer
         self.comm_seconds[dst] += max(0.0, t - clock.now)
         clock.advance_to(t)
         raise SimMPITimeoutError(
-            f"rank {dst} gave up on message from {src} tag {msg.tag} "
+            f"rank {dst} gave up on message from {src} tag {tag} "
             f"after {self.max_retries} retransmissions"
         )
 
@@ -340,6 +348,160 @@ class SimMPI:
         return [self.wait(r) for r in reqs]
 
     # -- collectives ---------------------------------------------------------------
+
+    def neighbor_exchange(
+        self,
+        messages: list[list[tuple[int, int, int]]],
+        row_bytes: int,
+        before: list[float],
+        between: list[float] | None = None,
+        *,
+        copies: int,
+        bandwidth: float,
+        tag: int = 0,
+    ) -> float:
+        """Charge one halo exchange over every rank, in the spirit of
+        ``MPI_Neighbor_alltoallv``; returns the memcpy seconds charged.
+
+        ``messages[r]`` lists rank r's ``(peer, rows sent, rows
+        received)``, a row ``row_bytes`` long.  Three phases, ranks in
+        order, each rank's time a plain float:
+
+        1. charge ``before[r]`` (span ``compute.boundary``, or
+           ``compute`` with no overlap window), then per peer pack —
+           ``copies * nbytes / bandwidth`` — and send;
+        2. unless ``between`` is None, charge ``between[r]`` while the
+           messages fly (span ``overlap``);
+        3. per peer receive — the oldest message queued on ``(peer, r,
+           tag)``, recovered first if lost — and unpack it.
+
+        Clocks, counters, fault draws and spans are those of the same
+        program written with :meth:`compute`, :meth:`isend`,
+        :meth:`irecv` and :meth:`wait`, which stay the reference
+        (``tests/test_properties.py``).  Laggard factors scale every
+        charge; the returned sum (packs, then unpacks) is nominal.
+        Costs are checked before any clock moves.  A received
+        message of another size than its rows raises
+        :class:`~repro.errors.HaloSizeError`; an exchange aborted there
+        or by :class:`SimMPITimeoutError` leaves what it has not
+        received pending.
+        """
+        self._check_open()
+        n = self.nranks
+        if len(messages) != n:
+            raise SimMPIError(
+                f"need one message list per rank ({n}), got {len(messages)}")
+        for name, costs in (("before", before), ("between", between)):
+            if costs is not None:
+                if len(costs) != n:
+                    raise SimMPIError(f"{name} has {len(costs)} entries, need {n}")
+                for r, c in enumerate(costs):
+                    _check_seconds(name, r, c)
+        paths, mailbox, clocks = self._paths, self._mailbox, self._clocks
+        faults, tracer = self.faults, self.tracer
+        trace = tracer.enabled
+        factor = [1.0 if faults is None else faults.compute_factor(r)
+                  for r in range(n)]
+        first = "compute" if between is None else "compute.boundary"
+        memcpy = 0.0
+
+        # Phase 1: compute, then pack and send per peer.
+        for r, f in enumerate(factor):
+            track, clock, peers = rank_track(r), clocks[r], messages[r]
+            t0 = t = clock.now
+            sent = 0
+            t += before[r] * f
+            if trace:
+                tracer.span_at(track, first, t0, t, cat="exchange", tag=tag)
+            for p, rows, _ in peers:
+                nbytes = rows * row_bytes
+                t_pack = copies * nbytes / bandwidth
+                t1 = t
+                t += t_pack * f
+                memcpy += t_pack
+                alpha, beta = paths.get((r, p)) or self._path(r, p)
+                arrival = t + (alpha + nbytes / beta)
+                fate = "deliver"
+                if faults is not None:
+                    fate, extra = faults.on_send(r, p, tag, nbytes)
+                    if fate == "drop":
+                        self.messages_dropped += 1
+                    elif fate == "delay":
+                        arrival += extra
+                        self.messages_delayed += 1
+                key = (r, p, tag)
+                q = mailbox.get(key)
+                if q is None:
+                    q = mailbox[key] = deque()
+                q.append((nbytes, arrival, fate == "drop"))
+                sent += nbytes
+                if trace:
+                    tracer.span_at(track, "pack", t1, t, cat="exchange", peer=p,
+                                   tag=tag, nbytes=nbytes, copies=copies)
+                    tracer.span_at(track, "send", t, t, cat="exchange", peer=p,
+                                   tag=tag, nbytes=nbytes)
+                    tracer.instant(track, "mpi.isend", t, cat="mpi", dst=p,
+                                   tag=tag, nbytes=nbytes, fate=fate)
+            self.messages_sent += len(peers)
+            self.bytes_sent += sent
+            clock.advance_to(t)
+
+        # Phase 2: the overlap window.
+        if between is not None:
+            for r, f in enumerate(factor):
+                clock = clocks[r]
+                t0 = clock.now
+                t = t0 + between[r] * f
+                clock.advance_to(t)
+                if trace:
+                    tracer.span_at(rank_track(r), "overlap", t0, t,
+                                   cat="exchange", tag=tag)
+
+        # Phase 3: receive and unpack per peer.
+        comm = self.comm_seconds
+        for r, f in enumerate(factor):
+            track, clock = rank_track(r), clocks[r]
+            t = clock.now
+            try:
+                for p, _, rows in messages[r]:
+                    key = (p, r, tag)
+                    q = mailbox.get(key)
+                    if not q:
+                        raise SimMPIError(
+                            f"rank {r} waits on message from {p} tag {tag}, "
+                            "but no matching send was posted")
+                    nbytes, arrival, lost = q.popleft()
+                    if not q:
+                        del mailbox[key]
+                    if lost:
+                        clock.advance_to(t)
+                        arrival = self._recover(p, r, tag, nbytes)
+                    t_wait = t
+                    if arrival > t:
+                        waited = arrival - t
+                        comm[r] += waited
+                        t = arrival
+                    else:
+                        waited = 0.0
+                    if trace:
+                        tracer.span_at(track, "mpi.wait", t_wait, t, cat="mpi",
+                                       src=p, tag=tag, nbytes=nbytes,
+                                       waited=waited)
+                    if nbytes != rows * row_bytes:
+                        raise HaloSizeError(
+                            f"rank {r}: halo message from rank {p} has "
+                            f"{nbytes} bytes, expected {rows * row_bytes}")
+                    t_unpack = copies * nbytes / bandwidth
+                    t2 = t
+                    t += t_unpack * f
+                    memcpy += t_unpack
+                    if trace:
+                        tracer.span_at(track, "unpack", t2, t, cat="exchange",
+                                       peer=p, tag=tag, nbytes=nbytes,
+                                       copies=copies)
+            finally:
+                clock.advance_to(t)
+        return memcpy
 
     def allreduce(
         self, contributions: list[np.ndarray], algorithm: str | None = None
@@ -365,6 +527,7 @@ class SimMPI:
         ``algorithm`` overrides the communicator-level default for one
         call.
         """
+        self._check_open()
         if len(contributions) != self.nranks:
             raise SimMPIError(
                 f"allreduce needs one contribution per rank "
@@ -446,6 +609,7 @@ class SimMPI:
 
     def barrier(self) -> float:
         """Synchronize all clocks; returns the post-barrier time."""
+        self._check_open()
         start = max(c.now for c in self._clocks)
         t = start + self.cost.barrier_time(self.nranks)
         for r, c in enumerate(self._clocks):
@@ -462,9 +626,10 @@ class SimMPI:
     def finalize(self) -> None:
         """Close the communicator, verifying the mailbox drained.
 
-        A message posted but never received — typically a mismatched
-        tag — would otherwise sit in the mailbox forever and corrupt a
-        later exchange that reuses the tag.  Raises
+        From here on posting, receiving, computing and the collectives
+        raise :class:`SimMPIError`.  A message posted but never received
+        — typically a mismatched tag — would otherwise sit in the mailbox
+        forever and corrupt a later exchange that reuses the tag.  Raises
         :class:`SimMPIError` naming the leaked (src, dst, tag) triples.
         """
         self._finalized = True
@@ -482,6 +647,10 @@ class SimMPI:
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nranks):
             raise SimMPIError(f"rank {rank} outside 0..{self.nranks - 1}")
+
+    def _check_open(self) -> None:
+        if self._finalized:
+            raise SimMPIError("communicator used after finalize()")
 
     def pending_messages(self) -> int:
         """Messages posted but not yet received (should be 0 after a step)."""

@@ -188,6 +188,19 @@ class TestBoundaryValidation:
         with pytest.raises(KernelError, match=f"{arg} has 3 entries"):
             hx.exchange(self.locals_(hx), SimMPI(4), **{arg: [0.0] * 3})
 
+    @pytest.mark.parametrize("arg", ["boundary_compute", "inner_compute"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_a_bad_cost_is_refused_before_any_clock_moves(self, hx, arg, mode, bad):
+        mpi = SimMPI(4)
+        costs = [0.0] * 4
+        costs[1] = bad
+        with pytest.raises(KernelError, match=f"{arg} for rank 1 is"):
+            hx.exchange(self.locals_(hx), mpi, mode=mode, **{arg: costs})
+        assert [mpi.now(r) for r in range(4)] == [0.0] * 4
+        assert mpi.comm_seconds == [0.0] * 4
+        assert (mpi.messages_sent, mpi.bytes_sent, mpi.pending_messages()) == (0, 0, 0)
+
     def test_mismatched_trailing_shapes_name_the_rank(self, hx):
         fields = self.locals_(hx, (3,))
         fields[2] = (fields[2][0][..., :2],)

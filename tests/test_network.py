@@ -164,6 +164,48 @@ class TestSimMPI:
         with pytest.raises(SimMPIError):
             mpi.isend(0, 5, 8)
 
+    @staticmethod
+    def state(mpi):
+        return ([mpi.now(r) for r in range(mpi.nranks)], list(mpi.comm_seconds),
+                mpi.messages_sent, mpi.bytes_sent, mpi.pending_messages())
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1e-9])
+    def test_compute_refuses_a_bad_cost_untouched(self, seconds):
+        mpi = SimMPI(2)
+        mpi.compute(1, 1e-3)
+        before = self.state(mpi)
+        with pytest.raises(SimMPIError, match="seconds for rank 1 is"):
+            mpi.compute(1, seconds)
+        assert self.state(mpi) == before
+
+    @pytest.mark.parametrize("arg", ["before", "between"])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_neighbor_exchange_refuses_a_bad_cost_untouched(self, arg, seconds):
+        """Checked for every rank before any clock moves or any message
+        is posted."""
+        mpi = SimMPI(2)
+        costs = {"before": [0.0, 0.0], "between": [0.0, 0.0]}
+        costs[arg][1] = seconds
+        before = self.state(mpi)
+        with pytest.raises(SimMPIError, match=f"{arg} for rank 1 is"):
+            mpi.neighbor_exchange([[(1, 1, 1)], [(0, 1, 1)]], 8, costs["before"],
+                                  costs["between"], copies=1, bandwidth=1e9)
+        assert self.state(mpi) == before
+
+    def test_finalize_closes_the_communicator(self):
+        mpi = SimMPI(2)
+        req = mpi.irecv(1, 0)
+        mpi.finalize()
+        for call in (lambda: mpi.isend(0, 1, 8), lambda: mpi.irecv(1, 0),
+                     lambda: mpi.wait(req), lambda: mpi.compute(0, 1.0),
+                     lambda: mpi.allreduce([np.zeros(1)] * 2), mpi.barrier,
+                     lambda: mpi.neighbor_exchange([[], []], 8, [0.0, 0.0],
+                                                   copies=1, bandwidth=1e9)):
+            with pytest.raises(SimMPIError, match="after finalize"):
+                call()
+        assert mpi.pending_messages() == 0 and mpi.messages_sent == 0
+        assert [mpi.now(r) for r in range(2)] == [0.0, 0.0]
+
     def test_overlap_hides_communication(self):
         """The bndry_exchangev redesign in miniature: compute charged
         between isend and wait absorbs the transfer time."""

@@ -2,8 +2,9 @@
 
 These fuzz the load-bearing algebraic properties that many modules rely
 on: DSS is a linear idempotent projection, the simulated MPI delivers
-any posting order, partitions are exact covers at any rank count, and
-backend costs respond monotonically to workload size.
+any posting order and charges a whole halo exchange in one call exactly
+as its per-message program does, partitions are exact covers at any
+rank count, and backend costs respond monotonically to workload size.
 """
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import AthreadBackend, IntelBackend, KernelWorkload
 from repro.config import ModelConfig
-from repro.errors import KernelError
+from repro.errors import HaloSizeError, KernelError, SimMPIError, SimMPITimeoutError
 from repro.homme.element import ElementGeometry, levels_first, levels_last
 from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
+from repro.network.simmpi import rank_track
+from repro.obs.tracer import Tracer
 from repro.resilience.faults import FaultInjector
 
 
@@ -223,6 +226,156 @@ class TestSimMPIFuzz:
         out = mpi.allreduce([np.array([float(r), 1.0]) for r in range(n)])
         assert out[0] == pytest.approx(n * (n - 1) / 2)
         assert out[1] == pytest.approx(float(n))
+
+
+def per_message_exchange(mpi, messages, row_bytes, before, between, copies,
+                          bandwidth, tag):
+    """``SimMPI.neighbor_exchange`` written as the per-message program:
+    ``compute`` / ``isend`` / ``irecv`` / ``wait`` and the same spans."""
+    tracer, n = mpi.tracer, mpi.nranks
+    memcpy = 0.0
+    for r in range(n):
+        t0 = mpi.now(r)
+        mpi.compute(r, before[r])
+        tracer.span_at(rank_track(r), "compute" if between is None
+                       else "compute.boundary", t0, mpi.now(r),
+                       cat="exchange", tag=tag)
+        for p, rows, _ in messages[r]:
+            nbytes = rows * row_bytes
+            t_pack = copies * nbytes / bandwidth
+            t1 = mpi.now(r)
+            mpi.compute(r, t_pack)
+            memcpy += t_pack
+            tracer.span_at(rank_track(r), "pack", t1, mpi.now(r),
+                           cat="exchange", peer=p, tag=tag, nbytes=nbytes,
+                           copies=copies)
+            tracer.span_at(rank_track(r), "send", mpi.now(r), mpi.now(r),
+                           cat="exchange", peer=p, tag=tag, nbytes=nbytes)
+            mpi.isend(r, p, nbytes, tag=tag)
+    if between is not None:
+        for r in range(n):
+            t0 = mpi.now(r)
+            mpi.compute(r, between[r])
+            tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
+                           cat="exchange", tag=tag)
+    for r in range(n):
+        for p, _, rows in messages[r]:
+            nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
+            if nbytes != rows * row_bytes:
+                raise HaloSizeError(
+                    f"rank {r}: halo message from rank {p} has {nbytes} "
+                    f"bytes, expected {rows * row_bytes}")
+            t_unpack = copies * nbytes / bandwidth
+            t2 = mpi.now(r)
+            mpi.compute(r, t_unpack)
+            memcpy += t_unpack
+            tracer.span_at(rank_track(r), "unpack", t2, mpi.now(r),
+                           cat="exchange", peer=p, tag=tag, nbytes=nbytes,
+                           copies=copies)
+    return memcpy
+
+
+@st.composite
+def exchanges(draw):
+    """A random symmetric neighbour graph with message sizes, costs,
+    message faults, laggards, maybe a tracer, and maybe a stale message
+    already queued on one route under the exchange's tag."""
+    n = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    rows = {(a, b): draw(st.integers(0, 40))
+            for e in sorted(edges) for a, b in (e, e[::-1])}
+    messages = []
+    for r in range(n):
+        peers = sorted(b for a, b in rows if a == r)
+        messages.append([(p, rows[r, p], rows[p, r])
+                         for p in draw(st.permutations(peers))])
+    nmsg = len(rows)
+    seconds = st.floats(0.0, 1e-3)
+    index = st.integers(0, nmsg - 1)
+    return dict(
+        messages=messages,
+        row_bytes=draw(st.integers(1, 64)),
+        before=draw(st.lists(seconds, min_size=n, max_size=n)),
+        between=draw(st.none() | st.lists(seconds, min_size=n, max_size=n)),
+        copies=draw(st.sampled_from([1, 2])),
+        tag=draw(st.integers(0, 99)),
+        faults=dict(
+            drop_messages=draw(st.sets(index, max_size=3)),
+            delay_messages=draw(st.dictionaries(index, st.floats(0.0, 1e-3),
+                                                max_size=3)),
+            laggards=draw(st.dictionaries(st.integers(0, n - 1),
+                                          st.floats(1.0, 4.0), max_size=2)),
+            drop_retransmits=draw(st.booleans()),
+        ),
+        traced=draw(st.booleans()),
+        stale=draw(st.none() | st.tuples(st.sampled_from(sorted(rows)),
+                                         st.sampled_from([0, 8]))),
+    )
+
+
+class TestNeighborExchange:
+    """The one-call exchange leaves what the per-message program leaves."""
+
+    def run_both(self, ex):
+        comms = []
+        for bulk in (True, False):
+            fi = FaultInjector(seed=5, **ex["faults"])
+            mpi = SimMPI(len(ex["messages"]), faults=fi, timeout=2e-4,
+                         tracer=Tracer("t") if ex["traced"] else None)
+            args = (ex["messages"], ex["row_bytes"], ex["before"],
+                    ex["between"])
+            kw = dict(copies=ex["copies"], bandwidth=1e9, tag=ex["tag"])
+            if ex["stale"] is not None:
+                (src, dst), extra = ex["stale"]
+                rows = next(m[2] for m in ex["messages"][dst] if m[0] == src)
+                mpi.isend(src, dst, rows * ex["row_bytes"] + extra, tag=ex["tag"])
+            try:
+                if bulk:
+                    out = mpi.neighbor_exchange(*args, **kw)
+                else:
+                    out = per_message_exchange(mpi, *args, **kw)
+            except SimMPIError as e:  # a timeout or a stale wrong size
+                out = (type(e), str(e))
+            comms.append((mpi, fi, out))
+        return comms
+
+    @given(ex=exchanges())
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_call_equals_the_per_message_program(self, ex):
+        (a, fa, out_a), (b, fb, out_b) = self.run_both(ex)
+        assert out_a == out_b  # the memcpy sum, or the same error
+        n = a.nranks
+        assert [a.now(r) for r in range(n)] == [b.now(r) for r in range(n)]
+        for name in ("comm_seconds", "messages_sent", "bytes_sent",
+                     "messages_dropped", "messages_delayed", "retransmissions"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert [(e.kind, e.detail) for e in fa.events] == \
+            [(e.kind, e.detail) for e in fb.events]
+        if ex["traced"]:
+            assert a.tracer.recorder.events == b.tracer.recorder.events
+
+        def mailbox(m):
+            return {k: list(q) for k, q in m._mailbox.items()}
+        assert mailbox(a) == mailbox(b)
+        if isinstance(out_a, float):
+            assert a.pending_messages() == (ex["stale"] is not None)
+
+    def test_a_timeout_leaves_exactly_the_unreceived_messages_pending(self):
+        """Rank 0 receives from 1 and 2; rank 1's message to rank 0 (the
+        third posted) is lost for good, so rank 0 gives up on its first
+        receive and the exchange's other three messages stay queued."""
+        messages = [[(1, 2, 3), (2, 1, 1)], [(0, 3, 2)], [(0, 1, 1)]]
+        fi = FaultInjector(drop_messages=[2], drop_retransmits=True)
+        mpi = SimMPI(3, faults=fi)
+        with pytest.raises(SimMPITimeoutError, match="rank 0 gave up on "
+                           "message from 1"):
+            mpi.neighbor_exchange(messages, 8, [0.0] * 3, [0.0] * 3,
+                                  copies=1, bandwidth=1e9, tag=4)
+        assert {k: len(q) for k, q in mpi._mailbox.items()} == {
+            (0, 1, 4): 1, (0, 2, 4): 1, (2, 0, 4): 1}
+        assert mpi.pending_messages() == 3
+        assert mpi.purge_pending() == 3 and mpi._mailbox == {}
 
 
 class TestPartitionFuzz:
