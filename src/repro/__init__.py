@@ -11,9 +11,10 @@ The package builds every system the paper depends on:
   simulated MPI with computation/communication overlap;
 - :mod:`repro.mesh` — the cubed-sphere spectral-element mesh, SFC
   partitioning and halo graphs;
-- :mod:`repro.homme` — the CAM-SE/HOMME dynamical core kernels
-  (compute_and_apply_rhs, euler_step, vertical_remap, hyperviscosity,
-  biharmonic, bndry_exchangev) with real numerics;
+- :mod:`repro.homme` — the CAM-SE/HOMME dynamical core with real
+  numerics: the Table-1 kernels (compute_and_apply_rhs, euler_step,
+  hyperviscosity and biharmonic as the phases of one step recipe,
+  vertical_remap, bndry_exchangev);
 - :mod:`repro.physics` — a simplified CAM physics suite;
 - :mod:`repro.backends` — the Intel / MPE / OpenACC / Athread execution
   models, the paper's central contribution;
@@ -23,9 +24,9 @@ The package builds every system the paper depends on:
   :mod:`repro.experiments` — performance models, NGGPS baselines, the
   Katrina experiment, and one driver per paper table/figure;
 - :mod:`repro.bench` — the deterministic benchmark suite and
-  regression gate (fused vs batched dycore kernels on the wall clock,
-  Table-1 kernels on the simulated clock, compared against the
-  committed ``BENCH_homme.json`` baseline).
+  regression gate (fused vs batched dycore kernels and the euler phase
+  on the wall clock, Table-1 kernels on the simulated clock, compared
+  against the committed ``BENCH_homme.json`` baseline).
 
 Quickstart::
 

@@ -1,10 +1,13 @@
 """The benchmark definitions behind ``BENCH_homme.json``.
 
-Wall-clock benchmarks time the same kernel through both execution
-paths (:mod:`repro.backends.functional_exec`) — ``fused``, what every
-model runs, and ``batched``, the reference — so every group comes with
-a derived ``fused_speedup`` (the fused contraction path must stay
->= 1.5x batched on the primitive-equation RHS chain).  Simulated-clock
+Wall-clock benchmarks time the same kernel or step phase through both
+execution paths (:mod:`repro.backends.functional_exec`) — ``fused``,
+what every model runs, and ``batched``, the reference — so every group
+comes with a derived ``fused_speedup`` (the fused contraction path must
+stay >= 1.5x batched on the primitive-equation RHS chain).  The euler
+group times the models' tracer phase,
+:func:`repro.homme.timestep.euler_step_subcycled`, on the one-shard
+layout.  Simulated-clock
 benchmarks rerun the Table-1 kernels through the four backend models;
 they are exactly deterministic and drift only when the performance
 model itself changes.
@@ -23,8 +26,8 @@ from ..backends import ALL_BACKENDS, table1_workloads
 from ..backends.functional_exec import EXECUTION_PATHS
 from ..config import ModelConfig
 from ..homme.element import ElementGeometry, ElementState
-from ..homme.euler import euler_step
 from ..homme.shallow_water import ShallowWaterModel, williamson2_initial
+from ..homme.timestep import PrimitiveEquationModel, euler_step_subcycled
 from ..mesh.cubed_sphere import CubedSphereMesh
 from .harness import SCHEMA, BenchResult, machine_calibration, time_wall
 
@@ -98,16 +101,28 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
                   "gated": path == "fused"},
         ))
 
-    # -- wall clock: all-tracer euler step, both exec paths ----------------
+    # -- wall clock: the models' euler phase, both exec paths --------------
+    # One SSP-RK2 subcycle of the whole tracer stack on the one-shard
+    # layout: the stages, the DSS after each, the limiter and its fixer.
+    cfg = ModelConfig(ne=4, nlev=state.nlev, qsize=state.qsize,
+                      tracer_subcycles=1)
     for path in EXECUTION_PATHS:
+        model = PrimitiveEquationModel(cfg, geom.mesh, init=state, dt=60.0,
+                                       exec_path=path)
+        qdp0 = model.state.qdp  # the phase replaces qdp, never writes it
+
+        def reset(model=model, qdp0=qdp0):
+            model.state.qdp = qdp0
+
         secs = time_wall(
-            lambda: euler_step(state, geom, 60.0, path=path), repeats=repeats
+            lambda model=model: euler_step_subcycled(model, model.states),
+            repeats=repeats, setup=reset,
         )
         results.append(BenchResult(
             name=f"euler_step.ne4.{path}", clock="wall", seconds=secs,
             repeats=repeats,
-            meta={"ne": 4, "qsize": state.qsize, "kernel": "euler_step",
-                  "gated": path == "fused"},
+            meta={"ne": 4, "qsize": state.qsize,
+                  "kernel": "euler_step_subcycled", "gated": path == "fused"},
         ))
 
     # -- simulated clock: Table-1 kernels through the backend models -------

@@ -1,24 +1,26 @@
 """The HOMME / CAM-SE spectral-element dynamical core.
 
-Real numerics for every kernel in the paper's Table 1:
+Real numerics for every kernel in the paper's Table 1.  The step's
+kernels are the phases of one step recipe, :mod:`~repro.homme.timestep`
+(``prim_run``, written once and run by the whole-mesh and the
+rank-distributed models alike), over element-local pieces:
 
-- :mod:`~repro.homme.rhs` — ``compute_and_apply_rhs``: one Runge--Kutta
-  stage of the hydrostatic primitive equations on floating Lagrangian
-  levels (vector-invariant momentum, layer continuity, thermodynamic
-  equation), including the vertical pressure scan the register-
-  communication scheme parallelizes;
-- :mod:`~repro.homme.euler` — ``euler_step``: SSP-RK2 tracer advection
-  with a monotone limiter, subcycled 3x per dynamics step;
+- ``compute_and_apply_rhs`` — an RK stage of the recipe over
+  :mod:`~repro.homme.rhs`: the hydrostatic primitive equations on
+  floating Lagrangian levels (vector-invariant momentum, layer
+  continuity, thermodynamic equation), including the vertical pressure
+  scan the register-communication scheme parallelizes;
+- ``euler_step`` — ``euler_step_subcycled`` over
+  :mod:`~repro.homme.euler`: SSP-RK2 tracer advection with a monotone
+  limiter, subcycled 3x per dynamics step;
+- ``hypervis_dp1/dp2`` and ``biharmonic_dp3d`` — ``advance_hypervis``
+  with the coefficients of :mod:`~repro.homme.hypervis`: hyperviscosity
+  on v, T and dp3d via repeated weak Laplacians with DSS;
 - :mod:`~repro.homme.remap` — ``vertical_remap``: conservative monotone
   PPM remap back to reference hybrid levels;
-- :mod:`~repro.homme.hypervis` — ``hypervis_dp1/dp2`` and
-  ``biharmonic_dp3d``: scalar/vector hyperviscosity via repeated weak
-  Laplacians with DSS;
 - :mod:`~repro.homme.bndry` — ``bndry_exchangev``: the halo exchange in
   both the classic (pack-buffer, no overlap) and redesigned
   (inner/boundary split, overlap, direct unpack) forms;
-- :mod:`~repro.homme.timestep` — ``prim_run``: the dynamics step, written
-  once and run by the whole-mesh and the rank-distributed models alike;
 - :mod:`~repro.homme.shallow_water` — a shallow-water mode used to
   verify the spectral operators against analytic solutions.
 

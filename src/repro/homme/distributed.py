@@ -126,10 +126,12 @@ class _DistributedModel(timestep._Layout):
         self.nranks = nranks
         self.mode = mode
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.part = SFCPartition(mesh.ne, nranks)
-        self.hx = HaloExchanger(mesh, self.part)
+        # The communicator first: it checks ``combine`` before the
+        # partition and halo tables cost anything.
         self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
                           allreduce_algorithm=combine)
+        self.part = SFCPartition(mesh.ne, nranks)
+        self.hx = HaloExchanger(mesh, self.part)
         self.plan_geom = ElementGeometry(mesh, self.hx.plan_elems)
         self.workers = max(0, int(workers))
 
@@ -312,6 +314,11 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
         exec_path: str = "fused",
         nu: float = 0.0,
     ) -> None:
+        if not (np.isfinite(compute_cost_per_element)
+                and compute_cost_per_element >= 0):
+            raise KernelError(
+                "compute_cost_per_element must be finite and >= 0, got "
+                f"{compute_cost_per_element!r}")
         init = williamson2_initial(mesh)
         self._sw_init(mesh, init, dt, nu)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,

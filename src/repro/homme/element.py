@@ -15,6 +15,7 @@ out).  Here the whole local domain is struct-of-arrays:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,14 @@ def check_dt(dt: float) -> float:
     if not (np.isfinite(dt) and dt > 0):
         raise KernelError(f"time step dt must be finite and > 0, got {dt!r}")
     return dt
+
+
+def check_steps(n: int, error: type[Exception] = KernelError) -> int:
+    """``n`` itself; ``error`` unless it is a whole number >= 0 (a bool
+    is not a step count)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise error(f"step count must be a whole number >= 0, got {n!r}")
+    return n
 
 
 def levels_last(f: np.ndarray) -> np.ndarray:

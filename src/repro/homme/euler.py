@@ -1,4 +1,4 @@
-"""``euler_step``: SSP-RK2 tracer advection.
+"""The element-local pieces of ``euler_step``: SSP-RK2 tracer advection.
 
 Table 1: "construct strong stability preserving (SSP) second order
 Runge-Kutta method".  Tracer mass qdp is advected in flux form,
@@ -15,22 +15,24 @@ Athread backend keeps them LDM-resident — see
 :mod:`repro.backends.openacc` / :mod:`repro.backends.athread`.
 
 A monotone limiter (clip-and-restore) keeps mixing ratios positive and
-preserves element tracer mass, mirroring the sign-preserving limiter in
-CAM-SE.
+preserves tracer mass, mirroring the sign-preserving limiter in CAM-SE:
+:func:`limit_local` clips and restores each element's mass, and a global
+fixer — one factor per tracer and level, from two sums of per-element
+masses in element order (:func:`sum_elements`) — takes back the mass the
+local pass manufactures around compact features.
 
-The element-local pieces — :func:`ssp_stage1`, :func:`ssp_stage2`,
-:func:`limit_local` — take the whole ``(E, Q, L, n, n)`` stack and are
-what the models' step recipe runs (the :mod:`repro.parallel.dycore`
-tasks, subcycled by :func:`repro.homme.timestep.euler_step_subcycled`),
-with a layout's DSS where :func:`euler_step` has one.
+:func:`ssp_stage1`, :func:`ssp_stage2` and :func:`limit_local` take the
+whole ``(E, Q, L, n, n)`` stack.  The step is the recipe's euler phase,
+:func:`repro.homme.timestep.euler_step_subcycled`: it runs them as the
+:mod:`repro.parallel.dycore` tasks with a layout's DSS after each stage
+and after the limiter, and the fixer's sums as one ``_mesh_sum``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelError
-from .element import ElementGeometry, ElementState
+from .element import ElementGeometry
 from . import operators as op
 
 
@@ -46,12 +48,6 @@ def advect_qdp_all(
     """
     flux = v[:, None] * qdp[..., None]
     return -op.divergence_sphere(flux, geom)
-
-
-def _dss_all(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
-    """DSS an (E, Q, L, n, n) stack by folding (Q, L) into one axis."""
-    E, Q, L, n, _ = qdp.shape
-    return geom.dss(qdp.reshape(E, Q * L, n, n)).reshape(E, Q, L, n, n)
 
 
 def element_mass(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
@@ -100,25 +96,6 @@ def limit_local(qdp: np.ndarray, geom: ElementGeometry) -> tuple[np.ndarray, ...
     return limited, mass_before, element_mass(limited, geom)
 
 
-def limit_qdp(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
-    """Sign-preserving limiter: clip negatives, restore mass.
-
-    Accepts any stack of middle axes: (E, L, n, n) for one tracer or
-    (E, Q, L, n, n) for the tracer stack — the element axis is first and
-    the GLL axes last, everything between is limited independently.
-
-    :func:`limit_local` by itself manufactures mass (spectral ringing
-    around compact features makes empty elements slightly negative), so
-    a global fixer follows: one multiplicative factor per level restores
-    the exact global integral, keeping positivity.  Its two global sums
-    add per-element masses in element order (:func:`sum_elements`), as
-    the distributed model's allreduce does.
-    """
-    limited, before, after = limit_local(qdp, geom)
-    g_scale = restoring_scale(sum_elements(before), sum_elements(after))
-    return limited * g_scale[None, ..., None, None]
-
-
 def ssp_stage1(qdp: np.ndarray, adv, dt: float) -> np.ndarray:
     """SSP-RK2 stage 1 (pre-DSS): ``qdp + dt L(qdp)``."""
     return qdp + dt * adv(qdp)
@@ -128,45 +105,3 @@ def ssp_stage2(qdp: np.ndarray, s1: np.ndarray, adv, dt: float) -> np.ndarray:
     """SSP-RK2 stage 2 (pre-DSS): ``(qdp + s1 + dt L(s1)) / 2``."""
     return 0.5 * (qdp + s1 + dt * adv(s1))
 
-
-def euler_step(
-    state: ElementState,
-    geom: ElementGeometry,
-    dt: float,
-    limiter: bool = True,
-    path: str = "fused",
-) -> np.ndarray:
-    """One SSP-RK2 advection step for all tracers; returns new qdp.
-
-    SSP-RK2 (Heun):  s1 = q + dt L(q);  q_new = (q + s1 + dt L(s1)) / 2,
-    with DSS after each stage so stage fields are continuous.
-
-    Every tracer is advected and assembled in one shot (velocity and
-    metric terms touched once per stage).  ``path`` names the kernel
-    set (:func:`repro.backends.functional_exec.homme_execution`):
-    ``"fused"`` folds the metric into the velocity planes once per step
-    and skips the ``(..., 2)`` flux stack (:mod:`repro.homme.fused`);
-    ``"batched"`` is the reference built on :func:`advect_qdp_all`.
-    """
-    # Imported lazily: backends.functional_exec imports this module.
-    from ..backends.functional_exec import homme_execution
-
-    if dt <= 0:
-        raise KernelError(f"dt must be positive, got {dt}")
-    qdp = state.qdp
-    adv = homme_execution(path).tracer_tendency(state.v, geom)
-    s1 = _dss_all(ssp_stage1(qdp, adv, dt), geom)
-    s2 = _dss_all(ssp_stage2(qdp, s1, adv, dt), geom)
-    if limiter:
-        # The elementwise rescale breaks edge continuity; a closing
-        # DSS restores it (a positive-weighted average of
-        # non-negative values stays non-negative), which keeps the
-        # *next* step's flux-form divergence exactly conservative.
-        return _dss_all(limit_qdp(s2, geom), geom)
-    return s2
-
-
-def tracer_mass(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
-    """Global tracer mass per tracer: integral of qdp over sphere and levels."""
-    w = geom.spheremp[:, None, None]
-    return np.sum(qdp * w, axis=(0, 2, 3, 4))

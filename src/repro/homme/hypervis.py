@@ -1,31 +1,30 @@
-"""Hyperviscosity kernels: ``hypervis_dp1``, ``hypervis_dp2``,
-``biharmonic_dp3d``.
+"""Hyperviscosity coefficients and subcycling for the Table-1 kernels
+``hypervis_dp1``, ``hypervis_dp2`` and ``biharmonic_dp3d``.
 
 CAM-SE stabilizes the spectral-element discretization with a
 fourth-order hyperviscosity, implemented as two Laplacian sweeps with a
 DSS between them (the weak biharmonic operator).  Table 1 splits the
 cost into the first sweep (``hypervis_dp1``), the second sweep plus the
 update (``hypervis_dp2``), and the thickness operator
-(``biharmonic_dp3d``).
+(``biharmonic_dp3d``).  The step recipe runs all three as one phase,
+:func:`repro.homme.timestep.advance_hypervis`: each sweep is one
+laplacian task over T, v and dp3d and one DSS of the three
+(:func:`repro.homme.timestep.biharmonic`); the weak form keeps the
+global dp3d integral (total air mass) conserved to roundoff.
 
 The coefficient follows the CAM-SE resolution scaling
 ``nu = nu0 * (ne0 / ne)^hv_scaling`` so runs remain stable across the
 paper's resolution sweep, with explicit subcycling
 (:func:`hypervis_stable_subcycles`) when dt exceeds the diffusive
-stability limit — the models' step recipe applies it
-(:func:`repro.homme.timestep.advance_hypervis`).
+stability limit.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .. import constants as C
 from ..errors import KernelError
-from .element import ElementGeometry, ElementState
-from . import operators as op
 
 #: CAM-SE reference hyperviscosity at ne30 [m^4/s].
 NU0 = 1.0e15
@@ -50,64 +49,6 @@ def nu_for_mesh(mesh) -> float:
     """
     ne_eff = mesh.ne * C.EARTH_RADIUS / mesh.radius
     return nu_for_ne(max(2, int(round(ne_eff))))
-
-
-def hypervis_dp1(
-    state: ElementState,
-    geom: ElementGeometry,
-    laplace_fn=None,
-    vlaplace_fn=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First Laplacian sweep over momentum and temperature (with DSS).
-
-    Returns (lap_v, lap_T), the continuous Laplacians that feed
-    :func:`hypervis_dp2`.  ``laplace_fn``/``vlaplace_fn`` are the
-    element-local Laplacians of an execution path
-    (:func:`repro.backends.functional_exec.homme_execution`); left
-    unset they are the reference operators.
-    """
-    lap = laplace_fn or op.laplace_sphere_wk
-    vlap = vlaplace_fn or op.vlaplace_sphere
-    lap_v = geom.dss_vector(vlap(state.v, geom))
-    lap_T = geom.dss(lap(state.T, geom))
-    return lap_v, lap_T
-
-
-def hypervis_dp2(
-    state: ElementState,
-    lap_v: np.ndarray,
-    lap_T: np.ndarray,
-    geom: ElementGeometry,
-    dt: float,
-    nu: float,
-    laplace_fn=None,
-    vlaplace_fn=None,
-) -> ElementState:
-    """Second sweep + update: u -= dt nu lap(lap(u)) for v and T."""
-    if dt <= 0 or nu < 0:
-        raise KernelError(f"invalid dt={dt} or nu={nu}")
-    lap = laplace_fn or op.laplace_sphere_wk
-    vlap = vlaplace_fn or op.vlaplace_sphere
-    bih_v = geom.dss_vector(vlap(lap_v, geom))
-    bih_T = geom.dss(lap(lap_T, geom))
-    out = state.copy()
-    out.v = state.v - dt * nu * bih_v
-    out.T = state.T - dt * nu * bih_T
-    return out
-
-
-def biharmonic_dp3d(
-    dp3d: np.ndarray, geom: ElementGeometry, dss=None, laplace_fn=None
-) -> np.ndarray:
-    """Weak biharmonic operator on layer thickness (Table 1's last kernel).
-
-    Two weak-Laplacian sweeps with a DSS between; the weak form keeps
-    the global dp3d integral (total air mass) conserved to roundoff.
-    """
-    dss = dss or geom.dss
-    lap = laplace_fn or op.laplace_sphere_wk
-    lap1 = dss(lap(dp3d, geom))
-    return dss(lap(lap1, geom))
 
 
 def hypervis_stable_subcycles(dt: float, nu: float, ne: int, radius: float) -> int:

@@ -1,10 +1,13 @@
-"""``compute_and_apply_rhs``: one Runge--Kutta stage of the dynamics.
+"""The primitive-equation right-hand side of ``compute_and_apply_rhs``.
 
 Table 1's most data-dependent kernel: "compute the RHS (right hand
-side), accumulate into velocity and apply DSS".  The equations are the
-hydrostatic primitive equations on floating Lagrangian layers (the
-CAM-SE formulation: no vertical advection terms inside the RK stage;
-layers float and :mod:`~repro.homme.remap` restores them):
+side), accumulate into velocity and apply DSS".  This module is its
+element-local half; the accumulate and the DSS are the step recipe's
+RK phase, :func:`repro.homme.timestep.compute_and_apply_rhs`.  The
+equations are the hydrostatic primitive equations on floating
+Lagrangian layers (the CAM-SE formulation: no vertical advection terms
+inside the RK stage; layers float and :mod:`~repro.homme.remap`
+restores them):
 
 .. math::
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import constants as C
-from ..errors import KernelError
 from .element import ElementGeometry, ElementState
 from . import operators as op
 
@@ -97,9 +99,9 @@ def compute_rhs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Element-local tendencies (dv/dt, dT/dt, d(dp3d)/dt), no DSS.
 
-    Split out from :func:`compute_and_apply_rhs` so RK drivers and the
-    execution backends can account the compute phase separately from the
-    boundary exchange.  This is the **batched** reference form — one
+    The compute half of an RK stage, apart from its boundary exchange
+    (:func:`repro.homme.timestep.compute_and_apply_rhs` adds the
+    increment and the DSS).  This is the **batched** reference form — one
     operator-library call per term on the full (E, L, np, np) stack,
     with the geometric factors fetched once from the memoized tensor
     cache.  The production twin is
@@ -134,34 +136,3 @@ def compute_rhs(
 
     return dv, dT, ddp
 
-
-def compute_and_apply_rhs(
-    state: ElementState,
-    base: ElementState,
-    geom: ElementGeometry,
-    dt: float,
-    phis: np.ndarray | None = None,
-    rhs_fn=None,
-) -> ElementState:
-    """One RK stage: new = base + dt * RHS(state), then DSS.
-
-    ``state`` supplies the RHS evaluation point, ``base`` the state the
-    increment is added to (they coincide in the first stage).  The
-    updated fields are projected onto the continuous basis with DSS —
-    in the distributed dycore this is where ``bndry_exchangev`` runs.
-
-    ``rhs_fn`` is the element-local compute of an execution path (the
-    reference :func:`compute_rhs` when unset; the models pass
-    :func:`repro.homme.fused.compute_rhs_fused` by default).  The DSS
-    is the same either way.
-    """
-    if dt <= 0:
-        raise KernelError(f"dt must be positive, got {dt}")
-    dv, dT, ddp = (rhs_fn or compute_rhs)(state, geom, phis)
-    out = ElementState(
-        v=geom.dss_vector(base.v + dt * dv),
-        T=geom.dss(base.T + dt * dT),
-        dp3d=geom.dss(base.dp3d + dt * ddp),
-        qdp=base.qdp,
-    )
-    return out

@@ -190,7 +190,8 @@ class ShallowWaterModel(_SWRecipe, _WholeMesh):
         self._split_blocks()
 
     def run_hours(self, hours: float) -> None:
-        self.run_steps(int(round(hours * 3600.0 / self.dt)))
+        """Advance the given number of simulated hours."""
+        self._run_for(hours, "hours", 3600.0)
 
     def height_l2_error(self, reference: SWState) -> float:
         """Normalized L2 height error against a reference state."""

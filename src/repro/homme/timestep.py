@@ -38,7 +38,7 @@ from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..obs.tracer import NULL_TRACER
 from ..parallel import dycore
-from .element import ElementGeometry, ElementState, check_dt
+from .element import ElementGeometry, ElementState, check_dt, check_steps
 from .euler import restoring_scale, sum_elements
 from .hypervis import hypervis_stable_subcycles, nu_for_mesh
 from .remap import vertical_remap
@@ -83,9 +83,17 @@ class _Layout:
     _epoch = 0
 
     def run_steps(self, n: int) -> None:
-        """Advance ``n`` steps."""
-        for _ in range(n):
+        """Advance ``n`` steps; :class:`KernelError` unless ``n`` is a whole
+        number >= 0."""
+        for _ in range(check_steps(n)):
             self.step()
+
+    def _run_for(self, amount: float, name: str, unit_s: float) -> None:
+        """Advance the whole steps nearest ``amount`` units of ``unit_s``
+        seconds; :class:`KernelError` unless ``amount`` is finite and >= 0."""
+        if not (np.isfinite(amount) and amount >= 0):
+            raise KernelError(f"{name} must be finite and >= 0, got {amount!r}")
+        self.run_steps(int(round(amount * unit_s / self.dt)))
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{f}_{r}": getattr(s, f)
@@ -242,9 +250,10 @@ class _WholeMesh(_Layout):
 # -- the recipe's phases ------------------------------------------------------------
 #
 # Module functions called through the module, so a profiler can wrap each.
-# They take a layout and per-shard states; the Table-1 kernels of the same
-# names (rhs.compute_and_apply_rhs, euler.euler_step, the hypervis sweeps)
-# are their whole-mesh, one-field-at-a-time counterparts.
+# They take a layout and per-shard states, and are the one implementation
+# of the Table-1 kernels of the step: compute_and_apply_rhs is an RK stage,
+# euler_step is euler_step_subcycled, and hypervis_dp1/dp2 with
+# biharmonic_dp3d are the two sweeps of advance_hypervis.
 
 
 def compute_and_apply_rhs(model, bases: list, points: list, dt: float,
@@ -274,7 +283,11 @@ def _dss_stack(model, stacks: list[np.ndarray], slot: int) -> list[np.ndarray]:
 def euler_step_subcycled(model, states: list) -> None:
     """Tracer advection: ``tracer_subcycles`` SSP-RK2 steps of each shard's
     whole tracer stack, a DSS after each stage and after the limiter,
-    whose global mass fixer is the one ``_mesh_sum``.  Replaces each
+    whose global mass fixer is the one ``_mesh_sum``.  The closing DSS
+    restores the edge continuity the elementwise rescale breaks (a
+    positive-weighted average of non-negative values stays
+    non-negative), which keeps the next flux-form divergence exactly
+    conservative.  Replaces each
     state's ``qdp``; a stage's per-shard list is dropped once the next
     has consumed it (peak RSS)."""
     t0s = model._clocks()
@@ -433,8 +446,7 @@ class PrimitiveEquationModel(_PrimRecipe, _WholeMesh):
 
     def run_days(self, days: float) -> None:
         """Advance the given number of simulated days."""
-        n = int(round(days * C.SECONDS_PER_DAY / self.dt))
-        self.run_steps(n)
+        self._run_for(days, "days", C.SECONDS_PER_DAY)
 
     # -- diagnostics --------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ResilienceError
+from ..homme.element import check_steps
 from ..obs.tracer import NULL_TRACER
 from .checkpoint import Checkpointer
 from .faults import FaultInjector, flip_bit
@@ -136,7 +137,10 @@ class ResilientRunner:
     # -- driving ---------------------------------------------------------------
 
     def run(self, nsteps: int) -> RunReport:
-        """Advance ``nsteps`` healthy steps, recovering as needed."""
+        """Advance ``nsteps`` healthy steps, recovering as needed;
+        :class:`ResilienceError` before anything is saved unless
+        ``nsteps`` is a whole number >= 0."""
+        check_steps(nsteps, ResilienceError)
         if self.checkpointer.latest() is None:
             self.checkpointer.save(self.model)  # step-0 safety net
         target = self.model.step_count + nsteps

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.errors import KernelError
+from repro.errors import KernelError, SimMPIError
 from repro.homme import distributed as dist_mod
 from repro.homme import timestep
 from repro.homme.distributed import (
@@ -22,6 +22,7 @@ from repro.homme.shallow_water import (
 )
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh import CubedSphereMesh
+from repro.network import SimMPI
 
 
 @pytest.fixture(scope="module")
@@ -576,3 +577,38 @@ class TestPrimConstructorValidation:
         small = ElementState.zeros(mesh.nelem - 1, cfg.nlev, mesh.np, cfg.qsize)
         with pytest.raises(KernelError, match="qdp has shape"):
             DistributedPrimitiveEquations(cfg, mesh, small, nranks=2, dt=600.0)
+
+
+class TestConstructorChecksFirst:
+    """A bad argument fails at construction, before the partition, the
+    halo tables or the engine cost anything (once, both got as far as
+    stepping before an internal name surfaced)."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the layout was built before the check")
+
+        for name in ("SFCPartition", "HaloExchanger", "ParallelEngine"):
+            monkeypatch.setattr(dist_mod, name, refuse)
+
+    def test_unknown_combine_rejected(self, setup, nothing_built):
+        cfg, mesh, state = setup
+        with pytest.raises(SimMPIError, match="unknown allreduce algorithm 'tree'"):
+            DistributedPrimitiveEquations(cfg, mesh, state, nranks=4, dt=600.0,
+                                          combine="tree")
+
+    def test_simmpi_rejects_unknown_allreduce_algorithm(self):
+        with pytest.raises(SimMPIError, match="unknown allreduce algorithm"):
+            SimMPI(4, allreduce_algorithm="tree")
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1e-5])
+    def test_bad_compute_cost_rejected(self, mesh4, nothing_built, cost):
+        with pytest.raises(KernelError,
+                           match="compute_cost_per_element must be finite"):
+            DistributedShallowWater(mesh4, 4, compute_cost_per_element=cost)
+
+    def test_zero_compute_cost_accepted(self, mesh4):
+        model = DistributedShallowWater(mesh4, 4, compute_cost_per_element=0.0)
+        assert model._bc == [0.0] * 4
+        model.close()

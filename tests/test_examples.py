@@ -1,5 +1,6 @@
-"""Import smoke over ``examples/``: deleting a module can never leave an
-example with a dangling import."""
+"""Import smoke over ``examples/``, ``scripts/`` and
+``benchmarks/bench_*.py``: deleting a module or a function can never
+leave one of them with a dangling import, though no test runs them."""
 
 import json
 import runpy
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+TOOLS = sorted([*(ROOT / "scripts").glob("*.py"),
+                *(ROOT / "benchmarks").glob("bench_*.py")])
 
 
 def test_examples_found():
@@ -18,6 +22,18 @@ def test_examples_found():
 def test_example_imports_resolve(path):
     # Every example runs under an ``if __name__ == "__main__"`` guard, so
     # with another run_name only its imports and definitions execute.
+    runpy.run_path(str(path), run_name="smoke")
+
+
+def test_tools_found():
+    assert len(TOOLS) >= 10
+
+
+@pytest.mark.parametrize("path", TOOLS,
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_tool_imports_resolve(path):
+    # Scripts guard their work with ``__main__`` and benchmark modules
+    # only define tests, so this executes their imports and definitions.
     runpy.run_path(str(path), run_name="smoke")
 
 

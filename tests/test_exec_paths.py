@@ -25,10 +25,11 @@ from repro.homme.distributed import (
 )
 from repro.homme.element import ElementGeometry, ElementState
 from repro.homme.euler import (
-    euler_step,
+    element_mass,
     limit_local,
-    limit_qdp,
     restoring_scale,
+    ssp_stage1,
+    ssp_stage2,
     sum_elements,
 )
 from repro.homme.fused import cross_validate_fused
@@ -37,8 +38,10 @@ from repro.homme.shallow_water import (
     rossby_haurwitz_initial,
     williamson2_initial,
 )
+from repro.homme import timestep
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
+from repro.parallel import dycore
 
 RTOL = 1e-12
 
@@ -48,16 +51,39 @@ def mesh4():
     return CubedSphereMesh(4, 4)
 
 
+def seeded_state(geom, cfg, seed):
+    """A dynamically active primitive-equation state from ``seed``."""
+    state = ElementState.isothermal_rest(geom, cfg)
+    rng = np.random.default_rng(seed)
+    state.v += 1e-5 * rng.standard_normal(state.v.shape)
+    state.T += rng.standard_normal(state.T.shape)
+    state.qdp[:] = (0.5 + rng.random(state.qdp.shape)) * state.dp3d[:, None]
+    return state
+
+
 @pytest.fixture(scope="module")
 def prim_setup(mesh4):
     geom = ElementGeometry(mesh4)
     cfg = ModelConfig(ne=4, nlev=6, qsize=3)
-    state = ElementState.isothermal_rest(geom, cfg)
-    rng = np.random.default_rng(42)
-    state.v += 1e-5 * rng.standard_normal(state.v.shape)
-    state.T += rng.standard_normal(state.T.shape)
-    state.qdp[:] = (0.5 + rng.random(state.qdp.shape)) * state.dp3d[:, None]
-    return cfg, geom, state
+    return cfg, geom, seeded_state(geom, cfg, 42)
+
+
+def euler_phase(cfg, mesh, state, limiter):
+    """The recipe's batched euler phase, one 60 s subcycle on the one-shard
+    layout; returns the new qdp.  ``limiter=False`` stops after the two
+    SSP-RK2 stages and their DSS."""
+    dt = 60.0
+    cfg = cfg.with_(qsize=state.qdp.shape[1], tracer_subcycles=1)
+    model = PrimitiveEquationModel(cfg, mesh, init=state, dt=dt,
+                                   exec_path="batched")
+    if limiter:
+        timestep.euler_step_subcycled(model, model.states)
+        return model.state.qdp
+    qdp = model.state.qdp
+    adv = homme_execution("batched").tracer_tendency(model.state.v, model.geom)
+    st1, = timestep._dss_stack(model, [ssp_stage1(qdp, adv, dt)], slot=0)
+    st2, = timestep._dss_stack(model, [ssp_stage2(qdp, st1, adv, dt)], slot=1)
+    return st2
 
 
 def worst(errs, tag):
@@ -166,42 +192,51 @@ class TestCrossValidation:
             assert rel_err(w[elems], loc) <= RTOL
 
     @pytest.mark.parametrize("limiter", [True, False])
-    def test_all_tracer_stage_equals_single_tracer_stages(self, prim_setup, limiter):
+    def test_all_tracer_stage_equals_single_tracer_stages(
+            self, mesh4, prim_setup, limiter):
         # Advecting, assembling and limiting every tracer in one shot
         # equals Q independent single-tracer steps.
-        _, geom, state = prim_setup
-        together = euler_step(state, geom, 60.0, limiter=limiter, path="batched")
+        cfg, _, state = prim_setup
+        together = euler_phase(cfg, mesh4, state, limiter)
         for q in range(state.qdp.shape[1]):
             one = ElementState(v=state.v, T=state.T, dp3d=state.dp3d,
                                qdp=state.qdp[:, q:q + 1])
-            alone = euler_step(one, geom, 60.0, limiter=limiter, path="batched")
+            alone = euler_phase(cfg, mesh4, one, limiter)
             assert rel_err(together[:, q:q + 1], alone) <= RTOL
 
-    def test_euler_unknown_path_rejected(self, prim_setup):
-        _, geom, state = prim_setup
+    def test_euler_unknown_path_rejected(self, mesh4, prim_setup):
+        # At construction, so no model has an euler phase on it, and in
+        # the euler tasks, which resolve their kernels by name.
+        cfg, geom, state = prim_setup
         with pytest.raises(KernelError, match=UNKNOWN_PATH.format("simd")):
-            euler_step(state, geom, 60.0, path="simd")
+            PrimitiveEquationModel(cfg, mesh4, init=state, exec_path="simd")
+        with pytest.raises(KernelError, match=UNKNOWN_PATH.format("simd")):
+            dycore.prim_euler_stage1_task(
+                geom, {"path": "simd", "sdt": 60.0}, state.qdp, state.v)
 
     def test_limiter_rank5_matches_per_tracer(self, prim_setup):
         _, geom, state = prim_setup
         dirty = state.qdp - 0.6 * np.mean(state.qdp)
-        all_at_once = limit_qdp(dirty, geom)
-        per_tracer = np.stack(
-            [limit_qdp(dirty[:, q], geom) for q in range(dirty.shape[1])], axis=1
-        )
-        assert rel_err(all_at_once, per_tracer) <= RTOL
+        all_at_once = limit_local(dirty, geom)
+        per_tracer = [limit_local(dirty[:, q], geom) for q in range(dirty.shape[1])]
+        for k, whole in enumerate(all_at_once):
+            alone = np.stack([p[k] for p in per_tracer], axis=1)
+            assert rel_err(whole, alone) <= RTOL
 
     def test_limiter_is_the_local_pass_times_one_global_scale(self, prim_setup):
-        """What the distributed model computes — ``limit_local`` on the
-        shards, two mesh sums, one scale — is ``limit_qdp``, bit for bit."""
+        """The euler phase's limiter — ``limit_local`` on the shards, two
+        mesh sums, one scale per tracer and level — leaves no negatives
+        and restores each level's global mass."""
         _, geom, state = prim_setup
         dirty = state.qdp - 0.6 * np.mean(state.qdp)
         limited, before, after = limit_local(dirty, geom)
         assert before.shape == after.shape == dirty.shape[:3]
         assert (limited >= 0).all()
-        scale = restoring_scale(sum_elements(before), sum_elements(after))
-        assert (limited * scale[None, ..., None, None]).tobytes() \
-            == limit_qdp(dirty, geom).tobytes()
+        total = sum_elements(before)
+        scale = restoring_scale(total, sum_elements(after))
+        fixed = limited * scale[None, ..., None, None]
+        assert (fixed >= 0).all() and (total > 0).all()
+        assert rel_err(sum_elements(element_mass(fixed, geom)), total) <= RTOL
 
 
 class TestTensorCache:
@@ -360,12 +395,29 @@ class TestFusedPath:
         assert rel_err(dh_b, dh_f) <= RTOL
         assert rel_err(dv_b, dv_f) <= RTOL
 
-    @pytest.mark.parametrize("limiter", [True, False])
-    def test_fused_euler_step(self, prim_setup, limiter):
-        _, geom, state = prim_setup
-        out_b = euler_step(state, geom, 60.0, limiter=limiter, path="batched")
-        out_f = euler_step(state, geom, 60.0, limiter=limiter, path="fused")
-        assert rel_err(out_b, out_f) <= RTOL
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("phase", ["rk_stage", "euler", "hypervis"])
+    def test_recipe_phase_fused_matches_batched(self, mesh4, prim_setup,
+                                                phase, seed):
+        """Each step phase the models run — an RK stage, the euler phase,
+        the hyperviscosity phase — on the one-shard layout from seeded
+        states: the two kernel sets agree in float64 to 1e-12."""
+        cfg, geom, _ = prim_setup
+        state = seeded_state(geom, cfg, seed)
+        outs = []
+        for path in ("batched", "fused"):
+            model = PrimitiveEquationModel(cfg, mesh4, init=state, dt=300.0,
+                                           exec_path=path)
+            s = model.states
+            if phase == "rk_stage":
+                s = timestep.compute_and_apply_rhs(model, s, s, model.dt, stage=1)
+            elif phase == "euler":
+                timestep.euler_step_subcycled(model, s)
+            else:
+                timestep.advance_hypervis(model, s)
+            outs.append(s[0])
+        for f in ("v", "T", "dp3d", "qdp"):
+            assert rel_err(getattr(outs[0], f), getattr(outs[1], f)) <= RTOL, f
 
     @pytest.mark.parametrize("ne", [4, 8])
     def test_fused_sw_trajectories_agree(self, mesh4, ne):

@@ -1,4 +1,8 @@
-"""Tests for the Table-1 kernels: rhs, euler_step, vertical_remap, hypervis."""
+"""Tests for the Table-1 kernels: rhs, euler_step, vertical_remap, hypervis.
+
+The step's kernels are the recipe's phases (``timestep``), driven here
+on the one-shard layout through :func:`whole_mesh`.
+"""
 
 import tracemalloc
 
@@ -9,28 +13,19 @@ from hypothesis import given, settings, strategies as st
 from repro import constants as C
 from repro.config import ModelConfig
 from repro.errors import KernelError
+from repro.homme.diagnostics import total_tracer_mass
 from repro.homme.element import ElementGeometry, ElementState
 from repro.homme import timestep
-from repro.homme.euler import (
-    euler_step,
-    limit_qdp,
-    tracer_mass,
-)
-from repro.homme.hypervis import (
-    biharmonic_dp3d,
-    hypervis_dp1,
-    hypervis_dp2,
-    hypervis_stable_subcycles,
-    nu_for_ne,
-)
+from repro.homme.euler import limit_local
+from repro.homme.hypervis import hypervis_stable_subcycles, nu_for_ne
 from repro.homme.remap import RemapPlan, ppm_edge_values, remap_ppm, vertical_remap
 from repro.homme.rhs import (
     PTOP,
-    compute_and_apply_rhs,
     compute_geopotential,
     compute_pressure,
     compute_rhs,
 )
+from repro.parallel import dycore
 from repro.mesh import CubedSphereMesh
 
 from .remap_oracle import oracle_edge_values, oracle_remap_ppm
@@ -44,9 +39,24 @@ def domain():
     return cfg, mesh, geom
 
 
-def whole_mesh(cfg, mesh, state):
+def whole_mesh(cfg, mesh, state, dt=600.0):
     """A one-shard model around ``state``, for driving the step's phases."""
-    return timestep.PrimitiveEquationModel(cfg, mesh, init=state, dt=600.0)
+    return timestep.PrimitiveEquationModel(cfg, mesh, init=state, dt=dt)
+
+
+def rk_stage(cfg, mesh, state, dt):
+    """The recipe's first RK stage from ``state``: ``state + dt RHS(state)``."""
+    model = whole_mesh(cfg, mesh, state)
+    out, = timestep.compute_and_apply_rhs(model, model.states, model.states,
+                                          dt, stage=1)
+    return out
+
+
+def one_euler_step(cfg, mesh, state, dt):
+    """The recipe's euler phase at one subcycle of ``dt``; returns the new qdp."""
+    model = whole_mesh(cfg.with_(tracer_subcycles=1), mesh, state, dt=dt)
+    timestep.euler_step_subcycled(model, model.states)
+    return model.state.qdp
 
 
 def make_state(cfg, geom, seed=0, wind=5.0, tnoise=1.0):
@@ -130,7 +140,7 @@ class TestComputeAndApplyRhs:
     def test_stage_preserves_mass(self, domain):
         cfg, mesh, geom = domain
         state = make_state(cfg, geom)
-        out = compute_and_apply_rhs(state, state, geom, dt=100.0)
+        out = rk_stage(cfg, mesh, state, dt=100.0)
         w = geom.spheremp[:, None]
         m0 = np.sum(state.dp3d * w)
         m1 = np.sum(out.dp3d * w)
@@ -139,34 +149,35 @@ class TestComputeAndApplyRhs:
     def test_output_fields_continuous(self, domain):
         cfg, mesh, geom = domain
         state = make_state(cfg, geom)
-        out = compute_and_apply_rhs(state, state, geom, dt=100.0)
+        out = rk_stage(cfg, mesh, state, dt=100.0)
         assert np.allclose(geom.dss(out.T), out.T, atol=1e-12)
         assert np.allclose(geom.dss_vector(out.v), out.v, atol=1e-18)
 
     def test_invalid_dt(self, domain):
+        # The stage takes its dt from the step; the model checks it once.
         cfg, mesh, geom = domain
         state = make_state(cfg, geom)
-        with pytest.raises(KernelError):
-            compute_and_apply_rhs(state, state, geom, dt=-1.0)
+        with pytest.raises(KernelError, match="dt must be finite and > 0"):
+            whole_mesh(cfg, mesh, state, dt=-1.0)
 
 
 class TestEulerStep:
     def test_conserves_tracer_mass(self, domain):
         cfg, mesh, geom = domain
         state = make_state(cfg, geom)
-        m0 = tracer_mass(state.qdp, geom)
-        new_qdp = euler_step(state, geom, dt=200.0)
-        m1 = tracer_mass(new_qdp, geom)
-        assert np.allclose(m1, m0, rtol=1e-10)
+        m0 = total_tracer_mass(state, geom)
+        state.qdp = one_euler_step(cfg, mesh, state, dt=200.0)
+        assert np.allclose(total_tracer_mass(state, geom), m0, rtol=1e-10)
 
     def test_constant_mixing_ratio_preserved(self, domain):
         # q = const is an exact solution of the flux-form equation when
         # qdp = q * dp and dp evolves consistently; with frozen dp over
-        # one small step the error is O(dt * div v * q).
+        # one small step the error is O(dt * div v * q).  A positive
+        # field passes the limiter with unit scales.
         cfg, mesh, geom = domain
         state = make_state(cfg, geom, wind=5.0, tnoise=0.0)
         state.qdp[:, 0] = 2e-3 * state.dp3d
-        new_qdp = euler_step(state, geom, dt=1.0, limiter=False)
+        new_qdp = one_euler_step(cfg, mesh, state, dt=1.0)
         q_new = new_qdp[:, 0] / state.dp3d
         assert np.allclose(q_new, 2e-3, rtol=1e-6)
 
@@ -175,7 +186,7 @@ class TestEulerStep:
         state = make_state(cfg, geom)
         qdp = state.qdp[:, 0].copy()
         qdp[:, :, 0, 0] = -1e-4
-        limited = limit_qdp(qdp, geom)
+        limited, _, _ = limit_local(qdp, geom)
         assert limited.min() >= 0.0
 
     def test_limiter_conserves_elementwise_mass(self, domain):
@@ -185,7 +196,7 @@ class TestEulerStep:
         qdp[:, :, 1, 1] -= 0.3 * qdp[:, :, 1, 1].mean()
         w = geom.spheremp[:, None]
         m0 = np.sum(qdp * w, axis=(-2, -1))
-        limited = limit_qdp(qdp, geom)
+        limited, _, _ = limit_local(qdp, geom)
         m1 = np.sum(limited * w, axis=(-2, -1))
         # Mass conserved wherever the level had net positive mass.
         pos = m0 > 0
@@ -194,9 +205,9 @@ class TestEulerStep:
     def test_subcycled_matches_mass(self, domain):
         cfg, mesh, geom = domain
         model = whole_mesh(cfg, mesh, make_state(cfg, geom))
-        m0 = tracer_mass(model.state.qdp, geom)
+        m0 = total_tracer_mass(model.state, geom)
         timestep.euler_step_subcycled(model, model.states)
-        assert np.allclose(tracer_mass(model.state.qdp, geom), m0, rtol=1e-10)
+        assert np.allclose(total_tracer_mass(model.state, geom), m0, rtol=1e-10)
 
 
 class TestRemap:
@@ -350,9 +361,9 @@ class TestRemap:
         cfg, mesh, geom = domain
         state = make_state(cfg, geom)
         state.dp3d *= 1.0 + 0.05 * np.cos(np.arange(cfg.nlev))[None, :, None, None]
-        m0 = tracer_mass(state.qdp, geom)
+        m0 = total_tracer_mass(state, geom)
         out = vertical_remap(state)
-        assert np.allclose(tracer_mass(out.qdp, geom), m0, rtol=1e-10)
+        assert np.allclose(total_tracer_mass(out, geom), m0, rtol=1e-10)
 
     def test_ppm_edges_monotone_clamped(self):
         a = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
@@ -407,27 +418,28 @@ class TestHypervis:
 
     def test_biharmonic_of_constant_zero(self, domain):
         cfg, mesh, geom = domain
-        dp = np.full((geom.nelem, cfg.nlev, 4, 4), 500.0)
-        bih = biharmonic_dp3d(dp, geom)
-        assert np.abs(bih).max() < 1e-12
+        model = whole_mesh(cfg, mesh, make_state(cfg, geom))
+        shape = (geom.nelem, cfg.nlev, 4, 4)
+        consts = (np.full(shape, 300.0), np.zeros(shape + (2,)),
+                  np.full(shape, 500.0))
+        (bih_T, bih_v, bih_dp), = timestep.biharmonic(
+            model, dycore.prim_laplace_task, [consts], slot0=0)
+        for bih in (bih_T, bih_v, bih_dp):
+            assert np.abs(bih).max() < 1e-12
 
     def test_dp1_dp2_pipeline(self, domain):
         cfg, mesh, geom = domain
-        state = make_state(cfg, geom)
-        lap_v, lap_T = hypervis_dp1(state, geom)
-        out = hypervis_dp2(state, lap_v, lap_T, geom, dt=10.0, nu=nu_for_ne(cfg.ne))
-        assert np.isfinite(out.v).all() and np.isfinite(out.T).all()
+        model = whole_mesh(cfg, mesh, make_state(cfg, geom))
+        timestep.advance_hypervis(model, model.states)
+        s = model.state
+        assert np.isfinite(s.v).all() and np.isfinite(s.T).all()
+        assert np.isfinite(s.dp3d).all()
 
     def test_subcycle_count_grows_with_nu(self):
         few = hypervis_stable_subcycles(300.0, 1e13, 30, C.EARTH_RADIUS)
         many = hypervis_stable_subcycles(300.0, 1e16, 30, C.EARTH_RADIUS)
         assert many >= few
 
-    def test_invalid_args(self, domain):
-        cfg, mesh, geom = domain
-        state = make_state(cfg, geom)
-        lap_v, lap_T = hypervis_dp1(state, geom)
-        with pytest.raises(KernelError):
-            hypervis_dp2(state, lap_v, lap_T, geom, dt=-1.0, nu=1.0)
+    def test_invalid_args(self):
         with pytest.raises(KernelError):
             nu_for_ne(1)

@@ -51,6 +51,48 @@ class TestShallowWater:
         assert model.dt <= 0.3 * dx / c
 
 
+class TestRunLengthValidation:
+    """Step counts and durations are checked before a step is taken:
+    each of these once did nothing, one step, or died deep in ``range``
+    or ``int`` with a message that named neither."""
+
+    @pytest.fixture
+    def sw(self):
+        return ShallowWaterModel(CubedSphereMesh(2))
+
+    @staticmethod
+    def assert_untouched(model, h0):
+        assert model.step_count == 0 and model.t == 0.0
+        assert model.state.h.tobytes() == h0
+
+    @pytest.mark.parametrize("n", [-3, True, 2.5, "2", None])
+    def test_bad_step_count_rejected(self, sw, n):
+        h0 = sw.state.h.tobytes()
+        with pytest.raises(KernelError, match="step count must be a whole number"):
+            sw.run_steps(n)
+        self.assert_untouched(sw, h0)
+
+    def test_whole_step_counts_accepted(self, sw):
+        sw.run_steps(0)
+        assert sw.step_count == 0
+        sw.run_steps(np.int64(2))
+        assert sw.step_count == 2
+
+    @pytest.mark.parametrize("hours", [-5.0, float("nan"), float("inf")])
+    def test_bad_hours_rejected(self, sw, hours):
+        h0 = sw.state.h.tobytes()
+        with pytest.raises(KernelError, match="hours must be finite and >= 0"):
+            sw.run_hours(hours)
+        self.assert_untouched(sw, h0)
+
+    @pytest.mark.parametrize("days", [-1.0, float("nan"), float("inf")])
+    def test_bad_days_rejected(self, days):
+        model = PrimitiveEquationModel(ModelConfig(ne=2, nlev=2, qsize=1))
+        with pytest.raises(KernelError, match="days must be finite and >= 0"):
+            model.run_days(days)
+        assert model.step_count == 0 and model.t == 0.0
+
+
 class TestPrimitiveEquationModel:
     def test_rest_state_stays_at_rest(self):
         cfg = ModelConfig(ne=4, nlev=8, qsize=1)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ModelConfig
 from repro.homme import operators as op
 from repro.homme.element import ElementGeometry, ElementState
-from repro.homme.euler import limit_qdp
+from repro.homme.euler import limit_local
+from repro.homme.timestep import PrimitiveEquationModel, euler_step_subcycled
 from repro.mesh import CubedSphereMesh
 
 
@@ -15,6 +16,15 @@ from repro.mesh import CubedSphereMesh
 def setup():
     mesh = CubedSphereMesh(ne=6)
     return mesh, ElementGeometry(mesh)
+
+
+@pytest.fixture(scope="module")
+def still_model(setup):
+    """A one-shard model at rest: its euler phase's SSP stages leave qdp
+    as it is, so the phase is DSS, limiter and closing DSS."""
+    mesh, _ = setup
+    cfg = ModelConfig(ne=6, nlev=3, qsize=1, tracer_subcycles=1)
+    return PrimitiveEquationModel(cfg, mesh, dt=600.0)
 
 
 class TestWeakLaplacianConservation:
@@ -50,24 +60,28 @@ class TestWeakLaplacianConservation:
 class TestLimiterProperties:
     @given(seed=st.integers(0, 300))
     @settings(max_examples=20, deadline=None)
-    def test_positivity_and_global_mass(self, setup, seed):
+    def test_positivity_and_global_mass(self, setup, still_model, seed):
+        """The euler phase leaves no negatives, and its global fixer
+        restores per-level mass wherever it is positive."""
         mesh, geom = setup
         rng = np.random.default_rng(seed)
-        qdp = rng.standard_normal((mesh.nelem, 3, 4, 4)) + 0.8
-        w = geom.spheremp[:, None]
-        m0 = np.sum(qdp * w, axis=(0, 2, 3))
-        out = limit_qdp(qdp, geom)
+        qdp = rng.standard_normal((mesh.nelem, 1, 3, 4, 4)) + 0.8
+        w = geom.spheremp[:, None, None]
+        m0 = np.sum(qdp * w, axis=(0, 3, 4))
+        still_model.state.qdp = qdp
+        euler_step_subcycled(still_model, still_model.states)
+        out = still_model.state.qdp
         assert out.min() >= 0.0
-        m1 = np.sum(out * w, axis=(0, 2, 3))
-        # Global fixer restores per-level mass wherever it is positive.
+        m1 = np.sum(out * w, axis=(0, 3, 4))
         pos = m0 > 0
         assert np.allclose(m1[pos], m0[pos], rtol=1e-10)
 
     def test_nonnegative_field_unchanged(self, setup):
         mesh, geom = setup
         qdp = np.abs(np.random.default_rng(2).standard_normal((mesh.nelem, 2, 4, 4)))
-        out = limit_qdp(qdp, geom)
+        out, before, after = limit_local(qdp, geom)
         assert np.allclose(out, qdp, rtol=1e-12)
+        assert np.array_equal(before, after)
 
 
 class TestGeometryEdgeCases:

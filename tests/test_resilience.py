@@ -467,6 +467,17 @@ class TestStateValidator:
 
 
 class TestResilientRunner:
+    @pytest.mark.parametrize("n", [-4, True, 2.5])
+    def test_bad_step_count_rejected_before_any_checkpoint(self, mesh4, tmp_path, n):
+        """``run(-4)`` once wrote a step-0 checkpoint and returned an
+        empty report."""
+        model = ShallowWaterModel(mesh4)
+        runner = ResilientRunner(model, Checkpointer(tmp_path, cadence=1))
+        with pytest.raises(ResilienceError, match="step count must be a whole number"):
+            runner.run(n)
+        assert model.step_count == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_faulty_pe_run_matches_fault_free(self, pe_setup, tmp_path):
         """The acceptance scenario: >=1 dropped message, >=1 laggard
         rank, >=1 bit-flip caught by the validator; the run completes
