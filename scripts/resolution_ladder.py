@@ -9,8 +9,9 @@ tracers, the fused kernels, no physics and one BLAS thread.  A rung
 builds the mesh and the model (``setup_s``), runs one warm step (the
 lazily built operands; ``first_step_s``), then ``--steps`` timed steps,
 and records the median seconds per step, microseconds per element-level,
-the process's peak RSS, the model's element-block count and the git sha
-of the tree it imported.
+the minor page faults per timed step (``getrusage``: fresh pages the
+step's temporaries fault in), the process's peak RSS, the model's
+element-block count and the git sha of the tree it imported.
 
 ``--tree`` is the checkout whose ``src/`` the rungs import (default:
 this one), so one script measures a parent and a change.  The rows are
@@ -35,7 +36,7 @@ QSIZE = 4
 #: The keys of every row; CI checks them.
 ROW_KEYS = ("ne", "nlev", "qsize", "nelem", "blocks", "steps", "setup_s",
             "first_step_s", "s_per_step", "us_per_element_level",
-            "peak_rss_mb", "git_sha")
+            "minflt_per_step", "peak_rss_mb", "git_sha")
 
 
 def run_rung(ne: int, nlev: int, steps: int) -> dict:
@@ -67,16 +68,19 @@ def run_rung(ne: int, nlev: int, steps: int) -> dict:
     model.step()
     t2 = time.perf_counter()
     per_step = []
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(steps):
         t = time.perf_counter()
         model.step()
         per_step.append(time.perf_counter() - t)
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
     s = statistics.median(per_step)
     return {"ne": ne, "nlev": nlev, "qsize": QSIZE, "nelem": mesh.nelem,
             "blocks": len(getattr(model, "blocks", [None])), "steps": steps,
             "setup_s": round(t1 - t0, 3), "first_step_s": round(t2 - t1, 3),
             "s_per_step": round(s, 4),
             "us_per_element_level": round(1e6 * s / (mesh.nelem * nlev), 2),
+            "minflt_per_step": round(minflt / steps),
             "peak_rss_mb": round(
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 

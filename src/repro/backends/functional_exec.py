@@ -72,7 +72,7 @@ def _batched_tracer_tendency(v, geom):
 
 
 def _fused_tracer_tendency(v, geom):
-    vm = _fz.fold_velocity(v, geom)  # metric folded once per step
+    vm = _fz.fold_velocity(v, geom)  # once per call: each euler-stage task
     return lambda qdp: _fz.advect_qdp_all_fused(qdp, vm, geom)
 
 
@@ -95,8 +95,9 @@ class HommeExecution:
     laplace_wk: Callable
     #: vector Laplacian: f(v, geom) -> v
     vlaplace: Callable
-    #: all-tracer advection for one euler_step: f(v, geom) returns
-    #: g(qdp) -> tendency, so per-step velocity work happens once
+    #: all-tracer advection of one euler-stage task: f(v, geom) returns
+    #: g(qdp) -> tendency, the velocity work done once for the whole
+    #: tracer stack (twice a subcycle: one call per SSP stage task)
     tracer_tendency: Callable
     #: build every memoized operand this path reads from ``geom`` — call
     #: it before a worker pool forks so workers inherit them copy-on-write

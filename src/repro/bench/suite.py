@@ -114,10 +114,12 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
         def reset(model=model, qdp0=qdp0):
             model.state.qdp = qdp0
 
-        secs = time_wall(
-            lambda model=model: euler_step_subcycled(model, model.states),
-            repeats=repeats, setup=reset,
-        )
+        def euler(model=model):
+            states = model.states
+            euler_step_subcycled(model, states)
+            model.states = states
+
+        secs = time_wall(euler, repeats=repeats, setup=reset)
         results.append(BenchResult(
             name=f"euler_step.ne4.{path}", clock="wall", seconds=secs,
             repeats=repeats,

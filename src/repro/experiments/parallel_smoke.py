@@ -114,7 +114,7 @@ def run_parallel_smoke(
         allreduces = _count_calls(ser.mpi, "allreduce")
         ser.run_steps(prim_steps)
         whole = PrimitiveEquationModel(cfg, mesh4, init=state.copy(), dt=30.0)
-        dss = _count_calls(whole.geom, "dss")  # dss_vector goes through it too
+        assemblies = _count_calls(whole._plan, "assemble")
         whole.run_steps(prim_steps)
         # 3 RK stages, 3 per tracer subcycle, 2 per hyperviscosity sweep.
         points = 3 + 3 * cfg.tracer_subcycles + 2 * ser._hv_subcycles
@@ -123,7 +123,7 @@ def run_parallel_smoke(
         if verbose:
             print(f"  recipe: {exchanges[0] / prim_steps:g} exchanges, "
                   f"{points} synchronisation points, "
-                  f"{dss[0] / prim_steps:g} serial DSS calls, "
+                  f"{assemblies[0] / prim_steps:g} serial assemblies, "
                   f"{allreduces[0] / prim_steps:g} allreduces, "
                   f"{ser.engine.calls / prim_steps:g} dispatches per step")
         transport = []

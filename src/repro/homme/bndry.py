@@ -19,11 +19,14 @@ of a synchronisation point into one buffer per neighbour, one call
 exchanges a tuple of fields per rank in one message per neighbour; a run
 of consecutive ranks may hand its fields over as one block (a *rank
 group*), which changes no message and no bit.  The exchanger alone moves
-data (from its own flat buffer);
+data (from its own flat buffer, :meth:`HaloExchanger.assemble`);
 :meth:`SimMPI.neighbor_exchange <repro.network.simmpi.SimMPI.neighbor_exchange>`
 charges memcpy, compute and transfer time of the whole exchange to each
 rank's simulated clock in one call, carrying sizes only.  The result is
 the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
+Without a partition the plan is the whole mesh as one rank in mesh
+order, and :meth:`~HaloExchanger.assemble` alone is the one-shard
+layout's DSS.
 """
 
 from __future__ import annotations
@@ -102,10 +105,10 @@ class HaloExchanger:
     rank's GLL points concatenated in rank order, then every row a rank
     receives; one :class:`Assembly` with a slot per touching (rank, gid)
     pair over both; and the gather that fills the received rows.  An
-    exchange is then one gather, one accumulate and one take per field
-    over the whole mesh, and one SimMPI call that posts sizes, charges
-    clocks and traces over the per-rank ``(peer, rows sent, rows
-    received)`` lists.
+    exchange is then one SimMPI call that posts sizes, charges clocks and
+    traces over the per-rank ``(peer, rows sent, rows received)`` lists,
+    and the data path (:meth:`assemble`): one gather, one accumulate and
+    one take per field over the whole mesh.
 
     A message carries, for every point of the sender whose gid the
     receiver touches, that point's own contribution ``f * dss_weight``,
@@ -113,18 +116,21 @@ class HaloExchanger:
     global point row (``elem * np**2 + ij``) from ``+0.0``.  That is the
     order and the weighting of :meth:`CubedSphereMesh.dss`, so the result
     is the serial DSS bit for bit at any rank count, whoever does the
-    adding.
+    adding.  ``part=None`` plans the whole mesh as one rank in mesh order:
+    no row is received, so the plan's slots are the mesh's own.
     """
 
-    def __init__(self, mesh: CubedSphereMesh, part: SFCPartition) -> None:
-        if part.ne != mesh.ne:
+    def __init__(self, mesh: CubedSphereMesh,
+                 part: SFCPartition | None = None) -> None:
+        if part is not None and part.ne != mesh.ne:
             raise KernelError("partition and mesh resolutions differ")
         self.mesh = mesh
         self.part = part
-        self.nranks = nranks = part.nranks
+        self.nranks = nranks = 1 if part is None else part.nranks
 
         #: Per rank: owned element ids (curve order).
-        self.rank_elems = [part.rank_elements(r) for r in range(nranks)]
+        self.rank_elems = ([np.arange(mesh.nelem)] if part is None else
+                           [part.rank_elements(r) for r in range(nranks)])
         #: Every rank's elements in rank order: the plan's element order.
         self.plan_elems = elems = np.concatenate(self.rank_elems)
         nn = mesh.np ** 2
@@ -241,11 +247,10 @@ class HaloExchanger:
             before any clock moves.
 
         Returns, per group, a tuple of the DSS'd fields in the input
-        shapes, and an :class:`ExchangeReport`.  A rank sends one message
-        per peer carrying every field of the bundle, however the ranks
-        are grouped.  Each field's outputs are C-contiguous row ranges of
-        that field's own whole-mesh array, so a kept field never holds
-        the others alive.  Errors name a group by its first rank.
+        shapes (:meth:`assemble`), and an :class:`ExchangeReport`.  A rank
+        sends one message per peer carrying every field of the bundle,
+        however the ranks are grouped.  Errors name a group by its first
+        rank.
         """
         nranks = self.nranks
         if mpi.nranks != nranks:
@@ -262,7 +267,7 @@ class HaloExchanger:
         if not local_fields:
             raise uncovered
         n, first, eoff = self.mesh.np, local_fields[0], self.elem_offsets
-        spans, r0 = [], 0  # each group's (first rank, end rank)
+        r0 = 0  # each group's first rank
         for fields in local_fields:
             if r0 == nranks:
                 raise uncovered
@@ -277,7 +282,6 @@ class HaloExchanger:
                     raise KernelError(
                         f"rank {r0} field has trailing shape {f.shape[3:]}, "
                         f"rank 0 has {f0.shape[3:]}")
-            spans.append((r0, r1))
             r0 = r1
         if r0 != nranks:
             raise uncovered
@@ -286,12 +290,46 @@ class HaloExchanger:
         dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
         classic = mode == "classic"
 
-        # One buffer: every local point's weighted contribution, one
-        # column block per field, then room for every received row.
+        # The clock program: classic charges all kernel work before the
+        # sends and stages through the pack buffer (2 copies each way);
+        # the redesign charges the boundary part first, the inner part
+        # while messages fly, and packs once and unpacks directly.  A row
+        # is one float64 per column of every field.
+        report.memcpy_seconds = mpi.neighbor_exchange(
+            self._messages, 8 * sum(math.prod(f.shape[3:]) for f in first),
+            [b + i for b, i in zip(bc, ic)] if classic else bc,
+            None if classic else ic,
+            copies=2 if classic else 1, bandwidth=MEMCPY_BANDWIDTH, tag=tag)
+        per_group = self.assemble(local_fields)
+
+        report.rank_times = [mpi.now(r) for r in range(nranks)]
+        report.dropped = mpi.messages_dropped - dropped0
+        report.retransmissions = mpi.retransmissions - retrans0
+        return per_group, report
+
+    def assemble(self, local_fields: list[tuple[np.ndarray, ...]]
+                 ) -> list[tuple[np.ndarray, ...]]:
+        """The exchange's data path, no clock: the DSS of a bundle of fields.
+
+        ``local_fields`` is one tuple of fields per *shard* — consecutive
+        runs of plan elements covering the plan in order (a shard's
+        leading length says how many; :meth:`exchange` checks they are
+        rank groups) — each field (E_s, np, np[, K...]).  Every point's
+        weighted contribution fills its column block of one flat
+        buffer, the received rows are gathered from it, each slot sums
+        its rows, and every shard gets its points' sums back in the input
+        shapes: C-contiguous row ranges of each field's own whole-plan
+        array, so a kept field never holds the others alive.
+        """
+        first = local_fields[0]
         cols = [0, *np.cumsum([math.prod(f.shape[3:]) for f in first]).tolist()]
         npoints = self._offsets[-1]
+        ends = (np.cumsum([len(fields[0]) for fields in local_fields])
+                * self.mesh.np ** 2).tolist()
+        points = list(zip([0, *ends], ends))
+        # One buffer: every local point's weighted contribution, one
+        # column block per field, then room for every received row.
         buf = np.empty((len(self._assembly.slot_of), cols[-1]))
-        points = [(self._offsets[r0], self._offsets[r1]) for r0, r1 in spans]
         for (lo, hi), fields in zip(points, local_fields):
             for c0, c1, f in zip(cols, cols[1:], fields):
                 # Splitting axes only, so the reshape is a view of buf.
@@ -299,28 +337,16 @@ class HaloExchanger:
         buf[:npoints] *= self._weights
         buf.take(self._recv_rows, axis=0, out=buf[npoints:])
 
-        # The clock program: classic charges all kernel work before the
-        # sends and stages through the pack buffer (2 copies each way);
-        # the redesign charges the boundary part first, the inner part
-        # while messages fly, and packs once and unpacks directly.
-        report.memcpy_seconds = mpi.neighbor_exchange(
-            self._messages, buf.itemsize * cols[-1],
-            [b + i for b, i in zip(bc, ic)] if classic else bc,
-            None if classic else ic,
-            copies=2 if classic else 1, bandwidth=MEMCPY_BANDWIDTH, tag=tag)
-
-        # Sum each slot, then gather every field to its own points.
+        # Sum each slot, then gather every field to its own points: one
+        # take per field (per shard, a take copies the whole column block
+        # to a contiguous array each time; indexing is slower on narrow
+        # blocks).
         acc = self._assembly.accumulate(buf)
         del buf  # peak RSS: only the slot sums are needed from here on
         outs = [acc[:, c0:c1].take(self._point_slot, axis=0)
                 for c0, c1 in zip(cols, cols[1:])]
-        per_group = [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
-                     for (lo, hi), fields in zip(points, local_fields)]
-
-        report.rank_times = [mpi.now(r) for r in range(nranks)]
-        report.dropped = mpi.messages_dropped - dropped0
-        report.retransmissions = mpi.retransmissions - retrans0
-        return per_group, report
+        return [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
+                for (lo, hi), fields in zip(points, local_fields)]
 
     # -- helpers for tests/benches --------------------------------------------------
 

@@ -17,8 +17,9 @@ order), and the per-rank clocks expose the overlap-vs-classic timing
 difference on a real integration.
 
 The layout — partition, halo tables, SimMPI, rank groups (the shards),
-the engine built around their geometries, the three calls a recipe
-makes (``_fanout``, ``_dss``, ``_mesh_sum``), tracing and lifecycle —
+the engine built around their geometries, the calls a recipe makes
+(``_fanout``, the exchange under the shared ``_dss``, ``_mesh_sum``),
+tracing and lifecycle —
 lives once in :class:`_DistributedModel`, on the snapshot every layout
 shares (:class:`repro.homme.timestep._Layout`); each public class is a
 recipe on it plus its initial state.
@@ -167,39 +168,14 @@ class _DistributedModel(timestep._Layout):
 
     # -- distributed DSS ----------------------------------------------------------
 
-    def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
-        """DSS every shard's tuple of fields in one exchange.
-
-        The element-local work runs once per shard on its fields as one
-        block: a field with one axis more than a scalar is a
-        contravariant (..., 2) vector and crosses in Cartesian form, and
-        level axes move last for the exchange.  Results come back
-        C-contiguous per shard, so the state's memory layout — and
-        therefore every later reduction's rounding — is the one a
-        restored checkpoint has.
-        """
-        vector = 4 + self._levels
-
-        def out(g, f):
-            w = g.to_cartesian(f) if f.ndim == vector else f
-            return np.moveaxis(w, 1, 3) if self._levels else w
-
-        def back(g, o, is_vector):
-            if self._levels:
-                o = np.moveaxis(o, 3, 1)
-            return g.from_cartesian(o) if is_vector else np.ascontiguousarray(o)
-
-        vectors = [f.ndim == vector for f in fields[0]]
+    def _assemble(self, shards: list[tuple], stage: int, slot: int) -> list[tuple]:
+        """The layout's DSS (:meth:`~repro.homme.timestep._Layout._dss`) is
+        one exchange of every shard's bundle."""
         outs, _ = self.hx.exchange(
-            [tuple(out(g, f) for f in fs) for g, fs in zip(self.geoms, fields)],
-            self.mpi,
-            mode=self.mode,
-            boundary_compute=self._bc,
+            shards, self.mpi, mode=self.mode, boundary_compute=self._bc,
             inner_compute=self._ic,
-            tag=exchange_tag(self.step_count, stage, slot, self._epoch),
-        )
-        return [tuple(back(g, o, v) for o, v in zip(os, vectors))
-                for g, os in zip(self.geoms, outs)]
+            tag=exchange_tag(self.step_count, stage, slot, self._epoch))
+        return outs
 
     # -- distributed global sum ---------------------------------------------------
 
@@ -320,7 +296,7 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
                 "compute_cost_per_element must be finite and >= 0, got "
                 f"{compute_cost_per_element!r}")
         init = williamson2_initial(mesh)
-        self._sw_init(mesh, init, dt, nu)  # before a pool is started
+        init = self._sw_init(mesh, init, dt, nu)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          engine_kwargs, exec_path, init)
         # Simulated kernel cost attribution for the overlap window.
@@ -385,7 +361,7 @@ class DistributedPrimitiveEquations(_PrimRecipe, _DistributedModel):
         combine: str = "flat",
         forcing=None,
     ) -> None:
-        self._prim_init(cfg, mesh, init_state, dt, forcing)
+        init_state = self._prim_init(cfg, mesh, init_state, dt, forcing)
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          engine_kwargs, exec_path, init_state, combine)
         self.combine = combine

@@ -20,7 +20,7 @@ from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..parallel import dycore
 from .element import ElementGeometry, check_dt
-from .timestep import _WholeMesh, biharmonic
+from .timestep import _WholeMesh, biharmonic, checked_state
 from . import operators as op
 
 
@@ -117,14 +117,16 @@ class _SWRecipe:
     _fields = ("h", "v")
 
     def _sw_init(self, mesh: CubedSphereMesh, state: SWState,
-                 dt: float | None, nu: float) -> None:
+                 dt: float | None, nu: float) -> SWState:
         """Check the initial state against the mesh and set the recipe's
-        knobs; ``dt`` defaults to the gravity-wave CFL of ``state``."""
+        knobs; ``dt`` defaults to the gravity-wave CFL of ``state``.
+        Returns the state in float64 (:func:`~repro.homme.timestep.checked_state`)."""
         n = mesh.np
         if state.h.shape != (mesh.nelem, n, n) or state.v.shape != (mesh.nelem, n, n, 2):
             raise KernelError(
                 f"initial state h{state.h.shape}, v{state.v.shape}; the mesh "
                 f"needs h{(mesh.nelem, n, n)}, v{(mesh.nelem, n, n, 2)}")
+        state = checked_state(state, self._fields, "h")
         if not (np.isfinite(nu) and nu >= 0):
             raise KernelError(f"hyperviscosity nu must be finite and >= 0, got {nu!r}")
         if dt is None:
@@ -133,6 +135,7 @@ class _SWRecipe:
             dt = 0.25 * dx / c
         self.dt = check_dt(dt)
         self.nu = nu
+        return state
 
     def _rk_stage(self, bases: list[SWState], points: list[SWState], dt: float,
                   stage: int) -> list[SWState]:
@@ -184,7 +187,7 @@ class ShallowWaterModel(_SWRecipe, _WholeMesh):
     ) -> None:
         # Owned, not the caller's: restore writes in place.
         state = williamson2_initial(mesh) if state is None else state.copy()
-        self._sw_init(mesh, state, dt, nu)
+        state = self._sw_init(mesh, state, dt, nu)
         super().__init__(mesh, None, exec_path)
         self.state = state
         self._split_blocks()

@@ -19,10 +19,12 @@ stage, slot)`` assembles a tuple of fields on every shard in one
 synchronisation, ``_mesh_sum(rows)`` sums per-element rows over the
 whole mesh in global element order — plus the tracing hooks
 ``_clocks`` / ``_rank_spans``.  There are two layouts: :class:`_WholeMesh`,
-one shard holding the whole mesh (:class:`PrimitiveEquationModel`), and
-:class:`repro.homme.distributed._DistributedModel`, one shard per
-simulated MPI rank (``DistributedPrimitiveEquations``).  Both models
-inherit the one ``step()``; the shallow-water pair in
+the whole mesh as one rank whose element blocks are the shards
+(:class:`PrimitiveEquationModel`), and
+:class:`repro.homme.distributed._DistributedModel`, simulated MPI ranks
+in rank groups (``DistributedPrimitiveEquations``).  Both run one DSS
+data path (:meth:`_Layout._dss` around the halo exchanger's
+``assemble``) and inherit the one ``step()``; the shallow-water pair in
 :mod:`repro.homme.shallow_water` is built the same way.
 """
 
@@ -38,6 +40,7 @@ from ..errors import KernelError
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..obs.tracer import NULL_TRACER
 from ..parallel import dycore
+from .bndry import HaloExchanger
 from .element import ElementGeometry, ElementState, check_dt, check_steps
 from .euler import restoring_scale, sum_elements
 from .hypervis import hypervis_stable_subcycles, nu_for_mesh
@@ -63,8 +66,27 @@ def block_elements(state) -> int:
     return max(1, BLOCK_BYTES // per_elem)
 
 
+def checked_state(state, fields: tuple[str, ...], positive: str):
+    """``state`` with every prognostic array in float64 (a real dtype is
+    cast, anything else raises); :class:`KernelError` naming the field
+    when one is not finite everywhere or ``positive`` is not > 0."""
+    arrays = {}
+    for f in fields:
+        a = np.asarray(getattr(state, f))
+        if a.dtype.kind not in "fiu":
+            raise KernelError(
+                f"initial state {f} has dtype {a.dtype}, not a real number")
+        arrays[f] = a = a.astype(np.float64, copy=False)
+        if not np.isfinite(a).all():
+            raise KernelError(f"initial state {f} is not finite everywhere")
+    if not (arrays[positive] > 0).all():
+        raise KernelError(f"initial state {positive} must be > 0 everywhere, "
+                          f"its minimum is {arrays[positive].min()!r}")
+    return type(state)(**arrays)
+
+
 class _Layout:
-    """What every layout shares: stepping and the one snapshot.
+    """What every layout shares: stepping, the one snapshot, the one DSS.
 
     A snapshot is every rank's prognostic arrays (``<field>_<rank>``,
     ``_fields`` from the recipe, ranks from :meth:`rank_states` — the
@@ -149,22 +171,54 @@ class _Layout:
     def _restored(self) -> None:
         """Layout hook between a snapshot's validation and its write."""
 
+    def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
+        """DSS every shard's tuple of fields in one synchronisation.
+
+        The element-local work runs once per shard, on its fields as one
+        block: a field with one axis more than a scalar is a
+        contravariant (..., 2) vector and is assembled in Cartesian form,
+        and level axes move last.  The layout's ``_assemble`` sums the
+        shards' bundle (:meth:`~repro.homme.bndry.HaloExchanger.assemble`).
+        Results come back C-contiguous per shard, so the state's memory
+        layout — and therefore every later reduction's rounding — is the
+        one a restored checkpoint has.
+        """
+        vector = 4 + self._levels
+
+        def out(g, f):
+            w = g.to_cartesian(f) if f.ndim == vector else f
+            return np.moveaxis(w, 1, 3) if self._levels else w
+
+        def back(g, o, is_vector):
+            if self._levels:
+                o = np.moveaxis(o, 3, 1)
+            return g.from_cartesian(o) if is_vector else np.ascontiguousarray(o)
+
+        vectors = [f.ndim == vector for f in fields[0]]
+        outs = self._assemble([tuple(out(g, f) for f in fs) for g, fs in
+                               zip(self.geoms, fields, strict=True)], stage, slot)
+        return [tuple(back(g, o, v) for o, v in zip(os, vectors))
+                for g, os in zip(self.geoms, outs)]
+
 
 class _WholeMesh(_Layout):
-    """The one-shard layout: the whole mesh is shard 0, run in element blocks.
+    """The one-shard layout: the whole mesh is rank 0, its element blocks
+    (contiguous mesh-order ranges, geometries views of :attr:`geom`,
+    :meth:`_split_blocks`) are the shards.
 
-    ``_fanout`` calls the task in process once per element block — a
-    contiguous mesh-order range whose :class:`ElementGeometry` is a
-    view of :attr:`geom` (:meth:`_split_blocks`) — on views of the
-    inputs, and copies each block's outputs into whole-mesh arrays;
-    every task is element-local, so the bits are the unblocked call's.
-    ``_dss`` is :meth:`ElementGeometry.dss` (``dss_vector`` for a field
-    with one axis more than a scalar) per field on the whole mesh, and
-    ``_mesh_sum`` is :func:`~repro.homme.euler.sum_elements`.  There is
-    no simulated hardware clock, so spans live on the *model time* axis
-    of the ``"serial"`` track.  Subclasses set ``_levels`` and ``_fields``
-    (through their recipe) and ``state`` (their own copy), then call
-    :meth:`_split_blocks`.
+    :attr:`states` is one state per block, row views of :attr:`state`
+    taken when a step starts; setting it joins the blocks, one
+    concatenation per field (one block: no view, no copy).  ``_fanout``
+    calls the task once per block and copies nothing — tasks are
+    element-local, so the bits are the unblocked call's.  ``_dss`` is
+    :meth:`~repro.homme.bndry.HaloExchanger.assemble` on a plan of the
+    whole mesh at one rank in mesh order: no received rows, the slots
+    and bits of :meth:`~repro.mesh.cubed_sphere.CubedSphereMesh.dss`.
+    ``_mesh_sum`` is :func:`~repro.homme.euler.sum_elements` of the
+    blocks' rows in element order.  Spans live on the *model time* axis
+    of the ``"serial"`` track (no simulated clock).  Subclasses set
+    ``_levels`` and ``_fields`` (through their recipe) and ``state``
+    (their own copy), then call :meth:`_split_blocks`.
     """
 
     _levels: bool
@@ -177,23 +231,31 @@ class _WholeMesh(_Layout):
         self.exec_path = exec_path
         self.mesh = mesh
         self.geom = ElementGeometry(mesh)
+        self._plan = HaloExchanger(mesh)
         self.tracer = NULL_TRACER if tracer is None else tracer
 
     @property
     def states(self) -> list:
-        return [self.state]
+        """One state per element block, row views of :attr:`state`."""
+        if len(self.blocks) == 1:
+            return [self.state]
+        return [type(self.state)(**{f: getattr(self.state, f)[lo:hi]
+                                    for f in self._fields})
+                for lo, hi, _ in self.blocks]
 
     @states.setter
     def states(self, states: list) -> None:
-        self.state, = states
+        self.state = states[0] if len(states) == 1 else type(states[0])(**{
+            f: np.concatenate([getattr(s, f) for s in states])
+            for f in self._fields})
 
     @property
     def geoms(self) -> list[ElementGeometry]:
-        return [self.geom]
+        return [g for _, _, g in self.blocks]
 
     def rank_states(self) -> list:
         """The whole mesh is rank 0."""
-        return self.states
+        return [self.state]
 
     def _split_blocks(self) -> None:
         """Split the mesh into near-equal contiguous element ranges, as few
@@ -209,30 +271,14 @@ class _WholeMesh(_Layout):
     def _fanout(self, task, meta_extra: dict,
                 per_shard_arrays: list[tuple]) -> list[tuple]:
         meta = {**meta_extra, "path": self.exec_path}
-        arrays, = per_shard_arrays
-        if len(self.blocks) == 1:
-            return [task(self.geom, meta, *arrays)]
-        outs = None
-        for lo, hi, g in self.blocks:
-            part = task(g, meta, *(a[lo:hi] for a in arrays))
-            if outs is None:
-                outs = tuple(np.empty((self.mesh.nelem,) + p.shape[1:], p.dtype)
-                             for p in part)
-            for o, p in zip(outs, part):
-                o[lo:hi] = p
-        return [outs]
+        return [task(g, meta, *arrays) for g, arrays in
+                zip(self.geoms, per_shard_arrays, strict=True)]
 
-    def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
-        """DSS every field; C-contiguous, as the N-shard exchange returns
-        them (a later reduction rounds by memory layout)."""
-        vector, g = 4 + self._levels, self.geom
-        return [tuple(np.ascontiguousarray(
-                    g.dss_vector(f) if f.ndim == vector else g.dss(f))
-                      for f in fs) for fs in fields]
+    def _assemble(self, shards: list[tuple], stage: int, slot: int) -> list[tuple]:
+        return self._plan.assemble(shards)
 
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
-        rows, = per_elem
-        return sum_elements(rows)
+        return sum_elements(np.concatenate(per_elem))
 
     def _clocks(self) -> list[float]:
         return [self.t]
@@ -343,9 +389,10 @@ class _PrimRecipe:
     _fields = ("v", "T", "dp3d", "qdp")
 
     def _prim_init(self, cfg: ModelConfig, mesh: CubedSphereMesh,
-                   state: ElementState, dt: float, forcing) -> None:
+                   state: ElementState, dt: float, forcing) -> ElementState:
         """Check the initial state against mesh and configuration and set
-        the recipe's knobs — before a layout builds anything costly."""
+        the recipe's knobs — before a layout builds anything costly;
+        returns the state in float64 (:func:`checked_state`)."""
         if cfg.ne != mesh.ne:
             raise KernelError("mesh resolution disagrees with configuration")
         state.check_consistent()
@@ -354,6 +401,7 @@ class _PrimRecipe:
             raise KernelError(
                 f"initial state qdp has shape {state.qdp.shape}; mesh and "
                 f"configuration need (nelem, qsize, nlev, np, np) = {want}")
+        state = checked_state(state, self._fields, "dp3d")
         self.cfg = cfg
         self.dt = check_dt(dt)
         self.forcing = forcing
@@ -361,6 +409,7 @@ class _PrimRecipe:
         #: Hyperviscosity sweeps per step (the explicit stability rule).
         self._hv_subcycles = hypervis_stable_subcycles(
             self.dt, self.nu, cfg.ne, mesh.radius)
+        return state
 
     def step(self) -> None:
         """Advance one dynamics timestep (RK3 + tracers + hypervis + remap,
@@ -439,8 +488,8 @@ class PrimitiveEquationModel(_PrimRecipe, _WholeMesh):
             state = ElementState.isothermal_rest(self.geom, cfg)
         else:
             raise KernelError(f"unknown initial condition {init!r}")
-        self._prim_init(cfg, mesh, state, cfg.dt_dynamics if dt is None else dt,
-                        forcing)
+        state = self._prim_init(cfg, mesh, state,
+                                cfg.dt_dynamics if dt is None else dt, forcing)
         self.state = state
         self._split_blocks()
 

@@ -77,7 +77,9 @@ def euler_phase(cfg, mesh, state, limiter):
     model = PrimitiveEquationModel(cfg, mesh, init=state, dt=dt,
                                    exec_path="batched")
     if limiter:
-        timestep.euler_step_subcycled(model, model.states)
+        states = model.states
+        timestep.euler_step_subcycled(model, states)
+        model.states = states
         return model.state.qdp
     qdp = model.state.qdp
     adv = homme_execution("batched").tracer_tendency(model.state.v, model.geom)
@@ -415,7 +417,8 @@ class TestFusedPath:
                 timestep.euler_step_subcycled(model, s)
             else:
                 timestep.advance_hypervis(model, s)
-            outs.append(s[0])
+            model.states = s
+            outs.append(model.state)
         for f in ("v", "T", "dp3d", "qdp"):
             assert rel_err(getattr(outs[0], f), getattr(outs[1], f)) <= RTOL, f
 

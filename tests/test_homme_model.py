@@ -10,8 +10,9 @@ import pytest
 from repro import constants as C
 from repro.config import ModelConfig
 from repro.errors import KernelError
-from repro.homme import timestep
+from repro.homme import distributed, timestep
 from repro.homme.bndry import HaloExchanger
+from repro.homme.distributed import DistributedPrimitiveEquations
 from repro.homme.element import ElementGeometry, ElementState
 from repro.homme.shallow_water import ShallowWaterModel, williamson2_initial
 from repro.homme.timestep import PrimitiveEquationModel, RSPLIT
@@ -175,8 +176,9 @@ class TestPrimitiveEquationModel:
     def test_element_blocks_lower_memory(self):
         """At ne8 x 16 levels x 4 tracers the step runs in six 64-element
         blocks: the whole-mesh geometry builds no operator tensors, and a
-        step peaks no higher than the same step as one block (a block's
-        outputs land in whole-mesh arrays; no list of every block's)."""
+        step peaks no higher than the same step as one block (the blocks
+        are the shards: a task's outputs stay per block until the step
+        ends and puts them together, one field at a time)."""
         cfg, mesh = ModelConfig(ne=8, nlev=16, qsize=4), CubedSphereMesh(8)
 
         def stepped(budget):
@@ -196,6 +198,170 @@ class TestPrimitiveEquationModel:
         whole, whole_peak = stepped(1 << 40)
         assert len(whole.blocks) == 1
         assert blocked_peak <= whole_peak
+
+    def test_block_states_are_views_of_the_state(self):
+        """Between steps, every block's state is a row range of the
+        whole-mesh state, as views; one block is the state itself."""
+        cfg, mesh = ModelConfig(ne=4, nlev=4, qsize=2), CubedSphereMesh(4)
+        model = PrimitiveEquationModel(cfg, mesh, dt=600.0)
+        assert model.states == [model.state]
+        per_elem = max(a.nbytes // len(a) for a in vars(model.state).values())
+        with mock.patch.object(timestep, "BLOCK_BYTES", 20 * per_elem):
+            model._split_blocks()
+        assert len(model.blocks) == 5
+        for _ in range(2):
+            for (lo, hi, _), s in zip(model.blocks, model.states, strict=True):
+                for f in model._fields:
+                    whole, rows = getattr(model.state, f), getattr(s, f)
+                    assert rows.base is whole
+                    assert rows.ctypes.data == whole[lo:hi].ctypes.data
+                    assert rows.shape == whole[lo:hi].shape
+                    assert whole.flags.c_contiguous
+            model.step()
+
+
+class TestOneShardDSS:
+    """The one-shard layout's DSS — the halo exchanger's data path on a
+    plan of the whole mesh at one rank — against the whole-field oracle
+    ``ElementGeometry.dss`` / ``dss_vector``, byte for byte (so ``-0.0``
+    and ``+0.0`` differ) and C-contiguous, at any element blocks."""
+
+    NE, NLEV, QSIZE = 3, 4, 2
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        mesh = CubedSphereMesh(self.NE)
+        cfg = ModelConfig(ne=self.NE, nlev=self.NLEV, qsize=self.QSIZE)
+        return (PrimitiveEquationModel(cfg, mesh, dt=600.0),
+                ShallowWaterModel(mesh))
+
+    @staticmethod
+    def fields(rng, *shape):
+        f = rng.standard_normal(shape)
+        f.reshape(-1)[::7] = -0.0  # signed zeros must survive as the oracle's
+        return f
+
+    @staticmethod
+    def blocked(model, bounds):
+        E = model.mesh.nelem
+        bounds = {"one": [0, E], "uneven": [0, 7, 30, E],
+                  "single": list(range(E + 1))}[bounds]
+        model.blocks = [(lo, hi, model.geom.rows(lo, hi))
+                        for lo, hi in zip(bounds, bounds[1:])]
+        return model
+
+    def check(self, model, bundle, oracle):
+        shards = [tuple(f[lo:hi] for f in bundle) for lo, hi, _ in model.blocks]
+        outs = model._dss(shards, stage=0, slot=0)
+        assert len(outs) == len(model.blocks)
+        for k, want in enumerate(oracle):
+            parts = [o[k] for o in outs]
+            assert all(p.flags.c_contiguous for p in parts)
+            assert np.concatenate(parts).tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("bounds", ["one", "uneven", "single"])
+    def test_shallow_water_fields(self, models, bounds):
+        model = self.blocked(models[1], bounds)
+        rng, g, E = np.random.default_rng(1), model.geom, model.mesh.nelem
+        h, v = self.fields(rng, E, 4, 4), self.fields(rng, E, 4, 4, 2)
+        self.check(model, (h,), [g.dss(h)])
+        self.check(model, (v,), [g.dss_vector(v)])
+        self.check(model, (v, h), [g.dss_vector(v), g.dss(h)])
+
+    @pytest.mark.parametrize("bounds", ["one", "uneven", "single"])
+    def test_levelled_fields(self, models, bounds):
+        model = self.blocked(models[0], bounds)
+        rng, g, E = np.random.default_rng(2), model.geom, model.mesh.nelem
+        L, Q = self.NLEV, self.QSIZE
+        T, dp = self.fields(rng, E, L, 4, 4), self.fields(rng, E, L, 4, 4)
+        v = self.fields(rng, E, L, 4, 4, 2)
+        stack = self.fields(rng, E, Q * L, 4, 4)  # a folded tracer stack
+        self.check(model, (T,), [g.dss(T)])
+        self.check(model, (v,), [g.dss_vector(v)])
+        self.check(model, (stack,), [g.dss(stack)])
+        self.check(model, (T, v, dp, stack),
+                   [g.dss(T), g.dss_vector(v), g.dss(dp), g.dss(stack)])
+        qdp = stack.reshape(E, Q, L, 4, 4)
+        want = g.dss(stack).reshape(qdp.shape)
+        got = timestep._dss_stack(
+            model, [qdp[lo:hi] for lo, hi, _ in model.blocks], slot=0)
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+class TestInitialStateValues:
+    """Initial states are checked for their values before a time step is
+    derived or a partition or pool is built, on both layouts."""
+
+    @pytest.fixture(scope="class")
+    def prim(self):
+        cfg, mesh = ModelConfig(ne=3, nlev=4, qsize=2), CubedSphereMesh(3)
+        return cfg, mesh, ElementState.isothermal_rest(ElementGeometry(mesh), cfg)
+
+    @staticmethod
+    def build(layout, cfg, mesh, state):
+        if layout == "serial":
+            return PrimitiveEquationModel(cfg, mesh, init=state, dt=600.0)
+        return DistributedPrimitiveEquations(cfg, mesh, state, nranks=2,
+                                             dt=600.0)
+
+    def refused(self, layout, cfg, mesh, state, match):
+        """The constructor raises ``match`` before any partition exists."""
+        with pytest.raises(KernelError, match=match), mock.patch.object(
+                distributed, "SFCPartition",
+                side_effect=AssertionError("partitioned")):
+            self.build(layout, cfg, mesh, state)
+
+    @pytest.mark.parametrize("layout", ["serial", "distributed"])
+    @pytest.mark.parametrize("field, value, match", [
+        ("T", np.nan, "initial state T is not finite"),
+        ("v", np.inf, "initial state v is not finite"),
+        ("qdp", -np.inf, "initial state qdp is not finite"),
+        ("dp3d", np.nan, "initial state dp3d is not finite"),
+        ("dp3d", -5.0, "initial state dp3d must be > 0"),
+        ("dp3d", 0.0, "initial state dp3d must be > 0"),
+    ])
+    def test_bad_value_named(self, prim, layout, field, value, match):
+        cfg, mesh, state = prim
+        bad = state.copy()
+        getattr(bad, field).reshape(-1)[5] = value
+        self.refused(layout, cfg, mesh, bad, match)
+
+    @pytest.mark.parametrize("layout", ["serial", "distributed"])
+    def test_non_real_dtype_refused(self, prim, layout):
+        cfg, mesh, state = prim
+        bad = state.copy()
+        bad.T = bad.T.astype(complex)
+        self.refused(layout, cfg, mesh, bad, "initial state T has dtype complex")
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("h", np.inf, "initial state h is not finite"),
+        ("v", np.nan, "initial state v is not finite"),
+        ("h", -1.0, "initial state h must be > 0"),
+    ])
+    def test_shallow_water_bad_value_named(self, field, value, match):
+        mesh = CubedSphereMesh(3)
+        bad = williamson2_initial(mesh)
+        getattr(bad, field).reshape(-1)[3] = value
+        with pytest.raises(KernelError, match=match):  # not the derived dt
+            ShallowWaterModel(mesh, state=bad)
+
+    @pytest.mark.parametrize("layout", ["serial", "distributed"])
+    def test_float32_state_rolls_back_to_step_zero(self, prim, layout):
+        """A float32 start is kept as float64, so a step-0 snapshot
+        restores after a step and the replay is the first trajectory."""
+        cfg, mesh, state = prim
+        single = state.copy()
+        single.T = (single.T + ElementGeometry(mesh).lat[:, None]).astype(np.float32)
+        single.v = np.full_like(single.v, 1e-6, dtype=np.float32)
+        model = self.build(layout, cfg, mesh, single)
+        snap = model.snapshot()
+        assert all(a.dtype == np.float64 for a in snap.values())
+        model.run_steps(2)
+        first = [a.copy() for k, a in model.snapshot().items() if k != "meta"]
+        model.restore_snapshot(snap)
+        model.run_steps(2)
+        again = [a for k, a in model.snapshot().items() if k != "meta"]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
 class TestHaloExchanger:

@@ -69,7 +69,9 @@ class TestLimiterProperties:
         w = geom.spheremp[:, None, None]
         m0 = np.sum(qdp * w, axis=(0, 3, 4))
         still_model.state.qdp = qdp
-        euler_step_subcycled(still_model, still_model.states)
+        states = still_model.states
+        euler_step_subcycled(still_model, states)
+        still_model.states = states
         out = still_model.state.qdp
         assert out.min() >= 0.0
         m1 = np.sum(out * w, axis=(0, 3, 4))

@@ -642,13 +642,15 @@ class TestDistributedBitwise:
     def test_one_step_is_the_serial_recipe_call_for_call(self, workers):
         """Exact-counter pin of the one recipe: a distributed step makes
         one exchange per synchronisation point where the serial step
-        makes one DSS per field — 3 RK stages, 3 tracer stages per
-        subcycle (the stack travels whole), 2 laplacian rounds per
-        hyperviscosity sweep — plus one allreduce per tracer subcycle and
-        one dispatch per phase."""
+        makes one assembly of the same data path, and neither calls the
+        whole-field ``ElementGeometry.dss`` — 3 RK stages, 3 tracer
+        stages per subcycle (the stack travels whole), 2 laplacian rounds
+        per hyperviscosity sweep — plus one allreduce per tracer subcycle
+        and one dispatch per phase."""
         cfg, mesh, _, state = _noisy_prim_state()
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=30.0)
         dss = _count_calls(serial.geom, "dss")  # dss_vector goes through it
+        assemblies = _count_calls(serial._plan, "assemble")
         serial.step()
         with DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0, workers=workers) as model:
@@ -658,7 +660,7 @@ class TestDistributedBitwise:
             exchanges = _count_calls(model.hx, "exchange")
             allreduces = _count_calls(model.mpi, "allreduce")
             model.step()
-            assert (dss, exchanges, allreduces) == ([24], [14], [3])
+            assert (dss, assemblies, exchanges, allreduces) == ([0], [14], [14], [3])
             assert model.engine.calls == 14
 
     def test_serial_workers_knob_is_default_path(self):

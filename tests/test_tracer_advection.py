@@ -61,12 +61,14 @@ def advect(cfg, mesh, state, days, dt=3600.0, limiter=True):
     adv = homme_execution(model.exec_path).tracer_tendency(s.v, model.geom)
     for _ in range(int(round(days * 86400.0 / dt))):
         if limiter:
-            timestep.euler_step_subcycled(model, model.states)
+            states = model.states
+            timestep.euler_step_subcycled(model, states)
+            model.states = states
         else:
             st1, = timestep._dss_stack(model, [ssp_stage1(s.qdp, adv, dt)], slot=0)
             s.qdp, = timestep._dss_stack(
                 model, [ssp_stage2(s.qdp, st1, adv, dt)], slot=1)
-    return s
+    return model.state
 
 
 class TestCosineBell:
