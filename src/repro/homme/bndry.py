@@ -72,19 +72,11 @@ def exchange_tag(step: int, stage: int, slot: int = 0, epoch: int = 0) -> int:
 
 @dataclass
 class ExchangeReport:
-    """Timing summary of one exchange (simulated seconds).
-
-    ``dropped``/``retransmissions`` count fault-injected losses healed
-    by SimMPI's retransmit protocol during this exchange — the DSS
-    result is unaffected (faults cost time, never bytes), but the
-    waiting rank's clock shows the timeout windows it rode out.
-    """
+    """Timing summary of one exchange (simulated seconds)."""
 
     mode: str
     rank_times: list[float] = field(default_factory=list)
     memcpy_seconds: float = 0.0
-    dropped: int = 0
-    retransmissions: int = 0
 
     @property
     def max_time(self) -> float:
@@ -287,7 +279,6 @@ class HaloExchanger:
             raise uncovered
 
         report = ExchangeReport(mode=mode)
-        dropped0, retrans0 = mpi.messages_dropped, mpi.retransmissions
         classic = mode == "classic"
 
         # The clock program: classic charges all kernel work before the
@@ -303,8 +294,6 @@ class HaloExchanger:
         per_group = self.assemble(local_fields)
 
         report.rank_times = [mpi.now(r) for r in range(nranks)]
-        report.dropped = mpi.messages_dropped - dropped0
-        report.retransmissions = mpi.retransmissions - retrans0
         return per_group, report
 
     def assemble(self, local_fields: list[tuple[np.ndarray, ...]]

@@ -35,7 +35,7 @@ from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
 from ..network.simmpi import SimMPI, rank_track
 from ..obs.tracer import NULL_TRACER
-from ..parallel.engine import ParallelEngine
+from ..parallel.engine import ParallelEngine, worker_count
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry
 from .euler import sum_elements
@@ -122,6 +122,7 @@ class _DistributedModel(timestep._Layout):
         if mode not in ("overlap", "classic"):
             raise KernelError(f"unknown exchange mode {mode!r}")
         warm = homme_execution(exec_path).warm  # fails fast on unknown paths
+        self.workers = worker_count(workers)
         self.exec_path = exec_path
         self.mesh = mesh
         self.nranks = nranks
@@ -134,7 +135,6 @@ class _DistributedModel(timestep._Layout):
         self.part = SFCPartition(mesh.ne, nranks)
         self.hx = HaloExchanger(mesh, self.part)
         self.plan_geom = ElementGeometry(mesh, self.hx.plan_elems)
-        self.workers = max(0, int(workers))
 
         off, elems = self.hx.elem_offsets, self.hx.plan_elems
         #: ``(first rank, end rank)`` of every shard, in rank order.
@@ -274,6 +274,8 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
     """
 
     _label = "dist-sw"
+    #: Simulated kernel seconds per element, charged around each exchange.
+    _cost = 1.0e-5
 
     def __init__(
         self,
@@ -281,7 +283,6 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
         nranks: int,
         dt: float | None = None,
         mode: str = "overlap",
-        compute_cost_per_element: float = 1.0e-5,
         faults=None,
         tracer=None,
         workers: int = 0,
@@ -290,17 +291,11 @@ class DistributedShallowWater(_SWRecipe, _DistributedModel):
         exec_path: str = "fused",
         nu: float = 0.0,
     ) -> None:
-        if not (np.isfinite(compute_cost_per_element)
-                and compute_cost_per_element >= 0):
-            raise KernelError(
-                "compute_cost_per_element must be finite and >= 0, got "
-                f"{compute_cost_per_element!r}")
         init = williamson2_initial(mesh)
         init = self._sw_init(mesh, init, dt, nu)  # before a pool is started
         super().__init__(mesh, nranks, mode, faults, tracer, workers,
                          engine_kwargs, exec_path, init)
         # Simulated kernel cost attribution for the overlap window.
-        self._cost = compute_cost_per_element
         self._bc = [
             self._cost * len(self.part.boundary_elements(r)) for r in range(nranks)
         ]

@@ -36,6 +36,25 @@ def check_dt(dt: float) -> float:
     return dt
 
 
+#: The prognostic fields a valid state holds > 0 everywhere: each
+#: equation set's layer thickness.
+POSITIVE_FIELDS = ("dp3d", "h")
+
+
+def bad_values(name: str, a: np.ndarray) -> tuple[int, str]:
+    """How many values of prognostic field ``name``'s array ``a`` make a
+    state invalid, and by which rule: ``"non-finite"`` (every field,
+    checked first) or ``"non-positive"`` (:data:`POSITIVE_FIELDS`); a
+    count of 0 when none do.  The one definition of a valid state:
+    initial states (:func:`~repro.homme.timestep.checked_state`),
+    snapshots (:meth:`~repro.homme.timestep._Layout.restore_snapshot`) and
+    :class:`~repro.resilience.validator.StateValidator` all ask it."""
+    n = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if n or name not in POSITIVE_FIELDS:
+        return n, "non-finite"
+    return int(np.count_nonzero(a <= 0)), "non-positive"
+
+
 def check_steps(n: int, error: type[Exception] = KernelError) -> int:
     """``n`` itself; ``error`` unless it is a whole number >= 0 (a bool
     is not a step count)."""

@@ -126,7 +126,7 @@ class _SWRecipe:
             raise KernelError(
                 f"initial state h{state.h.shape}, v{state.v.shape}; the mesh "
                 f"needs h{(mesh.nelem, n, n)}, v{(mesh.nelem, n, n, 2)}")
-        state = checked_state(state, self._fields, "h")
+        state = checked_state(state, self._fields)
         if not (np.isfinite(nu) and nu >= 0):
             raise KernelError(f"hyperviscosity nu must be finite and >= 0, got {nu!r}")
         if dt is None:

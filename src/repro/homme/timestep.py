@@ -41,7 +41,7 @@ from ..mesh.cubed_sphere import CubedSphereMesh
 from ..obs.tracer import NULL_TRACER
 from ..parallel import dycore
 from .bndry import HaloExchanger
-from .element import ElementGeometry, ElementState, check_dt, check_steps
+from .element import ElementGeometry, ElementState, bad_values, check_dt, check_steps
 from .euler import restoring_scale, sum_elements
 from .hypervis import hypervis_stable_subcycles, nu_for_mesh
 from .remap import vertical_remap
@@ -66,10 +66,10 @@ def block_elements(state) -> int:
     return max(1, BLOCK_BYTES // per_elem)
 
 
-def checked_state(state, fields: tuple[str, ...], positive: str):
+def checked_state(state, fields: tuple[str, ...]):
     """``state`` with every prognostic array in float64 (a real dtype is
     cast, anything else raises); :class:`KernelError` naming the field
-    when one is not finite everywhere or ``positive`` is not > 0."""
+    when its values are not valid (:func:`~repro.homme.element.bad_values`)."""
     arrays = {}
     for f in fields:
         a = np.asarray(getattr(state, f))
@@ -77,11 +77,11 @@ def checked_state(state, fields: tuple[str, ...], positive: str):
             raise KernelError(
                 f"initial state {f} has dtype {a.dtype}, not a real number")
         arrays[f] = a = a.astype(np.float64, copy=False)
-        if not np.isfinite(a).all():
-            raise KernelError(f"initial state {f} is not finite everywhere")
-    if not (arrays[positive] > 0).all():
-        raise KernelError(f"initial state {positive} must be > 0 everywhere, "
-                          f"its minimum is {arrays[positive].min()!r}")
+        n, rule = bad_values(f, a)
+        if n:
+            must = "is not finite" if rule == "non-finite" else "must be > 0"
+            raise KernelError(
+                f"initial state {f} {must} everywhere: {n} {rule} value(s)")
     return type(state)(**arrays)
 
 
@@ -136,9 +136,10 @@ class _Layout:
         """Reset the prognostic state from a :meth:`snapshot` dict.
 
         The snapshot must hold exactly this model's keys with its
-        arrays' shapes and dtypes, a finite time >= 0 and a whole step
-        count >= 0; anything else raises :class:`KernelError` and leaves
-        the model untouched.  The tag epoch is *not* restored (see
+        arrays' shapes and dtypes and valid values (:func:`~repro.homme.element.bad_values`),
+        a finite time >= 0 and a whole step count >= 0; anything else
+        raises :class:`KernelError` naming the key and leaves the model
+        untouched.  The tag epoch is *not* restored (see
         :meth:`_restored`).
         """
         live = self._state_arrays()
@@ -157,6 +158,9 @@ class _Layout:
                 raise KernelError(
                     f"snapshot key {key!r} is {arr.dtype}{arr.shape}, this "
                     f"model's state is {cur.dtype}{cur.shape}")
+            n, rule = bad_values(key.rsplit("_", 1)[0], arr)
+            if n:
+                raise KernelError(f"snapshot key {key!r} has {n} {rule} value(s)")
         t, steps, _epoch = (float(x) for x in snap["meta"])
         if not (np.isfinite(t) and t >= 0 and steps.is_integer() and steps >= 0):
             raise KernelError(
@@ -401,7 +405,7 @@ class _PrimRecipe:
             raise KernelError(
                 f"initial state qdp has shape {state.qdp.shape}; mesh and "
                 f"configuration need (nelem, qsize, nlev, np, np) = {want}")
-        state = checked_state(state, self._fields, "dp3d")
+        state = checked_state(state, self._fields)
         self.cfg = cfg
         self.dt = check_dt(dt)
         self.forcing = forcing

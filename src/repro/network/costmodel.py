@@ -85,10 +85,6 @@ class NetworkCostModel:
         t += remote_rounds * self.p2p_time_by_hops(2, nbytes)
         return t
 
-    def barrier_time(self, nranks: int) -> float:
-        """Barrier = zero-byte allreduce."""
-        return self.allreduce_time(nranks, 0)
-
     def suggested_timeout(self, nbytes: int = 1 << 20) -> float:
         """A safe receiver timeout for the retransmission protocol [s].
 

@@ -1,9 +1,9 @@
 """SimMPI: a single-process, simulated-time MPI for the reproduction.
 
-Every rank has its own :class:`~repro.utils.timing.SimClock`.  SimMPI is
-a clock, not a transport: a message carries only its size (the halo
-exchanger moves the data), stamped with an *arrival time* — the sender's
-clock plus the :class:`NetworkCostModel` transfer time.  A receiver that
+Every rank's simulated time is one float.  SimMPI is a clock, not a
+transport: a message carries only its size (the halo exchanger moves the
+data), stamped with an *arrival time* — the sender's clock plus the
+:class:`NetworkCostModel` transfer time.  A receiver that
 waits on a message advances its clock to ``max(receiver_now, arrival)``
 — which is exactly what permits computation/communication overlap:
 compute charged between ``isend`` and ``wait`` hides transfer time,
@@ -24,10 +24,10 @@ drop or delay messages and slow individual ranks down.  A dropped
 message keeps its place in its queue, marked lost: the receiver that
 waits on it rides out a (simulated-time) timeout window, the sender
 re-posts it with a fresh arrival stamp, and the window doubles on every
-retry — a retransmit-with-exponential-backoff protocol.  Only after
-``max_retries`` failed retransmissions does ``wait`` surface
-:class:`SimMPITimeoutError`.  Faults cost time, never bytes; all of it
-is deterministic under the injector's seed.
+retry (:data:`BACKOFF`) — a retransmit-with-exponential-backoff
+protocol.  Only after :data:`MAX_RETRIES` failed retransmissions does
+``wait`` surface :class:`SimMPITimeoutError`.  Faults cost time, never
+bytes; all of it is deterministic under the injector's seed.
 """
 
 from __future__ import annotations
@@ -41,13 +41,17 @@ import numpy as np
 
 from ..errors import HaloSizeError, SimMPIError, SimMPITimeoutError
 from ..obs.tracer import NULL_TRACER
-from ..utils.timing import SimClock
 from .costmodel import NetworkCostModel
 from .topology import TaihuLightTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..obs.tracer import NullTracer
     from ..resilience.faults import FaultInjector
+
+#: Retransmissions attempted before ``wait`` raises :class:`SimMPITimeoutError`.
+MAX_RETRIES = 3
+#: Factor the receiver's timeout window grows by after each failed retransmission.
+BACKOFF = 2.0
 
 
 def rank_track(rank: int) -> str:
@@ -69,12 +73,13 @@ class SimRequest:
     comm: "SimMPI | None" = None  # owning communicator
 
 
-def _check_seconds(name: str, rank: int, seconds: float) -> None:
-    """Refuse a simulated cost that is not finite and >= 0 before it
-    reaches a clock."""
+def _check_seconds(name: str, rank: int, seconds: float) -> float:
+    """``seconds`` as a float; a simulated cost that is not finite and
+    >= 0 is refused before it reaches a clock."""
     if not (math.isfinite(seconds) and seconds >= 0):
         raise SimMPIError(
             f"{name} for rank {rank} is {seconds}, need finite seconds >= 0")
+    return float(seconds)
 
 
 class SimMPI:
@@ -83,24 +88,14 @@ class SimMPI:
     Parameters
     ----------
     nranks:
-        Communicator size.
-    cost:
-        Network cost model; a TaihuLight-shaped default is built when
-        omitted.
+        Communicator size.  The cost model is the TaihuLight-shaped
+        :class:`NetworkCostModel` over ``ceil(nranks / 4)`` nodes, and a
+        receiver waits :meth:`NetworkCostModel.suggested_timeout` before
+        it assumes a message lost.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`.  When
         set, posted messages may be dropped or delayed and ``compute``
         honours per-rank laggard factors.
-    timeout:
-        Simulated seconds a receiver waits before assuming its message
-        was lost and triggering a retransmission.  Defaults to
-        :meth:`NetworkCostModel.suggested_timeout`.
-    max_retries:
-        Retransmissions attempted before ``wait`` raises
-        :class:`SimMPITimeoutError`.
-    backoff:
-        Multiplier applied to the timeout window after each failed
-        retransmission (exponential backoff).
     tracer:
         Observability tracer (:mod:`repro.obs`).  The default
         :data:`~repro.obs.tracer.NULL_TRACER` records nothing; a real
@@ -108,7 +103,7 @@ class SimMPI:
         wait spans, collective spans, and retransmission events — all
         stamped in simulated time, never perturbing the clocks.
     allreduce_algorithm:
-        Default clock-charging model for :meth:`allreduce`: ``"flat"``
+        Clock-charging model for :meth:`allreduce`: ``"flat"``
         (recursive-doubling estimate, all clocks synchronized) or
         ``"hierarchical"`` (node → supernode → central-switch combine
         tree with hop-weighted per-level costs).  Reduced values are
@@ -118,11 +113,7 @@ class SimMPI:
     def __init__(
         self,
         nranks: int,
-        cost: NetworkCostModel | None = None,
         faults: "FaultInjector | None" = None,
-        timeout: float | None = None,
-        max_retries: int = 3,
-        backoff: float = 2.0,
         tracer: "NullTracer | None" = None,
         allreduce_algorithm: str = "flat",
     ) -> None:
@@ -133,26 +124,15 @@ class SimMPI:
                 f"unknown allreduce algorithm {allreduce_algorithm!r} "
                 "(expected 'flat' or 'hierarchical')"
             )
-        if cost is None:
-            nodes = max(1, -(-nranks // 4))
-            cost = NetworkCostModel(TaihuLightTopology(nodes=nodes))
-        if nranks > cost.topology.max_ranks:
-            raise SimMPIError(
-                f"{nranks} ranks exceed topology capacity {cost.topology.max_ranks}"
-            )
-        if max_retries < 0:
-            raise SimMPIError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 1.0:
-            raise SimMPIError(f"backoff must be >= 1, got {backoff}")
         self.nranks = nranks
-        self.cost = cost
+        self.cost = NetworkCostModel(TaihuLightTopology(nodes=-(-nranks // 4)))
         self.faults = faults
-        self.timeout = cost.suggested_timeout() if timeout is None else float(timeout)
-        self.max_retries = max_retries
-        self.backoff = backoff
+        #: Simulated seconds a receiver waits before assuming its message lost.
+        self.timeout = self.cost.suggested_timeout()
         self.allreduce_algorithm = allreduce_algorithm
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self._clocks = [SimClock() for _ in range(nranks)]
+        #: Every rank's simulated time [s].
+        self._clocks = [0.0] * nranks
         #: One queue per (src, dst, tag) of ``(nbytes, arrival, lost)``
         #: messages in posting order, lost ones included.
         self._mailbox: dict[tuple[int, int, int], deque[tuple[int, float, bool]]] = {}
@@ -169,15 +149,10 @@ class SimMPI:
 
     # -- clocks ------------------------------------------------------------
 
-    def clock(self, rank: int) -> SimClock:
-        """The simulated clock of ``rank``."""
-        self._check_rank(rank)
-        return self._clocks[rank]
-
     def now(self, rank: int) -> float:
         """Current simulated time at ``rank``."""
         self._check_rank(rank)
-        return self._clocks[rank].now
+        return self._clocks[rank]
 
     def compute(self, rank: int, seconds: float) -> None:
         """Charge ``seconds`` of computation to ``rank``'s clock.
@@ -188,14 +163,14 @@ class SimMPI:
         """
         self._check_open()
         self._check_rank(rank)
-        _check_seconds("seconds", rank, seconds)
+        seconds = _check_seconds("seconds", rank, seconds)
         if self.faults is not None:
             seconds *= self.faults.compute_factor(rank)
-        self._clocks[rank].advance(seconds)
+        self._clocks[rank] += seconds
 
     def max_time(self) -> float:
         """Simulated completion time of the whole job (slowest rank)."""
-        return max(c.now for c in self._clocks)
+        return max(self._clocks)
 
     # -- point to point -------------------------------------------------------
 
@@ -209,7 +184,7 @@ class SimMPI:
         """
         self._check_open()
         transfer = self._transfer_time(src, dst, nbytes)
-        t_send = self._clocks[src].now
+        t_send = self._clocks[src]
         arrival = t_send + transfer
         fate, extra = ("deliver", 0.0)
         if self.faults is not None:
@@ -275,17 +250,16 @@ class SimMPI:
             del self._mailbox[key]
         if lost:
             arrival = self._recover(*key, nbytes)
-        clock = self._clocks[req.rank]
-        t_wait = clock.now
-        waited = max(0.0, arrival - clock.now)
+        t_wait = self._clocks[req.rank]
+        waited = max(0.0, arrival - t_wait)
         self.comm_seconds[req.rank] += waited
-        clock.advance_to(arrival)
+        t = self._clocks[req.rank] = max(t_wait, arrival)
         req.done = True
-        req.completion_time = clock.now
+        req.completion_time = t
         req.nbytes = nbytes
         if self.tracer.enabled:
             self.tracer.span_at(
-                rank_track(req.rank), "mpi.wait", t_wait, clock.now, cat="mpi",
+                rank_track(req.rank), "mpi.wait", t_wait, t, cat="mpi",
                 src=req.peer, tag=req.tag, nbytes=nbytes, waited=waited,
             )
         return nbytes
@@ -308,17 +282,16 @@ class SimMPI:
 
         The receiver first waits out ``timeout`` simulated seconds (the
         window in which the original would have arrived); each failed
-        retransmission widens the window by ``backoff``.  A successful
+        retransmission widens the window by :data:`BACKOFF`.  A successful
         retransmission re-stamps the message's arrival: re-post time plus
         the transfer time.
         """
-        clock = self._clocks[dst]
-        t = clock.now
+        t0 = t = self._clocks[dst]
         transfer = self._transfer_time(src, dst, nbytes)
         window = self.timeout
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_RETRIES + 1):
             t += window  # receiver rides out the timeout window
-            window *= self.backoff
+            window *= BACKOFF
             self.retransmissions += 1
             delivered = True
             if self.faults is not None:
@@ -330,11 +303,11 @@ class SimMPI:
                 )
             if delivered:
                 return t + transfer
-        self.comm_seconds[dst] += max(0.0, t - clock.now)
-        clock.advance_to(t)
+        self.comm_seconds[dst] += max(0.0, t - t0)
+        self._clocks[dst] = max(t0, t)
         raise SimMPITimeoutError(
             f"rank {dst} gave up on message from {src} tag {tag} "
-            f"after {self.max_retries} retransmissions"
+            f"after {MAX_RETRIES} retransmissions"
         )
 
     def waitall(self, reqs: list[SimRequest]) -> list[int | None]:
@@ -391,12 +364,15 @@ class SimMPI:
         if len(messages) != n:
             raise SimMPIError(
                 f"need one message list per rank ({n}), got {len(messages)}")
-        for name, costs in (("before", before), ("between", between)):
-            if costs is not None:
-                if len(costs) != n:
-                    raise SimMPIError(f"{name} has {len(costs)} entries, need {n}")
-                for r, c in enumerate(costs):
-                    _check_seconds(name, r, c)
+
+        def seconds(name: str, costs: list[float]) -> list[float]:
+            if len(costs) != n:
+                raise SimMPIError(f"{name} has {len(costs)} entries, need {n}")
+            return [_check_seconds(name, r, c) for r, c in enumerate(costs)]
+
+        before = seconds("before", before)
+        if between is not None:
+            between = seconds("between", between)
         paths, mailbox, clocks = self._paths, self._mailbox, self._clocks
         faults, tracer = self.faults, self.tracer
         trace = tracer.enabled
@@ -407,8 +383,8 @@ class SimMPI:
 
         # Phase 1: compute, then pack and send per peer.
         for r, f in enumerate(factor):
-            track, clock, peers = rank_track(r), clocks[r], messages[r]
-            t0 = t = clock.now
+            track, peers = rank_track(r), messages[r]
+            t0 = t = clocks[r]
             sent = 0
             t += before[r] * f
             if trace:
@@ -444,15 +420,14 @@ class SimMPI:
                                    tag=tag, nbytes=nbytes, fate=fate)
             self.messages_sent += len(peers)
             self.bytes_sent += sent
-            clock.advance_to(t)
+            clocks[r] = max(t0, t)
 
         # Phase 2: the overlap window.
         if between is not None:
             for r, f in enumerate(factor):
-                clock = clocks[r]
-                t0 = clock.now
+                t0 = clocks[r]
                 t = t0 + between[r] * f
-                clock.advance_to(t)
+                clocks[r] = max(t0, t)
                 if trace:
                     tracer.span_at(rank_track(r), "overlap", t0, t,
                                    cat="exchange", tag=tag)
@@ -460,8 +435,8 @@ class SimMPI:
         # Phase 3: receive and unpack per peer.
         comm = self.comm_seconds
         for r, f in enumerate(factor):
-            track, clock = rank_track(r), clocks[r]
-            t = clock.now
+            track = rank_track(r)
+            t = clocks[r]
             try:
                 for p, _, rows in messages[r]:
                     key = (p, r, tag)
@@ -474,7 +449,7 @@ class SimMPI:
                     if not q:
                         del mailbox[key]
                     if lost:
-                        clock.advance_to(t)
+                        clocks[r] = max(clocks[r], t)
                         arrival = self._recover(p, r, tag, nbytes)
                     t_wait = t
                     if arrival > t:
@@ -500,18 +475,17 @@ class SimMPI:
                                        peer=p, tag=tag, nbytes=nbytes,
                                        copies=copies)
             finally:
-                clock.advance_to(t)
+                clocks[r] = max(clocks[r], t)
         return memcpy
 
-    def allreduce(
-        self, contributions: list[np.ndarray], algorithm: str | None = None
-    ) -> np.ndarray:
+    def allreduce(self, contributions: list[np.ndarray]) -> np.ndarray:
         """Sum-allreduce over all ranks.
 
         ``contributions[r]`` is rank r's array.  The reduced *values* are
         identical under every algorithm — always ``np.sum`` over the
         contributions in rank order, so trajectories stay bitwise
-        reproducible — only the *clock charging* differs:
+        reproducible — only the *clock charging* differs, by
+        ``allreduce_algorithm``:
 
         - ``"flat"`` (default): every clock advances to the slowest
           participant plus the recursive-doubling estimate from
@@ -523,9 +497,6 @@ class SimMPI:
           via :meth:`NetworkCostModel.p2p_time_by_hops`.  Ranks finish
           at times that depend on their group sizes, so partial nodes
           and supernodes are visible in the per-rank clocks.
-
-        ``algorithm`` overrides the communicator-level default for one
-        call.
         """
         self._check_open()
         if len(contributions) != self.nranks:
@@ -538,26 +509,20 @@ class SimMPI:
         for a in arrays[1:]:
             if a.shape != shape:
                 raise SimMPIError("allreduce contributions must share a shape")
-        alg = self.allreduce_algorithm if algorithm is None else algorithm
-        if alg not in ("flat", "hierarchical"):
-            raise SimMPIError(
-                f"unknown allreduce algorithm {alg!r} "
-                "(expected 'flat' or 'hierarchical')"
-            )
         total = np.sum(arrays, axis=0)
-        if alg == "hierarchical" and self.nranks > 1:
+        clocks = self._clocks
+        if self.allreduce_algorithm == "hierarchical" and self.nranks > 1:
             self._charge_hierarchical_allreduce(total.nbytes)
         else:
-            start = max(c.now for c in self._clocks)
-            t = start + self.cost.allreduce_time(self.nranks, total.nbytes)
-            for r, c in enumerate(self._clocks):
+            t = max(clocks) + self.cost.allreduce_time(self.nranks, total.nbytes)
+            for r, c in enumerate(clocks):
                 if self.tracer.enabled:
                     self.tracer.span_at(
-                        rank_track(r), "mpi.allreduce", c.now, t, cat="mpi",
+                        rank_track(r), "mpi.allreduce", c, t, cat="mpi",
                         nbytes=total.nbytes, algorithm="flat",
                     )
-                self.comm_seconds[r] += max(0.0, t - c.now)
-                c.advance_to(t)
+                self.comm_seconds[r] += max(0.0, t - c)
+                clocks[r] = max(c, t)
         return total
 
     def _charge_hierarchical_allreduce(self, nbytes: int) -> None:
@@ -578,7 +543,7 @@ class SimMPI:
             return math.ceil(math.log2(n)) * per_round if n > 1 else 0.0
 
         t_node = {
-            node: max(self._clocks[r].now for r in ranks) + tree(len(ranks), c_hop[0])
+            node: max(self._clocks[r] for r in ranks) + tree(len(ranks), c_hop[0])
             for node, ranks in node_ranks.items()
         }
         t_sn = {
@@ -600,26 +565,12 @@ class SimMPI:
             c = self._clocks[r]
             if self.tracer.enabled:
                 self.tracer.span_at(
-                    rank_track(r), "mpi.allreduce", c.now, t_done, cat="mpi",
+                    rank_track(r), "mpi.allreduce", c, t_done, cat="mpi",
                     nbytes=nbytes, algorithm="hierarchical",
                     node=node, supernode=sn,
                 )
-            self.comm_seconds[r] += max(0.0, t_done - c.now)
-            c.advance_to(t_done)
-
-    def barrier(self) -> float:
-        """Synchronize all clocks; returns the post-barrier time."""
-        self._check_open()
-        start = max(c.now for c in self._clocks)
-        t = start + self.cost.barrier_time(self.nranks)
-        for r, c in enumerate(self._clocks):
-            if self.tracer.enabled:
-                self.tracer.span_at(
-                    rank_track(r), "mpi.barrier", c.now, t, cat="mpi",
-                )
-            self.comm_seconds[r] += max(0.0, t - c.now)
-            c.advance_to(t)
-        return t
+            self.comm_seconds[r] += max(0.0, t_done - c)
+            self._clocks[r] = max(c, t_done)
 
     # -- lifecycle ---------------------------------------------------------------
 

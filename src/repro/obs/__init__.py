@@ -40,7 +40,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     collect_dma,
-    collect_exchange_report,
     collect_ldm,
     collect_parallel_engine,
     collect_perf_counters,
@@ -69,7 +68,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "collect_dma",
-    "collect_exchange_report",
     "collect_ldm",
     "collect_parallel_engine",
     "collect_perf_counters",

@@ -2,8 +2,7 @@
 
 The simulator components each keep their own tallies — ``PerfCounters``
 for the CPE cluster, ``DMAEngine`` traffic, ``LDM`` high-water marks,
-``SimMPI`` message counts, ``ExchangeReport`` memcpy time, the
-``FaultInjector`` event log.  :class:`MetricsRegistry` unifies them
+``SimMPI`` message counts, the ``FaultInjector`` event log.  :class:`MetricsRegistry` unifies them
 under dotted names (``dma.get.bytes``, ``mpi.retransmissions``,
 ``ldm.high_water``) so an experiment can snapshot, merge, and render
 all of them at once.
@@ -298,17 +297,6 @@ def collect_perf_counters(reg: MetricsRegistry, pc) -> MetricsRegistry:
     reg.gauge("ldm.high_water").set(float(pc.ldm_high_water))
     reg.inc("perf.cycles", pc.cycles)
     reg.set_gauge("perf.degradation", pc.degradation)
-    return reg
-
-
-def collect_exchange_report(reg: MetricsRegistry, report) -> MetricsRegistry:
-    """Fold a :class:`~repro.homme.bndry.ExchangeReport` into ``reg``."""
-    reg.inc("exchange.count")
-    reg.inc("exchange.memcpy.seconds", report.memcpy_seconds)
-    reg.inc("exchange.dropped", report.dropped)
-    reg.inc("mpi.retransmissions", report.retransmissions)
-    if report.rank_times:
-        reg.set_gauge("exchange.max_time", report.max_time)
     return reg
 
 

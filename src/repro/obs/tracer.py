@@ -1,10 +1,10 @@
 """Hierarchical span tracing over *simulated* time.
 
-Every span and instant event carries a timestamp read from a
-:class:`~repro.utils.timing.SimClock` (or supplied explicitly from one),
-never from the host's wall clock — so two identical runs produce
-byte-identical traces, and a trace from a laptop is comparable to a
-trace from CI.
+Every span, instant and counter sample carries the simulated times its
+caller passes (:meth:`Tracer.span_at`, :meth:`Tracer.instant`,
+:meth:`Tracer.counter`), never the host's wall clock — so two identical
+runs produce byte-identical traces, and a trace from a laptop is
+comparable to a trace from CI.
 
 The default tracer everywhere is :data:`NULL_TRACER`, a shared
 :class:`NullTracer` whose every method is a no-op: instrumented code
@@ -23,23 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..utils.timing import SimClock
     from .recorder import FlightRecorder
-
-
-class _NullSpan:
-    """Reusable no-op context manager returned by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
@@ -52,11 +36,6 @@ class NullTracer:
 
     enabled: bool = False
     recorder: "FlightRecorder | None" = None
-
-    def span(self, track: str, name: str, clock: "SimClock",
-             cat: str = "span", **args: Any) -> _NullSpan:
-        """Open a span against ``clock`` (no-op here)."""
-        return _NULL_SPAN
 
     def span_at(self, track: str, name: str, t0: float, t1: float,
                 cat: str = "span", **args: Any) -> None:
@@ -72,32 +51,6 @@ class NullTracer:
 
 #: The process-wide disabled tracer (the default at every call site).
 NULL_TRACER = NullTracer()
-
-
-class _ClockSpan:
-    """Context manager that reads ``clock.now`` at entry and exit."""
-
-    __slots__ = ("_tracer", "_track", "_name", "_clock", "_cat", "_args", "_t0")
-
-    def __init__(self, tracer: "Tracer", track: str, name: str,
-                 clock: "SimClock", cat: str, args: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._track = track
-        self._name = name
-        self._clock = clock
-        self._cat = cat
-        self._args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_ClockSpan":
-        self._t0 = self._clock.now
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._tracer.span_at(
-            self._track, self._name, self._t0, self._clock.now,
-            cat=self._cat, **self._args,
-        )
 
 
 class Tracer(NullTracer):
@@ -121,11 +74,6 @@ class Tracer(NullTracer):
 
             recorder = FlightRecorder(name)
         self.recorder = recorder
-
-    def span(self, track: str, name: str, clock: "SimClock",
-             cat: str = "span", **args: Any) -> _ClockSpan:
-        """Open a span whose begin/end are read from ``clock.now``."""
-        return _ClockSpan(self, track, name, clock, cat, args)
 
     def span_at(self, track: str, name: str, t0: float, t1: float,
                 cat: str = "span", **args: Any) -> None:

@@ -114,6 +114,15 @@ MAX_TASK_ATTEMPTS = 3
 _SIZER_SKIP_ATTRS = frozenset({"mesh"})
 
 
+def worker_count(workers) -> int:
+    """``workers`` as a count >= 0 (``<= 1`` is serial); :class:`KernelError`
+    naming it unless it is an integer (``int`` or ``np.integer``, not a
+    bool)."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise KernelError(f"workers must be an integer, got {workers!r}")
+    return max(0, int(workers))
+
+
 def context_nbytes(obj: object) -> int:
     """Approximate resident bytes of a context object's own arrays.
 
@@ -347,7 +356,7 @@ class ParallelEngine:
         faults=None,
         profile_hz: float = 0.0,
     ) -> None:
-        self.workers = max(0, int(workers))
+        self.workers = worker_count(workers)
         self.contexts = tuple(contexts)
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.label = label

@@ -143,7 +143,7 @@ class FaultInjector:
         self.drop_probability = float(drop_probability)
         self.drop_retransmits = bool(drop_retransmits)
         self.delay_messages = {int(k): float(v) for k, v in (delay_messages or {}).items()}
-        self.laggards = dict(laggards or {})
+        self.laggards = {int(r): float(f) for r, f in (laggards or {}).items()}
         self.bitflips = tuple(bitflips)
         self.kill_tasks = frozenset(int(t) for t in kill_tasks)
         self.stall_tasks = {int(k): float(v) for k, v in (stall_tasks or {}).items()}

@@ -15,25 +15,14 @@ back to the last good checkpoint.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ResilienceError
+from ..homme.element import bad_values
 
 
 class StateValidator:
-    """Post-step invariant checks for per-rank model states.
-
-    Parameters
-    ----------
-    check_positive:
-        Field names that must be strictly positive everywhere
-        (``dp3d`` for the primitive equations, ``h`` for shallow water).
-    """
-
-    DEFAULT_POSITIVE = ("dp3d", "h")
-
-    def __init__(self, check_positive: tuple[str, ...] = DEFAULT_POSITIVE) -> None:
-        self.check_positive = tuple(check_positive)
+    """Post-step invariant checks for per-rank model states: the rules
+    every layout holds initial states and snapshots to
+    (:func:`~repro.homme.element.bad_values`)."""
 
     def problems(self, model) -> list[str]:
         """All invariant violations in ``model.rank_states()``, each named
@@ -41,16 +30,9 @@ class StateValidator:
         found: list[str] = []
         for r, state in enumerate(model.rank_states()):
             for name, arr in vars(state).items():
-                bad = ~np.isfinite(arr)
-                if bad.any():
-                    found.append(
-                        f"rank {r}: {name} has {int(bad.sum())} non-finite value(s)"
-                    )
-                elif name in self.check_positive and (arr <= 0).any():
-                    found.append(
-                        f"rank {r}: {name} has {int((arr <= 0).sum())} "
-                        "non-positive value(s)"
-                    )
+                n, rule = bad_values(name, arr)
+                if n:
+                    found.append(f"rank {r}: {name} has {n} {rule} value(s)")
         return found
 
     def check(self, model) -> bool:

@@ -74,8 +74,8 @@ class DMAEngine:
     tracer / track:
         Observability hook (:mod:`repro.obs`): when a real tracer is
         passed, every transfer becomes a span on ``track``, timed on the
-        engine's own cycle counter converted to seconds (the engine has
-        no SimClock; its timeline is cumulative busy time).
+        engine's own cycle counter converted to seconds (its timeline
+        is cumulative busy time).
     """
 
     def __init__(

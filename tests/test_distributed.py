@@ -1,6 +1,7 @@
 """Tests for the distributed models and the RH wave."""
 
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -14,11 +15,12 @@ from repro.homme.distributed import (
     DistributedPrimitiveEquations,
     DistributedShallowWater,
 )
-from repro.homme.element import ElementGeometry
+from repro.homme.element import POSITIVE_FIELDS, ElementGeometry
 from repro.homme.hypervis import nu_for_ne
 from repro.homme.shallow_water import (
     ShallowWaterModel,
     rossby_haurwitz_initial,
+    williamson2_initial,
 )
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh import CubedSphereMesh
@@ -501,6 +503,48 @@ class TestSharedBase:
             assert np.array_equal(before[k], after[k]), k
         model.step()  # still a working model
 
+    @pytest.mark.parametrize("thickness, value, rule", [
+        (True, np.nan, "non-finite"), (True, np.inf, "non-finite"),
+        (True, 0.0, "non-positive"), (True, -1.0, "non-positive"),
+        (False, np.nan, "non-finite"), (False, -np.inf, "non-finite"),
+    ])
+    def test_bad_values_rejected_and_state_untouched(self, any_build,
+                                                     thickness, value, rule):
+        """A non-finite value in any field, or a layer thickness (``dp3d``,
+        ``h``) <= 0, is refused by key before anything is written."""
+        model = any_build()
+        model.step()
+        before = model.snapshot()
+        snap = model.snapshot()
+        last = len(model.rank_states()) - 1
+        field = next(f for f in model._fields
+                     if (f in POSITIVE_FIELDS) == thickness)
+        key = f"{field}_{last}"
+        snap[key].reshape(-1)[3] = value
+        with pytest.raises(KernelError, match=re.escape(
+                f"snapshot key {key!r} has 1 {rule} value(s)")):
+            model.restore_snapshot(snap)
+        after = model.snapshot()
+        assert before.keys() == after.keys()
+        for k in before:
+            assert before[k].tobytes() == after[k].tobytes(), k
+
+    def test_seeded_shallow_water_restore_accepted(self, mesh4):
+        """The step benchmark's ``sw_dist`` route: a Williamson-2 state at
+        a seeded wind amplitude goes in through ``restore_snapshot``."""
+        u0 = 2.0 * np.pi * 6.371e6 / (12 * 86400)
+        seeded = williamson2_initial(
+            mesh4, u0=u0 * np.random.default_rng(0).uniform(0.9, 1.1))
+        with DistributedShallowWater(mesh4, nranks=4) as model:
+            snap = model.snapshot()
+            for r, (h, v) in enumerate(zip(model.hx.scatter(seeded.h),
+                                           model.hx.scatter(seeded.v))):
+                snap[f"h_{r}"], snap[f"v_{r}"] = h, v
+            model.restore_snapshot(snap)
+            assert model.gather_state().h.tobytes() == seeded.h.tobytes()
+            model.step()
+            assert np.isfinite(model.gather_state().h).all()
+
     def test_snapshot_from_other_rank_count_rejected(self, any_build):
         model = any_build()
         snap = model.snapshot()
@@ -602,13 +646,12 @@ class TestConstructorChecksFirst:
         with pytest.raises(SimMPIError, match="unknown allreduce algorithm"):
             SimMPI(4, allreduce_algorithm="tree")
 
-    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1e-5])
-    def test_bad_compute_cost_rejected(self, mesh4, nothing_built, cost):
-        with pytest.raises(KernelError,
-                           match="compute_cost_per_element must be finite"):
-            DistributedShallowWater(mesh4, 4, compute_cost_per_element=cost)
+    @pytest.mark.parametrize("workers", [2.5, 1.9, True, "3", None])
+    def test_non_integer_workers_refused(self, mesh4, nothing_built, workers):
+        with pytest.raises(KernelError, match=re.escape(
+                f"workers must be an integer, got {workers!r}")):
+            DistributedShallowWater(mesh4, 4, workers=workers)
 
-    def test_zero_compute_cost_accepted(self, mesh4):
-        model = DistributedShallowWater(mesh4, 4, compute_cost_per_element=0.0)
-        assert model._bc == [0.0] * 4
-        model.close()
+    def test_numpy_integer_workers_accepted(self, mesh4):
+        with DistributedShallowWater(mesh4, 4, workers=np.int64(-1)) as model:
+            assert model.workers == 0 and type(model.workers) is int

@@ -116,11 +116,39 @@ class TestCostModel:
     def test_allreduce_single_rank_free(self, cm):
         assert cm.allreduce_time(1, 1024) == 0.0
 
-    def test_barrier_positive(self, cm):
-        assert cm.barrier_time(128) > 0
-
 
 class TestSimMPI:
+    def test_clocks_start_at_zero(self):
+        mpi = SimMPI(3)
+        assert [mpi.now(r) for r in range(3)] == [0.0] * 3
+        assert mpi.max_time() == 0.0
+
+    def test_compute_accumulates(self):
+        mpi = SimMPI(2)
+        mpi.compute(0, 1.5)
+        mpi.compute(0, np.float64(0.5))
+        assert mpi.now(0) == 2.0 and type(mpi.now(0)) is float
+        assert mpi.now(1) == 0.0
+
+    def test_negative_compute_rejected(self):
+        mpi = SimMPI(2)
+        with pytest.raises(SimMPIError):
+            mpi.compute(0, -1.0)
+        assert mpi.now(0) == 0.0
+
+    def test_wait_never_moves_a_clock_back(self):
+        """A message that arrived while the receiver computed costs it
+        nothing; a later one advances it to the arrival."""
+        mpi = SimMPI(2)
+        mpi.compute(1, 5.0)
+        mpi.isend(0, 1, 8)
+        mpi.wait(mpi.irecv(1, 0))
+        assert mpi.now(1) == 5.0 and mpi.comm_seconds[1] == 0.0
+        mpi.compute(0, 7.0)
+        mpi.isend(0, 1, 8)
+        mpi.wait(mpi.irecv(1, 0))
+        assert mpi.now(1) == 7.0 + mpi.cost.p2p_time(0, 1, 8)
+
     def test_payload_delivery(self):
         """A message is a size: the receive returns the bytes posted."""
         mpi = SimMPI(4)
@@ -198,7 +226,7 @@ class TestSimMPI:
         mpi.finalize()
         for call in (lambda: mpi.isend(0, 1, 8), lambda: mpi.irecv(1, 0),
                      lambda: mpi.wait(req), lambda: mpi.compute(0, 1.0),
-                     lambda: mpi.allreduce([np.zeros(1)] * 2), mpi.barrier,
+                     lambda: mpi.allreduce([np.zeros(1)] * 2),
                      lambda: mpi.neighbor_exchange([[], []], 8, [0.0, 0.0],
                                                    copies=1, bandwidth=1e9)):
             with pytest.raises(SimMPIError, match="after finalize"):
@@ -247,13 +275,6 @@ class TestSimMPI:
         with pytest.raises(SimMPIError):
             mpi.allreduce([np.zeros(2)])
 
-    def test_barrier_synchronizes(self):
-        mpi = SimMPI(4)
-        mpi.compute(1, 3.0)
-        mpi.barrier()
-        times = [mpi.now(r) for r in range(4)]
-        assert max(times) - min(times) < 1e-12
-
     def test_pending_messages(self):
         mpi = SimMPI(2)
         mpi.isend(0, 1, 8)
@@ -284,14 +305,6 @@ class TestSimMPI:
         assert hier.max_time() < flat.max_time()
         assert hier.hierarchical_allreduces == 1
         assert flat.hierarchical_allreduces == 0
-
-    def test_allreduce_per_call_algorithm_override(self):
-        mpi = SimMPI(4)  # default flat
-        mpi.allreduce([np.zeros(8) for _ in range(4)],
-                      algorithm="hierarchical")
-        assert mpi.hierarchical_allreduces == 1
-        with pytest.raises(SimMPIError):
-            mpi.allreduce([np.zeros(8) for _ in range(4)], algorithm="ring")
 
     def test_unknown_allreduce_algorithm_rejected(self):
         with pytest.raises(SimMPIError):

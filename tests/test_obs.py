@@ -56,8 +56,6 @@ class TestTracerBasics:
         assert NULL_TRACER.recorder is None
 
     def test_null_tracer_methods_are_noops(self):
-        with NULL_TRACER.span("t", "s", clock=None):
-            pass
         NULL_TRACER.span_at("t", "s", 0.0, 1.0)
         NULL_TRACER.instant("t", "i", 0.0)
         NULL_TRACER.counter("t", "c", 0.0, 1.0)
@@ -68,17 +66,6 @@ class TestTracerBasics:
         (ev,) = tr.recorder.events
         assert (ev.ph, ev.ts, ev.dur) == ("X", 1.0, 2.0)
         assert ev.args["peer"] == 1
-
-    def test_clock_span_reads_sim_clock(self):
-        from repro.utils.timing import SimClock
-
-        clk = SimClock()
-        clk.advance(2.0)
-        tr = Tracer("t")
-        with tr.span("rank0", "work", clk):
-            clk.advance(3.0)
-        (ev,) = tr.recorder.events
-        assert ev.ts == 2.0 and ev.dur == 3.0
 
     def test_recorder_rejects_unknown_phase(self):
         with pytest.raises(ValueError):

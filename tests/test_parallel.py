@@ -8,6 +8,7 @@ trajectories.
 """
 
 import os
+import re
 import time
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestEngineBasics:
         outs = e.run(_ping_task, [({"add": 2.0}, (np.arange(3.0),))])
         assert np.array_equal(outs[0][0], np.arange(3.0) + 2.0)
         assert not e.active and e.supervisor is None
+
+    @pytest.mark.parametrize("workers", [1.9, True, "3", None])
+    def test_non_integer_workers_refused(self, workers):
+        """Not truncated to a count: a float, a bool or a string starts
+        no processes."""
+        with pytest.raises(KernelError, match=re.escape(
+                f"workers must be an integer, got {workers!r}")):
+            ParallelEngine(workers=workers)
+
+    @pytest.mark.parametrize("workers", [np.int64(1), 1, 0, -3])
+    def test_integer_workers_up_to_one_are_serial(self, workers):
+        with ParallelEngine(workers=workers) as e:
+            assert e.workers == max(0, int(workers)) and type(e.workers) is int
+            assert not e.active and e.supervisor is None
 
     def test_pack_copies_strided_inputs_as_they_are(self):
         """Non-contiguous inputs (``qdp[:, q]``, a transposed view) land

@@ -321,7 +321,7 @@ class TestNeighborExchange:
         comms = []
         for bulk in (True, False):
             fi = FaultInjector(seed=5, **ex["faults"])
-            mpi = SimMPI(len(ex["messages"]), faults=fi, timeout=2e-4,
+            mpi = SimMPI(len(ex["messages"]), faults=fi,
                          tracer=Tracer("t") if ex["traced"] else None)
             args = (ex["messages"], ex["row_bytes"], ex["before"],
                     ex["between"])
@@ -376,6 +376,72 @@ class TestNeighborExchange:
             (0, 1, 4): 1, (0, 2, 4): 1, (2, 0, 4): 1}
         assert mpi.pending_messages() == 3
         assert mpi.purge_pending() == 3 and mpi._mailbox == {}
+
+
+@st.composite
+def clock_programs(draw):
+    """A communicator (either allreduce algorithm), message drops, delays
+    and laggards, and a sequence of SimMPI calls; costs and laggard
+    factors are sometimes numpy scalars."""
+    n = draw(st.integers(2, 8))
+    rank = st.integers(0, n - 1)
+    seconds = st.floats(0.0, 1e-3)
+    cost = seconds | seconds.map(np.float64)
+    costs = st.lists(cost, min_size=n, max_size=n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    graph = st.sets(st.sampled_from(pairs), min_size=1).map(
+        lambda edges: [[(p, 1 + (r + p) % 5, 1 + (r + p) % 5)
+                        for p in range(n) if (min(r, p), max(r, p)) in edges]
+                       for r in range(n)])
+    op = st.one_of(
+        st.tuples(st.just("compute"), rank, cost),
+        st.tuples(st.just("p2p"), rank, rank, st.integers(0, 4096)),
+        st.tuples(st.just("exchange"), graph, costs, st.none() | costs),
+        st.tuples(st.just("allreduce"), st.integers(1, 16)),
+    )
+    return dict(
+        n=n,
+        algorithm=draw(st.sampled_from(["flat", "hierarchical"])),
+        faults=dict(
+            drop_messages=draw(st.sets(st.integers(0, 40), max_size=4)),
+            delay_messages=draw(st.dictionaries(st.integers(0, 40), seconds,
+                                                max_size=3)),
+            laggards=draw(st.dictionaries(
+                rank, st.floats(1.0, 4.0) | st.floats(1.0, 4.0).map(np.float64),
+                max_size=2)),
+        ),
+        ops=draw(st.lists(op, min_size=1, max_size=12)),
+    )
+
+
+class TestFloatClocks:
+    @given(prog=clock_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_clock_is_a_float_that_never_decreases(self, prog):
+        n = prog["n"]
+        mpi = SimMPI(n, faults=FaultInjector(seed=7, **prog["faults"]),
+                     allreduce_algorithm=prog["algorithm"])
+        prev = [mpi.now(r) for r in range(n)]
+        for tag, (op, *args) in enumerate(prog["ops"]):
+            if op == "compute":
+                mpi.compute(*args)
+            elif op == "p2p":
+                src, dst, nbytes = args
+                mpi.isend(src, dst, nbytes, tag=tag)
+                mpi.wait(mpi.irecv(dst, src, tag=tag))
+            elif op == "exchange":
+                messages, before, between = args
+                mpi.neighbor_exchange(messages, 8, before, between,
+                                      copies=1 if between else 2,
+                                      bandwidth=1e9, tag=tag)
+            else:
+                mpi.allreduce([np.full(args[0], float(r)) for r in range(n)])
+            now = [mpi.now(r) for r in range(n)]
+            assert all(type(t) is float for t in now), (op, now)
+            assert all(a <= b for a, b in zip(prev, now)), (op, prev, now)
+            prev = now
+        assert mpi.pending_messages() == 0
+        assert mpi.max_time() == max(prev)
 
 
 class TestPartitionFuzz:

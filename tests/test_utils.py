@@ -1,37 +1,8 @@
-"""Tests for repro.utils: SimClock, tables, RunLog."""
+"""Tests for repro.utils: tables, RunLog."""
 
 import pytest
 
-from repro.utils import SimClock, render_table, RunLog
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now == 0.0
-
-    def test_advance_accumulates(self):
-        c = SimClock()
-        c.advance(1.5)
-        c.advance(0.5)
-        assert c.now == pytest.approx(2.0)
-
-    def test_advance_to_only_forward(self):
-        c = SimClock()
-        c.advance(5.0)
-        c.advance_to(3.0)
-        assert c.now == 5.0
-        c.advance_to(7.0)
-        assert c.now == 7.0
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
-
-    def test_reset(self):
-        c = SimClock()
-        c.advance(1.0)
-        c.reset()
-        assert c.now == 0.0
+from repro.utils import render_table, RunLog
 
 
 class TestRenderTable:
