@@ -38,8 +38,9 @@ class TopologyError(ReproError):
 
 
 class SimMPIError(ReproError):
-    """Raised on simulated-MPI protocol misuse (wait on completed request,
-    mismatched message sizes, unknown rank)."""
+    """Raised on simulated-MPI misuse: an unknown rank, a cost that is not
+    finite and >= 0, a receive with no matching send, a message of the
+    wrong size."""
 
 
 class SimMPITimeoutError(SimMPIError):

@@ -46,28 +46,24 @@ from ..network.simmpi import SimMPI
 #: Memory-copy bandwidth for pack/unpack staging [bytes/s] (one CG's share).
 MEMCPY_BANDWIDTH = C.SW_MEMORY_BANDWIDTH / C.SW_CORE_GROUPS
 
-#: Tag-space strides for :func:`exchange_tag`.  Python ints are
-#: unbounded, so these are namespacing strides, not capacity limits.
+#: Tag-space strides for :func:`exchange_tag`.
 TAG_SLOTS = 4096
 TAG_STAGES = 16
-_TAG_STEPS = 2 ** 32  # steps per epoch before epochs could collide
 
 
-def exchange_tag(step: int, stage: int, slot: int = 0, epoch: int = 0) -> int:
-    """Collision-free message tag for one (step, stage, field-slot).
+def exchange_tag(step: int, stage: int, slot: int = 0) -> int:
+    """The label of one (step, stage, field-slot) exchange.
 
-    The distributed models used to bump a single shared counter per
-    exchange, which meant a replayed stage (resilience rollback) or a
-    restored checkpoint could reuse a tag against a stale in-flight
-    retransmit.  Deriving the tag from its position in the integration —
-    plus an ``epoch`` that only ever *increases* on checkpoint restore —
-    makes every exchange's tag structurally unique across replays.
+    A tag names an exchange in trace spans and the fault log; it
+    matches nothing, since a message lives only inside the call that
+    charges its exchange, so a replayed step reuses the tags of the
+    attempt it replays.
     """
     if not 0 <= stage < TAG_STAGES:
         raise KernelError(f"exchange stage {stage} outside 0..{TAG_STAGES - 1}")
     if not 0 <= slot < TAG_SLOTS:
         raise KernelError(f"exchange slot {slot} outside 0..{TAG_SLOTS - 1}")
-    return ((epoch * _TAG_STEPS + step) * TAG_STAGES + stage) * TAG_SLOTS + slot
+    return (step * TAG_STAGES + stage) * TAG_SLOTS + slot
 
 
 @dataclass

@@ -174,7 +174,7 @@ class _DistributedModel(timestep._Layout):
         outs, _ = self.hx.exchange(
             shards, self.mpi, mode=self.mode, boundary_compute=self._bc,
             inner_compute=self._ic,
-            tag=exchange_tag(self.step_count, stage, slot, self._epoch))
+            tag=exchange_tag(self.step_count, stage, slot))
         return outs
 
     # -- distributed global sum ---------------------------------------------------
@@ -241,14 +241,7 @@ class _DistributedModel(timestep._Layout):
         """Simulated completion time of the slowest rank."""
         return self.mpi.max_time()
 
-    # -- checkpointing ------------------------------------------------------------
-
-    def _restored(self) -> None:
-        """A restored model moves to a fresh tag epoch — it strictly
-        increases, so a replayed step can never match a stale in-flight
-        message from the aborted attempt — and purges those outright."""
-        self._epoch += 1
-        self.mpi.purge_pending()
+    # -- global state -------------------------------------------------------------
 
     def gather_state(self):
         """Assemble the global state (for comparison with serial runs)."""

@@ -90,8 +90,8 @@ class _Layout:
 
     A snapshot is every rank's prognostic arrays (``<field>_<rank>``,
     ``_fields`` from the recipe, ranks from :meth:`rank_states` — the
-    whole mesh is rank 0) plus ``(t, step_count, epoch)`` under
-    ``"meta"``; :class:`~repro.resilience.checkpoint.Checkpointer`,
+    whole mesh is rank 0) plus ``(t, step_count)`` under ``"meta"``;
+    :class:`~repro.resilience.checkpoint.Checkpointer`,
     :class:`~repro.resilience.runner.ResilientRunner` and
     :class:`~repro.resilience.validator.StateValidator` read models only
     through it and :meth:`rank_states`.
@@ -101,8 +101,6 @@ class _Layout:
     #: Model time [s] and steps taken, until the first step or restore.
     t = 0.0
     step_count = 0
-    #: Exchange-tag epoch; only the N-shard layout's moves (:meth:`_restored`).
-    _epoch = 0
 
     def run_steps(self, n: int) -> None:
         """Advance ``n`` steps; :class:`KernelError` unless ``n`` is a whole
@@ -125,10 +123,9 @@ class _Layout:
         """Everything needed to continue the trajectory bitwise.
 
         Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
-        counters (model time, step count, tag epoch) under ``"meta"``.
+        counters (model time, step count) under ``"meta"``.
         """
-        snap = {"meta": np.array([self.t, self.step_count, self._epoch],
-                                 dtype=np.float64)}
+        snap = {"meta": np.array([self.t, self.step_count], dtype=np.float64)}
         snap.update((k, a.copy()) for k, a in self._state_arrays().items())
         return snap
 
@@ -139,13 +136,11 @@ class _Layout:
         arrays' shapes and dtypes and valid values (:func:`~repro.homme.element.bad_values`),
         a finite time >= 0 and a whole step count >= 0; anything else
         raises :class:`KernelError` naming the key and leaves the model
-        untouched.  The tag epoch is *not* restored (see
-        :meth:`_restored`).
+        untouched.
         """
         live = self._state_arrays()
-        if "meta" not in snap or np.shape(snap["meta"]) != (3,):
-            raise KernelError(
-                "snapshot key 'meta' must hold (t, step_count, epoch)")
+        if "meta" not in snap or np.shape(snap["meta"]) != (2,):
+            raise KernelError("snapshot key 'meta' must hold (t, step_count)")
         odd = sorted(set(snap) ^ {"meta", *live})
         if odd:
             raise KernelError(
@@ -161,19 +156,15 @@ class _Layout:
             n, rule = bad_values(key.rsplit("_", 1)[0], arr)
             if n:
                 raise KernelError(f"snapshot key {key!r} has {n} {rule} value(s)")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
+        t, steps = (float(x) for x in snap["meta"])
         if not (np.isfinite(t) and t >= 0 and steps.is_integer() and steps >= 0):
             raise KernelError(
                 f"snapshot key 'meta': time {t} must be finite and >= 0, step "
                 f"count {steps} a whole number >= 0")
         self.t = t
         self.step_count = int(steps)
-        self._restored()
         for key, arr in new.items():
             live[key][...] = arr
-
-    def _restored(self) -> None:
-        """Layout hook between a snapshot's validation and its write."""
 
     def _dss(self, fields: list[tuple], stage: int, slot: int) -> list[tuple]:
         """DSS every shard's tuple of fields in one synchronisation.

@@ -130,34 +130,25 @@ class SFCPartition:
 
         self.boundary_mask = edge_foreign.any(axis=1) | corner_foreign.any(axis=1)
 
-        # Per-(rank, peer) edge counts.
+        # Per-(rank, peer) edge, then corner, counts over one int64 key
+        # ``rank * nranks + peer``: sorted keys are (rank, peer) pairs in
+        # lexicographic order, so each rank meets its peers in rank order.
+        n = self.nranks
         src = np.repeat(own, 4)
-        dst = edge_peer.reshape(-1)
-        keep = edge_foreign.reshape(-1)
-        pairs_e = np.stack([src[keep], dst[keep]], axis=1)
-        uniq_e, cnt_e = np.unique(pairs_e, axis=0, return_counts=True)
 
-        srcc = np.repeat(own, 4)
-        dstc = corner_peer.reshape(-1)
-        keepc = corner_foreign.reshape(-1)
-        pairs_c = np.stack([srcc[keepc], dstc[keepc]], axis=1)
-        if len(pairs_c):
-            uniq_c, cnt_c = np.unique(pairs_c, axis=0, return_counts=True)
-        else:  # pragma: no cover - tiny meshes
-            uniq_c, cnt_c = np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+        def pair_counts(peer: np.ndarray, foreign: np.ndarray):
+            keep = foreign.reshape(-1)
+            keys, cnt = np.unique(src[keep] * n + peer.reshape(-1)[keep],
+                                  return_counts=True)
+            return zip((keys // n).tolist(), (keys % n).tolist(), cnt.tolist())
 
-        halos: dict[int, RankHalo] = {}
-        bcount = np.bincount(self.owner[self.boundary_mask], minlength=self.nranks)
-        for r in range(self.nranks):
-            n = int(self._counts[r])
-            nb = int(bcount[r])
-            halos[r] = RankHalo(r, n, n - nb, nb)
-        for (s, d), c in zip(uniq_e, cnt_e):
-            e, k = halos[int(s)].neighbors.get(int(d), (0, 0))
-            halos[int(s)].neighbors[int(d)] = (e + int(c), k)
-        for (s, d), c in zip(uniq_c, cnt_c):
-            e, k = halos[int(s)].neighbors.get(int(d), (0, 0))
-            halos[int(s)].neighbors[int(d)] = (e, k + int(c))
+        bcount = np.bincount(own[self.boundary_mask], minlength=n)
+        halos = [RankHalo(r, c, c - nb, nb) for r, (c, nb)
+                 in enumerate(zip(self._counts.tolist(), bcount.tolist()))]
+        for s, d, c in pair_counts(edge_peer, edge_foreign):
+            halos[s].neighbors[d] = (c, 0)
+        for s, d, c in pair_counts(corner_peer, corner_foreign):
+            halos[s].neighbors[d] = (halos[s].neighbors.get(d, (0, 0))[0], c)
         self._halos = halos
 
     # -- queries --------------------------------------------------------------
@@ -178,7 +169,7 @@ class SFCPartition:
 
     def halos(self) -> list[RankHalo]:
         """All rank halos."""
-        return [self._halos[r] for r in range(self.nranks)]
+        return list(self._halos)
 
     def inner_elements(self, rank: int) -> np.ndarray:
         """Owned elements with no foreign neighbor (overlappable work)."""
@@ -203,18 +194,18 @@ class SFCPartition:
         rank's halo-to-compute ratio in the scaling model.
         """
         fracs = [
-            h.n_boundary / h.n_elements for h in self._halos.values()
+            h.n_boundary / h.n_elements for h in self._halos
         ]
         return float(np.mean(fracs))
 
     def mean_neighbor_count(self) -> float:
         """Average number of neighbor ranks per rank."""
-        return float(np.mean([h.n_neighbor_ranks for h in self._halos.values()]))
+        return float(np.mean([h.n_neighbor_ranks for h in self._halos]))
 
     def max_message_bytes(self, nlev: int, nfields: int) -> int:
         """Largest per-rank halo volume (the scaling-critical rank)."""
         return max(
-            h.total_message_bytes(nlev, nfields, 4) for h in self._halos.values()
+            h.total_message_bytes(nlev, nfields, 4) for h in self._halos
         )
 
     def _check_rank(self, rank: int) -> None:

@@ -3,38 +3,31 @@
 Every rank's simulated time is one float.  SimMPI is a clock, not a
 transport: a message carries only its size (the halo exchanger moves the
 data), stamped with an *arrival time* — the sender's clock plus the
-:class:`NetworkCostModel` transfer time.  A receiver that
-waits on a message advances its clock to ``max(receiver_now, arrival)``
-— which is exactly what permits computation/communication overlap:
-compute charged between ``isend`` and ``wait`` hides transfer time,
-reproducing the redesigned ``bndry_exchangev`` behaviour (paper Section
-7.6).
+:class:`NetworkCostModel` transfer time.  A receiver advances its clock
+to ``max(receiver_now, arrival)`` — which is exactly what permits
+computation/communication overlap: compute charged between the sends and
+the receives hides transfer time, reproducing the redesigned
+``bndry_exchangev`` behaviour (paper Section 7.6).
 
-Because all ranks execute inside one Python process, drivers iterate
-ranks in phases (all sends posted, then receives completed) — the natural
-structure of a halo exchange, which :meth:`SimMPI.neighbor_exchange`
-charges in one call.  ``wait`` on a receive whose matching send has not
-been posted raises :class:`SimMPIError`.  Messages on one
-``(src, dst, tag)`` are received in posting order, as MPI guarantees.
-After :meth:`SimMPI.finalize` the communicator is closed: posting,
-receiving, computing and the collectives raise :class:`SimMPIError`.
+Because all ranks execute inside one Python process, a halo exchange is
+one call, :meth:`SimMPI.neighbor_exchange`, that runs the ranks in
+phases (all sends posted, then all receives completed).  A message lives
+only inside that call: nothing is held between calls, so an exchange
+aborted by an error leaves nothing behind.
 
 **Fault model.**  A :class:`~repro.resilience.faults.FaultInjector` can
-drop or delay messages and slow individual ranks down.  A dropped
-message keeps its place in its queue, marked lost: the receiver that
-waits on it rides out a (simulated-time) timeout window, the sender
-re-posts it with a fresh arrival stamp, and the window doubles on every
-retry (:data:`BACKOFF`) — a retransmit-with-exponential-backoff
+drop or delay messages and slow individual ranks down.  The receiver of
+a dropped message rides out a (simulated-time) timeout window, the
+sender re-posts it with a fresh arrival stamp, and the window doubles on
+every retry (:data:`BACKOFF`) — a retransmit-with-exponential-backoff
 protocol.  Only after :data:`MAX_RETRIES` failed retransmissions does
-``wait`` surface :class:`SimMPITimeoutError`.  Faults cost time, never
-bytes; all of it is deterministic under the injector's seed.
+the receive surface :class:`SimMPITimeoutError`.  Faults cost time,
+never bytes; all of it is deterministic under the injector's seed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,20 +50,6 @@ BACKOFF = 2.0
 def rank_track(rank: int) -> str:
     """Canonical trace-track name for a simulated rank."""
     return f"rank{rank}"
-
-
-@dataclass
-class SimRequest:
-    """Handle for a non-blocking operation."""
-
-    kind: str                    # "send" | "recv"
-    rank: int                    # owning rank
-    peer: int
-    tag: int
-    completion_time: float | None = None
-    nbytes: int | None = None
-    done: bool = False
-    comm: "SimMPI | None" = None  # owning communicator
 
 
 def _check_seconds(name: str, rank: int, seconds: float) -> float:
@@ -133,9 +112,6 @@ class SimMPI:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: Every rank's simulated time [s].
         self._clocks = [0.0] * nranks
-        #: One queue per (src, dst, tag) of ``(nbytes, arrival, lost)``
-        #: messages in posting order, lost ones included.
-        self._mailbox: dict[tuple[int, int, int], deque[tuple[int, float, bool]]] = {}
         #: (src, dst) -> (alpha, beta), resolved on a pair's first message.
         self._paths: dict[tuple[int, int], tuple[float, float]] = {}
         self.messages_sent = 0
@@ -145,7 +121,6 @@ class SimMPI:
         self.retransmissions = 0
         self.hierarchical_allreduces = 0
         self.comm_seconds = [0.0] * nranks  # time visibly spent waiting
-        self._finalized = False
 
     # -- clocks ------------------------------------------------------------
 
@@ -161,7 +136,6 @@ class SimMPI:
         the nominal time — the whole-job effect is visible in
         :meth:`max_time` because every peer ends up waiting for it.
         """
-        self._check_open()
         self._check_rank(rank)
         seconds = _check_seconds("seconds", rank, seconds)
         if self.faults is not None:
@@ -172,97 +146,7 @@ class SimMPI:
         """Simulated completion time of the whole job (slowest rank)."""
         return max(self._clocks)
 
-    # -- point to point -------------------------------------------------------
-
-    def isend(self, src: int, dst: int, nbytes: int, tag: int = 0) -> SimRequest:
-        """Post a non-blocking send of ``nbytes``.
-
-        The send itself is near-free on the sender (the MPE drives the
-        NIC); transfer time is charged to the message's arrival stamp.
-        A message the fault injector drops keeps its place in the queue,
-        so a later one on the same ``(src, dst, tag)`` cannot overtake it.
-        """
-        self._check_open()
-        transfer = self._transfer_time(src, dst, nbytes)
-        t_send = self._clocks[src]
-        arrival = t_send + transfer
-        fate, extra = ("deliver", 0.0)
-        if self.faults is not None:
-            fate, extra = self.faults.on_send(src, dst, tag, nbytes)
-        if fate == "drop":
-            self.messages_dropped += 1
-        elif fate == "delay":
-            arrival += extra
-            self.messages_delayed += 1
-        self._mailbox.setdefault((src, dst, tag), deque()).append(
-            (nbytes, arrival, fate == "drop"))
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        if self.tracer.enabled:
-            self.tracer.instant(
-                rank_track(src), "mpi.isend", t_send, cat="mpi",
-                dst=dst, tag=tag, nbytes=nbytes, fate=fate,
-            )
-        return SimRequest("send", src, dst, tag, completion_time=t_send,
-                          nbytes=nbytes, done=True, comm=self)
-
-    def irecv(self, dst: int, src: int, tag: int = 0) -> SimRequest:
-        """Post a non-blocking receive (completion resolved at wait)."""
-        self._check_open()
-        self._check_rank(src)
-        self._check_rank(dst)
-        return SimRequest("recv", dst, src, tag, comm=self)
-
-    def wait(self, req: SimRequest) -> int | None:
-        """Complete a request, advancing the owner's clock as needed.
-
-        A completed receive returns the size of the message it took: the
-        oldest one posted on its ``(src, dst, tag)``, recovered first if
-        it was lost.  Waiting any *completed* request again is an
-        idempotent no-op (matching MPI_Wait on an inactive request, and
-        what :meth:`waitall`'s contract already promised): a completed
-        send returns ``None``, a completed receive the size it already
-        returned — without touching the mailbox, the owner's clock, or
-        ``comm_seconds`` again.  Waiting a request owned by a different
-        communicator is always a protocol error.
-        """
-        self._check_open()
-        if req.comm is not None and req.comm is not self:
-            raise SimMPIError(
-                "wait called on a request owned by another communicator"
-            )
-        if req.kind == "send":
-            # Sends complete at post time; repeated waits are no-ops.
-            return None
-        if req.done:
-            return req.nbytes
-        key = (req.peer, req.rank, req.tag)
-        q = self._mailbox.get(key)
-        if not q:
-            raise SimMPIError(
-                f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
-                "but no matching send was posted"
-            )
-        nbytes, arrival, lost = q.popleft()
-        if not q:
-            # The halo layer uses a fresh tag per exchange: a drained
-            # queue left under its key would never be reused or freed.
-            del self._mailbox[key]
-        if lost:
-            arrival = self._recover(*key, nbytes)
-        t_wait = self._clocks[req.rank]
-        waited = max(0.0, arrival - t_wait)
-        self.comm_seconds[req.rank] += waited
-        t = self._clocks[req.rank] = max(t_wait, arrival)
-        req.done = True
-        req.completion_time = t
-        req.nbytes = nbytes
-        if self.tracer.enabled:
-            self.tracer.span_at(
-                rank_track(req.rank), "mpi.wait", t_wait, t, cat="mpi",
-                src=req.peer, tag=req.tag, nbytes=nbytes, waited=waited,
-            )
-        return nbytes
+    # -- messages ------------------------------------------------------------
 
     def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """``cost.p2p_time``; ranks checked and path resolved once per pair."""
@@ -310,16 +194,6 @@ class SimMPI:
             f"after {MAX_RETRIES} retransmissions"
         )
 
-    def waitall(self, reqs: list[SimRequest]) -> list[int | None]:
-        """Complete a list of requests in order.
-
-        Requests appearing more than once complete exactly once: the
-        duplicates are idempotent no-ops (receives re-return the size
-        already received; sends return ``None``) and never consume
-        another request's message or charge ``comm_seconds`` twice.
-        """
-        return [self.wait(r) for r in reqs]
-
     # -- collectives ---------------------------------------------------------------
 
     def neighbor_exchange(
@@ -345,21 +219,20 @@ class SimMPI:
            ``copies * nbytes / bandwidth`` — and send;
         2. unless ``between`` is None, charge ``between[r]`` while the
            messages fly (span ``overlap``);
-        3. per peer receive — the oldest message queued on ``(peer, r,
-           tag)``, recovered first if lost — and unpack it.
+        3. per peer receive — the message ``peer`` posted to r in phase
+           1, recovered first if lost — and unpack it.
 
-        Clocks, counters, fault draws and spans are those of the same
-        program written with :meth:`compute`, :meth:`isend`,
-        :meth:`irecv` and :meth:`wait`, which stay the reference
-        (``tests/test_properties.py``).  Laggard factors scale every
-        charge; the returned sum (packs, then unpacks) is nominal.
-        Costs are checked before any clock moves.  A received
-        message of another size than its rows raises
-        :class:`~repro.errors.HaloSizeError`; an exchange aborted there
-        or by :class:`SimMPITimeoutError` leaves what it has not
-        received pending.
+        A rank lists each peer at most once; ``tag`` only labels spans
+        and fault draws.  Clocks, counters, fault draws and spans are
+        those of the per-message program (``tests/simmpi_oracle.py``).
+        Laggard factors scale every charge; the returned sum (packs,
+        then unpacks) is nominal.  Costs are checked before any clock
+        moves.  A receive from a peer that posted nothing to r raises
+        :class:`SimMPIError`, and a message of another size than its
+        rows :class:`~repro.errors.HaloSizeError`; the messages live only
+        inside the call, so an exchange aborted there or by
+        :class:`SimMPITimeoutError` leaves nothing behind.
         """
-        self._check_open()
         n = self.nranks
         if len(messages) != n:
             raise SimMPIError(
@@ -373,7 +246,9 @@ class SimMPI:
         before = seconds("before", before)
         if between is not None:
             between = seconds("between", between)
-        paths, mailbox, clocks = self._paths, self._mailbox, self._clocks
+        paths, clocks = self._paths, self._clocks
+        # (src, dst) -> (nbytes, arrival, lost): the messages in flight.
+        inbox: dict[tuple[int, int], tuple[int, float, bool]] = {}
         faults, tracer = self.faults, self.tracer
         trace = tracer.enabled
         factor = [1.0 if faults is None else faults.compute_factor(r)
@@ -405,11 +280,7 @@ class SimMPI:
                     elif fate == "delay":
                         arrival += extra
                         self.messages_delayed += 1
-                key = (r, p, tag)
-                q = mailbox.get(key)
-                if q is None:
-                    q = mailbox[key] = deque()
-                q.append((nbytes, arrival, fate == "drop"))
+                inbox[r, p] = (nbytes, arrival, fate == "drop")
                 sent += nbytes
                 if trace:
                     tracer.span_at(track, "pack", t1, t, cat="exchange", peer=p,
@@ -439,15 +310,12 @@ class SimMPI:
             t = clocks[r]
             try:
                 for p, _, rows in messages[r]:
-                    key = (p, r, tag)
-                    q = mailbox.get(key)
-                    if not q:
+                    msg = inbox.pop((p, r), None)
+                    if msg is None:
                         raise SimMPIError(
                             f"rank {r} waits on message from {p} tag {tag}, "
                             "but no matching send was posted")
-                    nbytes, arrival, lost = q.popleft()
-                    if not q:
-                        del mailbox[key]
+                    nbytes, arrival, lost = msg
                     if lost:
                         clocks[r] = max(clocks[r], t)
                         arrival = self._recover(p, r, tag, nbytes)
@@ -498,7 +366,6 @@ class SimMPI:
           at times that depend on their group sizes, so partial nodes
           and supernodes are visible in the per-rank clocks.
         """
-        self._check_open()
         if len(contributions) != self.nranks:
             raise SimMPIError(
                 f"allreduce needs one contribution per rank "
@@ -572,50 +439,8 @@ class SimMPI:
             self.comm_seconds[r] += max(0.0, t_done - c)
             self._clocks[r] = max(c, t_done)
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Close the communicator, verifying the mailbox drained.
-
-        From here on posting, receiving, computing and the collectives
-        raise :class:`SimMPIError`.  A message posted but never received
-        — typically a mismatched tag — would otherwise sit in the mailbox
-        forever and corrupt a later exchange that reuses the tag.  Raises
-        :class:`SimMPIError` naming the leaked (src, dst, tag) triples.
-        """
-        self._finalized = True
-        leaked = {key: len(q) for key, q in self._mailbox.items() if q}
-        if leaked:
-            desc = ", ".join(
-                f"src={k[0]} dst={k[1]} tag={k[2]} x{n}" for k, n in sorted(leaked.items())
-            )
-            raise SimMPIError(
-                f"finalize with {sum(leaked.values())} undelivered message(s): {desc}"
-            )
-
     # -- internals ---------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nranks):
             raise SimMPIError(f"rank {rank} outside 0..{self.nranks - 1}")
-
-    def _check_open(self) -> None:
-        if self._finalized:
-            raise SimMPIError("communicator used after finalize()")
-
-    def pending_messages(self) -> int:
-        """Messages posted but not yet received (should be 0 after a step)."""
-        return sum(len(q) for q in self._mailbox.values())
-
-    def purge_pending(self) -> int:
-        """Discard every undelivered message; returns how many.
-
-        For rollback/restart paths: after a mid-step abort (e.g. a
-        :class:`SimMPITimeoutError` surfaced to a resilience runner) the
-        mailbox may still hold messages from the aborted exchange.
-        Restoring a checkpoint must drop them, or a replayed exchange
-        could match a stale retransmit against a reused tag.
-        """
-        n = self.pending_messages()
-        self._mailbox.clear()
-        return n

@@ -8,8 +8,9 @@ gid with ``np.add.at`` over rows sorted by global point row — slow,
 obviously right, and the fixed summation order the plan must reproduce
 bit for bit.  A rank's bundle of fields travels as its columns side by
 side.  SimMPI carries only sizes; the data a receiver sums is read from
-the sender's rows here.  Clock charges, SimMPI calls and tracer spans are
-issued in the order the production code must keep.
+the sender's rows here, through the per-message program of
+``tests/simmpi_oracle.py``.  Clock charges, messages and tracer spans
+are issued in the order the production code must keep.
 """
 
 import numpy as np
@@ -17,12 +18,15 @@ import numpy as np
 from repro.homme.bndry import MEMCPY_BANDWIDTH
 from repro.network.simmpi import rank_track
 
+from .simmpi_oracle import PerMessage
+
 
 def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
                     boundary_compute=None, inner_compute=None, tag=0):
     """Returns ``(outs, memcpy_seconds)`` for one DSS exchange of per-rank
     tuples of fields; ``outs`` holds per-rank tuples of the same shapes."""
     nranks, tracer, copies = part.nranks, mpi.tracer, 2 if mode == "classic" else 1
+    post = PerMessage(mpi)
     bc = [0.0] * nranks if boundary_compute is None else boundary_compute
     ic = [0.0] * nranks if inner_compute is None else inner_compute
     elems = [part.rank_elements(r) for r in range(nranks)]
@@ -53,7 +57,7 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
                            peer=p, tag=tag, nbytes=payload.nbytes, copies=copies)
             tracer.span_at(rank_track(r), "send", mpi.now(r), mpi.now(r),
                            cat="exchange", peer=p, tag=tag, nbytes=payload.nbytes)
-            mpi.isend(r, p, payload.nbytes, tag=tag)
+            post.isend(r, p, payload.nbytes, tag=tag)
     if mode == "overlap":
         for r in range(nranks):
             t0 = mpi.now(r)
@@ -64,7 +68,7 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
     for r in range(nranks):
         gid, row, val = [gids[r]], [rows[r]], [vals[r]]
         for p in peers[r]:
-            nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
+            nbytes = post.wait(r, p, tag=tag)
             sent = np.isin(gids[p], uniq[r])
             gid.append(gids[p][sent])
             row.append(rows[p][sent])

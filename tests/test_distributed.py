@@ -467,14 +467,15 @@ class TestSharedBase:
         assert resumed.step_count == 2 and resumed.t == snap["meta"][0]
         resumed.run_steps(2)
         a, b = straight.snapshot(), resumed.snapshot()
-        a.pop("meta"), b.pop("meta")  # tag epochs differ by design
         assert a.keys() == b.keys()
         for key in a:
             assert np.array_equal(a[key], b[key]), key
 
     @pytest.mark.parametrize("damage, named", [
         (lambda s, k: s.pop("meta"), "'meta'"),
-        (lambda s, k: s.update(meta=s["meta"][:2]), "'meta'"),
+        (lambda s, k: s.update(meta=s["meta"][:1]), "'meta'"),
+        # A checkpoint of the older format: (t, step_count, tag epoch).
+        (lambda s, k: s.update(meta=np.append(s["meta"], 0.0)), "'meta'"),
         (lambda s, k: s.pop(k), None),
         (lambda s, k: s.update(extra_9=s[k]), "'extra_9'"),
         (lambda s, k: s.update({k: s[k][:-1]}), None),
@@ -484,14 +485,14 @@ class TestSharedBase:
         *[(lambda s, k, i=i, x=x: s["meta"].__setitem__(i, x), f"'meta'.* {x} ")
           for i, x in [(0, np.nan), (0, np.inf), (0, -1.0),
                        (1, np.nan), (1, np.inf), (1, -1.0), (1, 1.5)]],
-    ], ids=["no-meta", "short-meta", "missing-key", "extra-key",
+    ], ids=["no-meta", "short-meta", "epoch-meta", "missing-key", "extra-key",
             "wrong-shape", "wrong-dtype", "t-nan", "t-inf", "t-negative",
             "steps-nan", "steps-inf", "steps-negative", "steps-fractional"])
     def test_bad_snapshot_rejected_and_state_untouched(self, any_build, damage,
                                                        named):
         model = any_build()
         model.step()
-        before = model.snapshot()  # arrays and (t, step_count, _epoch)
+        before = model.snapshot()  # arrays and (t, step_count)
         snap = model.snapshot()
         key = sorted(k for k in snap if k != "meta")[-1]
         damage(snap, key)
@@ -566,7 +567,6 @@ class TestSharedBase:
         ck.save(model)
         assert ck.restore(fresh) == 2 and fresh.t == model.t
         a, b = model.snapshot(), fresh.snapshot()
-        a.pop("meta"), b.pop("meta")
         assert a.keys() == b.keys()
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), key

@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.errors import KernelError
-from repro.homme.bndry import HaloExchanger
+from repro.homme.bndry import MEMCPY_BANDWIDTH, HaloExchanger
 from repro.homme.distributed import (
     DistributedPrimitiveEquations,
     DistributedShallowWater,
@@ -103,7 +103,6 @@ def assert_same_exchange(mesh, part, hx, locals_, mode, make_mpi, tag=7):
         for name in ("comm_seconds", "messages_sent", "bytes_sent",
                      "messages_dropped", "messages_delayed", "retransmissions"):
             assert getattr(mpi_plan, name) == getattr(mpi_oracle, name), name
-        assert mpi_plan.pending_messages() == 0
         if mpi_plan.tracer.enabled:
             assert events(mpi_plan) == events(mpi_oracle), bounds
         plans.append(mpi_plan)
@@ -199,7 +198,7 @@ class TestBoundaryValidation:
             hx.exchange(self.locals_(hx), mpi, mode=mode, **{arg: costs})
         assert [mpi.now(r) for r in range(4)] == [0.0] * 4
         assert mpi.comm_seconds == [0.0] * 4
-        assert (mpi.messages_sent, mpi.bytes_sent, mpi.pending_messages()) == (0, 0, 0)
+        assert (mpi.messages_sent, mpi.bytes_sent) == (0, 0)
 
     def test_mismatched_trailing_shapes_name_the_rank(self, hx):
         fields = self.locals_(hx, (3,))
@@ -228,32 +227,39 @@ class TestBoundaryValidation:
                 hx.exchange(bad, SimMPI(4))
 
     def test_received_payload_shape_is_checked_in_full(self, hx):
-        """A stale message under the same tag, posted first, with the
-        right row count but another width is received first and refused
-        by its size."""
+        """A message with the right row count but twice the width — the
+        sender lists twice the rows rank 0 expects — is refused by its
+        size."""
         mpi = SimMPI(4)
         p = hx.peers[0][0]
         rows = np.isin(hx.mesh.gid[hx.rank_elems[p]], hx.shared_gids[p, 0]).sum()
-        mpi.isend(p, 0, int(rows) * 2 * 8, tag=9)
+        messages = [list(m) for m in hx._messages]
+        messages[p] = [(q, 2 * sent if q == 0 else sent, got)
+                       for q, sent, got in messages[p]]
         with pytest.raises(KernelError,
                            match=f"rank 0: halo message from rank {p} has "
                                  f"{rows * 16} bytes, expected {rows * 8}"):
-            hx.exchange(self.locals_(hx), mpi, tag=9)
+            mpi.neighbor_exchange(messages, 8, [0.0] * 4, [0.0] * 4, copies=1,
+                                  bandwidth=MEMCPY_BANDWIDTH, tag=9)
 
 
 def test_communicator_holds_no_per_tag_state_after_many_exchanges():
-    """Drained mailbox queues used to stay behind, one per (src, dst,
-    tag) — unbounded growth with the halo layer's fresh tag per exchange."""
+    """Nothing a communicator holds grows with the exchanges it charges,
+    each under a fresh tag, lost messages included."""
     mesh = CubedSphereMesh(2)
     hx = HaloExchanger(mesh, SFCPartition(2, 4))
     mpi = SimMPI(4, faults=FaultInjector(seed=1, drop_probability=0.1))
     locals_ = scatter(hx, np.ones((mesh.nelem, 4, 4)))
-    for tag in range(200):
+
+    def sizes():
+        return {k: len(v) for k, v in vars(mpi).items()
+                if isinstance(v, (dict, list))}
+    hx.exchange(locals_, mpi, tag=0)
+    first = sizes()
+    for tag in range(1, 200):
         hx.exchange(locals_, mpi, tag=tag)
     assert mpi.retransmissions > 0
-    assert mpi._mailbox == {}
-    assert mpi.pending_messages() == 0
-    mpi.finalize()
+    assert sizes() == first
 
 
 # -- bundles ------------------------------------------------------------------

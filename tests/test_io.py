@@ -79,7 +79,7 @@ class TestRestart:
         model.run_steps(1)
         ck = Checkpointer(tmp_path)
         snap = ck.load(ck.save(model))
-        t, steps, _ = snap.pop("meta")
+        t, steps = snap.pop("meta")
         assert (t, steps) == (600.0, 1)
         assert set(snap) == {"v_0", "T_0", "dp3d_0", "qdp_0"}
         for f in ("v", "T", "dp3d", "qdp"):

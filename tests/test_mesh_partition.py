@@ -124,6 +124,32 @@ class TestSFCPartition:
         p = SFCPartition(8, 8)
         assert p.max_message_bytes(nlev=128, nfields=4) > 0
 
+    @pytest.mark.parametrize("ne, nranks", [(2, 5), (3, 7), (4, 16), (6, 24)])
+    def test_halos_equal_a_per_element_count(self, ne, nranks):
+        """Reference: every element's foreign edge and corner neighbours
+        counted one at a time; each rank lists its edge peers, then its
+        corner-only peers, in rank order."""
+        p = SFCPartition(ne, nranks)
+        own = p.owner.tolist()
+        edges = [{} for _ in range(nranks)]
+        corners = [{} for _ in range(nranks)]
+        boundary = [0] * nranks
+        for e, r in enumerate(own):
+            peers_e = [own[n] for n in p.conn.edge_neighbors[e].tolist()]
+            peers_c = [own[n] for n in p.conn.corner_neighbors[e].tolist()
+                       if n >= 0]
+            for peers, tally in ((peers_e, edges[r]), (peers_c, corners[r])):
+                for q in peers:
+                    if q != r:
+                        tally[q] = tally.get(q, 0) + 1
+            boundary[r] += any(q != r for q in peers_e + peers_c)
+        for r, h in enumerate(p.halos()):
+            order = sorted(edges[r]) + sorted(set(corners[r]) - set(edges[r]))
+            assert list(h.neighbors.items()) == [
+                (q, (edges[r].get(q, 0), corners[r].get(q, 0))) for q in order]
+            assert (h.n_boundary, h.n_inner + h.n_boundary) == (
+                boundary[r], own.count(r))
+
     @given(nranks=st.integers(min_value=1, max_value=54))
     @settings(max_examples=15, deadline=None)
     def test_partition_invariants(self, nranks):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimMPIError, TopologyError
 from repro.network import NetworkCostModel, SimMPI, TaihuLightTopology
 
+from .simmpi_oracle import one_way
+
 
 class TestTopology:
     def test_full_machine_capacity(self):
@@ -140,62 +142,44 @@ class TestSimMPI:
         """A message that arrived while the receiver computed costs it
         nothing; a later one advances it to the arrival."""
         mpi = SimMPI(2)
-        mpi.compute(1, 5.0)
-        mpi.isend(0, 1, 8)
-        mpi.wait(mpi.irecv(1, 0))
+        one_way(mpi, 0, 1, 8, before=[0.0, 5.0])
         assert mpi.now(1) == 5.0 and mpi.comm_seconds[1] == 0.0
-        mpi.compute(0, 7.0)
-        mpi.isend(0, 1, 8)
-        mpi.wait(mpi.irecv(1, 0))
-        assert mpi.now(1) == 7.0 + mpi.cost.p2p_time(0, 1, 8)
+        t0 = mpi.now(0)  # the empty reply's arrival
+        one_way(mpi, 0, 1, 8, before=[7.0, 0.0])
+        assert mpi.now(1) == (t0 + 7.0) + mpi.cost.p2p_time(0, 1, 8)
 
     def test_payload_delivery(self):
-        """A message is a size: the receive returns the bytes posted."""
+        """A message is a size: the exchange that expects 80 bytes gets
+        them (any other size raises HaloSizeError), and the empty reply
+        counts as a message."""
         mpi = SimMPI(4)
-        mpi.isend(0, 3, 80, tag=7)
-        req = mpi.irecv(3, 0, tag=7)
-        assert mpi.wait(req) == 80
-        assert (mpi.messages_sent, mpi.bytes_sent) == (1, 80)
+        one_way(mpi, 0, 3, 80, tag=7)
+        assert (mpi.messages_sent, mpi.bytes_sent) == (2, 80)
 
     def test_recv_clock_advances_by_transfer(self):
         mpi = SimMPI(8)
-        mpi.isend(0, 4, 8 << 14)
-        mpi.wait(mpi.irecv(4, 0))
+        one_way(mpi, 0, 4, 8 << 14)
         assert mpi.now(4) > 0
-        assert mpi.now(0) == 0.0  # sender pays nothing here
-
-    def test_tags_disambiguate(self):
-        mpi = SimMPI(2)
-        mpi.isend(0, 1, 8, tag=1)
-        mpi.isend(0, 1, 16, tag=2)
-        assert mpi.wait(mpi.irecv(1, 0, tag=2)) == 16
-        assert mpi.wait(mpi.irecv(1, 0, tag=1)) == 8
+        # the sender pays nothing for its send, only the empty reply's wait
+        assert mpi.now(0) == mpi.cost.p2p_time(4, 0, 0)
 
     def test_wait_without_send_raises(self):
+        """Rank 1 receives from rank 0, which posts nothing to it."""
         mpi = SimMPI(2)
-        with pytest.raises(SimMPIError):
-            mpi.wait(mpi.irecv(1, 0))
-
-    def test_double_wait_is_idempotent(self):
-        # waitall's contract: a completed request re-waited is a no-op
-        # that re-returns its size without touching clocks/mailbox.
-        mpi = SimMPI(2)
-        mpi.isend(0, 1, 8)
-        req = mpi.irecv(1, 0)
-        first = mpi.wait(req)
-        assert first == 8 and mpi.wait(req) == first
-        assert mpi.pending_messages() == 0
-        mpi.finalize()
+        with pytest.raises(SimMPIError, match="no matching send"):
+            mpi.neighbor_exchange([[], [(0, 1, 1)]], 8, [0.0, 0.0],
+                                  copies=1, bandwidth=1e9)
 
     def test_unknown_rank_rejected(self):
         mpi = SimMPI(2)
         with pytest.raises(SimMPIError):
-            mpi.isend(0, 5, 8)
+            mpi.neighbor_exchange([[(5, 1, 1)], []], 8, [0.0, 0.0],
+                                  copies=1, bandwidth=1e9)
 
     @staticmethod
     def state(mpi):
         return ([mpi.now(r) for r in range(mpi.nranks)], list(mpi.comm_seconds),
-                mpi.messages_sent, mpi.bytes_sent, mpi.pending_messages())
+                mpi.messages_sent, mpi.bytes_sent)
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1e-9])
     def test_compute_refuses_a_bad_cost_untouched(self, seconds):
@@ -220,37 +204,21 @@ class TestSimMPI:
                                   costs["between"], copies=1, bandwidth=1e9)
         assert self.state(mpi) == before
 
-    def test_finalize_closes_the_communicator(self):
-        mpi = SimMPI(2)
-        req = mpi.irecv(1, 0)
-        mpi.finalize()
-        for call in (lambda: mpi.isend(0, 1, 8), lambda: mpi.irecv(1, 0),
-                     lambda: mpi.wait(req), lambda: mpi.compute(0, 1.0),
-                     lambda: mpi.allreduce([np.zeros(1)] * 2),
-                     lambda: mpi.neighbor_exchange([[], []], 8, [0.0, 0.0],
-                                                   copies=1, bandwidth=1e9)):
-            with pytest.raises(SimMPIError, match="after finalize"):
-                call()
-        assert mpi.pending_messages() == 0 and mpi.messages_sent == 0
-        assert [mpi.now(r) for r in range(2)] == [0.0, 0.0]
-
     def test_overlap_hides_communication(self):
         """The bndry_exchangev redesign in miniature: compute charged
-        between isend and wait absorbs the transfer time."""
+        between the sends and the receives absorbs the transfer time."""
         big = 8 << 18  # bytes
 
         # Without overlap: recv waits the full transfer.
         mpi1 = SimMPI(8)
-        mpi1.isend(0, 4, big)
-        mpi1.wait(mpi1.irecv(4, 0))
+        one_way(mpi1, 0, 4, big)
         t_no_overlap = mpi1.now(4)
 
         # With overlap: rank 4 computes while the message is in flight.
         mpi2 = SimMPI(8)
-        mpi2.isend(0, 4, big)
-        req = mpi2.irecv(4, 0)
-        mpi2.compute(4, t_no_overlap)  # inner-element computation
-        mpi2.wait(req)
+        inner = [0.0] * 8
+        inner[4] = t_no_overlap  # inner-element computation
+        one_way(mpi2, 0, 4, big, between=inner)
         t_overlap = mpi2.now(4)
 
         assert t_overlap == pytest.approx(t_no_overlap)
@@ -274,13 +242,6 @@ class TestSimMPI:
         mpi = SimMPI(2)
         with pytest.raises(SimMPIError):
             mpi.allreduce([np.zeros(2)])
-
-    def test_pending_messages(self):
-        mpi = SimMPI(2)
-        mpi.isend(0, 1, 8)
-        assert mpi.pending_messages() == 1
-        mpi.wait(mpi.irecv(1, 0))
-        assert mpi.pending_messages() == 0
 
     @pytest.mark.parametrize("nranks", [1, 4, 8, 16])
     def test_hierarchical_allreduce_values_bitwise_match_flat(self, nranks):
@@ -314,10 +275,8 @@ class TestSimMPI:
     @settings(max_examples=30, deadline=None)
     def test_arrival_monotone_in_size(self, nbytes):
         mpi = SimMPI(8)
-        mpi.isend(0, 4, nbytes)
-        mpi.wait(mpi.irecv(4, 0))
+        one_way(mpi, 0, 4, nbytes)
         small = mpi.now(4)
         mpi2 = SimMPI(8)
-        mpi2.isend(0, 4, 2 * nbytes)
-        mpi2.wait(mpi2.irecv(4, 0))
+        one_way(mpi2, 0, 4, 2 * nbytes)
         assert mpi2.now(4) >= small

@@ -7,6 +7,8 @@ as its per-message program does, partitions are exact covers at any
 rank count, and backend costs respond monotonically to workload size.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +20,11 @@ from repro.homme.element import ElementGeometry, levels_first, levels_last
 from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
-from repro.network.simmpi import rank_track
+from repro.network.simmpi import MAX_RETRIES, rank_track
 from repro.obs.tracer import Tracer
 from repro.resilience.faults import FaultInjector
+
+from .simmpi_oracle import PerMessage, one_way
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +200,14 @@ class TestSimMPIFuzz:
     )
     @settings(max_examples=25, deadline=None)
     def test_any_posting_order_delivers(self, order, nbytes):
-        """All-to-one with sends posted in arbitrary order: each receive
-        gets its own sender's size, and the clock is the latest arrival."""
+        """All-to-one with the receiver's peers listed in arbitrary order:
+        each receive gets its own sender's size (any other raises
+        HaloSizeError), and the clock is the latest arrival."""
         mpi = SimMPI(7)
-        for src in order:
-            mpi.isend(src, 6, nbytes + src, tag=src)
-        for src in sorted(order):
-            assert mpi.wait(mpi.irecv(6, src, tag=src)) == nbytes + src
-        assert mpi.pending_messages() == 0
+        messages = [[(6, nbytes + src, 0)] for src in range(6)]
+        messages.append([(src, 0, nbytes + src) for src in order])
+        mpi.neighbor_exchange(messages, 1, [0.0] * 7, copies=1,
+                              bandwidth=math.inf)
         assert mpi.now(6) == max(mpi.cost.p2p_time(src, 6, nbytes + src)
                                  for src in order)
 
@@ -211,13 +215,14 @@ class TestSimMPIFuzz:
            drops=st.sets(st.integers(0, 9)))
     @settings(max_examples=25, deadline=None)
     def test_fifo_per_route(self, sizes, drops):
-        """Receives on one route take messages in posting order, whichever
-        of them were lost and retransmitted."""
+        """Exchanges on one route each receive their own message, in
+        order, whichever of them were lost and retransmitted: nothing
+        from one exchange reaches the next."""
         mpi = SimMPI(2, faults=FaultInjector(drop_messages=drops))
-        for s in sizes:
-            mpi.isend(0, 1, s)
-        assert [mpi.wait(mpi.irecv(1, 0)) for _ in sizes] == sizes
-        assert mpi.retransmissions == len(drops & set(range(len(sizes))))
+        for s in sizes:  # posts 0 -> 1, then the empty reply 1 -> 0
+            one_way(mpi, 0, 1, s)
+        assert mpi.bytes_sent == sum(sizes)
+        assert mpi.retransmissions == len(drops & set(range(2 * len(sizes))))
 
     @given(n=st.integers(2, 32))
     @settings(max_examples=15, deadline=None)
@@ -231,8 +236,8 @@ class TestSimMPIFuzz:
 def per_message_exchange(mpi, messages, row_bytes, before, between, copies,
                           bandwidth, tag):
     """``SimMPI.neighbor_exchange`` written as the per-message program:
-    ``compute`` / ``isend`` / ``irecv`` / ``wait`` and the same spans."""
-    tracer, n = mpi.tracer, mpi.nranks
+    ``compute``, :class:`PerMessage` and the same spans."""
+    tracer, n, post = mpi.tracer, mpi.nranks, PerMessage(mpi)
     memcpy = 0.0
     for r in range(n):
         t0 = mpi.now(r)
@@ -251,7 +256,7 @@ def per_message_exchange(mpi, messages, row_bytes, before, between, copies,
                            copies=copies)
             tracer.span_at(rank_track(r), "send", mpi.now(r), mpi.now(r),
                            cat="exchange", peer=p, tag=tag, nbytes=nbytes)
-            mpi.isend(r, p, nbytes, tag=tag)
+            post.isend(r, p, nbytes, tag=tag)
     if between is not None:
         for r in range(n):
             t0 = mpi.now(r)
@@ -260,7 +265,7 @@ def per_message_exchange(mpi, messages, row_bytes, before, between, copies,
                            cat="exchange", tag=tag)
     for r in range(n):
         for p, _, rows in messages[r]:
-            nbytes = mpi.wait(mpi.irecv(r, p, tag=tag))
+            nbytes = post.wait(r, p, tag=tag)
             if nbytes != rows * row_bytes:
                 raise HaloSizeError(
                     f"rank {r}: halo message from rank {p} has {nbytes} "
@@ -278,8 +283,7 @@ def per_message_exchange(mpi, messages, row_bytes, before, between, copies,
 @st.composite
 def exchanges(draw):
     """A random symmetric neighbour graph with message sizes, costs,
-    message faults, laggards, maybe a tracer, and maybe a stale message
-    already queued on one route under the exchange's tag."""
+    message faults, laggards and maybe a tracer."""
     n = draw(st.integers(2, 6))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
@@ -309,8 +313,6 @@ def exchanges(draw):
             drop_retransmits=draw(st.booleans()),
         ),
         traced=draw(st.booleans()),
-        stale=draw(st.none() | st.tuples(st.sampled_from(sorted(rows)),
-                                         st.sampled_from([0, 8]))),
     )
 
 
@@ -326,16 +328,12 @@ class TestNeighborExchange:
             args = (ex["messages"], ex["row_bytes"], ex["before"],
                     ex["between"])
             kw = dict(copies=ex["copies"], bandwidth=1e9, tag=ex["tag"])
-            if ex["stale"] is not None:
-                (src, dst), extra = ex["stale"]
-                rows = next(m[2] for m in ex["messages"][dst] if m[0] == src)
-                mpi.isend(src, dst, rows * ex["row_bytes"] + extra, tag=ex["tag"])
             try:
                 if bulk:
                     out = mpi.neighbor_exchange(*args, **kw)
                 else:
                     out = per_message_exchange(mpi, *args, **kw)
-            except SimMPIError as e:  # a timeout or a stale wrong size
+            except SimMPIError as e:  # a timeout
                 out = (type(e), str(e))
             comms.append((mpi, fi, out))
         return comms
@@ -355,16 +353,13 @@ class TestNeighborExchange:
         if ex["traced"]:
             assert a.tracer.recorder.events == b.tracer.recorder.events
 
-        def mailbox(m):
-            return {k: list(q) for k, q in m._mailbox.items()}
-        assert mailbox(a) == mailbox(b)
-        if isinstance(out_a, float):
-            assert a.pending_messages() == (ex["stale"] is not None)
-
-    def test_a_timeout_leaves_exactly_the_unreceived_messages_pending(self):
+    def test_a_timeout_leaves_nothing_behind(self):
         """Rank 0 receives from 1 and 2; rank 1's message to rank 0 (the
         third posted) is lost for good, so rank 0 gives up on its first
-        receive and the exchange's other three messages stay queued."""
+        receive.  The exchange's other messages end with the call: the
+        same exchange again, under the same tag with rows twice as wide,
+        receives only its own messages (an old one would raise
+        HaloSizeError)."""
         messages = [[(1, 2, 3), (2, 1, 1)], [(0, 3, 2)], [(0, 1, 1)]]
         fi = FaultInjector(drop_messages=[2], drop_retransmits=True)
         mpi = SimMPI(3, faults=fi)
@@ -372,10 +367,11 @@ class TestNeighborExchange:
                            "message from 1"):
             mpi.neighbor_exchange(messages, 8, [0.0] * 3, [0.0] * 3,
                                   copies=1, bandwidth=1e9, tag=4)
-        assert {k: len(q) for k, q in mpi._mailbox.items()} == {
-            (0, 1, 4): 1, (0, 2, 4): 1, (2, 0, 4): 1}
-        assert mpi.pending_messages() == 3
-        assert mpi.purge_pending() == 3 and mpi._mailbox == {}
+        sent = mpi.bytes_sent
+        mpi.neighbor_exchange(messages, 16, [0.0] * 3, [0.0] * 3,
+                              copies=1, bandwidth=1e9, tag=4)
+        assert mpi.bytes_sent == 3 * sent
+        assert mpi.retransmissions == MAX_RETRIES
 
 
 @st.composite
@@ -426,9 +422,7 @@ class TestFloatClocks:
             if op == "compute":
                 mpi.compute(*args)
             elif op == "p2p":
-                src, dst, nbytes = args
-                mpi.isend(src, dst, nbytes, tag=tag)
-                mpi.wait(mpi.irecv(dst, src, tag=tag))
+                one_way(mpi, *args, tag=tag)
             elif op == "exchange":
                 messages, before, between = args
                 mpi.neighbor_exchange(messages, 8, before, between,
@@ -440,7 +434,6 @@ class TestFloatClocks:
             assert all(type(t) is float for t in now), (op, now)
             assert all(a <= b for a, b in zip(prev, now)), (op, prev, now)
             prev = now
-        assert mpi.pending_messages() == 0
         assert mpi.max_time() == max(prev)
 
 
