@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.backends import AthreadBackend, OpenACCBackend, table1_workloads
-from repro.backends.scan import regcomm_scan, scan_speedup, serial_scan_cycles
+from repro.backends.scan import (
+    regcomm_scan,
+    scan_cycles,
+    scan_speedup,
+    serial_scan_cycles,
+)
 from repro.backends.transpose import (
     strided_dma_transpose_cycles,
     transpose_distributed,
@@ -67,7 +72,7 @@ def test_ablation_layer_decomposition(benchmark):
         levels, rows = 128, 8
         units_element_only = 1          # one element = one work unit
         units_layer_split = rows        # 8 groups of 16 levels
-        scan_overhead = (rows - 1) * 11  # register hops
+        scan_overhead = scan_cycles()   # counted register hops
         work = levels * 6.0             # serial cycles per column
         t_serial = work
         t_split = work / rows * 2 + scan_overhead

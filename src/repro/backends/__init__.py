@@ -21,7 +21,8 @@ timings that regenerate Table 1 and Figure 5:
 and byte counts from the model configuration;
 :mod:`~repro.backends.scan` and :mod:`~repro.backends.transpose` are
 the functional implementations of the two Sunway-specific schemes
-(Sections 7.4 and 7.5).
+(Sections 7.4 and 7.5); the cycles they count on the CPE mesh are the
+Athread backend's scan and transposition costs.
 
 :mod:`~repro.backends.functional_exec` runs Algorithms 1 and 2 through
 the simulated CPE (the paper's OpenACC-vs-Athread traffic comparison)

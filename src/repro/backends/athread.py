@@ -16,6 +16,11 @@ Everything the directive model could not do (Section 7.3-7.5):
 - **8 x 16 layer decomposition**: 128 levels split over the 8 CPE rows
   exposes enough parallelism that the whole cluster stays busy.
 
+The scan and transposition terms are the cycles the CPE mesh counts
+when it runs the two schemes (:func:`~repro.backends.scan.scan_cycles`,
+:func:`~repro.backends.transpose.transpose_cycles_per_point`), once per
+:class:`~repro.sunway.spec.SW26010Spec`, on first use.
+
 The tiling plan is validated against the 64 KB LDM: a workload whose
 tile does not fit raises, because on the real machine that plan simply
 cannot be written.
@@ -23,8 +28,12 @@ cannot be written.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from ..errors import LDMOverflowError, ResilienceError
 from .base import Backend, KernelReport, KernelWorkload
+from .scan import scan_cycles
+from .transpose import transpose_cycles_per_point
 
 #: Fraction of DMA streaming that double buffering cannot hide
 #: (first/last tile exposure and descriptor issue).
@@ -34,20 +43,17 @@ DMA_EXPOSED_FRACTION = 0.08
 #: per kernel instead of one per loop nest.
 SPAWN_OVERHEAD = 6.0e-6
 
-#: Shuffle-based 4x4 transposition: 8 shuffles per 16 points -> 0.5
-#: vector instructions per point, plus the XOR-phase register hops.
-TRANSPOSE_CYCLES_PER_POINT = 1.2
-
 
 class AthreadBackend(Backend):
     """64 CPEs with explicit DMA, regcomm, and manual vectorization.
 
-    ``healthy_cpes`` enables graceful degradation: a cluster with k < 64
-    surviving CPEs re-tiles each kernel's work evenly over the
-    survivors, so compute-bound kernels slow down by 64/k while the
-    memory-bound roofline term is unchanged (the shared channel does not
-    care which cores drive it).  The report carries the degradation
-    factor so perf models can attribute the slowdown.
+    ``healthy_cpes`` (an integer in 1..64, not a bool) enables graceful
+    degradation: a cluster with k < 64 surviving CPEs re-tiles each
+    kernel's work evenly over the survivors, so compute-bound kernels
+    slow down by 64/k while the memory-bound roofline term is unchanged
+    (the shared channel does not care which cores drive it).  The report
+    carries the degradation factor so perf models can attribute the
+    slowdown.
     """
 
     name = "athread"
@@ -58,12 +64,13 @@ class AthreadBackend(Backend):
         self.spec = spec or DEFAULT_SPEC
         if healthy_cpes is None:
             healthy_cpes = self.spec.cpes_per_cg
-        if not (1 <= healthy_cpes <= self.spec.cpes_per_cg):
+        if (isinstance(healthy_cpes, bool) or not isinstance(healthy_cpes, Integral)
+                or not 1 <= healthy_cpes <= self.spec.cpes_per_cg):
             raise ResilienceError(
                 f"healthy_cpes must be in 1..{self.spec.cpes_per_cg}, "
-                f"got {healthy_cpes}"
+                f"got {healthy_cpes!r}"
             )
-        self.healthy_cpes = healthy_cpes
+        self.healthy_cpes = int(healthy_cpes)
 
     @property
     def degradation(self) -> float:
@@ -88,15 +95,10 @@ class AthreadBackend(Backend):
         memory = stream  # roofline term
         exposed = stream * DMA_EXPOSED_FRACTION
 
-        # Register-communication scan: per scan, 7 sequential hops down
-        # the CPE column (Figure 2 stage 2); columns run in parallel.
-        scan_cycles = wl.scan_levels * (spec.cpe_rows - 1) * spec.regcomm_latency_cycles
-        scan = scan_cycles / spec.clock_hz
-
-        # Shuffle transposition where the kernel switches axes.
-        transpose = (
-            wl.transpose_points * TRANSPOSE_CYCLES_PER_POINT / spec.clock_hz / spec.cpes_per_cg
-        )
+        # Register-communication scan (Figure 2 stage 2) per scan, and the
+        # shuffle transposition where the kernel switches axes (Figure 3).
+        scan = wl.scan_levels * scan_cycles(spec) / spec.clock_hz
+        transpose = wl.transpose_points * transpose_cycles_per_point(spec) / spec.clock_hz
 
         overhead = SPAWN_OVERHEAD + scan + transpose + exposed
         seconds = max(compute, memory) + overhead

@@ -126,10 +126,6 @@ class Backend(abc.ABC):
     def execute(self, wl: KernelWorkload) -> KernelReport:
         """Simulated execution of one kernel invocation."""
 
-    def execute_all(self, workloads: dict[str, KernelWorkload]) -> dict[str, KernelReport]:
-        """Execute a set of kernels, keyed by name."""
-        return {k: self.execute(wl) for k, wl in workloads.items()}
-
     def _trace_report(self, rep: KernelReport) -> KernelReport:
         """Record ``rep`` as a kernel span; returns ``rep`` for chaining.
 

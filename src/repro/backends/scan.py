@@ -11,11 +11,15 @@ layers [16 i, 16 i + 15].  The pressure accumulation
 3. **Global accumulation** — each CPE offsets its local prefix sums.
 
 Functional implementation over :class:`~repro.sunway.regcomm.CPEMeshComm`
-with cycle accounting; :func:`serial_scan_cycles` is the baseline the
-scheme replaces (one CPE walking all 128 layers).
+with cycle accounting; :func:`scan_cycles` is the stage-2 cost the
+Athread backend charges per scan, counted by one run of the scheme, and
+:func:`serial_scan_cycles` is the baseline the scheme replaces (one CPE
+walking all 128 layers).
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -71,6 +75,14 @@ def regcomm_scan(
     return p.reshape(L, ncol), cycles
 
 
+@cache
+def scan_cycles(spec: SW26010Spec = DEFAULT_SPEC) -> float:
+    """Stage-2 cycles of one scan on ``spec``'s CPE mesh, as
+    :func:`regcomm_scan` counts them (one run per spec, on first use)."""
+    levels = np.zeros((spec.cpe_rows, spec.cpe_cols))
+    return regcomm_scan(levels, CPEMeshComm(spec))[1]
+
+
 def serial_scan_cycles(levels: int, spec: SW26010Spec = DEFAULT_SPEC) -> float:
     """Cycles for the unparallelized scan: one pass over all levels."""
     return levels * SERIAL_CYCLES_PER_LEVEL
@@ -83,7 +95,5 @@ def scan_speedup(levels: int, spec: SW26010Spec = DEFAULT_SPEC) -> float:
     twice: stages 1 and 3) + the register chain of stage 2.
     """
     per = levels / spec.cpe_rows
-    parallel = 2 * per * SERIAL_CYCLES_PER_LEVEL + (
-        spec.cpe_rows - 1
-    ) * spec.regcomm_latency_cycles
+    parallel = 2 * per * SERIAL_CYCLES_PER_LEVEL + scan_cycles(spec)
     return serial_scan_cycles(levels, spec) / parallel

@@ -10,18 +10,22 @@ Two levels, exactly as the paper's Figure 3:
    network.
 
 Functional over the real :class:`~repro.sunway.vector` shuffle and
-:class:`~repro.sunway.regcomm.CPEMeshComm`; cycle accounting lets the
-ablation bench compare against strided-DMA transposition.
+:class:`~repro.sunway.regcomm.CPEMeshComm`; the counted cycles are the
+transposition cost the Athread backend charges
+(:func:`transpose_cycles_per_point`) and the ablation bench compares
+against strided-DMA transposition.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
 from ..errors import KernelError
 from ..sunway.dma import DMAEngine
 from ..sunway.regcomm import CPEMeshComm
-from ..sunway.spec import DEFAULT_SPEC
+from ..sunway.spec import SW26010Spec, DEFAULT_SPEC
 from ..sunway.vector import transpose4x4
 
 #: Cycles per vector instruction (shuffles issue one per cycle).
@@ -65,7 +69,7 @@ def transpose_distributed(
     # Step 2: n-1 XOR phases swapping block (i, i^k) <-> (i^k, i).
     for phase in range(1, n):
         contrib = {i: blocks[i][i ^ phase] for i in range(n)}
-        received, phase_cycles = comm.exchange_phase(contrib, phase, along="row")
+        received, phase_cycles = comm.exchange_phase(contrib, phase)
         for i in range(n):
             blocks[i][i ^ phase] = received[i]
         cycles += phase_cycles
@@ -75,6 +79,19 @@ def transpose_distributed(
         for j in range(n):
             out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = blocks[i][j]
     return out, cycles
+
+
+@cache
+def transpose_cycles_per_point(spec: SW26010Spec = DEFAULT_SPEC) -> float:
+    """Cluster cycles per transposed point on ``spec``'s CPE mesh.
+
+    One run of :func:`transpose_distributed` (per spec, on first use)
+    on a tile of ``4 cpe_cols`` square — one block row per CPE of a
+    row; every CPE row transposes its own tile concurrently.
+    """
+    tile = 4 * spec.cpe_cols
+    _, cycles = transpose_distributed(np.zeros((tile, tile)), CPEMeshComm(spec))
+    return cycles / (spec.cpe_rows * tile * tile)
 
 
 def strided_dma_transpose_cycles(size: int, spec=DEFAULT_SPEC) -> float:

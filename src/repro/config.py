@@ -127,11 +127,6 @@ class ModelConfig:
         return dt_dynamics_seconds(self.ne)
 
     @property
-    def dt_physics(self) -> float:
-        """Physics timestep [s] (DYN_STEPS_PER_PHYS dynamics steps)."""
-        return self.dt_dynamics * C.DYN_STEPS_PER_PHYS
-
-    @property
     def steps_per_day(self) -> int:
         """Dynamics steps per simulated day."""
         return int(round(C.SECONDS_PER_DAY / self.dt_dynamics))

@@ -194,9 +194,6 @@ QSIZE_CAM = 25
 #: Tracer-advection subcycles per dynamics step (RK-SSP in euler_step).
 TRACER_SUBCYCLES = 3
 
-#: Dynamics steps per physics step (CAM-SE se_nsplit-like factor).
-DYN_STEPS_PER_PHYS = 4
-
 #: Approximate horizontal resolution [km] for an ne value:
 #: the cubed sphere has 4*ne elements around the equator, each with np-1=3
 #: intervals, so resolution ~ 40075 km / (4 * ne * 3).

@@ -8,7 +8,8 @@ mesh partitioned across simulated MPI ranks and every DSS performed by
 receive, unpack — one exchange per synchronisation point, every field
 of it in one message per neighbour.  Scalar fields exchange
 directly; vectors exchange in the frame-free Cartesian tangent
-representation (the same device as :meth:`ElementGeometry.dss_vector`).
+representation (:meth:`ElementGeometry.to_cartesian` /
+:meth:`~ElementGeometry.from_cartesian`, as the one-shard layout does).
 
 The distributed trajectory is the serial model's bit for bit at any
 rank count (the exchange sums what the serial DSS sums, in the same

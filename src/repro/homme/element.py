@@ -229,27 +229,6 @@ class ElementGeometry:
             np.add(vk, metinv[k, 1] * cov[1], out=v[..., k])
         return v
 
-    def dss_vector(self, v: np.ndarray) -> np.ndarray:
-        """DSS a **contravariant vector** field (E, [L,] np, np, 2).
-
-        Contravariant components live in each face's coordinate frame,
-        so they cannot be averaged directly across cube edges (the
-        frames differ).  The vector is converted to its global Cartesian
-        tangent representation (:meth:`to_cartesian`) — frame-free and
-        pole-singularity-free — DSS'd componentwise, and projected back
-        (:meth:`from_cartesian`).  (HOMME achieves the same by
-        exchanging lat-lon components; the Cartesian form avoids the
-        polar special cases.)
-        """
-        v = np.asarray(v)
-        if v.shape[-1] != 2:
-            raise KernelError("dss_vector expects trailing contravariant axis of 2")
-        if v.ndim not in (4, 5):
-            raise KernelError(f"dss_vector: unsupported field rank {v.ndim}")
-        # (E, n, n, 3) is already the mesh's layout; levels go through dss.
-        dss = self._mesh_dss if v.ndim == 4 else self.dss
-        return self.from_cartesian(dss(self.to_cartesian(v)))
-
 
 @dataclass
 class ElementState:

@@ -30,7 +30,6 @@ from ..homme.element import ElementGeometry, ElementState
 from ..homme.timestep import PrimitiveEquationModel
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..physics.simple_physics import SimplePhysics
-from .besttrack import KATRINA_BEST_TRACK
 from .track import VortexTracker
 from .vortex import VortexParameters, plant_vortex
 
@@ -46,11 +45,6 @@ class MemberResult:
     peak_msw: float
     late_msw: float
     final_min_ps: float
-
-    @property
-    def intensified(self) -> bool:
-        """Did the storm strengthen beyond its initial intensity?"""
-        return self.peak_msw > self.initial_msw * 1.15
 
     @property
     def retention(self) -> float:
@@ -186,7 +180,3 @@ class KatrinaExperiment:
             "fine": self.run_member(self.fine_ne, "fine (ne120-class)"),
         }
 
-    @staticmethod
-    def observed_peak_msw() -> float:
-        """Katrina's observed peak MSW [m/s] (150 kt)."""
-        return max(p.max_wind_ms for p in KATRINA_BEST_TRACK)

@@ -293,7 +293,6 @@ def collect_perf_counters(reg: MetricsRegistry, pc) -> MetricsRegistry:
     reg.inc("perf.vector_instructions", pc.vector_instructions)
     reg.inc("dma.get.bytes", pc.dma_bytes_get)
     reg.inc("dma.put.bytes", pc.dma_bytes_put)
-    reg.inc("perf.regcomm_transfers", pc.regcomm_transfers)
     reg.gauge("ldm.high_water").set(float(pc.ldm_high_water))
     reg.inc("perf.cycles", pc.cycles)
     reg.set_gauge("perf.degradation", pc.degradation)

@@ -11,8 +11,9 @@ This subpackage models the pieces the paper's redesign exploits:
 - :mod:`~repro.sunway.ldm` — the scratchpad allocator (capacity enforced);
 - :mod:`~repro.sunway.dma` — the DMA engine with a block-size/stride
   efficiency model and double buffering;
-- :mod:`~repro.sunway.regcomm` — row/column register communication,
-  functional (values actually move) with cycle accounting;
+- :mod:`~repro.sunway.regcomm` — row/column register communication:
+  collectives move values within the call (no mailbox) and count the
+  cycles the Athread backend charges;
 - :mod:`~repro.sunway.vector` — the 256-bit vector unit including the
   ``shuffle`` instruction used by the transposition scheme;
 - :mod:`~repro.sunway.cpe`, :mod:`~repro.sunway.core_group` — the

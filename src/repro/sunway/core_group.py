@@ -14,7 +14,6 @@ from .. import constants as C
 from ..errors import ResilienceError
 from .cpe import CPE
 from .perf import PerfCounters
-from .regcomm import CPEMeshComm
 from .spec import SW26010Spec, DEFAULT_SPEC
 
 
@@ -29,7 +28,6 @@ class CoreGroup:
             for r in range(spec.cpe_rows)
             for c in range(spec.cpe_cols)
         ]
-        self.mesh = CPEMeshComm(spec)
         self.mpe_cycles = 0.0
         self._failed: set[tuple[int, int]] = set()
 
@@ -46,22 +44,27 @@ class CoreGroup:
     # -- graceful degradation ---------------------------------------------
 
     def disable_cpe(self, row: int, col: int) -> None:
-        """Mark the CPE at (row, col) failed: it takes no further work."""
+        """Mark the CPE at (row, col) failed: it takes no further work.
+
+        Refused, with nothing changed, if it is the last healthy CPE.
+        """
         self.cpe(row, col)  # bounds check
-        self._failed.add((row, col))
-        if not self.healthy_cpes:
+        if (row, col) not in self._failed and self.n_healthy == 1:
             raise ResilienceError(
-                f"core group {self.cg_id}: all CPEs disabled"
+                f"core group {self.cg_id}: cannot disable the last healthy CPE"
             )
+        self._failed.add((row, col))
 
     def disable_cpes(self, n: int) -> None:
-        """Fail ``n`` CPEs (highest mesh positions first)."""
-        if not (0 <= n < self.n_cpes - len(self._failed) + 1):
-            raise ResilienceError(
-                f"cannot disable {n} of {self.n_cpes - len(self._failed)} "
-                "healthy CPEs"
-            )
+        """Fail ``n`` CPEs (highest mesh positions first).
+
+        ``n`` must leave one CPE healthy; a refusal changes nothing.
+        """
         alive = [c for c in reversed(self.cpes) if c.coord not in self._failed]
+        if not (0 <= n < len(alive)):
+            raise ResilienceError(
+                f"cannot disable {n} of {len(alive)} healthy CPEs"
+            )
         for cpe in alive[:n]:
             self.disable_cpe(*cpe.coord)
 
@@ -109,8 +112,7 @@ class CoreGroup:
         """Aggregate all CPE counters into one CG-level PERF snapshot.
 
         ``cycles`` is the *slowest healthy CPE's* busy time (the cluster
-        advances at the pace of its critical lane), plus MPE time and
-        mesh communication time.  Counters accumulated on a CPE before
+        advances at the pace of its critical lane), plus MPE time.  Counters accumulated on a CPE before
         it failed still count — its work was real — but its lane no
         longer gates the cluster, and the snapshot reports the
         :attr:`degradation` factor of the surviving configuration.
@@ -126,14 +128,9 @@ class CoreGroup:
             perf.ldm_high_water = max(perf.ldm_high_water, cpe.ldm.high_water)
         for cpe in healthy:
             slowest = max(slowest, cpe.total_cycles(vector_efficiency))
-        perf.regcomm_transfers = self.mesh.transfer_count
-        perf.cycles = slowest + self.mpe_cycles + self.mesh.total_cycles
+        perf.cycles = slowest + self.mpe_cycles
         perf.degradation = self.degradation
         return perf
-
-    def elapsed_seconds(self, vector_efficiency: float = 1.0) -> float:
-        """Wall time of the CG's work so far, at the CPE clock."""
-        return self.collect(vector_efficiency).cycles / self.spec.clock_hz
 
     def bandwidth_bound_seconds(self, bytes_moved: float) -> float:
         """Lower bound on time from the shared memory channel alone.
@@ -145,8 +142,7 @@ class CoreGroup:
         return bytes_moved / self.spec.cg_memory_bandwidth
 
     def reset(self) -> None:
-        """Clear all CPE and mesh state (failed CPEs stay failed)."""
+        """Clear all CPE state (failed CPEs stay failed)."""
         for cpe in self.cpes:
             cpe.reset()
-        self.mesh = CPEMeshComm(self.spec)
         self.mpe_cycles = 0.0

@@ -25,7 +25,6 @@ class PerfCounters:
     vector_instructions: int = 0
     dma_bytes_get: int = 0
     dma_bytes_put: int = 0
-    regcomm_transfers: int = 0
     ldm_high_water: int = 0
     cycles: float = 0.0
     #: Cluster slowdown from failed CPEs (1.0 = all 64 healthy).
@@ -43,7 +42,6 @@ class PerfCounters:
         self.vector_instructions += other.vector_instructions
         self.dma_bytes_get += other.dma_bytes_get
         self.dma_bytes_put += other.dma_bytes_put
-        self.regcomm_transfers += other.regcomm_transfers
         self.ldm_high_water = max(self.ldm_high_water, other.ldm_high_water)
         self.cycles += other.cycles
         self.degradation = max(self.degradation, other.degradation)
@@ -71,7 +69,6 @@ class PerfCounters:
             "vector_instructions": self.vector_instructions,
             "dma_bytes_get": self.dma_bytes_get,
             "dma_bytes_put": self.dma_bytes_put,
-            "regcomm_transfers": self.regcomm_transfers,
             "ldm_high_water": self.ldm_high_water,
             "cycles": self.cycles,
             "degradation": self.degradation,

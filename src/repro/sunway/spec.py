@@ -73,11 +73,6 @@ class SW26010Spec:
         """Main-memory bandwidth available to one CG [bytes/s]."""
         return self.memory_bandwidth / self.core_groups
 
-    @property
-    def cycle_time(self) -> float:
-        """Seconds per CPE clock cycle."""
-        return 1.0 / self.clock_hz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count to seconds at the CPE clock."""
         return cycles / self.clock_hz

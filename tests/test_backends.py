@@ -1,10 +1,17 @@
 """Tests for the execution backends: Table-1 shape, traffic claims,
-scan and transpose schemes."""
+scan and transpose schemes and the costs the Athread backend counts
+from them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.backends import (
     ALL_BACKENDS,
     AthreadBackend,
@@ -13,14 +20,17 @@ from repro.backends import (
     table1_workloads,
     workload_for,
 )
+from repro.backends.functional_exec import MiniWorkload, traffic_comparison
 from repro.backends.scan import regcomm_scan, scan_speedup, serial_scan_cycles
 from repro.backends.transpose import (
     strided_dma_transpose_cycles,
     transpose_distributed,
 )
+from repro.backends.workloads import STRUCTURE
 from repro.config import ModelConfig
 from repro.errors import KernelError, LDMOverflowError
-from repro.sunway.spec import SW26010Spec
+from repro.sunway.regcomm import CPEMeshComm
+from repro.sunway.spec import DEFAULT_SPEC, SW26010Spec
 
 #: Paper Table 1 (seconds at 6,144 processes): Intel, MPE, OpenACC.
 PAPER_TABLE1 = {
@@ -115,6 +125,52 @@ class TestTrafficClaims:
         acc = OpenACCBackend()
         assert acc.execute(wls["compute_and_apply_rhs"]).notes["gld_fallback"]
         assert not acc.execute(wls["euler_step"]).notes["gld_fallback"]
+
+    def test_reread_constant_matches_the_dma_mechanism(self):
+        """The paper's 10x euler_step re-read is what Algorithms 1 and 2
+        move on the simulated CPE at CAM's 25 tracers and 5 loop nests."""
+        res = traffic_comparison(MiniWorkload.random(qsize=25), passes=5)
+        assert STRUCTURE["euler_step"]["reread_factor_openacc"] == pytest.approx(
+            1.0 / res["traffic_ratio"], rel=0.05)
+
+
+class TestCountedRegcommCosts:
+    """The Athread backend's scan and transposition terms are the cycles
+    the CPE mesh counts when it runs the two schemes, on any spec."""
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, SW26010Spec(cpe_rows=4, cpe_cols=4)],
+                             ids=["8x8", "4x4"])
+    def test_terms_are_the_counted_cycles(self, spec):
+        levels = np.random.default_rng(0).uniform(size=(128, spec.cpe_cols))
+        _, scan = regcomm_scan(levels, CPEMeshComm(spec))
+        tile = 4 * spec.cpe_cols  # one block row per CPE of a row
+        _, transpose = transpose_distributed(np.zeros((tile, tile)), CPEMeshComm(spec))
+        per_point = transpose / (spec.cpe_rows * tile * tile)  # rows run concurrently
+        assert scan == (spec.cpe_rows - 1) * spec.regcomm_latency_cycles
+        backend, wls = AthreadBackend(spec), table1_workloads()
+        assert any(wl.scan_levels for wl in wls.values())
+        assert any(wl.transpose_points for wl in wls.values())
+        for name, wl in wls.items():
+            notes = backend.execute(wl).notes
+            assert notes["scan_seconds"] == pytest.approx(
+                wl.scan_levels * scan / spec.clock_hz, rel=1e-12), name
+            assert notes["transpose_seconds"] == pytest.approx(
+                wl.transpose_points * per_point / spec.clock_hz, rel=1e-12), name
+
+    def test_mechanisms_run_on_first_use_not_at_import(self):
+        code = (
+            "import repro.backends\n"
+            "from repro.backends.scan import scan_cycles\n"
+            "from repro.backends.transpose import transpose_cycles_per_point as t\n"
+            "assert scan_cycles.cache_info().currsize == 0\n"
+            "assert t.cache_info().currsize == 0\n"
+            "wl = repro.backends.table1_workloads()['vertical_remap']\n"
+            "repro.backends.AthreadBackend().execute(wl)\n"
+            "repro.backends.AthreadBackend().execute(wl)\n"
+            "assert scan_cycles.cache_info().misses == t.cache_info().misses == 1\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestWorkloads:

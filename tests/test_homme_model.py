@@ -19,6 +19,8 @@ from repro.homme.timestep import PrimitiveEquationModel, RSPLIT
 from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.network import SimMPI
 
+from .dss_oracle import dss_vector
+
 
 class TestShallowWater:
     @pytest.fixture(scope="class")
@@ -222,9 +224,9 @@ class TestPrimitiveEquationModel:
 
 class TestOneShardDSS:
     """The one-shard layout's DSS — the halo exchanger's data path on a
-    plan of the whole mesh at one rank — against the whole-field oracle
-    ``ElementGeometry.dss`` / ``dss_vector``, byte for byte (so ``-0.0``
-    and ``+0.0`` differ) and C-contiguous, at any element blocks."""
+    plan of the whole mesh at one rank — against the whole-field oracles
+    ``ElementGeometry.dss`` / ``dss_oracle.dss_vector``, byte for byte (so
+    ``-0.0`` and ``+0.0`` differ) and C-contiguous, at any element blocks."""
 
     NE, NLEV, QSIZE = 3, 4, 2
 
@@ -265,8 +267,8 @@ class TestOneShardDSS:
         rng, g, E = np.random.default_rng(1), model.geom, model.mesh.nelem
         h, v = self.fields(rng, E, 4, 4), self.fields(rng, E, 4, 4, 2)
         self.check(model, (h,), [g.dss(h)])
-        self.check(model, (v,), [g.dss_vector(v)])
-        self.check(model, (v, h), [g.dss_vector(v), g.dss(h)])
+        self.check(model, (v,), [dss_vector(g, v)])
+        self.check(model, (v, h), [dss_vector(g, v), g.dss(h)])
 
     @pytest.mark.parametrize("bounds", ["one", "uneven", "single"])
     def test_levelled_fields(self, models, bounds):
@@ -277,10 +279,10 @@ class TestOneShardDSS:
         v = self.fields(rng, E, L, 4, 4, 2)
         stack = self.fields(rng, E, Q * L, 4, 4)  # a folded tracer stack
         self.check(model, (T,), [g.dss(T)])
-        self.check(model, (v,), [g.dss_vector(v)])
+        self.check(model, (v,), [dss_vector(g, v)])
         self.check(model, (stack,), [g.dss(stack)])
         self.check(model, (T, v, dp, stack),
-                   [g.dss(T), g.dss_vector(v), g.dss(dp), g.dss(stack)])
+                   [g.dss(T), dss_vector(g, v), g.dss(dp), g.dss(stack)])
         qdp = stack.reshape(E, Q, L, 4, 4)
         want = g.dss(stack).reshape(qdp.shape)
         got = timestep._dss_stack(

@@ -664,7 +664,7 @@ class TestDistributedBitwise:
         and one dispatch per phase."""
         cfg, mesh, _, state = _noisy_prim_state()
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=30.0)
-        dss = _count_calls(serial.geom, "dss")  # dss_vector goes through it
+        dss = _count_calls(serial.geom, "dss")
         assemblies = _count_calls(serial._plan, "assemble")
         serial.step()
         with DistributedPrimitiveEquations(

@@ -560,9 +560,17 @@ class TestGracefulDegradation:
         assert cg.degradation == pytest.approx(64 / 48)
 
     def test_disable_all_rejected(self):
+        """Refusing to disable the last healthy CPE changes nothing."""
         cg = CoreGroup()
         with pytest.raises(ResilienceError):
             cg.disable_cpes(64)
+        assert cg.n_healthy == 64 and cg.degradation == 1.0
+        cg.disable_cpes(63)
+        with pytest.raises(ResilienceError):
+            cg.disable_cpes(1)
+        with pytest.raises(ResilienceError):
+            cg.disable_cpe(*cg.healthy_cpes[0].coord)
+        assert cg.n_healthy == 1 and cg.degradation == 64.0
 
     def test_collect_reports_degradation(self):
         cg = CoreGroup()
@@ -599,3 +607,9 @@ class TestGracefulDegradation:
     def test_zero_healthy_cpes_rejected(self):
         with pytest.raises(ResilienceError):
             AthreadBackend(healthy_cpes=0)
+
+    @pytest.mark.parametrize("healthy", [65, True, 2.5])
+    def test_invalid_healthy_cpes_rejected(self, healthy):
+        """Only a whole number of CPEs in 1..64 survives; not a bool."""
+        with pytest.raises(ResilienceError):
+            AthreadBackend(healthy_cpes=healthy)

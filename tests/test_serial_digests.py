@@ -3,7 +3,7 @@
 The distributed models are held to the serial ones byte for byte
 (``tests/test_halo_plan.py``, ``tests/test_layout_equality.py``), so
 these digests pin every model: a change to ``CubedSphereMesh.dss``,
-``ElementGeometry.dss`` / ``dss_vector`` or a kernel set that moves one
+``ElementGeometry.dss`` or a kernel set that moves one
 bit of a whole-mesh trajectory fails here.
 """
 

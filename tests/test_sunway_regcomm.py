@@ -1,11 +1,11 @@
-"""Tests for register communication: routing rules, scan, XOR exchange."""
+"""Tests for register communication: routing rules, counted costs, scan, XOR exchange."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RegCommError
-from repro.sunway import CPEMeshComm
+from repro.sunway import CPEMeshComm, SW26010Spec
 
 
 @pytest.fixture
@@ -15,49 +15,42 @@ def mesh():
 
 class TestRouting:
     def test_same_row_allowed(self, mesh):
-        mesh.send((2, 0), (2, 7), np.array([1.0]))
-        assert mesh.pending((2, 7), (2, 0)) == 1
+        assert mesh.charge((2, 0), (2, 7), 1) == mesh.spec.regcomm_latency_cycles
 
     def test_same_column_allowed(self, mesh):
-        mesh.send((0, 3), (7, 3), np.array([1.0]))
-        assert mesh.pending((7, 3), (0, 3)) == 1
+        assert mesh.charge((0, 3), (7, 3), 1) == mesh.spec.regcomm_latency_cycles
 
     def test_diagonal_rejected(self, mesh):
         with pytest.raises(RegCommError):
-            mesh.send((0, 0), (1, 1), np.array([1.0]))
+            mesh.charge((0, 0), (1, 1), 1)
 
     def test_self_send_rejected(self, mesh):
         with pytest.raises(RegCommError):
-            mesh.send((3, 3), (3, 3), np.array([1.0]))
+            mesh.charge((3, 3), (3, 3), 1)
 
     def test_off_mesh_rejected(self, mesh):
         with pytest.raises(RegCommError):
-            mesh.send((0, 0), (0, 8), np.array([1.0]))
+            mesh.charge((0, 0), (0, 8), 1)
         with pytest.raises(RegCommError):
-            mesh.send((8, 0), (0, 0), np.array([1.0]))
+            mesh.charge((8, 0), (0, 0), 1)
 
-    def test_recv_without_send_rejected(self, mesh):
+    def test_refused_route_charges_nothing(self, mesh):
         with pytest.raises(RegCommError):
-            mesh.recv((0, 1), (0, 0))
-
-    def test_fifo_order(self, mesh):
-        mesh.send((0, 0), (0, 1), np.array([1.0]))
-        mesh.send((0, 0), (0, 1), np.array([2.0]))
-        assert mesh.recv((0, 1), (0, 0))[0] == 1.0
-        assert mesh.recv((0, 1), (0, 0))[0] == 2.0
+            mesh.charge((0, 0), (1, 1), 8)
+        assert mesh.transfer_count == 0 and mesh.total_cycles == 0.0
 
 
 class TestCosts:
     def test_single_register_latency(self, mesh):
-        c = mesh.send((0, 0), (0, 1), np.zeros(4))
+        c = mesh.charge((0, 0), (0, 1), 4)
         assert c == mesh.spec.regcomm_latency_cycles
 
     def test_payload_chunking(self, mesh):
-        c = mesh.send((0, 0), (0, 1), np.zeros(9))  # 3 registers
+        c = mesh.charge((0, 0), (0, 1), 9)  # 3 registers
         assert c == 3 * mesh.spec.regcomm_latency_cycles
 
     def test_counters(self, mesh):
-        mesh.send((0, 0), (0, 1), np.zeros(8))
+        mesh.charge((0, 0), (0, 1), 8)
         assert mesh.transfer_count == 2
         assert mesh.total_cycles > 0
 
@@ -73,6 +66,15 @@ class TestColumnScan:
     def test_critical_path_cycles(self, mesh):
         _, cycles = mesh.column_scan(np.ones((8, 8)))
         assert cycles == 7 * mesh.spec.regcomm_latency_cycles
+
+    def test_counted_on_a_reduced_mesh(self):
+        """The cycles are the counted chain of one column (columns run
+        concurrently); the counters hold every hop of every column."""
+        mesh = CPEMeshComm(SW26010Spec(cpe_rows=4, cpe_cols=4))
+        _, cycles = mesh.column_scan(np.ones((4, 4)))
+        assert cycles == 3 * mesh.spec.regcomm_latency_cycles
+        assert mesh.transfer_count == 4 * 3
+        assert mesh.total_cycles == 4 * cycles
 
     def test_shape_enforced(self, mesh):
         with pytest.raises(RegCommError):
@@ -94,21 +96,16 @@ class TestColumnScan:
         assert np.allclose(out, expected, atol=1e-6)
 
 
-class TestRowBroadcast:
-    def test_values_replicated(self, mesh):
-        vals = np.arange(8, dtype=float)
-        out, _ = mesh.row_broadcast(vals)
-        assert out.shape == (8, 8)
-        for r in range(8):
-            assert np.all(out[r] == vals[r])
-
-
 class TestExchangePhase:
     def test_phase_swaps_pairs(self, mesh):
         blocks = {i: np.full((4, 4), float(i)) for i in range(8)}
-        out, _ = mesh.exchange_phase(blocks, phase=1)
+        out, cycles = mesh.exchange_phase(blocks, phase=1)
         for i in range(8):
             assert np.all(out[i] == float(i ^ 1))
+        # A 16-double block is 4 register transfers; the pairs run
+        # concurrently, so the phase costs one block's transfers.
+        assert cycles == 4 * mesh.spec.regcomm_latency_cycles
+        assert mesh.transfer_count == 8 * 4
 
     def test_all_phases_cover_all_pairs(self, mesh):
         """Running phases 1..7 routes every block through every peer slot."""
