@@ -101,6 +101,10 @@ class ElementGeometry:
     a derived plane stale.  A different geometry is a new object.
     """
 
+    #: A layout's shard geometry carries the shard's share of the exchange
+    #: plan (:class:`~repro.homme.bndry.ShardPlan`), what its DSS tasks run.
+    dss_plan = None
+
     def __init__(self, mesh: CubedSphereMesh, elem_ids: np.ndarray | None = None) -> None:
         self.mesh = mesh
         whole = np.arange(mesh.nelem)
@@ -204,11 +208,12 @@ class ElementGeometry:
             np.multiply(wj, self.radius, out=w[..., j])
         return w
 
-    def from_cartesian(self, w: np.ndarray) -> np.ndarray:
+    def from_cartesian(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of :meth:`to_cartesian`: ``v^i = metinv^{ij} radius (e_j . w)``.
 
         Same planes, same fixed order; C-contiguous whatever ``w``'s
-        layout (bitwise restart depends on it).
+        layout (bitwise restart depends on it), written into ``out``
+        when given.
         """
         e, metinv = self.e_cov_planes, self.metinv_planes
         if w.ndim == 5:
@@ -222,7 +227,7 @@ class ElementGeometry:
             c += e[2, i] * w2
             c *= self.radius
             cov.append(c)
-        v = np.empty(w.shape[:-1] + (2,))
+        v = np.empty(w.shape[:-1] + (2,)) if out is None else out
         for k in range(2):
             vk = metinv[k, 0] * cov[0]
             vk += 0.0

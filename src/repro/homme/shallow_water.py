@@ -140,9 +140,10 @@ class _SWRecipe:
     def _rk_stage(self, bases: list[SWState], points: list[SWState], dt: float,
                   stage: int) -> list[SWState]:
         t0s = self._clocks()
-        hvs = self._dss(self._fanout(
+        hvs = self._fanout_dss(
             dycore.sw_stage_task, {"dt": dt},
-            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)]), stage, slot=0)
+            [(b.h, b.v, p.h, p.v) for b, p in zip(bases, points)], stage,
+            slot=0, nout=2)
         self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         return [SWState(h=h, v=v) for h, v in hvs]
 
@@ -157,9 +158,11 @@ class _SWRecipe:
         s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
         s3 = self._rk_stage(s0, s2, dt, stage=3)
         if self.nu > 0:
-            s3 = [SWState(h=s.h - dt * self.nu * bih_h, v=s.v - dt * self.nu * bih_v)
-                  for s, (bih_h, bih_v) in zip(s3, biharmonic(
-                      self, dycore.sw_laplace_task, [(s.h, s.v) for s in s3], slot0=0))]
+            fields = [(s.h, s.v) for s in s3]
+            s3 = [SWState(h=h, v=v) for h, v in biharmonic(
+                self, dycore.sw_laplace_task, fields, 0, {"c": dt * self.nu},
+                dycore.hypervis_post, fields,
+                [tuple(a.shape for a in f) for f in fields])]
         self.states = s3
         self.t += dt
         self._rank_spans("step", t0s, step=self.step_count)

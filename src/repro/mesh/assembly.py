@@ -1,6 +1,7 @@
 """The slot accumulate behind every direct stiffness summation: the serial
-``CubedSphereMesh.dss`` and the distributed ``HaloExchanger.exchange``
-are each one call of :meth:`Assembly.accumulate`."""
+``CubedSphereMesh.dss`` is one call of :meth:`Assembly.accumulate`, and
+each shard of a ``HaloExchanger`` plan sums its own slots with
+:func:`accumulate` over its share of the plan's layers."""
 
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ class Assembly:
         rows = np.lexsort(
             (self.slot_of,) if order is None else (order, self.slot_of))
         starts = np.cumsum(self.counts) - self.counts
-        self._layers = [
+        #: Layer j: the position of the j-th row of every slot that has one.
+        self.layers = [
             rows[starts[:np.count_nonzero(self.counts > j)] + j]
             for j in range(int(self.counts.max(initial=1)))]
 
@@ -43,8 +45,15 @@ class Assembly:
 
         Sums start from +0.0, which turns an all ``-0.0`` sum into ``+0.0``.
         """
-        acc = rows.take(self._layers[0], axis=0)
-        acc += 0.0
-        for pos in self._layers[1:]:
-            acc[:len(pos)] += rows.take(pos, axis=0)
-        return acc
+        return accumulate(rows, self.layers)
+
+
+def accumulate(rows: np.ndarray, layers: list[np.ndarray]) -> np.ndarray:
+    """Sum ``rows`` layer by layer: slot ``s`` of the result is
+    ``+0.0 + rows[layers[0][s]] + rows[layers[1][s]] + ...`` over the
+    layers long enough to reach it (each layer a prefix of the slots)."""
+    acc = rows.take(layers[0], axis=0)
+    acc += 0.0
+    for pos in layers[1:]:
+        acc[:len(pos)] += rows.take(pos, axis=0)
+    return acc

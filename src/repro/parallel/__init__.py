@@ -3,20 +3,23 @@
 Everything else in this codebase models parallelism — simulated rank
 clocks, simulated CPE clusters — while executing on one Python process.
 This package is where the reproduction finally *runs* on multiple
-cores: a persistent ``multiprocessing`` worker pool with
-``shared_memory``-backed element arrays executes the per-rank compute
-of the distributed models (:mod:`repro.homme.distributed`, the engine's
-one client; its task functions live in :mod:`repro.parallel.dycore`)
-across real cores, while SimMPI's deterministic simulated clocks remain
-the timing model.
+cores: a persistent ``multiprocessing`` worker pool executes the
+per-shard work of the distributed models (:mod:`repro.homme.distributed`,
+the engine's one client; its task functions live in
+:mod:`repro.parallel.dycore`) across real cores — every compute task and
+both halves of every DSS, the pack and the sum — while SimMPI's
+deterministic simulated clocks remain the timing model.  A pool model's
+shard arrays stay resident in shared memory both the driver and its
+workers map (:mod:`repro.parallel.resident`); a task names them by
+reference, and only halo rows move between shards.
 
 The contract (DESIGN.md §10):
 
 - **Determinism.** Workers only ever compute *independent* work units
-  (one simulated rank's tendencies).  Every cross-rank reduction — DSS accumulation, allreduce —
-  sums in one canonical order (global point row, global element), so
-  results are **bitwise identical** to serial execution wherever the
-  reduction runs.
+  (one shard's tendencies, or its own DSS slots).  Every cross-rank
+  reduction — DSS accumulation, allreduce — sums in one canonical order
+  (global point row, global element), so results are **bitwise
+  identical** to serial execution wherever the reduction runs.
 - **Fallback.** ``workers <= 1``, an unavailable ``fork`` start
   method, or any pool start-up failure silently degrades to in-process
   serial execution of the very same task functions.

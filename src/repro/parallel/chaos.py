@@ -14,9 +14,10 @@ compares the gathered states byte for byte.
 
 Scenarios (all keyed to task ids in the first RK stage of one step, one
 task per shard of the model's ``groups``, so they fire mid-batch; step
-0 by default — where every block is new and results still travel by
-queue — or, with ``at_step``, a later one, where they return through
-the blocks):
+0 by default or, with ``at_step``, a later one — the steady state).  A
+DSS task has two stages, the pack and, past the batch's barrier, the
+sum; the ids a scenario draws name the pack, and the same ids plus
+:data:`~repro.parallel.engine.STAGE_TIDS` the sum:
 
 - ``kill-worker`` — a worker self-SIGKILLs before computing; the
   supervisor sees the crash, respawns the slot, redistributes.

@@ -2,24 +2,36 @@
 
 The step recipes (:mod:`repro.homme.timestep`,
 :mod:`repro.homme.shallow_water`) are written once against a layout's
-``_fanout(task, meta, per_shard_arrays)``; these are the tasks.  The
-one-shard layout calls them in process on the whole-mesh geometry; the
-N-shard layout (:mod:`repro.homme.distributed`) runs them once per rank
-through its engine, in process or on a worker — the same functions on
-every path, so every path executes the same float64 streams.
+``_fanout(task, meta, per_shard_arrays)`` and ``_fanout_dss(task, ...)``;
+these are the tasks.  Every DSS is two per-shard tasks around the
+exchange: :func:`pack_task` runs a compute task (or none) and writes its
+outputs' weighted contributions into the shard's rows of one flat
+buffer, and :func:`sum_task`, once every shard has packed, sums the
+shard's slots into the arrays it is handed.  The one-shard layout calls
+the tasks in process on the whole-mesh geometry or its element blocks;
+the N-shard layout (:mod:`repro.homme.distributed`) runs them once per
+shard through its engine, in process or on a worker — the same functions
+on every path, so every path executes the same float64 streams.
+
+A task that makes a shard array writes it into an array it is handed
+(the layout allocates them, resident on a pool) and returns it, and no
+task writes an array it reads: re-running one rewrites the same bytes.
 
 Geometry never crosses a queue: the engine is built around the shard
-:class:`~repro.homme.element.ElementGeometry` objects, a task meta
-names its shard's (``"ctx"``, an index) and its execution path
-(``"path"`` — required: a meta without it is a driver bug, not a request
-for default kernels), and the task receives that geometry as its first
-argument.
+:class:`~repro.homme.element.ElementGeometry` objects (each carrying its
+``dss_plan``), a task meta names its shard's (``"ctx"``, an index) and
+its execution path (``"path"`` — required: a meta without it is a driver
+bug, not a request for default kernels), and the task receives that
+geometry as its first argument.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..homme import remap
 from ..homme.element import ElementState
 from ..homme.euler import limit_local, ssp_stage1, ssp_stage2
 
@@ -81,8 +93,128 @@ def prim_euler_stage2_task(geom, meta, qdp, st1, v):
     return (ssp_stage2(qdp, st1, adv, meta["sdt"]),)
 
 
-def prim_limit_task(geom, meta, st2):
-    """A shard's elementwise limiter pass: ``(limited, before, after)`` with
-    the (E_r, Q, L) per-element masses the recipe sums over the mesh, in
-    global element order, for the global fixer's scale."""
-    return limit_local(st2, geom)
+def prim_limit_post(geom, meta, st2):
+    """A shard's elementwise limiter pass on its DSS'd stage-2 stack:
+    ``(limited, masses)`` with the (E_r, 2, Q, L) per-element masses —
+    before and after — the recipe sums over the mesh, in global element
+    order, for the global fixer's scale."""
+    limited, before, after = limit_local(st2, geom)
+    return limited, np.stack((before, after), axis=1)
+
+
+def prim_fixer_task(geom, meta, limited, scale):
+    """A shard's limited stack times the global fixer's (Q, L) scale (pre-DSS)."""
+    return (limited * scale[None, ..., None, None],)
+
+
+def hypervis_post(geom, meta, *arrays):
+    """A shard's hyperviscosity update on its DSS'd biharmonics: ``arrays``
+    is k biharmonics and their k fields; returns each ``f - c * bih(f)``
+    with ``c = meta["c"]`` (the sweep's dt times nu)."""
+    k, c = len(arrays) // 2, meta["c"]
+    return tuple(f - c * bih for bih, f in zip(arrays[:k], arrays[k:]))
+
+
+def prim_hypervis_remap_post(geom, meta, bih_T, bih_v, bih_dp, T, v, dp, qdp):
+    """The last hyperviscosity update of a remap step, then the shard's
+    vertical remap back to reference levels: (v, T, dp3d, qdp)."""
+    T, v, dp = hypervis_post(geom, meta, bih_T, bih_v, bih_dp, T, v, dp)
+    new = remap.vertical_remap(ElementState(v=v, T=T, dp3d=dp, qdp=qdp))
+    return new.v, new.T, new.dp3d, new.qdp
+
+
+# -- the two halves of a DSS --------------------------------------------------------
+#
+# ``meta["levels"]``: fields carry a level axis after the element axis;
+# ``meta["fold"]``: each field is an (E, Q, L, n, n) stack, folded to
+# (E, Q*L, n, n); ``meta["cols"]``: the bundle's columns per point.  A
+# field with one axis more than a scalar is a contravariant (..., 2)
+# vector and is assembled in Cartesian form (three columns a level), and
+# level axes move last.
+
+
+def _folded(f, meta):
+    return f.reshape(len(f), -1, *f.shape[-2:]) if meta["fold"] else f
+
+
+def _is_vector(f, meta) -> bool:
+    return f.ndim == 4 + meta["levels"]
+
+
+def dss_columns(fields, levels: bool, fold: bool) -> int:
+    """Columns a point of the folded ``fields`` takes in the flat buffer."""
+    meta = {"levels": levels, "fold": fold}
+    return sum(math.prod(f.shape[1:2] if levels else ()) * (3 if _is_vector(f, meta) else 1)
+               for f in (_folded(f, meta) for f in fields))
+
+
+def exchange_form(geom, f, meta) -> np.ndarray:
+    """A field in the form a DSS sums: (E, n, n, K...), Cartesian, levels
+    last (a view where no conversion is needed)."""
+    f = _folded(f, meta)
+    w = geom.to_cartesian(f) if _is_vector(f, meta) else f
+    return np.moveaxis(w, 1, 3) if meta["levels"] else w
+
+
+def exchange_shape(out, meta) -> tuple[int, ...]:
+    """The :func:`exchange_form` shape of a field shaped like ``out``."""
+    o = _folded(out, meta)
+    s = o.shape[:1] + o.shape[2:4] + o.shape[1:2] if meta["levels"] else o.shape[:3]
+    return s + ((3,) if _is_vector(o, meta) else ())
+
+
+def from_exchange(geom, d, out, meta) -> None:
+    """Write the summed exchange form ``d`` back into ``out``'s own form."""
+    o = _folded(out, meta)
+    if meta["levels"]:
+        d = np.moveaxis(d, 3, 1)
+    if _is_vector(o, meta):
+        geom.from_cartesian(d, out=o)
+    else:
+        np.copyto(o, d)
+
+
+def finish_dss(geom, meta, like, sums, rest) -> tuple:
+    """The end of a shard's DSS: the summed exchange forms ``sums`` back in
+    the form of the fields ``like``, then — with a ``meta["post"]`` step —
+    ``post(geom, meta, *fields, *inputs)`` on them, ``inputs`` being the
+    first ``meta["npost"]`` of ``rest``.  The rest of ``rest``, when
+    given, receives the result (the resident arrays a pool hands out);
+    otherwise the result is fresh arrays, allocated after the sums' own
+    temporaries."""
+    post, npost = meta["post"], meta["npost"]
+    inputs, outs = rest[:npost], rest[npost:]
+    fields = outs if post is None and outs else [np.empty(a.shape) for a in like]
+    for o, d in zip(fields, sums):
+        from_exchange(geom, d, o, meta)
+    if post is None:
+        return tuple(fields)
+    result = post(geom, meta, *fields, *inputs)
+    for o, r in zip(outs, result):
+        np.copyto(o, r)
+    return tuple(outs) if outs else result
+
+
+def pack_task(geom, meta, *arrays):
+    """Stage 0 of a shard's DSS task: ``meta["task"]`` (or nothing) on the
+    first ``meta["nin"]`` arrays, then each output's :func:`exchange_form`
+    weighted into the shard's rows of the flat buffer that follows them;
+    returns those rows."""
+    nin = meta["nin"]
+    task, ins, buf = meta["task"], arrays[:nin], arrays[nin]
+    fields = ins if task is None else task(geom, meta, *ins)
+    plan = geom.dss_plan
+    return (plan.pack([exchange_form(geom, f, meta) for f in fields],
+                      plan.rows(buf, meta["cols"])),)
+
+
+def sum_task(geom, meta, *arrays):
+    """Stage 1, once every shard has packed: the shard's slots summed from
+    the flat buffer, finished (:func:`finish_dss`) into the arrays after
+    it.  The outputs are shaped like the first ``meta["nout"]`` inputs."""
+    nin = meta["nin"]
+    like, buf = arrays[:nin][:meta["nout"]], arrays[nin]
+    plan = geom.dss_plan
+    sums = plan.sum(plan.rows(buf, meta["cols"]),
+                    [exchange_shape(a, meta) for a in like])
+    return finish_dss(geom, meta, like, sums, arrays[nin + 1:])

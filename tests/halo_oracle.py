@@ -90,3 +90,29 @@ def oracle_exchange(mesh, part, local_fields, mpi, mode="overlap",
         outs.append(tuple(out[:, c0:c1].reshape(np.shape(f)) for c0, c1, f
                           in zip(cols, cols[1:], local_fields[r])))
     return outs, memcpy
+
+
+def whole_plan_assemble(hx, local_fields):
+    """The exchange plan's data path summed as one piece: every point's
+    weighted contribution in one flat buffer, every received row gathered
+    behind them, one accumulate over the plan's whole ``Assembly`` and one
+    take per field — the reference the per-shard sums of
+    ``HaloExchanger.assemble`` are held to.  Per-shard tuples of fields
+    in, per-shard tuples of C-contiguous sums out."""
+    first = local_fields[0]
+    cols = [0, *np.cumsum([np.prod(f.shape[3:], dtype=int) for f in first])]
+    npoints = hx.mesh.nelem * hx.mesh.np ** 2
+    ends = (np.cumsum([len(fields[0]) for fields in local_fields])
+            * hx.mesh.np ** 2).tolist()
+    points = list(zip([0, *ends], ends))
+    buf = np.empty((len(hx._assembly.slot_of), cols[-1]))
+    for (lo, hi), fields in zip(points, local_fields):
+        for c0, c1, f in zip(cols, cols[1:], fields):
+            np.copyto(buf[lo:hi, c0:c1].reshape(f.shape), f)
+    buf[:npoints] *= hx._weights
+    buf.take(hx._recv_rows, axis=0, out=buf[npoints:])
+    acc = hx._assembly.accumulate(buf)
+    outs = [acc[:, c0:c1].take(hx._point_slot, axis=0)
+            for c0, c1 in zip(cols, cols[1:])]
+    return [tuple(o[lo:hi].reshape(f.shape) for o, f in zip(outs, fields))
+            for (lo, hi), fields in zip(points, local_fields)]

@@ -258,3 +258,50 @@ class TestResilientRunnerParallel:
         assert report.fault_summary.get("bitflip") == 1
         assert np.array_equal(gref.h, got.h)
         assert np.array_equal(gref.v, got.v)
+
+
+class TestFaultsAtTheDSSBarrier:
+    """A DSS task is two stages around the batch's barrier — the pack
+    writes the shard's rows of the resident flat buffer, the sum reads
+    every shard's rows and writes the shard's fields.  A worker killed,
+    or a result corrupted where it lies in shared memory, in either
+    stage, at step 0 or in the steady state, is recovered locally: the
+    trajectory is the serial one's bytes, no degrade, no leaked block,
+    and the closed model still steps, in process, on the same arrays."""
+
+    @pytest.mark.parametrize("at_step", [0, 1])
+    @pytest.mark.parametrize("stage", ["pack", "sum"])
+    @pytest.mark.parametrize("name", ["kill-worker", "corrupt-result"])
+    def test_fault_in_a_stage_recovers_bitwise(self, mesh2, name, stage, at_step):
+        from repro.parallel.engine import STAGE_TIDS
+
+        steps = 2
+        with DistributedShallowWater(mesh2, nranks=4) as serial:
+            serial.run_steps(steps)
+            ref = serial.gather_state()
+            serial.step()
+            after = serial.gather_state()
+        faults, overrides = scenario_spec(
+            name, 2, 2, seed=0,
+            first_task=2 + at_step * 3 * 2 + (stage == "sum") * STAGE_TIDS)
+        model = DistributedShallowWater(mesh2, nranks=4, workers=2,
+                                        faults=faults, engine_kwargs=overrides)
+        try:
+            if not model.engine.active:
+                pytest.skip(f"pool unavailable: {model.engine.fallback_reason}")
+            assert len(model.groups) == 2
+            model.run_steps(steps)
+            got = model.gather_state()
+            rec = model.engine.recovery
+            key = "crashes" if name == "kill-worker" else "corrupt_results"
+            assert rec[key] == 1 and rec["pool_degrades"] == 0
+            assert model.engine.describe()["degrade_reasons"] == {}
+        finally:
+            model.close()
+        assert model.engine.leaked_shm() == []
+        for f in ("h", "v"):
+            assert getattr(got, f).tobytes() == getattr(ref, f).tobytes(), f
+        model.step()  # after close(): in process, on the resident arrays
+        for f in ("h", "v"):
+            assert getattr(model.gather_state(), f).tobytes() == \
+                getattr(after, f).tobytes(), f

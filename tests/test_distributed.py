@@ -652,6 +652,37 @@ class TestConstructorChecksFirst:
                 f"workers must be an integer, got {workers!r}")):
             DistributedShallowWater(mesh4, 4, workers=workers)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"faults": None}, {"workers": 3}, {"label": "x"}, {"bogus": 1},
+        {"heartbeat_timeout": 5.0, "contexts": ()}])
+    @pytest.mark.parametrize("kind", ["sw", "prim"])
+    def test_engine_kwargs_take_only_supervision_knobs(
+            self, mesh4, setup, nothing_built, monkeypatch, kind, kwargs):
+        """The model's own engine arguments, or an unknown one, raise
+        ``KernelError`` naming the key, before anything is built — not a
+        ``TypeError`` from deep inside the engine."""
+        def refuse(*args, **kw):
+            raise AssertionError("SimMPI was built before the check")
+
+        monkeypatch.setattr(dist_mod, "SimMPI", refuse)
+        bad = next(k for k in kwargs if k not in dist_mod.ENGINE_KNOBS)
+        with pytest.raises(KernelError, match=f"not {bad!r}"):
+            if kind == "sw":
+                DistributedShallowWater(mesh4, 4, engine_kwargs=kwargs)
+            else:
+                cfg, mesh, state = setup
+                DistributedPrimitiveEquations(cfg, mesh, state, nranks=4,
+                                              dt=600.0, engine_kwargs=kwargs)
+
+    def test_supervision_knobs_reach_the_engine(self, mesh4):
+        knobs = {"heartbeat_timeout": 7.0, "result_timeout": 9.0,
+                 "max_respawns": 1, "profile_hz": 0.0}
+        assert set(knobs) == dist_mod.ENGINE_KNOBS
+        with DistributedShallowWater(mesh4, 4, engine_kwargs=knobs) as model:
+            e = model.engine
+            assert (e.heartbeat_timeout, e.result_timeout, e.max_respawns,
+                    e.profile_hz) == (7.0, 9.0, 1, 0.0)
+
     def test_numpy_integer_workers_accepted(self, mesh4):
         with DistributedShallowWater(mesh4, 4, workers=np.int64(-1)) as model:
             assert model.workers == 0 and type(model.workers) is int
