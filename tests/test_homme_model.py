@@ -254,7 +254,7 @@ class TestOneShardDSS:
 
     def check(self, model, bundle, oracle):
         shards = [tuple(f[lo:hi] for f in bundle) for lo, hi, _ in model.blocks]
-        outs = model._dss(shards, stage=0, slot=0)
+        outs = model._fanout_dss(None, {}, shards, stage=0, slot=0)
         assert len(outs) == len(model.blocks)
         for k, want in enumerate(oracle):
             parts = [o[k] for o in outs]
