@@ -7,9 +7,11 @@ mesh partitioned across simulated MPI ranks and every DSS performed by
 :class:`~repro.homme.bndry.HaloExchanger` — pack, send, (overlap),
 receive, unpack — one exchange per synchronisation point, every field
 of it in one message per neighbour.  Scalar fields exchange
-directly; vectors exchange in the frame-free Cartesian tangent
-representation (:meth:`ElementGeometry.to_cartesian` /
-:meth:`~ElementGeometry.from_cartesian`, as the one-shard layout does).
+directly; vectors exchange as the three component planes of the
+frame-free Cartesian tangent representation
+(:meth:`ElementGeometry.to_cartesian_planes` /
+:meth:`~ElementGeometry.from_cartesian_planes`, as the one-shard layout
+does).
 
 The distributed trajectory is the serial model's bit for bit at any
 rank count (the exchange sums what the serial DSS sums, in the same

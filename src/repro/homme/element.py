@@ -191,34 +191,35 @@ class ElementGeometry:
             return levels_first(self._mesh_dss(levels_last(f)), f.shape)
         raise KernelError(f"dss: unsupported field rank {f.ndim}")
 
-    def to_cartesian(self, v: np.ndarray) -> np.ndarray:
-        """Contravariant (E, [L,] np, np, 2) -> Cartesian tangent (..., 3) vectors.
+    def to_cartesian_planes(self, v: np.ndarray) -> list[np.ndarray]:
+        """Contravariant (E, [L,] np, np, 2) -> the three Cartesian tangent
+        component planes (E, [L,] np, np), each C-contiguous.
 
-        ``w = radius (v^1 e_1 + v^2 e_2)`` on contiguous component
-        planes, each summed from +0.0 (an all ``-0.0`` sum comes out
-        ``+0.0``) in the one operation order the trajectories pin.
+        ``w_j = radius (v^1 e_1 + v^2 e_2)_j``, each plane summed from
+        +0.0 (an all ``-0.0`` sum comes out ``+0.0``) in the one
+        operation order the trajectories pin.
         """
         e = self.e_cov_planes[:, :, :, None] if v.ndim == 5 else self.e_cov_planes
         v0, v1 = _split(v)
-        w = np.empty(v.shape[:-1] + (3,))
+        planes = []
         for j in range(3):
             wj = e[j, 0] * v0
             wj += 0.0
             wj += e[j, 1] * v1
-            np.multiply(wj, self.radius, out=w[..., j])
-        return w
+            wj *= self.radius
+            planes.append(wj)
+        return planes
 
-    def from_cartesian(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse of :meth:`to_cartesian`: ``v^i = metinv^{ij} radius (e_j . w)``.
+    def from_cartesian_planes(self, planes, out: np.ndarray) -> None:
+        """Inverse of :meth:`to_cartesian_planes`, written into the
+        (E, [L,] np, np, 2) ``out``: ``v^i = metinv^{ij} radius (e_j . w)``.
 
-        Same planes, same fixed order; C-contiguous whatever ``w``'s
-        layout (bitwise restart depends on it), written into ``out``
-        when given.
+        Same fixed order, whatever the planes' strides.
         """
+        w0, w1, w2 = planes
         e, metinv = self.e_cov_planes, self.metinv_planes
-        if w.ndim == 5:
+        if w0.ndim == 4:
             e, metinv = e[:, :, :, None], metinv[:, :, :, None]
-        w0, w1, w2 = _split(w)
         cov = []
         for i in range(2):
             c = e[0, i] * w0
@@ -227,12 +228,10 @@ class ElementGeometry:
             c += e[2, i] * w2
             c *= self.radius
             cov.append(c)
-        v = np.empty(w.shape[:-1] + (2,)) if out is None else out
         for k in range(2):
             vk = metinv[k, 0] * cov[0]
             vk += 0.0
-            np.add(vk, metinv[k, 1] * cov[1], out=v[..., k])
-        return v
+            np.add(vk, metinv[k, 1] * cov[1], out=out[..., k])
 
 
 @dataclass

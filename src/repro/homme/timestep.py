@@ -290,7 +290,7 @@ class _WholeMesh(_Layout):
         fields = (per_shard_arrays if task is None
                   else self._fanout(task, meta, per_shard_arrays))
         sums = self._plan.assemble([
-            tuple(dycore.exchange_form(g, f, meta) for f in fs)
+            tuple(dycore.exchange_form(g, fs, meta))
             for g, fs in zip(self.geoms, fields)])
         return [dycore.finish_dss(g, meta, arrays[:meta["nout"]], ds, r)
                 for g, arrays, ds, r in zip(self.geoms, per_shard_arrays, sums, rest)]

@@ -129,8 +129,8 @@ def prim_hypervis_remap_post(geom, meta, bih_T, bih_v, bih_dp, T, v, dp, qdp):
 # ``meta["fold"]``: each field is an (E, Q, L, n, n) stack, folded to
 # (E, Q*L, n, n); ``meta["cols"]``: the bundle's columns per point.  A
 # field with one axis more than a scalar is a contravariant (..., 2)
-# vector and is assembled in Cartesian form (three columns a level), and
-# level axes move last.
+# vector and crosses the exchange as its three Cartesian component
+# planes, a column block each; level axes move last.
 
 
 def _folded(f, meta):
@@ -141,52 +141,68 @@ def _is_vector(f, meta) -> bool:
     return f.ndim == 4 + meta["levels"]
 
 
+def _nplanes(f, meta) -> int:
+    """Planes the folded field ``f`` crosses the exchange as."""
+    return 3 if _is_vector(f, meta) else 1
+
+
 def dss_columns(fields, levels: bool, fold: bool) -> int:
     """Columns a point of the folded ``fields`` takes in the flat buffer."""
     meta = {"levels": levels, "fold": fold}
-    return sum(math.prod(f.shape[1:2] if levels else ()) * (3 if _is_vector(f, meta) else 1)
+    return sum(math.prod(f.shape[1:2] if levels else ()) * _nplanes(f, meta)
                for f in (_folded(f, meta) for f in fields))
 
 
-def exchange_form(geom, f, meta) -> np.ndarray:
-    """A field in the form a DSS sums: (E, n, n, K...), Cartesian, levels
-    last (a view where no conversion is needed)."""
-    f = _folded(f, meta)
-    w = geom.to_cartesian(f) if _is_vector(f, meta) else f
-    return np.moveaxis(w, 1, 3) if meta["levels"] else w
+def exchange_form(geom, fields, meta) -> list[np.ndarray]:
+    """``fields`` in the form a DSS sums: every field's (E, n, n[, L])
+    planes, levels last, in order — a vector's three Cartesian
+    components, a scalar itself (a view)."""
+    planes = []
+    for f in fields:
+        f = _folded(f, meta)
+        ws = geom.to_cartesian_planes(f) if _is_vector(f, meta) else [f]
+        planes += [np.moveaxis(w, 1, 3) for w in ws] if meta["levels"] else ws
+    return planes
 
 
-def exchange_shape(out, meta) -> tuple[int, ...]:
-    """The :func:`exchange_form` shape of a field shaped like ``out``."""
-    o = _folded(out, meta)
-    s = o.shape[:1] + o.shape[2:4] + o.shape[1:2] if meta["levels"] else o.shape[:3]
-    return s + ((3,) if _is_vector(o, meta) else ())
+def exchange_shapes(fields, meta) -> list[tuple[int, ...]]:
+    """The shapes of the :func:`exchange_form` of fields shaped like ``fields``."""
+    shapes = []
+    for f in fields:
+        o = _folded(f, meta)
+        s = o.shape[:1] + o.shape[2:4] + o.shape[1:2] if meta["levels"] else o.shape[:3]
+        shapes += [s] * _nplanes(o, meta)
+    return shapes
 
 
-def from_exchange(geom, d, out, meta) -> None:
-    """Write the summed exchange form ``d`` back into ``out``'s own form."""
+def from_exchange(geom, planes, out, meta) -> None:
+    """Write the summed exchange form ``planes`` of one field back into
+    ``out``'s own form."""
     o = _folded(out, meta)
     if meta["levels"]:
-        d = np.moveaxis(d, 3, 1)
+        planes = [np.moveaxis(d, 3, 1) for d in planes]
     if _is_vector(o, meta):
-        geom.from_cartesian(d, out=o)
+        geom.from_cartesian_planes(planes, o)
     else:
-        np.copyto(o, d)
+        np.copyto(o, planes[0])
 
 
 def finish_dss(geom, meta, like, sums, rest) -> tuple:
-    """The end of a shard's DSS: the summed exchange forms ``sums`` back in
-    the form of the fields ``like``, then — with a ``meta["post"]`` step —
-    ``post(geom, meta, *fields, *inputs)`` on them, ``inputs`` being the
-    first ``meta["npost"]`` of ``rest``.  The rest of ``rest``, when
-    given, receives the result (the resident arrays a pool hands out);
-    otherwise the result is fresh arrays, allocated after the sums' own
-    temporaries."""
+    """The end of a shard's DSS: the summed exchange form ``sums`` of the
+    fields ``like`` back in those fields' form, then — with a
+    ``meta["post"]`` step — ``post(geom, meta, *fields, *inputs)`` on
+    them, ``inputs`` being the first ``meta["npost"]`` of ``rest``.  The
+    rest of ``rest``, when given, receives the result (the resident
+    arrays a pool hands out); otherwise the result is fresh arrays,
+    allocated after the sums' own temporaries."""
     post, npost = meta["post"], meta["npost"]
     inputs, outs = rest[:npost], rest[npost:]
     fields = outs if post is None and outs else [np.empty(a.shape) for a in like]
-    for o, d in zip(fields, sums):
-        from_exchange(geom, d, o, meta)
+    c0 = 0
+    for o in fields:
+        c1 = c0 + _nplanes(_folded(o, meta), meta)
+        from_exchange(geom, sums[c0:c1], o, meta)
+        c0 = c1
     if post is None:
         return tuple(fields)
     result = post(geom, meta, *fields, *inputs)
@@ -197,14 +213,14 @@ def finish_dss(geom, meta, like, sums, rest) -> tuple:
 
 def pack_task(geom, meta, *arrays):
     """Stage 0 of a shard's DSS task: ``meta["task"]`` (or nothing) on the
-    first ``meta["nin"]`` arrays, then each output's :func:`exchange_form`
+    first ``meta["nin"]`` arrays, then its outputs' :func:`exchange_form`
     weighted into the shard's rows of the flat buffer that follows them;
     returns those rows."""
     nin = meta["nin"]
     task, ins, buf = meta["task"], arrays[:nin], arrays[nin]
     fields = ins if task is None else task(geom, meta, *ins)
     plan = geom.dss_plan
-    return (plan.pack([exchange_form(geom, f, meta) for f in fields],
+    return (plan.pack(exchange_form(geom, fields, meta),
                       plan.rows(buf, meta["cols"])),)
 
 
@@ -215,6 +231,5 @@ def sum_task(geom, meta, *arrays):
     nin = meta["nin"]
     like, buf = arrays[:nin][:meta["nout"]], arrays[nin]
     plan = geom.dss_plan
-    sums = plan.sum(plan.rows(buf, meta["cols"]),
-                    [exchange_shape(a, meta) for a in like])
+    sums = plan.sum(plan.rows(buf, meta["cols"]), exchange_shapes(like, meta))
     return finish_dss(geom, meta, like, sums, arrays[nin + 1:])

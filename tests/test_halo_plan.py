@@ -2,8 +2,13 @@
 
 The plan must reproduce the oracle (``tests/halo_oracle.py``: per-rank
 ``np.unique`` + ``np.add.at`` + per-peer ``np.isin``) bit for bit —
-outputs, every simulated clock, every counter, every span.
+outputs, every simulated clock, every counter, every span.  Every
+layout's DSS, vectors crossing as Cartesian planes, is the whole-mesh
+oracle's bit for bit, and one DSS allocates what the plane form needs.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,15 +22,18 @@ from repro.homme.distributed import (
     DistributedPrimitiveEquations,
     DistributedShallowWater,
 )
-from repro.homme.element import ElementGeometry, ElementState
-from repro.homme.shallow_water import ShallowWaterModel
+from repro.homme import timestep
+from repro.homme.element import ElementGeometry, ElementState, levels_first, levels_last
+from repro.homme.shallow_water import ShallowWaterModel, williamson2_initial
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.mesh.partition import SFCPartition
 from repro.network.simmpi import SimMPI
 from repro.obs.tracer import Tracer
+from repro.parallel import dycore
 from repro.resilience.faults import FaultInjector
 
+from .dss_oracle import dss_vector, to_cartesian
 from .halo_oracle import oracle_exchange, whole_plan_assemble
 
 TRAILING = [(), (1,), (3,), (16, 3)]
@@ -424,3 +432,139 @@ class TestShardSumsAreTheWholePlans:
             for a, b in zip(g, w):
                 assert a.flags.c_contiguous and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+
+# -- vectors cross the exchange as Cartesian planes --------------------------
+
+
+@st.composite
+def plane_dss_cases(draw):
+    """A layout — the one-shard model cut into element blocks, or a
+    distributed model of ``nranks`` SFC ranks grouped 1 or 2 ranks a shard
+    or all in one — with no level axis (shallow water) or L levels
+    (primitive equations), and a bundle: scalars and vectors, or folded
+    (E, Q, L, n, n) stacks."""
+    ne = draw(st.sampled_from([2, 3, 4]))
+    nelem = 6 * ne * ne
+    nlev = draw(st.sampled_from([None, 1, 3, 16]))
+    nranks = draw(st.sampled_from([None, 1, 2, 3, 4, 6, 8]))
+    if nranks is None:
+        cuts = draw(st.sets(st.integers(1, nelem - 1), max_size=5))
+        shards = [0, *sorted(cuts), nelem]
+    else:
+        shards = draw(st.sampled_from([1, 2, None]))  # ranks a group holds
+    if nlev is not None and draw(st.booleans()):
+        bundle = [("stack", draw(st.integers(1, 3)))
+                  for _ in range(draw(st.integers(1, 2)))]
+    else:
+        bundle = [(kind, None) for kind in draw(st.lists(
+            st.sampled_from(["scalar", "vector"]), min_size=1, max_size=3))]
+    return ne, nlev, nranks, shards, bundle, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPlaneFormDSS:
+    """Every layout's DSS — the one-shard model's element blocks, a
+    distributed model's rank groups — is the whole-mesh oracle bit for
+    bit: vectors ``dss_oracle.dss_vector``, scalars and folded stacks
+    ``CubedSphereMesh.dss``.  The planes a shard packs are the oracle's
+    interleaved Cartesian components, bit for bit as well: every slot sum
+    starts from +0.0, so a plane rotation that lost its own +0.0 start
+    shows only there."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self):
+        return {}
+
+    @staticmethod
+    def layout(cache, ne, nlev, nranks, shards):
+        key = (ne, nlev, nranks, None if nranks is None else shards)
+        if key not in cache:
+            mesh = CubedSphereMesh(ne)
+            if nlev is None:
+                state = williamson2_initial(mesh)
+            else:
+                cfg = ModelConfig(ne=ne, nlev=nlev, qsize=1)
+                state = ElementState.isothermal_rest(ElementGeometry(mesh), cfg)
+            if nranks is None:
+                model = (ShallowWaterModel(mesh) if nlev is None else
+                         PrimitiveEquationModel(cfg, mesh, dt=600.0))
+            else:
+                elems = {1: 1, None: mesh.nelem}.get(shards) or shards * mesh.nelem // nranks
+                per_elem = max(a.nbytes // len(a) for a in vars(state).values())
+                with mock.patch.object(timestep, "BLOCK_BYTES", elems * per_elem):
+                    model = (DistributedShallowWater(mesh, nranks) if nlev is None else
+                             DistributedPrimitiveEquations(cfg, mesh, state, nranks,
+                                                           dt=600.0))
+            cache[key] = model, ElementGeometry(mesh)
+        return cache[key]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=plane_dss_cases())
+    def test_every_layout_is_the_oracle_bitwise(self, layouts, case):
+        ne, nlev, nranks, shards, bundle, seed = case
+        model, whole = self.layout(layouts, ne, nlev, nranks, shards)
+        mesh, rng = model.mesh, np.random.default_rng(seed)
+        n, E, levels = mesh.np, mesh.nelem, () if nlev is None else (nlev,)
+        if nranks is None:
+            model.blocks = [(lo, hi, model.geom.rows(lo, hi))
+                            for lo, hi in zip(shards, shards[1:])]
+            order, bounds = np.arange(E), shards
+        else:
+            off = model.hx.elem_offsets
+            order, bounds = model.hx.plan_elems, [off[r0] for r0, _ in model.groups] + [E]
+        fields, want = [], []
+        for kind, q in bundle:
+            shape = {"scalar": levels + (n, n), "vector": levels + (n, n, 2),
+                     "stack": (q, nlev, n, n)}[kind]
+            f = random_field(rng, (E,) + shape)
+            if kind == "vector":
+                oracle = dss_vector(whole, f)
+            else:
+                flat = f.reshape((E, -1, n, n) if levels else f.shape)
+                oracle = (levels_first(mesh.dss(levels_last(flat)), flat.shape)
+                          if levels else mesh.dss(flat)).reshape(f.shape)
+            fields.append(f[order])
+            want.append(oracle[order])
+        fold = bundle[0][0] == "stack"
+        per_shard = [tuple(f[lo:hi] for f in fields) for lo, hi in zip(bounds, bounds[1:])]
+        outs = model._fanout_dss(None, {}, per_shard, stage=0, slot=0, fold=fold)
+        assert len(outs) == len(per_shard)
+        for k, w in enumerate(want):
+            parts = [o[k] for o in outs]
+            assert all(p.flags.c_contiguous for p in parts)
+            assert np.concatenate(parts).tobytes() == w.tobytes(), (k, bundle[k])
+        meta = {"levels": nlev is not None, "fold": fold}
+        for g, arrays in zip(model.geoms, per_shard):
+            planes = iter(dycore.exchange_form(g, arrays, meta))
+            for f, (kind, _) in zip(arrays, bundle):
+                if kind != "vector":
+                    next(planes)
+                    continue
+                cart = to_cartesian(g, f)
+                for j in range(3):
+                    wj = cart[..., j]
+                    wj = np.moveaxis(wj, 1, 3) if levels else wj
+                    assert next(planes).tobytes() == np.ascontiguousarray(wj).tobytes(), j
+
+
+def test_a_dss_allocates_no_interleaved_vector_array():
+    """One in-process DSS of a shallow-water (h, v) bundle at ne8 x 4
+    ranks peaks at what the plane form needs, from shapes: the flat
+    buffer (h and v's three Cartesian columns), the four summed planes,
+    the outputs (h and v) and the inverse rotation's four planes in
+    flight (two covariant components, two products), plus one plane of
+    slack for index arrays and objects.  An (E, n, n, 3) Cartesian copy
+    of v on either side of the buffer is three planes more."""
+    model = DistributedShallowWater(CubedSphereMesh(8), 4)
+    bundle = [(s.h, s.v) for s in model.states]
+    plane = model.states[0].h.nbytes * len(model.states)
+    model._fanout_dss(None, {}, bundle, stage=0, slot=0)  # plans and operands built
+    tracemalloc.start()
+    try:
+        model._fanout_dss(None, {}, bundle, stage=0, slot=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf, sums, outs, rotation, slack = 4, 4, 3, 4, 1
+    assert peak <= (buf + sums + outs + rotation + slack) * plane, peak / plane

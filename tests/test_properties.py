@@ -24,7 +24,7 @@ from repro.network.simmpi import MAX_RETRIES, rank_track
 from repro.obs.tracer import Tracer
 from repro.resilience.faults import FaultInjector
 
-from .dss_oracle import dss_vector
+from .dss_oracle import dss_vector, from_cartesian, to_cartesian
 from .simmpi_oracle import PerMessage, one_way
 
 
@@ -166,15 +166,22 @@ class TestSerialDssLayouts:
         shard = ElementGeometry(mesh, np.arange(mesh.nelem)[5::3])
         v = np.random.default_rng(3).standard_normal((shard.nelem,) + levels + (4, 4, 2))
         v[:2] = -0.0
-        w = shard.to_cartesian(v)
+        w = to_cartesian(shard, v)
         assert w.flags.c_contiguous
         assert w.tobytes() == self._einsum_to(shard, v).tobytes()
+        planes = shard.to_cartesian_planes(v)
+        assert all(p.flags.c_contiguous for p in planes)
+        assert [p.tobytes() for p in planes] == [
+            np.ascontiguousarray(w[..., j]).tobytes() for j in range(3)]
         if levels:
             w = levels_first(np.ascontiguousarray(levels_last(w)), w.shape)
             assert not w.flags.c_contiguous
-        back = shard.from_cartesian(w)
+        back = from_cartesian(shard, w)
         assert back.flags.c_contiguous
         assert back.tobytes() == self._einsum_from(shard, w).tobytes()
+        out = np.empty_like(back)
+        shard.from_cartesian_planes([w[..., j] for j in range(3)], out)
+        assert out.tobytes() == back.tobytes()
 
     @pytest.mark.parametrize("ids", [
         lambda n: np.arange(n)[::-1],           # same length, reordered
