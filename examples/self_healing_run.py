@@ -3,7 +3,7 @@
 
 Runs one seeded chaos scenario from :mod:`repro.parallel.chaos` — a
 worker SIGKILL, a stalled heartbeat, a result delayed past the batch
-timeout, or a bit flipped in a result block, each a task schedule on
+timeout, or a bit flipped in a result, each a task schedule on
 one :class:`repro.resilience.FaultInjector` — against the ne2
 distributed shallow-water model, and shows:
 
@@ -47,8 +47,8 @@ def main(argv=None) -> int:
                     help="chaos schedule seed (same seed -> same faults)")
     ap.add_argument("--at-step", type=int, default=0,
                     help="step whose first RK stage takes the faults: 0 "
-                         "(default) hits results still travelling by queue, "
-                         "a later one results in the shared-memory blocks")
+                         "(default) hits the first use of each stage array's "
+                         "arena region, a later one the steady state")
     ap.add_argument("--report", metavar="OUT.json", default=None,
                     help="write the JSON scenario reports here")
     ns = ap.parse_args(argv)

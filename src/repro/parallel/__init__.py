@@ -10,8 +10,9 @@ the engine's one client; its task functions live in
 both halves of every DSS, the pack and the sum — while SimMPI's
 deterministic simulated clocks remain the timing model.  A pool model's
 shard arrays stay resident in shared memory both the driver and its
-workers map (:mod:`repro.parallel.resident`); a task names them by
-reference, and only halo rows move between shards.
+workers map (:mod:`repro.parallel.resident`); a task names them — and
+every other input, staged into the engine's own arena — by reference,
+and only halo rows move between shards.
 
 The contract (DESIGN.md §10):
 
@@ -28,7 +29,7 @@ The contract (DESIGN.md §10):
   inherit them through ``fork`` and a task receives the one its meta
   indexes.
 - **Self-healing.** Every engine recovers worker crashes, hangs,
-  overdue results, and corrupted result blocks locally — respawn the
+  overdue results, and corrupted results locally — respawn the
   slot, redistribute only its in-flight tasks, re-execute CRC
   failures — without giving up the pool or the bitwise contract
   (DESIGN.md §12).  :mod:`repro.parallel.chaos` proves it with

@@ -1,18 +1,17 @@
 """The process-parallel execution engine behind ``repro.parallel``.
 
 :class:`ParallelEngine` owns a persistent pool of forked worker
-processes.  An array that lies in a resident arena
-(:mod:`repro.parallel.resident` — shared memory the driver made before
-the fork, so every worker maps it) travels to a task *by reference*, and
-a result the task writes into an array it was handed travels back the
-same way: a pool model's shard arrays never cross the transport.  Any
-other array is copied through a set of ``multiprocessing.shared_memory``
-blocks, allocated once and grown on demand: one memcpy in, one queue
-round trip of descriptors per task, and one memcpy out.  Copied results,
-whose shapes only the task function knows, land in an out region behind the
-task's inputs, sized by the largest result that slot has returned; one
-that does not fit yet — a slot's first, or one that grew — travels on
-the result queue once and raises the capacity.
+processes and one transport: every task input crosses *by reference*
+into shared memory mapped before the fork
+(:mod:`repro.parallel.resident`).  An array that lies in a resident
+arena — a pool model's shard arrays — is named where it lies; any other
+input is first copied, C-contiguous and read-only, into the engine's
+staging arena.  A result the task writes into a writable input it was
+handed travels back the same way; any other result is a private copy
+pickled into the task's reply.  Task messages stay descriptor-sized,
+never carrying input bytes: a driver blocked writing a large task to a
+busy worker while that worker blocks writing a large reply the driver
+is not reading would wait forever.
 
 Execution model
 ---------------
@@ -27,7 +26,7 @@ returning a tuple of ndarrays.
 ``submit(fn, payloads)`` is the same contract in two halves: it queues
 the batch and returns a :class:`PendingRun` whose ``wait()`` yields the
 payload-ordered results.  One batch is in flight at a time — its tasks
-own the shared-memory blocks until they are collected — so a second
+read its staged copies until they are collected — so a second
 ``submit`` before that ``wait`` raises.  A task may have *stages* (a
 tuple of functions over one payload) separated by the batch's barrier:
 a DSS's pack and sum.
@@ -51,7 +50,7 @@ triggers the same local recovery — respawn the slot (the fork inherits
 the engine's contexts exactly as the original did) and re-dispatch
 only the failed worker's in-flight task ids to the survivors.  Results
 carry a CRC32 the driver re-verifies before anything consumes them —
-over its own copy of a copied result, in place for a resident one — so
+over its unpickled copy of a copied result, in place for a resident one — so
 a corrupted result is re-executed rather than combined.  Because a task
 reads only arrays no task of its batch writes and writes only arrays it
 was handed fresh, and every combine sums in a canonical order, every
@@ -87,9 +86,6 @@ from .supervisor import (
     HEARTBEAT_TIMEOUT,
     SUPERVISION_TICK,
     WorkerSupervisor,
-    _layout,
-    _store,
-    _unpack,
     result_crc,
     task_context,
 )
@@ -120,6 +116,11 @@ MAX_TASK_ATTEMPTS = 3
 #: ``t`` is dispatched as ``t + s * STAGE_TIDS``, so task ids count tasks
 #: and a fault schedule can still name any stage.
 STAGE_TIDS = 1 << 32
+
+#: Address space of an engine's staging arena [bytes]: the copies of a
+#: batch's inputs that lie in no resident arena (only what is written is
+#: backed by memory).  A batch whose copies do not fit runs in process.
+STAGING_BYTES = 1 << 26
 
 #: Attribute names skipped by :func:`context_nbytes`: references back to
 #: driver-resident shared structures (the full mesh).
@@ -210,32 +211,11 @@ class WorkerStats:
 
 
 @dataclass
-class _Block:
-    """One shared-memory block plus its current capacity."""
-
-    shm: shared_memory.SharedMemory
-    capacity: int
-    owner: set | None = None  # engine's owned-name set, for leak tracking
-    out_need: int = 0  # bytes of the largest result this slot has returned
-
-    def close(self, unlink: bool) -> None:
-        try:
-            self.shm.close()
-            if unlink:
-                self.shm.unlink()
-                if self.owner is not None:
-                    self.owner.discard(self.shm.name)
-        except (FileNotFoundError, OSError):  # already gone
-            if self.owner is not None:
-                self.owner.discard(self.shm.name)
-
-
-@dataclass
 class _TaskRecord:
     """Driver-side record of one dispatched task.
 
     Everything needed to re-dispatch the task after a worker failure
-    (``fn``/``meta``/``desc`` — the shared-memory block stays
+    (``fn``/``meta``/``desc`` — the staged copies it names stay
     valid until the whole batch is collected) and to route its result
     back (``idx``, into the in-flight batch).  ``slot`` tracks the worker
     currently responsible; ``attempt`` counts dispatches, and chaos hooks
@@ -250,37 +230,20 @@ class _TaskRecord:
     slot: int = -1
 
 
-def _pack(block: _Block | None, key: int, arrays: tuple,
-          make, arenas=()) -> tuple[_Block, tuple]:
-    """Copy ``arrays`` into slot ``key``'s (possibly grown) block; return
-    the descriptor ``(key, name, metas, out_off, out_cap)``.
-
-    The layout is a flat concatenation at 64-byte-aligned offsets —
-    ``metas`` carries (offset, shape, dtype) per array so the peer can
-    rebuild zero-copy views — and everything from ``out_off`` to the end
-    of the block is the out region the worker may write results into.
-    An array lying in one of the resident ``arenas`` (ids of
-    :mod:`repro.parallel.resident` arenas the workers map) is not copied:
-    its meta is ``("a", arena, offset, shape, strides, dtype)``.
-    The block is regrown when it cannot hold the inputs plus the largest
-    result the slot has returned (``block.out_need``).
-    """
-    refs = [resident.locate(a, arenas) for a in arrays]
-    copied = [a for a, r in zip(arrays, refs) if r is None]
-    metas, end = _layout(copied)
-    out_off = (end + 63) & ~63
-    out_need = block.out_need if block is not None else 0
-    if block is None or block.capacity < out_off + out_need:
-        if block is not None:
-            block.close(unlink=True)
-        block = make(max(out_off + out_need, 1))
-        block.out_need = out_need
-    _store(block.shm, metas, copied)
-    metas = iter(metas)
-    metas = tuple(next(metas) if r is None else
-                  ("a", *r, a.shape, a.strides, a.dtype.str)
-                  for a, r in zip(arrays, refs))
-    return block, (key, block.shm.name, metas, out_off, block.capacity - out_off)
+def _carried(idx: int, arrays) -> tuple:
+    """Payload ``idx``'s arrays as the transport carries them, a numpy
+    scalar as a 0-d array; :class:`KernelError` naming the payload and
+    array index for an entry that is not an array of plain values."""
+    out = []
+    for k, a in enumerate(arrays):
+        a = np.asarray(a) if isinstance(a, np.generic) else a
+        if not isinstance(a, np.ndarray) or a.dtype.hasobject:
+            what = f"dtype {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise KernelError(
+                f"payload {idx} array {k}: the pool carries arrays of plain "
+                f"values, not {what}")
+        out.append(a)
+    return tuple(out)
 
 
 def _stages(fn) -> tuple:
@@ -288,16 +251,11 @@ def _stages(fn) -> tuple:
     return tuple(fn) if isinstance(fn, (tuple, list)) else (fn,)
 
 
-def _is_ref(d) -> bool:
-    """Is a reply entry a resident output's reference?"""
-    return isinstance(d, tuple) and d[:1] == ("r",)
-
-
 def _ref_view(ins: tuple, ref: tuple) -> np.ndarray:
     """The driver's view of a resident output: a view of the payload
     array it lies in, so the array keeps that region referenced."""
-    _, k, off, shape, strides, dtype = ref
-    return np.ndarray(shape, np.dtype(dtype), buffer=ins[k], offset=off,
+    k, off, shape, strides, dtype = ref
+    return np.ndarray(shape, dtype, buffer=ins[k], offset=off,
                       strides=strides)
 
 
@@ -328,13 +286,15 @@ class PendingRun:
         self.timeout = engine.result_timeout
         self.results: list[tuple | None] = [None] * len(payloads)
         #: Per payload, the last stage whose result is in (-1: none), and
-        #: whether any of its stages' results travelled on the queue.
+        #: whether any of its stages' results was pickled into a reply.
         self.finished = [-1] * len(payloads)
         self.queued = [False] * len(payloads)
         self.stage = 0  # the stage in flight on the workers
         #: Per payload, its pool descriptor and task id (every stage's
-        #: dispatch names the same block).
+        #: dispatch names the same arrays), and the staged copies the
+        #: descriptors name, held until the batch is collected.
         self.descs: list[tuple] = []
+        self.staged: list[np.ndarray] = []
         self.tids: range = range(0)
         self.remaining = 0  # parallel tasks still in flight
         self.failures: list[str] = []
@@ -451,19 +411,17 @@ class ParallelEngine:
         self.calls = 0
         self.tasks_parallel = 0
         self.tasks_serial = 0
-        #: How accepted pool results travelled, one count per task: written
-        #: into the task's block or a resident array it was handed, or — any
-        #: stage's — pickled onto the result queue (did not fit yet).
+        #: How accepted pool results travelled, one count per task: every
+        #: array by reference into shared memory, or — any stage's — some
+        #: pickled into the reply.
         self.transport: dict[str, int] = {"results_shm": 0, "results_queued": 0}
         self.supervisor: WorkerSupervisor | None = None
         self._result_q = None
-        #: Shared-memory task blocks (inputs, then the out region), keyed
-        #: by payload index.
-        self._blocks: dict[int, _Block] = {}
         #: Names of every shared-memory block this engine created and
-        #: has not yet unlinked — the leak-tracking ledger behind
-        #: :meth:`leaked_shm`.
+        #: has not yet unlinked (the heartbeat block) — the leak-tracking
+        #: ledger behind :meth:`leaked_shm`.
         self._owned_shm: set[str] = set()
+        self._staging: resident.Arena | None = None
         self._arenas: frozenset[int] = frozenset()
         self._task_seq = 0
         self._rr = 0  # round-robin cursor over live worker slots
@@ -498,8 +456,11 @@ class ParallelEngine:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
+            #: Where a batch's inputs that lie in no resident arena are
+            #: copied; made before the first fork, so respawns map it too.
+            self._staging = resident.Arena(STAGING_BYTES)
             #: Resident arenas every worker maps (they exist before the
-            #: fork); an array in one of them travels by reference.
+            #: fork), the staging arena among them.
             self._arenas = resident.live_ids()
             self._result_q = ctx.SimpleQueue()
             self.supervisor = WorkerSupervisor(
@@ -546,7 +507,7 @@ class ParallelEngine:
                 raise KernelError("parallel pool ping returned wrong data")
 
     def close(self) -> None:
-        """Stop the workers and release every shared-memory block.
+        """Stop the workers and release the heartbeat block.
 
         Idempotent: closing twice (or letting ``__del__`` run after an
         explicit close) is a no-op.  An outstanding :class:`PendingRun`
@@ -585,9 +546,7 @@ class ParallelEngine:
             self.supervisor.shutdown()
             self._owned_shm.discard(name)
             self.supervisor = None
-        for blk in self._blocks.values():
-            blk.close(unlink=True)
-        self._blocks.clear()
+        self._staging = None
         if self._result_q is not None:
             try:
                 self._result_q.close()
@@ -629,8 +588,9 @@ class ParallelEngine:
         """Execute ``fn(ctx, meta, *arrays)`` per payload; results in order.
 
         ``payloads`` is a list of ``(meta, arrays)`` with ``meta`` a
-        small picklable dict and ``arrays`` a tuple of ndarrays shipped
-        through shared memory; ``ctx`` is the context ``meta["ctx"]``
+        small picklable dict and ``arrays`` a tuple of ndarrays (or numpy
+        scalars) of plain values, handed to the pool through shared
+        memory; ``ctx`` is the context ``meta["ctx"]``
         indexes (an index outside ``contexts`` raises
         :class:`KernelError` before anything runs).  Returns one tuple
         of arrays per payload, in payload order (the deterministic
@@ -656,12 +616,14 @@ class ParallelEngine:
     def submit(self, fn, payloads: list[tuple[dict, tuple]]) -> PendingRun:
         """Queue a batch to the workers; collect via ``.wait()``.
 
-        The engine's one dispatch primitive.  A batch's tasks own the
-        shared-memory blocks until they are collected, so a ``submit``
-        while another batch is in flight raises :class:`KernelError`
-        and leaves that batch collectable.  A call counts in ``calls``
-        once it is accepted.  On an inactive engine the batch is
-        executed serially inside ``wait()`` — same results.
+        The engine's one dispatch primitive.  A batch's tasks read its
+        staged copies until they are collected, so a ``submit`` while
+        another batch is in flight raises :class:`KernelError` and leaves
+        that batch collectable, as does a payload entry the pool cannot
+        carry (:func:`_carried`).  A call counts in ``calls`` once it is
+        accepted.  On an inactive engine, or when the batch's copies do
+        not fit the staging arena, the batch is executed serially inside
+        ``wait()`` — same results.
         """
         pend = self._submit(fn, payloads)
         self.calls += 1
@@ -719,29 +681,43 @@ class ParallelEngine:
         if self._inflight is not None:
             raise KernelError(
                 f"a batch is already in flight ({self.label}): wait() on it "
-                "before the next submit — its tasks own the shared-memory "
-                "blocks")
-        pend = self._inflight = PendingRun(self, fn, payloads)
-
-        def make_block(capacity: int) -> _Block:
-            blk = _Block(
-                shared_memory.SharedMemory(create=True, size=capacity),
-                capacity,
-                owner=self._owned_shm,
-            )
-            self._owned_shm.add(blk.shm.name)
-            return blk
-
+                "before the next submit — its tasks still read its staged "
+                "copies")
+        payloads = [(meta, _carried(i, arrays))
+                    for i, (meta, arrays) in enumerate(payloads)]
+        pend = PendingRun(self, fn, payloads)
         try:
-            for idx, (meta, arrays) in enumerate(payloads):
-                self._blocks[idx], desc = _pack(
-                    self._blocks.get(idx), idx, tuple(arrays), make_block,
-                    self._arenas)
-                pend.descs.append(desc)
+            pend.descs, pend.staged = self._stage(payloads)
+        except KernelError:  # the staging arena is full: run in process
+            return pend
+        self._inflight = pend
+        try:
             self._dispatch_stage(pend)
         except Exception as exc:  # noqa: BLE001 - dispatch failure => pool death
             self._degrade(f"parallel dispatch failed: {exc!r}", kind="dispatch")
         return pend
+
+    def _stage(self, payloads) -> tuple[list[tuple], list[np.ndarray]]:
+        """Every payload's descriptor — per array, ``(arena, offset, shape,
+        strides, dtype, writeable)`` — and the staged copies they name.
+        An array lying in a resident arena is named where it lies; any
+        other is copied, C-contiguous and read-only, into the staging
+        arena, whose :class:`KernelError` when full is the only raise."""
+        descs, staged = [], []
+        for _, arrays in payloads:
+            desc = []
+            for a in arrays:
+                ref = resident.locate(a, self._arenas)
+                if ref is None:
+                    copy = self._staging.empty(a.shape, a.dtype)
+                    copy[...] = a
+                    copy.flags.writeable = False
+                    staged.append(copy)
+                    a, ref = copy, (self._staging.id,
+                                    copy.ctypes.data - self._staging.address)
+                desc.append((*ref, a.shape, a.strides, a.dtype, a.flags.writeable))
+            descs.append(tuple(desc))
+        return descs, staged
 
     def _dispatch_stage(self, pend: PendingRun) -> None:
         """Queue every payload's task for ``pend``'s current stage."""
@@ -793,6 +769,7 @@ class ParallelEngine:
             self._degrade(str(exc), kind="timeout")
         if pend is self._inflight:
             self._inflight = None
+        pend.staged = []  # no task reads them any more
         self._finish_serial(pend)
         pend.done = True
         if pend.failures:
@@ -921,11 +898,10 @@ class ParallelEngine:
     def _route(self, item) -> None:
         """Deliver one result-queue item to the in-flight batch,
         verifying its CRC32 before accepting — a failed check
-        re-executes the task instead.  A ``"shm"`` item carries only the
-        layout of a result sitting in the task's block: it is copied out
-        first and the CRC is taken over that private copy, the bytes the
-        caller will get, so whatever is written to the shared region
-        afterwards can at worst cost a re-execution.
+        re-executes the task instead.  A result reference is viewed in
+        the payload array it lies in and checked in place; any other
+        result is the driver's own unpickled copy, the bytes the caller
+        will get.
 
         The reply's four stamps (see ``supervisor._worker_main``) are the
         only worker-side facts: busy, unpack and compute seconds go to
@@ -947,12 +923,9 @@ class ParallelEngine:
             pend.remaining -= 1
             pend.failures.append(f"task {idx} on worker {slot}:\n{data}")
             return
-        block, ins = self._blocks[idx], pend.payloads[idx][1]
-        copied = [d for d in data if not _is_ref(d)]
-        if status == "shm":
-            copied = [v.copy() for v in _unpack(block.shm, copied)]
-        copied = iter(copied)
-        data = tuple(_ref_view(ins, d) if _is_ref(d) else next(copied)
+        ins = pend.payloads[idx][1]
+        copied = [d for d in data if not isinstance(d, tuple)]
+        data = tuple(_ref_view(ins, d) if isinstance(d, tuple) else d
                      for d in data)
         if result_crc(data) != crc:
             self.recovery["corrupt_results"] += 1
@@ -975,17 +948,15 @@ class ParallelEngine:
         pend.remaining -= 1
         pend.results[idx] = data
         pend.finished[idx] = pend.stage
-        copied = [a for a, d in zip(data, item[3]) if not _is_ref(d)]
-        block.out_need = max(block.out_need, _layout(copied)[1])
-        pend.queued[idx] |= status != "shm"
-        # Transport bytes: arrays that crossed it, not resident ones.
+        pend.queued[idx] |= bool(copied)
+        # Transport bytes: arrays copied across it, not resident ones.
         st.bytes_out += sum(a.nbytes for a in copied)
         meta_in = pend.payloads[idx][0]
         if last:  # a task's inputs crossed once, whatever its stages
             self.transport["results_queued" if pend.queued[idx] else "results_shm"] += 1
             st.tasks += 1
-            st.bytes_in += sum(a.nbytes for a, m in zip(ins, rec.desc[2])
-                               if m[0] != "a")
+            st.bytes_in += sum(a.nbytes for a, r in zip(ins, rec.desc)
+                               if r[0] == self._staging.id)
             self.tasks_parallel += 1
         elif not pend.remaining and not pend.failures:
             pend.stage += 1  # the barrier: every payload's stage is in

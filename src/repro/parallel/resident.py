@@ -1,14 +1,16 @@
 """Resident arrays: memory the driver and its forked workers both map.
 
 An :class:`Arena` is one anonymous shared mapping (``MAP_SHARED``),
-made by a layout before its engine forks the pool, so every worker the
-engine forks — the respawned ones included, forked from the same
-driver — maps the same pages at the same addresses.  A layout keeps its
-shards' state and stage arrays there (:meth:`Arena.empty`), and the
-engine (:mod:`repro.parallel.engine`) hands an array that lies in an
-arena to a task *by reference* — arena, offset, shape and strides —
-instead of copying it; a task writes a resident output into an array it
-was handed and returns it, and that too travels back as a reference.
+made before an engine forks its pool, so every worker the engine forks
+— the respawned ones included, forked from the same driver — maps the
+same pages at the same addresses.  A layout keeps its shards' state and
+stage arrays in one (:meth:`Arena.empty`); the engine
+(:mod:`repro.parallel.engine`) owns another, its staging arena, which
+holds a read-only copy of every other input of a batch in flight.  The
+engine hands every task input to a task *by reference* — arena, offset,
+shape, strides and writability — and no other way; a task writes a
+resident output into an array it was handed and returns it, and that
+too travels back as a reference.
 
 A region is reused only once no driver-side array refers to it any
 more, so a region an in-flight batch reads (its payload holds it) or a
@@ -105,12 +107,15 @@ def locate(a: np.ndarray, ids) -> tuple[int, int] | None:
     return None
 
 
-def view(arena_id: int, offset: int, shape, strides, dtype) -> np.ndarray:
+def view(arena_id: int, offset: int, shape, strides, dtype,
+         writeable: bool) -> np.ndarray:
     """The array a :func:`locate` reference names, in this process's
     mapping of the arena."""
     arena = _ARENAS[arena_id]()
-    return np.ndarray(shape, np.dtype(dtype), buffer=arena._mm, offset=offset,
-                      strides=strides)
+    a = np.ndarray(shape, np.dtype(dtype), buffer=arena._mm, offset=offset,
+                   strides=strides)
+    a.flags.writeable = writeable
+    return a
 
 
 def live_ids() -> frozenset[int]:

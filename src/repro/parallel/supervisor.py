@@ -33,13 +33,15 @@ runs *inside* a worker process:
   redistributed task re-executes clean and recovery converges.  The
   kill lands mid-batch, never mid-queue-write, so the shared result
   pipe stays intact; the bit flip lands after the CRC stamp (in the
-  shared block when the result travels there).
+  resident array when the result is one, else in the reply's private
+  copy).
 
 Result integrity rides along: :func:`result_crc` is the CRC32 the
-worker stamps on every result tuple and the driver re-computes — over
-its own private copy of the bytes — before accepting it, which is what
-turns a bit flipped in transit, or a late writer to a shared block, into
-a detected-and-re-executed task instead of a silently corrupted combine.
+worker stamps on every result tuple and the driver re-computes — in
+place for a resident result, over its unpickled copy of any other —
+before accepting it, which is what turns a bit flipped in transit, or a
+late writer to a resident array, into a detected-and-re-executed task
+instead of a silently corrupted combine.
 """
 
 from __future__ import annotations
@@ -111,56 +113,26 @@ def result_crc(arrays: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layout(arrays: tuple, start: int = 0) -> tuple[tuple, int]:
-    """Where ``arrays`` sit in a block from byte ``start`` on: one
-    ``(offset, shape, dtype)`` per array at 64-byte-aligned offsets, and
-    the end of the last one."""
-    metas, end = [], start
-    for a in arrays:
-        end = (end + 63) & ~63
-        metas.append((end, a.shape, a.dtype.str))
-        end += a.nbytes
-    return tuple(metas), end
+def _inputs(refs: tuple) -> tuple[np.ndarray, ...]:
+    """A task's inputs: its descriptor's arena references, viewed."""
+    return tuple(resident.view(*r) for r in refs)
 
 
-def _unpack(shm: shared_memory.SharedMemory, metas: tuple) -> tuple[np.ndarray, ...]:
-    """Zero-copy views into a peer's block (copy before the next reuse!)."""
-    return tuple(
-        np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf, offset=off)
-        for off, shape, dt in metas
-    )
-
-
-def _inputs(shm: shared_memory.SharedMemory, metas: tuple) -> tuple[np.ndarray, ...]:
-    """A task's inputs: views of its block, or of an arena for a resident
-    input (``("a", arena, offset, shape, strides, dtype)``)."""
-    return tuple(resident.view(*m[1:]) if m[0] == "a" else _unpack(shm, (m,))[0]
-                 for m in metas)
-
-
-def _resident_ref(out: np.ndarray, ins: tuple, metas: tuple) -> tuple | None:
-    """``("r", k, offset, shape, strides, dtype)`` when ``out`` lies inside
-    the C-contiguous resident input ``k`` (a task returning an array it
-    was handed to write), else ``None``: the result then travels by copy."""
+def _resident_ref(out: np.ndarray, ins: tuple) -> tuple | None:
+    """``(k, offset, shape, strides, dtype)`` when ``out`` lies inside the
+    writable C-contiguous input ``k`` (a task returning an array it was
+    handed to write), else ``None``: the result then travels by copy.  A
+    staged input is read-only, so no result ever names one."""
     if not out.size:
         return None
     lo, hi = resident.bounds(out)
-    for k, (a, m) in enumerate(zip(ins, metas)):
+    for k, a in enumerate(ins):
         base = a.ctypes.data
-        if (m[0] == "a" and a.flags.c_contiguous and base <= lo
+        if (a.flags.writeable and a.flags.c_contiguous and base <= lo
                 and hi <= base + a.nbytes):
-            return ("r", k, out.ctypes.data - base, out.shape, out.strides,
-                    out.dtype.str)
+            return (k, out.ctypes.data - base, out.shape, out.strides,
+                    out.dtype)
     return None
-
-
-def _store(shm: shared_memory.SharedMemory, metas: tuple, arrays: tuple) -> tuple:
-    """Copy ``arrays`` into the block at ``metas``; return the block's views."""
-    views = _unpack(shm, metas)
-    for dst, a in zip(views, arrays):
-        # One copy, whatever ``a``'s strides: the block side is C-contiguous.
-        dst[...] = a
-    return views
 
 
 def _keep_heap() -> None:
@@ -216,32 +188,23 @@ def _chaos_post(faults, tid: int, attempt: int, outs: tuple) -> None:
 
 def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
                  contexts: tuple, faults, profile_hz: float) -> None:
-    """Pool worker loop: attach the task's block, compute, write the
-    results back into it.
+    """Pool worker loop: view the task's inputs, compute, reply.
 
     ``contexts`` is the engine's tuple and ``faults`` its injector (or
     None), both inherited through the fork (a ``Process`` argument is
-    not pickled under ``fork``).
-
-    A task names one driver-owned shared-memory block — its slot (the
-    payload index), the block's current name, the input layout, and the
-    out region ``[out_off, out_off + out_cap)`` behind the inputs.  The
-    worker writes each output once into that region and replies with
-    only the layout (status ``"shm"``) and a CRC32 stamp over the bytes;
-    outputs that do not fit (a slot's first result, or one that grew)
-    travel on the result queue as arrays (status ``"ok"``), which is how
-    the driver learns the capacity to pack next time.  An input that lies
-    in a resident arena (:mod:`repro.parallel.resident`) is named by
-    reference instead, and an output inside such an input — a task
-    returning an array it was handed to write — goes back as a reference
-    too (``("r", input, offset, shape, strides, dtype)``), its bytes
-    stamped where they lie.  The driver does
-    not repack a block until the batch that used it has been collected,
-    so the attached views are race-free — and a *redistributed* task can
-    re-read, and rewrite with the same bytes, the very same block from a
-    different worker.  One attachment is kept per slot: when the driver
-    regrows a slot's block under a new name the superseded mapping is
-    closed, so unlinked generations do not stay resident in the worker.
+    not pickled under ``fork``), as is every arena the task's inputs
+    lie in (:mod:`repro.parallel.resident`): a task's descriptor is one
+    ``(arena, offset, shape, strides, dtype, writeable)`` reference per
+    input, viewed in place — read-only for the driver's staged copies.
+    An output inside a writable input — a task returning an array it was
+    handed to write — goes back as a reference
+    (``(input, offset, shape, strides, dtype)``), its bytes stamped where
+    they lie; any other output goes back as a private C-ordered copy,
+    pickled into the reply (status ``"ok"``), so a fault that lands in
+    it cannot reach an input a re-execution reads.  The driver keeps a
+    batch's staged copies until the batch is collected, so a
+    *redistributed* task can re-read, and rewrite with the same bytes,
+    the very same arrays from a different worker.
 
     A daemon heartbeat thread stamps ``time.monotonic()`` into this
     worker's slot of the shared heartbeat block; the driver declares
@@ -259,7 +222,6 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
     delta when ``profile_hz > 0`` and ``None`` otherwise.
     """
     _keep_heap()
-    attached: dict[int, shared_memory.SharedMemory] = {}  # by slot
     hb_name, nslots = hb_desc
     hb = shared_memory.SharedMemory(name=hb_name)
     hb_view = np.ndarray((nslots,), dtype=np.float64, buffer=hb.buf)
@@ -271,44 +233,25 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
     profiler = SamplingProfiler(hz=profile_hz).start() if profile_hz > 0 else None
     try:
         while True:
-            # No view of a block outlives its task: a superseded
-            # attachment can only be closed once nothing exports it.
-            ins = outs = data = None
             item = task_q.get()
             if item is None:
                 break
-            tid, attempt, fn, meta, (key, name, metas, out_off, out_cap) = item
+            tid, attempt, fn, meta, refs = item
             t0 = tc0 = tc1 = time.perf_counter()
             try:
                 _chaos_pre(faults, tid, attempt, hb_stop)
-                shm = attached.get(key)
-                if shm is None or shm.name != name:
-                    if shm is not None:
-                        shm.close()  # the driver regrew this slot
-                    # Forked workers share the driver's resource
-                    # tracker, whose cache is a set — this attach-side
-                    # registration is a no-op and the driver's
-                    # unlink-on-close retires the name exactly once.
-                    shm = attached[key] = shared_memory.SharedMemory(name=name)
-                ins = _inputs(shm, metas)
+                ins = _inputs(refs)
                 tc0 = time.perf_counter()
                 outs = fn(task_context(contexts, meta), meta, *ins)
                 tc1 = time.perf_counter()
                 if not isinstance(outs, (tuple, list)):
                     outs = (outs,)
                 outs = tuple(np.asarray(o) for o in outs)
-                refs = [_resident_ref(o, ins, metas) for o in outs]
-                copied = [o for o, r in zip(outs, refs) if r is None]
-                layout, end = _layout(copied, out_off)
-                if end <= out_off + out_cap:
-                    status, copied = "shm", _store(shm, layout, copied)
-                    stored = iter(zip(layout, copied))
-                else:
-                    status = "ok"  # (not ascontiguousarray: rank 0 stays rank 0)
-                    copied = [np.asarray(o, order="C") for o in copied]
-                    stored = iter(zip(copied, copied))
-                data, outs = zip(*[(r, o) if r is not None else next(stored)
-                                   for o, r in zip(outs, refs)]) if outs else ((), ())
+                rrefs = [_resident_ref(o, ins) for o in outs]
+                # (np.array, not ascontiguousarray: rank 0 stays rank 0)
+                outs = tuple(o if r else np.array(o, order="C")
+                             for o, r in zip(outs, rrefs))
+                status, data = "ok", tuple(r or o for o, r in zip(outs, rrefs))
                 crc = result_crc(outs)
                 _chaos_post(faults, tid, attempt, outs)
             except BaseException:
@@ -322,11 +265,6 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
         hb_stop.set()
         if profiler is not None:
             profiler.stop()
-        for shm in attached.values():
-            try:
-                shm.close()
-            except OSError:
-                pass
         try:
             hb.close()
         except OSError:

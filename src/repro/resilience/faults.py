@@ -237,7 +237,7 @@ class FaultInjector:
         """Append an externally observed fault to the event log.
 
         The supervised parallel engine reports what it *saw* — worker
-        crashes, hangs, overdue results, corrupt result blocks — through
+        crashes, hangs, overdue results, corrupt results — through
         the same injector that scheduled the chaos, so one ``summary()``
         narrates cause and effect of a whole faulty run.
         """

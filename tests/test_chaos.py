@@ -111,9 +111,9 @@ class TestScenarioRecovery:
 
     @pytest.mark.parametrize("name,at_step", LANDINGS)
     def test_every_scenario_at_both_landing_points(self, name, at_step):
-        """Step 0's first stage returns its results on the queue (every
-        block is new); step 1's returns them through the blocks — the
-        steady state.  The same seeded fault recovers at both."""
+        """Step 0's first stage is the first use of its stage arrays'
+        arena regions; step 1's is the steady state.  The same seeded
+        fault recovers at both."""
         rep = run_scenario(name, workers=2, seed=0, at_step=at_step)
         assert rep["bitwise_identical"]
         for key in EXPECTED_RECOVERY[name]:

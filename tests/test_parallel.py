@@ -34,8 +34,7 @@ from repro.parallel import (
     scenario_spec,
     worker_track,
 )
-from repro.parallel.engine import _Block, _pack, _ping_task
-from repro.parallel.supervisor import _unpack
+from repro.parallel.engine import _ping_task
 
 from .trajectory import assert_same_trajectory
 
@@ -79,6 +78,12 @@ def _views_task(ctx, meta, *arrays):
     how = {"same": lambda a: a, "T": lambda a: a.T,
            "step": lambda a: a[::2] if a.ndim else a}[meta["how"]]
     return tuple(how(a) for a in arrays) + (np.arange(3, dtype=np.int16),)
+
+
+def _write_task(ctx, meta, arr, out):
+    """Writes ``arr + meta["add"]`` into the array it was handed."""
+    out[...] = arr + meta["add"]
+    return (out,)
 
 
 def _shm_maps_task(ctx, meta, arr):
@@ -143,47 +148,33 @@ class TestEngineBasics:
             assert e.workers == max(0, int(workers)) and type(e.workers) is int
             assert not e.active and e.supervisor is None
 
-    def test_pack_copies_strided_inputs_as_they_are(self):
-        """Non-contiguous inputs (``qdp[:, q]``, a transposed view) land
-        in the block with the right values under C-contiguous
-        descriptors of their own shape; the out region starts aligned
-        behind them and runs to the end of the block, which is regrown
-        (under a new name) only when the slot has returned a result the
-        region cannot hold."""
-        from multiprocessing import shared_memory
+    def test_strided_inputs_are_staged_as_they_are(self):
+        """Non-contiguous inputs (``qdp[:, q]``, a transposed view) are
+        copied into the engine's staging arena C-contiguous, read-only
+        and with their values, under descriptors naming that arena at
+        aligned offsets; the batch holds the copies until it is
+        collected."""
+        from repro.parallel.resident import view
 
         qdp = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
         arrays = (qdp[:, 1], qdp.T, np.arange(7, dtype=np.int32)[::2])
         assert not any(a.flags.c_contiguous for a in arrays)
-
-        def make(capacity):
-            return _Block(
-                shared_memory.SharedMemory(create=True, size=capacity), capacity)
-
-        block, (key, name, metas, out_off, out_cap) = _pack(
-            None, 3, arrays, make)
-        try:
-            assert key == 3 and name == block.shm.name
-            assert [m[1:] for m in metas] == [
-                (a.shape, a.dtype.str) for a in arrays]
-            assert all(off % 64 == 0 for off, _, _ in metas)
-            end = metas[-1][0] + arrays[-1].nbytes
-            assert out_off % 64 == 0 and end <= out_off < end + 64
-            assert out_cap == block.capacity - out_off == 0  # nothing learned
-            # Copies: a live view of the block would keep it from closing.
-            got = [(v.flags.c_contiguous, v.copy())
-                   for v in _unpack(block.shm, metas)]
-            block.out_need = 100  # what _route records from a result
-            block, again = _pack(block, 3, arrays, make)
-            assert again[1] != name and again[2:] == (metas, out_off, 100)
-            same, third = _pack(block, 3, arrays[:1], make)
-            assert same is block and third[1] == again[1]
-            assert third[3] + third[4] == block.capacity  # the slack is usable
-        finally:
-            block.close(unlink=True)
-        for (contiguous, values), want in zip(got, arrays):
-            assert contiguous
-            assert np.array_equal(values, want)
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            pend = e.submit(_views_task, [({"how": "same"}, arrays)])
+            (desc,) = pend.descs
+            assert [r[0] for r in desc] == [e._staging.id] * len(arrays)
+            assert all(r[1] % 64 == 0 for r in desc)
+            for r, a, copy in zip(desc, arrays, pend.staged, strict=True):
+                staged = view(*r)
+                assert staged.flags.c_contiguous and not staged.flags.writeable
+                assert (staged.shape, staged.dtype) == (a.shape, a.dtype)
+                assert np.array_equal(staged, a) and np.shares_memory(staged, copy)
+            (got,) = pend.wait()
+            assert pend.staged == []
+        for g, a in zip(got, arrays):
+            assert g.tobytes() == a.tobytes() and g.shape == a.shape
 
     def test_strided_payload_round_trips_and_counts_its_own_bytes(self):
         qdp = np.arange(2 * 3 * 8, dtype=np.float64).reshape(2, 3, 8)
@@ -257,7 +248,7 @@ class TestSelfHealing:
         e = ParallelEngine(workers=2)
         e.run(_ping_task, [({"add": 1.0}, (np.arange(8.0),))] * 3)
         owned = set(e._owned_shm)
-        assert owned  # heartbeat block + input blocks
+        assert owned  # the heartbeat block
         e.__del__()
         assert e.leaked_shm() == []
 
@@ -447,55 +438,68 @@ def _poll(engine, seconds=30.0):
 
 
 class TestResultTransport:
-    """Results return through the task's shared-memory block (DESIGN.md
-    §10.2): the queue carries arrays only until a slot's out region has
-    been sized, and the driver verifies its own copy of the bytes."""
+    """Every task input crosses by reference (DESIGN.md §10.2): a
+    resident array where it lies, any other as a read-only copy in the
+    engine's staging arena.  A result written into a handed resident
+    array comes back by reference and is verified in place; any other is
+    pickled into the reply and verified over the driver's copy."""
 
     @settings(max_examples=40, deadline=None)
     @given(_payload_batches())
     def test_round_trip_equals_the_inprocess_engine_bytes(self, payloads):
-        """First-touch (queue), grown (first use of the regrown block)
-        and steady-state results all carry the in-process engine's
-        bytes, shapes and dtypes."""
+        """Every call's results carry the in-process engine's bytes,
+        shapes and dtypes, and none costs the pool (rank-0 bools are
+        numpy scalars)."""
         want = ParallelEngine(workers=0).run(_views_task, payloads)
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            for call in range(3):
-                if call == 2:
-                    queued = e.transport["results_queued"]
+            for _ in range(3):
                 got = e.run(_views_task, payloads)
+                assert e.active and e.degrade_kinds == {}
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert [(a.shape, a.dtype) for a in g] \
                         == [(a.shape, a.dtype) for a in w]
                     assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
-            assert e.transport["results_queued"] == queued
             assert sum(e.transport.values()) == e.tasks_parallel
         assert e.leaked_shm() == []
 
-    def test_one_byte_over_capacity_takes_the_queue_once(self):
+    def test_copied_results_are_pickled_resident_ones_never(self):
+        """A task's own array is pickled into the reply on every call,
+        whatever its size; one written into a handed resident array never
+        is.  Both counts are exported as ``parallel.transport.*``."""
+        from repro.parallel.resident import Arena
+
+        arena = Arena(1 << 16)  # before the engine forks its workers
+        out = arena.empty((5,))
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
             seen = []
-            for n in (1000, 1000, 1000, 1001, 1001, 999):
+            for n in (1000, 1000, 1001, 999):
                 before = dict(e.transport)
-                (out,), = e.run(_bytes_task, [({"n": n}, (np.arange(5.0),))])
-                assert out.nbytes == n and np.all(out == 7)
+                (got,), = e.run(_bytes_task, [({"n": n}, (np.arange(5.0),))])
+                assert got.nbytes == n and np.all(got == 7)
                 seen.append(tuple(e.transport[k] - before[k]
                                   for k in ("results_shm", "results_queued")))
-            assert seen == [(0, 1), (1, 0), (1, 0), (0, 1), (1, 0), (1, 0)]
+                before = dict(e.transport)
+                (got,), = e.run(_write_task, [({"add": n}, (np.arange(5.0), out))])
+                assert np.shares_memory(got, out)
+                assert np.array_equal(got, np.arange(5.0) + n)
+                seen.append(tuple(e.transport[k] - before[k]
+                                  for k in ("results_shm", "results_queued")))
+            assert seen == [(0, 1), (1, 0)] * 4
             desc = e.describe()["transport"]
             assert desc == e.transport == {
-                "results_shm": 4, "results_queued": 2 + e.workers}  # + pings
+                "results_shm": 4, "results_queued": 4 + e.workers}  # + pings
             reg = collect_parallel_engine(MetricsRegistry("par"), e)
             assert reg.value("parallel.transport.results_shm") == 4
-            assert reg.value("parallel.transport.results_queued") == 4
+            assert reg.value("parallel.transport.results_queued") == 6
 
     def test_bytes_accounting_is_the_same_on_either_path(self):
         """``bytes_in`` / ``bytes_out`` count the arrays' own bytes, the
-        same whether the result came by queue or through the block."""
+        same on every call."""
         arr = np.arange(24.0).reshape(4, 6)
         with ParallelEngine(workers=2) as e:
             if not e.active:
@@ -507,72 +511,117 @@ class TestResultTransport:
                 e.run(_views_task, [({"how": "T"}, (arr[:, ::2], arr))] * 3)
                 deltas.append((sum(s.bytes_in for s in e.stats) - b_in,
                                sum(s.bytes_out for s in e.stats) - b_out))
-            assert e.transport["results_shm"] == 6
         in_bytes = 3 * (arr[:, ::2].nbytes + arr.nbytes)
         assert deltas == [(in_bytes, in_bytes + 3 * 6)] * 3  # + the int16[3]
 
-    def test_driver_verifies_its_own_copy_of_the_region(self, monkeypatch):
-        """Copy, then verify.  A region scribbled on after the worker's
-        reply is queued and before ``_route`` runs is rejected and the
-        task re-executed; one scribbled on after the driver's CRC pass
-        cannot reach the caller, because the CRC was taken over the
-        private copy that is returned."""
-        from repro.parallel import engine as engine_mod
+    def test_driver_verifies_a_resident_result_in_place(self):
+        """A resident result scribbled on after the worker's reply is
+        queued and before ``_route`` runs is rejected and the task
+        re-executed: the caller gets the rewritten, right bytes."""
+        from repro.parallel.resident import Arena
 
-        payload = [({"add": 1.0}, (np.arange(16.0),))]
+        arena = Arena(1 << 16)  # before the engine forks its workers
+        out = arena.empty((16,))
+        payload = [({"add": 1.0}, (np.arange(16.0), out))]
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            e.run(_ping_task, payload)  # sizes the out region of slot 0
-
-            def scribble(item):
-                assert item[2] == "shm"
-                e._blocks[0].shm.buf[item[3][0][0] + 9] ^= 0x40
-
-            pend = e.submit(_ping_task, payload)
+            pend = e.submit(_write_task, payload)
             item = _poll(e)
-            scribble(item)
+            assert isinstance(item[3][0], tuple)  # a reference, no bytes
+            out.view(np.uint8)[9] ^= 0x40
             e._route(item)
             assert e.recovery["corrupt_results"] == 1
             assert e.recovery["reexecuted_tasks"] == 1
-            (out,), = pend.wait()
-            assert np.array_equal(out, np.arange(16.0) + 1.0)
-
-            real_crc = engine_mod.result_crc
-
-            def crc_then_scribble(arrays):
-                crc = real_crc(arrays)
-                scribble(item)
-                return crc
-
-            pend = e.submit(_ping_task, payload)
-            item = _poll(e)
-            monkeypatch.setattr(engine_mod, "result_crc", crc_then_scribble)
-            e._route(item)
-            monkeypatch.undo()
-            (out,), = pend.wait()
-            assert np.array_equal(out, np.arange(16.0) + 1.0)
-            assert e.recovery["corrupt_results"] == 1  # still only the first
+            (got,), = pend.wait()
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, np.arange(16.0) + 1.0)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                         reason="needs /proc/self/maps")
-    def test_worker_keeps_one_attachment_per_slot(self):
-        """A regrown block is a new name; the worker closes the mapping
-        of the one it supersedes, so unlinked generations are freed."""
-        regrows, created = 6, set()
+    def test_worker_maps_no_shm_name_but_the_heartbeat(self):
+        """Inputs of any size cross by reference into anonymous arenas:
+        besides its queues' semaphores a worker maps one named block, the
+        heartbeat."""
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
-            for k in range(1, regrows + 1):
-                outs = e.run(_shm_maps_task, [  # both slots on worker 0
-                    ({"shard": 0}, (np.zeros(1000 * k),)) for _ in range(2)])
-                current = {e._blocks[i].shm.name for i in (0, 1)}
-                created |= current
+            for k in range(1, 4):
+                outs = e.run(_shm_maps_task, [
+                    ({"shard": s}, (np.zeros(1000 * k * (s + 1)),))
+                    for s in range(4)])
                 for (out,) in outs:
-                    mapped = set(out.tobytes().decode().split("\n")) & created
-                    assert len(mapped) <= 2, mapped
-                assert mapped == current  # after the batch's last task
-            assert len(created) >= 2 * regrows
+                    names = set(out.tobytes().decode().split("\n"))
+                    assert {n for n in names if not n.startswith("sem.")} \
+                        == {e.supervisor.shm_name}
+
+    def test_a_numpy_scalar_crosses_as_a_0d_array(self):
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            (got,) = e.run(_views_task, [
+                ({"how": "same"}, (np.False_, np.float32(2.5)))])
+            assert e.active and e.degrade_kinds == {}
+        assert [(a.shape, a.dtype, a.tobytes()) for a in got[:2]] == [
+            ((), np.dtype(bool), b"\x00"),
+            ((), np.dtype(np.float32), np.float32(2.5).tobytes())]
+
+    @pytest.mark.parametrize("entry, what", [
+        (np.array([None, 1.0]), "dtype object"), ([1.0, 2.0], "list")])
+    def test_an_entry_the_pool_cannot_carry_is_refused(self, entry, what):
+        """Before anything is dispatched, naming the payload and array
+        index; the pool stays up."""
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            calls, tids = e.calls, e._task_seq
+            with pytest.raises(KernelError, match=re.escape(
+                    f"payload 1 array 2: the pool carries arrays of plain "
+                    f"values, not {what}")):
+                e.run(_views_task, [
+                    ({"how": "same"}, (np.zeros(2),)),
+                    ({"how": "same"}, (np.zeros(2), np.ones(1), entry))])
+            assert (e.calls, e._task_seq) == (calls, tids)
+            assert e.active and e.degrade_kinds == {}
+            (got,) = e.run(_views_task, [({"how": "same"}, (np.ones(2),))])
+            assert np.array_equal(got[0], np.ones(2)) and e.active
+
+    def test_a_flip_in_a_result_aliasing_its_input_is_recovered(self):
+        """Task 2, the first after the pings, returns its input itself.
+        The bit flipped after the CRC stamp lands in the reply's private
+        copy, not in the staged input, so the re-execution reads clean
+        input and the call returns the in-process engine's bytes."""
+        from repro.resilience import BitFlip, FaultInjector
+
+        payload = [({"how": "same"}, (np.arange(1.0, 9.0),))]
+        want = ParallelEngine(workers=0).run(_views_task, payload)
+        faults = FaultInjector(bitflips=[BitFlip(task=2, word=0, bit=63)])
+        with ParallelEngine(workers=2, faults=faults) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            got = e.run(_views_task, payload)
+            assert e.recovery["corrupt_results"] == 1
+            assert e.recovery["reexecuted_tasks"] == 1
+        assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in want[0]]
+
+    def test_a_batch_over_the_staging_arena_runs_in_process(self, monkeypatch):
+        """Bitwise equal and without a degrade; a batch that fits still
+        goes to the pool."""
+        from repro.parallel import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "STAGING_BYTES", 4096)
+        payload = [({"how": "T"}, (np.arange(1024.0).reshape(32, 32),))]
+        want = ParallelEngine(workers=0).run(_views_task, payload)
+        with ParallelEngine(workers=2) as e:
+            if not e.active:
+                pytest.skip(f"pool unavailable: {e.fallback_reason}")
+            pool, serial = e.tasks_parallel, e.tasks_serial
+            got = e.run(_views_task, payload)
+            assert e.active and e.degrade_kinds == {}
+            assert (e.tasks_parallel, e.tasks_serial) == (pool, serial + 1)
+            e.run(_views_task, [({"how": "T"}, (np.arange(4.0),))])
+            assert (e.tasks_parallel, e.tasks_serial) == (pool + 1, serial + 1)
+        assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in want[0]]
 
     def test_prim_result_queue_is_idle_after_the_first_step(self):
         cfg, mesh, _, state = _noisy_prim_state()
