@@ -8,10 +8,10 @@ for each pair ``i`` and workload ``W`` run
 
     python3 benchmarks/step/run.py --workload W --seed i --trace 0
 
-once in a checkout of the parent commit and once in this working tree,
-alternating which side goes first, and print per workload x end-to-end
-metric each side's median and quartiles, the change of the median, the
-pairs the change won, and the verdict:
+once in a checkout of the parent commit and once in a copy of this
+working tree, alternating which side goes first, and print per workload
+x end-to-end metric each side's median and quartiles, the change of the
+median, the pairs the change won, and the verdict:
 
 - ``gain``: at least ten pairs were run, the change wins at least 9/10
   of them (ties count for neither side) and the medians differ, in the
@@ -24,8 +24,12 @@ pairs the change won, and the verdict:
   parent; ``within bound`` otherwise.
 
 ``--parent`` is a revision (default ``HEAD~1``), checked out with ``git
-worktree add`` into a temporary directory that is removed afterwards, or
-a directory that already holds the parent's files.  The script drives
+worktree add``, or a directory that already holds the parent's files,
+copied.  Either way the parent lands in ``<tmp>/parent`` and the working
+tree is copied to ``<tmp>/change`` in the same temporary directory,
+removed afterwards: both sides run from paths of the same shape and
+length (``peak_rss_mb`` moves with the checkout path), and an edit to
+the working tree during the runs does not reach them.  The script drives
 the harness and edits nothing under ``benchmarks/step``; run length is
 the benchmark's ``run_seconds`` unless ``--seconds`` says otherwise
 (smoke runs only: a claim uses the default).  Exit code 1 when a run
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,18 +56,27 @@ WIN_SHARE = 0.9
 MIN_PAIRS = 10
 
 
+#: What a tree copy leaves out: version control and caches.
+SKIP = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".pytest_cache",
+                              ".hypothesis")
+
+
 @contextmanager
-def parent_checkout(parent: str):
-    """Directory holding the parent's files; a worktree is removed on exit."""
-    if (Path(parent) / RUN).is_file():
-        yield Path(parent).resolve()
-        return
+def checkouts(parent: str):
+    """``(parent, change)``: sibling directories of one temporary
+    directory, the parent's files and a copy of this working tree; a
+    worktree is removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tree = Path(tmp) / "parent"
+        tree, change = Path(tmp) / "parent", Path(tmp) / "change"
+        shutil.copytree(ROOT, change, ignore=SKIP)
+        if (Path(parent) / RUN).is_file():
+            shutil.copytree(parent, tree, ignore=SKIP)
+            yield tree, change
+            return
         subprocess.run(["git", "worktree", "add", "--detach", str(tree), parent],
                        cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
         try:
-            yield tree
+            yield tree, change
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
                            cwd=ROOT, check=False)
@@ -135,8 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or names
 
     runs: list[dict] = []
-    with parent_checkout(args.parent) as parent_tree:
-        trees = {"parent": parent_tree, "change": ROOT}
+    with checkouts(args.parent) as (parent_tree, change_tree):
+        trees = {"parent": parent_tree, "change": change_tree}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in workloads:

@@ -1,24 +1,31 @@
-"""The resolution ladder: the serial primitive-equation model from ne4 to
-the paper's 100 km configuration, one fresh process per rung.
+"""The resolution ladder: the primitive-equation model from ne4 to the
+paper's 100 km configuration, in three layouts, one fresh process per
+rung and layout.
 
     python3 scripts/resolution_ladder.py [--max-ne N] [--steps S]
                                          [--label L] [--tree DIR] [--out FILE]
 
 Rungs are ne4 x 8, ne8 x 16, ne16 x 16 and ne30 x 26 levels, each with 4
-tracers, the fused kernels, no physics and one BLAS thread.  A rung
-builds the mesh and the model (``setup_s``), runs one warm step (the
-lazily built operands; ``first_step_s``), then ``--steps`` timed steps,
-and records the median seconds per step, microseconds per element-level,
-the minor page faults per timed step (``getrusage``: fresh pages the
-step's temporaries fault in), the process's peak RSS, the model's
-element-block count and the git sha of the tree it imported.
+tracers, the fused kernels, no physics, one BLAS thread and the
+resolution's dynamics time step.  Each rung runs in three layouts:
+``serial`` (the one-process ``PrimitiveEquationModel``), ``twin``
+(``DistributedPrimitiveEquations`` over 4 SimMPI ranks in one process)
+and ``pool`` (the same on a 2-worker pool; the twin and the pool step
+bit for bit alike).  A rung builds the mesh and the model (``setup_s``,
+pool start included), runs one warm step (the lazily built operands;
+``first_step_s``), then ``--steps`` timed steps, and records the median
+seconds per step, microseconds per element-level, the minor page faults
+per timed step (``getrusage`` of the driver: fresh pages the step's
+temporaries fault in), the driver's peak RSS, the model's shard count
+(element blocks, or rank groups) and the git sha of the tree it
+imported.
 
 ``--tree`` is the checkout whose ``src/`` the rungs import (default:
 this one), so one script measures a parent and a change.  The rows are
 written under ``--label`` into ``--out`` (default ``BENCH_ladder.json``
 at the repository root), keeping what the file holds under other
 labels.  ``--max-ne`` drops the rungs above it (CI runs ``--max-ne 8``).
-An ne30 x 26 rung needs ~1.2 GB and about a minute.
+An ne30 x 26 serial rung needs ~1.2 GB and about a minute.
 """
 
 from __future__ import annotations
@@ -32,15 +39,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = ((4, 8), (8, 16), (16, 16), (30, 26))
+LAYOUTS = ("serial", "twin", "pool")
 QSIZE = 4
+#: SimMPI ranks of the two distributed layouts, and the pool's workers.
+NRANKS, WORKERS = 4, 2
 #: The keys of every row; CI checks them.
-ROW_KEYS = ("ne", "nlev", "qsize", "nelem", "blocks", "steps", "setup_s",
-            "first_step_s", "s_per_step", "us_per_element_level",
+ROW_KEYS = ("layout", "ne", "nlev", "qsize", "nelem", "blocks", "steps",
+            "setup_s", "first_step_s", "s_per_step", "us_per_element_level",
             "minflt_per_step", "peak_rss_mb", "git_sha")
 
 
-def run_rung(ne: int, nlev: int, steps: int) -> dict:
-    """Build and step one rung in this process; its row without the sha."""
+def run_rung(ne: int, nlev: int, steps: int, layout: str) -> dict:
+    """Build and step one rung of ``layout`` in this process; its row
+    without the sha."""
     import resource
     import statistics
     import time
@@ -48,6 +59,7 @@ def run_rung(ne: int, nlev: int, steps: int) -> dict:
     import numpy as np
 
     from repro.config import ModelConfig
+    from repro.homme.distributed import DistributedPrimitiveEquations
     from repro.homme.element import ElementGeometry, ElementState
     from repro.homme.timestep import PrimitiveEquationModel
     from repro.mesh.cubed_sphere import CubedSphereMesh
@@ -63,7 +75,16 @@ def run_rung(ne: int, nlev: int, steps: int) -> dict:
         state.qdp[:, q] = (10.0 ** -(q + 3) * (1.0 + 0.3 * np.cos(geom.lat))
                            )[:, None] * state.dp3d
     del geom
-    model = PrimitiveEquationModel(cfg, mesh, init=state)
+    if layout == "serial":
+        model = PrimitiveEquationModel(cfg, mesh, init=state)
+        shards = len(getattr(model, "blocks", [None]))
+    else:
+        model = DistributedPrimitiveEquations(
+            cfg, mesh, state, nranks=NRANKS, dt=cfg.dt_dynamics,
+            workers=WORKERS if layout == "pool" else 0)
+        shards = len(model.groups)
+        if layout == "pool" and not model.engine.active:
+            raise SystemExit(f"pool unavailable: {model.engine.fallback_reason}")
     t1 = time.perf_counter()
     model.step()
     t2 = time.perf_counter()
@@ -74,9 +95,11 @@ def run_rung(ne: int, nlev: int, steps: int) -> dict:
         model.step()
         per_step.append(time.perf_counter() - t)
     minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+    if layout != "serial":
+        model.close()
     s = statistics.median(per_step)
-    return {"ne": ne, "nlev": nlev, "qsize": QSIZE, "nelem": mesh.nelem,
-            "blocks": len(getattr(model, "blocks", [None])), "steps": steps,
+    return {"layout": layout, "ne": ne, "nlev": nlev, "qsize": QSIZE,
+            "nelem": mesh.nelem, "blocks": shards, "steps": steps,
             "setup_s": round(t1 - t0, 3), "first_step_s": round(t2 - t1, 3),
             "s_per_step": round(s, 4),
             "us_per_element_level": round(1e6 * s / (mesh.nelem * nlev), 2),
@@ -101,10 +124,11 @@ def main() -> None:
     ap.add_argument("--label", default="change")
     ap.add_argument("--tree", type=Path, default=ROOT)
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder.json")
-    ap.add_argument("--rung", nargs=2, type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--rung", nargs=3, help=argparse.SUPPRESS)  # ne nlev layout
     args = ap.parse_args()
     if args.rung:
-        print(json.dumps(run_rung(*args.rung, args.steps)))
+        ne, nlev, layout = args.rung
+        print(json.dumps(run_rung(int(ne), int(nlev), args.steps, layout)))
         return
 
     tree = args.tree.resolve()
@@ -115,17 +139,21 @@ def main() -> None:
     for ne, nlev in RUNGS:
         if ne > args.max_ne:
             continue
-        out = subprocess.run(
-            [sys.executable, __file__, "--rung", str(ne), str(nlev),
-             "--steps", str(args.steps)],
-            env=env, capture_output=True, text=True, check=True)
-        row = {**json.loads(out.stdout.splitlines()[-1]), "git_sha": sha}
-        print(json.dumps(row), flush=True)
-        rows.append(row)
+        for layout in LAYOUTS:
+            out = subprocess.run(
+                [sys.executable, __file__, "--rung", str(ne), str(nlev),
+                 layout, "--steps", str(args.steps)],
+                env=env, capture_output=True, text=True, check=True)
+            row = {**json.loads(out.stdout.splitlines()[-1]), "git_sha": sha}
+            print(json.dumps(row), flush=True)
+            rows.append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["about"] = ("serial PrimitiveEquationModel, 4 tracers, fused kernels, "
-                    "no physics, one BLAS thread, one process per rung; "
-                    "s_per_step is the median of `steps` steps after one warm step")
+    doc["about"] = ("PrimitiveEquationModel (layout serial; rows without a "
+                    "layout key are serial) and DistributedPrimitiveEquations "
+                    "over 4 ranks in process (twin) or on a 2-worker pool (pool), "
+                    "4 tracers, fused kernels, no physics, one BLAS thread, one "
+                    "process per rung and layout; s_per_step is the median of "
+                    "`steps` steps after one warm step")
     doc.setdefault("rows", {})[args.label] = rows
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

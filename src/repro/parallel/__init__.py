@@ -30,7 +30,7 @@ The contract (DESIGN.md §10):
   indexes.
 - **Self-healing.** Every engine recovers worker crashes, hangs,
   overdue results, and corrupted results locally — respawn the
-  slot, redistribute only its in-flight tasks, re-execute CRC
+  slot, redistribute only its in-flight tasks, re-execute digest
   failures — without giving up the pool or the bitwise contract
   (DESIGN.md §12).  :mod:`repro.parallel.chaos` proves it with
   seeded fault scenarios — task schedules on a
@@ -48,7 +48,7 @@ from .engine import (  # noqa: F401
 )
 from .supervisor import (  # noqa: F401
     WorkerSupervisor,
-    result_crc,
+    result_digest,
 )
 from .chaos import (  # noqa: F401
     SCENARIOS,
@@ -64,7 +64,7 @@ __all__ = [
     "context_nbytes",
     "worker_track",
     "WorkerSupervisor",
-    "result_crc",
+    "result_digest",
     "SCENARIOS",
     "run_scenario",
     "scenario_spec",

@@ -27,8 +27,8 @@ sum; the ids a scenario draws name the pack, and the same ids plus
 - ``delay-result`` — a worker computes, then sleeps past the batch's
   ``result_timeout``; the driver treats it as overdue and re-issues its
   tasks.
-- ``corrupt-result`` — one bit of a result array flips after the CRC
-  stamp; the driver's integrity check rejects it and re-executes.
+- ``corrupt-result`` — one bit of a result array flips after the
+  digest stamp; the driver's integrity check rejects it and re-executes.
 - ``mixed`` — one kill plus one corrupted result in the same run.
 
 Use from tests, ``examples/self_healing_run.py``, and the CI

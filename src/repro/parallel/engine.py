@@ -49,12 +49,13 @@ on a result past the batch deadline is *overdue*.  Any of the three
 triggers the same local recovery — respawn the slot (the fork inherits
 the engine's contexts exactly as the original did) and re-dispatch
 only the failed worker's in-flight task ids to the survivors.  Results
-carry a CRC32 the driver re-verifies before anything consumes them —
-over its unpickled copy of a copied result, in place for a resident one — so
-a corrupted result is re-executed rather than combined.  Because a task
-reads only arrays no task of its batch writes and writes only arrays it
-was handed fresh, and every combine sums in a canonical order, every
-recovery path reproduces the serial trajectory bit for bit.
+carry a word-sum digest the driver re-verifies before anything consumes
+them — over its unpickled copy of a copied result, in place for a
+resident one — so a corrupted result is re-executed rather than
+combined.  Because a task reads only arrays no task of its batch writes
+and writes only arrays it was handed fresh, and every combine sums in a
+canonical order, every recovery path reproduces the serial trajectory
+bit for bit.
 
 Fallback
 --------
@@ -86,7 +87,7 @@ from .supervisor import (
     HEARTBEAT_TIMEOUT,
     SUPERVISION_TICK,
     WorkerSupervisor,
-    result_crc,
+    result_digest,
     task_context,
 )
 
@@ -598,7 +599,7 @@ class ParallelEngine:
 
         ``fn`` may be a tuple of task functions, the *stages* of one task:
         every payload runs stage 0; once every payload's stage 0 is in —
-        the batch's barrier, its results CRC-verified — every payload
+        the batch's barrier, its results digest-verified — every payload
         runs stage 1 on the same payload, and so on.  Stages talk through
         the resident arrays they are handed (a DSS's pack and sum,
         :mod:`repro.parallel.dycore`); the call returns the last stage's
@@ -897,7 +898,8 @@ class ParallelEngine:
 
     def _route(self, item) -> None:
         """Deliver one result-queue item to the in-flight batch,
-        verifying its CRC32 before accepting — a failed check
+        verifying its digest (``supervisor.result_digest``, one wrapping
+        word sum per array) before accepting — a failed check
         re-executes the task instead.  A result reference is viewed in
         the payload array it lies in and checked in place; any other
         result is the driver's own unpickled copy, the bytes the caller
@@ -908,7 +910,7 @@ class ParallelEngine:
         the slot's :class:`WorkerStats`; with telemetry on the driver
         also samples the slot's heartbeat age, merges the profile delta
         and records the task's sub-spans."""
-        tid, slot, status, data, crc, t0, tc0, tc1, t1, fn_name, profile = item
+        tid, slot, status, data, digest, t0, tc0, tc1, t1, fn_name, profile = item
         rec = self._tasks.pop(tid, None)
         if rec is None:
             return  # stale result from a batch already degraded/recovered
@@ -927,19 +929,19 @@ class ParallelEngine:
         copied = [d for d in data if not isinstance(d, tuple)]
         data = tuple(_ref_view(ins, d) if isinstance(d, tuple) else d
                      for d in data)
-        if result_crc(data) != crc:
+        if result_digest(data) != digest:
             self.recovery["corrupt_results"] += 1
             if self.faults is not None:
                 self.faults.record("result_corrupt", task=tid, worker=slot)
             if rec.attempt + 1 >= MAX_TASK_ATTEMPTS:
                 pend.remaining -= 1
                 pend.failures.append(
-                    f"task {idx} on worker {slot}: result CRC mismatch on "
+                    f"task {idx} on worker {slot}: result digest mismatch on "
                     f"{rec.attempt + 1} attempts"
                 )
                 return
             self._tasks[tid] = rec
-            self._reexecute(tid, "crc-mismatch")
+            self._reexecute(tid, "digest-mismatch")
             return
         last = pend.stage == len(pend.stages) - 1
         st.busy_seconds += max(0.0, t1 - t0)

@@ -32,16 +32,17 @@ runs *inside* a worker process:
   :meth:`~repro.resilience.faults.FaultInjector.state_flips_at` — so a
   redistributed task re-executes clean and recovery converges.  The
   kill lands mid-batch, never mid-queue-write, so the shared result
-  pipe stays intact; the bit flip lands after the CRC stamp (in the
+  pipe stays intact; the bit flip lands after the digest stamp (in the
   resident array when the result is one, else in the reply's private
   copy).
 
-Result integrity rides along: :func:`result_crc` is the CRC32 the
-worker stamps on every result tuple and the driver re-computes — in
-place for a resident result, over its unpickled copy of any other —
-before accepting it, which is what turns a bit flipped in transit, or a
-late writer to a resident array, into a detected-and-re-executed task
-instead of a silently corrupted combine.
+Result integrity rides along: :func:`result_digest` is the wrapping
+64-bit word sum the worker stamps on every result tuple and the driver
+re-computes — in place for a resident result, over its unpickled copy of
+any other — before accepting it, which is what turns a bit flipped in
+transit, or a late writer to a resident array, into a
+detected-and-re-executed task instead of a silently corrupted combine.
+It reads memory at the speed of a sum, not of a CRC (DESIGN.md §12.3).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import signal
 import threading
 import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -68,7 +68,7 @@ __all__ = [
     "SUPERVISION_TICK",
     "WorkerHandle",
     "WorkerSupervisor",
-    "result_crc",
+    "result_digest",
     "task_context",
 ]
 
@@ -100,12 +100,34 @@ def task_context(contexts: tuple, meta: dict):
     return contexts[idx]
 
 
-def result_crc(arrays: tuple) -> int:
-    """CRC32 over every result array's bytes, in tuple order."""
-    crc = 0
-    for a in arrays:
-        crc = zlib.crc32(np.ascontiguousarray(a).data, crc)
-    return crc & 0xFFFFFFFF
+#: Odd multiplier folding each array's term into the digest: a unit mod
+#: 2**64, so a change in any one array's sum always changes the digest.
+_FOLD = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def result_digest(arrays: tuple) -> int:
+    """Wrapping ``uint64`` sum of every result array's C-ordered bytes.
+
+    Each array contributes the sum of its whole 8-byte words plus its
+    zero-padded tail bytes as one more word, xor-ed with its position in
+    the tuple and its byte length (so swapped or truncated results
+    differ), and the terms are folded in tuple order, from the array
+    count, by an odd multiplier.  A single flipped bit moves one word by
+    ``±2**k``, never 0 mod ``2**64``, so it always changes the digest.
+    A contiguous array is read in place, never copied.
+    """
+    h = len(arrays)
+    for pos, a in enumerate(arrays):
+        if not a.flags.c_contiguous:  # copied as raw bytes, a record's padding too
+            a = np.ascontiguousarray(a.view((np.void, a.itemsize)))
+        raw = a.reshape(-1).view(np.uint8)
+        whole = raw.size & ~7
+        s = int(raw[:whole].view(np.uint64).sum())
+        if whole < raw.size:
+            s += int.from_bytes(raw[whole:].tobytes(), "little")
+        h = (h * _FOLD + ((s & _MASK) ^ (pos << 56 | raw.size))) & _MASK
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +197,7 @@ def _chaos_pre(faults, tid: int, attempt: int,
 
 
 def _chaos_post(faults, tid: int, attempt: int, outs: tuple) -> None:
-    """Faults that fire after compute (delay, corrupt-after-CRC)."""
+    """Faults that fire after compute (delay, corrupt-after-digest)."""
     if faults is None or attempt > 0:
         return
     if tid in faults.delay_tasks:
@@ -212,7 +234,7 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
 
     Every task gets exactly one reply, built here and nowhere else::
 
-        (tid, slot, status, data, crc, t0, tc0, tc1, t1, fn_name, profile)
+        (tid, slot, status, data, digest, t0, tc0, tc1, t1, fn_name, profile)
 
     ``t0``/``tc0``/``tc1``/``t1`` are ``time.perf_counter()`` stamps at
     task start, compute start, compute end and send (``CLOCK_MONOTONIC``
@@ -252,12 +274,12 @@ def _worker_main(slot: int, task_q, result_q, hb_desc: tuple[str, int],
                 outs = tuple(o if r else np.array(o, order="C")
                              for o, r in zip(outs, rrefs))
                 status, data = "ok", tuple(r or o for o, r in zip(outs, rrefs))
-                crc = result_crc(outs)
+                digest = result_digest(outs)
                 _chaos_post(faults, tid, attempt, outs)
             except BaseException:
-                status, data, crc = "err", traceback.format_exc(), None
+                status, data, digest = "err", traceback.format_exc(), None
             result_q.put(
-                (tid, slot, status, data, crc, t0, tc0, tc1,
+                (tid, slot, status, data, digest, t0, tc0, tc1,
                  time.perf_counter(), getattr(fn, "__name__", str(fn)),
                  profiler.drain() if profiler is not None else None)
             )

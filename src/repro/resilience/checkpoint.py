@@ -38,11 +38,12 @@ from ..errors import CheckpointCorruptError, ResilienceError
 
 
 def snapshot_crc(snap: dict[str, np.ndarray]) -> int:
-    """CRC32 over every array's bytes, in sorted key order."""
+    """CRC32 over every array's C-ordered bytes, in sorted key order
+    (a contiguous array's buffer is hashed in place, not copied)."""
     crc = 0
     for key in sorted(snap):
         crc = zlib.crc32(key.encode(), crc)
-        crc = zlib.crc32(np.ascontiguousarray(snap[key]).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(snap[key]).data, crc)
     return crc & 0xFFFFFFFF
 
 

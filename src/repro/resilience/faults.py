@@ -38,7 +38,7 @@ class BitFlip:
     all engines sharing the injector); ``step`` targets the model state
     after step N of a :class:`~repro.resilience.runner.ResilientRunner`;
     ``task`` targets the first float64 result of a pool task, by the
-    engine's global task id, after its integrity CRC is stamped
+    engine's global task id, after its integrity digest is stamped
     (corruption in transit).  Exactly one of the three should be set.
     ``word`` and ``bit`` pick the
     float64 element (flattened index, modulo the array size) and the bit
@@ -66,14 +66,19 @@ class FaultEvent:
 
 
 def flip_bit(arr: np.ndarray, word: int, bit: int) -> None:
-    """Flip ``bit`` of float64 element ``word`` (flattened, wrapped) in place."""
+    """Flip ``bit`` of float64 element ``word`` (C-order flat index,
+    wrapped) in place, whatever the array's strides."""
     if arr.dtype != np.float64:
         raise ValueError(f"bit flips model float64 SDC, got dtype {arr.dtype}")
     if not (0 <= bit < 64):
         raise ValueError(f"bit must be in 0..63, got {bit}")
-    flat = arr.reshape(-1)
-    idx = word % flat.size
-    bits = flat[idx : idx + 1].view(np.uint64)
+    if not arr.size:
+        raise ValueError("cannot flip a bit of an empty array")
+    # A one-element view of ``arr`` itself (the trailing ``...`` keeps a
+    # 0-d array a view): ``reshape(-1)`` would copy a strided array and
+    # the flip would land in the copy.
+    idx = np.unravel_index(word % arr.size, arr.shape)
+    bits = arr[tuple(slice(i, i + 1) for i in idx) + (...,)].view(np.uint64)
     bits ^= np.uint64(1) << np.uint64(bit)
 
 

@@ -289,14 +289,14 @@ class TestSelfHealing:
     def test_stale_result_after_recovery_is_dropped(self):
         """Satellite: _route must drop results whose task id is no
         longer tracked (a batch already degraded or re-issued)."""
-        from repro.parallel.supervisor import result_crc
+        from repro.parallel.supervisor import result_digest
 
         with ParallelEngine(workers=2) as e:
             if not e.active:
                 pytest.skip(f"pool unavailable: {e.fallback_reason}")
             before = e.tasks_parallel
             data = (np.zeros(3),)
-            e._route((10_000, 0, "ok", data, result_crc(data),
+            e._route((10_000, 0, "ok", data, result_digest(data),
                       0.0, 0.0, 0.0, 0.0, "stale", None))
             assert e.tasks_parallel == before  # silently dropped
             outs = e.run(_ping_task, [({"add": 1.0}, (np.arange(3.0),))])

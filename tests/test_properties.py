@@ -4,14 +4,15 @@ These fuzz the load-bearing algebraic properties that many modules rely
 on: DSS is a linear idempotent projection, the simulated MPI delivers
 any posting order and charges a whole halo exchange in one call exactly
 as its per-message program does, partitions are exact covers at any
-rank count, and backend costs respond monotonically to workload size.
+rank count, backend costs respond monotonically to workload size, and
+the pool's result digest catches every single-bit flip.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from repro.backends import AthreadBackend, IntelBackend, KernelWorkload
 from repro.config import ModelConfig
@@ -22,6 +23,7 @@ from repro.mesh.assembly import Assembly
 from repro.network import SimMPI
 from repro.network.simmpi import MAX_RETRIES, rank_track
 from repro.obs.tracer import Tracer
+from repro.parallel.supervisor import _FOLD, _MASK, result_digest
 from repro.resilience.faults import FaultInjector
 
 from .dss_oracle import dss_vector, from_cartesian, to_cartesian
@@ -498,3 +500,110 @@ class TestConfigFuzz:
         epp = cfg.elements_per_process(nproc)
         assert epp * nproc >= cfg.nelem
         assert (epp - 1) * nproc < cfg.nelem
+
+
+#: Result dtypes the digest must read byte for byte: bool, sub-8-byte,
+#: non-native byte order, packed (9-byte) and aligned structured records,
+#: and a 3-byte string.
+_DIGEST_DTYPES = (
+    np.bool_, np.int8, np.uint16, np.float32, np.float64, np.complex128,
+    np.dtype(">i4"), np.dtype([("a", "u1"), ("b", "<f8")]),
+    np.dtype([("a", "u1"), ("b", "<f8")], align=True), np.dtype("S3"),
+)
+
+
+@st.composite
+def result_arrays(draw):
+    """One result array: any listed dtype, 0 to 3 dims of 0 to 5 (0-d,
+    empty and odd byte lengths included), random bytes, sometimes a
+    strided view of a larger array."""
+    dtype = np.dtype(draw(st.sampled_from(_DIGEST_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    strided = bool(shape) and draw(st.booleans())
+    full = (2 * shape[0],) + shape[1:] if strided else shape
+    n = math.prod(full) * dtype.itemsize
+    raw = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), np.uint8)
+    if dtype == np.bool_:
+        raw = raw & 1
+    a = raw.copy().view(dtype).reshape(full)
+    return a[::2] if strided else a
+
+
+@st.composite
+def flipped_results(draw):
+    """A result tuple and one bit to flip: ``(arrays, i, byte, bit)``."""
+    arrays = tuple(draw(st.lists(result_arrays(), min_size=1, max_size=4)))
+    hit = [k for k, a in enumerate(arrays) if a.nbytes]
+    assume(hit)
+    i = draw(st.sampled_from(hit))
+    return (arrays, i, draw(st.integers(0, arrays[i].nbytes - 1)),
+            draw(st.integers(0, 7)))
+
+
+def c_copy(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``a``'s bytes, a record's padding included
+    (a copy in ``a``'s own dtype copies field by field and leaves the
+    padding unset)."""
+    return np.array(a.view((np.void, a.itemsize)), order="C").view(a.dtype)
+
+
+def flip_is_detected(digest, case) -> bool:
+    """Whether ``digest`` tells the tuple from itself with one bit of
+    byte ``byte`` (C order) of array ``i`` flipped."""
+    arrays, i, byte, bit = case
+    flipped = c_copy(arrays[i])
+    flipped.reshape(-1).view(np.uint8)[byte] ^= 1 << bit
+    return digest(arrays[:i] + (flipped,) + arrays[i + 1:]) != digest(arrays)
+
+
+def digest_without_tail(arrays) -> int:
+    """``result_digest`` with each array's tail bytes left out: the
+    mutant the flip property has to catch."""
+    h = len(arrays)
+    for pos, a in enumerate(arrays):
+        raw = c_copy(a).reshape(-1).view(np.uint8)
+        s = int(raw[:raw.size & ~7].view(np.uint64).sum())
+        h = (h * _FOLD + ((s & _MASK) ^ (pos << 56 | raw.size))) & _MASK
+    return h
+
+
+class TestResultDigest:
+    """``supervisor.result_digest``, the check every pool result passes
+    on the driver before anything consumes it (DESIGN.md §12.3)."""
+
+    @given(case=flipped_results())
+    @settings(max_examples=300, deadline=None)
+    def test_every_single_bit_flip_changes_the_digest(self, case):
+        assert flip_is_detected(result_digest, case)
+        # The worker digests a resident view where it lies, the driver
+        # its own C-ordered copy: any layout reads as its C-order bytes.
+        arrays = case[0]
+        copies = tuple(c_copy(a) for a in arrays)
+        assert result_digest(arrays) == result_digest(copies)
+
+    def test_the_property_catches_a_digest_that_skips_the_tail(self):
+        arrays, i, byte, _ = find(
+            flipped_results(),
+            lambda case: not flip_is_detected(digest_without_tail, case),
+            settings=settings(max_examples=2000, derandomize=True,
+                              database=None))
+        assert byte >= arrays[i].nbytes & ~7  # the flip is in the tail
+
+    def test_swapped_and_truncated_results_differ(self):
+        a, b = np.arange(4.0), np.arange(4.0) + 1.0
+        assert result_digest((a, b)) != result_digest((b, a))
+        assert result_digest((a,)) != result_digest((a[:3],))
+        assert result_digest((np.zeros(2),)) != result_digest((np.zeros(3),))
+        assert result_digest(()) != result_digest((np.zeros(0),))
+
+    def test_a_contiguous_result_is_read_without_a_copy(self):
+        import tracemalloc
+
+        a = np.ones(1 << 20)  # 8 MiB
+        tracemalloc.start()
+        try:
+            result_digest((a, a[:-1].view(np.uint8)[3:]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak

@@ -29,6 +29,7 @@ from repro.resilience import (
     ResilientRunner,
     StateValidator,
     flip_bit,
+    snapshot_crc,
 )
 from repro.sunway.core_group import CoreGroup
 from repro.sunway.dma import DMAEngine
@@ -103,6 +104,27 @@ class TestFaultInjector:
         assert arr[0] != 3.7
         flip_bit(arr, 0, 17)
         assert arr[0] == 3.7
+
+    def test_flip_bit_lands_in_place_for_any_layout(self):
+        """The flip lands in the array it is handed — a strided, a
+        reversed, a transposed or a 0-d view — at the C-order flat index:
+        a reshape of a strided view is a copy, and a flip there is lost."""
+        a = np.zeros((4, 6))
+        flip_bit(a[:, :3], 4, 63)  # flat 4 of the (4, 3) view is a[1, 1]
+        assert np.signbit(a[1, 1]) and np.count_nonzero(np.signbit(a)) == 1
+        r = np.arange(1.0, 7.0)
+        flip_bit(r[::-2], 1, 63)  # the view is [6, 4, 2]
+        assert r.tolist() == [1.0, 2.0, 3.0, -4.0, 5.0, 6.0]
+        t = np.arange(1.0, 13.0).reshape(3, 4)
+        flip_bit(t.T, 1, 63)  # t.T[0, 1] is t[1, 0]
+        assert t[1, 0] == -5.0 and np.count_nonzero(t < 0) == 1
+        z = np.array(2.0)
+        flip_bit(z, 7, 63)
+        assert z == -2.0
+
+    def test_flip_bit_on_an_empty_array_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            flip_bit(np.zeros((3, 0)), 0, 1)
 
 
 class TestRetransmission:
@@ -182,6 +204,31 @@ class TestCheckpointer:
         path = ck.save(m)
         snap = ck.load(path)
         assert np.array_equal(snap["h_0"], m.rank_states()[0].h)
+
+    def test_snapshot_crc_is_pinned_and_hashes_in_place(self):
+        """The on-disk CRC32 of one snapshot: the value the ``.tobytes()``
+        formula gave, so checkpoints already on disk still verify, with
+        a contiguous array hashed without a copy of its bytes."""
+        import tracemalloc
+        import zlib
+
+        snap = {"h_0": np.arange(12.0).reshape(3, 4),
+                "v_0": np.arange(24.0).reshape(2, 3, 4).transpose(2, 0, 1),
+                "meta": np.array([0.5, 3.0])}
+        crc = 0
+        for key in sorted(snap):
+            crc = zlib.crc32(key.encode(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(snap[key]).tobytes(), crc)
+        assert snapshot_crc(snap) == crc == 0xBD3EFC30
+
+        big = {"h_0": np.ones(1 << 20)}  # 8 MiB
+        tracemalloc.start()
+        try:
+            snapshot_crc(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_corrupt_checkpoint_detected(self, mesh4, tmp_path):
         m = DistributedShallowWater(mesh4, nranks=2)
