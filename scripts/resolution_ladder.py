@@ -16,9 +16,11 @@ pool start included), runs one warm step (the lazily built operands;
 ``first_step_s``), then ``--steps`` timed steps, and records the median
 seconds per step, microseconds per element-level, the minor page faults
 per timed step (``getrusage`` of the driver: fresh pages the step's
-temporaries fault in), the driver's peak RSS, the model's shard count
-(element blocks, or rank groups) and the git sha of the tree it
-imported.
+temporaries fault in), the driver's peak RSS, on the pool the same two
+for its workers (``/proc/<pid>`` of each worker: the largest worker's
+``VmHWM`` and the workers' minor faults summed; ``null`` in layouts
+without workers), the model's shard count (element blocks, or rank
+groups) and the git sha of the tree it imported.
 
 ``--tree`` is the checkout whose ``src/`` the rungs import (default:
 this one), so one script measures a parent and a change.  The rows are
@@ -46,7 +48,29 @@ NRANKS, WORKERS = 4, 2
 #: The keys of every row; CI checks them.
 ROW_KEYS = ("layout", "ne", "nlev", "qsize", "nelem", "blocks", "steps",
             "setup_s", "first_step_s", "s_per_step", "us_per_element_level",
-            "minflt_per_step", "peak_rss_mb", "git_sha")
+            "minflt_per_step", "peak_rss_mb", "worker_minflt_per_step",
+            "worker_peak_rss_mb", "git_sha")
+
+
+def worker_pids(model) -> list[int]:
+    """The pids of a pool model's live workers (none in process)."""
+    engine = getattr(model, "engine", None)
+    if engine is None or not engine.active:
+        return []
+    return [h.proc.pid for h in engine.supervisor.handles if h is not None]
+
+
+def proc_minflt(pid: int) -> int:
+    """Minor faults of process ``pid`` so far (``/proc/<pid>/stat``)."""
+    with open(f"/proc/{pid}/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[7])
+
+
+def proc_peak_rss_mb(pid: int) -> float:
+    """Peak resident set of process ``pid`` in MB (``VmHWM``)."""
+    with open(f"/proc/{pid}/status") as f:
+        kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+    return kb / 1024
 
 
 def run_rung(ne: int, nlev: int, steps: int, layout: str) -> dict:
@@ -89,12 +113,19 @@ def run_rung(ne: int, nlev: int, steps: int, layout: str) -> dict:
     model.step()
     t2 = time.perf_counter()
     per_step = []
+    pids = worker_pids(model)
     minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    wflt = sum(map(proc_minflt, pids))
     for _ in range(steps):
         t = time.perf_counter()
         model.step()
         per_step.append(time.perf_counter() - t)
     minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+    workers = {"worker_minflt_per_step": None, "worker_peak_rss_mb": None}
+    if pids:
+        workers = {"worker_minflt_per_step": round(
+                       (sum(map(proc_minflt, pids)) - wflt) / steps),
+                   "worker_peak_rss_mb": round(max(map(proc_peak_rss_mb, pids)), 1)}
     if layout != "serial":
         model.close()
     s = statistics.median(per_step)
@@ -105,7 +136,8 @@ def run_rung(ne: int, nlev: int, steps: int, layout: str) -> dict:
             "us_per_element_level": round(1e6 * s / (mesh.nelem * nlev), 2),
             "minflt_per_step": round(minflt / steps),
             "peak_rss_mb": round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            **workers}
 
 
 def git_sha(tree: Path) -> str:

@@ -68,12 +68,12 @@ def _warm_fused(geom) -> None:
 
 
 def _batched_tracer_tendency(v, geom):
-    return lambda qdp: _euler.advect_qdp_all(qdp, v, geom)
+    return lambda qdp: _euler.qdp_flux_divergence(qdp, v, geom)
 
 
 def _fused_tracer_tendency(v, geom):
     vm = _fz.fold_velocity(v, geom)  # once per call: each euler-stage task
-    return lambda qdp: _fz.advect_qdp_all_fused(qdp, vm, geom)
+    return lambda qdp: _fz.qdp_flux_divergence_fused(qdp, vm, geom)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,11 @@ class HommeExecution:
     #: vector Laplacian: f(v, geom) -> v
     vlaplace: Callable
     #: all-tracer advection of one euler-stage task: f(v, geom) returns
-    #: g(qdp) -> tendency, the velocity work done once for the whole
-    #: tracer stack (twice a subcycle: one call per SSP stage task)
+    #: g(qdp) -> div(v qdp), the velocity work done once for the whole
+    #: tracer stack (twice a subcycle: one call per SSP stage task).
+    #: g returns the tendency's *negation* in a fresh array the caller
+    #: owns: the SSP stages scale it by -dt in place, which is bitwise
+    #: dt times the tendency (IEEE multiplication is sign-symmetric)
     tracer_tendency: Callable
     #: build every memoized operand this path reads from ``geom`` — call
     #: it before a worker pool forks so workers inherit them copy-on-write

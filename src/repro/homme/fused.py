@@ -56,11 +56,11 @@ from .rhs import PTOP
 
 __all__ = [
     "StatePack",
-    "advect_qdp_all_fused",
     "compute_rhs_fused",
     "cross_validate_fused",
     "fold_velocity",
     "laplace_sphere_wk_fused",
+    "qdp_flux_divergence_fused",
     "sw_compute_rhs_fused",
     "vlaplace_sphere_fused",
 ]
@@ -443,13 +443,14 @@ def fold_velocity(
     return md * v1, md * v2
 
 
-def advect_qdp_all_fused(
+def qdp_flux_divergence_fused(
     qdp: np.ndarray,
     vm: tuple[np.ndarray, np.ndarray],
     geom: ElementGeometry,
     tensors: OperatorTensors | None = None,
 ) -> np.ndarray:
-    """Fused flux-form tendency -div(v qdp) for all tracers at once.
+    """Fused flux divergence div(v qdp) for all tracers at once — the
+    advective tendency's negation, which the SSP stages fold into -dt.
 
     ``qdp`` is (E, Q, L, n, n); ``vm`` the folded planes from
     :func:`fold_velocity`.  No ``(..., 2)`` flux stack is materialized —
@@ -462,7 +463,6 @@ def advect_qdp_all_fused(
     np.multiply(vm2[:, None], qdp, out=flux)
     out += f.db(flux)
     out *= f.bshape(f.imdj, qdp)
-    np.negative(out, out=out)
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..homme import remap
 from ..homme.element import ElementState
-from ..homme.euler import limit_local, ssp_stage1, ssp_stage2
+from ..homme.euler import fixer_multiply, limit_local, ssp_stage1, ssp_stage2
 
 
 def _kernels(meta):
@@ -97,14 +97,16 @@ def prim_limit_post(geom, meta, st2):
     """A shard's elementwise limiter pass on its DSS'd stage-2 stack:
     ``(limited, masses)`` with the (E_r, 2, Q, L) per-element masses —
     before and after — the recipe sums over the mesh, in global element
-    order, for the global fixer's scale."""
+    order, for the global fixer's scale.  ``limited`` is ``st2`` itself
+    when no element-level needs the limiter."""
     limited, before, after = limit_local(st2, geom)
     return limited, np.stack((before, after), axis=1)
 
 
 def prim_fixer_task(geom, meta, limited, scale):
-    """A shard's limited stack times the global fixer's (Q, L) scale (pre-DSS)."""
-    return (limited * scale[None, ..., None, None],)
+    """A shard's limited stack times the global fixer's (Q, L) scale
+    (pre-DSS); ``limited`` itself where the multiply is the identity."""
+    return (fixer_multiply(limited, scale),)
 
 
 def hypervis_post(geom, meta, *arrays):
