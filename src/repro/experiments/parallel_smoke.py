@@ -116,7 +116,7 @@ def run_parallel_smoke(
         allreduces = _count_calls(ser.mpi, "allreduce")
         ser.run_steps(prim_steps)
         whole = PrimitiveEquationModel(cfg, mesh4, init=state.copy(), dt=30.0)
-        assemblies = _count_calls(whole._plan, "assemble")
+        passes = _count_calls(whole, "_pack_and_sum")
         whole.run_steps(prim_steps)
         # 3 RK stages, 3 per tracer subcycle, 2 per hyperviscosity sweep.
         points = 3 + 3 * cfg.tracer_subcycles + 2 * ser._hv_subcycles
@@ -125,7 +125,7 @@ def run_parallel_smoke(
         if verbose:
             print(f"  recipe: {exchanges[0] / prim_steps:g} exchanges, "
                   f"{points} synchronisation points, "
-                  f"{assemblies[0] / prim_steps:g} serial assemblies, "
+                  f"{passes[0] / prim_steps:g} serial DSS passes, "
                   f"{allreduces[0] / prim_steps:g} allreduces, "
                   f"{ser.engine.calls / prim_steps:g} dispatches per step")
         pings = dict(par.engine.transport)  # the start-up pings' results

@@ -21,14 +21,15 @@ of consecutive ranks may hand its fields over as one block (a *rank
 group*), which changes no message and no bit.  Data moves through one
 flat buffer in two per-shard steps (:class:`ShardPlan`): every shard
 packs its weighted contributions, then every shard sums its own slots —
-in process (:meth:`HaloExchanger.assemble`) or on a layout's workers;
+the layouts run the two steps as per-shard tasks
+(:func:`repro.parallel.dycore.pack_task` / ``sum_task``), and
+:meth:`HaloExchanger.assemble` runs them for ``exchange(local_fields=)``;
 :meth:`SimMPI.neighbor_exchange <repro.network.simmpi.SimMPI.neighbor_exchange>`
 charges memcpy, compute and transfer time of the whole exchange to each
 rank's simulated clock in one call, carrying sizes only.  The result is
 the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
 Without a partition the plan is the whole mesh as one rank in mesh
-order, and :meth:`~HaloExchanger.assemble` alone is the one-shard
-layout's DSS.
+order: the one-shard layout's plan, each element block a shard.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from ..network.simmpi import SimMPI, rank_track
 from ..obs.tracer import NULL_TRACER
 from ..parallel import dycore
 from ..parallel.engine import ParallelEngine, worker_count
-from ..parallel.resident import Arena
+from ..parallel.resident import Arena, locate
 from .bndry import HaloExchanger, exchange_tag
 from .element import ElementGeometry
 from .euler import sum_elements
@@ -202,21 +202,28 @@ class _DistributedModel(timestep._Layout):
 
     def rank_states(self) -> list:
         """Every rank's state, its arrays row views of its shard's: a
-        write through one is a write into the shard."""
+        write through one is a write into the shard, and a step
+        overwrites them — keep a :meth:`snapshot` instead."""
         per_field = [self._rank_rows([getattr(s, f) for s in self.states])
                      for f in self._fields]
         return [type(self.states[0])(**dict(zip(self._fields, arrays)))
                 for arrays in zip(*per_field)]
 
-    def _resident(self, shapes) -> tuple:
-        """On a pool, arrays of these shapes for a task to write its
-        results into, resident; in process — or while arrays a caller
-        holds fill the arena — none (the task's own arrays, which travel
-        back by copy)."""
+    def _resident(self, outs) -> tuple:
+        """Where a task writes the results that replace ``outs`` (arrays,
+        or shapes for fresh memory): the arrays themselves when a task may
+        write them (:func:`~repro.homme.timestep.writable`, and on a pool
+        lying in its arena); else, on a pool, fresh resident arrays of
+        their shapes; else — in process, or while arrays a caller holds
+        fill the arena — none: the task's own arrays, which travel back
+        by copy."""
+        if timestep.writable(outs) and (self.arena is None or all(
+                locate(o, [self.arena.id]) is not None for o in outs)):
+            return tuple(outs)
         if self.arena is None:
             return ()
         try:
-            return tuple(map(self.arena.empty, shapes))
+            return tuple(self.arena.empty(getattr(o, "shape", o)) for o in outs)
         except KernelError:
             return ()
 

@@ -23,10 +23,21 @@ tracing hooks ``_clocks`` / ``_rank_spans``.  There are two layouts:
 the shards (:class:`PrimitiveEquationModel`), and
 :class:`repro.homme.distributed._DistributedModel`, simulated MPI ranks
 in rank groups (``DistributedPrimitiveEquations``).  Both run one DSS
-data path — every shard packs its rows of one flat buffer, then sums
-its own slots (:class:`~repro.homme.bndry.ShardPlan`) — and inherit the
-one ``step()``; the shallow-water pair in
+data path — every shard's :func:`~repro.parallel.dycore.pack_task`
+writes its rows of one flat buffer, then every shard's
+:func:`~repro.parallel.dycore.sum_task` sums its own slots
+(:class:`~repro.homme.bndry.ShardPlan`); the one-shard layout streams
+its blocks through it in process, no whole-mesh assembly — and inherit
+the one ``step()``; the shallow-water pair in
 :mod:`repro.homme.shallow_water` is built the same way.
+
+The step runs in the memory the state holds: each tracer subcycle's
+closing DSS writes into the stack it started from (the state's ``qdp``)
+and the closing hyperviscosity DSS into the step's input state (its
+``v``, ``T`` and ``dp3d``, and on a remap step ``qdp``) — arrays no task
+of that DSS reads, so a re-executed task rewrites the same bytes.  State
+arrays a caller keeps across :meth:`~_Layout.step` are therefore
+overwritten; keep a :meth:`~_Layout.snapshot` instead.
 """
 
 from __future__ import annotations
@@ -124,7 +135,9 @@ class _Layout:
         """Everything needed to continue the trajectory bitwise.
 
         Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
-        counters (model time, step count) under ``"meta"``.
+        counters (model time, step count) under ``"meta"``, copied: a
+        step writes the live state arrays in place, so a state to keep
+        across steps is a snapshot.
         """
         snap = {"meta": np.array([self.t, self.step_count], dtype=np.float64)}
         snap.update((k, a.copy()) for k, a in self._state_arrays().items())
@@ -171,30 +184,34 @@ class _Layout:
                     stage: int, slot: int, nout: int | None = None,
                     fold: bool = False, post=None,
                     post_arrays: list[tuple] | None = None,
-                    post_shapes: list[tuple] | None = None) -> list[tuple]:
+                    outs: list[tuple] | None = None) -> list[tuple]:
         """Run ``task`` on every shard and DSS its outputs — shaped like its
         first ``nout`` inputs (all, by default) — in one synchronisation;
         ``task=None`` DSSes the arrays themselves.  Returns the DSS'd
         fields per shard, C-contiguous — or, given a ``post`` step, what
-        ``post(geom, meta, *fields, *post_arrays[shard])`` returns (arrays
-        of the shapes ``post_shapes[shard]``), the fields being
-        temporaries of the shard's task.
+        ``post(geom, meta, *fields, *post_arrays[shard])`` returns, the
+        fields being temporaries of the shard's task.
+
+        ``outs`` names, per shard, what the results replace: arrays, whose
+        memory receives the results wherever the layout may hand them to
+        the shard's task (:meth:`_resident`) — no task of the call may
+        read them — or, for fresh memory, shapes; by default the shapes
+        of the first ``nout`` inputs.
 
         Per shard, ``task`` runs and its outputs' weighted contributions
         are packed into the shard's rows of one flat buffer; then every
         shard's slots are summed from it (:class:`~repro.homme.bndry.ShardPlan`)
-        — how, and where, is the layout's ``_pack_and_sum``.  ``fold``
-        treats each output as an (E, Q, L, n, n) stack, (Q, L) one level
-        axis.  C-contiguous results keep the state's memory layout — and
+        — where, is the layout's ``_pack_and_sum``.  ``fold`` treats each
+        output as an (E, Q, L, n, n) stack, (Q, L) one level axis.
+        C-contiguous results keep the state's memory layout — and
         therefore every later reduction's rounding — the one a restored
         checkpoint has.
         """
         if post is None:
             post_arrays = [()] * len(per_shard_arrays)
-            post_shapes = [tuple(a.shape for a in arrays[:nout])
-                           for arrays in per_shard_arrays]
-        rest = [(*p, *self._resident(shapes))
-                for p, shapes in zip(post_arrays, post_shapes)]
+        if outs is None:
+            outs = [tuple(a.shape for a in arrays[:nout]) for arrays in per_shard_arrays]
+        rest = [(*p, *self._resident(o)) for p, o in zip(post_arrays, outs)]
         meta = {**meta, "task": task, "post": post, "levels": self._levels,
                 "fold": fold, "nin": len(per_shard_arrays[0]), "nout": nout,
                 "npost": len(post_arrays[0]),
@@ -203,24 +220,36 @@ class _Layout:
         return self._pack_and_sum(per_shard_arrays, rest, meta, stage, slot)
 
 
+def writable(outs) -> bool:
+    """Whether every entry of ``outs`` is an array a task may write its
+    results into: writeable, and C-contiguous as fresh results are."""
+    return all(isinstance(o, np.ndarray) and o.flags.c_contiguous
+               and o.flags.writeable for o in outs)
+
+
 class _WholeMesh(_Layout):
     """The one-shard layout: the whole mesh is rank 0, its element blocks
     (contiguous mesh-order ranges, geometries views of :attr:`geom`,
     :meth:`_split_blocks`) are the shards.
 
     :attr:`states` is one state per block, row views of :attr:`state`
-    taken when a step starts; setting it joins the blocks, one
-    concatenation per field (one block: no view, no copy).  A task runs
-    once per block and copies nothing — tasks are element-local, so the
-    bits are the unblocked call's.  A DSS is one
-    :meth:`~repro.homme.bndry.HaloExchanger.assemble` on a plan of the
-    whole mesh at one rank in mesh order: no received rows, the slots
-    and bits of :meth:`~repro.mesh.cubed_sphere.CubedSphereMesh.dss`.
-    ``_mesh_sum`` is :func:`~repro.homme.euler.sum_elements` of the
-    blocks' rows in element order.  Spans live on the *model time* axis
-    of the ``"serial"`` track (no simulated clock).  Subclasses set
-    ``_levels`` and ``_fields`` (through their recipe) and ``state``
-    (their own copy), then call :meth:`_split_blocks`.
+    taken when a step starts; setting it keeps every field whose blocks
+    are still those rows and joins any other, one concatenation per
+    field (one block: no view, no copy).  A task runs once per block and
+    copies nothing — tasks are element-local, so the bits are the
+    unblocked call's.  A DSS runs as the engine's in-process path runs
+    it: every block's task and :func:`~repro.parallel.dycore.pack_task`
+    into one flat buffer, block by block, so a block's outputs die after
+    its own pack; then every block's
+    :func:`~repro.parallel.dycore.sum_task`.  The plan is the whole mesh
+    at one rank in mesh order (each block geometry carries its
+    ``dss_plan``): no received rows, the slots and bits of
+    :meth:`~repro.mesh.cubed_sphere.CubedSphereMesh.dss`.  ``_mesh_sum``
+    is :func:`~repro.homme.euler.sum_elements` of the blocks' rows in
+    element order.  Spans live on the *model time* axis of the
+    ``"serial"`` track (no simulated clock).  Subclasses set ``_levels``
+    and ``_fields`` (through their recipe) and ``state`` (their own
+    copy), then call :meth:`_split_blocks`.
     """
 
     _levels: bool
@@ -247,16 +276,38 @@ class _WholeMesh(_Layout):
 
     @states.setter
     def states(self, states: list) -> None:
-        self.state = states[0] if len(states) == 1 else type(states[0])(**{
-            f: np.concatenate([getattr(s, f) for s in states])
-            for f in self._fields})
+        if len(states) == 1:
+            self.state = states[0]
+            return
+        fields = {}
+        for f in self._fields:
+            whole, parts = getattr(self.state, f), [getattr(s, f) for s in states]
+            # Same address, shape and strides: the block is still its rows.
+            rows = all(p.__array_interface__ == whole[lo:hi].__array_interface__
+                       for p, (lo, hi, _) in zip(parts, self.blocks, strict=True))
+            fields[f] = whole if rows else np.concatenate(parts)
+        self.state = type(states[0])(**fields)
+
+    @property
+    def blocks(self) -> list[tuple[int, int, ElementGeometry]]:
+        """``(lo, hi, geometry of elements lo..hi-1)`` in mesh order;
+        setting them gives each geometry its share of the whole-mesh
+        plan (``dss_plan``)."""
+        return self._blocks
+
+    @blocks.setter
+    def blocks(self, blocks) -> None:
+        for lo, hi, g in blocks:
+            g.dss_plan = self._plan.shard_plan(lo, hi)
+        self._blocks = blocks
 
     @property
     def geoms(self) -> list[ElementGeometry]:
         return [g for _, _, g in self.blocks]
 
     def rank_states(self) -> list:
-        """The whole mesh is rank 0."""
+        """The whole mesh is rank 0: ``[state]``, the live arrays a step
+        overwrites — keep a :meth:`snapshot` instead."""
         return [self.state]
 
     def _split_blocks(self) -> None:
@@ -266,34 +317,27 @@ class _WholeMesh(_Layout):
         E = self.mesh.nelem
         k = -(-E // block_elements(self.state))
         bounds = [i * E // k for i in range(k + 1)]
-        #: ``(lo, hi, geometry of elements lo..hi-1)`` in mesh order.
         self.blocks = [(0, E, self.geom)] if k == 1 else [
             (lo, hi, self.geom.rows(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
-    def _fanout(self, task, meta_extra: dict,
-                per_shard_arrays: list[tuple]) -> list[tuple]:
-        meta = {**meta_extra, "path": self.exec_path}
-        return [task(g, meta, *arrays) for g, arrays in
-                zip(self.geoms, per_shard_arrays, strict=True)]
-
     @staticmethod
-    def _resident(shapes) -> tuple:
-        return ()  # in process, a task's results are its own fresh arrays
+    def _resident(outs) -> tuple:
+        """``outs`` themselves when a task may write into them
+        (:func:`writable`); else none — in process, a task's fresh
+        results are its own arrays, allocated after its temporaries."""
+        return tuple(outs) if writable(outs) else ()
 
     def _pack_and_sum(self, per_shard_arrays, rest, meta, stage: int,
                       slot: int) -> list[tuple]:
-        """In process: the blocks' outputs in exchange form, one
-        :meth:`~repro.homme.bndry.HaloExchanger.assemble` of the
-        whole-mesh plan, and every block's DSS finished
-        (:func:`~repro.parallel.dycore.finish_dss`)."""
-        task = meta["task"]
-        fields = (per_shard_arrays if task is None
-                  else self._fanout(task, meta, per_shard_arrays))
-        sums = self._plan.assemble([
-            tuple(dycore.exchange_form(g, fs, meta))
-            for g, fs in zip(self.geoms, fields)])
-        return [dycore.finish_dss(g, meta, arrays[:meta["nout"]], ds, r)
-                for g, arrays, ds, r in zip(self.geoms, per_shard_arrays, sums, rest)]
+        """In process: every block's :func:`~repro.parallel.dycore.pack_task`
+        into one flat buffer, then every block's
+        :func:`~repro.parallel.dycore.sum_task` finishing into ``rest``."""
+        meta = {**meta, "path": self.exec_path}
+        buf = np.empty(self.mesh.nelem * self.mesh.np ** 2 * meta["cols"])
+        for g, arrays in zip(self.geoms, per_shard_arrays, strict=True):
+            dycore.pack_task(g, meta, *arrays, buf)
+        return [dycore.sum_task(g, meta, *arrays, buf, *r)
+                for g, arrays, r in zip(self.geoms, per_shard_arrays, rest)]
 
     def _mesh_sum(self, per_elem: list[np.ndarray]) -> np.ndarray:
         return sum_elements(np.concatenate(per_elem))
@@ -336,27 +380,31 @@ def compute_and_apply_rhs(model, bases: list, points: list, dt: float,
 
 
 def _dss_stack(model, stacks: list, slot: int, task=None,
-               meta: dict | None = None) -> list[np.ndarray]:
+               meta: dict | None = None, into: list | None = None) -> list[np.ndarray]:
     """DSS (E_r, Q, L, n, n) tracer stacks in one synchronisation, (Q, L)
     folded into the level axis: ``stacks`` themselves, or — given a
     ``task`` — the stack ``task`` makes from each shard's tuple of inputs
-    ``stacks`` (shaped like its first)."""
+    ``stacks`` (shaped like its first).  ``into``: per shard, the stack
+    the result replaces, written in place (:meth:`_Layout._fanout_dss`)."""
     per_shard = [(s,) for s in stacks] if task is None else stacks
     out = model._fanout_dss(task, meta or {}, per_shard, stage=4, slot=slot,
-                            nout=1, fold=True)
+                            nout=1, fold=True,
+                            outs=None if into is None else [(q,) for q in into])
     return [o for o, in out]
 
 
-def euler_step_subcycled(model, states: list) -> None:
+def euler_step_subcycled(model, states: list, remap: bool = False) -> None:
     """Tracer advection: ``tracer_subcycles`` SSP-RK2 steps of each shard's
     whole tracer stack, a DSS after each stage and after the limiter,
     whose global mass fixer is the one ``_mesh_sum`` (its scale multiply
     runs in the closing DSS's pack).  The closing DSS restores the edge
     continuity the elementwise rescale breaks (a positive-weighted
     average of non-negative values stays non-negative), which keeps the
-    next flux-form divergence exactly conservative.  Replaces each
-    state's ``qdp``; a stage's per-shard list is dropped once the next
-    has consumed it (peak RSS)."""
+    next flux-form divergence exactly conservative.  It writes into the
+    stack its subcycle started from — every state's ``qdp``, in place —
+    except on a ``remap`` step's last subcycle, whose fresh stack the
+    remap reads while it writes the step's own ``qdp``.  A stage's
+    per-shard list is dropped once the next has consumed it (peak RSS)."""
     t0s = model._clocks()
     sub = model.cfg.tracer_subcycles
     meta = {"sdt": model.dt / sub}
@@ -368,12 +416,13 @@ def euler_step_subcycled(model, states: list) -> None:
             dycore.prim_euler_stage2_task, meta, list(zip(qdps, st1, vs)),
             stage=4, slot=slot0 + 1, nout=1, fold=True,
             post=dycore.prim_limit_post, post_arrays=[()] * len(qdps),
-            post_shapes=[(q.shape, (len(q), 2) + q.shape[1:3]) for q in qdps])
+            outs=[(q.shape, (len(q), 2) + q.shape[1:3]) for q in qdps])
         del st1
         before, after = model._mesh_sum([m for _, m in lim])
         scale = restoring_scale(before, after)
+        fresh = remap and slot0 == 3 * (sub - 1)
         qdps = _dss_stack(model, [(q, scale) for q, _ in lim], slot0 + 2,
-                          dycore.prim_fixer_task)
+                          dycore.prim_fixer_task, into=None if fresh else qdps)
         del lim
     for s, qdp in zip(states, qdps):
         s.qdp = qdp
@@ -382,37 +431,43 @@ def euler_step_subcycled(model, states: list) -> None:
 
 def biharmonic(model, task, fields: list[tuple], slot0: int, meta: dict | None = None,
                post=None, post_arrays: list[tuple] | None = None,
-               post_shapes: list[tuple] | None = None) -> list[tuple]:
+               outs: list[tuple] | None = None) -> list[tuple]:
     """The weak biharmonic of every shard's tuple of fields: two laplacian
     rounds of ``task``, each one fan-out and one DSS of all the fields;
-    ``post`` finishes the second (:meth:`_Layout._fanout_dss`)."""
+    ``post`` finishes the second into ``outs`` (:meth:`_Layout._fanout_dss`)."""
     lap = model._fanout_dss(task, {}, fields, stage=5, slot=slot0)
     return model._fanout_dss(task, meta or {}, lap, stage=5, slot=slot0 + 1,
-                             post=post, post_arrays=post_arrays,
-                             post_shapes=post_shapes)
+                             post=post, post_arrays=post_arrays, outs=outs)
 
 
-def advance_hypervis(model, states: list, remap: bool = False) -> None:
+def advance_hypervis(model, states: list, remap: bool = False,
+                     into: list | None = None) -> None:
     """Hyperviscosity on T, v and dp3d over one step, in the stable number
     of subcycles (:func:`~repro.homme.hypervis.hypervis_stable_subcycles`);
     each sweep's update ``f - dt nu bih(f)`` finishes its biharmonic's
     shard tasks.  ``remap`` (a remap step) runs :func:`vertical_remap`
     in the last sweep's tasks too, which replaces every state's ``qdp``
-    as well."""
+    as well.  ``into``: per shard, a state the last sweep writes its
+    fields into, in place — arrays no sweep reads (the step's input
+    state, dead once its RK stages have run); by default fresh arrays."""
     t0s = model._clocks()
     meta = {"c": model.dt / model._hv_subcycles * model.nu}
     for sweep in range(model._hv_subcycles):
         fields = [(s.T, s.v, s.dp3d) for s in states]
-        if remap and sweep == model._hv_subcycles - 1:
+        last = sweep == model._hv_subcycles - 1
+        if remap and last:
             post, post_arrays = dycore.prim_hypervis_remap_post, [
                 (*f, s.qdp) for f, s in zip(fields, states)]
             names = ("v", "T", "dp3d", "qdp")
         else:
             post, post_arrays, names = dycore.hypervis_post, fields, ("T", "v", "dp3d")
-        new = biharmonic(
-            model, dycore.prim_laplace_task, fields, 2 * sweep, meta, post,
-            post_arrays, [tuple(getattr(s, k).shape for k in names) for s in states])
-        del fields, post_arrays
+        if last and into is not None:
+            outs = [tuple(getattr(s, k) for k in names) for s in into]
+        else:
+            outs = [tuple(getattr(s, k).shape for k in names) for s in states]
+        new = biharmonic(model, dycore.prim_laplace_task, fields, 2 * sweep,
+                         meta, post, post_arrays, outs)
+        del fields, post_arrays, outs
         for s, arrays in zip(states, new):
             for k, a in zip(names, arrays):
                 setattr(s, k, a)
@@ -460,9 +515,11 @@ class _PrimRecipe:
         s2 = compute_and_apply_rhs(self, s0, s1, dt / 2.0, stage=2)
         s3 = compute_and_apply_rhs(self, s0, s2, dt, stage=3)
         del s1, s2  # peak RSS
-        euler_step_subcycled(self, s3)
+        # The step runs in the memory it holds: the tracer stack in s0's
+        # qdp, the closing hyperviscosity in s0's v, T and dp3d.
         remap = (self.step_count + 1) % RSPLIT == 0
-        advance_hypervis(self, s3, remap=remap)
+        euler_step_subcycled(self, s3, remap=remap)
+        advance_hypervis(self, s3, remap=remap, into=s0)
         self.step_count += 1
         if remap:
             self._rank_spans("vertical_remap", None, step=self.step_count)

@@ -2,20 +2,22 @@
 
 The step recipes (:mod:`repro.homme.timestep`,
 :mod:`repro.homme.shallow_water`) are written once against a layout's
-``_fanout(task, meta, per_shard_arrays)`` and ``_fanout_dss(task, ...)``;
-these are the tasks.  Every DSS is two per-shard tasks around the
-exchange: :func:`pack_task` runs a compute task (or none) and writes its
-outputs' weighted contributions into the shard's rows of one flat
-buffer, and :func:`sum_task`, once every shard has packed, sums the
-shard's slots into the arrays it is handed.  The one-shard layout calls
-the tasks in process on the whole-mesh geometry or its element blocks;
+``_fanout_dss(task, meta, per_shard_arrays, ...)``; these are the
+tasks.  Every DSS is two per-shard tasks around the exchange:
+:func:`pack_task` runs a compute task (or none) and writes its outputs'
+weighted contributions into the shard's rows of one flat buffer, and
+:func:`sum_task`, once every shard has packed, sums the shard's slots
+into the arrays it is handed.  The one-shard layout calls the tasks in
+process on the whole-mesh geometry or its element blocks, every block's
+pack before any block's sum, as the engine's in-process path does;
 the N-shard layout (:mod:`repro.homme.distributed`) runs them once per
 shard through its engine, in process or on a worker — the same functions
 on every path, so every path executes the same float64 streams.
 
 A task that makes a shard array writes it into an array it is handed
-(the layout allocates them, resident on a pool) and returns it, and no
-task writes an array it reads: re-running one rewrites the same bytes.
+— the array the result replaces, or one the layout allocates (resident
+on a pool) — and returns it, and no task writes an array any task of
+its batch reads: re-running one rewrites the same bytes.
 
 Geometry never crosses a queue: the engine is built around the shard
 :class:`~repro.homme.element.ElementGeometry` objects (each carrying its
@@ -134,6 +136,12 @@ def prim_hypervis_remap_post(geom, meta, bih_T, bih_v, bih_dp, T, v, dp, qdp):
 # vector and crosses the exchange as its three Cartesian component
 # planes, a column block each; level axes move last.
 
+#: The (E, L, n, n) plane with its level axis last, and back: fixed
+#: ``transpose`` axes, the views ``np.moveaxis`` makes without its
+#: per-call axis normalisation.
+_LEVELS_LAST = (0, 2, 3, 1)
+_LEVELS_FIRST = (0, 3, 1, 2)
+
 
 def _folded(f, meta):
     return f.reshape(len(f), -1, *f.shape[-2:]) if meta["fold"] else f
@@ -163,7 +171,7 @@ def exchange_form(geom, fields, meta) -> list[np.ndarray]:
     for f in fields:
         f = _folded(f, meta)
         ws = geom.to_cartesian_planes(f) if _is_vector(f, meta) else [f]
-        planes += [np.moveaxis(w, 1, 3) for w in ws] if meta["levels"] else ws
+        planes += [w.transpose(_LEVELS_LAST) for w in ws] if meta["levels"] else ws
     return planes
 
 
@@ -182,7 +190,7 @@ def from_exchange(geom, planes, out, meta) -> None:
     ``out``'s own form."""
     o = _folded(out, meta)
     if meta["levels"]:
-        planes = [np.moveaxis(d, 3, 1) for d in planes]
+        planes = [d.transpose(_LEVELS_FIRST) for d in planes]
     if _is_vector(o, meta):
         geom.from_cartesian_planes(planes, o)
     else:
@@ -194,9 +202,10 @@ def finish_dss(geom, meta, like, sums, rest) -> tuple:
     fields ``like`` back in those fields' form, then — with a
     ``meta["post"]`` step — ``post(geom, meta, *fields, *inputs)`` on
     them, ``inputs`` being the first ``meta["npost"]`` of ``rest``.  The
-    rest of ``rest``, when given, receives the result (the resident
-    arrays a pool hands out); otherwise the result is fresh arrays,
-    allocated after the sums' own temporaries."""
+    rest of ``rest``, when given, receives the result — the arrays it
+    replaces, or resident ones a pool hands out — and is returned;
+    otherwise the result is fresh arrays, allocated after the sums' own
+    temporaries."""
     post, npost = meta["post"], meta["npost"]
     inputs, outs = rest[:npost], rest[npost:]
     fields = outs if post is None and outs else [np.empty(a.shape) for a in like]

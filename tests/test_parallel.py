@@ -676,12 +676,13 @@ class TestResidentStages:
         assert locate(arena.empty((8,)), [arena.id]) is not None
 
     def test_arrays_a_caller_keeps_fill_the_arena_bitwise(self, monkeypatch):
-        """Rank states kept across steps pin their regions until the
-        arena is full: results then travel by copy, and every DSS still
-        packs into the one buffer every worker maps — the trajectory is
-        the in-process twin's bytes."""
+        """Arrays the caller holds pin their regions until the arena is
+        full: results then travel by copy, and every DSS still packs into
+        the one buffer every worker maps — the trajectory is the
+        in-process twin's bytes.  A state that no longer lies in the
+        arena is never handed to a task to write into."""
         from repro.homme import distributed as dist_mod
-        from repro.parallel.resident import locate
+        from repro.parallel.resident import ALIGN
 
         monkeypatch.setattr(dist_mod, "ARENA_STATES", 4)
         cfg, mesh, _, state = _noisy_prim_state()
@@ -691,17 +692,32 @@ class TestResidentStages:
                 cfg, mesh, state, nranks=4, dt=30.0, workers=2) as par:
             if not par.engine.active:
                 pytest.skip(f"pool unavailable: {par.engine.fallback_reason}")
-            kept = []
-            for k in range(1, 4):  # across the rsplit remap
+            held = []
+            for size in (1 << 16, ALIGN // 8):  # large regions, then the tail
+                try:
+                    while True:
+                        held.append(par.arena.empty((size,)))
+                except KernelError:
+                    pass
+            queued = par.engine.transport["results_queued"]
+
+            def step_both(k):
                 ser.step()
                 par.step()
-                kept.append(par.rank_states())
                 gs, gp = ser.gather_state(), par.gather_state()
                 for f in par._fields:
                     assert getattr(gs, f).tobytes() == getattr(gp, f).tobytes(), \
                         f"{f} differs after step {k}"
-            assert any(locate(a, [par.arena.id]) is None
-                       for s in par.states for a in vars(s).values())
+
+            for k in range(1, 3):
+                step_both(k)
+            assert par.engine.transport["results_queued"] > queued
+            # A state replaced by private arrays: the step writes elsewhere.
+            par.states = [type(s)(**{f: a.copy() for f, a in vars(s).items()})
+                          for s in par.states]
+            private = [(a, a.copy()) for s in par.states for a in vars(s).values()]
+            step_both(3)  # the rsplit remap step
+            assert all(a.tobytes() == was.tobytes() for a, was in private)
             assert par.engine.describe()["degrade_reasons"] == {}
 
     def test_more_workers_than_cores_share_the_arena_bitwise(self):
@@ -800,16 +816,35 @@ class TestDistributedBitwise:
     def test_one_step_is_the_serial_recipe_call_for_call(self, workers):
         """Exact-counter pin of the one recipe: a distributed step makes
         one exchange per synchronisation point where the serial step
-        makes one assembly of the same data path, and neither calls the
-        whole-field ``ElementGeometry.dss`` — 3 RK stages, 3 tracer
-        stages per subcycle (the stack travels whole), 2 laplacian rounds
-        per hyperviscosity sweep — plus one allreduce per tracer subcycle
-        and one dispatch per phase."""
+        runs one pack and one sum per element block on the same data
+        path, and neither calls the whole-field ``ElementGeometry.dss``
+        — 3 RK stages, 3 tracer stages per subcycle (the stack travels
+        whole), 2 laplacian rounds per hyperviscosity sweep — plus one
+        allreduce per tracer subcycle and one dispatch per phase."""
+        from unittest import mock
+
+        from repro.homme import timestep
+        from repro.parallel import dycore
+
         cfg, mesh, _, state = _noisy_prim_state()
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=30.0)
+        per_elem = max(a.nbytes // len(a) for a in vars(serial.state).values())
+        with mock.patch.object(timestep, "BLOCK_BYTES", 24 * per_elem):
+            serial._split_blocks()
+        blocks = len(serial.blocks)
+        assert blocks == 4
         dss = _count_calls(serial.geom, "dss")
-        assemblies = _count_calls(serial._plan, "assemble")
-        serial.step()
+        with pytest.MonkeyPatch.context() as mp:
+            packs, sums = ([0], [0])
+
+            def counted(fn, tally):
+                def call(*args):
+                    tally[0] += 1
+                    return fn(*args)
+                return call
+            mp.setattr(dycore, "pack_task", counted(dycore.pack_task, packs))
+            mp.setattr(dycore, "sum_task", counted(dycore.sum_task, sums))
+            serial.step()
         with DistributedPrimitiveEquations(
                 cfg, mesh, state, nranks=4, dt=30.0, workers=workers) as model:
             if workers and not model.engine.active:
@@ -818,7 +853,8 @@ class TestDistributedBitwise:
             exchanges = _count_calls(model.hx, "exchange")
             allreduces = _count_calls(model.mpi, "allreduce")
             model.step()
-            assert (dss, assemblies, exchanges, allreduces) == ([0], [14], [14], [3])
+            assert (dss, exchanges, allreduces) == ([0], [14], [3])
+            assert (packs, sums) == ([14 * blocks], [14 * blocks])
             assert model.engine.calls == 14
 
     def test_serial_workers_knob_is_default_path(self):
