@@ -27,7 +27,7 @@ this one), so one script measures a parent and a change.  The rows are
 written under ``--label`` into ``--out`` (default ``BENCH_ladder.json``
 at the repository root), keeping what the file holds under other
 labels.  ``--max-ne`` drops the rungs above it (CI runs ``--max-ne 8``).
-An ne30 x 26 serial rung needs ~1.2 GB and about a minute.
+An ne30 x 26 serial rung needs ~0.9 GB and about a minute.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def run_rung(ne: int, nlev: int, steps: int, layout: str) -> dict:
         shards = len(model.groups)
         if layout == "pool" and not model.engine.active:
             raise SystemExit(f"pool unavailable: {model.engine.fallback_reason}")
+    # Every model copies its initial state: keeping it would count a
+    # second state in the rung's peak RSS.
+    del state
     t1 = time.perf_counter()
     model.step()
     t2 = time.perf_counter()

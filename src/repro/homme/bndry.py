@@ -13,29 +13,28 @@ The paper redesigns this subroutine twice over (Section 7.6):
    straight into the destination elements (another ~30% off the
    dynamical core's memory-copy time).
 
-:class:`HaloExchanger` implements the exchange with both the ``classic``
-and ``overlap`` disciplines.  As HOMME's ``edgeVpack`` packs every field
-of a synchronisation point into one buffer per neighbour, one call
-exchanges a tuple of fields per rank in one message per neighbour; a run
-of consecutive ranks may hand its fields over as one block (a *rank
-group*), which changes no message and no bit.  Data moves through one
-flat buffer in two per-shard steps (:class:`ShardPlan`): every shard
-packs its weighted contributions, then every shard sums its own slots —
-the layouts run the two steps as per-shard tasks
-(:func:`repro.parallel.dycore.pack_task` / ``sum_task``), and
-:meth:`HaloExchanger.assemble` runs them for ``exchange(local_fields=)``;
+:class:`HaloExchanger` is the exchange plan and its clock, with both the
+``classic`` and ``overlap`` disciplines.  As HOMME's ``edgeVpack`` packs
+every field of a synchronisation point into one buffer per neighbour, a
+rank sends one message per neighbour carrying the whole bundle; a run of
+consecutive ranks may be one shard (a *rank group*), which changes no
+message and no bit.  Data moves through one flat buffer in two per-shard
+steps (:class:`ShardPlan`): every shard packs its weighted contributions,
+then every shard sums its own slots — the layouts run the two steps as
+per-shard tasks (:func:`repro.parallel.dycore.pack_task` / ``sum_task``).
+:meth:`HaloExchanger.exchange` charges memcpy, compute and transfer time
+of the whole exchange to each rank's simulated clock in one
 :meth:`SimMPI.neighbor_exchange <repro.network.simmpi.SimMPI.neighbor_exchange>`
-charges memcpy, compute and transfer time of the whole exchange to each
-rank's simulated clock in one call, carrying sizes only.  The result is
-the serial :meth:`CubedSphereMesh.dss` bit for bit for every partition.
-Without a partition the plan is the whole mesh as one rank in mesh
-order: the one-shard layout's plan, each element block a shard.
+call, carrying sizes only.  The result is the serial
+:meth:`CubedSphereMesh.dss` bit for bit for every partition.  Without a
+partition the plan is the whole mesh as one rank in mesh order: the
+one-shard layout's plan, each element block a shard.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,19 +66,6 @@ def exchange_tag(step: int, stage: int, slot: int = 0) -> int:
     if not 0 <= slot < TAG_SLOTS:
         raise KernelError(f"exchange slot {slot} outside 0..{TAG_SLOTS - 1}")
     return (step * TAG_STAGES + stage) * TAG_SLOTS + slot
-
-
-@dataclass
-class ExchangeReport:
-    """Timing summary of one exchange (simulated seconds)."""
-
-    mode: str
-    rank_times: list[float] = field(default_factory=list)
-    memcpy_seconds: float = 0.0
-
-    @property
-    def max_time(self) -> float:
-        return max(self.rank_times) if self.rank_times else 0.0
 
 
 @dataclass(frozen=True)
@@ -155,10 +141,10 @@ class HaloExchanger:
     rank's GLL points concatenated in rank order, then every row a rank
     receives; one :class:`Assembly` with a slot per touching (rank, gid)
     pair over both; and the gather that fills the received rows.  An
-    exchange is then one SimMPI call that posts sizes, charges clocks and
-    traces over the per-rank ``(peer, rows sent, rows received)`` lists,
-    and the data path (:meth:`assemble`): each shard's pack and sum
-    (:meth:`shard_plan`).
+    exchange is one SimMPI call that posts sizes, charges clocks and
+    traces over the per-rank ``(peer, rows sent, rows received)`` lists
+    (:meth:`exchange`); its data path is each shard's pack and sum
+    (:meth:`shard_plan`), run by the layout.
 
     A message carries, for every point of the sender whose gid the
     receiver touches, that point's own contribution ``f * dss_weight``,
@@ -188,9 +174,6 @@ class HaloExchanger:
         #: Rank r's elements: entries ``elem_offsets[r]:elem_offsets[r + 1]``
         #: of :attr:`plan_elems`.
         self.elem_offsets = [0, *np.cumsum(counts).tolist()]
-        #: ``_end_rank[elem_offsets[r]] = r``: the first rank after a group
-        #: of ranks whose elements end at that plan offset.
-        self._end_rank = {e: r for r, e in enumerate(self.elem_offsets)}
         #: Rank r's points: rows ``_offsets[r]:_offsets[r + 1]`` of the flat tables.
         self._offsets = [nn * e for e in self.elem_offsets]
         gid = mesh.gid[elems].reshape(-1)
@@ -233,18 +216,13 @@ class HaloExchanger:
             return zip(pairs.tolist(), starts.tolist(),
                        [*starts[1:].tolist(), len(major)])
 
-        #: Sorted shared gids per ordered rank pair, and each rank's peers.
-        self.shared_gids: dict[tuple[int, int], np.ndarray] = {}
-        self.peers: dict[int, list[int]] = {r: [] for r in range(nranks)}
-        #: Per rank: (peer, rows sent, rows received).
+        #: Per rank: (peer, rows sent, rows received), peers in rank order.
         self._messages: list[list[tuple[int, int, int]]] = [
             [] for _ in range(nranks)]
         # Sharing is symmetric: both tables list the same (rank, peer) pairs.
         for (ab, lo, hi), (_, rlo, rhi) in zip(blocks(rank[src], dst),
                                                blocks(adst, rank[asrc])):
             a, b = divmod(ab, nranks)
-            self.shared_gids[(a, b)] = _distinct(gid[src[lo:hi]])
-            self.peers[a].append(b)
             self._messages[a].append((b, hi - lo, rhi - rlo))
 
     # -- core exchange ------------------------------------------------------------
@@ -263,29 +241,23 @@ class HaloExchanger:
 
     def exchange(
         self,
-        local_fields: list[tuple[np.ndarray, ...]],
         mpi: SimMPI,
+        row_bytes: int,
         mode: str = "overlap",
         boundary_compute: list[float] | None = None,
         inner_compute: list[float] | None = None,
         tag: int = 0,
-        row_bytes: int | None = None,
-    ) -> tuple[list[tuple[np.ndarray, ...]] | None, ExchangeReport]:
-        """Run one DSS exchange of a bundle of fields over all ranks.
+    ) -> float:
+        """Charge one DSS exchange over all ranks to ``mpi``'s clocks.
 
         Parameters
         ----------
-        local_fields:
-            Per *rank group* — a run of consecutive ranks, in rank order —
-            a tuple of element-local fields to make continuous, each
-            (E_g, np, np) or (E_g, np, np, K...) over the group's elements
-            in plan order (:attr:`plan_elems`); the leading length says
-            which ranks a group covers.  Per-rank tuples are the
-            one-rank groups.  A field's trailing shape must agree across
-            groups, the fields of a tuple may differ.  One field is a
-            1-tuple.
         mpi:
             The simulated communicator (nranks must match).
+        row_bytes:
+            The bytes of one row of the bundle: one float64 per column of
+            every field a point carries.  A rank sends one message per
+            peer carrying every field of the bundle.
         mode:
             "classic" (compute all, pack-buffer staging, no overlap) or
             "overlap" (boundary first, direct unpack, inner overlapped).
@@ -297,80 +269,28 @@ class HaloExchanger:
             send and wait — which is what hides the transfer.  A cost
             that is not finite and >= 0 raises :class:`KernelError`
             before any clock moves.
-        row_bytes:
-            Instead of ``local_fields`` (then None), the bytes of one row
-            of the bundle: the call charges the clocks of the exchange
-            and returns no fields — the data path is the caller's (a
-            layout whose shards pack and sum on their own,
-            :meth:`shard_plan`).
 
-        Returns, per group, a tuple of the DSS'd fields in the input
-        shapes (:meth:`assemble`), and an :class:`ExchangeReport`.  A rank
-        sends one message per peer carrying every field of the bundle,
-        however the ranks are grouped.  Errors name a group by its first
-        rank.
+        Returns the memcpy seconds charged.  The data path is the
+        caller's: every shard packs and sums on its own
+        (:meth:`shard_plan`).
         """
-        nranks = self.nranks
-        if mpi.nranks != nranks:
+        if mpi.nranks != self.nranks:
             raise KernelError(
-                f"communicator has {mpi.nranks} ranks, partition {nranks}")
+                f"communicator has {mpi.nranks} ranks, partition {self.nranks}")
         if mode not in ("classic", "overlap"):
             raise KernelError(f"unknown exchange mode {mode!r}")
         bc = self._per_rank_costs(boundary_compute, "boundary_compute")
         ic = self._per_rank_costs(inner_compute, "inner_compute")
-        if (local_fields is None) == (row_bytes is None):
-            raise KernelError("pass local_fields or row_bytes, not both or neither")
-        if row_bytes is None:
-            self._check_groups(local_fields)
-            row_bytes = 8 * sum(math.prod(f.shape[3:]) for f in local_fields[0])
-
-        report = ExchangeReport(mode=mode)
-        classic = mode == "classic"
-
         # The clock program: classic charges all kernel work before the
         # sends and stages through the pack buffer (2 copies each way);
         # the redesign charges the boundary part first, the inner part
-        # while messages fly, and packs once and unpacks directly.  A row
-        # is one float64 per column of every field.
-        report.memcpy_seconds = mpi.neighbor_exchange(
+        # while messages fly, and packs once and unpacks directly.
+        classic = mode == "classic"
+        return mpi.neighbor_exchange(
             self._messages, row_bytes,
             [b + i for b, i in zip(bc, ic)] if classic else bc,
             None if classic else ic,
             copies=2 if classic else 1, bandwidth=MEMCPY_BANDWIDTH, tag=tag)
-        per_group = None if local_fields is None else self.assemble(local_fields)
-
-        report.rank_times = [mpi.now(r) for r in range(nranks)]
-        return per_group, report
-
-    def _check_groups(self, local_fields) -> None:
-        """:class:`KernelError` unless ``local_fields`` is one tuple of
-        fields per rank group, covering every rank once, with trailing
-        shapes that agree across groups."""
-        nranks = self.nranks
-        uncovered = KernelError(
-            "need one tuple of local fields per rank or rank group, "
-            f"covering each of the {nranks} ranks once")
-        if not local_fields:
-            raise uncovered
-        n, first, eoff = self.mesh.np, local_fields[0], self.elem_offsets
-        r0 = 0  # each group's first rank
-        for fields in local_fields:
-            if r0 == nranks:
-                raise uncovered
-            if len(fields) != len(first):
-                raise KernelError(
-                    f"rank {r0} passes {len(fields)} fields, rank 0 {len(first)}")
-            r1 = self._end_rank.get(eoff[r0] + len(fields[0])) if fields else r0 + 1
-            for f, f0 in zip(fields, first):
-                if r1 is None or r1 <= r0 or f.shape[:3] != (eoff[r1] - eoff[r0], n, n):
-                    raise KernelError(f"rank {r0} field has shape {f.shape}")
-                if f.shape[3:] != f0.shape[3:]:
-                    raise KernelError(
-                        f"rank {r0} field has trailing shape {f.shape[3:]}, "
-                        f"rank 0 has {f0.shape[3:]}")
-            r0 = r1
-        if r0 != nranks:
-            raise uncovered
 
     def shard_plan(self, lo: int, hi: int) -> ShardPlan:
         """The :class:`ShardPlan` of plan elements ``lo..hi-1`` — a rank
@@ -389,29 +309,6 @@ class HaloExchanger:
                 [pos for pos in layers if len(pos)],
                 (np.cumsum(member) - 1)[self._point_slot[p0:p1]])
         return plan
-
-    def assemble(self, local_fields: list[tuple[np.ndarray, ...]]
-                 ) -> list[tuple[np.ndarray, ...]]:
-        """The exchange's data path, no clock: the DSS of a bundle of fields.
-
-        ``local_fields`` is one tuple of fields per *shard* — consecutive
-        runs of plan elements covering the plan in order (a shard's
-        leading length says how many; :meth:`exchange` checks they are
-        rank groups) — each field (E_s, np, np[, K...]).  Every shard
-        packs its points' weighted contributions into one flat buffer
-        (:meth:`ShardPlan.pack`), then every shard sums its own slots
-        from it (:meth:`ShardPlan.sum`): C-contiguous fields in the input
-        shapes, per shard.
-        """
-        first = local_fields[0]
-        cols = sum(math.prod(f.shape[3:]) for f in first)
-        ends = np.cumsum([len(fields[0]) for fields in local_fields]).tolist()
-        plans = [self.shard_plan(lo, hi) for lo, hi in zip([0, *ends], ends)]
-        buf = plans[0].rows(np.empty(self._offsets[-1] * cols), cols)
-        for plan, fields in zip(plans, local_fields):
-            plan.pack(fields, buf)
-        return [tuple(plan.sum(buf, [f.shape for f in fields]))
-                for plan, fields in zip(plans, local_fields)]
 
     # -- helpers for tests/benches --------------------------------------------------
 

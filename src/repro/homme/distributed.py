@@ -3,10 +3,12 @@
 The end-to-end demonstration of the communication redesign: the same
 step recipes the whole-mesh models run (:mod:`repro.homme.timestep`,
 :mod:`repro.homme.shallow_water`) — one recipe, two layouts — with the
-mesh partitioned across simulated MPI ranks and every DSS performed by
-:class:`~repro.homme.bndry.HaloExchanger` — pack, send, (overlap),
-receive, unpack — one exchange per synchronisation point, every field
-of it in one message per neighbour.  Scalar fields exchange
+mesh partitioned across simulated MPI ranks and every DSS run on the
+exchange plan of :class:`~repro.homme.bndry.HaloExchanger`: each shard
+packs and sums through its share of the plan, and the exchange's pack,
+send, (overlap), receive and unpack are charged to the ranks' clocks —
+one exchange per synchronisation point, every field of it in one
+message per neighbour.  Scalar fields exchange
 directly; vectors exchange as the three component planes of the
 frame-free Cartesian tangent representation
 (:meth:`ElementGeometry.to_cartesian_planes` /
@@ -238,9 +240,8 @@ class _DistributedModel(timestep._Layout):
         finishes into ``rest``."""
         cols = meta["cols"]
         self.hx.exchange(
-            None, self.mpi, mode=self.mode, boundary_compute=self._bc,
-            inner_compute=self._ic, tag=exchange_tag(self.step_count, stage, slot),
-            row_bytes=8 * cols)
+            self.mpi, 8 * cols, mode=self.mode, boundary_compute=self._bc,
+            inner_compute=self._ic, tag=exchange_tag(self.step_count, stage, slot))
         size = self.mesh.nelem * self.mesh.np ** 2 * cols
         buf = np.empty(size) if self._dss_buf is None else self._dss_buf[:size]
         return self._fanout(

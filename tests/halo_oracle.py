@@ -1,16 +1,21 @@
-"""Test oracle: ``HaloExchanger.exchange`` as a per-call algorithm.
+"""Test oracles for the distributed DSS.
 
-Every mesh-constant table is re-derived on each call (``np.unique`` per
-rank, ``np.isin`` per peer): a message from rank *a* to rank *b* carries
-``f * dss_weight`` of each of *a*'s points whose gid *b* touches, in
-*a*'s point order, and every rank sums its own and its received rows per
-gid with ``np.add.at`` over rows sorted by global point row — slow,
-obviously right, and the fixed summation order the plan must reproduce
-bit for bit.  A rank's bundle of fields travels as its columns side by
-side.  SimMPI carries only sizes; the data a receiver sums is read from
+``oracle_exchange`` is the exchange as a per-call algorithm: the data
+the layouts' shard tasks sum and the clocks ``HaloExchanger.exchange``
+charges.  Every mesh-constant table is re-derived on each call
+(``np.unique`` per rank, ``np.isin`` per peer): a message from rank *a*
+to rank *b* carries ``f * dss_weight`` of each of *a*'s points whose gid
+*b* touches, in *a*'s point order, and every rank sums its own and its
+received rows per gid with ``np.add.at`` over rows sorted by global
+point row — slow, obviously right, and the fixed summation order the
+plan must reproduce bit for bit.  A rank's bundle of fields travels as
+its columns side by side.  SimMPI carries only sizes; the data a receiver sums is read from
 the sender's rows here, through the per-message program of
 ``tests/simmpi_oracle.py``.  Clock charges, messages and tracer spans
 are issued in the order the production code must keep.
+
+``whole_plan_assemble`` sums the exchange plan as one piece: the
+reference for the per-shard ``ShardPlan`` sums.
 """
 
 import numpy as np
@@ -96,9 +101,10 @@ def whole_plan_assemble(hx, local_fields):
     """The exchange plan's data path summed as one piece: every point's
     weighted contribution in one flat buffer, every received row gathered
     behind them, one accumulate over the plan's whole ``Assembly`` and one
-    take per field — the reference the per-shard sums of
-    ``HaloExchanger.assemble`` are held to.  Per-shard tuples of fields
-    in, per-shard tuples of C-contiguous sums out."""
+    take per field — the reference the per-shard ``ShardPlan`` sums (each
+    shard's ``dycore.pack_task``, then its ``sum_task``) are held to.
+    Per-shard tuples of fields in, per-shard tuples of C-contiguous sums
+    out."""
     first = local_fields[0]
     cols = [0, *np.cumsum([np.prod(f.shape[3:], dtype=int) for f in first])]
     npoints = hx.mesh.nelem * hx.mesh.np ** 2

@@ -20,6 +20,7 @@ from repro.mesh import CubedSphereMesh, SFCPartition
 from repro.network import SimMPI
 
 from .dss_oracle import dss_vector
+from .test_halo_plan import plan_dss, row_bytes
 
 
 class TestShallowWater:
@@ -374,30 +375,37 @@ class TestHaloExchanger:
         return mesh, part, HaloExchanger(mesh, part)
 
     @staticmethod
-    def dss(hx, f, mpi, **kwargs):
-        """Exchange one whole-mesh field; its per-rank outputs and report."""
-        outs, rep = hx.exchange([(x,) for x in hx.scatter(f)], mpi, **kwargs)
-        return [o for o, in outs], rep
+    def dss(hx, f):
+        """DSS one whole-mesh field through the layouts' shard tasks; its
+        per-rank outputs."""
+        return [o for o, in plan_dss(hx, [(x,) for x in hx.scatter(f)])]
+
+    @staticmethod
+    def exchange(hx, f, mpi, **kwargs):
+        """Charge the exchange of one whole-mesh field; its memcpy seconds."""
+        return hx.exchange(mpi, row_bytes([f]), **kwargs)
 
     def test_matches_serial_dss_scalar(self, setup):
         mesh, part, hx = setup
         f = np.random.default_rng(0).standard_normal((mesh.nelem, 4, 4))
-        outs, _ = self.dss(hx, f, SimMPI(8), mode="classic")
-        assert np.allclose(hx.gather(outs), mesh.dss(f), atol=1e-13)
+        assert np.allclose(hx.gather(self.dss(hx, f)), mesh.dss(f), atol=1e-13)
 
     def test_matches_serial_dss_multifield(self, setup):
         mesh, part, hx = setup
         f = np.random.default_rng(1).standard_normal((mesh.nelem, 4, 4, 3))
-        outs, _ = self.dss(hx, f, SimMPI(8), mode="overlap")
-        assert np.allclose(hx.gather(outs), mesh.dss(f), atol=1e-13)
+        assert np.allclose(hx.gather(self.dss(hx, f)), mesh.dss(f), atol=1e-13)
 
     def test_classic_equals_overlap_numerically(self, setup):
+        """The mode moves clocks, not bits: a distributed step in either
+        leaves the same state."""
         mesh, part, hx = setup
-        f = np.random.default_rng(2).standard_normal((mesh.nelem, 4, 4))
-        a, _ = self.dss(hx, f, SimMPI(8), mode="classic")
-        b, _ = self.dss(hx, f, SimMPI(8), mode="overlap")
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        models = [distributed.DistributedShallowWater(mesh, 8, mode=mode)
+                  for mode in ("classic", "overlap")]
+        for m in models:
+            m.step()
+        a, b = (m.gather_state() for m in models)
+        assert a.h.tobytes() == b.h.tobytes() and a.v.tobytes() == b.v.tobytes()
+        assert models[0].max_rank_time() != models[1].max_rank_time()
 
     def test_overlap_hides_communication(self, setup):
         mesh, part, hx = setup
@@ -405,34 +413,31 @@ class TestHaloExchanger:
         # Generous inner work so messages are fully hidden.
         inner = [5e-3] * 8
         bdry = [1e-3] * 8
-        _, rep_c = self.dss(
-            hx, f, SimMPI(8), mode="classic",
-            boundary_compute=bdry, inner_compute=inner,
-        )
-        _, rep_o = self.dss(
-            hx, f, SimMPI(8), mode="overlap",
-            boundary_compute=bdry, inner_compute=inner,
-        )
-        assert rep_o.max_time < rep_c.max_time
+        mpi_c, mpi_o = SimMPI(8), SimMPI(8)
+        self.exchange(hx, f, mpi_c, mode="classic",
+                      boundary_compute=bdry, inner_compute=inner)
+        self.exchange(hx, f, mpi_o, mode="overlap",
+                      boundary_compute=bdry, inner_compute=inner)
+        assert mpi_o.max_time() < mpi_c.max_time()
 
     def test_classic_has_double_memcpy(self, setup):
         mesh, part, hx = setup
         f = np.random.default_rng(4).standard_normal((mesh.nelem, 4, 4))
-        _, rep_c = self.dss(hx, f, SimMPI(8), mode="classic")
-        _, rep_o = self.dss(hx, f, SimMPI(8), mode="overlap")
-        assert rep_c.memcpy_seconds == pytest.approx(2 * rep_o.memcpy_seconds)
+        classic = self.exchange(hx, f, SimMPI(8), mode="classic")
+        overlap = self.exchange(hx, f, SimMPI(8), mode="overlap")
+        assert classic == pytest.approx(2 * overlap)
 
     def test_wrong_communicator_size(self, setup):
         mesh, part, hx = setup
         f = np.zeros((mesh.nelem, 4, 4))
         with pytest.raises(KernelError):
-            self.dss(hx, f, SimMPI(4))
+            self.exchange(hx, f, SimMPI(4))
 
     def test_unknown_mode(self, setup):
         mesh, part, hx = setup
         f = np.zeros((mesh.nelem, 4, 4))
         with pytest.raises(KernelError):
-            self.dss(hx, f, SimMPI(8), mode="magic")
+            self.exchange(hx, f, SimMPI(8), mode="magic")
 
     def test_scatter_gather_roundtrip(self, setup):
         mesh, part, hx = setup

@@ -29,10 +29,10 @@ from repro.homme.shallow_water import ShallowWaterModel
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.mesh.partition import SFCPartition
-from repro.network.simmpi import SimMPI
 from repro.physics import PhysicsSuite
 
-from .test_halo_plan import MODES, TRAILING, random_field, scatter
+from .test_halo_plan import TRAILING, groupings, plan_dss, random_field, scatter
+from .test_halo_plan import grouped as rank_grouped
 
 EXEC_PATHS = ["fused", "batched"]
 
@@ -77,15 +77,20 @@ def mesh_of(ne: int) -> CubedSphereMesh:
 @pytest.mark.parametrize("nranks", [1, 2, 4, 6, 16, 24])
 @pytest.mark.parametrize("ne", [2, 4, 8])
 def test_exchange_is_the_serial_dss_bitwise(ne, nranks):
+    """The shard tasks over the partition's plan, under every rank
+    grouping, are the serial DSS bit for bit."""
     mesh = mesh_of(ne)
     hx = HaloExchanger(mesh, SFCPartition(ne, nranks))
     rng = np.random.default_rng(100 * ne + nranks)
     for trailing in TRAILING:
         f = random_field(rng, (mesh.nelem, mesh.np, mesh.np) + trailing)
         serial = mesh.dss(f).tobytes()
-        for mode in MODES:
-            outs, _ = hx.exchange(scatter(hx, f), SimMPI(nranks), mode=mode)
-            assert hx.gather([o for o, in outs]).tobytes() == serial, (trailing, mode)
+        locals_ = scatter(hx, f)
+        for bounds in groupings(nranks):
+            outs = plan_dss(hx, rank_grouped(locals_, bounds))
+            got = np.concatenate([o for o, in outs])
+            assert hx.gather(np.split(got, hx.elem_offsets[1:-1])).tobytes() == serial, (
+                trailing, bounds)
 
 
 def prim_setup(ne: int, nlev: int, qsize: int):
