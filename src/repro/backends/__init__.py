@@ -29,9 +29,8 @@ the simulated CPE (the paper's OpenACC-vs-Athread traffic comparison)
 and holds the wall-clock dycore's kernel registry:
 :func:`~repro.backends.functional_exec.homme_execution` resolves
 ``"fused"`` (production) or ``"batched"`` (reference) to the
-implementation of every dycore kernel;
-:func:`repro.homme.fused.cross_validate_fused` asserts the two agree
-to 1e-12 on the same inputs.
+implementation of every dycore kernel; a Hypothesis property in
+``tests/test_exec_paths.py`` holds the two to 1e-12 on the same inputs.
 """
 
 from .base import KernelWorkload, KernelReport, Backend

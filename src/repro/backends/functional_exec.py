@@ -11,10 +11,10 @@ Two related things live here:
    BLAS contractions against preassembled per-mesh operands
    (:mod:`repro.homme.fused`) — and ``"batched"`` — the reference
    kernels built from the operator library
-   (:mod:`repro.homme.operators`), which every fused kernel is checked
-   against to 1e-12 (:func:`repro.homme.fused.cross_validate_fused`,
-   ``tests/test_exec_paths.py``).  This registry is the only place
-   that knows which paths exist.
+   (:mod:`repro.homme.operators`), which every fused kernel is held
+   to at 1e-12 by a Hypothesis property (``tests/test_exec_paths.py``).
+   Every kernel of either path takes its fields and a geometry, nothing
+   else.  This registry is the only place that knows which paths exist.
 
 This module executes a small flux-form tracer update
 

@@ -34,10 +34,12 @@ of the paper's fine-grained Athread rewrite.  The *batched* kernels
 :mod:`~repro.homme.shallow_water`) are the named reference: whole
 stacked ``(nelem, ..., np, np)`` arrays per operator call, reading the
 operator tensors cached on the geometry (:mod:`~repro.homme.tensors`;
-geometry and tensors are read-only from construction).  The two are
-cross-validated to 1e-12 and timed against each other
-(``repro.bench``); ``exec_path`` on the model classes names one,
-resolved by :func:`repro.backends.functional_exec.homme_execution`.
+geometry and tensors are read-only from construction).  Both sets
+compute in float64 and take their fields and a geometry, nothing else;
+a Hypothesis property holds them to 1e-12 of each other
+(``tests/test_exec_paths.py``) and ``repro.bench`` times them against
+each other; ``exec_path`` on the model classes names one, resolved by
+:func:`repro.backends.functional_exec.homme_execution`.
 """
 
 from .element import ElementGeometry, ElementState

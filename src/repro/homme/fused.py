@@ -18,7 +18,7 @@ folded in once (:class:`~repro.homme.tensors.FusedOperands`, cached on
 derivatives feed both the contravariant and covariant gradients;
 ``div(v dp)`` is computed once for omega/p and the continuity
 tendency), and working on structure-of-arrays component planes
-(:class:`StatePack`) instead of trailing-axis ``(..., 2)`` stacks.
+instead of trailing-axis ``(..., 2)`` stacks.
 
 Two analytic simplifications keep the operation count down without
 changing the math:
@@ -32,32 +32,23 @@ changing the math:
 - the weak-Laplacian first pass contracts directly against
   ``wk_fac * metinv * inv_jac`` planes.
 
-Everything here is cross-validated against the batched path to 1e-12
-(``tests/test_exec_paths.py``) and registered as the default
-execution path (``exec_path="fused"``) in
+Every kernel takes its fields and a geometry, computes in float64
+against ``geom.tensors.fused()``, and is held to its batched twin to
+1e-12 by a Hypothesis property (``tests/test_exec_paths.py``); the set
+is registered as the default execution path (``exec_path="fused"``) in
 :func:`repro.backends.functional_exec.homme_execution`.
-
-An optional float32 compute mode (``dtype=np.float32``) runs the same
-fused contractions in single precision against operands cast once per
-mesh; :func:`cross_validate_fused` checks it against float64 (policy in
-DESIGN.md §14).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import constants as C
 from .element import ElementGeometry, ElementState
-from .tensors import FUSED_DTYPES, FusedOperands, OperatorTensors
 from .rhs import PTOP
 
 __all__ = [
-    "StatePack",
     "compute_rhs_fused",
-    "cross_validate_fused",
     "fold_velocity",
     "laplace_sphere_wk_fused",
     "qdp_flux_divergence_fused",
@@ -66,61 +57,9 @@ __all__ = [
 ]
 
 
-def _operands(
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None,
-    ref: np.ndarray,
-    dtype,
-) -> FusedOperands:
-    """Resolve the fused operand bundle for a call.
-
-    ``dtype=None`` computes in the input field's dtype (float64 for all
-    the standard model states); non-float dtypes fall back to float64.
-    """
-    t = tensors if tensors is not None else geom.tensors
-    dt = np.dtype(dtype) if dtype is not None else np.dtype(ref.dtype)
-    if dt not in FUSED_DTYPES:
-        dt = np.dtype(np.float64)
-    return t.fused(dt)
-
-
-def _as(arr: np.ndarray, f: FusedOperands) -> np.ndarray:
-    """View/cast an input field to the bundle's compute dtype."""
-    return arr.astype(f.dtype, copy=False)
-
-
-def _split_v(v: np.ndarray, f: FusedOperands) -> tuple[np.ndarray, np.ndarray]:
+def _split_v(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SoA component planes from a trailing-axis (..., 2) vector field."""
-    return (
-        np.ascontiguousarray(v[..., 0], dtype=f.dtype),
-        np.ascontiguousarray(v[..., 1], dtype=f.dtype),
-    )
-
-
-@dataclass(frozen=True)
-class StatePack:
-    """Structure-of-arrays pack of the prognostic fields.
-
-    The AoS ``(..., 2)`` wind layout is what forces the batched
-    operators into strided reads; packing once per RHS evaluation gives
-    every downstream contraction contiguous ``(E, L, np, np)`` planes
-    (and performs the single cast of the optional float32 mode).
-    """
-
-    v1: np.ndarray
-    v2: np.ndarray
-    T: np.ndarray
-    dp3d: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: ElementState, dtype=np.float64) -> "StatePack":
-        dt = np.dtype(dtype)
-        return cls(
-            v1=np.ascontiguousarray(state.v[..., 0], dtype=dt),
-            v2=np.ascontiguousarray(state.v[..., 1], dtype=dt),
-            T=np.ascontiguousarray(state.T, dtype=dt),
-            dp3d=np.ascontiguousarray(state.dp3d, dtype=dt),
-        )
+    return np.ascontiguousarray(v[..., 0]), np.ascontiguousarray(v[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +67,14 @@ class StatePack:
 # ---------------------------------------------------------------------------
 
 def laplace_sphere_wk_fused(
-    s: np.ndarray,
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-    dtype=None,
+    s: np.ndarray, geom: ElementGeometry
 ) -> np.ndarray:
     """Weak Laplacian as one fused contraction pass.
 
     Matches :func:`repro.homme.operators.laplace_sphere_wk` to roundoff:
     four matmuls plus folded-plane multiply-adds, no gradient stack.
     """
-    f = _operands(geom, tensors, s, dtype)
-    s = _as(s, f)
+    f = geom.tensors.fused()
     da = f.da(s)
     db = f.db(s)
     w00 = f.bshape(f.wk00, s)
@@ -157,10 +92,7 @@ def laplace_sphere_wk_fused(
 
 
 def vlaplace_sphere_fused(
-    v: np.ndarray,
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-    dtype=None,
+    v: np.ndarray, geom: ElementGeometry
 ) -> np.ndarray:
     """Vector Laplacian grad(div v) - k x grad(zeta), fused.
 
@@ -169,8 +101,8 @@ def vlaplace_sphere_fused(
     ``(k x grad zeta)^i = (-d_beta zeta, +d_alpha zeta) / (sqrt(g) J)``
     instead of the batched path's metric round-trip.
     """
-    f = _operands(geom, tensors, v, dtype)
-    v1, v2 = _split_v(v, f)
+    f = geom.tensors.fused()
+    v1, v2 = _split_v(v)
     md = f.bshape(f.metdet, v1)
     m00 = f.bshape(f.met00, v1)
     m01 = f.bshape(f.met01, v1)
@@ -199,7 +131,7 @@ def vlaplace_sphere_fused(
     mi00 = f.bshape(f.mi00j, v1)
     mi01 = f.bshape(f.mi01j, v1)
     mi11 = f.bshape(f.mi11j, v1)
-    out = np.empty(v1.shape + (2,), dtype=f.dtype)
+    out = np.empty(v1.shape + (2,))
     o1 = mi00 * dda
     o1 += mi01 * ddb
     dzb *= imdj
@@ -218,11 +150,7 @@ def vlaplace_sphere_fused(
 # ---------------------------------------------------------------------------
 
 def sw_compute_rhs_fused(
-    h: np.ndarray,
-    v: np.ndarray,
-    geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-    dtype=None,
+    h: np.ndarray, v: np.ndarray, geom: ElementGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shallow-water tendencies in one fused pass.
 
@@ -231,9 +159,8 @@ def sw_compute_rhs_fused(
     components are ``(+vc2, -vc1) / sqrt(g)``), so the metric is applied
     exactly once.
     """
-    f = _operands(geom, tensors, h, dtype)
-    h = _as(h, f)
-    v1, v2 = _split_v(v, f)
+    f = geom.tensors.fused()
+    v1, v2 = _split_v(v)
     md = f.bshape(f.metdet, h)
     imd = f.bshape(f.inv_metdet, h)
     imdj = f.bshape(f.imdj, h)
@@ -258,15 +185,14 @@ def sw_compute_rhs_fused(
     zeta -= f.db(vc1)
     zeta *= imdj
 
-    fcor = geom.fcor if f.dtype == np.float64 else geom.fcor.astype(f.dtype)
     avort = zeta
-    avort += fcor
+    avort += geom.fcor
     avort *= imd
 
     mi00 = f.bshape(f.mi00j, h)
     mi01 = f.bshape(f.mi01j, h)
     mi11 = f.bshape(f.mi11j, h)
-    dv = np.empty(v1.shape + (2,), dtype=f.dtype)
+    dv = np.empty(v1.shape + (2,))
     g1 = mi00 * dEa
     g1 += mi01 * dEb
     dEa *= mi01
@@ -296,8 +222,6 @@ def compute_rhs_fused(
     state: ElementState,
     geom: ElementGeometry,
     phis: np.ndarray | None = None,
-    tensors: OperatorTensors | None = None,
-    dtype=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primitive-equation tendencies (dv, dT, ddp) as one fused pass.
 
@@ -310,9 +234,12 @@ def compute_rhs_fused(
     omega column scan and the continuity tendency.
     """
     state.check_consistent()
-    f = _operands(geom, tensors, state.T, dtype)
-    pk = StatePack.from_state(state, f.dtype)
-    v1, v2, T, dp3d = pk.v1, pk.v2, pk.T, pk.dp3d
+    f = geom.tensors.fused()
+    # Structure-of-arrays planes: the (..., 2) wind layout would force
+    # every contraction below onto strided reads.
+    v1, v2 = _split_v(state.v)
+    T = np.ascontiguousarray(state.T)
+    dp3d = np.ascontiguousarray(state.dp3d)
 
     md = f.bshape(f.metdet, T)
     imd = f.bshape(f.inv_metdet, T)
@@ -325,7 +252,7 @@ def compute_rhs_fused(
     mi11 = f.bshape(f.mi11j, T)
 
     # Vertical scans (cheap, column-sequential — the register-communication
-    # kernels of Section 7.4), kept in the compute dtype.
+    # kernels of Section 7.4).
     p_mid = np.cumsum(dp3d, axis=1)
     p_mid -= 0.5 * dp3d
     p_mid += PTOP
@@ -345,7 +272,7 @@ def compute_rhs_fused(
     if phis is not None:
         # The caller's array, so not bshape's: that cache is keyed by id
         # and kept for the life of the bundle.
-        phi += _as(phis, f)[:, None]
+        phi += phis[:, None]
 
     vc1 = m00 * v1
     vc1 += m01 * v2
@@ -411,7 +338,7 @@ def compute_rhs_fused(
     dpa *= mi01
     dpb *= mi11
     dpa += dpb
-    dv = np.empty(v1.shape + (2,), dtype=f.dtype)
+    dv = np.empty(v1.shape + (2,))
     vc2 *= avort
     vc2 -= G1
     dv[..., 0] = vc2
@@ -437,8 +364,8 @@ def fold_velocity(
     the velocity is stage-constant, so fold the metric in once and
     share the planes across all tracers and both RK stages.
     """
-    f = _operands(geom, None, v, None)
-    v1, v2 = _split_v(v, f)
+    f = geom.tensors.fused()
+    v1, v2 = _split_v(v)
     md = f.bshape(f.metdet, v1)
     return md * v1, md * v2
 
@@ -447,7 +374,6 @@ def qdp_flux_divergence_fused(
     qdp: np.ndarray,
     vm: tuple[np.ndarray, np.ndarray],
     geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
 ) -> np.ndarray:
     """Fused flux divergence div(v qdp) for all tracers at once — the
     advective tendency's negation, which the SSP stages fold into -dt.
@@ -456,7 +382,7 @@ def qdp_flux_divergence_fused(
     :func:`fold_velocity`.  No ``(..., 2)`` flux stack is materialized —
     each component plane goes straight into its derivative matmul.
     """
-    f = _operands(geom, tensors, qdp, qdp.dtype)
+    f = geom.tensors.fused()
     vm1, vm2 = vm
     flux = vm1[:, None] * qdp
     out = f.da(flux)
@@ -464,75 +390,3 @@ def qdp_flux_divergence_fused(
     out += f.db(flux)
     out *= f.bshape(f.imdj, qdp)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation (float64 fused vs batched, float32 fused vs float64)
-# ---------------------------------------------------------------------------
-
-def cross_validate_fused(
-    state: ElementState,
-    geom: ElementGeometry,
-    phis: np.ndarray | None = None,
-    rtol64: float = 1e-12,
-    rtol32: float = 1e-3,
-) -> dict[str, float]:
-    """Validate the fused kernels: float64 vs batched, float32 vs float64.
-
-    Returns max relative disagreements per kernel; raises
-    :class:`~repro.errors.KernelError` when the float64 fused path
-    drifts past ``rtol64`` from batched, or the float32 mode past
-    ``rtol32`` from the float64 fused results (policy: f32 is an opt-in
-    throughput mode, never the default — DESIGN.md §14).
-    """
-    from ..errors import KernelError
-    from . import operators as op
-    from .shallow_water import sw_compute_rhs
-    from .rhs import compute_rhs
-
-    def rel(a, b):
-        scale = max(float(np.max(np.abs(a))), 1e-300)
-        return float(np.max(np.abs(np.asarray(a, dtype=np.float64) - b))) / scale
-
-    def run(dt):
-        rhs = compute_rhs_fused(state, geom, phis, dtype=dt)
-        return {
-            "compute_rhs.dv": rhs[0],
-            "compute_rhs.dT": rhs[1],
-            "compute_rhs.ddp": rhs[2],
-            "laplace_wk": laplace_sphere_wk_fused(state.T, geom, dtype=dt),
-            "vlaplace": vlaplace_sphere_fused(state.v, geom, dtype=dt),
-        } | dict(
-            zip(
-                ("sw_rhs.dh", "sw_rhs.dv"),
-                sw_compute_rhs_fused(state.T[:, 0], state.v[:, 0], geom, dtype=dt),
-            )
-        )
-
-    b_rhs = compute_rhs(state, geom, phis)
-    batched = {
-        "compute_rhs.dv": b_rhs[0],
-        "compute_rhs.dT": b_rhs[1],
-        "compute_rhs.ddp": b_rhs[2],
-        "laplace_wk": op.laplace_sphere_wk(state.T, geom),
-        "vlaplace": op.vlaplace_sphere(state.v, geom),
-    } | dict(
-        zip(("sw_rhs.dh", "sw_rhs.dv"), sw_compute_rhs(state.T[:, 0], state.v[:, 0], geom))
-    )
-    f64 = run(np.float64)
-    f32 = run(np.float32)
-
-    errs: dict[str, float] = {}
-    for tag, tol, got, ref in (
-        ("f64", rtol64, f64, batched),
-        ("f32", rtol32, f32, f64),
-    ):
-        for name in got:
-            errs[f"{tag}.{name}"] = rel(ref[name], got[name])
-        worst = max(v for k, v in errs.items() if k.startswith(tag))
-        if worst > tol:
-            raise KernelError(
-                f"fused {tag} cross-validation failed: max rel err "
-                f"{worst:.3e} > {tol:.1e} ({errs})"
-            )
-    return errs

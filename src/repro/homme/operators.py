@@ -15,8 +15,8 @@ Every operator pulls its geometric factors from the memoized
 (``geom.tensors``) instead of rebuilding them per call — derivative
 matrices pre-transposed for ``matmul``, reciprocals of the Jacobian /
 metric determinant / spheremp precomputed, metric components unpacked
-to contiguous planes.  Kernels that issue many operator calls fetch the
-bundle once and pass it through the ``tensors=`` keyword.
+to contiguous planes.  Every operator takes its fields and a geometry,
+nothing else.
 
 Conventions: face coordinate alpha varies along the **last** axis (j),
 beta along the second-to-last (i).  Winds are contravariant; covariant
@@ -31,57 +31,43 @@ from __future__ import annotations
 import numpy as np
 
 from .element import ElementGeometry
-from .tensors import OperatorTensors
-
-
-def _t(geom: ElementGeometry, tensors: OperatorTensors | None) -> OperatorTensors:
-    return tensors if tensors is not None else geom.tensors
 
 
 def _match_dtype(out: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Cast a result back to the input field's dtype.
 
     The geometry tensors are float64, so matmuls and metric products
-    silently promote float32 fields; every operator casts its return
-    through here so dtype is preserved end to end (a no-op for the
-    standard float64 states).
+    silently promote single-precision fields; every operator casts its
+    return through here so dtype is preserved end to end (a no-op for
+    the standard float64 states).
     """
     return out if out.dtype == ref.dtype else out.astype(ref.dtype)
 
 
-def d_dalpha(
-    field: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def d_dalpha(field: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """d(field)/d(alpha): GLL derivative along the last axis.
 
     ``out[..., i, j] = sum_m D[j, m] field[..., i, m] / J`` — a stacked
     matmul against the pre-transposed derivative matrix.
     """
-    t = _t(geom, tensors)
+    t = geom.tensors
     return _match_dtype(np.matmul(field, t.Dt) * t.inv_jac, field)
 
 
-def d_dbeta(
-    field: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def d_dbeta(field: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """d(field)/d(beta): GLL derivative along the second-to-last axis."""
-    t = _t(geom, tensors)
+    t = geom.tensors
     return _match_dtype(np.matmul(t.D, field) * t.inv_jac, field)
 
 
-def gradient_sphere(
-    s: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def gradient_sphere(s: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Contravariant gradient of a scalar; output (..., np, np, 2).
 
     cov_k = d s / d x^k; grad^i = metinv^{ik} cov_k.
     """
-    t = _t(geom, tensors)
-    da = d_dalpha(s, geom, t)
-    db = d_dbeta(s, geom, t)
+    t = geom.tensors
+    da = d_dalpha(s, geom)
+    db = d_dbeta(s, geom)
     mi00 = t.bshape(t.metinv00, s)
     mi01 = t.bshape(t.metinv01, s)
     mi11 = t.bshape(t.metinv11, s)
@@ -91,34 +77,28 @@ def gradient_sphere(
     return out
 
 
-def gradient_cov(
-    s: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def gradient_cov(s: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Covariant gradient (d s/d alpha, d s/d beta); output (..., np, np, 2)."""
-    t = _t(geom, tensors)
-    return np.stack([d_dalpha(s, geom, t), d_dbeta(s, geom, t)], axis=-1)
+    return np.stack([d_dalpha(s, geom), d_dbeta(s, geom)], axis=-1)
 
 
-def divergence_sphere(
-    v: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def divergence_sphere(v: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Divergence of a contravariant vector field (..., np, np, 2).
 
     div = (1/sqrt(g)) [ d(sqrt(g) v^1)/d alpha + d(sqrt(g) v^2)/d beta ].
     """
-    t = _t(geom, tensors)
+    t = geom.tensors
     metdet = t.bshape(t.metdet, v[..., 0])
     inv_metdet = t.bshape(t.inv_metdet, v[..., 0])
     f1 = metdet * v[..., 0]
     f2 = metdet * v[..., 1]
-    out = (d_dalpha(f1, geom, t) + d_dbeta(f2, geom, t)) * inv_metdet
+    out = (d_dalpha(f1, geom) + d_dbeta(f2, geom)) * inv_metdet
     return _match_dtype(out, v)
 
 
-def _vcov(v: np.ndarray, t: OperatorTensors) -> tuple[np.ndarray, np.ndarray]:
+def _vcov(v: np.ndarray, geom: ElementGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Covariant components v_i = g_ij v^j of a contravariant field."""
+    t = geom.tensors
     m00 = t.bshape(t.met00, v[..., 0])
     m01 = t.bshape(t.met01, v[..., 0])
     m11 = t.bshape(t.met11, v[..., 0])
@@ -127,28 +107,22 @@ def _vcov(v: np.ndarray, t: OperatorTensors) -> tuple[np.ndarray, np.ndarray]:
     return vcov1, vcov2
 
 
-def vorticity_sphere(
-    v: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def vorticity_sphere(v: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Relative vorticity (vertical component) of a contravariant field.
 
     zeta = (1/sqrt(g)) [ d v_2/d alpha - d v_1/d beta ] with covariant
     v_i = g_ij v^j.
     """
-    t = _t(geom, tensors)
-    vcov1, vcov2 = _vcov(v, t)
+    t = geom.tensors
+    vcov1, vcov2 = _vcov(v, geom)
     inv_metdet = t.bshape(t.inv_metdet, v[..., 0])
-    out = (d_dalpha(vcov2, geom, t) - d_dbeta(vcov1, geom, t)) * inv_metdet
+    out = (d_dalpha(vcov2, geom) - d_dbeta(vcov1, geom)) * inv_metdet
     return _match_dtype(out, v)
 
 
-def kinetic_energy(
-    v: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def kinetic_energy(v: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """E = 0.5 |v|^2 = 0.5 g_ij v^i v^j for contravariant winds."""
-    t = _t(geom, tensors)
+    t = geom.tensors
     m00 = t.bshape(t.met00, v[..., 0])
     m01 = t.bshape(t.met01, v[..., 0])
     m11 = t.bshape(t.met11, v[..., 0])
@@ -157,17 +131,14 @@ def kinetic_energy(
     return _match_dtype(out, v)
 
 
-def k_cross(
-    v: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def k_cross(v: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """(k-hat x v) in contravariant components.
 
     On a 2-manifold: (k x v)^i = eps^{ij} v_j with eps^{12} = 1/sqrt(g),
     i.e. (k x v)^1 = -v_2/sqrt(g), (k x v)^2 = v_1/sqrt(g).
     """
-    t = _t(geom, tensors)
-    vcov1, vcov2 = _vcov(v, t)
+    t = geom.tensors
+    vcov1, vcov2 = _vcov(v, geom)
     inv_metdet = t.bshape(t.inv_metdet, v[..., 0])
     out = np.empty_like(v)
     out[..., 0] = -vcov2 * inv_metdet
@@ -175,23 +146,16 @@ def k_cross(
     return out
 
 
-def laplace_sphere(
-    s: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def laplace_sphere(s: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Element-local Laplace--Beltrami operator div(grad s).
 
     Discontinuous across element edges; hyperviscosity applies DSS
     between the two Laplacian passes (see :mod:`repro.homme.hypervis`).
     """
-    t = _t(geom, tensors)
-    return divergence_sphere(gradient_sphere(s, geom, t), geom, t)
+    return divergence_sphere(gradient_sphere(s, geom), geom)
 
 
-def laplace_sphere_wk(
-    s: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def laplace_sphere_wk(s: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Weak-form Laplacian (HOMME's ``laplace_sphere_wk``), exactly
     conservative under DSS.
 
@@ -204,8 +168,8 @@ def laplace_sphere_wk(
     (the strong form div(grad s) leaks O(1e-7) mass per step through
     discontinuous edge fluxes).
     """
-    t = _t(geom, tensors)
-    grad = gradient_sphere(s, geom, t)  # contravariant g^{kl} d_l s
+    t = geom.tensors
+    grad = gradient_sphere(s, geom)  # contravariant g^{kl} d_l s
     fac = t.bshape(t.wk_fac, s)  # metdet * (w_p w_q) * J^2
     G1 = fac * grad[..., 0]
     G2 = fac * grad[..., 1]
@@ -215,18 +179,14 @@ def laplace_sphere_wk(
     return _match_dtype(W * inv_spheremp, s)
 
 
-def vlaplace_sphere(
-    v: np.ndarray, geom: ElementGeometry,
-    tensors: OperatorTensors | None = None,
-) -> np.ndarray:
+def vlaplace_sphere(v: np.ndarray, geom: ElementGeometry) -> np.ndarray:
     """Vector Laplacian in the HOMME form: grad(div v) - curl(curl v).
 
     Computed componentwise through scalar identities:
     lap(v) = grad(div v) - k x grad(zeta).
     """
-    t = _t(geom, tensors)
-    div = divergence_sphere(v, geom, t)
-    zeta = vorticity_sphere(v, geom, t)
-    g_div = gradient_sphere(div, geom, t)
-    g_zeta = gradient_sphere(zeta, geom, t)
-    return g_div - k_cross(g_zeta, geom, t)
+    div = divergence_sphere(v, geom)
+    zeta = vorticity_sphere(v, geom)
+    g_div = gradient_sphere(div, geom)
+    g_zeta = gradient_sphere(zeta, geom)
+    return g_div - k_cross(g_zeta, geom)

@@ -76,17 +76,16 @@ def compute_omega_p(
     p_mid: np.ndarray,
     dp3d: np.ndarray,
     geom: ElementGeometry,
-    tensors=None,
 ) -> np.ndarray:
     """omega/p = (Dp/Dt)/p at midlevels (for the adiabatic heating term).
 
     omega_k = v_k . grad(p_k) - [ sum_{l<k} div(v dp)_l + 0.5 div(v dp)_k ].
     """
-    grad_p = op.gradient_cov(p_mid, geom, tensors)
+    grad_p = op.gradient_cov(p_mid, geom)
     # v . grad p uses contravariant v against covariant gradient.
     vgradp = v[..., 0] * grad_p[..., 0] + v[..., 1] * grad_p[..., 1]
     vdp = v * dp3d[..., None]
-    divdp = op.divergence_sphere(vdp, geom, tensors)
+    divdp = op.divergence_sphere(vdp, geom)
     above = np.cumsum(divdp, axis=1) - divdp
     omega = vgradp - (above + 0.5 * divdp)
     return omega / p_mid
@@ -109,15 +108,14 @@ def compute_rhs(
     """
     state.check_consistent()
     v, T, dp3d = state.v, state.T, state.dp3d
-    t = geom.tensors
 
     p_mid, _ = compute_pressure(dp3d)
     phi = compute_geopotential(T, p_mid, dp3d, phis)
-    E = op.kinetic_energy(v, geom, t)
-    zeta = op.vorticity_sphere(v, geom, t)
-    grad_Ephi = op.gradient_sphere(E + phi, geom, t)
-    grad_p = op.gradient_sphere(p_mid, geom, t)
-    kxv = op.k_cross(v, geom, t)
+    E = op.kinetic_energy(v, geom)
+    zeta = op.vorticity_sphere(v, geom)
+    grad_Ephi = op.gradient_sphere(E + phi, geom)
+    grad_p = op.gradient_sphere(p_mid, geom)
+    kxv = op.k_cross(v, geom)
 
     fcor = geom.fcor[:, None]
     abs_vort = (zeta + fcor)[..., None]
@@ -125,14 +123,14 @@ def compute_rhs(
     dv = -abs_vort * kxv - grad_Ephi - rt_over_p * grad_p
 
     # Temperature: horizontal advection + adiabatic heating.
-    grad_T_cov = op.gradient_cov(T, geom, t)
+    grad_T_cov = op.gradient_cov(T, geom)
     v_dot_gradT = v[..., 0] * grad_T_cov[..., 0] + v[..., 1] * grad_T_cov[..., 1]
-    omega_p = compute_omega_p(v, p_mid, dp3d, geom, t)
+    omega_p = compute_omega_p(v, p_mid, dp3d, geom)
     dT = -v_dot_gradT + C.KAPPA * T * omega_p
 
     # Layer continuity.
     vdp = v * dp3d[..., None]
-    ddp = -op.divergence_sphere(vdp, geom, t)
+    ddp = -op.divergence_sphere(vdp, geom)
 
     return dv, dT, ddp
 

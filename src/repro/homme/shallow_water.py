@@ -99,14 +99,13 @@ def sw_compute_rhs(
     times the two against each other (the ne8 RK-step ratio committed
     in ``BENCH_homme.json``).
     """
-    t = geom.tensors
-    zeta = op.vorticity_sphere(v, geom, t)
-    E = op.kinetic_energy(v, geom, t) + C.GRAVITY * h
-    grad_E = op.gradient_sphere(E, geom, t)
-    kxv = op.k_cross(v, geom, t)
+    zeta = op.vorticity_sphere(v, geom)
+    E = op.kinetic_energy(v, geom) + C.GRAVITY * h
+    grad_E = op.gradient_sphere(E, geom)
+    kxv = op.k_cross(v, geom)
     abs_vort = (zeta + geom.fcor)[..., None]
     dv = -abs_vort * kxv - grad_E
-    dh = -op.divergence_sphere(v * h[..., None], geom, t)
+    dh = -op.divergence_sphere(v * h[..., None], geom)
     return dh, dv
 
 

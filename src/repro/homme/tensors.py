@@ -30,14 +30,9 @@ import numpy as np
 __all__ = [
     "FusedOperands",
     "OperatorTensors",
-    "build_fused_operands",
     "build_tensors",
     "frozen",
 ]
-
-#: Compute dtypes the fused path supports; anything else falls back to
-#: float64 (the fused kernels never compute in integer arithmetic).
-FUSED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -89,27 +84,48 @@ class OperatorTensors:
     wk_fac: np.ndarray
     #: broadcast-view cache keyed by (array id, extra middle axes)
     _bcache: dict = field(default_factory=dict, repr=False, compare=False)
-    #: fused contraction-operand bundles keyed by compute dtype
-    _fused: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the fused contraction-operand bundle, built on first use
+    _fused: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _freeze_planes(self)
 
-    def fused(self, dtype=np.float64) -> "FusedOperands":
-        """Memoized fused contraction operands for a compute dtype.
+    def fused(self) -> "FusedOperands":
+        """Memoized fused contraction operands.
 
         The folded planes (``wk_fac * metinv * inv_jac`` etc.) depend
         only on the geometry this bundle was built from, so they are
-        assembled once per (mesh, dtype) and cached here.
+        assembled once per mesh and cached here.  Every plane is made
+        C-contiguous where an input may be a view (DESIGN.md §14.1: a
+        strided operand costs ~7x per elementwise op).
         """
-        dt = np.dtype(dtype)
-        if dt not in FUSED_DTYPES:
-            dt = np.dtype(np.float64)
-        ops = self._fused.get(dt)
-        if ops is None:
-            ops = build_fused_operands(self, dt)
-            self._fused[dt] = ops
-        return ops
+        if not self._fused:
+            contig = np.ascontiguousarray
+            ij = self.inv_jac
+            eye = np.eye(self.D.shape[0])
+            self._fused.append(FusedOperands(
+                D=contig(self.D),
+                Dt=contig(self.Dt),
+                inv_jac=float(ij),
+                mi00j=contig(self.metinv00 * ij),
+                mi01j=contig(self.metinv01 * ij),
+                mi11j=contig(self.metinv11 * ij),
+                wk00=contig(self.wk_fac * self.metinv00 * ij),
+                wk01=contig(self.wk_fac * self.metinv01 * ij),
+                wk11=contig(self.wk_fac * self.metinv11 * ij),
+                wk_out=contig(-(ij * self.inv_spheremp)),
+                met00=contig(self.met00),
+                met01=contig(self.met01),
+                met11=contig(self.met11),
+                metdet=contig(self.metdet),
+                inv_metdet=contig(self.inv_metdet),
+                imdj=contig(self.inv_metdet * ij),
+                kda=contig(np.kron(eye, self.Dt)),
+                kdb=contig(np.kron(self.Dt, eye)),
+                kwa=contig(np.kron(eye, self.D)),
+                kwb=contig(np.kron(self.D, eye)),
+            ))
+        return self._fused[0]
 
     def bshape(self, geom_arr: np.ndarray, scalar_ref: np.ndarray) -> np.ndarray:
         """Broadcast a (E, np, np) tensor against a field (E, ..., np, np).
@@ -133,9 +149,9 @@ class OperatorTensors:
     def nbytes(self) -> int:
         """Resident bytes of this bundle's unique arrays.
 
-        Counts the operator planes plus any fused bundles built from
-        them; the ``_bcache`` reshape views alias arrays already counted
-        and are excluded.  This is the per-shard footprint the sharded
+        Counts the operator planes plus the fused bundle once built;
+        the ``_bcache`` reshape views alias arrays already counted and
+        are excluded.  This is the per-shard footprint the sharded
         ownership accounting sums per worker.
         """
         planes = (
@@ -145,7 +161,7 @@ class OperatorTensors:
             self.spheremp, self.inv_spheremp, self.wk_fac,
         )
         return sum(int(p.nbytes) for p in planes) + sum(
-            f.nbytes for f in self._fused.values()
+            f.nbytes for f in self._fused
         )
 
 
@@ -197,13 +213,10 @@ class FusedOperands:
       (``g . g^{-1}`` cancels exactly, so the vector Laplacian never
       round-trips through the metric).
 
-    All planes are stored in the bundle's compute ``dtype`` (float64 or
-    the optional float32 mode), assembled in float64 and cast once.
+    Every plane is float64 and C-contiguous.
     """
 
-    #: compute dtype of every array in the bundle
-    dtype: np.dtype
-    #: GLL derivative matrix and transpose in the compute dtype
+    #: GLL derivative matrix and transpose
     D: np.ndarray
     Dt: np.ndarray
     #: reciprocal reference-element Jacobian (python float: scalar
@@ -296,8 +309,7 @@ class FusedOperands:
         if entry is None:
             shape = (geom_arr.shape[0],) + (1,) * extra + geom_arr.shape[1:]
             out = frozen(np.ascontiguousarray(
-                np.broadcast_to(geom_arr.reshape(shape), target), dtype=self.dtype
-            ))
+                np.broadcast_to(geom_arr.reshape(shape), target)))
             # Pin the source array: the key is its id(), which could
             # otherwise be recycled after garbage collection.
             entry = (geom_arr, out)
@@ -324,41 +336,3 @@ class FusedOperands:
                 seen.add(id(out))
                 total += int(out.nbytes)
         return total
-
-
-def build_fused_operands(t: OperatorTensors, dtype=np.float64) -> FusedOperands:
-    """Fold the metric/quadrature factors into contraction operands.
-
-    Assembled in float64 regardless of the target dtype so the float32
-    mode carries one rounding (the final cast), not a chain of them.
-    """
-    dt = np.dtype(dtype)
-
-    def cast(a: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(a, dtype=dt)
-
-    ij = t.inv_jac
-    eye = np.eye(t.D.shape[0])
-    return FusedOperands(
-        dtype=dt,
-        D=cast(t.D),
-        Dt=cast(t.Dt),
-        inv_jac=float(ij),
-        mi00j=cast(t.metinv00 * ij),
-        mi01j=cast(t.metinv01 * ij),
-        mi11j=cast(t.metinv11 * ij),
-        wk00=cast(t.wk_fac * t.metinv00 * ij),
-        wk01=cast(t.wk_fac * t.metinv01 * ij),
-        wk11=cast(t.wk_fac * t.metinv11 * ij),
-        wk_out=cast(-(ij * t.inv_spheremp)),
-        met00=cast(t.met00),
-        met01=cast(t.met01),
-        met11=cast(t.met11),
-        metdet=cast(t.metdet),
-        inv_metdet=cast(t.inv_metdet),
-        imdj=cast(t.inv_metdet * ij),
-        kda=cast(np.kron(eye, t.Dt)),
-        kdb=cast(np.kron(t.Dt, eye)),
-        kwa=cast(np.kron(eye, t.D)),
-        kwb=cast(np.kron(t.D, eye)),
-    )

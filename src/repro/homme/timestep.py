@@ -238,10 +238,10 @@ class _WholeMesh(_Layout):
     field (one block: no view, no copy).  A task runs once per block and
     copies nothing — tasks are element-local, so the bits are the
     unblocked call's.  A DSS runs as the engine's in-process path runs
-    it: every block's task and :func:`~repro.parallel.dycore.pack_task`
-    into one flat buffer, block by block, so a block's outputs die after
-    its own pack; then every block's
-    :func:`~repro.parallel.dycore.sum_task`.  The plan is the whole mesh
+    it: every block's task and pack (the halves of
+    :func:`~repro.parallel.dycore.pack_task`) into one flat buffer,
+    block by block, so a block's outputs die after its own pack; then
+    every block's :func:`~repro.parallel.dycore.sum_task`.  The plan is the whole mesh
     at one rank in mesh order (each block geometry carries its
     ``dss_plan``): no received rows, the slots and bits of
     :meth:`~repro.mesh.cubed_sphere.CubedSphereMesh.dss`.  ``_mesh_sum``
@@ -329,13 +329,20 @@ class _WholeMesh(_Layout):
 
     def _pack_and_sum(self, per_shard_arrays, rest, meta, stage: int,
                       slot: int) -> list[tuple]:
-        """In process: every block's :func:`~repro.parallel.dycore.pack_task`
-        into one flat buffer, then every block's
-        :func:`~repro.parallel.dycore.sum_task` finishing into ``rest``."""
+        """In process: every block's task and pack — the two halves of
+        :func:`~repro.parallel.dycore.pack_task` — into one flat buffer,
+        then every block's :func:`~repro.parallel.dycore.sum_task`
+        finishing into ``rest``.  The buffer is allocated once the first
+        block's task has returned, so it never coexists with that task's
+        temporaries."""
         meta = {**meta, "path": self.exec_path}
-        buf = np.empty(self.mesh.nelem * self.mesh.np ** 2 * meta["cols"])
+        buf = None
         for g, arrays in zip(self.geoms, per_shard_arrays, strict=True):
-            dycore.pack_task(g, meta, *arrays, buf)
+            fields = dycore.run_task(g, meta, *arrays)
+            if buf is None:
+                buf = np.empty(self.mesh.nelem * self.mesh.np ** 2 * meta["cols"])
+            dycore.pack(g, meta, fields, buf)
+            del fields
         return [dycore.sum_task(g, meta, *arrays, buf, *r)
                 for g, arrays, r in zip(self.geoms, per_shard_arrays, rest)]
 

@@ -4,8 +4,9 @@ The step recipes (:mod:`repro.homme.timestep`,
 :mod:`repro.homme.shallow_water`) are written once against a layout's
 ``_fanout_dss(task, meta, per_shard_arrays, ...)``; these are the
 tasks.  Every DSS is two per-shard tasks around the exchange:
-:func:`pack_task` runs a compute task (or none) and writes its outputs'
-weighted contributions into the shard's rows of one flat buffer, and
+:func:`pack_task` runs a compute task (or none, :func:`run_task`) and
+writes its outputs' weighted contributions into the shard's rows of one
+flat buffer (:func:`pack`), and
 :func:`sum_task`, once every shard has packed, sums the shard's slots
 into the arrays it is handed.  The one-shard layout calls the tasks in
 process on the whole-mesh geometry or its element blocks, every block's
@@ -222,17 +223,27 @@ def finish_dss(geom, meta, like, sums, rest) -> tuple:
     return tuple(outs) if outs else result
 
 
-def pack_task(geom, meta, *arrays):
-    """Stage 0 of a shard's DSS task: ``meta["task"]`` (or nothing) on the
-    first ``meta["nin"]`` arrays, then its outputs' :func:`exchange_form`
-    weighted into the shard's rows of the flat buffer that follows them;
-    returns those rows."""
-    nin = meta["nin"]
-    task, ins, buf = meta["task"], arrays[:nin], arrays[nin]
-    fields = ins if task is None else task(geom, meta, *ins)
+def run_task(geom, meta, *ins):
+    """The fields a shard's DSS carries: ``meta["task"]`` on ``ins``, or
+    ``ins`` themselves when there is no task."""
+    task = meta["task"]
+    return ins if task is None else task(geom, meta, *ins)
+
+
+def pack(geom, meta, fields, buf):
+    """``fields``' :func:`exchange_form` weighted into the shard's rows of
+    the flat buffer ``buf``; returns those rows."""
     plan = geom.dss_plan
     return (plan.pack(exchange_form(geom, fields, meta),
                       plan.rows(buf, meta["cols"])),)
+
+
+def pack_task(geom, meta, *arrays):
+    """Stage 0 of a shard's DSS task: :func:`run_task` on the first
+    ``meta["nin"]`` arrays, then :func:`pack` of its outputs into the flat
+    buffer that follows them."""
+    nin = meta["nin"]
+    return pack(geom, meta, run_task(geom, meta, *arrays[:nin]), arrays[nin])
 
 
 def sum_task(geom, meta, *arrays):

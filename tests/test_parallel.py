@@ -842,7 +842,7 @@ class TestDistributedBitwise:
                     tally[0] += 1
                     return fn(*args)
                 return call
-            mp.setattr(dycore, "pack_task", counted(dycore.pack_task, packs))
+            mp.setattr(dycore, "pack", counted(dycore.pack, packs))
             mp.setattr(dycore, "sum_task", counted(dycore.sum_task, sums))
             serial.step()
         with DistributedPrimitiveEquations(
