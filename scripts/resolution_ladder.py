@@ -7,11 +7,12 @@ rung and layout.
 
 Rungs are ne4 x 8, ne8 x 16, ne16 x 16 and ne30 x 26 levels, each with 4
 tracers, the fused kernels, no physics, one BLAS thread and the
-resolution's dynamics time step.  Each rung runs in three layouts:
-``serial`` (the one-process ``PrimitiveEquationModel``), ``twin``
-(``DistributedPrimitiveEquations`` over 4 SimMPI ranks in one process)
-and ``pool`` (the same on a 2-worker pool; the twin and the pool step
-bit for bit alike).  A rung builds the mesh and the model (``setup_s``,
+resolution's dynamics time step (a rung pins one BLAS thread itself, so
+``--rung`` run directly times what the ladder does).  Each rung runs in
+three layouts: ``serial`` (the one-process ``PrimitiveEquationModel``),
+``twin`` (``DistributedPrimitiveEquations`` over 4 SimMPI ranks in one
+process: one shard) and ``pool`` (the same on a 2-worker pool: a shard
+per worker; the twin and the pool step bit for bit alike).  A rung builds the mesh and the model (``setup_s``,
 pool start included), runs one warm step (the lazily built operands;
 ``first_step_s``), then ``--steps`` timed steps, and records the median
 seconds per step, microseconds per element-level, the minor page faults
@@ -19,8 +20,9 @@ per timed step (``getrusage`` of the driver: fresh pages the step's
 temporaries fault in), the driver's peak RSS, on the pool the same two
 for its workers (``/proc/<pid>`` of each worker: the largest worker's
 ``VmHWM`` and the workers' minor faults summed; ``null`` in layouts
-without workers), the model's shard count (element blocks, or rank
-groups) and the git sha of the tree it imported.
+without workers), the model's shard count (``blocks``: the serial
+model's element blocks, or the rank groups, which stream element blocks
+of their own) and the git sha of the tree it imported.
 
 ``--tree`` is the checkout whose ``src/`` the rungs import (default:
 this one), so one script measures a parent and a change.  The rows are
@@ -161,14 +163,17 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder.json")
     ap.add_argument("--rung", nargs=3, help=argparse.SUPPRESS)  # ne nlev layout
     args = ap.parse_args()
+    one_thread = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
     if args.rung:
+        # Before run_rung imports NumPy: BLAS sizes its thread pool on load.
+        os.environ.update(one_thread)
         ne, nlev, layout = args.rung
         print(json.dumps(run_rung(int(ne), int(nlev), args.steps, layout)))
         return
 
     tree = args.tree.resolve()
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, **one_thread, "PYTHONPATH": str(tree / "src")}
     sha = git_sha(tree)
     rows = []
     for ne, nlev in RUNGS:

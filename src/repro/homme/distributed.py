@@ -85,14 +85,14 @@ def charge_calibrated_compute(model, steps: int) -> None:
         model.mpi.compute(r, per_elem * nelem * steps)
 
 
-def rank_groups(offsets: list[int], state, workers: int) -> list[tuple[int, int]]:
+def rank_groups(offsets: list[int], workers: int) -> list[tuple[int, int]]:
     """``(first rank, end rank)`` of each run of consecutive ranks (rank
     ``r`` owns plan elements ``offsets[r]:offsets[r + 1]``) merged while
-    it fits one element block of ``state`` (:func:`timestep.block_elements`,
-    the one-shard layout's rule) and ``E // workers`` elements, so a pool
-    has a group per worker; a rank over that is a group of its own."""
-    cap = min(timestep.block_elements(state),
-              max(1, offsets[-1] // max(1, workers)))
+    it holds at most ``E // workers`` elements: a pool has a group per
+    worker, and in process (``workers <= 1``) all ranks are one group; a
+    rank over that is a group of its own.  Bytes do not bound a group —
+    its element blocks keep a task in cache (:class:`_DistributedModel`)."""
+    cap = max(1, offsets[-1] // max(1, workers))
     spans, r0 = [], 0
     for r in range(1, len(offsets) - 1):
         if offsets[r + 1] - offsets[r0] > cap:
@@ -106,14 +106,19 @@ class _DistributedModel(timestep._Layout):
 
     Construction partitions the mesh, builds the halo tables and the
     simulated communicator, and merges consecutive ranks into the shards
-    the recipe steps (:attr:`groups`, :func:`rank_groups`; a pool gets a
-    shard per worker).  ``states[g]`` holds shard ``g``'s elements
-    contiguous in the exchange plan's order, ``geoms[g]`` is that row
-    range of one :class:`ElementGeometry` over the plan
+    the recipe steps (:attr:`groups`, :func:`rank_groups`: a pool gets a
+    shard per worker, in process one shard).  ``states[g]`` holds shard
+    ``g``'s elements contiguous in the exchange plan's order, ``geoms[g]``
+    is that row range of one :class:`ElementGeometry` over the plan
     (:attr:`plan_geom`), and a rank is a row range of its shard
-    (:meth:`rank_states`).  Only the shard geometries are warmed (workers
-    inherit their memoized operands copy-on-write) and the engine is
-    built around them: context ``g`` is shard ``g``, and with its
+    (:meth:`rank_states`).  A shard is split into element blocks by the
+    one-shard layout's rule (:func:`timestep.element_blocks`): each block a
+    row range of the plan geometry with its own ``dss_plan``, listed in
+    ``geoms[g].blocks`` (none: the shard is its own one block).  A shard
+    task streams its blocks (:func:`repro.parallel.dycore.blocks`), and so
+    does the column physics.  Only the block geometries are warmed
+    (workers inherit their memoized operands copy-on-write) and the engine
+    is built around the shards: context ``g`` is shard ``g``, and with its
     shard-affinity dispatch a worker only ever touches (and faults in)
     the shards pinned to its slot.  ``workers <= 1`` makes the engine
     in-process.  On a pool every shard array — the state from
@@ -165,7 +170,7 @@ class _DistributedModel(timestep._Layout):
 
         off, elems = self.hx.elem_offsets, self.hx.plan_elems
         #: ``(first rank, end rank)`` of every shard, in rank order.
-        self.groups = rank_groups(off, init, self.workers)
+        self.groups = rank_groups(off, self.workers)
         rows = [(off[r0], off[r1]) for r0, r1 in self.groups]
         self.geoms = [self.plan_geom.rows(lo, hi) for lo, hi in rows]
         state_bytes = sum(getattr(init, f).nbytes for f in self._fields)
@@ -179,8 +184,12 @@ class _DistributedModel(timestep._Layout):
                          else self.arena.empty((3 * state_bytes // 16,)))
         self.states = []
         for (lo, hi), g in zip(rows, self.geoms):
-            g.dss_plan = self.hx.shard_plan(lo, hi)
-            warm(g)
+            split = timestep.element_blocks(g, init)
+            for b0, b1, b in split:
+                b.dss_plan = self.hx.shard_plan(lo + b0, lo + b1)
+                warm(b)
+            if len(split) > 1:
+                g.blocks = tuple(split)
             state = {}
             for f in self._fields:
                 a = getattr(init, f)

@@ -104,6 +104,11 @@ class ElementGeometry:
     #: A layout's shard geometry carries the shard's share of the exchange
     #: plan (:class:`~repro.homme.bndry.ShardPlan`), what its DSS tasks run.
     dss_plan = None
+    #: The N-shard layout splits a shard bigger than one element block:
+    #: ``(lo, hi, geometry)`` of each block, rows of the shard in order,
+    #: every block geometry carrying its own ``dss_plan``; none, and the
+    #: shard is its own one block.
+    blocks = ()
 
     def __init__(self, mesh: CubedSphereMesh, elem_ids: np.ndarray | None = None) -> None:
         self.mesh = mesh

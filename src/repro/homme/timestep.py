@@ -78,6 +78,19 @@ def block_elements(state) -> int:
     return max(1, BLOCK_BYTES // per_elem)
 
 
+def element_blocks(geom: ElementGeometry, state) -> list[tuple]:
+    """``(lo, hi, geometry)`` of ``geom``'s elements split into near-equal
+    contiguous blocks, as few as hold :func:`block_elements` of ``state``
+    each: row views of ``geom``, or ``geom`` itself as the one block.  The
+    one rule both layouts block by."""
+    n = geom.nelem
+    k = -(-n // block_elements(state))
+    if k == 1:
+        return [(0, n, geom)]
+    bounds = [i * n // k for i in range(k + 1)]
+    return [(lo, hi, geom.rows(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def checked_state(state, fields: tuple[str, ...]):
     """``state`` with every prognostic array in float64 (a real dtype is
     cast, anything else raises); :class:`KernelError` naming the field
@@ -314,11 +327,7 @@ class _WholeMesh(_Layout):
         """Split the mesh into near-equal contiguous element ranges, as few
         as keep the state's largest per-element array under
         :data:`BLOCK_BYTES` a block; one block reuses :attr:`geom`."""
-        E = self.mesh.nelem
-        k = -(-E // block_elements(self.state))
-        bounds = [i * E // k for i in range(k + 1)]
-        self.blocks = [(0, E, self.geom)] if k == 1 else [
-            (lo, hi, self.geom.rows(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        self.blocks = element_blocks(self.geom, self.state)
 
     @staticmethod
     def _resident(outs) -> tuple:
@@ -428,8 +437,9 @@ def euler_step_subcycled(model, states: list, remap: bool = False) -> None:
         before, after = model._mesh_sum([m for _, m in lim])
         scale = restoring_scale(before, after)
         fresh = remap and slot0 == 3 * (sub - 1)
-        qdps = _dss_stack(model, [(q, scale) for q, _ in lim], slot0 + 2,
-                          dycore.prim_fixer_task, into=None if fresh else qdps)
+        qdps = _dss_stack(model, [(q,) for q, _ in lim], slot0 + 2,
+                          dycore.prim_fixer_task, {"scale": scale},
+                          into=None if fresh else qdps)
         del lim
     for s, qdp in zip(states, qdps):
         s.qdp = qdp
@@ -532,9 +542,13 @@ class _PrimRecipe:
             self._rank_spans("vertical_remap", None, step=self.step_count)
         self.t += dt
         if self.forcing is not None:
-            # Column physics: shard by shard, in place, no communication.
+            # Column physics: block by block on row views of the shards,
+            # in place, no communication.
             for s, g in zip(s3, self.geoms):
-                self.forcing(s, g, self.t, dt)
+                for lo, hi, b in dycore.blocks(g):
+                    self.forcing(ElementState(**{f: getattr(s, f)[lo:hi]
+                                                 for f in self._fields}),
+                                 b, self.t, dt)
         self.states = s3
         self._rank_spans("step", step_t0s, step=self.step_count - 1)
 

@@ -70,8 +70,8 @@ def scenario_spec(name: str, workers: int, tasks: int, seed: int = 0,
     Task ids are drawn from ``[first_task, first_task + tasks)``, by
     default ``first_task = workers``: the engine's start-up ping takes
     ids ``0..workers-1``, and the next ``tasks`` ids — one per shard of
-    the model, ``len(model.groups)`` — are the first RK stage's tasks,
-    dispatched as one batch.  A later stage's first id moves the same
+    the model, ``len(model.groups)``: one a worker — are the first RK
+    stage's tasks, one batch.  A later stage's first id moves the same
     draw there.  The same arguments draw the same distinct ids (one
     seeded permutation of the span); more faults than ids raise
     ``ValueError``.
@@ -130,7 +130,7 @@ def run_scenario(
         serial.run_steps(steps)
         ref = serial.gather_state()
         # The pool model's shards: one task each per RK stage, three a step.
-        tasks = len(rank_groups(serial.hx.elem_offsets, ref, workers))
+        tasks = len(rank_groups(serial.hx.elem_offsets, workers))
     faults, overrides = scenario_spec(
         name, workers, tasks, seed, workers + at_step * 3 * tasks)
     with DistributedShallowWater(

@@ -3,17 +3,16 @@
 The step recipes (:mod:`repro.homme.timestep`,
 :mod:`repro.homme.shallow_water`) are written once against a layout's
 ``_fanout_dss(task, meta, per_shard_arrays, ...)``; these are the
-tasks.  Every DSS is two per-shard tasks around the exchange:
-:func:`pack_task` runs a compute task (or none, :func:`run_task`) and
-writes its outputs' weighted contributions into the shard's rows of one
-flat buffer (:func:`pack`), and
-:func:`sum_task`, once every shard has packed, sums the shard's slots
-into the arrays it is handed.  The one-shard layout calls the tasks in
-process on the whole-mesh geometry or its element blocks, every block's
-pack before any block's sum, as the engine's in-process path does;
-the N-shard layout (:mod:`repro.homme.distributed`) runs them once per
-shard through its engine, in process or on a worker — the same functions
-on every path, so every path executes the same float64 streams.
+tasks.  Every DSS is two per-shard tasks around the exchange, each
+streaming the shard's element blocks (:func:`blocks`): :func:`pack_task`
+writes a block's task outputs (:func:`run_task`), weighted, into its
+rows of one flat buffer (:func:`pack`) before the next block's task
+runs; :func:`sum_task`, once every shard has packed, sums a block's
+slots into its rows of the arrays it is handed.  The one-shard layout
+calls them in process per block, the N-shard layout
+(:mod:`repro.homme.distributed`) once per shard through its engine, so
+every path executes the same float64 streams.  Every array a task is
+handed is per element; what is not rides in the meta.
 
 A task that makes a shard array writes it into an array it is handed
 — the array the result replaces, or one the layout allocates (resident
@@ -21,11 +20,10 @@ on a pool) — and returns it, and no task writes an array any task of
 its batch reads: re-running one rewrites the same bytes.
 
 Geometry never crosses a queue: the engine is built around the shard
-:class:`~repro.homme.element.ElementGeometry` objects (each carrying its
-``dss_plan``), a task meta names its shard's (``"ctx"``, an index) and
-its execution path (``"path"`` — required: a meta without it is a driver
-bug, not a request for default kernels), and the task receives that
-geometry as its first argument.
+:class:`~repro.homme.element.ElementGeometry` objects, a task meta names
+its shard's (``"ctx"``, an index) and its execution path (``"path"`` —
+required: a meta without it is a driver bug), and the task receives
+that geometry as its first argument.
 """
 
 from __future__ import annotations
@@ -48,14 +46,10 @@ def _kernels(meta):
 
 
 def sw_stage_task(geom, meta, base_h, base_v, point_h, point_v):
-    """One shard's shallow-water RK-stage update (pre-DSS).
-
-    Returns ``(base + dt * tendency)`` for h and v, evaluated with the
-    shard's geometry.
-    """
+    """One shard's shallow-water RK-stage update ``base + dt * tendency``
+    of h and v (pre-DSS)."""
     dh, dv = _kernels(meta).sw_rhs(point_h, point_v, geom)
-    dt = meta["dt"]
-    return base_h + dt * dh, base_v + dt * dv
+    return base_h + meta["dt"] * dh, base_v + meta["dt"] * dv
 
 
 def sw_laplace_task(geom, meta, h, v):
@@ -77,11 +71,7 @@ def prim_stage_task(geom, meta, base_v, base_T, base_dp, point_v, point_T, point
 def prim_laplace_task(geom, meta, T, v, dp):
     """One shard's hyperviscosity laplacians for all three fields."""
     ex = _kernels(meta)
-    return (
-        ex.laplace_wk(T, geom),
-        ex.vlaplace(v, geom),
-        ex.laplace_wk(dp, geom),
-    )
+    return ex.laplace_wk(T, geom), ex.vlaplace(v, geom), ex.laplace_wk(dp, geom)
 
 
 def prim_euler_stage1_task(geom, meta, qdp, v):
@@ -98,18 +88,18 @@ def prim_euler_stage2_task(geom, meta, qdp, st1, v):
 
 def prim_limit_post(geom, meta, st2):
     """A shard's elementwise limiter pass on its DSS'd stage-2 stack:
-    ``(limited, masses)`` with the (E_r, 2, Q, L) per-element masses —
-    before and after — the recipe sums over the mesh, in global element
-    order, for the global fixer's scale.  ``limited`` is ``st2`` itself
-    when no element-level needs the limiter."""
+    ``(limited, masses)``, the (E_r, 2, Q, L) per-element masses before
+    and after, which the recipe sums in global element order for the
+    fixer's scale; ``limited`` is ``st2`` where nothing needs limiting."""
     limited, before, after = limit_local(st2, geom)
     return limited, np.stack((before, after), axis=1)
 
 
-def prim_fixer_task(geom, meta, limited, scale):
-    """A shard's limited stack times the global fixer's (Q, L) scale
-    (pre-DSS); ``limited`` itself where the multiply is the identity."""
-    return (fixer_multiply(limited, scale),)
+def prim_fixer_task(geom, meta, limited):
+    """A shard's limited stack times the global fixer's (Q, L)
+    ``meta["scale"]`` (pre-DSS); ``limited`` itself where the multiply is
+    the identity."""
+    return (fixer_multiply(limited, meta["scale"]),)
 
 
 def hypervis_post(geom, meta, *arrays):
@@ -148,13 +138,10 @@ def _folded(f, meta):
     return f.reshape(len(f), -1, *f.shape[-2:]) if meta["fold"] else f
 
 
-def _is_vector(f, meta) -> bool:
-    return f.ndim == 4 + meta["levels"]
-
-
 def _nplanes(f, meta) -> int:
-    """Planes the folded field ``f`` crosses the exchange as."""
-    return 3 if _is_vector(f, meta) else 1
+    """Planes the folded field ``f`` crosses the exchange as: a vector's
+    three, a scalar's one."""
+    return 3 if f.ndim == 4 + meta["levels"] else 1
 
 
 def dss_columns(fields, levels: bool, fold: bool) -> int:
@@ -171,7 +158,7 @@ def exchange_form(geom, fields, meta) -> list[np.ndarray]:
     planes = []
     for f in fields:
         f = _folded(f, meta)
-        ws = geom.to_cartesian_planes(f) if _is_vector(f, meta) else [f]
+        ws = geom.to_cartesian_planes(f) if _nplanes(f, meta) == 3 else [f]
         planes += [w.transpose(_LEVELS_LAST) for w in ws] if meta["levels"] else ws
     return planes
 
@@ -186,35 +173,55 @@ def exchange_shapes(fields, meta) -> list[tuple[int, ...]]:
     return shapes
 
 
-def from_exchange(geom, planes, out, meta) -> None:
-    """Write the summed exchange form ``planes`` of one field back into
-    ``out``'s own form."""
-    o = _folded(out, meta)
-    if meta["levels"]:
-        planes = [d.transpose(_LEVELS_FIRST) for d in planes]
-    if _is_vector(o, meta):
-        geom.from_cartesian_planes(planes, o)
-    else:
-        np.copyto(o, planes[0])
+def run_task(geom, meta, *ins):
+    """The fields a shard's DSS carries: ``meta["task"]`` on ``ins``, or
+    ``ins`` themselves when there is no task."""
+    task = meta["task"]
+    return ins if task is None else task(geom, meta, *ins)
+
+
+def pack(geom, meta, fields, buf) -> None:
+    """``fields``' :func:`exchange_form` weighted into the shard's rows of
+    the flat buffer ``buf``."""
+    plan = geom.dss_plan
+    plan.pack(exchange_form(geom, fields, meta), plan.rows(buf, meta["cols"]))
+
+
+def blocks(geom):
+    """``(lo, hi, geometry)`` of the element blocks a task on the shard
+    ``geom`` streams: ``geom.blocks``, or the shard as its one block."""
+    return geom.blocks or ((0, geom.nelem, geom),)
+
+
+def pack_task(geom, meta, *arrays):
+    """Stage 0 of a shard's DSS task, block by block: :func:`pack` of
+    :func:`run_task` on its rows of the first ``meta["nin"]`` arrays into
+    the flat buffer after them; returns the shard's rows of the buffer."""
+    ins, buf, split = arrays[:meta["nin"]], arrays[meta["nin"]], blocks(geom)
+    for lo, hi, g in split:
+        pack(g, meta, run_task(g, meta, *(a[lo:hi] for a in ins)), buf)
+    first, last = split[0][2].dss_plan, split[-1][2].dss_plan
+    return (first.rows(buf, meta["cols"])[first.p0:last.p1],)
 
 
 def finish_dss(geom, meta, like, sums, rest) -> tuple:
-    """The end of a shard's DSS: the summed exchange form ``sums`` of the
-    fields ``like`` back in those fields' form, then — with a
-    ``meta["post"]`` step — ``post(geom, meta, *fields, *inputs)`` on
-    them, ``inputs`` being the first ``meta["npost"]`` of ``rest``.  The
-    rest of ``rest``, when given, receives the result — the arrays it
-    replaces, or resident ones a pool hands out — and is returned;
-    otherwise the result is fresh arrays, allocated after the sums' own
-    temporaries."""
+    """The summed exchange form ``sums`` of the fields ``like`` back in
+    their form, then ``meta["post"]`` (if any) on them and the first
+    ``meta["npost"]`` of ``rest``; the result goes into the rest of
+    ``rest`` (returned) or, with none, into fresh arrays."""
     post, npost = meta["post"], meta["npost"]
     inputs, outs = rest[:npost], rest[npost:]
     fields = outs if post is None and outs else [np.empty(a.shape) for a in like]
     c0 = 0
-    for o in fields:
-        c1 = c0 + _nplanes(_folded(o, meta), meta)
-        from_exchange(geom, sums[c0:c1], o, meta)
-        c0 = c1
+    for o in (_folded(f, meta) for f in fields):
+        planes = sums[c0:c0 + _nplanes(o, meta)]
+        c0 += len(planes)
+        if meta["levels"]:
+            planes = [d.transpose(_LEVELS_FIRST) for d in planes]
+        if len(planes) == 3:
+            geom.from_cartesian_planes(planes, o)
+        else:
+            np.copyto(o, planes[0])
     if post is None:
         return tuple(fields)
     result = post(geom, meta, *fields, *inputs)
@@ -223,35 +230,28 @@ def finish_dss(geom, meta, like, sums, rest) -> tuple:
     return tuple(outs) if outs else result
 
 
-def run_task(geom, meta, *ins):
-    """The fields a shard's DSS carries: ``meta["task"]`` on ``ins``, or
-    ``ins`` themselves when there is no task."""
-    task = meta["task"]
-    return ins if task is None else task(geom, meta, *ins)
-
-
-def pack(geom, meta, fields, buf):
-    """``fields``' :func:`exchange_form` weighted into the shard's rows of
-    the flat buffer ``buf``; returns those rows."""
-    plan = geom.dss_plan
-    return (plan.pack(exchange_form(geom, fields, meta),
-                      plan.rows(buf, meta["cols"])),)
-
-
-def pack_task(geom, meta, *arrays):
-    """Stage 0 of a shard's DSS task: :func:`run_task` on the first
-    ``meta["nin"]`` arrays, then :func:`pack` of its outputs into the flat
-    buffer that follows them."""
-    nin = meta["nin"]
-    return pack(geom, meta, run_task(geom, meta, *arrays[:nin]), arrays[nin])
-
-
 def sum_task(geom, meta, *arrays):
-    """Stage 1, once every shard has packed: the shard's slots summed from
-    the flat buffer, finished (:func:`finish_dss`) into the arrays after
-    it.  The outputs are shaped like the first ``meta["nout"]`` inputs."""
-    nin = meta["nin"]
+    """Stage 1, once every shard has packed, block by block: the block's
+    slots summed from the flat buffer and finished (:func:`finish_dss`)
+    into its rows of the arrays after it, which are returned; with none,
+    into fresh ones (the first block's own when it is the shard)."""
+    nin, npost = meta["nin"], meta["npost"]
     like, buf = arrays[:nin][:meta["nout"]], arrays[nin]
-    plan = geom.dss_plan
-    sums = plan.sum(plan.rows(buf, meta["cols"]), exchange_shapes(like, meta))
-    return finish_dss(geom, meta, like, sums, arrays[nin + 1:])
+    inputs, outs = arrays[nin + 1:nin + 1 + npost], arrays[nin + 1 + npost:]
+    for lo, hi, g in blocks(geom):
+        plan, rows = g.dss_plan, [a[lo:hi] for a in like]
+        done = finish_dss(g, meta, rows,
+                          plan.sum(plan.rows(buf, meta["cols"]), exchange_shapes(rows, meta)),
+                          [a[lo:hi] for a in (*inputs, *outs)])
+        if not outs:
+            outs = done if hi - lo == geom.nelem else _shard_arrays(done, lo, geom.nelem)
+        del done  # before the next block's sums
+    return tuple(outs)
+
+
+def _shard_arrays(block, lo: int, n: int) -> list:
+    """Fresh (n, ...) arrays holding a block's results at rows ``lo``..."""
+    outs = [np.empty((n,) + a.shape[1:]) for a in block]
+    for o, a in zip(outs, block):
+        o[lo:lo + len(a)] = a
+    return outs

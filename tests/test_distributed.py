@@ -25,6 +25,7 @@ from repro.homme.shallow_water import (
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh import CubedSphereMesh
 from repro.network import SimMPI
+from repro.parallel import dycore
 
 
 @pytest.fixture(scope="module")
@@ -344,11 +345,12 @@ class TestSharedBase:
             assert shards and [ref() for ref in shards] == [None] * len(shards)
 
     def test_shard_geometries_are_plan_geometry_views(self, build):
-        """One geometry over the plan's element order; every shard's is a
-        read-only row range of it, equal to the geometry its elements
-        would build on their own, and carries the only operator tensors:
-        the engine's contexts are the shard geometries, and no per-rank
-        geometry is built (each would warm tensors of its own)."""
+        """One geometry over the plan's element order; every shard's and
+        every element block's is a read-only row range of it, equal to the
+        geometry its elements would build on their own, and the blocks
+        carry the only operator tensors: the engine's contexts are the
+        shard geometries, and no per-rank geometry is built (each would
+        warm tensors of its own)."""
         cut, budget = [], 2 * rank_bytes(build)
         rows = ElementGeometry.rows
 
@@ -356,19 +358,26 @@ class TestSharedBase:
             cut.append(rows(geom, lo, hi))
             return cut[-1]
 
-        # Two ranks a shard, so a shard is neither a rank nor the plan.
+        # Two ranks a block, so a block is neither a rank, the shard nor
+        # the plan.
         with mock.patch.object(ElementGeometry, "rows", counting_rows), \
                 mock.patch.object(timestep, "BLOCK_BYTES", budget):
             model = build()
-        assert model.groups == [(0, 2), (2, 4)]
-        assert cut == model.geoms and model.engine.contexts == tuple(model.geoms)
+        assert model.groups == [(0, 4)]
+        (shard,) = model.geoms
+        blocks = [b for _, _, b in shard.blocks]
+        assert cut == [shard, *blocks] and model.engine.contexts == (shard,)
         plan, off = model.plan_geom, model.hx.elem_offsets
+        assert [(lo, hi) for lo, hi, _ in shard.blocks] == [(0, off[2]), (off[2], off[4])]
         assert np.array_equal(plan.elem_ids, np.concatenate(model.hx.rank_elems))
-        assert "tensors" not in vars(plan)
+        assert "tensors" not in vars(plan) and "tensors" not in vars(shard)
+        assert shard.dss_plan is None
         names = ("e_cov_planes", "metinv_planes", "spheremp", "fcor")
-        for (r0, r1), g in zip(model.groups, model.geoms):
-            assert np.array_equal(g.elem_ids, plan.elem_ids[off[r0]:off[r1]])
-            assert "tensors" in vars(g)  # warmed before the engine
+        for lo, hi, g in ((0, off[4], shard), *shard.blocks):
+            assert np.array_equal(g.elem_ids, plan.elem_ids[lo:hi])
+            if g is not shard:
+                assert "tensors" in vars(g)  # warmed before the engine
+                assert (g.dss_plan.p0, g.dss_plan.p1) == (lo * 16, hi * 16)
             own = ElementGeometry(model.mesh, g.elem_ids)
             for name in (*names, "metdet", "met", "lat", "lon"):
                 a = getattr(g, name)
@@ -378,36 +387,44 @@ class TestSharedBase:
                     a[(0,) * a.ndim] = 0.0
 
     def test_rank_groups_follow_the_state_bytes(self, build):
-        """Consecutive ranks merge while their largest per-element state
-        array fits the block budget read at construction; a rank over it
-        stays alone.  The groups are the shards: one state, one geometry
-        and one engine context each, over the group's rows of the plan."""
+        """The groups are one per worker — every rank in one group in
+        process, consecutive halves on two workers — whatever the block
+        budget; the budget read at construction splits each shard into as
+        few near-equal contiguous element blocks as keep its largest
+        per-element state array within it (a shard within it is its own
+        block).  The groups are the shards: one state, one geometry and
+        one engine context each, over the group's rows of the plan."""
         per_rank = rank_bytes(build)
-        alone = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        for budget, want in ((per_rank - 1, alone), (per_rank, alone),
-                             (2 * per_rank, [(0, 2), (2, 4)]),
-                             (3 * per_rank, [(0, 3), (3, 4)]),
-                             (4 * per_rank, [(0, 4)])):
+        for budget, want in ((per_rank - 1, 5), (per_rank, 4),
+                             (2 * per_rank, 2), (3 * per_rank, 2),
+                             (4 * per_rank, 1)):
             with mock.patch.object(timestep, "BLOCK_BYTES", budget):
                 model = build()
-            assert model.groups == want, budget
-            assert len(model.states) == len(model.geoms) == len(model.engine.contexts)
+            assert model.groups == [(0, 4)], budget
+            assert len(model.states) == len(model.geoms) == len(model.engine.contexts) == 1
             off = model.hx.elem_offsets
-            for (r0, r1), s, g in zip(model.groups, model.states, model.geoms):
-                assert np.array_equal(g.elem_ids,
-                                      model.plan_geom.elem_ids[off[r0]:off[r1]])
-                assert all(len(a) == off[r1] - off[r0] for a in vars(s).values())
+            (s,), (g,) = model.states, model.geoms
+            assert np.array_equal(g.elem_ids, model.plan_geom.elem_ids)
+            assert all(len(a) == off[4] for a in vars(s).values())
+            sizes = [hi - lo for lo, hi, _ in dycore.blocks(g)]
+            assert len(sizes) == want and sum(sizes) == off[4], budget
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) * per_rank <= budget * off[1]
+            assert (g.blocks == ()) == (want == 1)
+        assert dist_mod.rank_groups(off, 2) == [(0, 2), (2, 4)]
+        assert dist_mod.rank_groups(off, 4) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_one_task_per_shard_per_stage(self, build, workers):
-        """A step dispatches one task per shard per batch, in process and
-        on a pool alike."""
-        with mock.patch.object(timestep, "BLOCK_BYTES", 2 * rank_bytes(build)), \
+        """A step dispatches one task per shard per batch, in process (one
+        shard) and on a pool (a shard per worker) alike, however many
+        blocks a shard streams."""
+        with mock.patch.object(timestep, "BLOCK_BYTES", rank_bytes(build)), \
                 build(workers=workers) as model:
             engine = model.engine
             calls, tasks = engine.calls, engine.tasks_parallel + engine.tasks_serial
             model.step()
-            assert len(model.groups) == 2
+            assert len(model.groups) == max(1, workers)
+            assert sum(len(dycore.blocks(g)) for g in model.geoms) == 4
             assert (engine.tasks_parallel + engine.tasks_serial - tasks
                     == len(model.groups) * (engine.calls - calls))
 

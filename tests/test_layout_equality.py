@@ -9,6 +9,7 @@ kernels' BLAS: a GEMM row must not depend on how many rows ride along.
 with its reason on a BLAS build where it does not hold.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.backends.functional_exec import homme_execution
 from repro.config import ModelConfig
-from repro.homme import timestep
+from repro.homme import distributed, timestep
 from repro.homme.bndry import HaloExchanger
 from repro.homme.distributed import (
     DistributedPrimitiveEquations,
@@ -29,6 +30,7 @@ from repro.homme.shallow_water import ShallowWaterModel
 from repro.homme.timestep import PrimitiveEquationModel
 from repro.mesh.cubed_sphere import CubedSphereMesh
 from repro.mesh.partition import SFCPartition
+from repro.parallel import dycore
 from repro.physics import PhysicsSuite
 
 from .test_halo_plan import TRAILING, groupings, plan_dss, random_field, scatter
@@ -40,9 +42,9 @@ EXEC_PATHS = ["fused", "batched"]
 #: ``PhysicsSuite``); Kessler needs the three water species.
 FORCINGS = (None, ("held_suarez",), ("held_suarez", "kessler", "radiation"))
 
-#: Elements per block the serial twin draws: one-element blocks, an
-#: uneven split (7 blocks of the 96 at ne4, 4 of the 54 at ne3) and a
-#: single block.
+#: Elements per block the serial twin and every distributed shard draw:
+#: one-element blocks, an uneven split (7 blocks of the 96 at ne4, 4 of
+#: the 54 at ne3) and a single block.
 BLOCKS = (1, 14, None)
 
 #: Ranks per group the distributed twin draws: every rank alone, about
@@ -122,25 +124,30 @@ def split_into_blocks(serial, per_block):
     assert len(serial.blocks) == -(-E // (per_block or E))
 
 
-def grouped(state, nranks, per_group):
-    """Patch the budget the distributed constructor reads so that its rank
-    groups hold ``per_group`` average ranks' elements of ``state`` (1:
-    every rank alone, None: one group)."""
-    E = len(state.v)
-    elems = {1: 1, None: E}.get(per_group) or per_group * E // nranks
-    return mock.patch.object(timestep, "BLOCK_BYTES", budget(state, elems))
+@contextmanager
+def grouped(state, nranks, per_group, per_block):
+    """Patch what the distributed constructor reads so that its rank
+    groups hold ``per_group`` ranks (1: every rank alone, None: one group;
+    the last group may be short) and a block inside a shard holds
+    ``per_block`` elements of ``state`` (None: a shard is one block)."""
+    step = per_group or nranks
+    groups = [(r, min(r + step, nranks)) for r in range(0, nranks, step)]
+    elems = per_block or len(state.v)
+    with mock.patch.object(distributed, "rank_groups", lambda off, workers: groups), \
+            mock.patch.object(timestep, "BLOCK_BYTES", budget(state, elems)):
+        yield
 
 
 def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
                            nu=0.0, per_block=None, per_group=None):
     """Fresh (serial, distributed) twins of one configuration; ``forcing``
     names a ``PhysicsSuite`` (one each), ``nu`` the shallow-water
-    hyperviscosity, ``per_block`` the serial model's elements per block,
-    ``per_group`` the distributed model's ranks per group (its shards,
-    fixed at construction)."""
+    hyperviscosity, ``per_block`` the elements per block of the serial
+    model and of every distributed shard, ``per_group`` the distributed
+    model's ranks per group (its shards, fixed at construction)."""
     if kind == "sw":
         serial = ShallowWaterModel(mesh_of(ne), nu=nu, exec_path=exec_path)
-        with grouped(serial.state, nranks, per_group):
+        with grouped(serial.state, nranks, per_group, per_block):
             dist = DistributedShallowWater(mesh_of(ne), nranks, dt=serial.dt,
                                            nu=nu, exec_path=exec_path)
         names = ("h", "v")
@@ -149,16 +156,21 @@ def serial_and_distributed(kind, ne, shape, exec_path, nranks, forcing=None,
         serial = PrimitiveEquationModel(cfg, mesh, init=state.copy(), dt=600.0,
                                         forcing=forcing and PhysicsSuite(forcing),
                                         exec_path=exec_path)
-        with grouped(state, nranks, per_group):
+        with grouped(state, nranks, per_group, per_block):
             dist = DistributedPrimitiveEquations(
                 cfg, mesh, state.copy(), nranks=nranks, dt=600.0,
                 exec_path=exec_path, forcing=forcing and PhysicsSuite(forcing))
         names = ("v", "T", "dp3d", "qdp")
     split_into_blocks(serial, per_block)
-    if per_group in (1, None):
-        assert len(dist.groups) == (nranks if per_group else 1)
+    assert len(dist.groups) == -(-nranks // (per_group or nranks))
     assert [r for r0, r1 in dist.groups for r in range(r0, r1)] == list(range(nranks))
     assert len(dist.states) == len(dist.geoms) == len(dist.groups)
+    for g in dist.geoms:  # every shard in contiguous blocks of per_block
+        split = dycore.blocks(g)
+        his = [hi for _, hi, _ in split]
+        assert len(split) == -(-g.nelem // (per_block or g.nelem))
+        assert [(lo, hi) for lo, hi, _ in split] == list(zip([0, *his[:-1]], his))
+        assert his[-1] == g.nelem
     return serial, dist, names
 
 

@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.homme import timestep
+from repro.parallel import dycore
 
 REPO = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -25,25 +26,26 @@ _spec = importlib.util.spec_from_file_location(
 step_peak = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(step_peak)
 
-#: Elements of one block or rank group in the several-shard layouts: four
-#: shards at ne4 (one element of the 4-tracer, 8-level state is 4 KiB).
+#: Elements of one block in the several-block layouts: four blocks at ne4
+#: (one element of the 4-tracer, 8-level state is 4 KiB).
 SHARD_ELEMS = 24
 #: Bound on the per-step traced peak above the step's start, in state
-#: bytes, on four shards (measured 3.36 serial and twin; 4.50 and 4.10
+#: bytes, in four blocks (measured 3.36 serial and twin; 4.50 and 4.10
 #: before the closing DSS wrote in place and the one-shard DSS streamed).
 PEAK_STATES = 3.4
 
 
 def build(layout: str):
     """``serial`` (one block), ``blocks`` (the one-shard layout in four
-    blocks), ``twin`` (four rank groups in process) or ``pool`` (the
-    same on two workers)."""
-    shards = 1 if layout == "serial" else 4
-    budget = timestep.BLOCK_BYTES if shards == 1 else SHARD_ELEMS * 4096
+    blocks), ``twin`` (four ranks in process: one shard of four blocks)
+    or ``pool`` (the same on two workers: two shards of two blocks)."""
+    blocks = 1 if layout == "serial" else 4
+    budget = timestep.BLOCK_BYTES if blocks == 1 else SHARD_ELEMS * 4096
     with mock.patch.object(timestep, "BLOCK_BYTES", budget):
         model = step_peak.build("serial" if layout == "blocks" else layout)
-    got = len(model.groups) if hasattr(model, "groups") else len(model.blocks)
-    assert got == shards
+    assert sum(len(dycore.blocks(g)) for g in model.geoms) == blocks
+    if hasattr(model, "groups"):
+        assert len(model.groups) == (2 if layout == "pool" else 1)
     if layout == "pool" and not model.engine.active:
         model.close()
         pytest.skip(f"pool unavailable: {model.engine.fallback_reason}")
